@@ -1,6 +1,7 @@
 """Command-line entry point: generate, train, steer, evaluate, report.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
+(including an unreadable or inconsistent dataset).
 Every subcommand is deterministic under a fixed --seed; --jobs enables
 order-preserving process parallelism with identical results.
 """
@@ -22,6 +23,7 @@ from needleroll.config import (
     write_resolved_config,
 )
 from needleroll.dataset import (
+    DatasetError,
     GenerationStalled,
     generate_dataset,
     load_manifest,
@@ -249,7 +251,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GenerationStalled, Diverged, OSError) as exc:
+    except (DatasetError, GenerationStalled, Diverged, OSError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 2
 

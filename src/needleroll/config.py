@@ -60,11 +60,11 @@ class RunConfig:
 
     # training
     dataset: str | None = None
-    epochs: int = 800
-    batch_size: int = 8
-    learning_rate: float = 3e-3
-    dropout: float = 0.2
-    hidden_size: int = 30
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    dropout: float = TrainConfig.dropout_rate
+    hidden_size: int = TrainConfig.hidden_size
 
     # steering / evaluation
     model: str | None = None

@@ -57,6 +57,10 @@ COLLECTION_ERROR_LIMIT = 1.0  # mm, regenerate episodes that miss by more
 RETRY_BUDGET = 5  # attempts per episode slot
 
 
+class DatasetError(RuntimeError):
+    """Dataset files unreadable or inconsistent with their manifest."""
+
+
 class GenerationStalled(RuntimeError):
     """Retry budget exhausted: the controller/plant pairing is mis-tuned."""
 
@@ -278,7 +282,11 @@ def save_manifest(manifest: DatasetManifest, root: Path):
 
 
 def load_manifest(root: Path) -> DatasetManifest:
-    doc = json.loads((Path(root) / MANIFEST_FILENAME).read_text())
+    path = Path(root) / MANIFEST_FILENAME
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
     if doc.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported manifest schema {doc.get('schema_version')!r}")
@@ -299,14 +307,37 @@ def load_manifest(root: Path) -> DatasetManifest:
 
 def load_episodes(root: Path, manifest: DatasetManifest,
                   split: str | None = None) -> list[EpisodeRecord]:
-    """Episodes in id order; optionally restricted to one split."""
-    wanted = {m.line for m in manifest.episodes
+    """Episodes in id order; optionally restricted to one split.
+
+    Raises DatasetError unless the episodes file holds exactly the
+    manifest's episodes, each complete, valid JSON and on its listed line.
+    """
+    wanted = {m.line: m.episode_id for m in manifest.episodes
               if split is None or m.split == split}
+    path = Path(root) / manifest.episodes_file
     out = []
-    with open(Path(root) / manifest.episodes_file) as fh:
+    lines = 0
+    with open(path) as fh:
         for idx, line in enumerate(fh):
-            if idx in wanted:
-                out.append(record_from_line(line))
+            lines += 1
+            if not line.endswith("\n"):
+                raise DatasetError(f"{path}: line {idx + 1} is truncated")
+            if idx not in wanted:
+                continue
+            try:
+                rec = record_from_line(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(
+                    f"{path}: line {idx + 1} is not valid JSON ({exc})") from exc
+            if rec.episode_id != wanted[idx]:
+                raise DatasetError(
+                    f"{path}: line {idx + 1} holds episode {rec.episode_id}, "
+                    f"the manifest lists episode {wanted[idx]}")
+            out.append(rec)
+    if lines != len(manifest.episodes):
+        raise DatasetError(
+            f"{path}: {lines} episodes, the manifest lists "
+            f"{len(manifest.episodes)}")
     out.sort(key=lambda r: r.episode_id)
     return out
 

@@ -53,7 +53,7 @@ class EkfState:
                            np.asarray(self.orientation, dtype=float))
         object.__setattr__(self, "covariance",
                            np.asarray(self.covariance, dtype=float))
-        if abs(np.linalg.norm(self.orientation) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(self.orientation) - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("orientation quaternion must be unit-norm")
         if self.covariance.shape != (6, 6):
             raise ValueError("covariance must be 6x6")

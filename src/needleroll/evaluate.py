@@ -47,6 +47,7 @@ from needleroll.plant import (
     MediumParams,
     SensedTip,
     WorkspaceCone,
+    require_finite_measurement,
     sample_target,
 )
 from needleroll.se3 import Pose, angular_error, decompose_roll, wrap_angle
@@ -127,6 +128,7 @@ class EkfRollTracker:
         self.last_base_angle = None
 
     def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
+        require_finite_measurement(meas, base_angle)
         if self.last_base_angle is not None:
             u = ControlInput(
                 insertion_speed=self.insertion_speed,

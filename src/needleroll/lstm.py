@@ -8,7 +8,9 @@ path, the serializer, and the test oracles:
   sin base_angle, cos base_angle)
 - target y (2): (sin roll, cos roll)
 - gate order inside the stacked (4H, .) matrices: input, forget, cell
-  candidate, output; sigmoid on i/f/o, tanh on the candidate
+  candidate, output; sigmoid on i/f/o, tanh on the candidate. All four
+  come from one tanh over the stacked pre-activation, with
+  sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 (_gate_affine, _activate_gates)
 - fully-connected layer: tanh activation, inverted dropout on its
   activations in training mode only
 - output layer: linear
@@ -19,11 +21,19 @@ Everything runs in float64. The streaming estimator and the offline
 run_sequence call the exact same forward_step, so their outputs are
 bit-identical by construction; the batched training forward is a separate
 vectorized path validated against run_sequence in tests.
+
+The training path is time-major: padded batches, masks and every cached
+activation are (T, B, .) arrays, so each timestep is one contiguous (B, .)
+slab. Only the recurrence steps through time; projections, the
+fully-connected layer, the output head and every weight gradient are single
+GEMMs over all T * B rows. backward consumes its cache: it overwrites the
+cached activations in place with its intermediate factors and gradients.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from collections import deque
@@ -31,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from needleroll.plant import SensedTip
+from needleroll.plant import SensedTip, require_finite_measurement
 from needleroll.se3 import Pose, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
@@ -156,8 +166,33 @@ def init_model(input_size: int = 8, hidden_size: int = 30, z_max: float = 75.0,
     return model
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+@functools.lru_cache(maxsize=None)
+def _gate_affine(hidden_size: int):
+    """(scale, shift) over the stacked 4H gate axis, read-only.
+
+    The pre-activation is multiplied by `scale` before the shared tanh and
+    the tanh by `scale` then offset by `shift` after it, which gives
+    sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on i/f/o and tanh(z) on the
+    candidate. Scaling by 0.5 is exact in binary floating point, so it may
+    be folded into the weights instead of applied to z.
+    """
+    candidate = slice(2 * hidden_size, 3 * hidden_size)
+    scale = np.full(4 * hidden_size, 0.5)
+    scale[candidate] = 1.0
+    shift = np.full(4 * hidden_size, 0.5)
+    shift[candidate] = 0.0
+    scale.setflags(write=False)
+    shift.setflags(write=False)
+    return scale, shift
+
+
+def _activate_gates(z, scale, shift):
+    """Gate activations (i, f, g, o stacked on the last axis) from the
+    pre-activation already multiplied by `scale`; overwrites z."""
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    return z
 
 
 def forward_step(model: LstmModel, state: LstmCellState, x, train_mode: bool = False,
@@ -166,11 +201,10 @@ def forward_step(model: LstmModel, state: LstmCellState, x, train_mode: bool = F
     inference; training uses the batched twin below."""
     x = np.asarray(x, dtype=float)
     h_size = model.hidden_size
+    scale, shift = _gate_affine(h_size)
     z = model.w_x @ x + model.w_h @ state.hidden + model.b_g
-    gate_i = _sigmoid(z[:h_size])
-    gate_f = _sigmoid(z[h_size:2 * h_size])
-    gate_g = np.tanh(z[2 * h_size:3 * h_size])
-    gate_o = _sigmoid(z[3 * h_size:])
+    z *= scale
+    gate_i, gate_f, gate_g, gate_o = _activate_gates(z, scale, shift).reshape(4, h_size)
     cell = gate_f * state.cell + gate_i * gate_g
     hidden = gate_o * np.tanh(cell)
     act = np.tanh(model.w_fc @ hidden + model.b_fc)
@@ -197,68 +231,76 @@ def run_sequence(model: LstmModel, xs, train_mode: bool = False,
 # --------------------------------------------------------------- training path
 
 def _pad_batch(seqs):
-    """End-pad (xs, ys) pairs to a common length; mask marks real steps."""
+    """End-pad (xs, ys) pairs to a common length, time-major: (T, B, .)
+    arrays; mask (T, B) marks real steps."""
     lengths = [len(xs) for xs, _ in seqs]
     t_max = max(lengths)
     batch = len(seqs)
     d = seqs[0][0].shape[1]
-    xs = np.zeros((batch, t_max, d))
-    ys = np.zeros((batch, t_max, 2))
-    mask = np.zeros((batch, t_max))
+    xs = np.zeros((t_max, batch, d))
+    ys = np.zeros((t_max, batch, 2))
+    mask = np.zeros((t_max, batch))
     for k, (x_seq, y_seq) in enumerate(seqs):
         n = lengths[k]
-        xs[k, :n] = x_seq
-        ys[k, :n] = y_seq
-        mask[k, :n] = 1.0
+        xs[:n, k] = x_seq
+        ys[:n, k] = y_seq
+        mask[:n, k] = 1.0
     return xs, ys, mask
 
 
 def _forward_batch(model: LstmModel, xs, train_mode: bool, dropout_rng=None):
-    """Vectorized forward over (B, T, D) inputs, caching every activation
+    """Vectorized forward over (T, B, D) inputs, caching every activation
     the backward pass needs. Padded steps are computed (cheap) and later
     masked out of the loss, which provably zeroes their gradients for
-    end-padded sequences."""
-    batch, t_max, _ = xs.shape
+    end-padded sequences.
+
+    Only the recurrence runs step by step: the input projection, the
+    fully-connected layer, the dropout draw and the output head each run
+    once over all timesteps. The dropout mask is one (T, B, H) draw, the
+    same stream as T consecutive (B, H) draws.
+    """
+    t_max, batch, d = xs.shape
     h_size = model.hidden_size
-    cache = {
-        "x": xs,
-        "i": np.empty((batch, t_max, h_size)), "f": np.empty((batch, t_max, h_size)),
-        "g": np.empty((batch, t_max, h_size)), "o": np.empty((batch, t_max, h_size)),
-        "c": np.empty((batch, t_max, h_size)), "tc": np.empty((batch, t_max, h_size)),
-        "h_prev": np.empty((batch, t_max, h_size)),
-        "h": np.empty((batch, t_max, h_size)),
-        "act": np.empty((batch, t_max, h_size)),
-        "drop": np.ones((batch, t_max, h_size)),
-        "y": np.empty((batch, t_max, 2)),
-    }
-    hidden = np.zeros((batch, h_size))
-    cell = np.zeros((batch, h_size))
-    keep = 1.0 - model.dropout_rate
+    scale, shift = _gate_affine(h_size)
+    gates = np.empty((t_max, batch, 4 * h_size))
+    np.matmul(xs.reshape(-1, d), (model.w_x * scale[:, None]).T,
+              out=gates.reshape(-1, 4 * h_size))
+    gates += model.b_g * scale
+    w_h = (model.w_h * scale[:, None]).T
+    cell = np.empty((t_max, batch, h_size))
+    tanh_cell = np.empty_like(cell)
+    hidden = np.empty_like(cell)
+    quad = gates.reshape(t_max, batch, 4, h_size)
+    gate_i, gate_f, gate_g, gate_o = (quad[:, :, k] for k in range(4))
+    h_prev = c_prev = np.zeros((batch, h_size))
+    recurrent = np.empty((batch, 4 * h_size))
+    input_part = np.empty((batch, h_size))
     for t in range(t_max):
-        z = xs[:, t] @ model.w_x.T + hidden @ model.w_h.T + model.b_g
-        gi = _sigmoid(z[:, :h_size])
-        gf = _sigmoid(z[:, h_size:2 * h_size])
-        gg = np.tanh(z[:, 2 * h_size:3 * h_size])
-        go = _sigmoid(z[:, 3 * h_size:])
-        cache["h_prev"][:, t] = hidden
-        c_prev = cell
-        cell = gf * c_prev + gi * gg
-        tc = np.tanh(cell)
-        hidden = go * tc
-        act = np.tanh(hidden @ model.w_fc.T + model.b_fc)
-        if train_mode:
-            drop = (dropout_rng.uniform(size=(batch, h_size)) < keep) / keep
-            cache["drop"][:, t] = drop
-            act_d = act * drop
-        else:
-            act_d = act
-        y = act_d @ model.w_out.T + model.b_out
-        cache["i"][:, t], cache["f"][:, t] = gi, gf
-        cache["g"][:, t], cache["o"][:, t] = gg, go
-        cache["c"][:, t], cache["tc"][:, t] = cell, tc
-        cache["h"][:, t], cache["act"][:, t] = hidden, act
-        cache["y"][:, t] = y
-    return cache
+        z = gates[t]
+        z += np.matmul(h_prev, w_h, out=recurrent)
+        _activate_gates(z, scale, shift)
+        c_prev = np.multiply(gate_f[t], c_prev, out=cell[t])
+        c_prev += np.multiply(gate_i[t], gate_g[t], out=input_part)
+        np.tanh(c_prev, out=tanh_cell[t])
+        h_prev = np.multiply(gate_o[t], tanh_cell[t], out=hidden[t])
+
+    act = np.matmul(hidden.reshape(-1, h_size), model.w_fc.T)
+    act += model.b_fc
+    np.tanh(act, out=act)
+    act = act.reshape(t_max, batch, h_size)
+    if train_mode:
+        keep = 1.0 - model.dropout_rate
+        drop = dropout_rng.uniform(size=act.shape)
+        np.less(drop, keep, out=drop)
+        drop /= keep
+        act_d = act * drop
+    else:
+        drop = None
+        act_d = act
+    y = act_d @ model.w_out.T
+    y += model.b_out
+    return {"x": xs, "gates": gates, "c": cell, "tc": tanh_cell,
+            "h": hidden, "act": act, "drop": drop, "y": y}
 
 
 def batch_loss(pred, target, mask):
@@ -287,52 +329,93 @@ def sequence_rmse(model: LstmModel, seqs, chunk: int = 32) -> float:
 def backward(model: LstmModel, cache, target, mask):
     """Exact full-sequence BPTT gradients of the batch RMSE.
 
+    Consumes the cache: its arrays are overwritten with intermediate
+    factors and finally with the gate-pre-activation gradients, so the pass
+    needs almost no memory beyond the cache itself.
+
     Returns (grads keyed like model.params(), rmse, sse, n).
     """
     xs = cache["x"]
-    batch, t_max, _ = xs.shape
+    t_max, batch, _ = xs.shape
     h_size = model.hidden_size
     rmse, sse, n = batch_loss(cache["y"], target, mask)
-    grads = {name: np.zeros_like(arr) for name, arr in model.params()}
     if rmse == 0.0 or not math.isfinite(rmse):
+        grads = {name: np.zeros_like(arr) for name, arr in model.params()}
         return grads, rmse, sse, n
-    d_y_all = (cache["y"] - target) * mask[..., None] / (n * rmse)
 
+    def flat(a):
+        return a.reshape(-1, a.shape[-1])
+
+    gates, cell, tanh_cell = cache["gates"], cache["c"], cache["tc"]
+    hidden, act, drop = cache["h"], cache["act"], cache["drop"]
+
+    # output head and fully-connected layer, all timesteps at once
+    d_y = (cache["y"] - target) * mask[..., None] / (n * rmse)
+    d_act = d_y @ model.w_out
+    act_d = act
+    if drop is not None:
+        d_act *= drop
+        act_d = np.multiply(drop, act, out=drop)
+    w_out = flat(d_y).T @ flat(act_d)
+    b_out = d_y.sum(axis=(0, 1))
+    act *= act
+    np.subtract(1.0, act, out=act)
+    d_act *= act  # gradient of the fully-connected pre-activation
+    w_fc = flat(d_act).T @ flat(hidden)
+    b_fc = d_act.sum(axis=(0, 1))
+    d_h_all = act  # buffer reuse: loss gradient reaching each hidden state
+    np.matmul(flat(d_act), model.w_fc, out=flat(d_h_all))
+
+    # every factor that depends only on forward activations, built once
+    # over all timesteps in the consumed gate cache: per gate slot,
+    # dz = (d_c, d_c, d_c, d_h) * factor
+    quad = gates.reshape(t_max, batch, 4, h_size)
+    gate_i, gate_f, gate_g, gate_o = (quad[:, :, k] for k in range(4))
+    tmp = d_act
+    np.subtract(1.0, gate_o, out=tmp)
+    tmp *= gate_o
+    tmp *= tanh_cell
+    d_cell_from_h = tanh_cell  # o * (1 - tanh(c)^2)
+    d_cell_from_h *= tanh_cell
+    np.subtract(1.0, d_cell_from_h, out=d_cell_from_h)
+    d_cell_from_h *= gate_o
+    gate_o[...] = tmp
+    np.subtract(1.0, gate_f, out=tmp)
+    tmp *= gate_f
+    tmp[0] = 0.0  # zero initial cell state
+    tmp[1:] *= cell[:-1]
+    forget = cell  # the forget gate carries d_c one step back
+    forget[...] = gate_f
+    gate_f[...] = tmp
+    np.subtract(1.0, gate_i, out=tmp)
+    tmp *= gate_i
+    tmp *= gate_g
+    gate_g *= gate_g
+    np.subtract(1.0, gate_g, out=gate_g)
+    gate_g *= gate_i
+    gate_i[...] = tmp
+
+    from_cell, from_hidden = quad[:, :, :3], gate_o
     d_h_next = np.zeros((batch, h_size))
+    d_c = np.empty((batch, h_size))
     d_c_next = np.zeros((batch, h_size))
     for t in range(t_max - 1, -1, -1):
-        d_y = d_y_all[:, t]
-        act, drop = cache["act"][:, t], cache["drop"][:, t]
-        act_d = act * drop
-        grads["w_out"] += d_y.T @ act_d
-        grads["b_out"] += d_y.sum(axis=0)
-        d_act = (d_y @ model.w_out) * drop
-        d_fc_pre = d_act * (1.0 - act * act)
-        hidden = cache["h"][:, t]
-        grads["w_fc"] += d_fc_pre.T @ hidden
-        grads["b_fc"] += d_fc_pre.sum(axis=0)
+        d_h = d_h_all[t]
+        d_h += d_h_next
+        np.multiply(d_h, d_cell_from_h[t], out=d_c)
+        d_c += d_c_next
+        np.multiply(d_c, forget[t], out=d_c_next)
+        from_cell[t] *= d_c[:, None]
+        from_hidden[t] *= d_h
+        np.matmul(gates[t], model.w_h, out=d_h_next)
 
-        d_h = d_fc_pre @ model.w_fc + d_h_next
-        go, tc = cache["o"][:, t], cache["tc"][:, t]
-        gi, gf, gg = cache["i"][:, t], cache["f"][:, t], cache["g"][:, t]
-        c_prev = cache["c"][:, t - 1] if t > 0 else np.zeros((batch, h_size))
-        d_o = d_h * tc
-        d_c = d_h * go * (1.0 - tc * tc) + d_c_next
-        d_i = d_c * gg
-        d_g = d_c * gi
-        d_f = d_c * c_prev
-        d_c_next = d_c * gf
-
-        d_z = np.concatenate([
-            d_i * gi * (1.0 - gi),
-            d_f * gf * (1.0 - gf),
-            d_g * (1.0 - gg * gg),
-            d_o * go * (1.0 - go),
-        ], axis=1)
-        grads["w_x"] += d_z.T @ xs[:, t]
-        grads["w_h"] += d_z.T @ cache["h_prev"][:, t]
-        grads["b_g"] += d_z.sum(axis=0)
-        d_h_next = d_z @ model.w_h
+    d_z = flat(gates)
+    grads = {
+        "w_x": d_z.T @ flat(xs),
+        "w_h": flat(gates[1:]).T @ flat(hidden[:-1]),  # h_prev is 0 at t = 0
+        "b_g": d_z.sum(axis=0),
+        "w_fc": w_fc, "b_fc": b_fc, "w_out": w_out, "b_out": b_out,
+    }
     return grads, rmse, sse, n
 
 
@@ -368,9 +451,12 @@ class Adam:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 60
+    """Training hyperparameters; the defaults are the shipped ones, which
+    the run configuration inherits."""
+
+    epochs: int = 800
     batch_size: int = 8
-    learning_rate: float = 1e-3
+    learning_rate: float = 3e-3
     beta1: float = 0.9
     beta2: float = 0.999
     adam_epsilon: float = 1e-8
@@ -482,6 +568,7 @@ class RollEstimator:
         self._positions.clear()
 
     def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
+        require_finite_measurement(meas, base_angle)
         x = scale_features(meas.position, meas.heading, base_angle,
                            self.model.z_max)
         self.state, y = forward_step(self.model, self.state, x)

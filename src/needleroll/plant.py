@@ -164,6 +164,16 @@ class SensedTip:
     heading: np.ndarray
 
 
+def require_finite_measurement(meas: SensedTip, base_angle: float):
+    """Raise ValueError on a NaN or infinite reading, which an estimator
+    would otherwise turn silently into a NaN pose."""
+    p, h = meas.position, meas.heading
+    # one scalar test per tick: readings are nowhere near overflow, so the
+    # sum is finite exactly when every term is
+    if not math.isfinite(p[0] + p[1] + p[2] + h[0] + h[1] + h[2] + base_angle):
+        raise ValueError("non-finite measurement or base angle")
+
+
 def advance_tip_pose(R, p, insertion_speed: float, roll_prev: float,
                      roll_new: float, curvature: float, dt: float):
     """One pose step: apply the roll change about body z, then the bevel arc.

@@ -140,6 +140,34 @@ def test_cli_generate_stall_is_runtime_error(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def _train_argv(ds, tmp_path):
+    return ["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+            "--epochs", "1", "--hidden-size", "4"]
+
+
+def test_cli_train_on_truncated_dataset_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "3", "--seed", "3", "--out", str(ds)]) == 0
+    episodes = ds / "episodes.jsonl"
+    lines = episodes.read_text().splitlines(keepends=True)
+    episodes.write_text("".join(lines[:2]))  # one whole episode lost
+    capsys.readouterr()
+    assert main(_train_argv(ds, tmp_path)) == 2
+    assert "manifest lists 3" in capsys.readouterr().err
+
+
+def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "3", "--seed", "3", "--out", str(ds)]) == 0
+    episodes = ds / "episodes.jsonl"
+    lines = episodes.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:len(lines[1]) // 2] + "\n"  # cut mid-record
+    episodes.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(_train_argv(ds, tmp_path)) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_cli_steer_truth(tmp_path, capsys):
     out = tmp_path / "steer"
     code = main(["steer", "--estimator", "truth", "--seed", "2",

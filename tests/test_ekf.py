@@ -62,6 +62,8 @@ def test_state_validation():
     with pytest.raises(ValueError):
         EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.1]), np.eye(6))
     with pytest.raises(ValueError):
+        EkfState(np.zeros(3), np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(6))
+    with pytest.raises(ValueError):
         EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.eye(5))
     bad = np.eye(6)
     bad[0, 1] = 0.5

@@ -118,6 +118,25 @@ def test_ekf_tracker_variance_grows_while_steering():
     assert roll_variance(tracker.state) > 10.0 * first
 
 
+@pytest.mark.parametrize("name", ["ekf", "lstm"])
+@pytest.mark.parametrize("bad", ["position", "heading", "base_angle"])
+def test_estimators_reject_non_finite_measurements(name, bad):
+    est = make_estimator(name, GELATIN, CONTROLLER,
+                         model=init_model(hidden_size=4, seed=1))
+    good = SensedTip(position=np.array([0.0, 0.0, 1.0]),
+                     heading=np.array([0.0, 0.0, 1.0]))
+    est.estimate(good, 0.0)
+    position, heading, base_angle = good.position.copy(), good.heading.copy(), 0.1
+    if bad == "position":
+        position[1] = np.nan
+    elif bad == "heading":
+        heading[2] = np.inf
+    else:
+        base_angle = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        est.estimate(SensedTip(position, heading), base_angle)
+
+
 # -------------------------------------------------------------------- batches
 
 def test_batch_pairs_targets_across_estimators(tmp_path):

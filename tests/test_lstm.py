@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needleroll.lstm import (
     Adam,
@@ -179,7 +181,22 @@ def test_batched_forward_matches_streaming_path():
     cache = _forward_batch(m, xs, train_mode=False)
     for k, (x_seq, _) in enumerate(seqs):
         offline = run_sequence(m, x_seq)
-        assert np.abs(cache["y"][k, :len(x_seq)] - offline).max() < 1e-12
+        assert np.abs(cache["y"][:len(x_seq), k] - offline).max() < 1e-12
+
+
+def test_dropout_mask_is_one_draw_of_the_per_step_stream():
+    """The (T, B, H) mask equals T consecutive (B, H) draws thresholded the
+    way forward_step does, so the dropout stream does not depend on how the
+    draw is batched."""
+    m = small_model(hidden=5, dropout=0.3)
+    xs = np.random.default_rng(20).uniform(-1, 1, size=(7, 3, 8))
+    cache = _forward_batch(m, xs, train_mode=True,
+                           dropout_rng=np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    keep = 1.0 - m.dropout_rate
+    per_step = np.stack([(rng.uniform(size=(3, 5)) < keep) / keep
+                         for _ in range(7)])
+    assert np.array_equal(cache["drop"], per_step)
 
 
 # ---------------------------------------------------------------------- loss
@@ -300,8 +317,8 @@ def test_padding_content_does_not_affect_gradients():
 
 def test_gradients_zero_at_exact_fit():
     model = small_model(hidden=4, seed=19)
-    xs = np.random.default_rng(9).uniform(-1, 1, size=(1, 5, 8))
-    mask = np.ones((1, 5))
+    xs = np.random.default_rng(9).uniform(-1, 1, size=(5, 1, 8))
+    mask = np.ones((5, 1))
     cache = _forward_batch(model, xs, train_mode=False)
     grads, rmse, _, _ = backward(model, cache, cache["y"].copy(), mask)
     assert rmse == 0.0
@@ -328,6 +345,98 @@ def test_scaled_loss_scales_gradients():
         flat[idx] = keep
         fd = (up - down) / (2.0 * eps)
         assert fd == pytest.approx(2.0 * grads["w_fc"].reshape(-1)[idx], rel=1e-4)
+
+
+def reference_bptt(model, seqs, drops):
+    """Plain per-sequence, per-timestep BPTT of the batch RMSE under given
+    dropout masks (one (steps, H) array per sequence): the loop the batched
+    time-major backward must agree with. Returns (grads, rmse)."""
+    h_size = model.hidden_size
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    runs = []
+    for (xs, _), drop in zip(seqs, drops):
+        h = np.zeros(h_size)
+        c = np.zeros(h_size)
+        steps = []
+        for x, d in zip(xs, drop):
+            z = model.w_x @ x + model.w_h @ h + model.b_g
+            s = {"x": x, "h_prev": h, "c_prev": c, "drop": d,
+                 "i": sig(z[:h_size]), "f": sig(z[h_size:2 * h_size]),
+                 "g": np.tanh(z[2 * h_size:3 * h_size]),
+                 "o": sig(z[3 * h_size:])}
+            c = s["f"] * c + s["i"] * s["g"]
+            s["tc"] = np.tanh(c)
+            h = s["o"] * s["tc"]
+            s["h"] = h
+            s["act"] = np.tanh(model.w_fc @ h + model.b_fc)
+            s["y"] = model.w_out @ (s["act"] * d) + model.b_out
+            steps.append(s)
+        runs.append(steps)
+    sse = sum(float(np.sum((s["y"] - y) ** 2))
+              for steps, (_, ys) in zip(runs, seqs) for s, y in zip(steps, ys))
+    n = 2.0 * sum(len(xs) for xs, _ in seqs)
+    rmse = math.sqrt(sse / n)
+
+    grads = {name: np.zeros_like(arr) for name, arr in model.params()}
+    for steps, (_, ys) in zip(runs, seqs):
+        d_h_next = np.zeros(h_size)
+        d_c_next = np.zeros(h_size)
+        for s, y in reversed(list(zip(steps, ys))):
+            d_y = (s["y"] - y) / (n * rmse)
+            grads["w_out"] += np.outer(d_y, s["act"] * s["drop"])
+            grads["b_out"] += d_y
+            d_pre = (model.w_out.T @ d_y) * s["drop"] * (1.0 - s["act"] ** 2)
+            grads["w_fc"] += np.outer(d_pre, s["h"])
+            grads["b_fc"] += d_pre
+            d_h = model.w_fc.T @ d_pre + d_h_next
+            d_c = d_h * s["o"] * (1.0 - s["tc"] ** 2) + d_c_next
+            i, f, g, o = s["i"], s["f"], s["g"], s["o"]
+            d_z = np.concatenate([
+                d_c * g * i * (1.0 - i),
+                d_c * s["c_prev"] * f * (1.0 - f),
+                d_c * i * (1.0 - g * g),
+                d_h * s["tc"] * o * (1.0 - o),
+            ])
+            grads["w_x"] += np.outer(d_z, s["x"])
+            grads["w_h"] += np.outer(d_z, s["h_prev"])
+            grads["b_g"] += d_z
+            d_h_next = model.w_h.T @ d_z
+            d_c_next = d_c * f
+    return grads, rmse
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       hidden=st.integers(1, 6), dropout=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2 ** 16))
+def test_time_major_batch_matches_per_sequence_references(lengths, hidden,
+                                                          dropout, seed):
+    """Ragged batches: the batched forward agrees with run_sequence and the
+    batched backward with reference_bptt, both within 1e-12."""
+    rng = np.random.default_rng(seed)
+    model = small_model(hidden=hidden, seed=seed, dropout=dropout)
+    seqs = [(rng.uniform(-1.0, 1.0, size=(n, 8)),
+             rng.uniform(-1.0, 1.0, size=(n, 2))) for n in lengths]
+    xs, ys, mask = _pad_batch(seqs)
+    assert xs.shape == (max(lengths), len(lengths), 8)
+
+    cache = _forward_batch(model, xs, train_mode=False)
+    for k, (x_seq, _) in enumerate(seqs):
+        offline = run_sequence(model, x_seq)
+        assert np.abs(cache["y"][:len(x_seq), k] - offline).max() <= 1e-12
+
+    cache = _forward_batch(model, xs, train_mode=True,
+                           dropout_rng=np.random.default_rng(seed + 1))
+    drops = [cache["drop"][:n, k].copy() for k, n in enumerate(lengths)]
+    grads, rmse, _, _ = backward(model, cache, ys, mask)
+    ref, ref_rmse = reference_bptt(model, seqs, drops)
+    assert rmse == pytest.approx(ref_rmse, rel=1e-12)
+    for name, _ in model.params():
+        err = np.abs(grads[name] - ref[name]).max()
+        assert err <= 1e-12 * np.abs(ref[name]).max(), name
 
 
 # --------------------------------------------------------------------- adam
