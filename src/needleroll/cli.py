@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from needleroll.config import (
-    CONFIG_FILENAME,
     RunConfig,
     load_config_file,
     resolve_config,

@@ -19,7 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +30,9 @@ from needleroll.controller import (
     control,
     targeting_error,
 )
-from needleroll.lstm import roll_target, scale_features
 from needleroll.plant import (
     ControlInput,
     MediumParams,
-    PlantState,
     SensedTip,
     WorkspaceCone,
     initial_state,
@@ -287,9 +285,15 @@ def load_manifest(root: Path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
-    if doc.get("schema_version") != DATASET_SCHEMA_VERSION:
+    if isinstance(doc, dict) and doc.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported manifest schema {doc.get('schema_version')!r}")
+    _check_fields(path, doc, _MANIFEST_TYPES)
+    for m in doc["episodes"]:
+        _check_fields(path, m, _EPISODE_TYPES)
+        unknown = set(m) - set(_EPISODE_TYPES)
+        if unknown or not all(_is(s, int) for s in m["seed"]):
+            raise DatasetError(f"{path}: malformed episode entry {m!r}")
     episodes = tuple(
         EpisodeMeta(**dict(m, seed=tuple(m["seed"]))) for m in doc["episodes"]
     )
@@ -303,6 +307,31 @@ def load_manifest(root: Path) -> DatasetManifest:
     )
     manifest.validate()
     return manifest
+
+
+# the JSON types of every field a manifest, and each of its episode
+# entries, must carry; only an episode's split may be absent
+_NUMBER = (int, float)
+_MANIFEST_TYPES = {"episodes_file": str, "z_max": _NUMBER, "config_hash": str,
+                   "generation": dict, "episodes": list}
+_EPISODE_TYPES = {"episode_id": int, "line": int, "seed": list,
+                  "medium_name": str, "steps": int, "final_error": _NUMBER,
+                  "target_depth": _NUMBER, "split": (str, type(None))}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_fields(path, doc, types: dict):
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{path}: expected a JSON object, got {doc!r}")
+    for name, kind in types.items():
+        if name not in doc and name != "split":
+            raise DatasetError(f"{path}: missing field {name!r}")
+        if not _is(doc.get(name), kind):
+            raise DatasetError(f"{path}: field {name!r} has the wrong type "
+                               f"({type(doc[name]).__name__})")
 
 
 def load_episodes(root: Path, manifest: DatasetManifest,
@@ -444,13 +473,16 @@ def split(manifest: DatasetManifest, train_fraction: float,
 # ---------------------------------------------------------- training tensors
 
 def episode_to_sequence(rec: EpisodeRecord, z_max: float):
-    """(features, targets) arrays for one episode, temporal order kept."""
-    xs = np.array([
-        scale_features(p, eta, alpha, z_max)
-        for p, eta, alpha in zip(rec.position, rec.heading, rec.base_angle)
-    ])
-    ys = np.array([roll_target(theta) for theta in rec.roll_true])
-    return xs, ys
+    """(features, targets) arrays for one episode, temporal order kept.
+
+    Row k is scale_features / roll_target at step k bit for bit, which is
+    why the angle columns use math.sin/math.cos.
+    """
+    if z_max <= 0.0:
+        raise ValueError("z_max must be positive")
+    alpha = [(math.sin(a), math.cos(a)) for a in rec.base_angle.tolist()]
+    xs = np.column_stack([rec.position / z_max, rec.heading, alpha])
+    return xs, np.array([(math.sin(a), math.cos(a)) for a in rec.roll_true.tolist()])
 
 
 def to_training_sequences(root: Path, manifest: DatasetManifest,

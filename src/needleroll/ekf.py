@@ -21,19 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from needleroll.plant import ControlInput, SensedTip, advance_tip_pose
+from needleroll.plant import ControlInput, SensedTip, advance_tip_pose, tip_step
 from needleroll.se3 import (
-    EZ,
     Pose,
-    align_from_z,
+    cross3,
     decompose_roll,
+    dot3,
+    floats3,
     heading_tangent_basis,
     quat_from_matrix,
     quat_to_matrix,
     rot_z,
-    se3_exp,
-    skew,
     so3_exp,
+    unit3,
 )
 
 
@@ -53,11 +53,15 @@ class EkfState:
                            np.asarray(self.orientation, dtype=float))
         object.__setattr__(self, "covariance",
                            np.asarray(self.covariance, dtype=float))
-        if not abs(np.linalg.norm(self.orientation) - 1.0) <= 1e-9:  # NaN fails
+        q = self.orientation
+        if not abs(math.sqrt(np.vdot(q, q)) - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("orientation quaternion must be unit-norm")
-        if self.covariance.shape != (6, 6):
+        C = self.covariance
+        if C.shape != (6, 6):
             raise ValueError("covariance must be 6x6")
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-9):
+        # predict and update leave C exactly symmetric, which settles
+        # allclose (it includes x == y) with one comparison
+        if not ((C == C.T).all() or np.allclose(C, C.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
 
 
@@ -94,28 +98,25 @@ def align_jacobian(eta) -> np.ndarray:
 
     Maps a heading perturbation d_eta (tangent to the sphere at eta) to rho
     with skew(rho) = A(eta)^T dA(eta). Differentiates the closed form A = I
-    + skew(a) + skew(a)^2/(1+c), a = z x eta, c = z . eta; defined for every
-    heading except antiparallel to z.
+    + skew(a) + skew(a)^2/(1+c), a = z x eta, c = z . eta: along eta_x and
+    eta_y, dA = dK + (dK K + K dK)/(1+c) with dK a constant skew matrix;
+    along eta_z, dA = -K^2/(1+c)^2. The result is a polynomial in eta and
+    k = 1/(1+c); defined for every heading except antiparallel to z.
     """
-    eta = np.asarray(eta, dtype=float)
-    A = align_from_z(eta)
-    a = np.array([-eta[1], eta[0], 0.0])
-    c = float(eta[2])
-    K = skew(a)
-    KK = K @ K
-    cols = []
-    for j in range(3):
-        basis = np.zeros(3)
-        basis[j] = 1.0
-        da = np.cross(EZ, basis)
-        dc = basis[2]
-        dK = skew(da)
-        dA = dK + (dK @ K + K @ dK) / (1.0 + c) - KK * (dc / (1.0 + c) ** 2)
-        W = A.T @ dA
-        cols.append(0.5 * np.array([W[2, 1] - W[1, 2],
-                                    W[0, 2] - W[2, 0],
-                                    W[1, 0] - W[0, 1]]))
-    return np.column_stack(cols)
+    e0, e1, e2 = floats3(eta)
+    k = 1.0 / (1.0 + e2)
+    q = k * k * (e0 * e0 + e1 * e1)
+    return np.array([[-k * e0 * e1, -1.0 - k * e1 * e1, e1 * q],
+                     [1.0 + k * e0 * e0, k * e0 * e1, -e0 * q],
+                     _align_jacobian_row2(e0, e1, e2)])
+
+
+def _align_jacobian_row2(e0: float, e1: float, e2: float) -> list:
+    """Third row of align_jacobian at (e0, e1, e2): (e1, -e0, 0) (1 + q)/2
+    with q = (e0^2 + e1^2) / (1 + e2)^2."""
+    k = 1.0 / (1.0 + e2)
+    h = 0.5 * (1.0 + k * k * (e0 * e0 + e1 * e1))
+    return [e1 * h, -e0 * h, 0.0]
 
 
 def transition_jacobian(R: np.ndarray, u: ControlInput, curvature: float,
@@ -130,22 +131,23 @@ def transition_jacobian(R: np.ndarray, u: ControlInput, curvature: float,
     eta, roll = decompose_roll(R)
     delta = u.rotation_speed * dt
     roll_new = roll + delta
-    arc_R, arc_p = se3_exp(
-        [0.0, 0.0, u.insertion_speed, 0.0, curvature * u.insertion_speed, 0.0], dt
-    )
-    Rz = rot_z(delta)
-    m_p = Rz @ arc_p
-    m = Rz @ arc_R[:, 2]
-    eta_new = R @ m
-    eta_new = eta_new / np.linalg.norm(eta_new)
+    m_p, m = tip_step(u.insertion_speed, curvature, delta, dt)
+    rows = np.asarray(R, dtype=float).tolist()
+    eta_new = unit3([dot3(r, m) for r in rows])
 
-    # roll sensitivity: d(roll)/d(dphi) at the pre-step state
-    jr = EZ + EZ @ align_jacobian(eta) @ R @ skew(EZ)
-    D = rot_z(-roll_new) @ align_jacobian(eta_new) @ (-(R @ skew(m))) \
-        + np.outer(EZ, jr)
+    # roll sensitivity d(roll)/d(dphi) at the pre-step state:
+    # EZ + (EZ^T align_jacobian(eta) R) skew(EZ)
+    g = _align_jacobian_row2(*eta.tolist())
+    s0, s1, _ = (dot3(g, col) for col in zip(*rows))  # g^T R
+
+    # D = rot_z(-roll_new) align_jacobian(eta_new) N + EZ jr^T, where row i
+    # of N = -(R skew(m)) is m x R[i]
+    N = np.array([cross3(m, r) for r in rows])
+    D = rot_z(-roll_new) @ align_jacobian(eta_new) @ N
+    D[2] += (s1, -s0, 1.0)
 
     F = np.eye(6)
-    F[:3, 3:] = -(R @ skew(m_p))
+    F[:3, 3:] = [cross3(m_p, r) for r in rows]  # -(R skew(m_p))
     F[3:, 3:] = D
     return F
 
@@ -174,10 +176,11 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
 
 
 def measurement_jacobian(R: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """5x6 Jacobian of (position, B^T heading) w.r.t. (dp, dphi)."""
-    H = np.zeros((5, 6))
-    H[:3, :3] = np.eye(3)
-    H[3:, 3:] = -(B.T @ R @ skew(EZ))
+    """5x6 Jacobian of (position, B^T heading) w.r.t. (dp, dphi):
+    -(B^T R skew(EZ)) in the heading rows, whose row k is (-s_1, s_0, 0)
+    for s = R^T b_k."""
+    H = np.eye(5, 6)
+    H[3:, 3:] = [[-s1, s0, 0.0] for s0, s1, _ in (B.T @ R).tolist()]
     return H
 
 
@@ -187,20 +190,20 @@ def update(state: EkfState, meas: SensedTip,
     tangent plane at the predicted heading. Joseph-form covariance."""
     R = quat_to_matrix(state.orientation)
     eta_pred = R[:, 2]
-    b1, b2 = heading_tangent_basis(eta_pred)
-    B = np.column_stack([b1, b2])
+    B = np.array(heading_tangent_basis(eta_pred)).T
     H = measurement_jacobian(R, B)
 
     residual = np.concatenate([
         np.asarray(meas.position, dtype=float) - state.position,
-        B.T @ (np.asarray(meas.heading, dtype=float) - eta_pred),
+        (np.asarray(meas.heading, dtype=float) - eta_pred) @ B,
     ])
-    S = H @ state.covariance @ H.T + measurement_noise
+    P = state.covariance
+    HP = H @ P
     try:
-        gain = np.linalg.solve(S, H @ state.covariance).T
+        gain = np.linalg.solve(HP @ H.T + measurement_noise, HP).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
-    if not np.all(np.isfinite(gain)):
+    if not np.isfinite(gain).all():
         raise SingularInnovation("non-finite Kalman gain")
 
     correction = gain @ residual
@@ -208,7 +211,7 @@ def update(state: EkfState, meas: SensedTip,
     R_new = R @ so3_exp(correction[3:])
 
     IKH = np.eye(6) - gain @ H
-    cov = IKH @ state.covariance @ IKH.T + gain @ measurement_noise @ gain.T
+    cov = IKH @ P @ IKH.T + gain @ measurement_noise @ gain.T
     cov = 0.5 * (cov + cov.T)
     return EkfState(position=p_new, orientation=quat_from_matrix(R_new),
                     covariance=cov)

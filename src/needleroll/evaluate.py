@@ -19,7 +19,6 @@ re-rendering an existing directory reproduces them byte for byte.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,6 @@ import numpy as np
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
-    EpisodeRecord,
     record_from_logs,
     record_to_line,
     run_closed_loop,
@@ -47,10 +45,10 @@ from needleroll.plant import (
     MediumParams,
     SensedTip,
     WorkspaceCone,
-    require_finite_measurement,
+    require_valid_measurement,
     sample_target,
 )
-from needleroll.se3 import Pose, angular_error, decompose_roll, wrap_angle
+from needleroll.se3 import Pose, angular_error, decompose_roll
 
 ESTIMATOR_TAGS = {"truth": 0, "ekf": 1, "lstm": 2}
 DEFAULT_BIN_WIDTH = 0.05  # rad
@@ -128,7 +126,7 @@ class EkfRollTracker:
         self.last_base_angle = None
 
     def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
-        require_finite_measurement(meas, base_angle)
+        require_valid_measurement(meas, base_angle)
         if self.last_base_angle is not None:
             u = ControlInput(
                 insertion_speed=self.insertion_speed,
@@ -172,15 +170,13 @@ def run_trial(estimator_name: str, medium: MediumParams,
         medium, controller, target, rng, estimator, depth_cap)
     record = record_from_logs(trial_id, seed, medium, controller, target,
                               outcome, final_error, logs)
-    roll_true = np.array([wrap_angle(log.roll_true) for log in logs])
     roll_est = np.array([decompose_roll(log.est_pose.R)[1] for log in logs])
     omega = np.array([angular_error(log.truth_pose.R, log.est_pose.R)
                       for log in logs])
-    roll_err = np.abs([wrap_angle(e - log.roll_true)
-                       for e, log in zip(roll_est, logs)])
+    roll_err = np.abs(_wrap_array(roll_est - record.roll_true))
     trace = EstimatorTrace(
         trial_id=trial_id, estimator=estimator_name, medium=medium.name,
-        t=np.array([log.t for log in logs]), roll_true=roll_true,
+        t=record.t, roll_true=_wrap_array(record.roll_true),
         roll_est=roll_est, angular_error=omega,
     )
     trace.validate()
@@ -239,15 +235,21 @@ def run_batch(estimator_names, medium: MediumParams,
 
 def histogram(traces, bin_width: float = DEFAULT_BIN_WIDTH):
     """(edges, counts) over all timesteps of all traces; bins cover [0, pi]."""
+    edges = bin_edges(bin_width)
+    values = (np.concatenate([tr.angular_error for tr in traces])
+              if traces else np.empty(0))
+    counts, _ = np.histogram(values, bins=edges)
+    return edges, counts
+
+
+def bin_edges(bin_width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
+    """Histogram bin edges: steps of bin_width, the last widened to pi."""
     if bin_width <= 0.0:
         raise ValueError("bin width must be positive")
     n_bins = max(1, math.ceil(math.pi / bin_width))
     edges = np.arange(n_bins + 1) * bin_width
     edges[-1] = max(edges[-1], math.pi)
-    values = (np.concatenate([tr.angular_error for tr in traces])
-              if traces else np.empty(0))
-    counts, _ = np.histogram(values, bins=edges)
-    return edges, counts
+    return edges
 
 
 # ---------------------------------------------------------------- persistence
@@ -332,61 +334,53 @@ def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
                         int(row["trial_id"]))] = _read_trace(path)
 
     groups = sorted({(r["medium"], r["estimator"]) for r in rows})
-
-    n_bins = max(1, math.ceil(math.pi / bin_width))
-    edges = np.arange(n_bins + 1) * bin_width
-    edges[-1] = max(edges[-1], math.pi)
+    edges = bin_edges(bin_width)
+    lines = ["closed-loop steering report", ""]
     with open(out_dir / "histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["medium", "estimator", "bin_lo", "bin_hi", "count"])
         for medium, estimator in groups:
-            values = [data["angular_error"]
-                      for (med, est, _), data in sorted(trace_data.items())
-                      if med == medium and est == estimator]
-            merged = np.concatenate(values) if values else np.empty(0)
-            counts, _ = np.histogram(merged, bins=edges)
-            for k in range(n_bins):
+            traces = [trace_data[k] for k in sorted(trace_data)
+                      if k[:2] == (medium, estimator)]
+            omega = (np.concatenate([t["angular_error"] for t in traces])
+                     if traces else np.empty(0))
+            counts, _ = np.histogram(omega, bins=edges)
+            for k in range(len(counts)):
                 writer.writerow([medium, estimator, _fmt(edges[k]),
                                  _fmt(edges[k + 1]), int(counts[k])])
 
-    lines = ["closed-loop steering report", ""]
-    for medium, estimator in groups:
-        group = [r for r in rows
-                 if r["medium"] == medium and r["estimator"] == estimator]
-        errors = np.array([float(r["targeting_error_mm"]) for r in group])
-        arrived = sum(1 for r in group if r["outcome"] == "arrived")
-        step_counts = np.array([int(r["steps"]) for r in group])
-        keys = sorted(k for k in trace_data
-                      if k[0] == medium and k[1] == estimator)
-        if keys:
-            omega = np.concatenate(
-                [trace_data[k]["angular_error"] for k in keys])
-            roll_err = np.concatenate(
-                [np.abs(_wrap_array(trace_data[k]["roll_est"]
-                                    - trace_data[k]["roll_true"]))
-                 for k in keys])
-            omega_line = (f"  per-step angular error: mean {np.mean(omega):.4f}"
-                          f" rad, median {np.median(omega):.4f} rad")
-            roll_line = (f"  per-step roll error:    mean "
-                         f"{np.mean(roll_err):.4f} rad")
-        else:
-            omega_line = "  per-step angular error: no traces"
-            roll_line = "  per-step roll error:    no traces"
-        lines += [
-            f"[{medium} / {estimator}]",
-            f"  trials: {len(group)} ({arrived} arrived), "
-            f"mean steps {np.mean(step_counts):.1f}",
-            f"  targeting error: mean {np.mean(errors):.4f} mm, "
-            f"median {np.median(errors):.4f} mm, max {np.max(errors):.4f} mm",
-            omega_line,
-            roll_line,
-            "",
-        ]
+            group = [r for r in rows
+                     if r["medium"] == medium and r["estimator"] == estimator]
+            errors = np.array([float(r["targeting_error_mm"]) for r in group])
+            arrived = sum(1 for r in group if r["outcome"] == "arrived")
+            step_counts = np.array([int(r["steps"]) for r in group])
+            if traces:
+                roll_err = np.abs(np.concatenate(
+                    [_wrap_array(t["roll_est"] - t["roll_true"]) for t in traces]))
+                omega_line = (f"  per-step angular error: mean {np.mean(omega):.4f}"
+                              f" rad, median {np.median(omega):.4f} rad")
+                roll_line = (f"  per-step roll error:    mean "
+                             f"{np.mean(roll_err):.4f} rad")
+            else:
+                omega_line = "  per-step angular error: no traces"
+                roll_line = "  per-step roll error:    no traces"
+            lines += [
+                f"[{medium} / {estimator}]",
+                f"  trials: {len(group)} ({arrived} arrived), "
+                f"mean steps {np.mean(step_counts):.1f}",
+                f"  targeting error: mean {np.mean(errors):.4f} mm, "
+                f"median {np.median(errors):.4f} mm, max {np.max(errors):.4f} mm",
+                omega_line,
+                roll_line,
+                "",
+            ]
     (out_dir / "report.txt").write_text("\n".join(lines))
 
 
 def _wrap_array(angles):
-    return np.array([wrap_angle(a) for a in np.atleast_1d(angles)])
+    """wrap_angle over an array: the same remainder, -pi mapped to pi."""
+    w = np.remainder(np.atleast_1d(angles) + math.pi, 2.0 * math.pi) - math.pi
+    return np.where(w == -math.pi, math.pi, w)
 
 
 def summarize(summaries, estimator: str, medium: str | None = None):

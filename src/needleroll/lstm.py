@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from needleroll.plant import SensedTip, require_finite_measurement
+from needleroll.plant import SensedTip, require_valid_measurement
 from needleroll.se3 import Pose, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
@@ -568,17 +568,15 @@ class RollEstimator:
         self._positions.clear()
 
     def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
-        require_finite_measurement(meas, base_angle)
+        require_valid_measurement(meas, base_angle)
         x = scale_features(meas.position, meas.heading, base_angle,
                            self.model.z_max)
         self.state, y = forward_step(self.model, self.state, x)
         roll = estimate_roll(y)
         self.last_roll = roll
-        heading = np.asarray(meas.heading, dtype=float)
-        heading = heading / np.linalg.norm(heading)
         self._positions.append(np.asarray(meas.position, dtype=float))
         position = _endpoint_fit(list(self._positions))
-        return Pose(position, recompose_roll(heading, roll))
+        return Pose(position, recompose_roll(meas.heading, roll))
 
 
 # ------------------------------------------------------------- serialization

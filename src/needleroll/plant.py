@@ -24,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from needleroll.se3 import (
-    EZ,
     Pose,
+    dot3,
     heading_tangent_basis,
     recompose_roll,
-    rot_z,
     se3_exp,
     so3_exp,
+    unit3,
 )
 
 
@@ -164,14 +164,38 @@ class SensedTip:
     heading: np.ndarray
 
 
-def require_finite_measurement(meas: SensedTip, base_angle: float):
+HEADING_NORM_TOLERANCE = 1e-6
+
+
+def require_valid_measurement(meas: SensedTip, base_angle: float):
     """Raise ValueError on a NaN or infinite reading, which an estimator
-    would otherwise turn silently into a NaN pose."""
-    p, h = meas.position, meas.heading
+    would otherwise turn silently into a NaN pose, or on a heading whose
+    norm is off 1 by more than HEADING_NORM_TOLERANCE, which the unit-vector
+    geometry downstream assumes."""
+    p = meas.position
+    h0, h1, h2 = meas.heading
+    hh = h0 * h0 + h1 * h1 + h2 * h2
     # one scalar test per tick: readings are nowhere near overflow, so the
     # sum is finite exactly when every term is
-    if not math.isfinite(p[0] + p[1] + p[2] + h[0] + h[1] + h[2] + base_angle):
+    if not math.isfinite(p[0] + p[1] + p[2] + hh + base_angle):
         raise ValueError("non-finite measurement or base angle")
+    if not abs(math.sqrt(hh) - 1.0) <= HEADING_NORM_TOLERANCE:
+        raise ValueError(f"heading is not unit-norm (norm {math.sqrt(hh)!r})")
+
+
+def tip_step(insertion_speed: float, curvature: float, delta: float,
+             dt: float):
+    """Translation and new heading of one pose step, both in the pre-step
+    body frame: the roll change delta about body z (rot_z(delta) applied to
+    both), then the bevel arc."""
+    arc_R, arc_p = se3_exp(
+        [0.0, 0.0, insertion_speed, 0.0, curvature * insertion_speed, 0.0], dt
+    )
+    c, s = math.cos(delta), math.sin(delta)
+    p0, p1, p2 = arc_p.tolist()
+    h0, h1, h2 = arc_R[:, 2].tolist()
+    return ((c * p0 - s * p1, s * p0 + c * p1, p2),
+            (c * h0 - s * h1, s * h0 + c * h1, h2))
 
 
 def advance_tip_pose(R, p, insertion_speed: float, roll_prev: float,
@@ -184,14 +208,10 @@ def advance_tip_pose(R, p, insertion_speed: float, roll_prev: float,
     transport. Shared by the simulator and by any observer propagating the
     same torsion-free kinematics.
     """
-    R_mid = R @ rot_z(roll_new - roll_prev)
-    arc_R, arc_p = se3_exp(
-        [0.0, 0.0, insertion_speed, 0.0, curvature * insertion_speed, 0.0], dt
-    )
-    p_new = p + R_mid @ arc_p
-    eta = R_mid @ arc_R[:, 2]
-    eta = eta / np.linalg.norm(eta)
-    return recompose_roll(eta, roll_new), p_new
+    m_p, m = tip_step(insertion_speed, curvature, roll_new - roll_prev, dt)
+    rows = np.asarray(R, dtype=float).tolist()
+    p_new = np.asarray(p, dtype=float) + [dot3(r, m_p) for r in rows]
+    return recompose_roll([dot3(r, m) for r in rows], roll_new), p_new
 
 
 def step(state: PlantState, u: ControlInput, medium: MediumParams,
@@ -240,14 +260,14 @@ def sense(state: PlantState, medium: MediumParams, rng) -> SensedTip:
     the determinism contract.
     """
     position = state.pose.p + rng.normal(0.0, medium.position_noise, size=3)
-    eta = state.pose.heading
+    eta = state.pose.heading.tolist()
     tilt = rng.normal(0.0, medium.heading_noise)
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     b1, b2 = heading_tangent_basis(eta)
-    axis = math.cos(azimuth) * b1 + math.sin(azimuth) * b2
-    heading = so3_exp(axis * tilt) @ eta
-    heading = heading / np.linalg.norm(heading)
-    return SensedTip(position=position, heading=heading)
+    ca, sa = math.cos(azimuth), math.sin(azimuth)
+    axis = [(ca * x + sa * y) * tilt for x, y in zip(b1.tolist(), b2.tolist())]
+    heading = [dot3(r, eta) for r in so3_exp(axis).tolist()]
+    return SensedTip(position=position, heading=np.array(unit3(heading)))
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,31 @@ def wrap_angle(a: float) -> float:
     return w
 
 
+def floats3(v) -> list[float]:
+    """A 3-vector (any sequence) as plain floats, for scalar arithmetic."""
+    return np.asarray(v, dtype=float).tolist()
+
+
+def dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross3(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def unit3(v) -> tuple[float, float, float]:
+    n = math.sqrt(dot3(v, v))
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
 def skew(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
+    w0, w1, w2 = floats3(w)
+    return np.array([[0.0, -w2, w1],
+                     [w2, 0.0, -w0],
+                     [-w1, w0, 0.0]])
 
 
 def rot_x(a: float) -> np.ndarray:
@@ -59,54 +79,49 @@ def rot_z(a: float) -> np.ndarray:
 
 def so3_exp(w) -> np.ndarray:
     """Rotation matrix for a rotation vector, exact for any magnitude."""
-    w = np.asarray(w, dtype=float)
-    t = float(np.linalg.norm(w))
-    K = skew(w)
+    x, y, z = floats3(w)
+    t2 = x * x + y * y + z * z
+    t = math.sqrt(t2)
     if t < 1e-8:
         # series for sin(t)/t and (1 - cos(t))/t^2
-        a = 1.0 - t * t / 6.0
-        b = 0.5 - t * t / 24.0
+        a = 1.0 - t2 / 6.0
+        b = 0.5 - t2 / 24.0
     else:
         a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / (t * t)
-    return np.eye(3) + a * K + b * (K @ K)
+        b = (1.0 - math.cos(t)) / t2
+    # I + a K + b K^2, K = skew(w), K^2 = w w^T - |w|^2 I
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    return np.array([[1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
+                     [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
+                     [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)]])
 
 
 def quat_from_matrix(R) -> np.ndarray:
     """Unit quaternion (w, x, y, z) for a rotation matrix, w >= 0."""
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
+        np.asarray(R, dtype=float).tolist()
+    tr = r00 + r11 + r22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / s,
-                      0.25 * s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      (R[0, 2] + R[2, 0]) / s])
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      0.25 * s,
-                      (R[1, 2] + R[2, 1]) / s])
+        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
+    elif r11 > r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
     else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / s,
-                      (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s,
-                      0.25 * s])
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        n = -n
+    return np.array([w / n, x / n, y / n, z / n])
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float)
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -114,34 +129,15 @@ def quat_to_matrix(q) -> np.ndarray:
     ])
 
 
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q)
-
-
 def so3_log(R) -> np.ndarray:
     """Rotation vector of a rotation matrix; magnitude in [0, pi].
 
     Goes through the quaternion form, which stays accurate near 0 and pi.
     """
-    q = quat_from_matrix(R)
-    nv = float(np.linalg.norm(q[1:]))
-    if nv < 1e-12:
-        return 2.0 * q[1:]
-    angle = 2.0 * math.atan2(nv, q[0])
-    return (angle / nv) * q[1:]
-
-
-def _v_matrix(w) -> np.ndarray:
-    t = float(np.linalg.norm(w))
-    K = skew(w)
-    if t < 1e-8:
-        b = 0.5 - t * t / 24.0
-        c = 1.0 / 6.0 - t * t / 120.0
-    else:
-        b = (1.0 - math.cos(t)) / (t * t)
-        c = (t - math.sin(t)) / (t * t * t)
-    return np.eye(3) + b * K + c * (K @ K)
+    q0, *v = quat_from_matrix(R).tolist()
+    nv = math.sqrt(dot3(v, v))
+    scale = 2.0 if nv < 1e-12 else 2.0 * math.atan2(nv, q0) / nv
+    return np.array([scale * x for x in v])
 
 
 def se3_exp(twist, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -151,27 +147,39 @@ def se3_exp(twist, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     reached after moving along the constant twist for dt. A zero twist gives
     the identity.
     """
-    xi = np.asarray(twist, dtype=float) * dt
+    xi = [x * dt for x in np.asarray(twist, dtype=float).tolist()]
     v, w = xi[:3], xi[3:]
-    R = so3_exp(w)
-    p = _v_matrix(w) @ v
-    return R, p
+    t2 = dot3(w, w)
+    t = math.sqrt(t2)
+    if t < 1e-8:
+        b = 0.5 - t2 / 24.0
+        c = 1.0 / 6.0 - t2 / 120.0
+    else:
+        b = (1.0 - math.cos(t)) / t2
+        c = (t - math.sin(t)) / (t2 * t)
+    # V, the left Jacobian of SO(3), is I + b K + c K^2
+    return so3_exp(w), _series_apply(w, v, b, c)
+
+
+def _series_apply(w, v, b: float, c: float) -> np.ndarray:
+    """(I + b K + c K^2) v for K = skew(w): v + b (w x v) + c w x (w x v)."""
+    wv = cross3(w, v)
+    wwv = cross3(w, wv)
+    return np.array([v[i] + b * wv[i] + c * wwv[i] for i in range(3)])
 
 
 def se3_log(R, p) -> np.ndarray:
     """Inverse of se3_exp (dt = 1): the twist (v, w) with ||w|| <= pi."""
-    w = so3_log(R)
-    t = float(np.linalg.norm(w))
-    K = skew(w)
+    w = so3_log(R).tolist()
+    t = math.sqrt(dot3(w, w))
     if t < 1e-8:
-        Vinv = np.eye(3) - 0.5 * K + (1.0 / 12.0) * (K @ K)
+        coef = 1.0 / 12.0
     else:
         a = math.sin(t) / t
         b = (1.0 - math.cos(t)) / (t * t)
         coef = (1.0 - a / (2.0 * b)) / (t * t)
-        Vinv = np.eye(3) - 0.5 * K + coef * (K @ K)
-    v = Vinv @ np.asarray(p, dtype=float)
-    return np.concatenate([v, w])
+    # V^-1 = I - K/2 + coef K^2
+    return np.concatenate([_series_apply(w, floats3(p), -0.5, coef), w])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +199,7 @@ class Pose:
 
     @property
     def heading(self) -> np.ndarray:
-        return self.R @ EZ
+        return self.R[:, 2].copy()
 
     @property
     def roll(self) -> float:
@@ -215,8 +223,8 @@ def angular_error(R_est, R_true) -> float:
     Computed on the relative rotation R_est^T R_true; the trace argument is
     clamped to [-1, 1] so roundoff near 0 and pi cannot produce NaN.
     """
-    D = np.asarray(R_est, dtype=float).T @ np.asarray(R_true, dtype=float)
-    c = (np.trace(D) - 1.0) / 2.0
+    # trace(R_est^T R_true) is the elementwise product sum
+    c = (float(np.vdot(R_est, R_true)) - 1.0) / 2.0
     return math.acos(min(1.0, max(-1.0, c)))
 
 
@@ -227,13 +235,18 @@ def align_from_z(eta) -> np.ndarray:
     workspace never approaches that configuration, so it is an error rather
     than a branch.
     """
-    eta = np.asarray(eta, dtype=float)
-    c = float(eta[2])
+    return np.array(_align_rows(*floats3(eta)))
+
+
+def _align_rows(e0: float, e1: float, c: float) -> list:
+    """Rows of align_from_z((e0, e1, c)): I + K + K^2/(1+c), K = skew(z x eta)."""
     if c < -1.0 + 1e-9:
         raise AntiparallelHeading("heading antiparallel to the reference axis")
-    a = np.array([-eta[1], eta[0], 0.0])  # z cross eta
-    K = skew(a)
-    return np.eye(3) + K + (K @ K) / (1.0 + c)
+    k = 1.0 / (1.0 + c)
+    off = -k * e0 * e1
+    return [[1.0 - k * e0 * e0, off, e0],
+            [off, 1.0 - k * e1 * e1, e1],
+            [-e0, -e1, 1.0 - k * (e0 * e0 + e1 * e1)]]
 
 
 def heading_tangent_basis(eta) -> tuple[np.ndarray, np.ndarray]:
@@ -242,13 +255,11 @@ def heading_tangent_basis(eta) -> tuple[np.ndarray, np.ndarray]:
     Used wherever a 2-D coordinate chart on the unit sphere is needed at a
     known heading (heading noise injection, heading residuals).
     """
-    eta = np.asarray(eta, dtype=float)
-    ref = np.array([1.0, 0.0, 0.0]) if abs(eta[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(eta, ref)
-    b1 = b1 / np.linalg.norm(b1)
-    b2 = np.cross(eta, b1)
-    b2 = b2 / np.linalg.norm(b2)
-    return b1, b2
+    eta = floats3(eta)
+    # eta x e_x, or eta x e_y when eta is near the x axis
+    b1 = unit3((0.0, eta[2], -eta[1]) if abs(eta[0]) < 0.9
+               else (-eta[2], 0.0, eta[0]))
+    return np.array(b1), np.array(unit3(cross3(eta, b1)))
 
 
 def decompose_roll(R) -> tuple[np.ndarray, float]:
@@ -258,23 +269,26 @@ def decompose_roll(R) -> tuple[np.ndarray, float]:
     measured against the minimal-rotation frame at that heading. roll is in
     (-pi, pi].
     """
-    R = np.asarray(R, dtype=float)
-    eta = R @ EZ
-    A = align_from_z(eta)
-    M = A.T @ R
-    theta = math.atan2(M[1, 0], M[0, 0])
+    (r00, _, e0), (r10, _, e1), (r20, _, c) = np.asarray(R, dtype=float).tolist()
+    A = _align_rows(e0, e1, c)
+    # (A^T R)[1, 0] and (A^T R)[0, 0]
+    theta = math.atan2(A[0][1] * r00 + A[1][1] * r10 + A[2][1] * r20,
+                       A[0][0] * r00 + A[1][0] * r10 + A[2][0] * r20)
     if theta == -math.pi:
         theta = math.pi
-    return eta, theta
+    return np.array([e0, e1, c]), theta
 
 
 def recompose_roll(eta, roll: float) -> np.ndarray:
     """Rotation with the given heading and roll; inverse of decompose_roll."""
-    eta = np.asarray(eta, dtype=float)
-    n = float(np.linalg.norm(eta))
+    e0, e1, e2 = floats3(eta)
+    n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
     if n < 1e-12:
         raise ValueError("heading must be a nonzero vector")
-    return align_from_z(eta / n) @ rot_z(roll)
+    c, s = math.cos(roll), math.sin(roll)
+    # rows of align_from_z(eta / n) @ rot_z(roll)
+    return np.array([[c * a0 + s * a1, c * a1 - s * a0, a2]
+                     for a0, a1, a2 in _align_rows(e0 / n, e1 / n, e2 / n)])
 
 
 def register_points(A, B) -> tuple[Pose, float]:

@@ -168,6 +168,27 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["no_episodes_file", "episodes_string",
+                                    "episode_missing_key", "z_max_string"])
+def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
+    path = ds / "manifest.json"
+    doc = json.loads(path.read_text())
+    if damage == "no_episodes_file":
+        del doc["episodes_file"]
+    elif damage == "episodes_string":
+        doc["episodes"] = "episodes.jsonl"
+    elif damage == "episode_missing_key":
+        del doc["episodes"][1]["steps"]
+    else:
+        doc["z_max"] = "75"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_train_argv(ds, tmp_path)) == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_cli_steer_truth(tmp_path, capsys):
     out = tmp_path / "steer"
     code = main(["steer", "--estimator", "truth", "--seed", "2",

@@ -10,6 +10,7 @@ from needleroll.dataset import (
     EpisodeMeta,
     GenerationStalled,
     config_hash,
+    episode_to_sequence,
     generate_dataset,
     load_episodes,
     load_manifest,
@@ -19,6 +20,7 @@ from needleroll.dataset import (
     split,
     to_training_sequences,
 )
+from needleroll.lstm import roll_target, scale_features
 from needleroll.plant import GELATIN, WorkspaceCone, rigid_variant
 
 
@@ -243,6 +245,20 @@ def test_training_sequences_counts_and_scaling(tmp_path):
         decoded = np.arctan2(ys[:, 0], ys[:, 1])
         wrapped = np.arctan2(np.sin(rec.roll_true), np.cos(rec.roll_true))
         assert np.abs(decoded - wrapped).max() < 1e-9
+
+
+def test_episode_to_sequence_matches_per_step_build(tmp_path):
+    root, manifest = small_dataset(tmp_path, n=2, seed=31)
+    for rec in load_episodes(root, manifest):
+        xs, ys = episode_to_sequence(rec, manifest.z_max)
+        per_step_x = np.array([
+            scale_features(p, eta, alpha, manifest.z_max)
+            for p, eta, alpha in zip(rec.position, rec.heading, rec.base_angle)])
+        per_step_y = np.array([roll_target(theta) for theta in rec.roll_true])
+        assert np.array_equal(xs, per_step_x)
+        assert np.array_equal(ys, per_step_y)
+    with pytest.raises(ValueError, match="z_max"):
+        episode_to_sequence(rec, 0.0)
 
 
 def test_training_sequences_respect_split(tmp_path):

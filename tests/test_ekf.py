@@ -71,6 +71,35 @@ def test_state_validation():
         EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), bad)
 
 
+def test_state_symmetry_check_is_allclose():
+    """EkfState accepts a covariance exactly when np.allclose(C, C.T,
+    atol=1e-9) holds, NaN and inf entries included."""
+    rng = np.random.default_rng(4)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    cases = []
+    for _ in range(200):
+        A = rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-6, 4)
+        C = A + A.T
+        i, j = rng.integers(0, 6, size=2)
+        kind = rng.integers(0, 5)
+        if kind == 1:  # asymmetry right around the tolerance
+            C[i, j] += (1e-9 + 1e-5 * abs(C[j, i])) * rng.uniform(0.5, 1.5)
+        elif kind == 2:
+            C[i, j] = np.nan
+        elif kind == 3:
+            C[i, j] = C[j, i] = np.inf
+        elif kind == 4:
+            C[i, j] = -np.inf
+        cases.append(C)
+    for C in cases:
+        try:
+            EkfState(np.zeros(3), q, C)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == np.allclose(C, C.T, atol=1e-9)
+
+
 def test_init_state_defaults():
     st = init_state()
     assert np.allclose(st.position, 0.0)

@@ -9,6 +9,7 @@ from needleroll.ekf import roll_variance
 from needleroll.evaluate import (
     EkfRollTracker,
     EstimatorTrace,
+    _wrap_array,
     histogram,
     make_estimator,
     render_report,
@@ -26,6 +27,7 @@ from needleroll.plant import (
     sense,
     step,
 )
+from needleroll.se3 import wrap_angle
 
 CONTROLLER = ControllerParams()
 WORKSPACE = WorkspaceCone()
@@ -119,7 +121,8 @@ def test_ekf_tracker_variance_grows_while_steering():
 
 
 @pytest.mark.parametrize("name", ["ekf", "lstm"])
-@pytest.mark.parametrize("bad", ["position", "heading", "base_angle"])
+@pytest.mark.parametrize("bad", ["position", "heading", "base_angle",
+                                 "heading_norm"])
 def test_estimators_reject_non_finite_measurements(name, bad):
     est = make_estimator(name, GELATIN, CONTROLLER,
                          model=init_model(hidden_size=4, seed=1))
@@ -131,10 +134,15 @@ def test_estimators_reject_non_finite_measurements(name, bad):
         position[1] = np.nan
     elif bad == "heading":
         heading[2] = np.inf
-    else:
+    elif bad == "base_angle":
         base_angle = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    else:
+        heading *= 1.01
+    match = "unit-norm" if bad == "heading_norm" else "non-finite"
+    with pytest.raises(ValueError, match=match):
         est.estimate(SensedTip(position, heading), base_angle)
+    # within the tolerance the heading passes
+    est.estimate(SensedTip(good.position, good.heading * (1.0 + 5e-7)), 0.1)
 
 
 # -------------------------------------------------------------------- batches
@@ -220,6 +228,16 @@ def test_histogram_matches_naive_binning():
 def test_histogram_rejects_bad_width():
     with pytest.raises(ValueError):
         histogram([], bin_width=0.0)
+
+
+def test_wrap_array_is_wrap_angle_bitwise():
+    rng = np.random.default_rng(29)
+    k = np.arange(-4, 5)
+    angles = np.concatenate([rng.uniform(-40.0, 40.0, size=2000),
+                             k * math.pi, k * 2.0 * math.pi, [0.0, -0.0]])
+    wrapped = _wrap_array(angles)
+    assert np.array_equal(wrapped, [wrap_angle(a) for a in angles])
+    assert wrapped.min() > -math.pi and wrapped.max() <= math.pi
 
 
 # -------------------------------------------------------------------- reports

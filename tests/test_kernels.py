@@ -1,0 +1,132 @@
+"""The scalar 3-vector kernels against the numpy formulations they replace.
+
+The reference implementations below are the generic-numpy versions of
+heading_tangent_basis, align_jacobian, so3_exp and se3_exp (cross products,
+norms, 3x3 products, one Jacobian column per basis perturbation). The
+package's closed forms must agree with them to rounding.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from needleroll.ekf import align_jacobian
+from needleroll.se3 import EZ, heading_tangent_basis, se3_exp, so3_exp
+
+TOL = 1e-14
+
+
+def reference_skew(w):
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def reference_heading_tangent_basis(eta):
+    ref = np.array([1.0, 0.0, 0.0]) if abs(eta[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    b1 = np.cross(eta, ref)
+    b1 = b1 / np.linalg.norm(b1)
+    b2 = np.cross(eta, b1)
+    return b1, b2 / np.linalg.norm(b2)
+
+
+def reference_align_from_z(eta):
+    K = reference_skew(np.array([-eta[1], eta[0], 0.0]))
+    return np.eye(3) + K + (K @ K) / (1.0 + eta[2])
+
+
+def reference_align_jacobian(eta):
+    A = reference_align_from_z(eta)
+    c = float(eta[2])
+    K = reference_skew(np.array([-eta[1], eta[0], 0.0]))
+    KK = K @ K
+    cols = []
+    for j in range(3):
+        basis = np.zeros(3)
+        basis[j] = 1.0
+        dK = reference_skew(np.cross(EZ, basis))
+        dA = dK + (dK @ K + K @ dK) / (1.0 + c) - KK * (basis[2] / (1.0 + c) ** 2)
+        W = A.T @ dA
+        cols.append(0.5 * np.array([W[2, 1] - W[1, 2], W[0, 2] - W[2, 0],
+                                    W[1, 0] - W[0, 1]]))
+    return np.column_stack(cols)
+
+
+def reference_so3_exp(w):
+    t = float(np.linalg.norm(w))
+    K = reference_skew(w)
+    if t < 1e-8:
+        a = 1.0 - t * t / 6.0
+        b = 0.5 - t * t / 24.0
+    else:
+        a = math.sin(t) / t
+        b = (1.0 - math.cos(t)) / (t * t)
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+def reference_v_matrix(w):
+    t = float(np.linalg.norm(w))
+    K = reference_skew(w)
+    if t < 1e-8:
+        b = 0.5 - t * t / 24.0
+        c = 1.0 / 6.0 - t * t / 120.0
+    else:
+        b = (1.0 - math.cos(t)) / (t * t)
+        c = (t - math.sin(t)) / (t * t * t)
+    return np.eye(3) + b * K + c * (K @ K)
+
+
+def reference_se3_exp(twist, dt):
+    xi = np.asarray(twist, dtype=float) * dt
+    v, w = xi[:3], xi[3:]
+    return reference_so3_exp(w), reference_v_matrix(w) @ v
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+# unit headings with eta_z > -0.5, the workspace's side of the sphere
+headings = st.tuples(
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 1.0),
+).filter(lambda v: np.linalg.norm(v) > 1e-3).map(_unit).filter(lambda e: e[2] > -0.5)
+
+# rotation vectors of norm 0 to pi, including the series branch below 1e-8
+rotation_vectors = st.tuples(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    .filter(lambda v: np.linalg.norm(v) > 1e-3).map(_unit),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e-8), st.floats(0.0, math.pi)),
+).map(lambda d: d[0] * d[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(eta=headings, w=rotation_vectors,
+       v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       dt=st.floats(0.01, 1.0))
+def test_scalar_kernels_match_numpy_references(eta, w, v, dt):
+    b1, b2 = heading_tangent_basis(eta)
+    r1, r2 = reference_heading_tangent_basis(eta)
+    np.testing.assert_allclose(b1, r1, rtol=0, atol=TOL)
+    np.testing.assert_allclose(b2, r2, rtol=0, atol=TOL)
+    # an orthonormal pair perpendicular to eta
+    frame = np.array([b1, b2, eta])
+    np.testing.assert_allclose(frame @ frame.T, np.eye(3), rtol=0, atol=TOL)
+
+    np.testing.assert_allclose(align_jacobian(eta), reference_align_jacobian(eta),
+                               rtol=0, atol=TOL)
+    np.testing.assert_allclose(so3_exp(w), reference_so3_exp(w), rtol=0, atol=TOL)
+
+    twist = np.concatenate([v, w]) / dt  # so the step's rotation is w
+    R, p = se3_exp(twist, dt)
+    R_ref, p_ref = reference_se3_exp(twist, dt)
+    np.testing.assert_allclose(R, R_ref, rtol=0, atol=TOL)
+    np.testing.assert_allclose(p, p_ref, rtol=0, atol=TOL)
+
+
+def test_series_branch_is_exercised():
+    w = np.array([3e-9, -4e-9, 0.0])  # norm 5e-9
+    np.testing.assert_allclose(so3_exp(w), reference_so3_exp(w), rtol=0, atol=TOL)
+    twist = np.concatenate([[0.1, 0.2, 0.3], w])
+    np.testing.assert_allclose(se3_exp(twist)[1], reference_se3_exp(twist, 1.0)[1],
+                               rtol=0, atol=TOL)
