@@ -21,10 +21,8 @@ workspace = WorkspaceCone(40.0, 75.0, medium.curvature, 0.9)
 for trial in range(5):
     target = sample_target(workspace, rng)
     logs, state, outcome, err = run_closed_loop(medium, controller, target, rng)
-    flips = sum(
-        1 for a, b in zip(logs, logs[1:])
-        if (a.u.rotation_speed == 0.0) != (b.u.rotation_speed == 0.0)
-    )
+    rotating = [w != 0.0 for w in logs["rotation_speed"]]
+    flips = sum(1 for a, b in zip(rotating, rotating[1:]) if a != b)
     print(f"trial {trial}: target depth {target[2]:5.1f} mm, "
-          f"{outcome} in {len(logs):4d} steps, error {err:.3f} mm, "
+          f"{outcome} in {len(rotating):4d} steps, error {err:.3f} mm, "
           f"{flips} bevel flips")

@@ -30,9 +30,16 @@ from needleroll.dataset import (
     split,
     to_training_sequences,
 )
-from needleroll.evaluate import report, run_batch, run_trial, summarize
+from needleroll.evaluate import (
+    ESTIMATOR_NAMES,
+    render_report,
+    report,
+    run_batch,
+    run_trial,
+    summarize,
+)
 from needleroll.lstm import Diverged, load_model, save_model, train
-from needleroll.plant import sample_target
+from needleroll.plant import MEDIUM_PRESETS, sample_target
 
 
 class UsageError(Exception):
@@ -68,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("generate", help="collect a steering dataset")
     _add_common(p)
     p.add_argument("--n", type=int, help="episode count (default 70)")
-    p.add_argument("--medium", choices=["gelatin", "brain", "lung"])
+    p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
     p.add_argument("--jitter", type=float)
     p.add_argument("--train-fraction", dest="train_fraction", type=float)
@@ -84,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("steer", help="run one closed-loop insertion")
     _add_common(p)
-    p.add_argument("--estimator", choices=["truth", "ekf", "lstm"])
-    p.add_argument("--medium", choices=["gelatin", "brain", "lung"])
+    p.add_argument("--estimator", choices=ESTIMATOR_NAMES)
+    p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
     p.add_argument("--model", help="trained model file (lstm)")
     p.add_argument("--target", type=_parse_target,
@@ -94,12 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("evaluate", help="batch trials and report")
     _add_common(p)
     p.add_argument("--n", type=int, help="trial count (default 30)")
-    p.add_argument("--medium", choices=["gelatin", "brain", "lung"])
+    p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
     p.add_argument("--model", help="trained model file (lstm)")
     p.add_argument("--estimators",
                    type=lambda t: tuple(t.split(",")),
-                   help="comma-separated subset of truth,ekf,lstm")
+                   help="comma-separated subset of "
+                   + ",".join(ESTIMATOR_NAMES))
     p.add_argument("--bin-width", dest="bin_width", type=float)
 
     p = commands.add_parser("report",
@@ -224,8 +232,6 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 
 def cmd_report(config: RunConfig) -> int:
-    from needleroll.evaluate import render_report
-
     out = Path(_require(config.out, "--out"))
     render_report(out, config.bin_width)
     print(f"report regenerated at {out / 'report.txt'}")

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from needleroll.controller import ControllerParams
+from needleroll.dataset import DEPTH_CAP
+from needleroll.evaluate import DEFAULT_BIN_WIDTH, ESTIMATOR_NAMES
 from needleroll.lstm import TrainConfig
 from needleroll.plant import (
     MEDIUM_PRESETS,
@@ -26,8 +27,6 @@ from needleroll.plant import (
 CONFIG_SCHEMA_VERSION = 1
 CONFIG_FILENAME = "config.json"
 
-ESTIMATOR_NAMES = ("truth", "ekf", "lstm")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -38,25 +37,25 @@ class RunConfig:
     # plant / medium
     medium: str = "gelatin"
     rigid: bool = False
-    depth_cap: float = 80.0
+    depth_cap: float = DEPTH_CAP
 
     # workspace sampling
-    depth_min: float = 40.0
-    depth_max: float = 75.0
-    radial_margin: float = 0.9
+    depth_min: float = WorkspaceCone.depth_min
+    depth_max: float = WorkspaceCone.depth_max
+    radial_margin: float = WorkspaceCone.radial_margin
 
     # controller
-    insertion_speed: float = 5.0
-    rotation_speed: float = 2.0 * math.pi
-    rate: float = 40.0
-    deadband: float = 0.05
-    arrival_tolerance: float = 0.25
+    insertion_speed: float = ControllerParams.insertion_speed
+    rotation_speed: float = ControllerParams.rotation_speed
+    rate: float = ControllerParams.rate
+    deadband: float = ControllerParams.deadband
+    arrival_tolerance: float = ControllerParams.arrival_tolerance
 
     # dataset generation; n doubles as the trial count for evaluation
     n: int | None = None
     jitter: float = 0.0
     train_fraction: float = 6.0 / 7.0
-    z_max: float = 75.0
+    z_max: float = TrainConfig.z_max
 
     # training
     dataset: str | None = None
@@ -71,16 +70,14 @@ class RunConfig:
     estimator: str = "lstm"
     estimators: tuple[str, ...] = ("lstm", "ekf")
     target: tuple[float, float, float] | None = None
-    bin_width: float = 0.05
+    bin_width: float = DEFAULT_BIN_WIDTH
 
     def validate(self):
         if self.medium not in MEDIUM_PRESETS:
             raise ValueError(
                 f"unknown medium {self.medium!r}; "
                 f"choose from {sorted(MEDIUM_PRESETS)}")
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        for name in self.estimators:
+        for name in (self.estimator, *self.estimators):
             if name not in ESTIMATOR_NAMES:
                 raise ValueError(f"unknown estimator {name!r}")
         if self.jobs < 1:

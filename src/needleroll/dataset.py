@@ -30,10 +30,9 @@ from needleroll.controller import (
     control,
     targeting_error,
 )
+from needleroll.lstm import DEFAULT_Z_MAX
 from needleroll.plant import (
-    ControlInput,
     MediumParams,
-    SensedTip,
     WorkspaceCone,
     initial_state,
     jittered_medium,
@@ -41,7 +40,6 @@ from needleroll.plant import (
     sense,
     step,
 )
-from needleroll.se3 import Pose
 
 DATASET_SCHEMA_VERSION = 1
 EPISODES_FILENAME = "episodes.jsonl"
@@ -63,34 +61,33 @@ class GenerationStalled(RuntimeError):
     """Retry budget exhausted: the controller/plant pairing is mis-tuned."""
 
 
-@dataclass(frozen=True)
-class StepLog:
-    """One control period of a closed-loop insertion, captured at the
-    measurement instant (before the plant advances)."""
+DEPTH_CAP = 80.0  # mm, insertion depth at which a closed loop gives up
 
-    t: float
-    meas: SensedTip
-    base_angle: float
-    roll_true: float
-    truth_pose: Pose
-    est_pose: Pose
-    u: ControlInput
+# EpisodeRecord's per-step arrays other than t; run_closed_loop records a
+# column of each, plus the true and the estimated tip rotation
+STEP_COLUMNS = ("position", "heading", "base_angle", "roll_true",
+                "insertion_speed", "rotation_speed")
 
 
 def run_closed_loop(medium: MediumParams, controller: ControllerParams,
-                    target, rng, estimator=None, depth_cap: float = 80.0):
+                    target, rng, estimator=None, depth_cap: float = DEPTH_CAP):
     """Drive one insertion to the target; the canonical execution loop.
 
     Each tick: sense, estimate, decide, advance. `estimator` is any object
     with estimate(meas, base_angle) -> Pose; None steers on the true pose.
     Stops on controller arrival or at the depth cap.
 
-    Returns (logs, final_state, outcome, final_error). The final error is
-    the true tip-to-target distance, whatever the estimator believed.
+    Returns (logs, final_state, outcome, final_error). `logs` maps each
+    STEP_COLUMNS name, "R_true" and "R_est" to a list with one entry per
+    control period, taken at the measurement instant (before the plant
+    advances): the sensed position and heading, the base angle and true
+    tip roll, the commanded speeds, and the true and estimated rotation
+    matrices. The final error is the true tip-to-target distance, whatever
+    the estimator believed.
     """
     dt = 1.0 / controller.rate
     state = initial_state()
-    logs: list[StepLog] = []
+    logs = {name: [] for name in (*STEP_COLUMNS, "R_true", "R_est")}
     outcome = "depth_capped"
     while state.depth < depth_cap:
         meas = sense(state, medium, rng)
@@ -102,11 +99,14 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
         if isinstance(decision, Arrived):
             outcome = "arrived"
             break
-        logs.append(StepLog(
-            t=len(logs) * dt, meas=meas, base_angle=state.base_angle,
-            roll_true=state.tip_roll, truth_pose=state.pose,
-            est_pose=est_pose, u=decision,
-        ))
+        logs["position"].append(meas.position)
+        logs["heading"].append(meas.heading)
+        logs["base_angle"].append(state.base_angle)
+        logs["roll_true"].append(state.tip_roll)
+        logs["insertion_speed"].append(decision.insertion_speed)
+        logs["rotation_speed"].append(decision.rotation_speed)
+        logs["R_true"].append(state.pose.R)
+        logs["R_est"].append(est_pose.R)
         state = step(state, decision, medium, dt)
     final_error = targeting_error(state.pose.p, target)
     return logs, state, outcome, final_error
@@ -168,13 +168,8 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
         target=np.asarray(target, dtype=float),
         outcome=outcome,
         final_error=float(final_error),
-        t=np.array([log.t for log in logs]),
-        position=np.array([log.meas.position for log in logs]),
-        heading=np.array([log.meas.heading for log in logs]),
-        base_angle=np.array([log.base_angle for log in logs]),
-        roll_true=np.array([log.roll_true for log in logs]),
-        insertion_speed=np.array([log.u.insertion_speed for log in logs]),
-        rotation_speed=np.array([log.u.rotation_speed for log in logs]),
+        t=np.arange(len(logs["base_angle"])) * (1.0 / controller.rate),
+        **{name: np.array(logs[name]) for name in STEP_COLUMNS},
     )
     rec.validate()
     return rec
@@ -286,8 +281,8 @@ def load_manifest(root: Path) -> DatasetManifest:
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
     if isinstance(doc, dict) and doc.get("schema_version") != DATASET_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported manifest schema {doc.get('schema_version')!r}")
+        raise DatasetError(
+            f"{path}: unsupported manifest schema {doc.get('schema_version')!r}")
     _check_fields(path, doc, _MANIFEST_TYPES)
     for m in doc["episodes"]:
         _check_fields(path, m, _EPISODE_TYPES)
@@ -358,6 +353,11 @@ def load_episodes(root: Path, manifest: DatasetManifest,
             except json.JSONDecodeError as exc:
                 raise DatasetError(
                     f"{path}: line {idx + 1} is not valid JSON ({exc})") from exc
+            # valid JSON that is no episode: non-object, missing key, bad value
+            except (AttributeError, KeyError, OverflowError, TypeError,
+                    ValueError) as exc:
+                raise DatasetError(f"{path}: line {idx + 1} is not a valid "
+                                   f"episode ({type(exc).__name__}: {exc})") from exc
             if rec.episode_id != wanted[idx]:
                 raise DatasetError(
                     f"{path}: line {idx + 1} holds episode {rec.episode_id}, "
@@ -401,8 +401,8 @@ def _collect_episode(args):
 
 def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
                      controller: ControllerParams, seed: int, root: Path,
-                     z_max: float = 75.0, jitter: float = 0.0,
-                     depth_cap: float = 80.0, mapper=map) -> DatasetManifest:
+                     z_max: float = DEFAULT_Z_MAX, jitter: float = 0.0,
+                     depth_cap: float = DEPTH_CAP, mapper=map) -> DatasetManifest:
     """Collect n accepted insertions and persist them under root.
 
     `jitter` scales each episode's torsion parameters by an independent

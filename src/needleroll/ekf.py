@@ -12,6 +12,8 @@ exp(skew(dphi))). The body-z component of dphi is exactly the roll error,
 so covariance entry (5, 5) is the roll variance. The 5-DOF measurement
 observes position plus heading-tangent coordinates; the body-z direction is
 structurally unobservable (the heading Jacobian annihilates it).
+
+EkfRollTracker runs the filter as a closed-loop estimator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from needleroll.plant import ControlInput, SensedTip, advance_tip_pose, tip_step
+from needleroll.controller import ControllerParams
+from needleroll.plant import (
+    ControlInput,
+    MediumParams,
+    SensedTip,
+    advance_tip_pose,
+    require_valid_measurement,
+    tip_step,
+)
 from needleroll.se3 import (
     Pose,
     cross3,
@@ -224,3 +234,37 @@ def estimate_pose(state: EkfState) -> Pose:
 def roll_variance(state: EkfState) -> float:
     """Variance of the roll error: the body-z rotational diagonal entry."""
     return float(state.covariance[5, 5])
+
+
+class EkfRollTracker:
+    """Filter-in-the-loop adapter: feeds commanded motion and 5-DOF
+    measurements to the Kalman filter and exposes its mean pose.
+
+    The commanded rotation over the last period is recovered from the base
+    angle the loop supplies; the filter applies it directly as tip roll
+    (the torsion-blind assumption under test)."""
+
+    def __init__(self, medium: MediumParams, controller: ControllerParams,
+                 process_noise: np.ndarray | None = None):
+        self.curvature = medium.curvature
+        self.insertion_speed = controller.insertion_speed
+        self.dt = 1.0 / controller.rate
+        self.process_noise = (default_process_noise()
+                              if process_noise is None else process_noise)
+        self.measurement_noise = measurement_noise_for(
+            medium.position_noise, medium.heading_noise)
+        self.state = init_state()
+        self.last_base_angle = None
+
+    def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
+        require_valid_measurement(meas, base_angle)
+        if self.last_base_angle is not None:
+            u = ControlInput(
+                insertion_speed=self.insertion_speed,
+                rotation_speed=(base_angle - self.last_base_angle) / self.dt,
+            )
+            self.state = predict(self.state, u, self.curvature, self.dt,
+                                 self.process_noise)
+        self.last_base_angle = base_angle
+        self.state = update(self.state, meas, self.measurement_noise)
+        return estimate_pose(self.state)

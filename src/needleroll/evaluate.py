@@ -27,30 +27,20 @@ import numpy as np
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
+    DEPTH_CAP,
     record_from_logs,
     record_to_line,
     run_closed_loop,
 )
-from needleroll.ekf import (
-    default_process_noise,
-    estimate_pose,
-    init_state,
-    measurement_noise_for,
-    predict,
-    update,
-)
+from needleroll.ekf import EkfRollTracker
 from needleroll.lstm import LstmModel, RollEstimator
-from needleroll.plant import (
-    ControlInput,
-    MediumParams,
-    SensedTip,
-    WorkspaceCone,
-    require_valid_measurement,
-    sample_target,
-)
-from needleroll.se3 import Pose, angular_error, decompose_roll
+from needleroll.plant import MediumParams, WorkspaceCone, sample_target
+from needleroll.se3 import angular_error, decompose_roll
 
-ESTIMATOR_TAGS = {"truth": 0, "ekf": 1, "lstm": 2}
+# a name's position here is its tag in every trial seed (seed, tag, trial):
+# reordering the names, or inserting one before the end, changes the noise
+# stream of every evaluation trial
+ESTIMATOR_NAMES = ("truth", "ekf", "lstm")
 DEFAULT_BIN_WIDTH = 0.05  # rad
 
 SUMMARY_COLUMNS = ["trial_id", "estimator", "medium", "seed", "outcome",
@@ -102,43 +92,6 @@ class TrialSummary:
             raise ValueError("targeting error must be nonnegative")
 
 
-class EkfRollTracker:
-    """Filter-in-the-loop adapter: feeds commanded motion and 5-DOF
-    measurements to the Kalman filter and exposes its mean pose.
-
-    The commanded rotation over the last period is recovered from the base
-    angle the loop supplies; the filter applies it directly as tip roll
-    (the torsion-blind assumption under test)."""
-
-    def __init__(self, medium: MediumParams, controller: ControllerParams,
-                 process_noise: np.ndarray | None = None):
-        self.curvature = medium.curvature
-        self.insertion_speed = controller.insertion_speed
-        self.dt = 1.0 / controller.rate
-        self.process_noise = (default_process_noise()
-                              if process_noise is None else process_noise)
-        self.measurement_noise = measurement_noise_for(
-            medium.position_noise, medium.heading_noise)
-        self.reset()
-
-    def reset(self):
-        self.state = init_state()
-        self.last_base_angle = None
-
-    def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
-        require_valid_measurement(meas, base_angle)
-        if self.last_base_angle is not None:
-            u = ControlInput(
-                insertion_speed=self.insertion_speed,
-                rotation_speed=(base_angle - self.last_base_angle) / self.dt,
-            )
-            self.state = predict(self.state, u, self.curvature, self.dt,
-                                 self.process_noise)
-        self.last_base_angle = base_angle
-        self.state = update(self.state, meas, self.measurement_noise)
-        return estimate_pose(self.state)
-
-
 def make_estimator(name: str, medium: MediumParams,
                    controller: ControllerParams,
                    model: LstmModel | None = None):
@@ -157,7 +110,7 @@ def make_estimator(name: str, medium: MediumParams,
 def run_trial(estimator_name: str, medium: MediumParams,
               controller: ControllerParams, target, seed,
               model: LstmModel | None = None, trial_id: int = 0,
-              depth_cap: float = 80.0):
+              depth_cap: float = DEPTH_CAP):
     """One closed-loop insertion under the named estimator.
 
     Returns (EpisodeRecord, EstimatorTrace, TrialSummary). The targeting
@@ -170,9 +123,9 @@ def run_trial(estimator_name: str, medium: MediumParams,
         medium, controller, target, rng, estimator, depth_cap)
     record = record_from_logs(trial_id, seed, medium, controller, target,
                               outcome, final_error, logs)
-    roll_est = np.array([decompose_roll(log.est_pose.R)[1] for log in logs])
-    omega = np.array([angular_error(log.truth_pose.R, log.est_pose.R)
-                      for log in logs])
+    roll_est = np.array([decompose_roll(R)[1] for R in logs["R_est"]])
+    omega = np.array([angular_error(R_true, R_est) for R_true, R_est
+                      in zip(logs["R_true"], logs["R_est"])])
     roll_err = np.abs(_wrap_array(roll_est - record.roll_true))
     trace = EstimatorTrace(
         trial_id=trial_id, estimator=estimator_name, medium=medium.name,
@@ -182,7 +135,7 @@ def run_trial(estimator_name: str, medium: MediumParams,
     trace.validate()
     summary = TrialSummary(
         trial_id=trial_id, estimator=estimator_name, medium=medium.name,
-        seed=seed, outcome=outcome, steps=len(logs),
+        seed=seed, outcome=outcome, steps=record.steps,
         targeting_error=final_error,
         mean_angular_error=float(np.mean(omega)),
         mean_roll_error=float(np.mean(roll_err)),
@@ -197,7 +150,7 @@ def _run_trial_task(args):
 def run_batch(estimator_names, medium: MediumParams,
               controller: ControllerParams, workspace: WorkspaceCone,
               n_trials: int, seed: int, model: LstmModel | None = None,
-              out_dir: Path | None = None, depth_cap: float = 80.0,
+              out_dir: Path | None = None, depth_cap: float = DEPTH_CAP,
               bin_width: float = DEFAULT_BIN_WIDTH, mapper=map):
     """Paired trials: each estimator steers to the same sampled targets.
 
@@ -209,7 +162,7 @@ def run_batch(estimator_names, medium: MediumParams,
     if n_trials < 1:
         raise ValueError("need at least one trial")
     for name in estimator_names:
-        if name not in ESTIMATOR_TAGS:
+        if name not in ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {name!r}")
     target_rng = np.random.default_rng(
         np.random.SeedSequence([int(seed), 0x7467]))
@@ -218,7 +171,7 @@ def run_batch(estimator_names, medium: MediumParams,
     trial_id = 0
     for k, target in enumerate(targets):
         for name in estimator_names:
-            trial_seed = (int(seed), ESTIMATOR_TAGS[name], k)
+            trial_seed = (int(seed), ESTIMATOR_NAMES.index(name), k)
             tasks.append((name, medium, controller, target, trial_seed,
                           model, trial_id, depth_cap))
             trial_id += 1

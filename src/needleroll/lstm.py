@@ -45,6 +45,11 @@ from needleroll.plant import SensedTip, require_valid_measurement
 from needleroll.se3 import Pose, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
+DEFAULT_Z_MAX = 75.0  # mm, the position feature scale
+
+# the fixed parameter order is part of the optimizer and serialization
+# contracts
+PARAM_NAMES = ("w_x", "w_h", "b_g", "w_fc", "b_fc", "w_out", "b_out")
 
 
 class DegenerateOutput(ValueError):
@@ -109,11 +114,8 @@ class LstmModel:
         return self.w_x.shape[1]
 
     def params(self):
-        """Fixed-order (name, array) pairs; the order is part of the
-        optimizer and serialization contracts."""
-        return [("w_x", self.w_x), ("w_h", self.w_h), ("b_g", self.b_g),
-                ("w_fc", self.w_fc), ("b_fc", self.b_fc),
-                ("w_out", self.w_out), ("b_out", self.b_out)]
+        """(name, array) pairs in PARAM_NAMES order."""
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
     def validate(self):
         four_h, d = self.w_x.shape
@@ -141,9 +143,9 @@ def zero_state(hidden_size: int) -> LstmCellState:
     return LstmCellState(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
-def init_model(input_size: int = 8, hidden_size: int = 30, z_max: float = 75.0,
-               dropout_rate: float = 0.2, seed: int = 0,
-               metadata: dict | None = None) -> LstmModel:
+def init_model(input_size: int = 8, hidden_size: int = 30,
+               z_max: float = DEFAULT_Z_MAX, dropout_rate: float = 0.2,
+               seed: int = 0, metadata: dict | None = None) -> LstmModel:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; forget-gate bias starts at +1
     so early training does not flush the cell state."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1517]))
@@ -463,7 +465,7 @@ class TrainConfig:
     dropout_rate: float = 0.2
     hidden_size: int = 30
     input_size: int = 8
-    z_max: float = 75.0
+    z_max: float = DEFAULT_Z_MAX
     seed: int = 0
 
 
@@ -606,14 +608,16 @@ def load_model(path) -> LstmModel:
         doc = json.load(fh)
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {doc.get('schema_version')}")
+    params = doc.get("params", {})
     arrays = {}
-    for name, entry in doc["params"].items():
+    for name in PARAM_NAMES:
+        if name not in params:
+            raise ValueError(f"model file {path} has no parameter {name!r}")
+        entry = params[name]
         arrays[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
     model = LstmModel(
-        w_x=arrays["w_x"], w_h=arrays["w_h"], b_g=arrays["b_g"],
-        w_fc=arrays["w_fc"], b_fc=arrays["b_fc"],
-        w_out=arrays["w_out"], b_out=arrays["b_out"],
-        z_max=float(doc["z_max"]), dropout_rate=float(doc["dropout_rate"]),
+        **arrays, z_max=float(doc["z_max"]),
+        dropout_rate=float(doc["dropout_rate"]),
         metadata=dict(doc.get("metadata", {})),
     )
     model.validate()

@@ -135,9 +135,6 @@ class ControlInput:
             raise ValueError("insertion speed must be nonnegative")
 
 
-STOP = ControlInput(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class PlantState:
     """Simulator state. base_angle and tip_roll are unwrapped accumulators;

@@ -201,10 +201,6 @@ class Pose:
     def heading(self) -> np.ndarray:
         return self.R[:, 2].copy()
 
-    @property
-    def roll(self) -> float:
-        return decompose_roll(self.R)[1]
-
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.p + self.R @ other.p, self.R @ other.R)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from needleroll.cli import main
+from needleroll.lstm import init_model, save_model
 from needleroll.config import (
     RunConfig,
     load_config_file,
@@ -161,15 +162,30 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
     assert main(["generate", "--n", "3", "--seed", "3", "--out", str(ds)]) == 0
     episodes = ds / "episodes.jsonl"
     lines = episodes.read_text().splitlines(keepends=True)
-    lines[1] = lines[1][:len(lines[1]) // 2] + "\n"  # cut mid-record
-    episodes.write_text("".join(lines))
-    capsys.readouterr()
-    assert main(_train_argv(ds, tmp_path)) == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    doc = json.loads(lines[1])
+
+    def edited(**changes):
+        return json.dumps(dict(doc, **changes)) + "\n"
+
+    no_heading = {k: v for k, v in doc.items() if k != "heading"}
+    cases = [
+        ("not valid JSON", lines[1][:len(lines[1]) // 2] + "\n"),  # cut
+        ("KeyError", json.dumps(no_heading) + "\n"),
+        ("TypeError", edited(medium=dict(doc["medium"], viscosity=1.0))),
+        ("unsupported episode schema", edited(schema_version=2)),
+        ("roll_true must match", edited(roll_true=doc["roll_true"][:-1])),
+    ]
+    for expect, line in cases:
+        episodes.write_text("".join([lines[0], line, lines[2]]))
+        capsys.readouterr()
+        assert main(_train_argv(ds, tmp_path)) == 2, expect
+        err = capsys.readouterr().err
+        assert "line 2" in err and expect in err
 
 
 @pytest.mark.parametrize("damage", ["no_episodes_file", "episodes_string",
-                                    "episode_missing_key", "z_max_string"])
+                                    "episode_missing_key", "z_max_string",
+                                    "schema_version"])
 def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
@@ -181,6 +197,8 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
         doc["episodes"] = "episodes.jsonl"
     elif damage == "episode_missing_key":
         del doc["episodes"][1]["steps"]
+    elif damage == "schema_version":
+        doc["schema_version"] = 2
     else:
         doc["z_max"] = "75"
     path.write_text(json.dumps(doc))
@@ -214,6 +232,19 @@ def test_cli_steer_lstm_requires_model(tmp_path, capsys):
     assert main(["steer", "--estimator", "lstm",
                  "--out", str(tmp_path / "x")]) == 1
     assert "--model" in capsys.readouterr().err
+
+
+def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
+                                                               capsys):
+    path = tmp_path / "model.json"
+    save_model(init_model(hidden_size=4, seed=1), path)
+    doc = json.loads(path.read_text())
+    del doc["params"]["w_fc"]
+    path.write_text(json.dumps(doc))
+    assert main(["steer", "--estimator", "lstm", "--model", str(path),
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'w_fc'" in err
 
 
 def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):

@@ -15,6 +15,7 @@ from needleroll.dataset import (
     load_episodes,
     load_manifest,
     record_from_line,
+    record_from_logs,
     record_to_line,
     run_closed_loop,
     split,
@@ -55,10 +56,14 @@ def test_closed_loop_truth_steering_arrives():
     logs, state, outcome, err = run_closed_loop(GELATIN, CONTROLLER, target, rng)
     assert outcome == "arrived"
     assert err < 1.0
-    assert logs[0].t == 0.0
+    n = len(logs["base_angle"])
+    assert n > 0 and all(len(column) == n for column in logs.values())
+    rec = record_from_logs(0, (0,), GELATIN, CONTROLLER, target, outcome,
+                           err, logs)
+    # one control period per step, bitwise equal to stepping k * dt
     dt = 1.0 / CONTROLLER.rate
-    times = [log.t for log in logs]
-    assert np.allclose(np.diff(times), dt)
+    assert rec.t.tolist() == [k * dt for k in range(n)]
+    assert np.array_equal(rec.position, np.array(logs["position"]))
 
 
 def test_closed_loop_depth_cap():

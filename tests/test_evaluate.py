@@ -5,9 +5,8 @@ import pytest
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import load_manifest
-from needleroll.ekf import roll_variance
+from needleroll.ekf import EkfRollTracker, roll_variance
 from needleroll.evaluate import (
-    EkfRollTracker,
     EstimatorTrace,
     _wrap_array,
     histogram,
