@@ -9,6 +9,7 @@ order-preserving process parallelism with identical results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -22,6 +23,7 @@ from needleroll.config import (
     write_resolved_config,
 )
 from needleroll.dataset import (
+    DEFAULT_EPISODES,
     DatasetError,
     GenerationStalled,
     generate_dataset,
@@ -31,6 +33,7 @@ from needleroll.dataset import (
     to_training_sequences,
 )
 from needleroll.evaluate import (
+    DEFAULT_TRIALS,
     ESTIMATOR_NAMES,
     render_report,
     report,
@@ -74,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("generate", help="collect a steering dataset")
     _add_common(p)
-    p.add_argument("--n", type=int, help="episode count (default 70)")
+    p.add_argument("--n", type=int,
+                   help=f"episode count (default {DEFAULT_EPISODES})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
     p.add_argument("--jitter", type=float)
@@ -100,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("evaluate", help="batch trials and report")
     _add_common(p)
-    p.add_argument("--n", type=int, help="trial count (default 30)")
+    p.add_argument("--n", type=int,
+                   help=f"trial count (default {DEFAULT_TRIALS})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
     p.add_argument("--model", help="trained model file (lstm)")
@@ -152,9 +157,11 @@ def _load_lstm(config: RunConfig, needed: bool):
 
 def cmd_generate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
-    n = config.n if config.n is not None else 70
+    # validate() rejects n < 1, so `or` fills in only a missing count
+    config = dataclasses.replace(config, n=config.n or DEFAULT_EPISODES)
     manifest = generate_dataset(
-        n=n, medium=config.make_medium(), workspace=config.make_workspace(),
+        n=config.n, medium=config.make_medium(),
+        workspace=config.make_workspace(),
         controller=config.make_controller(), seed=config.seed, root=out,
         z_max=config.z_max, jitter=config.jitter,
         depth_cap=config.depth_cap, mapper=_mapper(config.jobs),
@@ -164,7 +171,7 @@ def cmd_generate(config: RunConfig) -> int:
     write_resolved_config(config, out)
     n_train = len(manifest.with_ids("train"))
     n_val = len(manifest.with_ids("val"))
-    print(f"generated {n} episodes to {out} "
+    print(f"generated {config.n} episodes to {out} "
           f"(train {n_train} / val {n_val}, hash {manifest.config_hash[:12]})")
     return 0
 
@@ -214,19 +221,19 @@ def cmd_steer(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
-    n = config.n if config.n is not None else 30
+    config = dataclasses.replace(config, n=config.n or DEFAULT_TRIALS)
     model = _load_lstm(config, "lstm" in config.estimators)
     _, _, summaries = run_batch(
         config.estimators, config.make_medium(), config.make_controller(),
-        config.make_workspace(), n_trials=n, seed=config.seed, model=model,
-        out_dir=out, depth_cap=config.depth_cap, bin_width=config.bin_width,
-        mapper=_mapper(config.jobs),
+        config.make_workspace(), n_trials=config.n, seed=config.seed,
+        model=model, out_dir=out, depth_cap=config.depth_cap,
+        bin_width=config.bin_width, mapper=_mapper(config.jobs),
     )
     write_resolved_config(config, out)
     for name in config.estimators:
         err, omega = summarize(summaries, name)
         print(f"{name}: mean targeting error {err:.3f} mm, "
-              f"mean angular error {omega:.4f} rad over {n} trials")
+              f"mean angular error {omega:.4f} rad over {config.n} trials")
     print(f"report written to {out / 'report.txt'}")
     return 0
 

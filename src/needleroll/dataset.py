@@ -62,6 +62,7 @@ class GenerationStalled(RuntimeError):
 
 
 DEPTH_CAP = 80.0  # mm, insertion depth at which a closed loop gives up
+DEFAULT_EPISODES = 70  # generate's episode count
 
 # EpisodeRecord's per-step arrays other than t; run_closed_loop records a
 # column of each, plus the true and the estimated tip rotation
@@ -151,8 +152,13 @@ class EpisodeRecord:
         expect = np.arange(n) * dt
         if not np.allclose(self.t, expect, atol=1e-9):
             raise ValueError("timestamps must advance by one control period")
-        if self.final_error < 0.0:
-            raise ValueError("final error must be nonnegative")
+        # json reads NaN and Infinity, which would surface only as a
+        # non-finite training loss
+        for name in ("target", *STEP_COLUMNS):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if not 0.0 <= self.final_error < math.inf:
+            raise ValueError("final error must be finite and nonnegative")
         if self.outcome not in ("arrived", "depth_capped"):
             raise ValueError(f"unknown outcome {self.outcome!r}")
 

@@ -18,6 +18,7 @@ EkfRollTracker runs the filter as a closed-loop estimator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,13 @@ from needleroll.se3 import (
 )
 
 
+# read-only identities, copied where a Jacobian is written into them
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
+_EYE5x6 = np.eye(5, 6)
+_EYE5x6.flags.writeable = False
+
+
 class SingularInnovation(RuntimeError):
     """Innovation covariance not invertible; noise configuration is broken."""
 
@@ -74,6 +82,14 @@ class EkfState:
         if not ((C == C.T).all() or np.allclose(C, C.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
 
+    @functools.cached_property
+    def rotation(self) -> np.ndarray:
+        """quat_to_matrix(orientation), built on first use and read-only, so
+        that estimate_pose and the next predict share update's matrix."""
+        R = quat_to_matrix(self.orientation)
+        R.flags.writeable = False
+        return R
+
 
 def init_state(entry_pose: Pose | None = None,
                variance: float = 1e-4) -> EkfState:
@@ -82,7 +98,7 @@ def init_state(entry_pose: Pose | None = None,
     return EkfState(
         position=pose.p,
         orientation=quat_from_matrix(pose.R),
-        covariance=variance * np.eye(6),
+        covariance=variance * _EYE6,
     )
 
 
@@ -156,7 +172,7 @@ def transition_jacobian(R: np.ndarray, u: ControlInput, curvature: float,
     D = rot_z(-roll_new) @ align_jacobian(eta_new) @ N
     D[2] += (s1, -s0, 1.0)
 
-    F = np.eye(6)
+    F = _EYE6.copy()
     F[:3, 3:] = [cross3(m_p, r) for r in rows]  # -(R skew(m_p))
     F[3:, 3:] = D
     return F
@@ -172,7 +188,7 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    R = quat_to_matrix(state.orientation)
+    R = state.rotation
     _, roll = decompose_roll(R)
     roll_new = roll + u.rotation_speed * dt
     R_new, p_new = advance_tip_pose(
@@ -189,7 +205,7 @@ def measurement_jacobian(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     """5x6 Jacobian of (position, B^T heading) w.r.t. (dp, dphi):
     -(B^T R skew(EZ)) in the heading rows, whose row k is (-s_1, s_0, 0)
     for s = R^T b_k."""
-    H = np.eye(5, 6)
+    H = _EYE5x6.copy()
     H[3:, 3:] = [[-s1, s0, 0.0] for s0, s1, _ in (B.T @ R).tolist()]
     return H
 
@@ -198,7 +214,7 @@ def update(state: EkfState, meas: SensedTip,
            measurement_noise: np.ndarray) -> EkfState:
     """Standard EKF update with the heading residual taken in the 2-D
     tangent plane at the predicted heading. Joseph-form covariance."""
-    R = quat_to_matrix(state.orientation)
+    R = state.rotation
     eta_pred = R[:, 2]
     B = np.array(heading_tangent_basis(eta_pred)).T
     H = measurement_jacobian(R, B)
@@ -220,7 +236,7 @@ def update(state: EkfState, meas: SensedTip,
     p_new = state.position + correction[:3]
     R_new = R @ so3_exp(correction[3:])
 
-    IKH = np.eye(6) - gain @ H
+    IKH = _EYE6 - gain @ H
     cov = IKH @ P @ IKH.T + gain @ measurement_noise @ gain.T
     cov = 0.5 * (cov + cov.T)
     return EkfState(position=p_new, orientation=quat_from_matrix(R_new),
@@ -228,7 +244,7 @@ def update(state: EkfState, meas: SensedTip,
 
 
 def estimate_pose(state: EkfState) -> Pose:
-    return Pose(state.position, quat_to_matrix(state.orientation))
+    return Pose(state.position, state.rotation)
 
 
 def roll_variance(state: EkfState) -> float:

@@ -42,6 +42,7 @@ from needleroll.se3 import angular_error, decompose_roll
 # stream of every evaluation trial
 ESTIMATOR_NAMES = ("truth", "ekf", "lstm")
 DEFAULT_BIN_WIDTH = 0.05  # rad
+DEFAULT_TRIALS = 30  # evaluate's trials per estimator
 
 SUMMARY_COLUMNS = ["trial_id", "estimator", "medium", "seed", "outcome",
                    "steps", "targeting_error_mm", "mean_angular_error_rad",

@@ -36,7 +36,6 @@ import copy
 import functools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -539,17 +538,31 @@ def train(train_seqs, val_seqs, config: TrainConfig):
 POSITION_WINDOW = 12
 
 
-def _endpoint_fit(points) -> np.ndarray:
-    """Least-squares line through the window, evaluated at the last point."""
-    n = len(points)
-    if n < 3:
-        return np.asarray(points[-1], dtype=float)
-    stack = np.asarray(points, dtype=float)
+def _fit_constants(n: int):
+    """Regression constants of _endpoint_fit for an n-point window: the
+    centred sample indices k - mean(k) (read-only), their sum of squares,
+    and the last index's offset n - 1 - mean(k)."""
     k = np.arange(n, dtype=float)
     k_mean = k.mean()
     centered = k - k_mean
-    slope = (centered @ stack) / float(centered @ centered)
-    return stack.mean(axis=0) + slope * (n - 1 - k_mean)
+    centered.flags.writeable = False
+    return centered, float(centered @ centered), n - 1 - k_mean
+
+
+_FIT_CONSTANTS = {n: _fit_constants(n) for n in range(3, POSITION_WINDOW + 1)}
+
+
+def _endpoint_fit(stack: np.ndarray) -> np.ndarray:
+    """Least-squares line through an (n, 3) window, oldest row first,
+    evaluated at the last point. Returns a new array, never a view."""
+    n = len(stack)
+    if n < 3:
+        return stack[-1].copy()
+    centered, sum_sq, last = _FIT_CONSTANTS[n]
+    slope = (centered @ stack) / sum_sq
+    # stack.mean(axis=0), the same sum and division, without mean's
+    # Python-level wrapper
+    return np.add.reduce(stack, axis=0) / n + slope * last
 
 
 class RollEstimator:
@@ -560,14 +573,16 @@ class RollEstimator:
     def __init__(self, model: LstmModel):
         model.validate()
         self.model = model
-        self.state = zero_state(model.hidden_size)
-        self.last_roll = None
-        self._positions = deque(maxlen=POSITION_WINDOW)
+        # mirrored ring: position i goes to rows i % W and i % W + W, so the
+        # last n positions are always the n contiguous rows ending at the
+        # second copy of the newest one, in chronological order
+        self._window = np.empty((2 * POSITION_WINDOW, 3))
+        self.reset()
 
     def reset(self):
         self.state = zero_state(self.model.hidden_size)
         self.last_roll = None
-        self._positions.clear()
+        self._count = 0
 
     def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
         require_valid_measurement(meas, base_angle)
@@ -576,8 +591,12 @@ class RollEstimator:
         self.state, y = forward_step(self.model, self.state, x)
         roll = estimate_roll(y)
         self.last_roll = roll
-        self._positions.append(np.asarray(meas.position, dtype=float))
-        position = _endpoint_fit(list(self._positions))
+        k = self._count % POSITION_WINDOW
+        self._window[k] = self._window[k + POSITION_WINDOW] = meas.position
+        self._count += 1
+        end = k + POSITION_WINDOW + 1
+        n = min(self._count, POSITION_WINDOW)
+        position = _endpoint_fit(self._window[end - n:end])
         return Pose(position, recompose_roll(meas.heading, roll))
 
 
@@ -608,17 +627,28 @@ def load_model(path) -> LstmModel:
         doc = json.load(fh)
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {doc.get('schema_version')}")
+    for key in ("z_max", "dropout_rate"):
+        if key not in doc:
+            raise ValueError(f"model file {path} has no field {key!r}")
     params = doc.get("params", {})
     arrays = {}
-    for name in PARAM_NAMES:
-        if name not in params:
-            raise ValueError(f"model file {path} has no parameter {name!r}")
-        entry = params[name]
-        arrays[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-    model = LstmModel(
-        **arrays, z_max=float(doc["z_max"]),
-        dropout_rate=float(doc["dropout_rate"]),
-        metadata=dict(doc.get("metadata", {})),
-    )
+    try:
+        for name in PARAM_NAMES:
+            if name not in params:
+                raise ValueError(f"model file {path} has no parameter {name!r}")
+            entry = params[name]
+            for key in ("data", "shape"):
+                if key not in entry:
+                    raise ValueError(f"model file {path}: parameter {name!r} "
+                                     f"has no {key!r}")
+            arrays[name] = np.array(entry["data"], dtype=float).reshape(
+                entry["shape"])
+        model = LstmModel(
+            **arrays, z_max=float(doc["z_max"]),
+            dropout_rate=float(doc["dropout_rate"]),
+            metadata=dict(doc.get("metadata", {})),
+        )
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"model file {path}: {exc}") from exc
     model.validate()
     return model

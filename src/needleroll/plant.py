@@ -18,7 +18,9 @@ sample_target().
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,17 +182,31 @@ def require_valid_measurement(meas: SensedTip, base_angle: float):
         raise ValueError(f"heading is not unit-norm (norm {math.sqrt(hh)!r})")
 
 
+# bevel arcs are cached by the bits of (insertion_speed, curvature, dt), not
+# their values: -0.0 == 0.0, yet a -0.0 speed gives the arc a -0.0 heading
+# component. A run needs one arc per speed and medium.
+_ARC_KEY = struct.Struct("<3d")
+
+
+@functools.lru_cache(maxsize=16)
+def _bevel_arc(key: bytes):
+    """Body-frame translation and heading of the constant-twist arc."""
+    insertion_speed, curvature, dt = _ARC_KEY.unpack(key)
+    arc_R, arc_p = se3_exp(
+        [0.0, 0.0, insertion_speed, 0.0, curvature * insertion_speed, 0.0], dt
+    )
+    return tuple(arc_p.tolist()), tuple(arc_R[:, 2].tolist())
+
+
 def tip_step(insertion_speed: float, curvature: float, delta: float,
              dt: float):
     """Translation and new heading of one pose step, both in the pre-step
     body frame: the roll change delta about body z (rot_z(delta) applied to
-    both), then the bevel arc."""
-    arc_R, arc_p = se3_exp(
-        [0.0, 0.0, insertion_speed, 0.0, curvature * insertion_speed, 0.0], dt
-    )
+    both), then the bevel arc, which is computed once per (insertion_speed,
+    curvature, dt)."""
+    (p0, p1, p2), (h0, h1, h2) = _bevel_arc(
+        _ARC_KEY.pack(insertion_speed, curvature, dt))
     c, s = math.cos(delta), math.sin(delta)
-    p0, p1, p2 = arc_p.tolist()
-    h0, h1, h2 = arc_R[:, 2].tolist()
     return ((c * p0 - s * p1, s * p0 + c * p1, p2),
             (c * h0 - s * h1, s * h0 + c * h1, h2))
 

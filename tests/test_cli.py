@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from needleroll.cli import main
+from needleroll.dataset import DEFAULT_EPISODES
+from needleroll.evaluate import DEFAULT_TRIALS
 from needleroll.lstm import init_model, save_model
 from needleroll.config import (
     RunConfig,
@@ -168,12 +170,16 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
         return json.dumps(dict(doc, **changes)) + "\n"
 
     no_heading = {k: v for k, v in doc.items() if k != "heading"}
+    nan_position = list(doc["position"])
+    nan_position[1] = math.nan
     cases = [
         ("not valid JSON", lines[1][:len(lines[1]) // 2] + "\n"),  # cut
         ("KeyError", json.dumps(no_heading) + "\n"),
         ("TypeError", edited(medium=dict(doc["medium"], viscosity=1.0))),
         ("unsupported episode schema", edited(schema_version=2)),
         ("roll_true must match", edited(roll_true=doc["roll_true"][:-1])),
+        ("position must be finite", edited(position=nan_position)),
+        ("final error must be finite", edited(final_error=math.inf)),
     ]
     for expect, line in cases:
         episodes.write_text("".join([lines[0], line, lines[2]]))
@@ -238,13 +244,25 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
                                                                capsys):
     path = tmp_path / "model.json"
     save_model(init_model(hidden_size=4, seed=1), path)
-    doc = json.loads(path.read_text())
-    del doc["params"]["w_fc"]
-    path.write_text(json.dumps(doc))
-    assert main(["steer", "--estimator", "lstm", "--model", str(path),
-                 "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'w_fc'" in err
+    saved = path.read_text()
+    cases = [
+        (lambda doc: doc["params"].pop("w_fc"), "'w_fc'"),
+        (lambda doc: doc.pop("z_max"), "'z_max'"),
+        (lambda doc: doc.pop("dropout_rate"), "'dropout_rate'"),
+        (lambda doc: doc["params"]["w_out"].pop("data"), "'w_out' has no 'data'"),
+        (lambda doc: doc["params"]["b_g"].pop("shape"), "'b_g' has no 'shape'"),
+        (lambda doc: doc.update(z_max=[75.0]), "float() argument"),
+    ]
+    for damage, expect in cases:
+        doc = json.loads(saved)
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["steer", "--estimator", "lstm", "--model", str(path),
+                     "--out", str(tmp_path / "x")]) == 1, expect
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expect in err
+        assert "Traceback" not in err
 
 
 def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
@@ -257,6 +275,19 @@ def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "report.txt").read_bytes() == report_a
     assert (out / "histogram.csv").read_bytes() == hist_a
+
+
+def test_cli_default_counts_are_recorded(tmp_path, capsys):
+    for command, default in (("generate", DEFAULT_EPISODES),
+                             ("evaluate", DEFAULT_TRIALS)):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"(default {default})" in capsys.readouterr().out
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--estimators", "truth", "--rigid", "--seed", "2",
+                 "--out", str(out)]) == 0
+    assert f"over {DEFAULT_TRIALS} trials" in capsys.readouterr().out
+    assert json.loads((out / "config.json").read_text())["n"] == DEFAULT_TRIALS
 
 
 def test_cli_evaluate_config_file_merge(tmp_path, capsys):

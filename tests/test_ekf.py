@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -382,6 +383,21 @@ def test_estimate_pose_identity_and_roundtrip():
     pose = estimate_pose(st)
     eta, roll = decompose_roll(pose.R)
     assert np.allclose(recompose_roll(eta, roll), pose.R, atol=1e-10)
+
+
+def test_state_rotation_is_one_read_only_matrix():
+    rng = np.random.default_rng(19)
+    state = EkfState(np.zeros(3), quat_from_matrix(random_rotation(rng)),
+                     np.eye(6))
+    R = state.rotation
+    assert R.tobytes() == quat_to_matrix(state.orientation).tobytes()
+    assert state.rotation is R and estimate_pose(state).R is R
+    with pytest.raises(ValueError):
+        R[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.rotation = np.eye(3)
+    out = predict(state, ControlInput(5.0, 2.0), KAPPA, DT, NO_NOISE)
+    assert out.rotation.tobytes() == quat_to_matrix(out.orientation).tobytes()
 
 
 def test_estimate_pose_matches_propagated_mean():

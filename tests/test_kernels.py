@@ -3,16 +3,20 @@
 The reference implementations below are the generic-numpy versions of
 heading_tangent_basis, align_jacobian, so3_exp and se3_exp (cross products,
 norms, 3x3 products, one Jacobian column per basis perturbation). The
-package's closed forms must agree with them to rounding.
+package's closed forms must agree with them to rounding. The uncached
+tip_step, which builds the bevel arc with se3_exp on every call, is the
+reference for the cached one, which must agree with it bit for bit.
 """
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needleroll.ekf import align_jacobian
+from needleroll.plant import tip_step
 from needleroll.se3 import EZ, heading_tangent_basis, se3_exp, so3_exp
 
 TOL = 1e-14
@@ -130,3 +134,44 @@ def test_series_branch_is_exercised():
     twist = np.concatenate([[0.1, 0.2, 0.3], w])
     np.testing.assert_allclose(se3_exp(twist)[1], reference_se3_exp(twist, 1.0)[1],
                                rtol=0, atol=TOL)
+
+
+def reference_tip_step(insertion_speed, curvature, delta, dt):
+    arc_R, arc_p = se3_exp(
+        [0.0, 0.0, insertion_speed, 0.0, curvature * insertion_speed, 0.0], dt
+    )
+    c, s = math.cos(delta), math.sin(delta)
+    p0, p1, p2 = arc_p.tolist()
+    h0, h1, h2 = arc_R[:, 2].tolist()
+    return ((c * p0 - s * p1, s * p0 + c * p1, p2),
+            (c * h0 - s * h1, s * h0 + c * h1, h2))
+
+
+def _bits(step):
+    """The six floats of a tip_step result as bytes: equal bits, sign of
+    zero included."""
+    return struct.pack("<6d", *step[0], *step[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(speed=st.one_of(st.sampled_from([0.0, -0.0, 5.0]), st.floats(-20.0, 20.0)),
+       curvature=st.one_of(st.just(0.005), st.floats(1e-4, 0.05)),
+       delta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-math.pi, math.pi)),
+       dt=st.one_of(st.just(0.025), st.floats(1e-3, 0.1)))
+def test_cached_tip_step_is_the_se3_exp_step_bitwise(speed, curvature, delta,
+                                                      dt):
+    # each speed and its negation (so +0.0 and -0.0) twice: the first call
+    # may fill the cache, the second reads it
+    for v in (speed, -speed, speed, -speed):
+        assert _bits(tip_step(v, curvature, delta, dt)) == \
+            _bits(reference_tip_step(v, curvature, delta, dt))
+
+
+def test_tip_step_keeps_the_sign_of_a_zero_speed():
+    # a -0.0 speed gives the arc a -0.0 heading component, which a -0.0 roll
+    # change carries into the result
+    plus = tip_step(0.0, 0.005, -0.0, 0.025)
+    minus = tip_step(-0.0, 0.005, -0.0, 0.025)
+    assert plus == minus  # equal values ...
+    assert _bits(plus) != _bits(minus)  # ... that differ in a zero's sign
+    assert _bits(minus) == _bits(reference_tip_step(-0.0, 0.005, -0.0, 0.025))

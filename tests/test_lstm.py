@@ -1,5 +1,7 @@
 import copy
 import math
+import struct
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needleroll.lstm import (
+    POSITION_WINDOW,
     Adam,
     DegenerateOutput,
     Diverged,
@@ -580,6 +583,42 @@ def test_streaming_pose_carries_sensed_heading_and_estimated_roll():
     assert np.allclose(eta, heading, atol=1e-9)
     assert roll == pytest.approx(est.last_roll, abs=1e-12)
     assert np.allclose(pose.p, meas.position)
+
+
+def reference_endpoint_fit(points):
+    """The fit over a list of positions, building every constant per call."""
+    n = len(points)
+    if n < 3:
+        return np.asarray(points[-1], dtype=float)
+    stack = np.asarray(points, dtype=float)
+    k = np.arange(n, dtype=float)
+    k_mean = k.mean()
+    centered = k - k_mean
+    slope = (centered @ stack) / float(centered @ centered)
+    return stack.mean(axis=0) + slope * (n - 1 - k_mean)
+
+
+def test_windowed_position_fit_matches_deque_path_bitwise():
+    m = small_model(hidden=4, seed=53)
+    rng = np.random.default_rng(17)
+    est = RollEstimator(m)
+    recent = deque(maxlen=POSITION_WINDOW)
+    ticks = 2 * POSITION_WINDOW + 5
+    returned, expected = [], []
+    for t in range(2 * ticks):
+        if t == ticks:
+            est.reset()
+            recent.clear()
+        position = rng.normal(0.0, 30.0, size=3)
+        pose = est.estimate(SensedTip(position=position,
+                                      heading=_unit(rng.normal(size=3))),
+                            rng.uniform(-5, 5))
+        recent.append(np.asarray(position, dtype=float))
+        returned.append(pose.p)
+        expected.append(reference_endpoint_fit(list(recent)))
+    # checked at the end: no returned position aliases the window buffer
+    for p, ref in zip(returned, expected):
+        assert struct.pack("<3d", *p) == struct.pack("<3d", *ref)
 
 
 def test_streaming_degenerate_output_propagates():
