@@ -23,7 +23,7 @@ target = sample_target(workspace, rng)
 print(f"target: ({target[0]:.1f}, {target[1]:.1f}, {target[2]:.1f}) mm")
 
 for medium in (rigid_variant(gelatin), gelatin):
-    record, trace, summary = run_trial("ekf", medium, controller, target, seed=9)
+    record, summary = run_trial("ekf", medium, controller, target, seed=9)
     label = "rigid" if medium.rigid else "compliant"
     # "arrived" covers both true arrival and the target slipping behind the
     # tip plane; the targeting error tells those apart.
@@ -33,7 +33,5 @@ for medium in (rigid_variant(gelatin), gelatin):
     windup = np.array([
         abs(wrap_angle(b - r)) for b, r in zip(record.base_angle, record.roll_true)
     ])
-    err = np.asarray(trace.angular_error)
-    k = min(len(err), len(windup))
-    print(f"  windup at end {windup[k - 1]:.3f} rad, "
-          f"filter angular error at end {err[k - 1]:.3f} rad")
+    print(f"  windup at end {windup[-1]:.3f} rad, "
+          f"filter angular error at end {record.angular_error[-1]:.3f} rad")

@@ -44,8 +44,8 @@ print(f"best val RMSE {min(r.val_rmse for r in log):.4f}")
 
 for name, n_trials in (("gelatin", 6), ("brain", 6), ("lung", 6)):
     medium = MEDIUM_PRESETS[name]
-    _, _, summaries = run_batch(("lstm", "ekf"), medium, controller, workspace,
-                                n_trials=n_trials, seed=100, model=model)
+    _, summaries = run_batch(("lstm", "ekf"), medium, controller, workspace,
+                             n_trials=n_trials, seed=100, model=model)
     print(f"\n{name} ({n_trials} paired trials):")
     for estimator in ("lstm", "ekf"):
         err, omega = summarize(summaries, estimator)

@@ -9,9 +9,7 @@ from needleroll.se3 import (
     recompose_roll,
     register_points,
     se3_exp,
-    se3_log,
     so3_exp,
-    so3_log,
     wrap_angle,
 )
 
@@ -24,9 +22,7 @@ __all__ = [
     "recompose_roll",
     "register_points",
     "se3_exp",
-    "se3_log",
     "so3_exp",
-    "so3_log",
     "wrap_angle",
 ]
 

@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", dest="bin_width", type=float)
 
     p = commands.add_parser("report",
-                            help="re-render report.txt from persisted CSVs")
+                            help="re-render report.txt from the trials/ files")
     _add_common(p)
     p.add_argument("--bin-width", dest="bin_width", type=float)
 
@@ -206,12 +206,12 @@ def cmd_steer(config: RunConfig) -> int:
         rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 0x7467]))
         target = sample_target(config.make_workspace(), rng)
-    record, trace, summary = run_trial(
+    record, summary = run_trial(
         config.estimator, config.make_medium(), config.make_controller(),
         target, seed=(config.seed, 0, 0), model=model,
         depth_cap=config.depth_cap,
     )
-    report([record], [trace], [summary], out, config.bin_width)
+    report([record], [summary], out, config.bin_width)
     write_resolved_config(config, out)
     print(f"{summary.estimator} on {summary.medium}: {summary.outcome}, "
           f"targeting error {summary.targeting_error:.3f} mm, "
@@ -223,7 +223,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     config = dataclasses.replace(config, n=config.n or DEFAULT_TRIALS)
     model = _load_lstm(config, "lstm" in config.estimators)
-    _, _, summaries = run_batch(
+    _, summaries = run_batch(
         config.estimators, config.make_medium(), config.make_controller(),
         config.make_workspace(), n_trials=config.n, seed=config.seed,
         model=model, out_dir=out, depth_cap=config.depth_cap,

@@ -68,6 +68,9 @@ DEFAULT_EPISODES = 70  # generate's episode count
 # column of each, plus the true and the estimated tip rotation
 STEP_COLUMNS = ("position", "heading", "base_angle", "roll_true",
                 "insertion_speed", "rotation_speed")
+# per-step estimator columns that only evaluation trials carry; a record
+# without them (every generated episode) is written without the keys
+ESTIMATOR_COLUMNS = ("roll_est", "angular_error")
 
 
 def run_closed_loop(medium: MediumParams, controller: ControllerParams,
@@ -132,6 +135,8 @@ class EpisodeRecord:
     roll_true: np.ndarray  # (T,) rad, unwrapped
     insertion_speed: np.ndarray  # (T,) mm/s
     rotation_speed: np.ndarray  # (T,) rad/s
+    roll_est: np.ndarray | None = None  # (T,) rad, wrapped estimated roll
+    angular_error: np.ndarray | None = None  # (T,) rad, estimated vs true R
 
     @property
     def steps(self) -> int:
@@ -144,8 +149,10 @@ class EpisodeRecord:
         for name in ("position", "heading"):
             if getattr(self, name).shape != (n, 3):
                 raise ValueError(f"{name} must be (steps, 3)")
+        estimated = [name for name in ESTIMATOR_COLUMNS
+                     if getattr(self, name) is not None]
         for name in ("base_angle", "roll_true", "insertion_speed",
-                     "rotation_speed"):
+                     "rotation_speed", *estimated):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must match the timestep count")
         dt = 1.0 / self.controller.rate
@@ -154,9 +161,13 @@ class EpisodeRecord:
             raise ValueError("timestamps must advance by one control period")
         # json reads NaN and Infinity, which would surface only as a
         # non-finite training loss
-        for name in ("target", *STEP_COLUMNS):
+        for name in ("target", *STEP_COLUMNS, *estimated):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        if self.angular_error is not None and not (
+                self.angular_error.min() >= 0.0
+                and self.angular_error.max() <= math.pi + 1e-12):
+            raise ValueError("angular errors must lie in [0, pi]")
         if not 0.0 <= self.final_error < math.inf:
             raise ValueError("final error must be finite and nonnegative")
         if self.outcome not in ("arrived", "depth_capped"):
@@ -175,7 +186,8 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
         outcome=outcome,
         final_error=float(final_error),
         t=np.arange(len(logs["base_angle"])) * (1.0 / controller.rate),
-        **{name: np.array(logs[name]) for name in STEP_COLUMNS},
+        **{name: np.array(logs[name])
+           for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS) if name in logs},
     )
     rec.validate()
     return rec
@@ -191,13 +203,10 @@ def record_to_line(rec: EpisodeRecord) -> str:
         "target": rec.target.tolist(),
         "outcome": rec.outcome,
         "final_error": rec.final_error,
-        "t": rec.t.tolist(),
-        "position": rec.position.reshape(-1).tolist(),
-        "heading": rec.heading.reshape(-1).tolist(),
-        "base_angle": rec.base_angle.tolist(),
-        "roll_true": rec.roll_true.tolist(),
-        "insertion_speed": rec.insertion_speed.tolist(),
-        "rotation_speed": rec.rotation_speed.tolist(),
+        # flat lists; position and heading row by row
+        **{name: getattr(rec, name).reshape(-1).tolist()
+           for name in ("t", *STEP_COLUMNS, *ESTIMATOR_COLUMNS)
+           if getattr(rec, name) is not None},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -208,6 +217,11 @@ def record_from_line(line: str) -> EpisodeRecord:
         raise ValueError(
             f"unsupported episode schema {doc.get('schema_version')!r}")
     n = len(doc["t"])
+    estimated = [name for name in ESTIMATOR_COLUMNS if name in doc]
+    columns = {name: np.array(doc[name], dtype=float)
+               for name in ("t", *STEP_COLUMNS, *estimated)}
+    for name in ("position", "heading"):
+        columns[name] = columns[name].reshape(n, 3)
     rec = EpisodeRecord(
         episode_id=int(doc["episode_id"]),
         seed=tuple(int(s) for s in doc["seed"]),
@@ -216,13 +230,7 @@ def record_from_line(line: str) -> EpisodeRecord:
         target=np.array(doc["target"], dtype=float),
         outcome=doc["outcome"],
         final_error=float(doc["final_error"]),
-        t=np.array(doc["t"], dtype=float),
-        position=np.array(doc["position"], dtype=float).reshape(n, 3),
-        heading=np.array(doc["heading"], dtype=float).reshape(n, 3),
-        base_angle=np.array(doc["base_angle"], dtype=float),
-        roll_true=np.array(doc["roll_true"], dtype=float),
-        insertion_speed=np.array(doc["insertion_speed"], dtype=float),
-        rotation_speed=np.array(doc["rotation_speed"], dtype=float),
+        **columns,
     )
     rec.validate()
     return rec
@@ -335,6 +343,21 @@ def _check_fields(path, doc, types: dict):
                                f"({type(doc[name]).__name__})")
 
 
+def read_record_line(path: Path, idx: int, line: str) -> EpisodeRecord:
+    """record_from_line on line idx (zero-based) of path; any failure is a
+    DatasetError naming the file and line."""
+    try:
+        return record_from_line(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(
+            f"{path}: line {idx + 1} is not valid JSON ({exc})") from exc
+    # valid JSON that is no episode: non-object, missing key, bad value
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise DatasetError(f"{path}: line {idx + 1} is not a valid "
+                           f"episode ({type(exc).__name__}: {exc})") from exc
+
+
 def load_episodes(root: Path, manifest: DatasetManifest,
                   split: str | None = None) -> list[EpisodeRecord]:
     """Episodes in id order; optionally restricted to one split.
@@ -354,16 +377,7 @@ def load_episodes(root: Path, manifest: DatasetManifest,
                 raise DatasetError(f"{path}: line {idx + 1} is truncated")
             if idx not in wanted:
                 continue
-            try:
-                rec = record_from_line(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(
-                    f"{path}: line {idx + 1} is not valid JSON ({exc})") from exc
-            # valid JSON that is no episode: non-object, missing key, bad value
-            except (AttributeError, KeyError, OverflowError, TypeError,
-                    ValueError) as exc:
-                raise DatasetError(f"{path}: line {idx + 1} is not a valid "
-                                   f"episode ({type(exc).__name__}: {exc})") from exc
+            rec = read_record_line(path, idx, line)
             if rec.episode_id != wanted[idx]:
                 raise DatasetError(
                     f"{path}: line {idx + 1} holds episode {rec.episode_id}, "

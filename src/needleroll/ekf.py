@@ -91,15 +91,12 @@ class EkfState:
         return R
 
 
-def init_state(entry_pose: Pose | None = None,
-               variance: float = 1e-4) -> EkfState:
-    """Filter initialized at a measured entry pose with small uncertainty."""
-    pose = Pose.identity() if entry_pose is None else entry_pose
-    return EkfState(
-        position=pose.p,
-        orientation=quat_from_matrix(pose.R),
-        covariance=variance * _EYE6,
-    )
+def init_state() -> EkfState:
+    """Filter initialized at the plant's entry pose, the identity, with a
+    small uncertainty."""
+    return EkfState(position=np.zeros(3),
+                    orientation=np.array([1.0, 0.0, 0.0, 0.0]),
+                    covariance=1e-4 * _EYE6)
 
 
 def default_process_noise(translation_rate: float = 0.01,
@@ -260,13 +257,11 @@ class EkfRollTracker:
     angle the loop supplies; the filter applies it directly as tip roll
     (the torsion-blind assumption under test)."""
 
-    def __init__(self, medium: MediumParams, controller: ControllerParams,
-                 process_noise: np.ndarray | None = None):
+    def __init__(self, medium: MediumParams, controller: ControllerParams):
         self.curvature = medium.curvature
         self.insertion_speed = controller.insertion_speed
         self.dt = 1.0 / controller.rate
-        self.process_noise = (default_process_noise()
-                              if process_noise is None else process_noise)
+        self.process_noise = default_process_noise()
         self.measurement_noise = measurement_noise_for(
             medium.position_noise, medium.heading_noise)
         self.state = init_state()

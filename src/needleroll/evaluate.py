@@ -1,19 +1,20 @@
 """Closed-loop estimator comparison harness.
 
 Runs steering trials with interchangeable tip-state estimators (true pose,
-Kalman filter, learned roll tracker), logs per-step agreement between the
-estimated and true tip rotation, and renders targeting-error and angular-
-error tables. Trials are paired: every estimator steers to the same target
-sequence, with its own sensor-noise stream.
+Kalman filter, learned roll tracker), records per-step agreement between
+the estimated and true tip rotation, and renders targeting-error and
+angular-error tables. Trials are paired: every estimator steers to the same
+target sequence, with its own sensor-noise stream.
 
 Artifact layout under an output directory:
     trials/summaries.csv    one row per trial
-    trials/episodes.jsonl   full per-step records of every trial
-    traces/trace_*.csv      per-step estimate traces
+    trials/episodes.jsonl   one line per trial: the per-step record, with
+                            the estimated roll (roll_est) and the angular
+                            error between estimated and true rotation
     histogram.csv           angular-error histogram per estimator and medium
     report.txt              aggregate statistics
-report.txt and histogram.csv are derived from the persisted CSVs alone, so
-re-rendering an existing directory reproduces them byte for byte.
+report.txt and histogram.csv are derived from the two trials/ files alone,
+so re-rendering an existing directory reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DEPTH_CAP,
+    DatasetError,
+    read_record_line,
     record_from_logs,
     record_to_line,
     run_closed_loop,
@@ -47,33 +50,6 @@ DEFAULT_TRIALS = 30  # evaluate's trials per estimator
 SUMMARY_COLUMNS = ["trial_id", "estimator", "medium", "seed", "outcome",
                    "steps", "targeting_error_mm", "mean_angular_error_rad",
                    "mean_roll_error_rad"]
-TRACE_COLUMNS = ["t", "roll_true", "roll_est", "angular_error"]
-
-
-@dataclass(frozen=True, eq=False)
-class EstimatorTrace:
-    """Per-step agreement between the estimated and true tip rotation.
-
-    angular_error is the geodesic distance between the full rotations;
-    roll_est/roll_true are the wrapped roll components alone.
-    """
-
-    trial_id: int
-    estimator: str
-    medium: str
-    t: np.ndarray
-    roll_true: np.ndarray
-    roll_est: np.ndarray
-    angular_error: np.ndarray
-
-    def validate(self):
-        n = len(self.t)
-        for name in ("roll_true", "roll_est", "angular_error"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} must match the timestep count")
-        if n and not (self.angular_error.min() >= 0.0
-                      and self.angular_error.max() <= math.pi + 1e-12):
-            raise ValueError("angular errors must lie in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -114,34 +90,30 @@ def run_trial(estimator_name: str, medium: MediumParams,
               depth_cap: float = DEPTH_CAP):
     """One closed-loop insertion under the named estimator.
 
-    Returns (EpisodeRecord, EstimatorTrace, TrialSummary). The targeting
-    error is measured on the true tip, whatever the estimator believed.
+    Returns (EpisodeRecord, TrialSummary). The record carries the wrapped
+    estimated roll (roll_est) and the geodesic angle between the estimated
+    and true rotation (angular_error) at every step. The targeting error is
+    measured on the true tip, whatever the estimator believed.
     """
     seed = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
     rng = np.random.default_rng(np.random.SeedSequence(list(seed)))
     estimator = make_estimator(estimator_name, medium, controller, model)
     logs, _, outcome, final_error = run_closed_loop(
         medium, controller, target, rng, estimator, depth_cap)
+    logs["roll_est"] = [decompose_roll(R)[1] for R in logs["R_est"]]
+    logs["angular_error"] = [angular_error(R_true, R_est) for R_true, R_est
+                             in zip(logs["R_true"], logs["R_est"])]
     record = record_from_logs(trial_id, seed, medium, controller, target,
                               outcome, final_error, logs)
-    roll_est = np.array([decompose_roll(R)[1] for R in logs["R_est"]])
-    omega = np.array([angular_error(R_true, R_est) for R_true, R_est
-                      in zip(logs["R_true"], logs["R_est"])])
-    roll_err = np.abs(_wrap_array(roll_est - record.roll_true))
-    trace = EstimatorTrace(
-        trial_id=trial_id, estimator=estimator_name, medium=medium.name,
-        t=record.t, roll_true=_wrap_array(record.roll_true),
-        roll_est=roll_est, angular_error=omega,
-    )
-    trace.validate()
+    roll_err = np.abs(_wrap_array(record.roll_est - record.roll_true))
     summary = TrialSummary(
         trial_id=trial_id, estimator=estimator_name, medium=medium.name,
         seed=seed, outcome=outcome, steps=record.steps,
         targeting_error=final_error,
-        mean_angular_error=float(np.mean(omega)),
+        mean_angular_error=float(np.mean(record.angular_error)),
         mean_roll_error=float(np.mean(roll_err)),
     )
-    return record, trace, summary
+    return record, summary
 
 
 def _run_trial_task(args):
@@ -157,8 +129,8 @@ def run_batch(estimator_names, medium: MediumParams,
 
     Per-trial noise streams depend only on (seed, estimator, trial index),
     so results are identical under any order-preserving parallel mapper.
-    Returns (records, traces, summaries); persists and renders the report
-    when out_dir is given.
+    Returns (records, summaries); persists and renders the report when
+    out_dir is given.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -177,33 +149,25 @@ def run_batch(estimator_names, medium: MediumParams,
                           model, trial_id, depth_cap))
             trial_id += 1
     results = list(mapper(_run_trial_task, tasks))
-    records = [r for r, _, _ in results]
-    traces = [t for _, t, _ in results]
-    summaries = [s for _, _, s in results]
+    records = [r for r, _ in results]
+    summaries = [s for _, s in results]
     if out_dir is not None:
-        report(records, traces, summaries, out_dir, bin_width)
-    return records, traces, summaries
+        report(records, summaries, out_dir, bin_width)
+    return records, summaries
 
 
 # ------------------------------------------------------------------ analysis
 
-def histogram(traces, bin_width: float = DEFAULT_BIN_WIDTH):
-    """(edges, counts) over all timesteps of all traces; bins cover [0, pi]."""
-    edges = bin_edges(bin_width)
-    values = (np.concatenate([tr.angular_error for tr in traces])
-              if traces else np.empty(0))
-    counts, _ = np.histogram(values, bins=edges)
-    return edges, counts
-
-
-def bin_edges(bin_width: float = DEFAULT_BIN_WIDTH) -> np.ndarray:
-    """Histogram bin edges: steps of bin_width, the last widened to pi."""
+def histogram(values, bin_width: float = DEFAULT_BIN_WIDTH):
+    """(edges, counts) of angular errors; the bins step by bin_width from 0,
+    the last widened to reach pi."""
     if bin_width <= 0.0:
         raise ValueError("bin width must be positive")
     n_bins = max(1, math.ceil(math.pi / bin_width))
     edges = np.arange(n_bins + 1) * bin_width
     edges[-1] = max(edges[-1], math.pi)
-    return edges
+    counts, _ = np.histogram(values, bins=edges)
+    return edges, counts
 
 
 # ---------------------------------------------------------------- persistence
@@ -212,24 +176,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def trace_filename(trace_row) -> str:
-    return (f"trace_{int(trace_row['trial_id']):04d}_{trace_row['medium']}_"
-            f"{trace_row['estimator']}.csv")
-
-
-def report(records, traces, summaries, out_dir: Path,
+def report(records, summaries, out_dir: Path,
            bin_width: float = DEFAULT_BIN_WIDTH):
     """Persist trial artifacts and render the aggregate report.
 
-    Raw values go to CSV with full-precision repr floats; report.txt and
-    histogram.csv are then re-derived from those files only (see
-    render_report), keeping regeneration byte-identical.
+    Raw values go to CSV and JSON Lines with full-precision repr floats;
+    report.txt and histogram.csv are then re-derived from those files only
+    (see render_report), keeping regeneration byte-identical.
     """
     if not summaries:
         raise ValueError("nothing to report")
     out_dir = Path(out_dir)
     (out_dir / "trials").mkdir(parents=True, exist_ok=True)
-    (out_dir / "traces").mkdir(parents=True, exist_ok=True)
 
     with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -246,88 +204,85 @@ def report(records, traces, summaries, out_dir: Path,
         for rec in sorted(records, key=lambda r: r.episode_id):
             fh.write(record_to_line(rec) + "\n")
 
-    for tr in traces:
-        row = {"trial_id": tr.trial_id, "medium": tr.medium,
-               "estimator": tr.estimator}
-        with open(out_dir / "traces" / trace_filename(row), "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for k in range(len(tr.t)):
-                writer.writerow([_fmt(tr.t[k]), _fmt(tr.roll_true[k]),
-                                 _fmt(tr.roll_est[k]),
-                                 _fmt(tr.angular_error[k])])
-
     render_report(out_dir, bin_width)
 
 
-def _read_summaries(out_dir: Path):
-    with open(Path(out_dir) / "trials" / "summaries.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
+def _read_trials(out_dir: Path, rows):
+    """The trial record behind each summaries.csv row, in row order.
 
-
-def _read_trace(path: Path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return {col: np.array([float(r[col]) for r in rows])
-            for col in TRACE_COLUMNS}
+    Raises DatasetError naming the file and line at fault when a row has no
+    record, the step counts disagree, or a record lacks the estimator
+    columns (a directory written before trial lines carried them).
+    """
+    path = out_dir / "trials" / "episodes.jsonl"
+    by_id = {}
+    with open(path) as fh:
+        for idx, line in enumerate(fh):
+            rec = read_record_line(path, idx, line)
+            by_id[rec.episode_id] = (idx, rec)
+    records = []
+    for k, row in enumerate(rows):
+        if int(row["trial_id"]) not in by_id:
+            raise DatasetError(
+                f"{path.parent / 'summaries.csv'}: line {k + 2} lists trial "
+                f"{row['trial_id']}, which has no record in {path}")
+        idx, rec = by_id[int(row["trial_id"])]
+        if rec.steps != int(row["steps"]):
+            raise DatasetError(
+                f"{path}: line {idx + 1} holds {rec.steps} steps, "
+                f"summaries.csv lists {row['steps']}")
+        if rec.roll_est is None or rec.angular_error is None:
+            raise DatasetError(
+                f"{path}: line {idx + 1} has no roll_est/angular_error "
+                f"columns; re-run evaluate to write them")
+        records.append(rec)
+    return records
 
 
 def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
-    """Rebuild histogram.csv and report.txt from the persisted CSVs only."""
+    """Rebuild histogram.csv and report.txt from the trials/ files only."""
     out_dir = Path(out_dir)
-    rows = _read_summaries(out_dir)
+    with open(out_dir / "trials" / "summaries.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"no summary rows under {out_dir}")
-
-    trace_data = {}
-    for row in rows:
-        path = out_dir / "traces" / trace_filename(row)
-        if path.exists():
-            trace_data[(row["medium"], row["estimator"],
-                        int(row["trial_id"]))] = _read_trace(path)
+    # each group's steps in trial_id order: the means and medians below
+    # depend on the concatenation order
+    trials = sorted(zip(rows, _read_trials(out_dir, rows)),
+                    key=lambda trial: int(trial[0]["trial_id"]))
 
     groups = sorted({(r["medium"], r["estimator"]) for r in rows})
-    edges = bin_edges(bin_width)
+    hist_rows = []
     lines = ["closed-loop steering report", ""]
+    for medium, estimator in groups:
+        group = [(r, rec) for r, rec in trials
+                 if r["medium"] == medium and r["estimator"] == estimator]
+        omega = np.concatenate([rec.angular_error for _, rec in group])
+        edges, counts = histogram(omega, bin_width)
+        hist_rows += [[medium, estimator, _fmt(edges[k]), _fmt(edges[k + 1]),
+                       int(counts[k])] for k in range(len(counts))]
+
+        errors = np.array([float(r["targeting_error_mm"]) for r, _ in group])
+        arrived = sum(1 for r, _ in group if r["outcome"] == "arrived")
+        step_counts = np.array([int(r["steps"]) for r, _ in group])
+        roll_err = np.abs(np.concatenate(
+            [_wrap_array(rec.roll_est - _wrap_array(rec.roll_true))
+             for _, rec in group]))
+        lines += [
+            f"[{medium} / {estimator}]",
+            f"  trials: {len(group)} ({arrived} arrived), "
+            f"mean steps {np.mean(step_counts):.1f}",
+            f"  targeting error: mean {np.mean(errors):.4f} mm, "
+            f"median {np.median(errors):.4f} mm, max {np.max(errors):.4f} mm",
+            f"  per-step angular error: mean {np.mean(omega):.4f} rad, "
+            f"median {np.median(omega):.4f} rad",
+            f"  per-step roll error:    mean {np.mean(roll_err):.4f} rad",
+            "",
+        ]
     with open(out_dir / "histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["medium", "estimator", "bin_lo", "bin_hi", "count"])
-        for medium, estimator in groups:
-            traces = [trace_data[k] for k in sorted(trace_data)
-                      if k[:2] == (medium, estimator)]
-            omega = (np.concatenate([t["angular_error"] for t in traces])
-                     if traces else np.empty(0))
-            counts, _ = np.histogram(omega, bins=edges)
-            for k in range(len(counts)):
-                writer.writerow([medium, estimator, _fmt(edges[k]),
-                                 _fmt(edges[k + 1]), int(counts[k])])
-
-            group = [r for r in rows
-                     if r["medium"] == medium and r["estimator"] == estimator]
-            errors = np.array([float(r["targeting_error_mm"]) for r in group])
-            arrived = sum(1 for r in group if r["outcome"] == "arrived")
-            step_counts = np.array([int(r["steps"]) for r in group])
-            if traces:
-                roll_err = np.abs(np.concatenate(
-                    [_wrap_array(t["roll_est"] - t["roll_true"]) for t in traces]))
-                omega_line = (f"  per-step angular error: mean {np.mean(omega):.4f}"
-                              f" rad, median {np.median(omega):.4f} rad")
-                roll_line = (f"  per-step roll error:    mean "
-                             f"{np.mean(roll_err):.4f} rad")
-            else:
-                omega_line = "  per-step angular error: no traces"
-                roll_line = "  per-step roll error:    no traces"
-            lines += [
-                f"[{medium} / {estimator}]",
-                f"  trials: {len(group)} ({arrived} arrived), "
-                f"mean steps {np.mean(step_counts):.1f}",
-                f"  targeting error: mean {np.mean(errors):.4f} mm, "
-                f"median {np.median(errors):.4f} mm, max {np.max(errors):.4f} mm",
-                omega_line,
-                roll_line,
-                "",
-            ]
+        writer.writerows(hist_rows)
     (out_dir / "report.txt").write_text("\n".join(lines))
 
 
@@ -337,10 +292,9 @@ def _wrap_array(angles):
     return np.where(w == -math.pi, math.pi, w)
 
 
-def summarize(summaries, estimator: str, medium: str | None = None):
-    """(mean targeting error, mean per-step angular error) for one group."""
-    group = [s for s in summaries if s.estimator == estimator
-             and (medium is None or s.medium == medium)]
+def summarize(summaries, estimator: str):
+    """(mean targeting error, mean per-step angular error) for one estimator."""
+    group = [s for s in summaries if s.estimator == estimator]
     if not group:
         raise ValueError(f"no trials for estimator {estimator!r}")
     err = float(np.mean([s.targeting_error for s in group]))

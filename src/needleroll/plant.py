@@ -149,10 +149,9 @@ class PlantState:
     tip_roll_rate: float
 
 
-def initial_state(entry_pose: Pose | None = None) -> PlantState:
-    pose = Pose.identity() if entry_pose is None else entry_pose
-    return PlantState(pose=pose, base_angle=0.0, tip_roll=0.0, depth=0.0,
-                      tip_roll_rate=0.0)
+def initial_state() -> PlantState:
+    return PlantState(pose=Pose.identity(), base_angle=0.0, tip_roll=0.0,
+                      depth=0.0, tip_roll_rate=0.0)
 
 
 @dataclass(frozen=True)

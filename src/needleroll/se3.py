@@ -55,23 +55,6 @@ def unit3(v) -> tuple[float, float, float]:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def skew(w) -> np.ndarray:
-    w0, w1, w2 = floats3(w)
-    return np.array([[0.0, -w2, w1],
-                     [w2, 0.0, -w0],
-                     [-w1, w0, 0.0]])
-
-
-def rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -129,17 +112,6 @@ def quat_to_matrix(q) -> np.ndarray:
     ])
 
 
-def so3_log(R) -> np.ndarray:
-    """Rotation vector of a rotation matrix; magnitude in [0, pi].
-
-    Goes through the quaternion form, which stays accurate near 0 and pi.
-    """
-    q0, *v = quat_from_matrix(R).tolist()
-    nv = math.sqrt(dot3(v, v))
-    scale = 2.0 if nv < 1e-12 else 2.0 * math.atan2(nv, q0) / nv
-    return np.array([scale * x for x in v])
-
-
 def se3_exp(twist, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Exponential of a body twist (v, w) scaled by dt.
 
@@ -168,20 +140,6 @@ def _series_apply(w, v, b: float, c: float) -> np.ndarray:
     return np.array([v[i] + b * wv[i] + c * wwv[i] for i in range(3)])
 
 
-def se3_log(R, p) -> np.ndarray:
-    """Inverse of se3_exp (dt = 1): the twist (v, w) with ||w|| <= pi."""
-    w = so3_log(R).tolist()
-    t = math.sqrt(dot3(w, w))
-    if t < 1e-8:
-        coef = 1.0 / 12.0
-    else:
-        a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / (t * t)
-        coef = (1.0 - a / (2.0 * b)) / (t * t)
-    # V^-1 = I - K/2 + coef K^2
-    return np.concatenate([_series_apply(w, floats3(p), -0.5, coef), w])
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid tip pose: position p (mm) and world_from_body rotation R."""
@@ -201,13 +159,6 @@ class Pose:
     def heading(self) -> np.ndarray:
         return self.R[:, 2].copy()
 
-    def compose(self, other: "Pose") -> "Pose":
-        return Pose(self.p + self.R @ other.p, self.R @ other.R)
-
-    def inverse(self) -> "Pose":
-        Rt = self.R.T
-        return Pose(-(Rt @ self.p), Rt)
-
     def transform(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.R.T + self.p
@@ -224,18 +175,14 @@ def angular_error(R_est, R_true) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def align_from_z(eta) -> np.ndarray:
-    """Minimal rotation taking the +z axis onto the unit vector eta.
+def _align_rows(e0: float, e1: float, c: float) -> list:
+    """Rows of the minimal rotation taking the +z axis onto the unit vector
+    eta = (e0, e1, c): I + K + K^2/(1+c), K = skew(z x eta).
 
     Raises AntiparallelHeading when eta is (numerically) opposite to +z; the
     workspace never approaches that configuration, so it is an error rather
     than a branch.
     """
-    return np.array(_align_rows(*floats3(eta)))
-
-
-def _align_rows(e0: float, e1: float, c: float) -> list:
-    """Rows of align_from_z((e0, e1, c)): I + K + K^2/(1+c), K = skew(z x eta)."""
     if c < -1.0 + 1e-9:
         raise AntiparallelHeading("heading antiparallel to the reference axis")
     k = 1.0 / (1.0 + c)
@@ -282,7 +229,7 @@ def recompose_roll(eta, roll: float) -> np.ndarray:
     if n < 1e-12:
         raise ValueError("heading must be a nonzero vector")
     c, s = math.cos(roll), math.sin(roll)
-    # rows of align_from_z(eta / n) @ rot_z(roll)
+    # rows of the minimal rotation onto eta / n, times rot_z(roll)
     return np.array([[c * a0 + s * a1, c * a1 - s * a0, a2]
                      for a0, a1, a2 in _align_rows(e0 / n, e1 / n, e2 / n)])
 

@@ -35,7 +35,7 @@ from needleroll.se3 import (
 
 def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verdict):
     cfg = run_defaults
-    _, _, summaries = run_batch(
+    _, summaries = run_batch(
         ("truth",), cfg.make_medium(), cfg.make_controller(),
         cfg.make_workspace(), n_trials=30, seed=501,
     )
@@ -49,7 +49,7 @@ def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verd
 def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
     cfg = run_defaults
     medium = rigid_variant(cfg.make_medium())
-    _, _, summaries = run_batch(
+    _, summaries = run_batch(
         ("ekf",), medium, cfg.make_controller(), cfg.make_workspace(),
         n_trials=10, seed=502,
     )
@@ -110,7 +110,7 @@ def test_c05_learned_estimator_beats_filter_in_gelatin(
         run_defaults, trained_estimator, verdict):
     cfg = run_defaults
     model = trained_estimator[0]
-    _, _, summaries = run_batch(
+    _, summaries = run_batch(
         ("lstm", "ekf"), cfg.make_medium(), cfg.make_controller(),
         cfg.make_workspace(), n_trials=30, seed=505, model=model,
     )
@@ -130,7 +130,7 @@ def test_c06_gelatin_trained_model_transfers_to_brain_and_lung(
     details = []
     ok = True
     for medium_name, seed in (("brain", 506), ("lung", 507)):
-        _, _, summaries = run_batch(
+        _, summaries = run_batch(
             ("lstm", "ekf"), MEDIUM_PRESETS[medium_name],
             cfg.make_controller(), cfg.make_workspace(),
             n_trials=10, seed=seed, model=model,
@@ -232,8 +232,8 @@ def test_c10_pipeline_reports_are_byte_identical(tmp_path, verdict):
     same = True
     for rel in ("data/episodes.jsonl", "data/manifest.json",
                 "fit/model.json", "fit/training_log.csv",
-                "runs/trials/summaries.csv", "runs/histogram.csv",
-                "runs/report.txt"):
+                "runs/trials/summaries.csv", "runs/trials/episodes.jsonl",
+                "runs/histogram.csv", "runs/report.txt"):
         equal = filecmp.cmp(a / rel, b / rel, shallow=False)
         same = same and equal
         compared.append(rel if equal else rel + "(DIFFERS)")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,40 @@ def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "report.txt").read_bytes() == report_a
     assert (out / "histogram.csv").read_bytes() == hist_a
+
+
+def test_cli_report_without_a_trial_record_is_data_error(tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--estimators", "truth,ekf", "--rigid",
+                 "--n", "2", "--seed", "6", "--out", str(out)]) == 0
+    trials = out / "trials" / "episodes.jsonl"
+    lines = trials.read_text().splitlines(keepends=True)
+    trials.write_text("".join(lines[:-1]))  # trial 3's record lost
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and "line 5 lists trial 3" in err
+    assert "Traceback" not in err
+
+
+def test_cli_evaluate_deterministic_across_jobs(tmp_path):
+    model = tmp_path / "model.json"
+    save_model(init_model(hidden_size=4, seed=1), model)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["evaluate", "--estimators", "truth,ekf,lstm", "--n", "2",
+                     "--seed", "4", "--model", str(model), "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        outs.append(out)
+    files = {p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file()}
+    assert files == {p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                     if p.is_file()}
+    # config.json records --jobs; every other file must match byte for byte
+    files.remove(Path("config.json"))
+    assert len(files) == 4
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
 def test_cli_default_counts_are_recorded(tmp_path, capsys):

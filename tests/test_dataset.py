@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -156,6 +157,53 @@ def test_record_roundtrip_bit_exact(tmp_path):
                  "roll_true", "insertion_speed", "rotation_speed"):
         assert np.array_equal(getattr(back, name), getattr(rec, name)), name
     assert record_to_line(back) == line
+
+
+def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
+    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    line = (root / "episodes.jsonl").read_text().splitlines()[0]
+    # a generated episode carries no estimator columns
+    doc = json.loads(line)
+    assert "roll_est" not in doc and "angular_error" not in doc
+    rec = record_from_line(line)
+    assert rec.roll_est is None and rec.angular_error is None
+    rng = np.random.default_rng(3)
+    columns = {"roll_est": rng.uniform(-math.pi, math.pi, size=rec.steps),
+               "angular_error": rng.uniform(0.0, math.pi, size=rec.steps)}
+    columns["angular_error"][0] = math.pi
+    trial = dataclasses.replace(rec, **columns)
+    trial_line = record_to_line(trial)
+    back = record_from_line(trial_line)
+    for name, values in columns.items():
+        assert getattr(back, name).tobytes() == values.tobytes(), name
+    assert record_to_line(back) == trial_line
+    # the columns are the only difference from the generated line
+    trial_doc = json.loads(trial_line)
+    del trial_doc["roll_est"], trial_doc["angular_error"]
+    assert json.dumps(trial_doc, sort_keys=True, separators=(",", ":")) == line
+
+
+@pytest.mark.parametrize("name, damage, expect", [
+    ("roll_est", lambda v: v[:-1], "roll_est must match"),
+    ("angular_error", lambda v: np.append(v, 0.1), "angular_error must match"),
+    ("roll_est", lambda v: np.where(np.arange(len(v)) == 2, np.nan, v),
+     "roll_est must be finite"),
+    ("angular_error", lambda v: np.where(np.arange(len(v)) == 2, np.nan, v),
+     "angular_error must be finite"),
+    ("angular_error", lambda v: v + math.pi, r"\[0, pi\]"),
+    ("angular_error", lambda v: v - 1.0, r"\[0, pi\]"),
+], ids=["short", "long", "nan_roll", "nan_error", "above_pi", "negative"])
+def test_record_estimator_columns_are_validated(tmp_path, name, damage, expect):
+    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    rec = load_episodes(root, manifest)[0]
+    good = {"roll_est": np.zeros(rec.steps),
+            "angular_error": np.full(rec.steps, 0.5)}
+    dataclasses.replace(rec, **good).validate()
+    bad = dataclasses.replace(rec, **dict(good, **{name: damage(good[name])}))
+    with pytest.raises(ValueError, match=expect):
+        bad.validate()
+    with pytest.raises(ValueError, match=expect):
+        record_from_line(record_to_line(bad))
 
 
 def test_record_line_rejects_wrong_schema(tmp_path):

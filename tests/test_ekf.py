@@ -36,15 +36,34 @@ from needleroll.se3 import (
     quat_from_matrix,
     quat_to_matrix,
     recompose_roll,
-    skew,
     so3_exp,
-    so3_log,
     wrap_angle,
 )
 
 DT = 1.0 / 40.0
 KAPPA = GELATIN.curvature
 NO_NOISE = np.zeros((6, 6))
+
+
+def reference_so3_log(R):
+    """Rotation vector of a rotation matrix, through the quaternion form,
+    which stays accurate near 0 and pi; the finite-difference Jacobians
+    below read their rotation columns with it."""
+    q = quat_from_matrix(R)
+    nv = np.linalg.norm(q[1:])
+    scale = 2.0 if nv < 1e-12 else 2.0 * math.atan2(nv, q[0]) / nv
+    return scale * q[1:]
+
+
+def reference_skew(w):
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def reference_align_from_z(eta):
+    """Minimal rotation taking +z onto the unit vector eta: I + K + K^2/(1+c),
+    K = skew(z x eta)."""
+    K = reference_skew(np.cross(EZ, eta))
+    return np.eye(3) + K + K @ K / (1.0 + eta[2])
 
 
 def random_rotation(rng, spread=0.5):
@@ -120,8 +139,6 @@ def test_align_jacobian_identity_heading():
 
 
 def test_align_jacobian_matches_finite_differences():
-    from needleroll.se3 import align_from_z
-
     rng = np.random.default_rng(0)
     eps = 1e-7
     for _ in range(50):
@@ -132,8 +149,9 @@ def test_align_jacobian_matches_finite_differences():
         J = align_jacobian(eta)
         b1, b2 = heading_tangent_basis(eta)
         for d in (b1, b2):
-            drift = so3_log(
-                align_from_z(eta).T @ align_from_z((eta + eps * d) / np.linalg.norm(eta + eps * d))
+            drift = reference_so3_log(
+                reference_align_from_z(eta).T
+                @ reference_align_from_z((eta + eps * d) / np.linalg.norm(eta + eps * d))
             ) / eps
             assert np.allclose(J @ d, drift, atol=1e-6)
 
@@ -165,8 +183,8 @@ def test_transition_jacobian_matches_central_differences():
             d[j] = eps
             pp, Rp = mean_map(p + d[:3], R @ so3_exp(d[3:]), u)
             pm, Rm = mean_map(p - d[:3], R @ so3_exp(-d[3:]), u)
-            col = (np.concatenate([pp - p0, so3_log(R0.T @ Rp)])
-                   - np.concatenate([pm - p0, so3_log(R0.T @ Rm)])) / (2 * eps)
+            col = (np.concatenate([pp - p0, reference_so3_log(R0.T @ Rp)])
+                   - np.concatenate([pm - p0, reference_so3_log(R0.T @ Rm)])) / (2 * eps)
             assert np.abs(F[:, j] - col).max() < 1e-6
 
 

@@ -1,13 +1,14 @@
+import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from needleroll.controller import ControllerParams
-from needleroll.dataset import load_manifest
 from needleroll.ekf import EkfRollTracker, roll_variance
+from needleroll.dataset import DatasetError, record_from_line
 from needleroll.evaluate import (
-    EstimatorTrace,
     _wrap_array,
     histogram,
     make_estimator,
@@ -33,55 +34,45 @@ WORKSPACE = WorkspaceCone()
 TARGET = np.array([4.0, -6.0, 55.0])
 
 
-def fake_trace(trial_id, values, estimator="x", medium="gelatin"):
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    return EstimatorTrace(trial_id=trial_id, estimator=estimator,
-                          medium=medium, t=np.arange(n) / 40.0,
-                          roll_true=np.zeros(n), roll_est=np.zeros(n),
-                          angular_error=values)
-
-
 # -------------------------------------------------------------------- trials
 
 def test_truth_trial_is_exact_and_arrives():
-    record, trace, summary = run_trial("truth", GELATIN, CONTROLLER, TARGET,
-                                       seed=1)
+    record, summary = run_trial("truth", GELATIN, CONTROLLER, TARGET, seed=1)
     assert summary.outcome == "arrived"
     assert summary.targeting_error < 1.0
     # the angle metric resolves nothing below ~sqrt(eps), so "exact" means
     # at that floor, not literal zero
-    assert trace.angular_error.max() < 1e-7
+    assert record.angular_error.max() < 1e-7
     assert summary.mean_angular_error < 1e-7
     assert summary.mean_roll_error < 1e-9
-    assert record.steps == summary.steps == len(trace.t)
+    assert record.steps == summary.steps == len(record.angular_error)
 
 
 def test_trial_determinism():
-    a = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3)[2]
-    b = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3)[2]
+    a = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3)[1]
+    b = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3)[1]
     assert a == b
-    c = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=4)[2]
+    c = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=4)[1]
     assert c != a
 
 
 def test_ekf_trial_on_rigid_plant_succeeds():
-    record, trace, summary = run_trial("ekf", rigid_variant(GELATIN),
-                                       CONTROLLER, TARGET, seed=5)
+    record, summary = run_trial("ekf", rigid_variant(GELATIN),
+                                CONTROLLER, TARGET, seed=5)
     assert summary.outcome == "arrived"
     assert summary.targeting_error < 1.0
     assert summary.mean_angular_error < 3.0 * GELATIN.heading_noise
 
 
 def test_ekf_trial_on_compliant_plant_has_large_roll_error():
-    _, trace, summary = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=6)
+    record, summary = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=6)
     assert summary.mean_angular_error > 0.5
     # the filter's wrapped-roll error matches its full angular error: the
     # position/heading part is tightly observed, the roll alone is blind
-    assert np.abs(trace.angular_error[40:]
+    assert np.abs(record.angular_error[40:]
                   - np.abs([math.remainder(d, 2.0 * math.pi)
-                            for d in trace.roll_est[40:]
-                            - trace.roll_true[40:]])).max() < 0.08
+                            for d in record.roll_est[40:]
+                            - record.roll_true[40:]])).max() < 0.08
 
 
 def test_lstm_trial_requires_model():
@@ -96,12 +87,12 @@ def test_unknown_estimator_rejected():
 
 def test_lstm_trial_runs_with_untrained_model():
     model = init_model(seed=0)
-    record, trace, summary = run_trial("lstm", GELATIN, CONTROLLER, TARGET,
-                                       seed=8, model=model)
+    record, summary = run_trial("lstm", GELATIN, CONTROLLER, TARGET,
+                                seed=8, model=model)
     # an untrained net steers poorly but the loop must still terminate
     assert summary.outcome in ("arrived", "depth_capped")
-    assert trace.angular_error.min() >= 0.0
-    assert trace.angular_error.max() <= math.pi
+    assert record.angular_error.min() >= 0.0
+    assert record.angular_error.max() <= math.pi
 
 
 def test_ekf_tracker_variance_grows_while_steering():
@@ -147,7 +138,7 @@ def test_estimators_reject_non_finite_measurements(name, bad):
 # -------------------------------------------------------------------- batches
 
 def test_batch_pairs_targets_across_estimators(tmp_path):
-    records, traces, summaries = run_batch(
+    records, summaries = run_batch(
         ["truth", "ekf"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
         n_trials=2, seed=11)
     assert len(summaries) == 4
@@ -165,9 +156,9 @@ def test_batch_deterministic_under_any_mapper():
         return reversed([fn(x) for x in reversed(items)])
 
     a = run_batch(["truth"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-                  n_trials=3, seed=13)[2]
+                  n_trials=3, seed=13)[1]
     b = run_batch(["truth"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-                  n_trials=3, seed=13, mapper=backwards_map)[2]
+                  n_trials=3, seed=13, mapper=backwards_map)[1]
     assert a == b
 
 
@@ -179,7 +170,7 @@ def test_batch_rejects_bad_args():
 
 
 def test_summarize_weights_by_steps():
-    _, _, summaries = run_batch(["ekf"], rigid_variant(GELATIN), CONTROLLER,
+    _, summaries = run_batch(["ekf"], rigid_variant(GELATIN), CONTROLLER,
                                 WORKSPACE, n_trials=3, seed=17)
     err, omega = summarize(summaries, "ekf")
     assert err == pytest.approx(np.mean([s.targeting_error for s in summaries]))
@@ -192,35 +183,31 @@ def test_summarize_weights_by_steps():
 # ------------------------------------------------------------------ histogram
 
 def test_histogram_single_bin_mass():
-    trace = fake_trace(0, [0.11, 0.12, 0.13, 0.14])
-    edges, counts = histogram([trace], bin_width=0.1)
+    edges, counts = histogram([0.11, 0.12, 0.13, 0.14], bin_width=0.1)
     assert counts.sum() == 4
     assert counts[1] == 4  # all in [0.1, 0.2)
 
 
 def test_histogram_total_equals_timesteps():
     rng = np.random.default_rng(19)
-    traces = [fake_trace(k, rng.uniform(0.0, math.pi, size=rng.integers(5, 40)))
-              for k in range(7)]
-    edges, counts = histogram(traces, bin_width=0.05)
-    assert counts.sum() == sum(len(tr.t) for tr in traces)
+    values = rng.uniform(0.0, math.pi, size=rng.integers(35, 280))
+    edges, counts = histogram(values, bin_width=0.05)
+    assert counts.sum() == len(values)
     assert edges[0] == 0.0 and edges[-1] >= math.pi
 
 
 def test_histogram_matches_naive_binning():
     rng = np.random.default_rng(23)
-    traces = [fake_trace(k, rng.uniform(0.0, math.pi, size=50))
-              for k in range(3)]
+    values = np.append(rng.uniform(0.0, math.pi, size=150), math.pi)
     width = 0.07
-    edges, counts = histogram(traces, bin_width=width)
+    edges, counts = histogram(values, bin_width=width)
     naive = np.zeros(len(counts), dtype=int)
-    for tr in traces:
-        for v in tr.angular_error:
-            for b in range(len(counts)):
-                if edges[b] <= v < edges[b + 1] or (
-                        b == len(counts) - 1 and v == edges[-1]):
-                    naive[b] += 1
-                    break
+    for v in values:
+        for b in range(len(counts)):
+            if edges[b] <= v < edges[b + 1] or (
+                    b == len(counts) - 1 and v == edges[-1]):
+                naive[b] += 1
+                break
     assert np.array_equal(counts, naive)
 
 
@@ -244,19 +231,17 @@ def test_wrap_array_is_wrap_angle_bitwise():
 @pytest.fixture(scope="module")
 def reported_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("eval") / "run"
-    records, traces, summaries = run_batch(
+    records, summaries = run_batch(
         ["truth", "ekf"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
         n_trials=2, seed=29, out_dir=out)
-    return out, records, traces, summaries
+    return out, records, summaries
 
 
 def test_report_layout(reported_dir):
-    out, records, traces, summaries = reported_dir
-    assert (out / "trials" / "summaries.csv").exists()
-    assert (out / "trials" / "episodes.jsonl").exists()
-    assert (out / "report.txt").exists()
-    assert (out / "histogram.csv").exists()
-    assert len(list((out / "traces").glob("trace_*.csv"))) == 4
+    out, records, summaries = reported_dir
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*")}
+    assert written == {"trials", "trials/summaries.csv",
+                       "trials/episodes.jsonl", "report.txt", "histogram.csv"}
     text = (out / "report.txt").read_text()
     assert "[gelatin / truth]" in text and "[gelatin / ekf]" in text
 
@@ -264,7 +249,7 @@ def test_report_layout(reported_dir):
 def test_report_summary_rows_match_trials(reported_dir):
     import csv
 
-    out, records, traces, summaries = reported_dir
+    out, records, summaries = reported_dir
     with open(out / "trials" / "summaries.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(summaries)
@@ -276,15 +261,12 @@ def test_report_summary_rows_match_trials(reported_dir):
 
 
 def test_report_mean_omega_matches_persisted_trace(reported_dir):
-    out, records, traces, summaries = reported_dir
-    from needleroll.evaluate import _read_trace, trace_filename
-
+    out, records, summaries = reported_dir
+    with open(out / "trials" / "episodes.jsonl") as fh:
+        persisted = {rec.episode_id: rec for rec in map(record_from_line, fh)}
     for s in summaries:
-        row = {"trial_id": s.trial_id, "medium": s.medium,
-               "estimator": s.estimator}
-        data = _read_trace(out / "traces" / trace_filename(row))
-        assert abs(float(np.mean(data["angular_error"]))
-                   - s.mean_angular_error) < 1e-12
+        mean = float(np.mean(persisted[s.trial_id].angular_error))
+        assert mean == s.mean_angular_error
 
 
 def test_report_regeneration_is_byte_identical(reported_dir):
@@ -296,10 +278,38 @@ def test_report_regeneration_is_byte_identical(reported_dir):
     assert (out / "histogram.csv").read_bytes() == before_hist
 
 
-def test_report_episodes_roundtrip(reported_dir):
-    out, records, traces, summaries = reported_dir
-    from needleroll.dataset import record_from_line
+def _drop_second_line(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:1] + lines[2:])
 
+
+def _strip_estimator_columns(text):
+    docs = [json.loads(line) for line in text.splitlines()]
+    for doc in docs:
+        del doc["roll_est"], doc["angular_error"]
+    return "".join(json.dumps(doc) + "\n" for doc in docs)
+
+
+@pytest.mark.parametrize("name, damage, expect", [
+    ("episodes.jsonl", _drop_second_line, "summaries.csv: line 3 lists trial 1"),
+    ("summaries.csv", lambda text: text.replace(",arrived,", ",arrived,1", 1),
+     "episodes.jsonl: line 1 holds"),
+    ("episodes.jsonl", _strip_estimator_columns, "re-run evaluate"),
+], ids=["missing_record", "step_count", "no_estimator_columns"])
+def test_render_report_rejects_inconsistent_trial_files(reported_dir, tmp_path,
+                                                        name, damage, expect):
+    out = tmp_path / "run"
+    shutil.copytree(reported_dir[0], out)
+    path = out / "trials" / name
+    path.write_text(damage(path.read_text()))
+    (out / "report.txt").unlink()
+    with pytest.raises(DatasetError, match=expect):
+        render_report(out)
+    assert not (out / "report.txt").exists()
+
+
+def test_report_episodes_roundtrip(reported_dir):
+    out, records, summaries = reported_dir
     with open(out / "trials" / "episodes.jsonl") as fh:
         loaded = [record_from_line(line) for line in fh]
     assert len(loaded) == len(records)
@@ -310,7 +320,7 @@ def test_report_episodes_roundtrip(reported_dir):
 def test_histogram_csv_mass_conservation(reported_dir):
     import csv
 
-    out, records, traces, summaries = reported_dir
+    out, records, summaries = reported_dir
     with open(out / "histogram.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     total = sum(int(r["count"]) for r in rows)

@@ -11,23 +11,21 @@ from needleroll.se3 import (
     AntiparallelHeading,
     DegenerateConfiguration,
     Pose,
-    align_from_z,
     angular_error,
     decompose_roll,
     quat_from_matrix,
     quat_to_matrix,
     recompose_roll,
     register_points,
-    rot_x,
-    rot_y,
     rot_z,
     se3_exp,
-    se3_log,
-    skew,
     so3_exp,
-    so3_log,
     wrap_angle,
 )
+
+
+def rot_x(a: float) -> np.ndarray:
+    return so3_exp([a, 0.0, 0.0])
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -61,18 +59,10 @@ def test_wrap_angle_periodic_and_in_range(a, k):
 
 # ----------------------------------------------------------------- rotations
 
-def test_skew_reproduces_cross_product():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        assert np.allclose(skew(a) @ b, np.cross(a, b))
-
-
 def test_elementary_rotations_match_scipy():
-    for axis, fn in [("x", rot_x), ("y", rot_y), ("z", rot_z)]:
-        for a in [-2.0, -0.3, 0.0, 0.7, 3.0]:
-            expect = ScipyRotation.from_euler(axis, a).as_matrix()
-            assert np.allclose(fn(a), expect, atol=1e-12)
+    for a in [-2.0, -0.3, 0.0, 0.7, 3.0]:
+        expect = ScipyRotation.from_euler("z", a).as_matrix()
+        assert np.allclose(rot_z(a), expect, atol=1e-12)
 
 
 def test_so3_exp_matches_scipy_rotvec():
@@ -87,20 +77,9 @@ def test_so3_exp_matches_scipy_rotvec():
 def test_so3_exp_small_angle_series():
     w = np.array([1e-10, -2e-10, 5e-11])
     R = so3_exp(w)
-    assert np.allclose(R, np.eye(3) + skew(w), atol=1e-15)
-
-
-def test_so3_log_roundtrip_including_near_pi():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        t = rng.uniform(0.0, math.pi - 1e-12)
-        if rng.random() < 0.3:
-            t = math.pi - 10 ** rng.uniform(-12, -3)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        w = axis * t
-        w2 = so3_log(so3_exp(w))
-        assert np.allclose(w2, w, atol=1e-8)
+    wx, wy, wz = w
+    first_order = np.array([[1.0, -wz, wy], [wz, 1.0, -wx], [-wy, wx, 1.0]])
+    assert np.allclose(R, first_order, atol=1e-15)  # I + skew(w)
 
 
 def test_quat_matrix_roundtrip():
@@ -165,35 +144,22 @@ def test_se3_exp_matches_fine_step_integration():
         assert np.allclose(p, p_ref, atol=1e-7)
 
 
-def test_se3_log_roundtrip():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        twist = rng.normal(size=6)
-        w = twist[3:]
-        n = np.linalg.norm(w)
-        if n > math.pi - 1e-3:
-            twist[3:] = w / n * (math.pi - 1e-3)
-        R, p = se3_exp(twist)
-        assert np.allclose(se3_log(R, p), twist, atol=1e-9)
-
-
 # -------------------------------------------------------------------- Pose
 
 def test_pose_compose_inverse_transform():
+    """transform is the rigid map x -> R x + p: applying two poses is the
+    composed pose, and the inverse pose maps every point back."""
     rng = np.random.default_rng(7)
     for _ in range(20):
         T1 = Pose(rng.normal(size=3), random_rotation(rng))
         T2 = Pose(rng.normal(size=3), random_rotation(rng))
         pts = rng.normal(size=(6, 3))
-        a = T1.compose(T2).transform(pts)
-        b = T1.transform(T2.transform(pts))
-        assert np.allclose(a, b, atol=1e-12)
-        Tinv = T1.inverse()
-        back = Tinv.transform(T1.transform(pts))
+        composed = Pose(T1.p + T1.R @ T2.p, T1.R @ T2.R)
+        assert np.allclose(composed.transform(pts),
+                           T1.transform(T2.transform(pts)), atol=1e-12)
+        inverse = Pose(-(T1.R.T @ T1.p), T1.R.T)
+        back = inverse.transform(T1.transform(pts))
         assert np.allclose(back, pts, atol=1e-10)
-        I = T1.compose(Tinv)
-        assert np.allclose(I.R, np.eye(3), atol=1e-12)
-        assert np.allclose(I.p, 0.0, atol=1e-10)
 
 
 def test_pose_heading_is_third_column():
@@ -229,7 +195,8 @@ def test_angular_error_extremes():
 
 
 def test_angular_error_known_rotation():
-    assert angular_error(np.eye(3), rot_y(0.3)) == pytest.approx(0.3, abs=1e-12)
+    rot_y = so3_exp([0.0, 0.3, 0.0])
+    assert angular_error(np.eye(3), rot_y) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_angular_error_symmetric_and_left_invariant():
@@ -244,6 +211,9 @@ def test_angular_error_symmetric_and_left_invariant():
 
 # -------------------------------------------------------- roll decomposition
 
+# at zero roll, recompose_roll(eta, 0) is the minimal rotation taking +z onto
+# eta, the reference frame every roll angle is measured against
+
 def test_align_from_z_maps_z_to_eta():
     rng = np.random.default_rng(10)
     for _ in range(100):
@@ -251,14 +221,14 @@ def test_align_from_z_maps_z_to_eta():
         eta /= np.linalg.norm(eta)
         if eta[2] < -0.99:
             continue
-        A = align_from_z(eta)
+        A = recompose_roll(eta, 0.0)
         assert np.allclose(A @ A.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(A) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(A @ EZ, eta, atol=1e-12)
 
 
 def test_align_from_z_identity_at_z():
-    assert np.allclose(align_from_z(EZ), np.eye(3), atol=1e-15)
+    assert np.allclose(recompose_roll(EZ, 0.0), np.eye(3), atol=1e-15)
 
 
 def test_align_from_z_has_no_z_twist():
@@ -271,7 +241,7 @@ def test_align_from_z_has_no_z_twist():
         eta /= np.linalg.norm(eta)
         if eta[2] < -0.9:
             continue
-        w = so3_log(align_from_z(eta))
+        w = ScipyRotation.from_matrix(recompose_roll(eta, 0.0)).as_rotvec()
         axis_expect = np.cross(EZ, eta)
         n = np.linalg.norm(axis_expect)
         if n < 1e-9:
@@ -317,14 +287,14 @@ def test_decompose_roll_tilted_no_twist():
     # a minimal rotation by itself carries zero roll
     eta_in = np.array([0.3, -0.2, 0.9])
     eta_in /= np.linalg.norm(eta_in)
-    eta, roll = decompose_roll(align_from_z(eta_in))
+    eta, roll = decompose_roll(recompose_roll(eta_in, 0.0))
     assert np.allclose(eta, eta_in, atol=1e-12)
     assert roll == pytest.approx(0.0, abs=1e-12)
 
 
 def test_antiparallel_heading_raises():
     with pytest.raises(AntiparallelHeading):
-        align_from_z(np.array([0.0, 0.0, -1.0]))
+        recompose_roll((0.0, 0.0, -1.0), 0.0)
     with pytest.raises(AntiparallelHeading):
         decompose_roll(rot_x(math.pi))
 
