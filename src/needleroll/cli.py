@@ -159,6 +159,8 @@ def cmd_generate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     # validate() rejects n < 1, so `or` fills in only a missing count
     config = dataclasses.replace(config, n=config.n or DEFAULT_EPISODES)
+    if config.n < 2:
+        raise UsageError("generate needs at least two episodes to split")
     manifest = generate_dataset(
         n=config.n, medium=config.make_medium(),
         workspace=config.make_workspace(),

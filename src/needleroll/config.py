@@ -15,7 +15,11 @@ from pathlib import Path
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import DEPTH_CAP
-from needleroll.evaluate import DEFAULT_BIN_WIDTH, ESTIMATOR_NAMES
+from needleroll.evaluate import (
+    DEFAULT_BIN_WIDTH,
+    ESTIMATOR_NAMES,
+    check_bin_width,
+)
 from needleroll.lstm import TrainConfig
 from needleroll.plant import (
     MEDIUM_PRESETS,
@@ -90,6 +94,7 @@ class RunConfig:
             raise ValueError("jitter must be in [0, 1)")
         if self.target is not None and len(self.target) != 3:
             raise ValueError("target must have three coordinates")
+        check_bin_width(self.bin_width)
         # these fire their own range checks
         self.make_controller()
         self.make_workspace()
@@ -159,8 +164,6 @@ def resolve_config(file_values: dict | None = None,
     merged.update(_coerce(file_values or {}))
     for name, value in _coerce(flag_values or {}).items():
         if value is not None:
-            if name not in _FIELD_NAMES:
-                raise ValueError(f"unknown config field {name!r}")
             merged[name] = value
     bad = set(merged) - _FIELD_NAMES
     if bad:
@@ -175,8 +178,5 @@ def write_resolved_config(config: RunConfig, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = dataclasses.asdict(config)
     doc["schema_version"] = CONFIG_SCHEMA_VERSION
-    for name in _TUPLE_FIELDS:
-        if doc[name] is not None:
-            doc[name] = list(doc[name])
     text = json.dumps(doc, sort_keys=True, indent=2)
     (out_dir / CONFIG_FILENAME).write_text(text + "\n")

@@ -71,15 +71,19 @@ class EkfState:
                            np.asarray(self.orientation, dtype=float))
         object.__setattr__(self, "covariance",
                            np.asarray(self.covariance, dtype=float))
-        q = self.orientation
-        if not abs(math.sqrt(np.vdot(q, q)) - 1.0) <= 1e-9:  # NaN fails
+        w, x, y, z = self.orientation.tolist()
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("orientation quaternion must be unit-norm")
         C = self.covariance
         if C.shape != (6, 6):
             raise ValueError("covariance must be 6x6")
-        # predict and update leave C exactly symmetric, which settles
-        # allclose (it includes x == y) with one comparison
-        if not ((C == C.T).all() or np.allclose(C, C.T, atol=1e-9)):
+        # predict and update leave C bitwise symmetric, which settles
+        # allclose unless an entry is NaN: a NaN can mirror itself bitwise,
+        # so a NaN sum (also from +inf and -inf) leaves it to allclose
+        mirrored = C.tobytes() == C.T.tobytes()
+        if not ((mirrored and not math.isnan(sum(C.ravel().tolist())))
+                or np.allclose(C, C.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
 
     @functools.cached_property
@@ -99,10 +103,10 @@ def init_state() -> EkfState:
                     covariance=1e-4 * _EYE6)
 
 
-def default_process_noise(translation_rate: float = 0.01,
-                          rotation_rate: float = 0.01) -> np.ndarray:
-    """Continuous-time process noise density, mm^2/s and rad^2/s diagonals."""
-    return np.diag([translation_rate] * 3 + [rotation_rate] * 3)
+def default_process_noise() -> np.ndarray:
+    """Continuous-time process noise density: 0.01 mm^2/s on the
+    translation and 0.01 rad^2/s on the rotation diagonal."""
+    return np.diag([0.01] * 6)
 
 
 def measurement_noise_for(position_noise: float,

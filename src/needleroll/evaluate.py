@@ -64,10 +64,6 @@ class TrialSummary:
     mean_angular_error: float  # rad, per-step mean
     mean_roll_error: float  # rad, per-step mean of |wrapped difference|
 
-    def __post_init__(self):
-        if self.targeting_error < 0.0:
-            raise ValueError("targeting error must be nonnegative")
-
 
 def make_estimator(name: str, medium: MediumParams,
                    controller: ControllerParams,
@@ -105,13 +101,12 @@ def run_trial(estimator_name: str, medium: MediumParams,
                              in zip(logs["R_true"], logs["R_est"])]
     record = record_from_logs(trial_id, seed, medium, controller, target,
                               outcome, final_error, logs)
-    roll_err = np.abs(_wrap_array(record.roll_est - record.roll_true))
     summary = TrialSummary(
         trial_id=trial_id, estimator=estimator_name, medium=medium.name,
         seed=seed, outcome=outcome, steps=record.steps,
         targeting_error=final_error,
         mean_angular_error=float(np.mean(record.angular_error)),
-        mean_roll_error=float(np.mean(roll_err)),
+        mean_roll_error=float(np.mean(_roll_error(record))),
     )
     return record, summary
 
@@ -158,11 +153,15 @@ def run_batch(estimator_names, medium: MediumParams,
 
 # ------------------------------------------------------------------ analysis
 
+def check_bin_width(bin_width: float):
+    if not 0.0 < bin_width < math.inf:  # NaN fails
+        raise ValueError("bin width must be finite and positive")
+
+
 def histogram(values, bin_width: float = DEFAULT_BIN_WIDTH):
     """(edges, counts) of angular errors; the bins step by bin_width from 0,
     the last widened to reach pi."""
-    if bin_width <= 0.0:
-        raise ValueError("bin width must be positive")
+    check_bin_width(bin_width)
     n_bins = max(1, math.ceil(math.pi / bin_width))
     edges = np.arange(n_bins + 1) * bin_width
     edges[-1] = max(edges[-1], math.pi)
@@ -265,9 +264,7 @@ def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
         errors = np.array([float(r["targeting_error_mm"]) for r, _ in group])
         arrived = sum(1 for r, _ in group if r["outcome"] == "arrived")
         step_counts = np.array([int(r["steps"]) for r, _ in group])
-        roll_err = np.abs(np.concatenate(
-            [_wrap_array(rec.roll_est - _wrap_array(rec.roll_true))
-             for _, rec in group]))
+        roll_err = np.concatenate([_roll_error(rec) for _, rec in group])
         lines += [
             f"[{medium} / {estimator}]",
             f"  trials: {len(group)} ({arrived} arrived), "
@@ -290,6 +287,11 @@ def _wrap_array(angles):
     """wrap_angle over an array: the same remainder, -pi mapped to pi."""
     w = np.remainder(np.atleast_1d(angles) + math.pi, 2.0 * math.pi) - math.pi
     return np.where(w == -math.pi, math.pi, w)
+
+
+def _roll_error(record):
+    """Per-step |wrap(roll_est - roll_true)| of a trial record, rad."""
+    return np.abs(_wrap_array(record.roll_est - record.roll_true))
 
 
 def summarize(summaries, estimator: str):

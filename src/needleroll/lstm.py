@@ -12,7 +12,8 @@ path, the serializer, and the test oracles:
   come from one tanh over the stacked pre-activation, with
   sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 (_gate_affine, _activate_gates)
 - fully-connected layer: tanh activation, inverted dropout on its
-  activations in training mode only
+  activations in the batched training path only; streaming inference
+  (forward_step, run_sequence) has no dropout
 - output layer: linear
 - loss: RMSE over every component of every timestep of every sequence in
   the batch (padded steps excluded via masks)
@@ -45,6 +46,8 @@ from needleroll.se3 import Pose, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
 DEFAULT_Z_MAX = 75.0  # mm, the position feature scale
+INPUT_SIZE = 8  # width of the scale_features vector
+VALIDATION_CHUNK = 32  # sequences per sequence_rmse forward pass
 
 # the fixed parameter order is part of the optimizer and serialization
 # contracts
@@ -142,9 +145,9 @@ def zero_state(hidden_size: int) -> LstmCellState:
     return LstmCellState(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
-def init_model(input_size: int = 8, hidden_size: int = 30,
-               z_max: float = DEFAULT_Z_MAX, dropout_rate: float = 0.2,
-               seed: int = 0, metadata: dict | None = None) -> LstmModel:
+def init_model(hidden_size: int = 30, z_max: float = DEFAULT_Z_MAX,
+               dropout_rate: float = 0.2, seed: int = 0,
+               metadata: dict | None = None) -> LstmModel:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; forget-gate bias starts at +1
     so early training does not flush the cell state."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1517]))
@@ -157,7 +160,7 @@ def init_model(input_size: int = 8, hidden_size: int = 30,
     b_g = u(four_h)
     b_g[hidden_size:2 * hidden_size] += 1.0
     model = LstmModel(
-        w_x=u(four_h, input_size), w_h=u(four_h, hidden_size), b_g=b_g,
+        w_x=u(four_h, INPUT_SIZE), w_h=u(four_h, hidden_size), b_g=b_g,
         w_fc=u(hidden_size, hidden_size), b_fc=u(hidden_size),
         w_out=u(2, hidden_size), b_out=u(2),
         z_max=z_max, dropout_rate=dropout_rate,
@@ -196,10 +199,9 @@ def _activate_gates(z, scale, shift):
     return z
 
 
-def forward_step(model: LstmModel, state: LstmCellState, x, train_mode: bool = False,
-                 dropout_rng=None):
-    """One recurrent step. The single code path for streaming and offline
-    inference; training uses the batched twin below."""
+def forward_step(model: LstmModel, state: LstmCellState, x):
+    """One recurrent step, without dropout. The single code path for
+    streaming and offline inference; training uses the batched twin below."""
     x = np.asarray(x, dtype=float)
     h_size = model.hidden_size
     scale, shift = _gate_affine(h_size)
@@ -209,22 +211,16 @@ def forward_step(model: LstmModel, state: LstmCellState, x, train_mode: bool = F
     cell = gate_f * state.cell + gate_i * gate_g
     hidden = gate_o * np.tanh(cell)
     act = np.tanh(model.w_fc @ hidden + model.b_fc)
-    if train_mode:
-        if dropout_rng is None:
-            raise ValueError("train_mode needs a dropout generator")
-        keep = 1.0 - model.dropout_rate
-        act = act * (dropout_rng.uniform(size=h_size) < keep) / keep
     y = model.w_out @ act + model.b_out
     return LstmCellState(hidden, cell), y
 
 
-def run_sequence(model: LstmModel, xs, train_mode: bool = False,
-                 dropout_rng=None) -> np.ndarray:
+def run_sequence(model: LstmModel, xs) -> np.ndarray:
     """Offline forward pass: forward_step iterated from the zero state."""
     state = zero_state(model.hidden_size)
     out = np.empty((len(xs), 2))
     for t, x in enumerate(xs):
-        state, y = forward_step(model, state, x, train_mode, dropout_rng)
+        state, y = forward_step(model, state, x)
         out[t] = y
     return out
 
@@ -314,12 +310,12 @@ def batch_loss(pred, target, mask):
     return math.sqrt(sse / n), sse, n
 
 
-def sequence_rmse(model: LstmModel, seqs, chunk: int = 32) -> float:
+def sequence_rmse(model: LstmModel, seqs) -> float:
     """RMSE of the no-dropout forward pass over a set of sequences."""
     sse = 0.0
     n = 0.0
-    for start in range(0, len(seqs), chunk):
-        xs, ys, mask = _pad_batch(seqs[start:start + chunk])
+    for start in range(0, len(seqs), VALIDATION_CHUNK):
+        xs, ys, mask = _pad_batch(seqs[start:start + VALIDATION_CHUNK])
         cache = _forward_batch(model, xs, train_mode=False)
         _, s, m = batch_loss(cache["y"], ys, mask)
         sse += s
@@ -423,12 +419,12 @@ def backward(model: LstmModel, cache, target, mask):
 class Adam:
     """Plain Adam over the model's fixed parameter order."""
 
-    def __init__(self, model: LstmModel, learning_rate: float, beta1: float,
-                 beta2: float, epsilon: float):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, model: LstmModel, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.moment1 = {name: np.zeros_like(arr) for name, arr in model.params()}
         self.moment2 = {name: np.zeros_like(arr) for name, arr in model.params()}
@@ -458,12 +454,8 @@ class TrainConfig:
     epochs: int = 800
     batch_size: int = 8
     learning_rate: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     dropout_rate: float = 0.2
     hidden_size: int = 30
-    input_size: int = 8
     z_max: float = DEFAULT_Z_MAX
     seed: int = 0
 
@@ -487,15 +479,13 @@ def train(train_seqs, val_seqs, config: TrainConfig):
     root = np.random.SeedSequence([config.seed, 0x4C53])
     shuffle_seed, dropout_seed = root.spawn(2)
     model = init_model(
-        input_size=config.input_size, hidden_size=config.hidden_size,
-        z_max=config.z_max, dropout_rate=config.dropout_rate,
-        seed=config.seed,
+        hidden_size=config.hidden_size, z_max=config.z_max,
+        dropout_rate=config.dropout_rate, seed=config.seed,
         metadata={"train_episodes": len(train_seqs), "val_episodes": len(val_seqs)},
     )
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
-    optimizer = Adam(model, config.learning_rate, config.beta1, config.beta2,
-                     config.adam_epsilon)
+    optimizer = Adam(model, config.learning_rate)
     log: list[TrainLogRow] = []
     best_model = copy.deepcopy(model)
     best_val = math.inf

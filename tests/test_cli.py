@@ -138,10 +138,20 @@ def test_cli_generate_deterministic_across_jobs(tmp_path):
 def test_cli_generate_stall_is_runtime_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depth_cap": 20.0}))
-    code = main(["generate", "--config", str(cfg), "--n", "1",
+    code = main(["generate", "--config", str(cfg), "--n", "2",
                  "--out", str(tmp_path / "ds")])
     assert code == 2
     assert "failed" in capsys.readouterr().err
+
+
+def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
+    """One episode cannot be split into train and validation sets; the
+    count is rejected before any episode is collected or written."""
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "1", "--seed", "3", "--out", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least two episodes" in err
+    assert not ds.exists()
 
 
 def _train_argv(ds, tmp_path):
@@ -276,6 +286,18 @@ def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "report.txt").read_bytes() == report_a
     assert (out / "histogram.csv").read_bytes() == hist_a
+
+
+@pytest.mark.parametrize("width", ["0", "nan", "inf"])
+def test_cli_evaluate_bad_bin_width_fails_before_any_trial(tmp_path, capsys,
+                                                          width):
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--estimators", "truth", "--rigid", "--n", "1",
+                 "--bin-width", width, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bin width" in err
+    assert not (out / "trials").exists()
 
 
 def test_cli_report_without_a_trial_record_is_data_error(tmp_path, capsys):

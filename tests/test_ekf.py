@@ -111,6 +111,13 @@ def test_state_symmetry_check_is_allclose():
         elif kind == 4:
             C[i, j] = -np.inf
         cases.append(C)
+    # bitwise-mirrored NaNs, which the exact-symmetry shortcut must not pass,
+    # and opposite infinities, whose sum is NaN too
+    mirrored_nan, diagonal_nan, opposite_inf = np.eye(6), np.eye(6), np.eye(6)
+    mirrored_nan[1, 4] = mirrored_nan[4, 1] = np.nan
+    diagonal_nan[2, 2] = np.nan
+    opposite_inf[0, 0], opposite_inf[3, 3] = np.inf, -np.inf
+    cases += [mirrored_nan, diagonal_nan, opposite_inf]
     for C in cases:
         try:
             EkfState(np.zeros(3), q, C)

@@ -212,8 +212,9 @@ def test_histogram_matches_naive_binning():
 
 
 def test_histogram_rejects_bad_width():
-    with pytest.raises(ValueError):
-        histogram([], bin_width=0.0)
+    for width in (0.0, -0.05, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            histogram([], bin_width=width)
 
 
 def test_wrap_array_is_wrap_angle_bitwise():
