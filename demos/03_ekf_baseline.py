@@ -23,12 +23,12 @@ target = sample_target(workspace, rng)
 print(f"target: ({target[0]:.1f}, {target[1]:.1f}, {target[2]:.1f}) mm")
 
 for medium in (rigid_variant(gelatin), gelatin):
-    record, summary = run_trial("ekf", medium, controller, target, seed=9)
+    record = run_trial("ekf", medium, controller, target, seed=9)
     label = "rigid" if medium.rigid else "compliant"
     # "arrived" covers both true arrival and the target slipping behind the
     # tip plane; the targeting error tells those apart.
-    print(f"\n{label}: {summary.outcome}, targeting error {summary.targeting_error:.3f} mm")
-    print(f"  mean angular error {summary.mean_angular_error:.3f} rad over {summary.steps} steps")
+    print(f"\n{label}: {record.outcome}, targeting error {record.final_error:.3f} mm")
+    print(f"  mean angular error {np.mean(record.angular_error):.3f} rad over {record.steps} steps")
     # The filter's roll error tracks the true windup base_angle - tip_roll.
     windup = np.array([
         abs(wrap_angle(b - r)) for b, r in zip(record.base_angle, record.roll_true)

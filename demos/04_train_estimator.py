@@ -22,15 +22,14 @@ medium = MEDIUM_PRESETS["gelatin"]
 controller = ControllerParams()
 workspace = WorkspaceCone(40.0, 75.0, medium.curvature, 0.9)
 
-root = tempfile.mkdtemp(prefix="needleroll_demo_")
-print(f"generating 16 insertions in {root} ...")
-manifest = generate_dataset(16, medium, workspace, controller, seed=11, root=root,
-                            jitter=0.0)
-manifest = split(manifest, train_fraction=0.75, seed=11)
-save_manifest(manifest, root)
-
-train_seqs = to_training_sequences(root, manifest, "train")
-val_seqs = to_training_sequences(root, manifest, "val")
+with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
+    print(f"generating 16 insertions in {root} ...")
+    manifest = generate_dataset(16, medium, workspace, controller, seed=11,
+                                root=root, jitter=0.0)
+    manifest = split(manifest, train_fraction=0.75, seed=11)
+    save_manifest(manifest, root)
+    train_seqs = to_training_sequences(root, manifest, "train")
+    val_seqs = to_training_sequences(root, manifest, "val")
 steps = sum(xs.shape[0] for xs, _ in train_seqs)
 print(f"train {len(train_seqs)} episodes ({steps} steps), val {len(val_seqs)}")
 

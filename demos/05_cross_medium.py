@@ -26,28 +26,26 @@ gelatin = MEDIUM_PRESETS["gelatin"]
 controller = ControllerParams()
 workspace = WorkspaceCone(40.0, 75.0, gelatin.curvature, 0.9)
 
-root = tempfile.mkdtemp(prefix="needleroll_demo_")
-print("generating 24 gelatin insertions ...")
-manifest = generate_dataset(24, gelatin, workspace, controller, seed=21, root=root,
-                            jitter=0.0)
-manifest = split(manifest, train_fraction=0.75, seed=21)
-save_manifest(manifest, root)
+with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
+    print("generating 24 gelatin insertions ...")
+    manifest = generate_dataset(24, gelatin, workspace, controller, seed=21,
+                                root=root, jitter=0.0)
+    manifest = split(manifest, train_fraction=0.75, seed=21)
+    save_manifest(manifest, root)
+    train_seqs = to_training_sequences(root, manifest, "train")
+    val_seqs = to_training_sequences(root, manifest, "val")
 
 print("training (reduced scale) ...")
 config = TrainConfig(epochs=150, hidden_size=24, learning_rate=3e-3, seed=0)
-model, log = train(
-    to_training_sequences(root, manifest, "train"),
-    to_training_sequences(root, manifest, "val"),
-    config,
-)
+model, log = train(train_seqs, val_seqs, config)
 print(f"best val RMSE {min(r.val_rmse for r in log):.4f}")
 
 for name, n_trials in (("gelatin", 6), ("brain", 6), ("lung", 6)):
     medium = MEDIUM_PRESETS[name]
-    _, summaries = run_batch(("lstm", "ekf"), medium, controller, workspace,
-                             n_trials=n_trials, seed=100, model=model)
+    records = run_batch(("lstm", "ekf"), medium, controller, workspace,
+                        n_trials=n_trials, seed=100, model=model)
     print(f"\n{name} ({n_trials} paired trials):")
     for estimator in ("lstm", "ekf"):
-        err, omega = summarize(summaries, estimator)
+        err, omega = summarize(records, estimator)
         print(f"  {estimator:4s}: targeting error {err:6.3f} mm, "
               f"mean angular error {omega:.3f} rad")

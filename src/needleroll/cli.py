@@ -39,10 +39,11 @@ from needleroll.evaluate import (
     report,
     run_batch,
     run_trial,
+    sample_targets,
     summarize,
 )
 from needleroll.lstm import Diverged, load_model, save_model, train
-from needleroll.plant import MEDIUM_PRESETS, sample_target
+from needleroll.plant import MEDIUM_PRESETS
 
 
 class UsageError(Exception):
@@ -115,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
                    + ",".join(ESTIMATOR_NAMES))
     p.add_argument("--bin-width", dest="bin_width", type=float)
 
-    p = commands.add_parser("report",
-                            help="re-render report.txt from the trials/ files")
+    p = commands.add_parser(
+        "report", help="re-render trials/summaries.csv, histogram.csv and "
+        "report.txt from trials/episodes.jsonl")
     _add_common(p)
     p.add_argument("--bin-width", dest="bin_width", type=float)
 
@@ -205,19 +207,17 @@ def cmd_steer(config: RunConfig) -> int:
     if config.target is not None:
         target = np.array(config.target, dtype=float)
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, 0x7467]))
-        target = sample_target(config.make_workspace(), rng)
-    record, summary = run_trial(
+        target = sample_targets(config.make_workspace(), config.seed, 1)[0]
+    record = run_trial(
         config.estimator, config.make_medium(), config.make_controller(),
         target, seed=(config.seed, 0, 0), model=model,
         depth_cap=config.depth_cap,
     )
-    report([record], [summary], out, config.bin_width)
+    report([record], out, config.bin_width)
     write_resolved_config(config, out)
-    print(f"{summary.estimator} on {summary.medium}: {summary.outcome}, "
-          f"targeting error {summary.targeting_error:.3f} mm, "
-          f"mean angular error {summary.mean_angular_error:.4f} rad")
+    print(f"{record.estimator} on {record.medium.name}: {record.outcome}, "
+          f"targeting error {record.final_error:.3f} mm, "
+          f"mean angular error {np.mean(record.angular_error):.4f} rad")
     return 0
 
 
@@ -225,7 +225,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     config = dataclasses.replace(config, n=config.n or DEFAULT_TRIALS)
     model = _load_lstm(config, "lstm" in config.estimators)
-    _, summaries = run_batch(
+    records = run_batch(
         config.estimators, config.make_medium(), config.make_controller(),
         config.make_workspace(), n_trials=config.n, seed=config.seed,
         model=model, out_dir=out, depth_cap=config.depth_cap,
@@ -233,7 +233,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     )
     write_resolved_config(config, out)
     for name in config.estimators:
-        err, omega = summarize(summaries, name)
+        err, omega = summarize(records, name)
         print(f"{name}: mean targeting error {err:.3f} mm, "
               f"mean angular error {omega:.4f} rad over {config.n} trials")
     print(f"report written to {out / 'report.txt'}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,8 +128,25 @@ class RunConfig:
         )
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 _TUPLE_FIELDS = {"estimators", "target"}
+
+
+def _json_matches(value, hint) -> bool:
+    """Whether a decoded JSON value fits a RunConfig field's type: ints
+    are no floats and bools no ints, floats take ints, tuples are lists,
+    and only an optional field takes null."""
+    if isinstance(hint, types.UnionType):  # X | None
+        return value is None or _json_matches(value, typing.get_args(hint)[0])
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(
+            _json_matches(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _coerce(values: dict) -> dict:
@@ -146,10 +165,15 @@ def load_config_file(path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path}: expected a JSON object")
     doc.pop("schema_version", None)
-    unknown = set(doc) - _FIELD_NAMES
+    unknown = doc.keys() - _FIELD_TYPES.keys()
     if unknown:
         raise ValueError(
             f"config file {path}: unknown keys {sorted(unknown)}")
+    for name, value in doc.items():
+        if not _json_matches(value, _FIELD_TYPES[name]):
+            raise ValueError(
+                f"config file {path}: {name!r} must be "
+                f"{RunConfig.__annotations__[name]}, got {json.dumps(value)}")
     return doc
 
 
@@ -165,7 +189,7 @@ def resolve_config(file_values: dict | None = None,
     for name, value in _coerce(flag_values or {}).items():
         if value is not None:
             merged[name] = value
-    bad = set(merged) - _FIELD_NAMES
+    bad = merged.keys() - _FIELD_TYPES.keys()
     if bad:
         raise ValueError(f"unknown config fields {sorted(bad)}")
     config = RunConfig(**merged)

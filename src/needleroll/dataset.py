@@ -137,6 +137,7 @@ class EpisodeRecord:
     rotation_speed: np.ndarray  # (T,) rad/s
     roll_est: np.ndarray | None = None  # (T,) rad, wrapped estimated roll
     angular_error: np.ndarray | None = None  # (T,) rad, estimated vs true R
+    estimator: str | None = None  # who steered an evaluation trial
 
     @property
     def steps(self) -> int:
@@ -172,11 +173,14 @@ class EpisodeRecord:
             raise ValueError("final error must be finite and nonnegative")
         if self.outcome not in ("arrived", "depth_capped"):
             raise ValueError(f"unknown outcome {self.outcome!r}")
+        if self.estimator is not None and not isinstance(self.estimator, str):
+            raise ValueError("estimator must be a string")
 
 
 def record_from_logs(episode_id: int, seed, medium: MediumParams,
                      controller: ControllerParams, target, outcome: str,
-                     final_error: float, logs) -> EpisodeRecord:
+                     final_error: float, logs,
+                     estimator: str | None = None) -> EpisodeRecord:
     rec = EpisodeRecord(
         episode_id=episode_id,
         seed=tuple(int(s) for s in seed),
@@ -188,6 +192,7 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
         t=np.arange(len(logs["base_angle"])) * (1.0 / controller.rate),
         **{name: np.array(logs[name])
            for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS) if name in logs},
+        estimator=estimator,
     )
     rec.validate()
     return rec
@@ -208,6 +213,8 @@ def record_to_line(rec: EpisodeRecord) -> str:
            for name in ("t", *STEP_COLUMNS, *ESTIMATOR_COLUMNS)
            if getattr(rec, name) is not None},
     }
+    if rec.estimator is not None:
+        doc["estimator"] = rec.estimator
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -231,6 +238,7 @@ def record_from_line(line: str) -> EpisodeRecord:
         outcome=doc["outcome"],
         final_error=float(doc["final_error"]),
         **columns,
+        estimator=doc.get("estimator"),
     )
     rec.validate()
     return rec

@@ -163,11 +163,11 @@ def transition_jacobian(R: np.ndarray, u: ControlInput, curvature: float,
     eta_new = unit3([dot3(r, m) for r in rows])
 
     # roll sensitivity d(roll)/d(dphi) at the pre-step state:
-    # EZ + (EZ^T align_jacobian(eta) R) skew(EZ)
+    # e_z + (e_z^T align_jacobian(eta) R) skew(e_z)
     g = _align_jacobian_row2(*eta.tolist())
     s0, s1, _ = (dot3(g, col) for col in zip(*rows))  # g^T R
 
-    # D = rot_z(-roll_new) align_jacobian(eta_new) N + EZ jr^T, where row i
+    # D = rot_z(-roll_new) align_jacobian(eta_new) N + e_z jr^T, where row i
     # of N = -(R skew(m)) is m x R[i]
     N = np.array([cross3(m, r) for r in rows])
     D = rot_z(-roll_new) @ align_jacobian(eta_new) @ N
@@ -204,7 +204,7 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
 
 def measurement_jacobian(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     """5x6 Jacobian of (position, B^T heading) w.r.t. (dp, dphi):
-    -(B^T R skew(EZ)) in the heading rows, whose row k is (-s_1, s_0, 0)
+    -(B^T R skew(e_z)) in the heading rows, whose row k is (-s_1, s_0, 0)
     for s = R^T b_k."""
     H = _EYE5x6.copy()
     H[3:, 3:] = [[-s1, s0, 0.0] for s0, s1, _ in (B.T @ R).tolist()]

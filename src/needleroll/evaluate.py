@@ -7,21 +7,21 @@ angular-error tables. Trials are paired: every estimator steers to the same
 target sequence, with its own sensor-noise stream.
 
 Artifact layout under an output directory:
-    trials/summaries.csv    one row per trial
     trials/episodes.jsonl   one line per trial: the per-step record, with
-                            the estimated roll (roll_est) and the angular
-                            error between estimated and true rotation
+                            the estimator's name, the estimated roll
+                            (roll_est) and the angular error between
+                            estimated and true rotation
+    trials/summaries.csv    one row per trial
     histogram.csv           angular-error histogram per estimator and medium
     report.txt              aggregate statistics
-report.txt and histogram.csv are derived from the two trials/ files alone,
-so re-rendering an existing directory reproduces them byte for byte.
+The last three are rendered from trials/episodes.jsonl alone, so
+re-rendering an existing directory reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from needleroll.dataset import (
 from needleroll.ekf import EkfRollTracker
 from needleroll.lstm import LstmModel, RollEstimator
 from needleroll.plant import MediumParams, WorkspaceCone, sample_target
-from needleroll.se3 import angular_error, decompose_roll
+from needleroll.se3 import angular_error, decompose_roll, wrap_angle
 
 # a name's position here is its tag in every trial seed (seed, tag, trial):
 # reordering the names, or inserting one before the end, changes the noise
@@ -50,19 +50,6 @@ DEFAULT_TRIALS = 30  # evaluate's trials per estimator
 SUMMARY_COLUMNS = ["trial_id", "estimator", "medium", "seed", "outcome",
                    "steps", "targeting_error_mm", "mean_angular_error_rad",
                    "mean_roll_error_rad"]
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    trial_id: int
-    estimator: str
-    medium: str
-    seed: tuple[int, ...]
-    outcome: str
-    steps: int
-    targeting_error: float  # mm, against the true tip position
-    mean_angular_error: float  # rad, per-step mean
-    mean_roll_error: float  # rad, per-step mean of |wrapped difference|
 
 
 def make_estimator(name: str, medium: MediumParams,
@@ -86,10 +73,11 @@ def run_trial(estimator_name: str, medium: MediumParams,
               depth_cap: float = DEPTH_CAP):
     """One closed-loop insertion under the named estimator.
 
-    Returns (EpisodeRecord, TrialSummary). The record carries the wrapped
-    estimated roll (roll_est) and the geodesic angle between the estimated
-    and true rotation (angular_error) at every step. The targeting error is
-    measured on the true tip, whatever the estimator believed.
+    Returns the trial's EpisodeRecord, named after the estimator. It
+    carries the wrapped estimated roll (roll_est) and the geodesic angle
+    between the estimated and true rotation (angular_error) at every step.
+    The targeting error (final_error) is measured on the true tip, whatever
+    the estimator believed.
     """
     seed = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
     rng = np.random.default_rng(np.random.SeedSequence(list(seed)))
@@ -99,20 +87,19 @@ def run_trial(estimator_name: str, medium: MediumParams,
     logs["roll_est"] = [decompose_roll(R)[1] for R in logs["R_est"]]
     logs["angular_error"] = [angular_error(R_true, R_est) for R_true, R_est
                              in zip(logs["R_true"], logs["R_est"])]
-    record = record_from_logs(trial_id, seed, medium, controller, target,
-                              outcome, final_error, logs)
-    summary = TrialSummary(
-        trial_id=trial_id, estimator=estimator_name, medium=medium.name,
-        seed=seed, outcome=outcome, steps=record.steps,
-        targeting_error=final_error,
-        mean_angular_error=float(np.mean(record.angular_error)),
-        mean_roll_error=float(np.mean(_roll_error(record))),
-    )
-    return record, summary
+    return record_from_logs(trial_id, seed, medium, controller, target,
+                            outcome, final_error, logs, estimator_name)
 
 
 def _run_trial_task(args):
     return run_trial(*args)
+
+
+def sample_targets(workspace: WorkspaceCone, seed: int, n: int):
+    """The first n targets of the evaluation target stream of seed; every
+    estimator of a batch steers to the same ones, and steer to the first."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7467]))
+    return [sample_target(workspace, rng) for _ in range(n)]
 
 
 def run_batch(estimator_names, medium: MediumParams,
@@ -124,31 +111,26 @@ def run_batch(estimator_names, medium: MediumParams,
 
     Per-trial noise streams depend only on (seed, estimator, trial index),
     so results are identical under any order-preserving parallel mapper.
-    Returns (records, summaries); persists and renders the report when
-    out_dir is given.
+    Returns the trial records in trial_id order; persists them and renders
+    the report when out_dir is given.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     for name in estimator_names:
         if name not in ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {name!r}")
-    target_rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed), 0x7467]))
-    targets = [sample_target(workspace, target_rng) for _ in range(n_trials)]
     tasks = []
     trial_id = 0
-    for k, target in enumerate(targets):
+    for k, target in enumerate(sample_targets(workspace, seed, n_trials)):
         for name in estimator_names:
             trial_seed = (int(seed), ESTIMATOR_NAMES.index(name), k)
             tasks.append((name, medium, controller, target, trial_seed,
                           model, trial_id, depth_cap))
             trial_id += 1
-    results = list(mapper(_run_trial_task, tasks))
-    records = [r for r, _ in results]
-    summaries = [s for _, s in results]
+    records = list(mapper(_run_trial_task, tasks))
     if out_dir is not None:
-        report(records, summaries, out_dir, bin_width)
-    return records, summaries
+        report(records, out_dir, bin_width)
+    return records
 
 
 # ------------------------------------------------------------------ analysis
@@ -175,96 +157,84 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def report(records, summaries, out_dir: Path,
-           bin_width: float = DEFAULT_BIN_WIDTH):
-    """Persist trial artifacts and render the aggregate report.
+def report(records, out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
+    """Persist the trial records and render the views derived from them.
 
-    Raw values go to CSV and JSON Lines with full-precision repr floats;
-    report.txt and histogram.csv are then re-derived from those files only
-    (see render_report), keeping regeneration byte-identical.
+    The records go to trials/episodes.jsonl with full-precision repr
+    floats; summaries.csv, histogram.csv and report.txt are then rendered
+    from that file only (see render_report), keeping regeneration
+    byte-identical.
     """
-    if not summaries:
+    if not records:
         raise ValueError("nothing to report")
     out_dir = Path(out_dir)
     (out_dir / "trials").mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for s in sorted(summaries, key=lambda s: s.trial_id):
-            writer.writerow([
-                s.trial_id, s.estimator, s.medium,
-                "-".join(str(v) for v in s.seed), s.outcome, s.steps,
-                _fmt(s.targeting_error), _fmt(s.mean_angular_error),
-                _fmt(s.mean_roll_error),
-            ])
-
     with open(out_dir / "trials" / "episodes.jsonl", "w") as fh:
         for rec in sorted(records, key=lambda r: r.episode_id):
             fh.write(record_to_line(rec) + "\n")
-
     render_report(out_dir, bin_width)
 
 
-def _read_trials(out_dir: Path, rows):
-    """The trial record behind each summaries.csv row, in row order.
+def _read_trials(path: Path):
+    """The trial records of path in trial_id order.
 
-    Raises DatasetError naming the file and line at fault when a row has no
-    record, the step counts disagree, or a record lacks the estimator
-    columns (a directory written before trial lines carried them).
+    Raises DatasetError naming the line at fault when a line does not
+    decode, repeats a trial_id, or lacks the estimator columns (a directory
+    written before trial lines carried them); ValueError when there are no
+    trials.
     """
-    path = out_dir / "trials" / "episodes.jsonl"
     by_id = {}
     with open(path) as fh:
         for idx, line in enumerate(fh):
             rec = read_record_line(path, idx, line)
-            by_id[rec.episode_id] = (idx, rec)
-    records = []
-    for k, row in enumerate(rows):
-        if int(row["trial_id"]) not in by_id:
-            raise DatasetError(
-                f"{path.parent / 'summaries.csv'}: line {k + 2} lists trial "
-                f"{row['trial_id']}, which has no record in {path}")
-        idx, rec = by_id[int(row["trial_id"])]
-        if rec.steps != int(row["steps"]):
-            raise DatasetError(
-                f"{path}: line {idx + 1} holds {rec.steps} steps, "
-                f"summaries.csv lists {row['steps']}")
-        if rec.roll_est is None or rec.angular_error is None:
-            raise DatasetError(
-                f"{path}: line {idx + 1} has no roll_est/angular_error "
-                f"columns; re-run evaluate to write them")
-        records.append(rec)
-    return records
+            if rec.episode_id in by_id:
+                raise DatasetError(
+                    f"{path}: line {idx + 1} repeats trial {rec.episode_id}")
+            if (rec.estimator is None or rec.roll_est is None
+                    or rec.angular_error is None):
+                raise DatasetError(
+                    f"{path}: line {idx + 1} has no estimator/roll_est/"
+                    f"angular_error columns; re-run evaluate to write them")
+            by_id[rec.episode_id] = rec
+    if not by_id:
+        raise ValueError(f"no trial records in {path}")
+    return [by_id[k] for k in sorted(by_id)]
 
 
 def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
-    """Rebuild histogram.csv and report.txt from the trials/ files only."""
+    """Render summaries.csv, histogram.csv and report.txt from
+    trials/episodes.jsonl only."""
     out_dir = Path(out_dir)
-    with open(out_dir / "trials" / "summaries.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"no summary rows under {out_dir}")
-    # each group's steps in trial_id order: the means and medians below
-    # depend on the concatenation order
-    trials = sorted(zip(rows, _read_trials(out_dir, rows)),
-                    key=lambda trial: int(trial[0]["trial_id"]))
+    # trial_id order: the per-group means and medians below depend on the
+    # concatenation order
+    trials = _read_trials(out_dir / "trials" / "episodes.jsonl")
 
-    groups = sorted({(r["medium"], r["estimator"]) for r in rows})
+    with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_COLUMNS)
+        for rec in trials:
+            writer.writerow([
+                rec.episode_id, rec.estimator, rec.medium.name,
+                "-".join(str(v) for v in rec.seed), rec.outcome, rec.steps,
+                _fmt(rec.final_error), _fmt(np.mean(rec.angular_error)),
+                _fmt(np.mean(_roll_error(rec))),
+            ])
+
+    groups = sorted({(rec.medium.name, rec.estimator) for rec in trials})
     hist_rows = []
     lines = ["closed-loop steering report", ""]
     for medium, estimator in groups:
-        group = [(r, rec) for r, rec in trials
-                 if r["medium"] == medium and r["estimator"] == estimator]
-        omega = np.concatenate([rec.angular_error for _, rec in group])
+        group = [rec for rec in trials
+                 if (rec.medium.name, rec.estimator) == (medium, estimator)]
+        omega = np.concatenate([rec.angular_error for rec in group])
         edges, counts = histogram(omega, bin_width)
         hist_rows += [[medium, estimator, _fmt(edges[k]), _fmt(edges[k + 1]),
                        int(counts[k])] for k in range(len(counts))]
 
-        errors = np.array([float(r["targeting_error_mm"]) for r, _ in group])
-        arrived = sum(1 for r, _ in group if r["outcome"] == "arrived")
-        step_counts = np.array([int(r["steps"]) for r, _ in group])
-        roll_err = np.concatenate([_roll_error(rec) for _, rec in group])
+        errors = np.array([rec.final_error for rec in group])
+        arrived = sum(1 for rec in group if rec.outcome == "arrived")
+        step_counts = np.array([rec.steps for rec in group])
+        roll_err = np.concatenate([_roll_error(rec) for rec in group])
         lines += [
             f"[{medium} / {estimator}]",
             f"  trials: {len(group)} ({arrived} arrived), "
@@ -283,23 +253,18 @@ def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
     (out_dir / "report.txt").write_text("\n".join(lines))
 
 
-def _wrap_array(angles):
-    """wrap_angle over an array: the same remainder, -pi mapped to pi."""
-    w = np.remainder(np.atleast_1d(angles) + math.pi, 2.0 * math.pi) - math.pi
-    return np.where(w == -math.pi, math.pi, w)
-
-
 def _roll_error(record):
     """Per-step |wrap(roll_est - roll_true)| of a trial record, rad."""
-    return np.abs(_wrap_array(record.roll_est - record.roll_true))
+    return np.abs([wrap_angle(d)
+                   for d in (record.roll_est - record.roll_true).tolist()])
 
 
-def summarize(summaries, estimator: str):
+def summarize(records, estimator: str):
     """(mean targeting error, mean per-step angular error) for one estimator."""
-    group = [s for s in summaries if s.estimator == estimator]
+    group = [rec for rec in records if rec.estimator == estimator]
     if not group:
         raise ValueError(f"no trials for estimator {estimator!r}")
-    err = float(np.mean([s.targeting_error for s in group]))
-    steps = np.array([s.steps for s in group], dtype=float)
-    omega = np.array([s.mean_angular_error for s in group])
+    err = float(np.mean([rec.final_error for rec in group]))
+    steps = np.array([rec.steps for rec in group], dtype=float)
+    omega = np.array([np.mean(rec.angular_error) for rec in group])
     return err, float(np.sum(omega * steps) / np.sum(steps))

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EZ = np.array([0.0, 0.0, 1.0])
-
 _TWO_PI = 2.0 * math.pi
 
 

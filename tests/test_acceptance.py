@@ -35,11 +35,11 @@ from needleroll.se3 import (
 
 def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verdict):
     cfg = run_defaults
-    _, summaries = run_batch(
+    records = run_batch(
         ("truth",), cfg.make_medium(), cfg.make_controller(),
         cfg.make_workspace(), n_trials=30, seed=501,
     )
-    errors = np.array([s.targeting_error for s in summaries])
+    errors = np.array([r.final_error for r in records])
     ok = bool((errors < 1.0).all())
     verdict("C1", ok,
             f"ground-truth steering, 30 gelatin targets: max error "
@@ -49,11 +49,11 @@ def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verd
 def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
     cfg = run_defaults
     medium = rigid_variant(cfg.make_medium())
-    _, summaries = run_batch(
+    records = run_batch(
         ("ekf",), medium, cfg.make_controller(), cfg.make_workspace(),
         n_trials=10, seed=502,
     )
-    errors = np.array([s.targeting_error for s in summaries])
+    errors = np.array([r.final_error for r in records])
     ok = bool((errors < 1.0).all())
     verdict("C2", ok,
             f"filter-driven steering, 10 rigid targets: max error "
@@ -110,12 +110,12 @@ def test_c05_learned_estimator_beats_filter_in_gelatin(
         run_defaults, trained_estimator, verdict):
     cfg = run_defaults
     model = trained_estimator[0]
-    _, summaries = run_batch(
+    records = run_batch(
         ("lstm", "ekf"), cfg.make_medium(), cfg.make_controller(),
         cfg.make_workspace(), n_trials=30, seed=505, model=model,
     )
-    lstm_err, _ = summarize(summaries, "lstm")
-    ekf_err, _ = summarize(summaries, "ekf")
+    lstm_err, _ = summarize(records, "lstm")
+    ekf_err, _ = summarize(records, "ekf")
     ok = lstm_err < 2.0 and lstm_err < ekf_err / 3.0
     verdict("C5", ok,
             f"30 fresh gelatin trials: learned mean {lstm_err:.3f} mm vs "
@@ -130,13 +130,13 @@ def test_c06_gelatin_trained_model_transfers_to_brain_and_lung(
     details = []
     ok = True
     for medium_name, seed in (("brain", 506), ("lung", 507)):
-        _, summaries = run_batch(
+        records = run_batch(
             ("lstm", "ekf"), MEDIUM_PRESETS[medium_name],
             cfg.make_controller(), cfg.make_workspace(),
             n_trials=10, seed=seed, model=model,
         )
-        lstm_err, lstm_omega = summarize(summaries, "lstm")
-        ekf_err, ekf_omega = summarize(summaries, "ekf")
+        lstm_err, lstm_omega = summarize(records, "lstm")
+        ekf_err, ekf_omega = summarize(records, "ekf")
         ok = ok and lstm_err < ekf_err and lstm_omega < ekf_omega
         details.append(
             f"{medium_name} target {lstm_err:.2f}|{ekf_err:.2f} mm, "

@@ -277,15 +277,18 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
 
 
 def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
+    """report rebuilds every view of a run from trials/episodes.jsonl."""
     out = tmp_path / "eval"
     code = main(["evaluate", "--estimators", "truth,ekf", "--rigid",
                  "--n", "2", "--seed", "6", "--out", str(out)])
     assert code == 0
-    report_a = (out / "report.txt").read_bytes()
-    hist_a = (out / "histogram.csv").read_bytes()
+    views = [out / "trials" / "summaries.csv", out / "histogram.csv",
+             out / "report.txt"]
+    before = [path.read_bytes() for path in views]
+    for path in views:
+        path.unlink()
     assert main(["report", "--out", str(out)]) == 0
-    assert (out / "report.txt").read_bytes() == report_a
-    assert (out / "histogram.csv").read_bytes() == hist_a
+    assert [path.read_bytes() for path in views] == before
 
 
 @pytest.mark.parametrize("width", ["0", "nan", "inf"])
@@ -300,18 +303,33 @@ def test_cli_evaluate_bad_bin_width_fails_before_any_trial(tmp_path, capsys,
     assert not (out / "trials").exists()
 
 
-def test_cli_report_without_a_trial_record_is_data_error(tmp_path, capsys):
+def _damaged_trials(tmp_path, damage):
     out = tmp_path / "eval"
     assert main(["evaluate", "--estimators", "truth,ekf", "--rigid",
                  "--n", "2", "--seed", "6", "--out", str(out)]) == 0
     trials = out / "trials" / "episodes.jsonl"
     lines = trials.read_text().splitlines(keepends=True)
-    trials.write_text("".join(lines[:-1]))  # trial 3's record lost
+    trials.write_text("".join(damage(lines)))
+    return out
+
+
+def test_cli_report_without_a_trial_record_is_data_error(tmp_path, capsys):
+    # trial 3's record cut short
+    out = _damaged_trials(
+        tmp_path, lambda lines: lines[:3] + [lines[3][:len(lines[3]) // 2]])
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("failed:") and "line 5 lists trial 3" in err
+    assert err.startswith("failed:") and "line 4 is not valid JSON" in err
     assert "Traceback" not in err
+
+
+def test_cli_report_on_a_repeated_trial_is_data_error(tmp_path, capsys):
+    out = _damaged_trials(tmp_path, lambda lines: lines[:2] + lines[1:])
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and "line 3 repeats trial 1" in err
 
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):
@@ -345,6 +363,23 @@ def test_cli_default_counts_are_recorded(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert f"over {DEFAULT_TRIALS} trials" in capsys.readouterr().out
     assert json.loads((out / "config.json").read_text())["n"] == DEFAULT_TRIALS
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("evaluate", "jobs", "2"),
+    ("train", "epochs", 2.5),
+    ("evaluate", "estimators", "ekf"),
+])
+def test_cli_config_file_wrong_type_is_usage_error(tmp_path, capsys, command,
+                                                   key, value):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "out": str(out),
+                               "dataset": str(tmp_path / "ds")}))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not out.exists()
 
 
 def test_cli_evaluate_config_file_merge(tmp_path, capsys):

@@ -164,22 +164,25 @@ def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
     line = (root / "episodes.jsonl").read_text().splitlines()[0]
     # a generated episode carries no estimator columns
     doc = json.loads(line)
-    assert "roll_est" not in doc and "angular_error" not in doc
+    assert not {"estimator", "roll_est", "angular_error"} & doc.keys()
     rec = record_from_line(line)
     assert rec.roll_est is None and rec.angular_error is None
+    assert rec.estimator is None
     rng = np.random.default_rng(3)
     columns = {"roll_est": rng.uniform(-math.pi, math.pi, size=rec.steps),
                "angular_error": rng.uniform(0.0, math.pi, size=rec.steps)}
     columns["angular_error"][0] = math.pi
-    trial = dataclasses.replace(rec, **columns)
+    trial = dataclasses.replace(rec, estimator="ekf", **columns)
     trial_line = record_to_line(trial)
     back = record_from_line(trial_line)
     for name, values in columns.items():
         assert getattr(back, name).tobytes() == values.tobytes(), name
+    assert back.estimator == "ekf"
     assert record_to_line(back) == trial_line
     # the columns are the only difference from the generated line
     trial_doc = json.loads(trial_line)
-    del trial_doc["roll_est"], trial_doc["angular_error"]
+    for name in ("estimator", "roll_est", "angular_error"):
+        del trial_doc[name]
     assert json.dumps(trial_doc, sort_keys=True, separators=(",", ":")) == line
 
 
@@ -192,12 +195,14 @@ def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
      "angular_error must be finite"),
     ("angular_error", lambda v: v + math.pi, r"\[0, pi\]"),
     ("angular_error", lambda v: v - 1.0, r"\[0, pi\]"),
-], ids=["short", "long", "nan_roll", "nan_error", "above_pi", "negative"])
+    ("estimator", lambda v: 3, "estimator must be a string"),
+], ids=["short", "long", "nan_roll", "nan_error", "above_pi", "negative",
+        "estimator_not_a_string"])
 def test_record_estimator_columns_are_validated(tmp_path, name, damage, expect):
     root, manifest = small_dataset(tmp_path, n=1, seed=13)
     rec = load_episodes(root, manifest)[0]
     good = {"roll_est": np.zeros(rec.steps),
-            "angular_error": np.full(rec.steps, 0.5)}
+            "angular_error": np.full(rec.steps, 0.5), "estimator": "ekf"}
     dataclasses.replace(rec, **good).validate()
     bad = dataclasses.replace(rec, **dict(good, **{name: damage(good[name])}))
     with pytest.raises(ValueError, match=expect):

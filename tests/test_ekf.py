@@ -28,7 +28,6 @@ from needleroll.plant import (
     step,
 )
 from needleroll.se3 import (
-    EZ,
     Pose,
     angular_error,
     decompose_roll,
@@ -40,6 +39,7 @@ from needleroll.se3 import (
     wrap_angle,
 )
 
+EZ = np.array([0.0, 0.0, 1.0])
 DT = 1.0 / 40.0
 KAPPA = GELATIN.curvature
 NO_NOISE = np.zeros((6, 6))

@@ -7,9 +7,9 @@ import pytest
 
 from needleroll.controller import ControllerParams
 from needleroll.ekf import EkfRollTracker, roll_variance
-from needleroll.dataset import DatasetError, record_from_line
+from needleroll.dataset import DatasetError, record_from_line, record_to_line
 from needleroll.evaluate import (
-    _wrap_array,
+    _roll_error,
     histogram,
     make_estimator,
     render_report,
@@ -27,7 +27,6 @@ from needleroll.plant import (
     sense,
     step,
 )
-from needleroll.se3 import wrap_angle
 
 CONTROLLER = ControllerParams()
 WORKSPACE = WorkspaceCone()
@@ -37,36 +36,37 @@ TARGET = np.array([4.0, -6.0, 55.0])
 # -------------------------------------------------------------------- trials
 
 def test_truth_trial_is_exact_and_arrives():
-    record, summary = run_trial("truth", GELATIN, CONTROLLER, TARGET, seed=1)
-    assert summary.outcome == "arrived"
-    assert summary.targeting_error < 1.0
+    record = run_trial("truth", GELATIN, CONTROLLER, TARGET, seed=1)
+    assert record.estimator == "truth"
+    assert record.outcome == "arrived"
+    assert record.final_error < 1.0
     # the angle metric resolves nothing below ~sqrt(eps), so "exact" means
     # at that floor, not literal zero
     assert record.angular_error.max() < 1e-7
-    assert summary.mean_angular_error < 1e-7
-    assert summary.mean_roll_error < 1e-9
-    assert record.steps == summary.steps == len(record.angular_error)
+    assert np.mean(record.angular_error) < 1e-7
+    assert np.mean(_roll_error(record)) < 1e-9
+    assert record.steps == len(record.angular_error)
 
 
 def test_trial_determinism():
-    a = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3)[1]
-    b = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3)[1]
+    a = record_to_line(run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3))
+    b = record_to_line(run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3))
     assert a == b
-    c = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=4)[1]
+    c = record_to_line(run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=4))
     assert c != a
 
 
 def test_ekf_trial_on_rigid_plant_succeeds():
-    record, summary = run_trial("ekf", rigid_variant(GELATIN),
-                                CONTROLLER, TARGET, seed=5)
-    assert summary.outcome == "arrived"
-    assert summary.targeting_error < 1.0
-    assert summary.mean_angular_error < 3.0 * GELATIN.heading_noise
+    record = run_trial("ekf", rigid_variant(GELATIN), CONTROLLER, TARGET,
+                       seed=5)
+    assert record.outcome == "arrived"
+    assert record.final_error < 1.0
+    assert np.mean(record.angular_error) < 3.0 * GELATIN.heading_noise
 
 
 def test_ekf_trial_on_compliant_plant_has_large_roll_error():
-    record, summary = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=6)
-    assert summary.mean_angular_error > 0.5
+    record = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=6)
+    assert np.mean(record.angular_error) > 0.5
     # the filter's wrapped-roll error matches its full angular error: the
     # position/heading part is tightly observed, the roll alone is blind
     assert np.abs(record.angular_error[40:]
@@ -87,10 +87,10 @@ def test_unknown_estimator_rejected():
 
 def test_lstm_trial_runs_with_untrained_model():
     model = init_model(seed=0)
-    record, summary = run_trial("lstm", GELATIN, CONTROLLER, TARGET,
-                                seed=8, model=model)
+    record = run_trial("lstm", GELATIN, CONTROLLER, TARGET, seed=8,
+                       model=model)
     # an untrained net steers poorly but the loop must still terminate
-    assert summary.outcome in ("arrived", "depth_capped")
+    assert record.outcome in ("arrived", "depth_capped")
     assert record.angular_error.min() >= 0.0
     assert record.angular_error.max() <= math.pi
 
@@ -138,10 +138,10 @@ def test_estimators_reject_non_finite_measurements(name, bad):
 # -------------------------------------------------------------------- batches
 
 def test_batch_pairs_targets_across_estimators(tmp_path):
-    records, summaries = run_batch(
+    records = run_batch(
         ["truth", "ekf"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
         n_trials=2, seed=11)
-    assert len(summaries) == 4
+    assert len(records) == 4
     # consecutive (truth, ekf) rows steer to the same target
     assert np.array_equal(records[0].target, records[1].target)
     assert np.array_equal(records[2].target, records[3].target)
@@ -156,10 +156,10 @@ def test_batch_deterministic_under_any_mapper():
         return reversed([fn(x) for x in reversed(items)])
 
     a = run_batch(["truth"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-                  n_trials=3, seed=13)[1]
+                  n_trials=3, seed=13)
     b = run_batch(["truth"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-                  n_trials=3, seed=13, mapper=backwards_map)[1]
-    assert a == b
+                  n_trials=3, seed=13, mapper=backwards_map)
+    assert list(map(record_to_line, a)) == list(map(record_to_line, b))
 
 
 def test_batch_rejects_bad_args():
@@ -170,14 +170,14 @@ def test_batch_rejects_bad_args():
 
 
 def test_summarize_weights_by_steps():
-    _, summaries = run_batch(["ekf"], rigid_variant(GELATIN), CONTROLLER,
-                                WORKSPACE, n_trials=3, seed=17)
-    err, omega = summarize(summaries, "ekf")
-    assert err == pytest.approx(np.mean([s.targeting_error for s in summaries]))
-    total = sum(s.mean_angular_error * s.steps for s in summaries)
-    assert omega == pytest.approx(total / sum(s.steps for s in summaries))
+    records = run_batch(["ekf"], rigid_variant(GELATIN), CONTROLLER,
+                        WORKSPACE, n_trials=3, seed=17)
+    err, omega = summarize(records, "ekf")
+    assert err == pytest.approx(np.mean([r.final_error for r in records]))
+    total = sum(np.mean(r.angular_error) * r.steps for r in records)
+    assert omega == pytest.approx(total / sum(r.steps for r in records))
     with pytest.raises(ValueError):
-        summarize(summaries, "lstm")
+        summarize(records, "lstm")
 
 
 # ------------------------------------------------------------------ histogram
@@ -217,29 +217,19 @@ def test_histogram_rejects_bad_width():
             histogram([], bin_width=width)
 
 
-def test_wrap_array_is_wrap_angle_bitwise():
-    rng = np.random.default_rng(29)
-    k = np.arange(-4, 5)
-    angles = np.concatenate([rng.uniform(-40.0, 40.0, size=2000),
-                             k * math.pi, k * 2.0 * math.pi, [0.0, -0.0]])
-    wrapped = _wrap_array(angles)
-    assert np.array_equal(wrapped, [wrap_angle(a) for a in angles])
-    assert wrapped.min() > -math.pi and wrapped.max() <= math.pi
-
-
 # -------------------------------------------------------------------- reports
 
 @pytest.fixture(scope="module")
 def reported_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("eval") / "run"
-    records, summaries = run_batch(
+    records = run_batch(
         ["truth", "ekf"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
         n_trials=2, seed=29, out_dir=out)
-    return out, records, summaries
+    return out, records
 
 
 def test_report_layout(reported_dir):
-    out, records, summaries = reported_dir
+    out, records = reported_dir
     written = {p.relative_to(out).as_posix() for p in out.rglob("*")}
     assert written == {"trials", "trials/summaries.csv",
                        "trials/episodes.jsonl", "report.txt", "histogram.csv"}
@@ -250,38 +240,33 @@ def test_report_layout(reported_dir):
 def test_report_summary_rows_match_trials(reported_dir):
     import csv
 
-    out, records, summaries = reported_dir
+    out, records = reported_dir
     with open(out / "trials" / "summaries.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(summaries)
-    by_id = {s.trial_id: s for s in summaries}
+    assert len(rows) == len(records)
+    by_id = {r.episode_id: r for r in records}
     for row in rows:
-        s = by_id[int(row["trial_id"])]
-        assert float(row["targeting_error_mm"]) == s.targeting_error
-        assert float(row["mean_angular_error_rad"]) == s.mean_angular_error
+        r = by_id[int(row["trial_id"])]
+        assert row["estimator"] == r.estimator
+        assert float(row["targeting_error_mm"]) == r.final_error
+        assert float(row["mean_angular_error_rad"]) == np.mean(r.angular_error)
 
 
 def test_report_mean_omega_matches_persisted_trace(reported_dir):
-    out, records, summaries = reported_dir
+    out, records = reported_dir
     with open(out / "trials" / "episodes.jsonl") as fh:
         persisted = {rec.episode_id: rec for rec in map(record_from_line, fh)}
-    for s in summaries:
-        mean = float(np.mean(persisted[s.trial_id].angular_error))
-        assert mean == s.mean_angular_error
+    for r in records:
+        mean = float(np.mean(persisted[r.episode_id].angular_error))
+        assert mean == np.mean(r.angular_error)
 
 
 def test_report_regeneration_is_byte_identical(reported_dir):
-    out, *_ = reported_dir
-    before_report = (out / "report.txt").read_bytes()
-    before_hist = (out / "histogram.csv").read_bytes()
+    out, _ = reported_dir
+    views = ("trials/summaries.csv", "histogram.csv", "report.txt")
+    before = [(out / name).read_bytes() for name in views]
     render_report(out)
-    assert (out / "report.txt").read_bytes() == before_report
-    assert (out / "histogram.csv").read_bytes() == before_hist
-
-
-def _drop_second_line(text):
-    lines = text.splitlines(keepends=True)
-    return "".join(lines[:1] + lines[2:])
+    assert [(out / name).read_bytes() for name in views] == before
 
 
 def _strip_estimator_columns(text):
@@ -291,17 +276,14 @@ def _strip_estimator_columns(text):
     return "".join(json.dumps(doc) + "\n" for doc in docs)
 
 
-@pytest.mark.parametrize("name, damage, expect", [
-    ("episodes.jsonl", _drop_second_line, "summaries.csv: line 3 lists trial 1"),
-    ("summaries.csv", lambda text: text.replace(",arrived,", ",arrived,1", 1),
-     "episodes.jsonl: line 1 holds"),
-    ("episodes.jsonl", _strip_estimator_columns, "re-run evaluate"),
-], ids=["missing_record", "step_count", "no_estimator_columns"])
+@pytest.mark.parametrize("damage, expect", [
+    (_strip_estimator_columns, "re-run evaluate"),
+], ids=["no_estimator_columns"])
 def test_render_report_rejects_inconsistent_trial_files(reported_dir, tmp_path,
-                                                        name, damage, expect):
+                                                        damage, expect):
     out = tmp_path / "run"
     shutil.copytree(reported_dir[0], out)
-    path = out / "trials" / name
+    path = out / "trials" / "episodes.jsonl"
     path.write_text(damage(path.read_text()))
     (out / "report.txt").unlink()
     with pytest.raises(DatasetError, match=expect):
@@ -310,7 +292,7 @@ def test_render_report_rejects_inconsistent_trial_files(reported_dir, tmp_path,
 
 
 def test_report_episodes_roundtrip(reported_dir):
-    out, records, summaries = reported_dir
+    out, records = reported_dir
     with open(out / "trials" / "episodes.jsonl") as fh:
         loaded = [record_from_line(line) for line in fh]
     assert len(loaded) == len(records)
@@ -321,8 +303,8 @@ def test_report_episodes_roundtrip(reported_dir):
 def test_histogram_csv_mass_conservation(reported_dir):
     import csv
 
-    out, records, summaries = reported_dir
+    out, records = reported_dir
     with open(out / "histogram.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     total = sum(int(r["count"]) for r in rows)
-    assert total == sum(s.steps for s in summaries)
+    assert total == sum(r.steps for r in records)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from needleroll.se3 import (
-    EZ,
     AntiparallelHeading,
     DegenerateConfiguration,
     Pose,
@@ -22,6 +21,8 @@ from needleroll.se3 import (
     so3_exp,
     wrap_angle,
 )
+
+EZ = np.array([0.0, 0.0, 1.0])
 
 
 def rot_x(a: float) -> np.ndarray:
