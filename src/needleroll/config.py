@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass
@@ -94,6 +95,14 @@ class RunConfig:
             raise ValueError("train fraction must be in (0, 1)")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
+        for name in ("epochs", "batch_size", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name.replace('_', ' ')} must be at least 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and positive")
         if self.target is not None and len(self.target) != 3:
             raise ValueError("target must have three coordinates")
         check_bin_width(self.bin_width)

@@ -29,6 +29,13 @@ slab. Only the recurrence steps through time; projections, the
 fully-connected layer, the output head and every weight gradient are single
 GEMMs over all T * B rows. backward consumes its cache: it overwrites the
 cached activations in place with its intermediate factors and gradients.
+
+Each epoch shuffles the training sequences, cuts the shuffled order into
+pools of LENGTH_POOL (32) and stable-sorts every pool by sequence length
+before cutting batches, so a batch holds sequences of similar length and
+pads few steps; only the order within a pool changes, never which pool a
+sequence falls in. train prints a progress line to stderr every
+PROGRESS_EVERY epochs and at the last one.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import copy
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +56,8 @@ MODEL_SCHEMA_VERSION = 1
 DEFAULT_Z_MAX = 75.0  # mm, the position feature scale
 INPUT_SIZE = 8  # width of the scale_features vector
 VALIDATION_CHUNK = 32  # sequences per sequence_rmse forward pass
+LENGTH_POOL = 32  # shuffled training sequences per length-sorted pool
+PROGRESS_EVERY = 50  # epochs between train's stderr progress lines
 
 # the fixed parameter order is part of the optimizer and serialization
 # contracts
@@ -460,6 +470,20 @@ class TrainConfig:
     seed: int = 0
 
 
+def _length_sorted_batches(order, lengths, batch_size: int):
+    """One epoch's batches as index arrays: the shuffled `order` cut into
+    consecutive pools of LENGTH_POOL, each pool stable-sorted by length,
+    then cut into batches of `batch_size` exactly as the unsorted order
+    would be (same count, the short batch last)."""
+    lengths = np.asarray(lengths)
+    pools = (order[start:start + LENGTH_POOL]
+             for start in range(0, len(order), LENGTH_POOL))
+    ordered = np.concatenate([
+        pool[np.argsort(lengths[pool], kind="stable")] for pool in pools])
+    return [ordered[start:start + batch_size]
+            for start in range(0, len(ordered), batch_size)]
+
+
 @dataclass(frozen=True)
 class TrainLogRow:
     epoch: int
@@ -470,8 +494,10 @@ class TrainLogRow:
 def train(train_seqs, val_seqs, config: TrainConfig):
     """Fit on (xs, ys) sequence pairs; returns (best model, per-epoch log).
 
-    Seeded shuffling each epoch, dropout in training passes only, model
-    snapshot at every new best validation RMSE. Raises Diverged on a
+    Seeded shuffling each epoch into length-sorted pools
+    (_length_sorted_batches), dropout in training passes only, model
+    snapshot at every new best validation RMSE, a progress line on stderr
+    every PROGRESS_EVERY epochs and at the last. Raises Diverged on a
     non-finite loss.
     """
     if not train_seqs or not val_seqs:
@@ -489,13 +515,13 @@ def train(train_seqs, val_seqs, config: TrainConfig):
     log: list[TrainLogRow] = []
     best_model = copy.deepcopy(model)
     best_val = math.inf
+    lengths = [len(xs) for xs, _ in train_seqs]
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(train_seqs))
         sse_total = 0.0
         n_total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            chunk = [train_seqs[k] for k in order[start:start + config.batch_size]]
-            xs, ys, mask = _pad_batch(chunk)
+        for batch in _length_sorted_batches(order, lengths, config.batch_size):
+            xs, ys, mask = _pad_batch([train_seqs[k] for k in batch])
             cache = _forward_batch(model, xs, train_mode=True,
                                    dropout_rng=dropout_rng)
             grads, rmse, sse, n = backward(model, cache, ys, mask)
@@ -513,6 +539,10 @@ def train(train_seqs, val_seqs, config: TrainConfig):
         if val_rmse < best_val:
             best_val = val_rmse
             best_model = copy.deepcopy(model)
+        if (epoch + 1) % PROGRESS_EVERY == 0 or epoch + 1 == config.epochs:
+            print(f"epoch {epoch + 1}/{config.epochs}: train loss "
+                  f"{train_loss:.4f}, val RMSE {val_rmse:.4f}, "
+                  f"best {best_val:.4f}", file=sys.stderr)
     best_model.metadata["best_val_rmse"] = best_val
     return best_model, log
 

@@ -114,7 +114,8 @@ def test_cli_generate_and_retrain_roundtrip(tmp_path, capsys):
     code = main(["train", "--dataset", str(ds), "--out", str(run),
                  "--epochs", "2", "--hidden-size", "4", "--seed", "1"])
     assert code == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err.startswith("epoch 2/2: train loss ")  # progress, not stdout
     assert (run / "model.json").exists()
     assert (run / "training_log.csv").exists()
     log_rows = (run / "training_log.csv").read_text().strip().splitlines()
@@ -152,6 +153,28 @@ def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "at least two episodes" in err
     assert not ds.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "0", "epochs must be at least 1"),
+    ("--batch-size", "0", "batch size must be at least 1"),
+    ("--hidden-size", "0", "hidden size must be at least 1"),
+    ("--dropout", "1", "dropout must be in [0, 1)"),
+    ("--learning-rate", "0", "learning rate must be finite and positive"),
+    ("--learning-rate", "nan", "learning rate must be finite and positive"),
+])
+def test_cli_train_bad_option_fails_before_writing(tmp_path, capsys, flag,
+                                                   value, message):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    code = main(["train", "--dataset", str(ds), "--out", str(run),
+                 flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not run.exists()
 
 
 def _train_argv(ds, tmp_path):

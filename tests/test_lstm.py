@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needleroll.lstm import (
+    LENGTH_POOL,
     POSITION_WINDOW,
+    PROGRESS_EVERY,
     Adam,
     DegenerateOutput,
     Diverged,
@@ -17,6 +19,7 @@ from needleroll.lstm import (
     RollEstimator,
     TrainConfig,
     _forward_batch,
+    _length_sorted_batches,
     _pad_batch,
     backward,
     batch_loss,
@@ -463,14 +466,21 @@ def test_overfit_single_episode():
     assert model.metadata["best_val_rmse"] == pytest.approx(best)
 
 
-def test_training_log_deterministic():
+def test_training_log_deterministic(tmp_path):
+    """Same seed, same log and same model file bytes, over more training
+    sequences than one length pool holds."""
     rng = np.random.default_rng(12)
-    seqs = random_sequences(rng, 6, 10, 25)
-    config = TrainConfig(epochs=4, batch_size=2, hidden_size=6,
+    seqs = random_sequences(rng, LENGTH_POOL + 6, 5, 25)
+    config = TrainConfig(epochs=3, batch_size=3, hidden_size=4,
                          dropout_rate=0.2, seed=7)
-    _, log_a = train(seqs[:4], seqs[4:], config)
-    _, log_b = train(seqs[:4], seqs[4:], config)
-    assert log_a == log_b
+    logs = []
+    for name in ("a", "b"):
+        model, log = train(seqs[:-2], seqs[-2:], config)
+        save_model(model, tmp_path / f"{name}.json")
+        logs.append(log)
+    assert logs[0] == logs[1]
+    assert (tmp_path / "a.json").read_bytes() == \
+        (tmp_path / "b.json").read_bytes()
 
 
 def test_returned_model_is_best_on_validation():
@@ -483,6 +493,57 @@ def test_returned_model_is_best_on_validation():
     assert sequence_rmse(model, seqs[6:]) == pytest.approx(min(vals), abs=1e-12)
     running = np.minimum.accumulate(vals)
     assert np.all(np.diff(running) <= 0.0 + 1e-15)
+
+
+def _padded_steps(batches, lengths):
+    return sum(len(batch) * max(lengths[k] for k in batch) for batch in batches)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=100),
+       seed=st.integers(0, 2 ** 16), batch_size=st.integers(1, 12))
+def test_length_sorted_batches_sort_each_shuffled_pool(lengths, seed,
+                                                       batch_size):
+    n = len(lengths)
+    order = np.random.default_rng(seed).permutation(n)
+    batches = _length_sorted_batches(order, lengths, batch_size)
+    assert len(batches) == math.ceil(n / batch_size)
+    assert all(len(batch) == batch_size for batch in batches[:-1])
+    ordered = np.concatenate(batches)
+    assert sorted(ordered.tolist()) == list(range(n))  # each index once
+    for start in range(0, n, LENGTH_POOL):
+        pool = ordered[start:start + LENGTH_POOL].tolist()
+        assert sorted(pool) == sorted(order[start:start + LENGTH_POOL].tolist())
+        pool_lengths = [lengths[k] for k in pool]
+        assert pool_lengths == sorted(pool_lengths)
+
+    # a pool cut into whole batches never pads more than the shuffled
+    # order did, so neither does an epoch of whole batches; a pool ending
+    # in the short batch can (lengths 8 x 100 then 1, batch 8: 801 steps
+    # shuffled, 900 sorted)
+    if LENGTH_POOL % batch_size == 0:
+        whole = n if n % batch_size == 0 else n - n % LENGTH_POOL
+        for start in range(0, whole, LENGTH_POOL):
+            stop = min(start + LENGTH_POOL, n)
+            shuffled = [order[k:k + batch_size]
+                        for k in range(start, stop, batch_size)]
+            first = start // batch_size
+            assert _padded_steps(batches[first:first + len(shuffled)],
+                                 lengths) <= _padded_steps(shuffled, lengths)
+
+
+def test_train_reports_progress_on_stderr_only(capsys):
+    seqs = random_sequences(np.random.default_rng(14), 5, 4, 8)
+    epochs = PROGRESS_EVERY + 3
+    config = TrainConfig(epochs=epochs, batch_size=2, hidden_size=3, seed=2)
+    _, log = train(seqs[:4], seqs[4:], config)
+    out, err = capsys.readouterr()
+    assert out == ""
+    best = np.minimum.accumulate([row.val_rmse for row in log])
+    assert err.splitlines() == [
+        f"epoch {k}/{epochs}: train loss {log[k - 1].train_loss:.4f}, "
+        f"val RMSE {log[k - 1].val_rmse:.4f}, best {best[k - 1]:.4f}"
+        for k in (PROGRESS_EVERY, epochs)]
 
 
 def test_train_raises_on_nonfinite_loss():
