@@ -1,0 +1,68 @@
+"""Print one sha256 per artifact of a small fixed needleroll pipeline.
+
+Runs generate -> train --epochs 2 -> evaluate truth,ekf,lstm at --jobs 1
+and again at --jobs 2, each stage as `python -m needleroll` on the `src/`
+next to this script, inside a temporary directory (relative output paths,
+so the recorded config.json files do not name it). Prints
+`<sha256>  jobs<j>/<path>` for every file written, sorted.
+
+A speed change that must keep every artifact byte-identical is checked by
+running this in the parent checkout and in the changed one and diffing
+the two outputs:
+
+    python3 scripts/artifact_digests.py > digests.txt
+
+Standard library only; exits 2 if a stage fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SEED = "7"
+
+
+def stages(jobs: int) -> list[list[str]]:
+    j = f"jobs{jobs}"
+    common = ["--seed", SEED, "--jobs", str(jobs)]
+    return [
+        ["generate", "--n", "8", "--out", f"{j}/dataset", *common],
+        ["train", "--dataset", f"{j}/dataset", "--epochs", "2",
+         "--out", f"{j}/run", *common],
+        ["evaluate", "--estimators", "truth,ekf,lstm", "--n", "3",
+         "--model", f"{j}/run/model.json", "--out", f"{j}/evaluate",
+         *common],
+    ]
+
+
+def main() -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory(prefix="needleroll_digests_") as work:
+        for jobs in (1, 2):
+            for argv in stages(jobs):
+                done = subprocess.run(
+                    [sys.executable, "-m", "needleroll", *argv], cwd=work,
+                    env=env, stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE, text=True)
+                if done.returncode != 0:
+                    print(f"{' '.join(argv)} exited {done.returncode}:\n"
+                          f"{done.stderr}", file=sys.stderr)
+                    return 2
+        root = Path(work)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from needleroll.controller import ControllerParams
-from needleroll.dataset import DEPTH_CAP
+from needleroll.dataset import DEPTH_CAP, DEPTH_SLACK
 from needleroll.evaluate import (
     DEFAULT_BIN_WIDTH,
     ESTIMATOR_NAMES,
@@ -109,6 +109,13 @@ class RunConfig:
         # these fire their own range checks
         self.make_controller()
         self.make_workspace()
+        # a dataset's manifest rejects a target deeper than its feature
+        # scale plus DEPTH_SLACK, after every episode has been collected
+        floor = self.depth_max - DEPTH_SLACK
+        if not (0.0 < self.z_max < math.inf and floor <= self.z_max):
+            raise ValueError(
+                f"z_max must be finite, positive and at least depth_max - "
+                f"{DEPTH_SLACK} = {floor!r}")
         return self
 
     def make_medium(self) -> MediumParams:

@@ -10,6 +10,11 @@ constant speed.
 The controller is estimator-agnostic: it only sees a tip pose, however that
 pose was produced (ground truth, filter mean, or learned roll recomposed
 onto the sensed heading).
+
+A tick is scalar arithmetic on Python floats: _target_in_tip_frame reads
+the pose once and gives the distance and the body-frame offset
+R^T (target - p), and _bearing is the one roll-error formula, used by both
+control and roll_error.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from needleroll.plant import ControlInput
-from needleroll.se3 import Pose, wrap_angle
+from needleroll.se3 import Pose, floats3, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -47,29 +52,45 @@ class Arrived:
     distance: float
 
 
+def _target_in_tip_frame(est_pose: Pose, target):
+    """Distance from the tip to the target, and the target's offset in the
+    tip body frame, R^T (target - p), as Python floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = est_pose.R.tolist()
+    p0, p1, p2 = est_pose.p.tolist()
+    t0, t1, t2 = floats3(target)
+    o0, o1, o2 = t0 - p0, t1 - p1, t2 - p2
+    return math.sqrt(o0 * o0 + o1 * o1 + o2 * o2), (
+        r00 * o0 + r10 * o1 + r20 * o2,
+        r01 * o0 + r11 * o1 + r21 * o2,
+        r02 * o0 + r12 * o1 + r22 * o2,
+    )
+
+
+def _bearing(rel) -> float:
+    """Angle of a tip-frame offset about the tip z axis, in (-pi, pi]."""
+    return wrap_angle(math.atan2(rel[1], rel[0]))
+
+
 def roll_error(est_pose: Pose, target) -> float:
     """Signed roll needed to bring the target into the curving half-plane.
 
     Positive means the target lies counterclockwise (about the tip z axis)
     from the current bevel direction. In (-pi, pi].
     """
-    rel = est_pose.R.T @ (np.asarray(target, dtype=float) - est_pose.p)
-    return wrap_angle(math.atan2(rel[1], rel[0]))
+    return _bearing(_target_in_tip_frame(est_pose, target)[1])
 
 
 def control(est_pose: Pose, target, params: ControllerParams):
     """One controller tick: ControlInput, or Arrived to stop.
 
     Stops when the target is within arrival_tolerance or no longer ahead of
-    the tip plane (overshoot would otherwise grow the error forever).
+    the tip plane (overshoot would otherwise grow the error forever): the
+    third tip-frame coordinate is the offset along the heading.
     """
-    target = np.asarray(target, dtype=float)
-    offset = target - est_pose.p
-    distance = float(np.linalg.norm(offset))
-    ahead = float(np.dot(est_pose.heading, offset))
-    if distance <= params.arrival_tolerance or ahead <= 0.0:
+    distance, rel = _target_in_tip_frame(est_pose, target)
+    if distance <= params.arrival_tolerance or rel[2] <= 0.0:
         return Arrived(distance=distance)
-    err = roll_error(est_pose, target)
+    err = _bearing(rel)
     if abs(err) > params.deadband:
         spin = math.copysign(params.rotation_speed, err)
     else:

@@ -13,6 +13,12 @@ In the tip body frame the needle curves toward +x (the bevel direction), so
 the bending rate is curvature * insertion_speed about body +y. All dynamics
 are deterministic; randomness enters only through sense() and
 sample_target().
+
+A tick's 3-vector work is scalar arithmetic on Python floats: sense() calls
+the scalar cores se3.heading_tangent_floats and se3.so3_exp_rows, and
+advance_tip_pose() builds the new position from floats and the new rotation
+with se3.recompose_roll_rows. Only the pose and the measurement hold numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ import numpy as np
 from needleroll.se3 import (
     Pose,
     dot3,
-    heading_tangent_basis,
-    recompose_roll,
+    floats3,
+    heading_tangent_floats,
+    recompose_roll_rows,
     se3_exp,
-    so3_exp,
+    so3_exp_rows,
     unit3,
 )
 
@@ -222,8 +229,9 @@ def advance_tip_pose(R, p, insertion_speed: float, roll_prev: float,
     """
     m_p, m = tip_step(insertion_speed, curvature, roll_new - roll_prev, dt)
     rows = np.asarray(R, dtype=float).tolist()
-    p_new = np.asarray(p, dtype=float) + [dot3(r, m_p) for r in rows]
-    return recompose_roll([dot3(r, m) for r in rows], roll_new), p_new
+    p_new = np.array([x + dot3(r, m_p) for x, r in zip(floats3(p), rows)])
+    return (np.array(recompose_roll_rows([dot3(r, m) for r in rows], roll_new)),
+            p_new)
 
 
 def step(state: PlantState, u: ControlInput, medium: MediumParams,
@@ -272,13 +280,13 @@ def sense(state: PlantState, medium: MediumParams, rng) -> SensedTip:
     the determinism contract.
     """
     position = state.pose.p + rng.normal(0.0, medium.position_noise, size=3)
-    eta = state.pose.heading.tolist()
+    eta = state.pose.R[:, 2].tolist()
     tilt = rng.normal(0.0, medium.heading_noise)
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    b1, b2 = heading_tangent_basis(eta)
+    b1, b2 = heading_tangent_floats(eta)
     ca, sa = math.cos(azimuth), math.sin(azimuth)
-    axis = [(ca * x + sa * y) * tilt for x, y in zip(b1.tolist(), b2.tolist())]
-    heading = [dot3(r, eta) for r in so3_exp(axis).tolist()]
+    axis = [(ca * x + sa * y) * tilt for x, y in zip(b1, b2)]
+    heading = [dot3(r, eta) for r in so3_exp_rows(axis)]
     return SensedTip(position=position, heading=np.array(unit3(heading)))
 
 

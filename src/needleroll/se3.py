@@ -58,9 +58,10 @@ def rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def so3_exp(w) -> np.ndarray:
-    """Rotation matrix for a rotation vector, exact for any magnitude."""
-    x, y, z = floats3(w)
+def so3_exp_rows(w) -> tuple:
+    """Rows of so3_exp(w) as float tuples, for three Python floats w; the
+    scalar core that so3_exp wraps and the per-tick sensor model calls."""
+    x, y, z = w
     t2 = x * x + y * y + z * z
     t = math.sqrt(t2)
     if t < 1e-8:
@@ -72,9 +73,14 @@ def so3_exp(w) -> np.ndarray:
         b = (1.0 - math.cos(t)) / t2
     # I + a K + b K^2, K = skew(w), K^2 = w w^T - |w|^2 I
     bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    return np.array([[1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
-                     [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
-                     [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)]])
+    return ((1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y),
+            (bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x),
+            (bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)))
+
+
+def so3_exp(w) -> np.ndarray:
+    """Rotation matrix for a rotation vector, exact for any magnitude."""
+    return np.array(so3_exp_rows(floats3(w)))
 
 
 def quat_from_matrix(R) -> np.ndarray:
@@ -190,17 +196,24 @@ def _align_rows(e0: float, e1: float, c: float) -> list:
             [-e0, -e1, 1.0 - k * (e0 * e0 + e1 * e1)]]
 
 
+def heading_tangent_floats(eta) -> tuple:
+    """heading_tangent_basis for three Python floats eta, as two float
+    tuples; the scalar core that heading_tangent_basis wraps and the
+    per-tick sensor model calls."""
+    # eta x e_x, or eta x e_y when eta is near the x axis
+    b1 = unit3((0.0, eta[2], -eta[1]) if abs(eta[0]) < 0.9
+               else (-eta[2], 0.0, eta[0]))
+    return b1, unit3(cross3(eta, b1))
+
+
 def heading_tangent_basis(eta) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal pair spanning the plane perpendicular to eta.
 
     Used wherever a 2-D coordinate chart on the unit sphere is needed at a
     known heading (heading noise injection, heading residuals).
     """
-    eta = floats3(eta)
-    # eta x e_x, or eta x e_y when eta is near the x axis
-    b1 = unit3((0.0, eta[2], -eta[1]) if abs(eta[0]) < 0.9
-               else (-eta[2], 0.0, eta[0]))
-    return np.array(b1), np.array(unit3(cross3(eta, b1)))
+    b1, b2 = heading_tangent_floats(floats3(eta))
+    return np.array(b1), np.array(b2)
 
 
 def decompose_roll(R) -> tuple[np.ndarray, float]:
@@ -220,16 +233,23 @@ def decompose_roll(R) -> tuple[np.ndarray, float]:
     return np.array([e0, e1, c]), theta
 
 
-def recompose_roll(eta, roll: float) -> np.ndarray:
-    """Rotation with the given heading and roll; inverse of decompose_roll."""
-    e0, e1, e2 = floats3(eta)
+def recompose_roll_rows(eta, roll: float) -> list:
+    """Rows of recompose_roll(eta, roll) as float lists, for three Python
+    floats eta; the scalar core that recompose_roll wraps and the per-tick
+    pose step calls."""
+    e0, e1, e2 = eta
     n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
     if n < 1e-12:
         raise ValueError("heading must be a nonzero vector")
     c, s = math.cos(roll), math.sin(roll)
     # rows of the minimal rotation onto eta / n, times rot_z(roll)
-    return np.array([[c * a0 + s * a1, c * a1 - s * a0, a2]
-                     for a0, a1, a2 in _align_rows(e0 / n, e1 / n, e2 / n)])
+    return [[c * a0 + s * a1, c * a1 - s * a0, a2]
+            for a0, a1, a2 in _align_rows(e0 / n, e1 / n, e2 / n)]
+
+
+def recompose_roll(eta, roll: float) -> np.ndarray:
+    """Rotation with the given heading and roll; inverse of decompose_roll."""
+    return np.array(recompose_roll_rows(floats3(eta), roll))
 
 
 def register_points(A, B) -> tuple[Pose, float]:

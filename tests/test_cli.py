@@ -155,6 +155,50 @@ def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
     assert not ds.exists()
 
 
+@pytest.mark.parametrize("z_max", [-5.0, 60.0])
+def test_cli_generate_bad_z_max_fails_before_collecting(tmp_path, capsys,
+                                                        z_max):
+    """A feature scale that is not positive, or that the deepest targets
+    would exceed by more than DEPTH_SLACK, is rejected before any episode
+    is collected or written."""
+    cfg = tmp_path / "z.json"
+    cfg.write_text(json.dumps({"z_max": z_max}))
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "3", "--seed", "3", "--config", str(cfg),
+                 "--out", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "z_max must be" in err
+    assert not ds.exists()
+
+
+def test_cli_train_takes_z_max_from_the_dataset(tmp_path, capsys):
+    """The model scales features by the z_max they were scaled with: the
+    dataset's. A config file that gives another one fails before writing."""
+    scale = tmp_path / "scale.json"
+    scale.write_text(json.dumps({"z_max": 100.0}))
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "2", "--seed", "3", "--config", str(scale),
+                 "--out", str(ds)]) == 0
+
+    def train_argv(run, *extra):
+        return ["train", "--dataset", str(ds), "--out", str(tmp_path / run),
+                "--epochs", "1", "--hidden-size", "4", *extra]
+
+    assert main(train_argv("run")) == 0
+    run = tmp_path / "run"
+    assert json.loads((run / "model.json").read_text())["z_max"] == 100.0
+    assert json.loads((run / "config.json").read_text())["z_max"] == 100.0
+    assert main(train_argv("same", "--config", str(scale))) == 0
+
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"z_max": 75.0}))  # the default, yet given
+    capsys.readouterr()
+    assert main(train_argv("other", "--config", str(other))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "differs from the dataset's 100.0" in err
+    assert not (tmp_path / "other").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--epochs", "0", "epochs must be at least 1"),
     ("--batch-size", "0", "batch size must be at least 1"),

@@ -6,18 +6,42 @@ norms, 3x3 products, one Jacobian column per basis perturbation). The
 package's closed forms must agree with them to rounding. The uncached
 tip_step, which builds the bevel arc with se3_exp on every call, is the
 reference for the cached one, which must agree with it bit for bit.
+
+The closed-loop tick's scalar kernels have references too: the controller
+written with np.linalg.norm, np.dot and R.T @ offset must take the same
+decisions, and the sensor model written over the numpy-returning
+heading_tangent_basis and so3_exp must give the same bits and leave the
+generator in the same state.
 """
 
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needleroll.controller import Arrived, ControllerParams, control
 from needleroll.ekf import align_jacobian
-from needleroll.plant import tip_step
-from needleroll.se3 import heading_tangent_basis, se3_exp, so3_exp
+from needleroll.plant import (
+    GELATIN,
+    LUNG,
+    ControlInput,
+    PlantState,
+    SensedTip,
+    sense,
+    tip_step,
+)
+from needleroll.se3 import (
+    Pose,
+    dot3,
+    heading_tangent_basis,
+    se3_exp,
+    so3_exp,
+    unit3,
+    wrap_angle,
+)
 
 EZ = np.array([0.0, 0.0, 1.0])
 TOL = 1e-14
@@ -176,3 +200,71 @@ def test_tip_step_keeps_the_sign_of_a_zero_speed():
     assert plus == minus  # equal values ...
     assert _bits(plus) != _bits(minus)  # ... that differ in a zero's sign
     assert _bits(minus) == _bits(reference_tip_step(-0.0, 0.005, -0.0, 0.025))
+
+
+def reference_control(est_pose, target, params):
+    target = np.asarray(target, dtype=float)
+    offset = target - est_pose.p
+    distance = float(np.linalg.norm(offset))
+    ahead = float(np.dot(est_pose.heading, offset))
+    if distance <= params.arrival_tolerance or ahead <= 0.0:
+        return Arrived(distance=distance)
+    rel = est_pose.R.T @ offset
+    err = wrap_angle(math.atan2(rel[1], rel[0]))
+    spin = math.copysign(params.rotation_speed, err) \
+        if abs(err) > params.deadband else 0.0
+    return ControlInput(insertion_speed=params.insertion_speed,
+                        rotation_speed=spin)
+
+
+def reference_sense(state, medium, rng):
+    position = state.pose.p + rng.normal(0.0, medium.position_noise, size=3)
+    eta = state.pose.heading.tolist()
+    tilt = rng.normal(0.0, medium.heading_noise)
+    azimuth = rng.uniform(0.0, 2.0 * math.pi)
+    b1, b2 = heading_tangent_basis(eta)
+    axis = (math.cos(azimuth) * b1 + math.sin(azimuth) * b2) * tilt
+    heading = [dot3(r, eta) for r in so3_exp(axis).tolist()]
+    return SensedTip(position=position, heading=np.array(unit3(heading)))
+
+
+coords = st.floats(-80.0, 80.0)
+points = st.tuples(coords, coords, coords).map(np.array)
+poses = st.builds(lambda p, w: Pose(p, so3_exp(w)), points, rotation_vectors)
+
+# targets anywhere around the tip (about half behind its plane) and
+# within the arrival tolerance
+targets_near = st.tuples(*[st.floats(-0.3, 0.3)] * 3).map(np.array)
+target_offsets = st.one_of(points, targets_near)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pose=poses, offset=target_offsets,
+       deadband=st.one_of(st.just(ControllerParams.deadband),
+                          st.floats(0.0, 1.0)))
+def test_scalar_control_matches_numpy_reference(pose, offset, deadband):
+    params = ControllerParams(deadband=deadband)
+    target = pose.p + offset
+    got = control(pose, target, params)
+    ref = reference_control(pose, target, params)
+    assert type(got) is type(ref)
+    if isinstance(ref, Arrived):
+        # np.linalg.norm sums through BLAS, which may fuse or reorder
+        assert got.distance == pytest.approx(ref.distance, rel=1e-15, abs=0)
+    else:
+        assert got == ref
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pose=poses, seed=st.integers(0, 2**32 - 1),
+       medium=st.sampled_from([GELATIN, LUNG]))
+def test_scalar_sense_is_the_numpy_formula_bitwise(pose, seed, medium):
+    state = PlantState(pose=pose, base_angle=0.0, tip_roll=0.0, depth=0.0,
+                       tip_roll_rate=0.0)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sense(state, medium, rng)
+    ref = reference_sense(state, medium, ref_rng)
+    assert got.position.tobytes() == ref.position.tobytes()
+    assert got.heading.tobytes() == ref.heading.tobytes()
+    # same draws in the same order: both generators end in the same state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
