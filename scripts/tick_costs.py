@@ -1,0 +1,160 @@
+"""Print the median cost in µs of each layer a closed-loop tick calls.
+
+Runs one seeded gelatin evaluation trial per estimator (the Kalman filter,
+and the learned tracker on a seeded untrained hidden-30 model: the cost of
+a step does not depend on the weights) and records the arguments of every
+call to the layers below. Each layer is then replayed over its recorded
+calls, `--repeats` times, and the median of the per-pass means is printed:
+
+    python3 scripts/tick_costs.py --repeats 20
+
+`plant.step`, `plant.sense` and `controller.control` are replayed from the
+filter's trial. The two `estimate` rows replay the trial's measurements
+through a fresh estimator, so every call sees the state it saw in the
+trial. `ekf.update` gets a fresh copy of each recorded state, whose
+rotation matrix is not yet built, as in the loop. The last line names the
+machine: cores, Python and numpy. BLAS runs one thread, as in the
+benchmark. Standard library and numpy only; imports the `src/` next to
+this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import os
+import platform
+import statistics
+import sys
+import time
+from contextlib import ExitStack, contextmanager
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from needleroll import dataset, ekf, evaluate, lstm  # noqa: E402
+from needleroll.controller import ControllerParams  # noqa: E402
+from needleroll.plant import GELATIN, WorkspaceCone  # noqa: E402
+
+SEED = 7
+
+
+@contextmanager
+def recording(owner, name: str, calls: list):
+    """Append the arguments of every call to owner.name to calls."""
+    fn = getattr(owner, name)
+
+    def record(*args):
+        calls.append(args)
+        return fn(*args)
+
+    setattr(owner, name, record)
+    try:
+        yield
+    finally:
+        setattr(owner, name, fn)
+
+
+def record_trial(estimator: str, model, hooks) -> dict:
+    """Run one evaluation trial and return {layer: [args, ...]} for the
+    (owner, attribute, layer) triples in hooks."""
+    calls = {layer: [] for _, _, layer in hooks}
+    target = evaluate.sample_targets(WorkspaceCone(), SEED, 1)[0]
+    tag = evaluate.ESTIMATOR_NAMES.index(estimator)
+    with ExitStack() as stack:
+        for owner, name, layer in hooks:
+            stack.enter_context(recording(owner, name, calls[layer]))
+        evaluate.run_trial(estimator, GELATIN, ControllerParams(), target,
+                           (SEED, tag, 0), model)
+    return calls
+
+
+def us_per_call(fn, make_args, repeats: int) -> float:
+    """Median over repeats of the mean µs of fn(*args) over one pass of the
+    argument list make_args() builds (untimed)."""
+    means = []
+    for _ in range(repeats):
+        args_list = make_args()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            for args in args_list:
+                fn(*args)
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.enable()
+        means.append(1e6 * elapsed / len(args_list))
+    return statistics.median(means)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=20,
+                        help="timed passes over each layer's calls")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    repeats = args.repeats
+    model = lstm.init_model(hidden_size=30, seed=0)
+    controller = ControllerParams()
+    ekf_calls = record_trial("ekf", None, [
+        (dataset, "step", "plant.step"),
+        (dataset, "sense", "plant.sense"),
+        (dataset, "control", "controller.control"),
+        (ekf, "predict", "ekf.predict"),
+        (ekf, "update", "ekf.update"),
+        (ekf.EkfRollTracker, "estimate", "EkfRollTracker.estimate"),
+    ])
+    lstm_calls = record_trial("lstm", model, [
+        (lstm, "forward_step", "lstm.forward_step"),
+        (lstm.RollEstimator, "estimate", "RollEstimator.estimate"),
+    ])
+    timing_rng = np.random.default_rng(SEED)
+
+    def replay(calls):
+        return lambda: calls
+
+    def fresh_tracker_calls(calls, make):
+        def build():
+            tracker = make()
+            return [(tracker, *a[1:]) for a in calls]
+        return build
+
+    rows = [
+        ("plant.step", dataset.step, replay(ekf_calls["plant.step"])),
+        ("plant.sense", dataset.sense, replay(
+            [(s, m, timing_rng) for s, m, _ in ekf_calls["plant.sense"]])),
+        ("controller.control", dataset.control,
+         replay(ekf_calls["controller.control"])),
+        ("ekf.predict", ekf.predict, replay(ekf_calls["ekf.predict"])),
+        ("ekf.update", ekf.update, lambda: [
+            (ekf.EkfState(s.position, s.orientation, s.covariance), *rest)
+            for s, *rest in ekf_calls["ekf.update"]]),
+        ("EkfRollTracker.estimate", ekf.EkfRollTracker.estimate,
+         fresh_tracker_calls(
+             ekf_calls["EkfRollTracker.estimate"],
+             lambda: ekf.EkfRollTracker(GELATIN, controller))),
+        ("lstm.forward_step", lstm.forward_step,
+         replay(lstm_calls["lstm.forward_step"])),
+        ("RollEstimator.estimate", lstm.RollEstimator.estimate,
+         fresh_tracker_calls(lstm_calls["RollEstimator.estimate"],
+                             lambda: lstm.RollEstimator(model))),
+    ]
+    print(f"{'layer':<26}{'us/call':>10}{'calls':>8}")
+    for name, fn, make_args in rows:
+        cost = us_per_call(fn, make_args, repeats)
+        print(f"{name:<26}{cost:>10.2f}{len(make_args()):>8}")
+    print(f"machine cores={os.cpu_count()} python={platform.python_version()} "
+          f"numpy={np.__version__} blas_threads="
+          f"{os.environ['OPENBLAS_NUM_THREADS']} repeats={repeats} "
+          f"seed={SEED}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

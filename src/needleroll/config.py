@@ -109,6 +109,16 @@ class RunConfig:
         # these fire their own range checks
         self.make_controller()
         self.make_workspace()
+        # the slip step bound of plant.jittered_medium at dt = 1 / rate
+        medium = self.make_medium()
+        dt = 1.0 / self.rate
+        ratio = (dt * medium.torsion_stiffness * (1.0 + self.jitter)
+                 / (medium.torsion_damping * (1.0 - self.jitter)))
+        if not medium.rigid and not ratio < 1.0:
+            raise ValueError(
+                f"rate {self.rate!r} Hz with jitter {self.jitter!r} makes the "
+                f"{medium.name} torsion step unstable: dt*k*(1+jitter)/"
+                f"(c*(1-jitter)) = {ratio:.3g} must stay below 1")
         # a dataset's manifest rejects a target deeper than its feature
         # scale plus DEPTH_SLACK, after every episode has been collected
         floor = self.depth_max - DEPTH_SLACK

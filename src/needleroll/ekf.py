@@ -14,13 +14,20 @@ observes position plus heading-tangent coordinates; the body-z direction is
 structurally unobservable (the heading Jacobian annihilates it).
 
 EkfRollTracker runs the filter as a closed-loop estimator.
+
+A tick's scalar work is Python-float arithmetic: the Jacobian entries, each
+state's rotation matrix and the tangent basis are computed on floats and
+become arrays in one np.array call each, and the state and measurement
+checks read values through .tolist(). Every product that feeds the mean or
+the covariance stays a numpy @ on the operand layouts it always had: BLAS
+fuses multiply-adds, and its rounding depends on operand layout, so
+neither float products nor a re-laid-out operand give the same bits.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +47,7 @@ from needleroll.se3 import (
     dot3,
     floats3,
     heading_tangent_basis,
+    is_float_array,
     quat_from_matrix,
     quat_to_matrix,
     rot_z,
@@ -48,7 +56,7 @@ from needleroll.se3 import (
 )
 
 
-# read-only identities, copied where a Jacobian is written into them
+# read-only identities; measurement_jacobian writes into a copy of _EYE5x6
 _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
 _EYE5x6 = np.eye(5, 6)
@@ -64,13 +72,15 @@ class EkfState:
     position: np.ndarray  # (3,) mm
     orientation: np.ndarray  # (4,) unit quaternion, (w, x, y, z)
     covariance: np.ndarray  # (6, 6) over (dp, dphi)
+    # quat_to_matrix(orientation), read-only; built with the state, since
+    # update reads predict's and estimate_pose and the next predict update's
+    rotation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "orientation",
-                           np.asarray(self.orientation, dtype=float))
-        object.__setattr__(self, "covariance",
-                           np.asarray(self.covariance, dtype=float))
+        for name in ("position", "orientation", "covariance"):
+            value = getattr(self, name)
+            if not is_float_array(value):
+                object.__setattr__(self, name, np.asarray(value, dtype=float))
         w, x, y, z = self.orientation.tolist()
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         if not abs(norm - 1.0) <= 1e-9:  # NaN fails
@@ -85,14 +95,9 @@ class EkfState:
         if not ((mirrored and not math.isnan(sum(C.ravel().tolist())))
                 or np.allclose(C, C.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
-
-    @functools.cached_property
-    def rotation(self) -> np.ndarray:
-        """quat_to_matrix(orientation), built on first use and read-only, so
-        that estimate_pose and the next predict share update's matrix."""
         R = quat_to_matrix(self.orientation)
-        R.flags.writeable = False
-        return R
+        R.setflags(write=False)
+        object.__setattr__(self, "rotation", R)
 
 
 def init_state() -> EkfState:
@@ -133,9 +138,9 @@ def align_jacobian(eta) -> np.ndarray:
     e0, e1, e2 = floats3(eta)
     k = 1.0 / (1.0 + e2)
     q = k * k * (e0 * e0 + e1 * e1)
-    return np.array([[-k * e0 * e1, -1.0 - k * e1 * e1, e1 * q],
-                     [1.0 + k * e0 * e0, k * e0 * e1, -e0 * q],
-                     _align_jacobian_row2(e0, e1, e2)])
+    return np.array((-k * e0 * e1, -1.0 - k * e1 * e1, e1 * q,
+                     1.0 + k * e0 * e0, k * e0 * e1, -e0 * q,
+                     *_align_jacobian_row2(e0, e1, e2))).reshape(3, 3)
 
 
 def _align_jacobian_row2(e0: float, e1: float, e2: float) -> list:
@@ -164,19 +169,25 @@ def transition_jacobian(R: np.ndarray, u: ControlInput, curvature: float,
 
     # roll sensitivity d(roll)/d(dphi) at the pre-step state:
     # e_z + (e_z^T align_jacobian(eta) R) skew(e_z)
-    g = _align_jacobian_row2(*eta.tolist())
-    s0, s1, _ = (dot3(g, col) for col in zip(*rows))  # g^T R
+    g = _align_jacobian_row2(*eta)
+    # the first two entries of g^T R
+    s0 = dot3(g, (rows[0][0], rows[1][0], rows[2][0]))
+    s1 = dot3(g, (rows[0][1], rows[1][1], rows[2][1]))
 
     # D = rot_z(-roll_new) align_jacobian(eta_new) N + e_z jr^T, where row i
     # of N = -(R skew(m)) is m x R[i]
     N = np.array([cross3(m, r) for r in rows])
-    D = rot_z(-roll_new) @ align_jacobian(eta_new) @ N
-    D[2] += (s1, -s0, 1.0)
+    d0, d1, (d20, d21, d22) = (
+        rot_z(-roll_new) @ align_jacobian(eta_new) @ N).tolist()
 
-    F = _EYE6.copy()
-    F[:3, 3:] = [cross3(m_p, r) for r in rows]  # -(R skew(m_p))
-    F[3:, 3:] = D
-    return F
+    # [[I, -(R skew(m_p))], [0, D]], built flat
+    t0, t1, t2 = (cross3(m_p, r) for r in rows)
+    return np.array((1.0, 0.0, 0.0, *t0,
+                     0.0, 1.0, 0.0, *t1,
+                     0.0, 0.0, 1.0, *t2,
+                     0.0, 0.0, 0.0, *d0,
+                     0.0, 0.0, 0.0, *d1,
+                     0.0, 0.0, 0.0, d20 + s1, d21 - s0, d22 + 1.0)).reshape(6, 6)
 
 
 def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
@@ -217,20 +228,22 @@ def update(state: EkfState, meas: SensedTip,
     tangent plane at the predicted heading. Joseph-form covariance."""
     R = state.rotation
     eta_pred = R[:, 2]
-    B = np.array(heading_tangent_basis(eta_pred)).T
+    # the F-contiguous transpose of the (2, 3) basis: BLAS rounding depends
+    # on operand layout, so B keeps the layout every residual was made with
+    B = heading_tangent_basis(eta_pred).T
     H = measurement_jacobian(R, B)
 
-    residual = np.concatenate([
-        np.asarray(meas.position, dtype=float) - state.position,
-        (np.asarray(meas.heading, dtype=float) - eta_pred) @ B,
-    ])
+    residual = np.concatenate([meas.position - state.position,
+                               (meas.heading - eta_pred) @ B])
     P = state.covariance
     HP = H @ P
     try:
         gain = np.linalg.solve(HP @ H.T + measurement_noise, HP).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
-    if not np.isfinite(gain).all():
+    # gains are nowhere near overflow: the sum is finite iff every entry
+    # is (gain.T, solve's own C-ordered array, ravels without a copy)
+    if not math.isfinite(sum(gain.T.ravel().tolist())):
         raise SingularInnovation("non-finite Kalman gain")
 
     correction = gain @ residual

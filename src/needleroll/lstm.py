@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from needleroll.plant import SensedTip, require_valid_measurement
-from needleroll.se3 import Pose, recompose_roll, wrap_angle
+from needleroll.se3 import Pose, floats3, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
 DEFAULT_Z_MAX = 75.0  # mm, the position feature scale
@@ -76,13 +76,9 @@ def scale_features(position, heading, base_angle: float, z_max: float) -> np.nda
     """Build the 8-component input: scaled position, heading, angle encoding."""
     if z_max <= 0.0:
         raise ValueError("z_max must be positive")
-    position = np.asarray(position, dtype=float)
-    heading = np.asarray(heading, dtype=float)
-    return np.concatenate([
-        position / z_max,
-        heading,
-        [math.sin(base_angle), math.cos(base_angle)],
-    ])
+    p0, p1, p2 = floats3(position)
+    return np.array([p0 / z_max, p1 / z_max, p2 / z_max, *floats3(heading),
+                     math.sin(base_angle), math.cos(base_angle)])
 
 
 def roll_target(roll: float) -> np.ndarray:
@@ -96,10 +92,10 @@ def estimate_roll(y) -> float:
     Magnitude does not matter (atan2 is scale-invariant) but a near-zero
     pair carries no angle and signals a broken or untrained model.
     """
-    y = np.asarray(y, dtype=float)
-    if float(np.linalg.norm(y)) <= 1e-6:
+    s, c = np.asarray(y, dtype=float).tolist()
+    if math.hypot(s, c) <= 1e-6:
         raise DegenerateOutput("output vector too small to define an angle")
-    return wrap_angle(math.atan2(y[0], y[1]))
+    return wrap_angle(math.atan2(s, c))
 
 
 @dataclass

@@ -50,7 +50,7 @@ class MediumParams:
     torsion_stiffness k (N*mm/rad), torsion_damping c (N*mm*s/rad) and
     friction_per_depth mu (N*mm/rad per mm) define the lag dynamics; the
     stick band half-width at depth d is mu*d/k radians. Explicit-Euler
-    stability of the slip phase needs dt*k/c < 1 at the 40 Hz loop rate.
+    stability of the slip phase needs dt*k/c < 1 (see jittered_medium).
     """
 
     name: str
@@ -120,8 +120,10 @@ def jittered_medium(medium: MediumParams, rng, fraction: float) -> MediumParams:
     """Torsion parameters each scaled by an independent uniform factor.
 
     Draws three factors from [1 - fraction, 1 + fraction] for stiffness,
-    damping and friction. Sensor noise and curvature stay fixed. Keeps the
-    slip phase stable: fraction must leave dt*k/c < 1.
+    damping and friction. Sensor noise and curvature stay fixed. Every
+    draw keeps the slip step of length dt stable exactly when the stiffest,
+    least damped one does: dt*k*(1 + fraction) / (c*(1 - fraction)) < 1,
+    which RunConfig.validate checks.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError("jitter fraction must be in [0, 1)")
@@ -177,12 +179,12 @@ def require_valid_measurement(meas: SensedTip, base_angle: float):
     would otherwise turn silently into a NaN pose, or on a heading whose
     norm is off 1 by more than HEADING_NORM_TOLERANCE, which the unit-vector
     geometry downstream assumes."""
-    p = meas.position
-    h0, h1, h2 = meas.heading
+    p0, p1, p2 = floats3(meas.position)
+    h0, h1, h2 = floats3(meas.heading)
     hh = h0 * h0 + h1 * h1 + h2 * h2
     # one scalar test per tick: readings are nowhere near overflow, so the
     # sum is finite exactly when every term is
-    if not math.isfinite(p[0] + p[1] + p[2] + hh + base_angle):
+    if not math.isfinite(p0 + p1 + p2 + hh + base_angle):
         raise ValueError("non-finite measurement or base angle")
     if not abs(math.sqrt(hh) - 1.0) <= HEADING_NORM_TOLERANCE:
         raise ValueError(f"heading is not unit-norm (norm {math.sqrt(hh)!r})")

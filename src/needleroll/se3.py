@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+_FLOAT = np.dtype(float)
 
 
 class DegenerateConfiguration(ValueError):
@@ -38,6 +39,11 @@ def floats3(v) -> list[float]:
     return np.asarray(v, dtype=float).tolist()
 
 
+def is_float_array(a) -> bool:
+    """Whether np.asarray(a, dtype=float) would return a itself."""
+    return type(a) is np.ndarray and a.dtype is _FLOAT
+
+
 def dot3(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -55,7 +61,7 @@ def unit3(v) -> tuple[float, float, float]:
 
 def rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
 
 
 def so3_exp_rows(w) -> tuple:
@@ -109,11 +115,11 @@ def quat_from_matrix(R) -> np.ndarray:
 
 def quat_to_matrix(q) -> np.ndarray:
     w, x, y, z = np.asarray(q, dtype=float).tolist()
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return np.array((
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )).reshape(3, 3)
 
 
 def se3_exp(twist, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +158,10 @@ class Pose:
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
+        if not is_float_array(self.p):
+            object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        if not is_float_array(self.R):
+            object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
 
     @staticmethod
     def identity() -> "Pose":
@@ -206,22 +214,22 @@ def heading_tangent_floats(eta) -> tuple:
     return b1, unit3(cross3(eta, b1))
 
 
-def heading_tangent_basis(eta) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane perpendicular to eta.
+def heading_tangent_basis(eta) -> np.ndarray:
+    """Deterministic orthonormal pair spanning the plane perpendicular to eta,
+    as the rows b1, b2 of a (2, 3) array.
 
     Used wherever a 2-D coordinate chart on the unit sphere is needed at a
     known heading (heading noise injection, heading residuals).
     """
-    b1, b2 = heading_tangent_floats(floats3(eta))
-    return np.array(b1), np.array(b2)
+    return np.array(heading_tangent_floats(floats3(eta)))
 
 
-def decompose_roll(R) -> tuple[np.ndarray, float]:
+def decompose_roll(R) -> tuple[tuple[float, float, float], float]:
     """Split a rotation into (heading, roll).
 
-    heading = R @ ez; roll is the residual rotation about the body z axis
-    measured against the minimal-rotation frame at that heading. roll is in
-    (-pi, pi].
+    heading = R @ ez, as three floats; roll is the residual rotation about
+    the body z axis measured against the minimal-rotation frame at that
+    heading. roll is in (-pi, pi].
     """
     (r00, _, e0), (r10, _, e1), (r20, _, c) = np.asarray(R, dtype=float).tolist()
     A = _align_rows(e0, e1, c)
@@ -230,7 +238,7 @@ def decompose_roll(R) -> tuple[np.ndarray, float]:
                        A[0][0] * r00 + A[1][0] * r10 + A[2][0] * r20)
     if theta == -math.pi:
         theta = math.pi
-    return np.array([e0, e1, c]), theta
+    return (e0, e1, c), theta
 
 
 def recompose_roll_rows(eta, roll: float) -> list:

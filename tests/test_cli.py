@@ -171,6 +171,41 @@ def test_cli_generate_bad_z_max_fails_before_collecting(tmp_path, capsys,
     assert not ds.exists()
 
 
+def test_cli_evaluate_unstable_torsion_rate_fails_before_writing(tmp_path,
+                                                                 capsys):
+    """At 5 Hz the gelatin slip step has dt*k/c = 4: the explicit-Euler
+    torsion dynamics blow up, so the run is refused before any trial."""
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps({"rate": 5.0}))
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--estimators", "truth,ekf", "--n", "2",
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rate 5.0" in err and "= 4 " in err
+    assert not out.exists()
+
+
+def test_cli_generate_unstable_torsion_jitter_fails_before_writing(tmp_path,
+                                                                   capsys):
+    """A jitter of 0.4 lets gelatin draws reach dt*k/c = 0.5 * 1.4 / 0.6:
+    refused before any episode is collected."""
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "2", "--seed", "3", "--jitter", "0.4",
+                 "--out", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "jitter 0.4" in err and "1.17" in err
+    assert not ds.exists()
+
+
+def test_config_keeps_stable_torsion_settings():
+    """The shipped jitter and a faster loop stay legal: the worst gelatin
+    draw at jitter 0.25 has dt*k/c = 0.83, and 50 Hz gives 0.4; a rigid
+    medium has no slip step to destabilize."""
+    assert resolve_config({}, {"jitter": 0.25}).jitter == 0.25
+    assert resolve_config({}, {"rate": 50.0}).rate == 50.0
+    assert resolve_config({}, {"rate": 5.0, "rigid": True}).rate == 5.0
+
+
 def test_cli_train_takes_z_max_from_the_dataset(tmp_path, capsys):
     """The model scales features by the z_max they were scaled with: the
     dataset's. A config file that gives another one fails before writing."""

@@ -91,6 +91,39 @@ def test_state_validation():
         EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), bad)
 
 
+@pytest.mark.parametrize("kind", ["float arrays", "lists", "int arrays"])
+def test_state_checks_fire_on_every_input_kind(kind):
+    """The inputs of test_state_validation are rejected, and a valid state
+    accepted and converted to float arrays, whether the fields come as
+    float arrays, lists or int arrays."""
+    def as_kind(a):
+        a = np.asarray(a)
+        if kind == "lists":
+            return a.tolist()
+        if kind == "int arrays" and np.array_equal(a, np.trunc(a)):
+            return a.astype(int)
+        return a
+
+    bad_sym = np.eye(6)
+    bad_sym[0, 1] = 0.5
+    nan_cov = np.eye(6)
+    nan_cov[2, 3] = nan_cov[3, 2] = np.nan
+    unit = np.array([1.0, 0.0, 0.0, 0.0])
+    for q, C in ((np.array([1.0, 0.0, 0.0, 0.1]), np.eye(6)),
+                 (np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(6)),
+                 (np.array([2.0, 0.0, 0.0, 0.0]), np.eye(6)),
+                 (unit, np.eye(5)), (unit, bad_sym), (unit, nan_cov)):
+        with pytest.raises(ValueError):
+            EkfState(as_kind(np.zeros(3)), as_kind(q), as_kind(C))
+    st = EkfState(as_kind(np.array([1.0, 2.0, 3.0])), as_kind(unit),
+                  as_kind(2.0 * np.eye(6)))
+    for a in (st.position, st.orientation, st.covariance, st.rotation):
+        assert type(a) is np.ndarray and a.dtype == np.float64
+    assert st.position.tolist() == [1.0, 2.0, 3.0]
+    assert st.covariance.tolist() == (2.0 * np.eye(6)).tolist()
+    assert st.rotation.tolist() == np.eye(3).tolist()
+
+
 def test_state_symmetry_check_is_allclose():
     """EkfState accepts a covariance exactly when np.allclose(C, C.T,
     atol=1e-9) holds, NaN and inf entries included."""
@@ -212,6 +245,32 @@ def test_predicted_mean_tracks_rigid_plant():
         assert np.abs(quat_to_matrix(filt.orientation) - plant.pose.R).max() < 1e-9
 
 
+def random_state(rng) -> EkfState:
+    """A state off the identity with a dense covariance, bitwise symmetric
+    as predict and update leave it."""
+    A = rng.normal(size=(6, 6)) * 0.1
+    C = A @ A.T + 1e-3 * np.eye(6)
+    return EkfState(rng.normal(size=3) * 10.0,
+                    quat_from_matrix(random_rotation(rng)), 0.5 * (C + C.T))
+
+
+def test_predict_covariance_uses_the_tested_jacobian_bitwise():
+    """predict's covariance is 0.5 (C + C^T), C = F P F^T + Q dt, byte for
+    byte, with F = transition_jacobian(R, u, kappa, dt): the filter runs
+    the Jacobian the finite-difference test checks, not a copy of it."""
+    rng = np.random.default_rng(20)
+    q = default_process_noise()
+    for _ in range(100):
+        st = random_state(rng)
+        u = ControlInput(rng.uniform(0.0, 5.0),
+                         rng.choice([-2 * math.pi, 0.0, rng.uniform(-7.0, 7.0)]))
+        F = transition_jacobian(st.rotation, u, KAPPA, DT)
+        C = F @ st.covariance @ F.T + q * DT
+        expected = 0.5 * (C + C.T)
+        assert predict(st, u, KAPPA, DT, q).covariance.tobytes() == \
+            expected.tobytes()
+
+
 def test_predict_inflates_covariance_with_process_noise():
     st = init_state()
     out = predict(st, ControlInput(5.0, 1.0), KAPPA, DT, default_process_noise())
@@ -253,6 +312,36 @@ def test_measurement_jacobian_matches_central_differences():
             hm = h(p - d[:3], R @ so3_exp(-d[3:]))
             col = (hp - hm) / (2 * eps)
             assert np.abs(H[:, j] - col).max() < 1e-6
+
+
+def test_update_uses_the_tested_jacobian_bitwise():
+    """update's Joseph-form covariance reproduces byte for byte from
+    H = measurement_jacobian(R, B), B the transposed (2, 3) tangent basis,
+    and so does its mean. BLAS rounding of the heading residual depends on
+    B's memory layout (a C-contiguous (3, 2) copy changes about a quarter of
+    the residuals), so the orientation pins that layout."""
+    rng = np.random.default_rng(21)
+    noise = measurement_noise_for(GELATIN.position_noise, GELATIN.heading_noise)
+    for _ in range(100):
+        st = random_state(rng)
+        R, P = st.rotation, st.covariance
+        meas = SensedTip(position=st.position + rng.normal(0.0, 0.3, size=3),
+                         heading=_tilted(R[:, 2], rng, 0.01))
+        B = heading_tangent_basis(R[:, 2]).T
+        H = measurement_jacobian(R, B)
+        HP = H @ P
+        gain = np.linalg.solve(HP @ H.T + noise, HP).T
+        IKH = np.eye(6) - gain @ H
+        C = IKH @ P @ IKH.T + gain @ noise @ gain.T
+        residual = np.concatenate([meas.position - st.position,
+                                   (meas.heading - R[:, 2]) @ B])
+        correction = gain @ residual
+        out = update(st, meas, noise)
+        assert out.covariance.tobytes() == (0.5 * (C + C.T)).tobytes()
+        assert out.position.tobytes() == \
+            (st.position + correction[:3]).tobytes()
+        assert out.orientation.tobytes() == \
+            quat_from_matrix(R @ so3_exp(correction[3:])).tobytes()
 
 
 def test_update_roll_direction_unobservable():

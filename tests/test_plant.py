@@ -17,6 +17,7 @@ from needleroll.plant import (
     WorkspaceCone,
     advance_tip_pose,
     initial_state,
+    require_valid_measurement,
     jittered_medium,
     max_radial_offset,
     rigid_variant,
@@ -377,3 +378,31 @@ def test_pure_insertion_never_rolls_from_rest(speed, n):
     assert state.tip_roll == 0.0
     assert state.depth == pytest.approx(speed * n * DT)
     assert np.linalg.norm(state.pose.heading) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["float arrays", "lists"])
+def test_require_valid_measurement_rejects_bad_readings(kind):
+    """NaN and infinite readings or base angles, and a heading off unit norm
+    by more than the tolerance, raise; the checks read arrays and lists
+    alike."""
+    def meas(position, heading):
+        if kind == "lists":
+            return SensedTip(position=list(position), heading=list(heading))
+        return SensedTip(position=np.array(position), heading=np.array(heading))
+
+    p, h = [1.0, -2.0, 30.0], [0.0, 0.6, 0.8]
+    require_valid_measurement(meas(p, h), 0.5)
+    require_valid_measurement(meas(p, [0.0, 0.6, 0.8 * (1.0 + 5e-7)]), 0.5)
+    bad = [
+        ([1.0, math.nan, 30.0], h, 0.5, "non-finite"),
+        ([math.inf, -2.0, 30.0], h, 0.5, "non-finite"),
+        (p, [0.0, -math.inf, 0.8], 0.5, "non-finite"),
+        (p, [math.nan, 0.6, 0.8], 0.5, "non-finite"),
+        (p, h, math.nan, "non-finite"),
+        (p, h, -math.inf, "non-finite"),
+        (p, [0.0, 0.6, 0.81], 0.5, "unit-norm"),
+        (p, [0.0, 0.0, 0.0], 0.5, "unit-norm"),
+    ]
+    for position, heading, base_angle, match in bad:
+        with pytest.raises(ValueError, match=match):
+            require_valid_measurement(meas(position, heading), base_angle)

@@ -163,6 +163,23 @@ def test_pose_compose_inverse_transform():
         assert np.allclose(back, pts, atol=1e-10)
 
 
+def test_pose_converts_to_float_arrays():
+    """Lists, int arrays and float32 arrays become float64 arrays; a float64
+    array is kept as it is, as np.asarray would keep it."""
+    for p, R in (([1, 2, 3], np.eye(3, dtype=int).tolist()),
+                 (np.array([1, 2, 3]), np.eye(3, dtype=int)),
+                 (np.array([1.0, 2.0, 3.0], dtype=np.float32),
+                  np.eye(3, dtype=np.float32))):
+        pose = Pose(p, R)
+        for a in (pose.p, pose.R):
+            assert type(a) is np.ndarray and a.dtype == np.float64
+        assert pose.p.tolist() == [1.0, 2.0, 3.0]
+        assert pose.R.tolist() == np.eye(3).tolist()
+    p, R = np.zeros(3), np.eye(3)
+    pose = Pose(p, R)
+    assert pose.p is p and pose.R is R
+
+
 def test_pose_heading_is_third_column():
     rng = np.random.default_rng(8)
     R = random_rotation(rng)
