@@ -14,7 +14,7 @@ from needleroll.se3 import Pose, angular_error, register_points, rot_z, so3_exp
 rng = np.random.default_rng(5)
 
 # Ground-truth mounting of the imager relative to the robot base.
-R_true = so3_exp(np.array([0.02, -0.4, 0.0])) @ rot_z(1.1)
+R_true = np.array(so3_exp([0.02, -0.4, 0.0])) @ rot_z(1.1)
 t_true = np.array([120.0, -35.0, 64.0])
 truth = Pose(t_true, R_true)
 

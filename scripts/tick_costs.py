@@ -11,11 +11,11 @@ calls, `--repeats` times, and the median of the per-pass means is printed:
 `plant.step`, `plant.sense` and `controller.control` are replayed from the
 filter's trial. The two `estimate` rows replay the trial's measurements
 through a fresh estimator, so every call sees the state it saw in the
-trial. `ekf.update` gets a fresh copy of each recorded state, whose
-rotation matrix is not yet built, as in the loop. The last line names the
-machine: cores, Python and numpy. BLAS runs one thread, as in the
-benchmark. Standard library and numpy only; imports the `src/` next to
-this script.
+trial. `ekf.update` replays the recorded states themselves: a state builds
+its rotation matrix when it is made, inside `ekf.predict`, so the replay
+does the loop's work. The last line names the machine: cores, Python and
+numpy. BLAS runs one thread, as in the benchmark. Standard library and
+numpy only; imports the `src/` next to this script.
 """
 
 from __future__ import annotations
@@ -132,9 +132,7 @@ def main(argv=None) -> int:
         ("controller.control", dataset.control,
          replay(ekf_calls["controller.control"])),
         ("ekf.predict", ekf.predict, replay(ekf_calls["ekf.predict"])),
-        ("ekf.update", ekf.update, lambda: [
-            (ekf.EkfState(s.position, s.orientation, s.covariance), *rest)
-            for s, *rest in ekf_calls["ekf.update"]]),
+        ("ekf.update", ekf.update, replay(ekf_calls["ekf.update"])),
         ("EkfRollTracker.estimate", ekf.EkfRollTracker.estimate,
          fresh_tracker_calls(
              ekf_calls["EkfRollTracker.estimate"],

@@ -11,10 +11,10 @@ The controller is estimator-agnostic: it only sees a tip pose, however that
 pose was produced (ground truth, filter mean, or learned roll recomposed
 onto the sensed heading).
 
-A tick is scalar arithmetic on Python floats: _target_in_tip_frame reads
-the pose once and gives the distance and the body-frame offset
-R^T (target - p), and _bearing is the one roll-error formula, used by both
-control and roll_error.
+A tick is scalar arithmetic on Python floats, under se3's one kernel
+convention of floats in and float rows out: _target_in_tip_frame reads the
+pose's arrays once and gives the distance and the body-frame offset
+R^T (target - p) as floats; the controller builds no array.
 """
 
 from __future__ import annotations
@@ -66,20 +66,6 @@ def _target_in_tip_frame(est_pose: Pose, target):
     )
 
 
-def _bearing(rel) -> float:
-    """Angle of a tip-frame offset about the tip z axis, in (-pi, pi]."""
-    return wrap_angle(math.atan2(rel[1], rel[0]))
-
-
-def roll_error(est_pose: Pose, target) -> float:
-    """Signed roll needed to bring the target into the curving half-plane.
-
-    Positive means the target lies counterclockwise (about the tip z axis)
-    from the current bevel direction. In (-pi, pi].
-    """
-    return _bearing(_target_in_tip_frame(est_pose, target)[1])
-
-
 def control(est_pose: Pose, target, params: ControllerParams):
     """One controller tick: ControlInput, or Arrived to stop.
 
@@ -90,7 +76,8 @@ def control(est_pose: Pose, target, params: ControllerParams):
     distance, rel = _target_in_tip_frame(est_pose, target)
     if distance <= params.arrival_tolerance or rel[2] <= 0.0:
         return Arrived(distance=distance)
-    err = _bearing(rel)
+    # roll error: positive when the target is counterclockwise of the bevel
+    err = wrap_angle(math.atan2(rel[1], rel[0]))
     if abs(err) > params.deadband:
         spin = math.copysign(params.rotation_speed, err)
     else:

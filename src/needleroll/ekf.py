@@ -15,13 +15,14 @@ structurally unobservable (the heading Jacobian annihilates it).
 
 EkfRollTracker runs the filter as a closed-loop estimator.
 
-A tick's scalar work is Python-float arithmetic: the Jacobian entries, each
-state's rotation matrix and the tangent basis are computed on floats and
-become arrays in one np.array call each, and the state and measurement
-checks read values through .tolist(). Every product that feeds the mean or
-the covariance stays a numpy @ on the operand layouts it always had: BLAS
-fuses multiply-adds, and its rounding depends on operand layout, so
-neither float products nor a re-laid-out operand give the same bits.
+A tick follows se3's kernel convention, floats in and float rows out: the
+Jacobian entries, each state's rotation and the tangent basis become arrays
+in one np.array call each, where the mean or the covariance needs them;
+predict reads the prior's rows and decomposition once. Every product that
+feeds the mean or the covariance stays a numpy @ on the operand layouts it
+always had: BLAS fuses multiply-adds, and its rounding depends on operand
+layout, so neither float products nor a re-laid-out operand give the same
+bits.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from needleroll.se3 import (
     cross3,
     decompose_roll,
     dot3,
-    floats3,
     heading_tangent_basis,
     is_float_array,
     quat_from_matrix,
@@ -135,7 +135,7 @@ def align_jacobian(eta) -> np.ndarray:
     along eta_z, dA = -K^2/(1+c)^2. The result is a polynomial in eta and
     k = 1/(1+c); defined for every heading except antiparallel to z.
     """
-    e0, e1, e2 = floats3(eta)
+    e0, e1, e2 = eta
     k = 1.0 / (1.0 + e2)
     q = k * k * (e0 * e0 + e1 * e1)
     return np.array((-k * e0 * e1, -1.0 - k * e1 * e1, e1 * q,
@@ -151,20 +151,20 @@ def _align_jacobian_row2(e0: float, e1: float, e2: float) -> list:
     return [e1 * h, -e0 * h, 0.0]
 
 
-def transition_jacobian(R: np.ndarray, u: ControlInput, curvature: float,
-                        dt: float) -> np.ndarray:
-    """Exact 6x6 Jacobian of the rigid pose step w.r.t. (dp, dphi).
+def transition_jacobian(rows, eta, roll: float, u: ControlInput,
+                        curvature: float, dt: float) -> np.ndarray:
+    """Exact 6x6 Jacobian of the rigid pose step w.r.t. (dp, dphi), at the
+    pre-step rotation R given by its rows (R.tolist()) and by (eta, roll) =
+    decompose_roll(R).
 
     m_p and m are the step's translation and new-heading direction expressed
     in the pre-step body frame. The orientation error transports through the
     minimal-rotation frame at the new heading (via align_jacobian), with the
     roll error re-injected about body z.
     """
-    eta, roll = decompose_roll(R)
     delta = u.rotation_speed * dt
     roll_new = roll + delta
     m_p, m = tip_step(u.insertion_speed, curvature, delta, dt)
-    rows = np.asarray(R, dtype=float).tolist()
     eta_new = unit3([dot3(r, m) for r in rows])
 
     # roll sensitivity d(roll)/d(dphi) at the pre-step state:
@@ -201,12 +201,13 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     R = state.rotation
-    _, roll = decompose_roll(R)
+    rows = R.tolist()
+    eta, roll = decompose_roll(R)
     roll_new = roll + u.rotation_speed * dt
     R_new, p_new = advance_tip_pose(
-        R, state.position, u.insertion_speed, roll, roll_new, curvature, dt
+        rows, state.position, u.insertion_speed, roll, roll_new, curvature, dt
     )
-    F = transition_jacobian(R, u, curvature, dt)
+    F = transition_jacobian(rows, eta, roll, u, curvature, dt)
     cov = F @ state.covariance @ F.T + process_noise * dt
     cov = 0.5 * (cov + cov.T)
     return EkfState(position=p_new, orientation=quat_from_matrix(R_new),
@@ -230,7 +231,7 @@ def update(state: EkfState, meas: SensedTip,
     eta_pred = R[:, 2]
     # the F-contiguous transpose of the (2, 3) basis: BLAS rounding depends
     # on operand layout, so B keeps the layout every residual was made with
-    B = heading_tangent_basis(eta_pred).T
+    B = np.array(heading_tangent_basis(eta_pred.tolist())).T
     H = measurement_jacobian(R, B)
 
     residual = np.concatenate([meas.position - state.position,
@@ -248,7 +249,7 @@ def update(state: EkfState, meas: SensedTip,
 
     correction = gain @ residual
     p_new = state.position + correction[:3]
-    R_new = R @ so3_exp(correction[3:])
+    R_new = R @ np.array(so3_exp(correction[3:].tolist()))
 
     IKH = _EYE6 - gain @ H
     cov = IKH @ P @ IKH.T + gain @ measurement_noise @ gain.T

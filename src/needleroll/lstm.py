@@ -128,6 +128,8 @@ class LstmModel:
     def validate(self):
         four_h, d = self.w_x.shape
         h = four_h // 4
+        if d != INPUT_SIZE:
+            raise ValueError(f"w_x must be {INPUT_SIZE} inputs wide, not {d}")
         if four_h != 4 * h or self.w_h.shape != (four_h, h):
             raise ValueError("gate matrices must stack 4 gates of one hidden size")
         if self.b_g.shape != (four_h,) or self.w_fc.shape != (h, h):
@@ -139,6 +141,8 @@ class LstmModel:
                 raise ValueError(f"non-finite values in {name}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
+        if not 0.0 < self.z_max < math.inf:  # NaN fails
+            raise ValueError(f"z_max must be finite and positive, not {self.z_max!r}")
 
 
 @dataclass(frozen=True)
@@ -613,7 +617,7 @@ class RollEstimator:
         end = k + POSITION_WINDOW + 1
         n = min(self._count, POSITION_WINDOW)
         position = _endpoint_fit(self._window[end - n:end])
-        return Pose(position, recompose_roll(meas.heading, roll))
+        return Pose(position, recompose_roll(floats3(meas.heading), roll))
 
 
 # ------------------------------------------------------------- serialization
@@ -641,6 +645,8 @@ def save_model(model: LstmModel, path):
 def load_model(path) -> LstmModel:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path} is not a JSON object")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema: {doc.get('schema_version')}")
     for key in ("z_max", "dropout_rate"):

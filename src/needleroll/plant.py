@@ -14,11 +14,10 @@ the bending rate is curvature * insertion_speed about body +y. All dynamics
 are deterministic; randomness enters only through sense() and
 sample_target().
 
-A tick's 3-vector work is scalar arithmetic on Python floats: sense() calls
-the scalar cores se3.heading_tangent_floats and se3.so3_exp_rows, and
-advance_tip_pose() builds the new position from floats and the new rotation
-with se3.recompose_roll_rows. Only the pose and the measurement hold numpy
-arrays.
+A tick follows se3's kernel convention, floats in and float rows out:
+sense() calls se3.heading_tangent_basis and se3.so3_exp, advance_tip_pose()
+takes the rotation's rows and rebuilds it with se3.recompose_roll, and only
+the pose and the measurement hold arrays.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from needleroll.se3 import (
     Pose,
     dot3,
     floats3,
-    heading_tangent_floats,
-    recompose_roll_rows,
+    heading_tangent_basis,
+    recompose_roll,
     se3_exp,
-    so3_exp_rows,
+    so3_exp,
     unit3,
 )
 
@@ -219,9 +218,10 @@ def tip_step(insertion_speed: float, curvature: float, delta: float,
             (c * h0 - s * h1, s * h0 + c * h1, h2))
 
 
-def advance_tip_pose(R, p, insertion_speed: float, roll_prev: float,
+def advance_tip_pose(rows, p, insertion_speed: float, roll_prev: float,
                      roll_new: float, curvature: float, dt: float):
-    """One pose step: apply the roll change about body z, then the bevel arc.
+    """One pose step from the rotation's rows (R.tolist()) and position p:
+    apply the roll change about body z, then the bevel arc.
 
     The new rotation is rebuilt as (minimal rotation to the new heading) *
     rot_z(roll_new), so the pose's roll component equals the scalar roll
@@ -230,9 +230,8 @@ def advance_tip_pose(R, p, insertion_speed: float, roll_prev: float,
     same torsion-free kinematics.
     """
     m_p, m = tip_step(insertion_speed, curvature, roll_new - roll_prev, dt)
-    rows = np.asarray(R, dtype=float).tolist()
     p_new = np.array([x + dot3(r, m_p) for x, r in zip(floats3(p), rows)])
-    return (np.array(recompose_roll_rows([dot3(r, m) for r in rows], roll_new)),
+    return (np.array(recompose_roll([dot3(r, m) for r in rows], roll_new)),
             p_new)
 
 
@@ -261,8 +260,8 @@ def step(state: PlantState, u: ControlInput, medium: MediumParams,
             rate = (torque - math.copysign(breakaway, torque)) / medium.torsion_damping
         roll = state.tip_roll + rate * dt
     R_new, p_new = advance_tip_pose(
-        state.pose.R, state.pose.p, u.insertion_speed, state.tip_roll, roll,
-        medium.curvature, dt,
+        state.pose.R.tolist(), state.pose.p, u.insertion_speed,
+        state.tip_roll, roll, medium.curvature, dt,
     )
     return PlantState(
         pose=Pose(p_new, R_new),
@@ -285,10 +284,10 @@ def sense(state: PlantState, medium: MediumParams, rng) -> SensedTip:
     eta = state.pose.R[:, 2].tolist()
     tilt = rng.normal(0.0, medium.heading_noise)
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    b1, b2 = heading_tangent_floats(eta)
+    b1, b2 = heading_tangent_basis(eta)
     ca, sa = math.cos(azimuth), math.sin(azimuth)
     axis = [(ca * x + sa * y) * tilt for x, y in zip(b1, b2)]
-    heading = [dot3(r, eta) for r in so3_exp_rows(axis)]
+    heading = [dot3(r, eta) for r in so3_exp(axis)]
     return SensedTip(position=position, heading=np.array(unit3(heading)))
 
 

@@ -5,6 +5,10 @@ axis, so the heading of a pose is R @ [0, 0, 1]. The roll angle of a pose is
 defined relative to the minimal rotation that takes +z to the current
 heading (see decompose_roll). Positions are in millimetres, angles in
 radians.
+
+One kernel convention: so3_exp, heading_tangent_basis and recompose_roll
+take Python floats and return float rows; a caller builds an array once, and
+only where the filter mean, the covariance or a Pose needs one.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ def rot_z(a: float) -> np.ndarray:
     return np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
 
 
-def so3_exp_rows(w) -> tuple:
-    """Rows of so3_exp(w) as float tuples, for three Python floats w; the
-    scalar core that so3_exp wraps and the per-tick sensor model calls."""
+def so3_exp(w) -> tuple:
+    """Rotation matrix for a rotation vector of three floats, exact for any
+    magnitude, as three float rows."""
     x, y, z = w
     t2 = x * x + y * y + z * z
     t = math.sqrt(t2)
@@ -82,11 +86,6 @@ def so3_exp_rows(w) -> tuple:
     return ((1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y),
             (bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x),
             (bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)))
-
-
-def so3_exp(w) -> np.ndarray:
-    """Rotation matrix for a rotation vector, exact for any magnitude."""
-    return np.array(so3_exp_rows(floats3(w)))
 
 
 def quat_from_matrix(R) -> np.ndarray:
@@ -140,7 +139,7 @@ def se3_exp(twist, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         b = (1.0 - math.cos(t)) / t2
         c = (t - math.sin(t)) / (t2 * t)
     # V, the left Jacobian of SO(3), is I + b K + c K^2
-    return so3_exp(w), _series_apply(w, v, b, c)
+    return np.array(so3_exp(w)), _series_apply(w, v, b, c)
 
 
 def _series_apply(w, v, b: float, c: float) -> np.ndarray:
@@ -204,24 +203,17 @@ def _align_rows(e0: float, e1: float, c: float) -> list:
             [-e0, -e1, 1.0 - k * (e0 * e0 + e1 * e1)]]
 
 
-def heading_tangent_floats(eta) -> tuple:
-    """heading_tangent_basis for three Python floats eta, as two float
-    tuples; the scalar core that heading_tangent_basis wraps and the
-    per-tick sensor model calls."""
-    # eta x e_x, or eta x e_y when eta is near the x axis
-    b1 = unit3((0.0, eta[2], -eta[1]) if abs(eta[0]) < 0.9
-               else (-eta[2], 0.0, eta[0]))
-    return b1, unit3(cross3(eta, b1))
-
-
-def heading_tangent_basis(eta) -> np.ndarray:
-    """Deterministic orthonormal pair spanning the plane perpendicular to eta,
-    as the rows b1, b2 of a (2, 3) array.
+def heading_tangent_basis(eta) -> tuple:
+    """Deterministic orthonormal pair spanning the plane perpendicular to the
+    unit heading eta (three floats), as the float rows b1, b2.
 
     Used wherever a 2-D coordinate chart on the unit sphere is needed at a
     known heading (heading noise injection, heading residuals).
     """
-    return np.array(heading_tangent_floats(floats3(eta)))
+    # eta x e_x, or eta x e_y when eta is near the x axis
+    b1 = unit3((0.0, eta[2], -eta[1]) if abs(eta[0]) < 0.9
+               else (-eta[2], 0.0, eta[0]))
+    return b1, unit3(cross3(eta, b1))
 
 
 def decompose_roll(R) -> tuple[tuple[float, float, float], float]:
@@ -241,10 +233,9 @@ def decompose_roll(R) -> tuple[tuple[float, float, float], float]:
     return (e0, e1, c), theta
 
 
-def recompose_roll_rows(eta, roll: float) -> list:
-    """Rows of recompose_roll(eta, roll) as float lists, for three Python
-    floats eta; the scalar core that recompose_roll wraps and the per-tick
-    pose step calls."""
+def recompose_roll(eta, roll: float) -> list:
+    """Rotation with the heading eta (three floats, any nonzero length) and
+    the given roll, as three float rows; inverse of decompose_roll."""
     e0, e1, e2 = eta
     n = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2)
     if n < 1e-12:
@@ -253,11 +244,6 @@ def recompose_roll_rows(eta, roll: float) -> list:
     # rows of the minimal rotation onto eta / n, times rot_z(roll)
     return [[c * a0 + s * a1, c * a1 - s * a0, a2]
             for a0, a1, a2 in _align_rows(e0 / n, e1 / n, e2 / n)]
-
-
-def recompose_roll(eta, roll: float) -> np.ndarray:
-    """Rotation with the given heading and roll; inverse of decompose_roll."""
-    return np.array(recompose_roll_rows(floats3(eta), roll))
 
 
 def register_points(A, B) -> tuple[Pose, float]:

@@ -152,8 +152,8 @@ def test_c07_angular_error_matches_quaternion_geodesic(verdict):
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(100):
-        Ra = so3_exp(rng.normal(0.0, 1.2, size=3))
-        Rb = so3_exp(rng.normal(0.0, 1.2, size=3))
+        Ra = np.array(so3_exp(rng.normal(0.0, 1.2, size=3).tolist()))
+        Rb = np.array(so3_exp(rng.normal(0.0, 1.2, size=3).tolist()))
         qa = quat_from_matrix(Ra)
         qb = quat_from_matrix(Rb)
         geodesic = 2.0 * math.acos(min(1.0, abs(float(np.dot(qa, qb)))))
@@ -169,7 +169,7 @@ def test_c07_angular_error_matches_quaternion_geodesic(verdict):
 
 def test_c08_registration_recovers_known_transform(verdict):
     rng = np.random.default_rng(88)
-    R = so3_exp(np.array([0.4, -0.25, 0.95]))
+    R = np.array(so3_exp([0.4, -0.25, 0.95]))
     t = np.array([12.0, -7.0, 31.0])
     points = rng.uniform(-40.0, 40.0, size=(6, 3))
     observed = points @ R.T + t

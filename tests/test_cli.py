@@ -355,6 +355,11 @@ def test_cli_steer_lstm_requires_model(tmp_path, capsys):
 
 def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
                                                                capsys):
+    """A model file with a missing or wrong-typed field is a usage error,
+    and so is one that loads but cannot steer: a non-finite or non-positive
+    z_max (json writes and reads Infinity and NaN), a w_x of the wrong
+    width, or a top level that is not an object. Each prints one error line
+    and writes nothing."""
     path = tmp_path / "model.json"
     save_model(init_model(hidden_size=4, seed=1), path)
     saved = path.read_text()
@@ -365,17 +370,28 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         (lambda doc: doc["params"]["w_out"].pop("data"), "'w_out' has no 'data'"),
         (lambda doc: doc["params"]["b_g"].pop("shape"), "'b_g' has no 'shape'"),
         (lambda doc: doc.update(z_max=[75.0]), "float() argument"),
+        (lambda doc: doc.update(z_max=math.inf), "z_max must be finite"),
+        (lambda doc: doc.update(z_max=math.nan), "z_max must be finite"),
+        (lambda doc: doc.update(z_max=0.0), "z_max must be finite"),
+        (lambda doc: doc["params"]["w_x"].update(
+            shape=[16, 7], data=doc["params"]["w_x"]["data"][:112]),
+         "w_x must be 8 inputs wide"),
     ]
+    damaged = []
     for damage, expect in cases:
         doc = json.loads(saved)
         damage(doc)
-        path.write_text(json.dumps(doc))
+        damaged.append((json.dumps(doc), expect))
+    damaged.append((f"[{saved}]", "is not a JSON object"))
+    for text, expect in damaged:
+        path.write_text(text)
         capsys.readouterr()
         assert main(["steer", "--estimator", "lstm", "--model", str(path),
                      "--out", str(tmp_path / "x")]) == 1, expect
         err = capsys.readouterr().err
         assert err.startswith("error:") and expect in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):

@@ -7,7 +7,6 @@ from needleroll.controller import (
     Arrived,
     ControllerParams,
     control,
-    roll_error,
     targeting_error,
 )
 from needleroll.plant import (
@@ -66,9 +65,12 @@ def test_target_at_negative_quarter_turn_rotates_negative():
 
 
 def test_roll_error_accounts_for_current_roll():
-    # target on +y; tip already rolled +pi/2 so its bevel points at +y
+    # target on +y: the unrolled tip must spin toward it, while a tip already
+    # rolled +pi/2, its bevel pointing at +y, sees zero roll error
+    target = np.array([0.0, 5.0, 50.0])
+    assert control(Pose.identity(), target, PARAMS).rotation_speed > 0.0
     pose = Pose(np.zeros(3), rot_z(math.pi / 2.0))
-    assert roll_error(pose, np.array([0.0, 5.0, 50.0])) == pytest.approx(0.0, abs=1e-12)
+    assert control(pose, target, PARAMS).rotation_speed == 0.0
 
 
 def test_arrival_inside_tolerance():
@@ -102,7 +104,7 @@ def test_rotational_invariance_about_heading():
     u0 = control(base, target, PARAMS)
     for _ in range(25):
         gamma = rng.uniform(-math.pi, math.pi)
-        W = so3_exp(base.heading * gamma)
+        W = np.array(so3_exp((base.heading * gamma).tolist()))
         rolled = Pose(base.p, W @ base.R)
         rolled_target = base.p + W @ (target - base.p)
         u1 = control(rolled, rolled_target, PARAMS)

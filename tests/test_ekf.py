@@ -66,8 +66,19 @@ def reference_align_from_z(eta):
     return np.eye(3) + K + K @ K / (1.0 + eta[2])
 
 
+def rotation(w):
+    """so3_exp's rows for a rotation-vector array w, as a matrix."""
+    return np.array(so3_exp(w.tolist()))
+
+
+def tangent_basis(eta):
+    """heading_tangent_basis's rows for a heading array eta, as a (2, 3)
+    array."""
+    return np.array(heading_tangent_basis(eta.tolist()))
+
+
 def random_rotation(rng, spread=0.5):
-    return so3_exp(rng.normal(size=3) * spread)
+    return rotation(rng.normal(size=3) * spread)
 
 
 def mean_map(p, R, u):
@@ -187,7 +198,7 @@ def test_align_jacobian_matches_finite_differences():
         if eta[2] < -0.5:
             continue
         J = align_jacobian(eta)
-        b1, b2 = heading_tangent_basis(eta)
+        b1, b2 = tangent_basis(eta)
         for d in (b1, b2):
             drift = reference_so3_log(
                 reference_align_from_z(eta).T
@@ -216,13 +227,13 @@ def test_transition_jacobian_matches_central_differences():
         R = random_rotation(rng, spread=0.4)
         p = rng.normal(size=3) * 20.0
         u = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-7.0, 7.0))
-        F = transition_jacobian(R, u, KAPPA, DT)
+        F = transition_jacobian(R.tolist(), *decompose_roll(R), u, KAPPA, DT)
         p0, R0 = mean_map(p, R, u)
         for j in range(6):
             d = np.zeros(6)
             d[j] = eps
-            pp, Rp = mean_map(p + d[:3], R @ so3_exp(d[3:]), u)
-            pm, Rm = mean_map(p - d[:3], R @ so3_exp(-d[3:]), u)
+            pp, Rp = mean_map(p + d[:3], R @ rotation(d[3:]), u)
+            pm, Rm = mean_map(p - d[:3], R @ rotation(-d[3:]), u)
             col = (np.concatenate([pp - p0, reference_so3_log(R0.T @ Rp)])
                    - np.concatenate([pm - p0, reference_so3_log(R0.T @ Rm)])) / (2 * eps)
             assert np.abs(F[:, j] - col).max() < 1e-6
@@ -256,15 +267,17 @@ def random_state(rng) -> EkfState:
 
 def test_predict_covariance_uses_the_tested_jacobian_bitwise():
     """predict's covariance is 0.5 (C + C^T), C = F P F^T + Q dt, byte for
-    byte, with F = transition_jacobian(R, u, kappa, dt): the filter runs
-    the Jacobian the finite-difference test checks, not a copy of it."""
+    byte, with F = transition_jacobian at the prior rotation's rows and
+    decomposition: the filter runs the Jacobian the finite-difference test
+    checks, not a copy of it."""
     rng = np.random.default_rng(20)
     q = default_process_noise()
     for _ in range(100):
         st = random_state(rng)
         u = ControlInput(rng.uniform(0.0, 5.0),
                          rng.choice([-2 * math.pi, 0.0, rng.uniform(-7.0, 7.0)]))
-        F = transition_jacobian(st.rotation, u, KAPPA, DT)
+        R = st.rotation
+        F = transition_jacobian(R.tolist(), *decompose_roll(R), u, KAPPA, DT)
         C = F @ st.covariance @ F.T + q * DT
         expected = 0.5 * (C + C.T)
         assert predict(st, u, KAPPA, DT, q).covariance.tobytes() == \
@@ -298,7 +311,7 @@ def test_measurement_jacobian_matches_central_differences():
         R = random_rotation(rng)
         p = rng.normal(size=3) * 10.0
         eta = R[:, 2]
-        b1, b2 = heading_tangent_basis(eta)
+        b1, b2 = tangent_basis(eta)
         B = np.column_stack([b1, b2])
         H = measurement_jacobian(R, B)
 
@@ -308,8 +321,8 @@ def test_measurement_jacobian_matches_central_differences():
         for j in range(6):
             d = np.zeros(6)
             d[j] = eps
-            hp = h(p + d[:3], R @ so3_exp(d[3:]))
-            hm = h(p - d[:3], R @ so3_exp(-d[3:]))
+            hp = h(p + d[:3], R @ rotation(d[3:]))
+            hm = h(p - d[:3], R @ rotation(-d[3:]))
             col = (hp - hm) / (2 * eps)
             assert np.abs(H[:, j] - col).max() < 1e-6
 
@@ -327,7 +340,7 @@ def test_update_uses_the_tested_jacobian_bitwise():
         R, P = st.rotation, st.covariance
         meas = SensedTip(position=st.position + rng.normal(0.0, 0.3, size=3),
                          heading=_tilted(R[:, 2], rng, 0.01))
-        B = heading_tangent_basis(R[:, 2]).T
+        B = tangent_basis(R[:, 2]).T
         H = measurement_jacobian(R, B)
         HP = H @ P
         gain = np.linalg.solve(HP @ H.T + noise, HP).T
@@ -341,7 +354,7 @@ def test_update_uses_the_tested_jacobian_bitwise():
         assert out.position.tobytes() == \
             (st.position + correction[:3]).tobytes()
         assert out.orientation.tobytes() == \
-            quat_from_matrix(R @ so3_exp(correction[3:])).tobytes()
+            quat_from_matrix(R @ rotation(correction[3:])).tobytes()
 
 
 def test_update_roll_direction_unobservable():
@@ -350,7 +363,7 @@ def test_update_roll_direction_unobservable():
     for _ in range(20):
         R = random_rotation(rng)
         eta = R[:, 2]
-        b1, b2 = heading_tangent_basis(eta)
+        b1, b2 = tangent_basis(eta)
         H = measurement_jacobian(R, np.column_stack([b1, b2]))
         null_dir = np.concatenate([np.zeros(3), EZ])
         assert np.abs(H @ null_dir).max() < 1e-12
@@ -378,10 +391,10 @@ def test_joseph_update_keeps_covariance_psd():
 
 
 def _tilted(eta, rng, sigma):
-    b1, b2 = heading_tangent_basis(eta)
+    b1, b2 = tangent_basis(eta)
     ang = rng.normal(0.0, sigma)
     az = rng.uniform(0.0, 2 * math.pi)
-    out = so3_exp((math.cos(az) * b1 + math.sin(az) * b2) * ang) @ eta
+    out = rotation((math.cos(az) * b1 + math.sin(az) * b2) * ang) @ eta
     return out / np.linalg.norm(out)
 
 
@@ -397,7 +410,7 @@ def test_measurement_noise_matches_sensor_statistics():
     rng = np.random.default_rng(8)
     eta = np.array([0.1, -0.2, 0.97])
     eta /= np.linalg.norm(eta)
-    b1, b2 = heading_tangent_basis(eta)
+    b1, b2 = tangent_basis(eta)
     sigma = 0.02
     coords = []
     for _ in range(20_000):

@@ -1,5 +1,9 @@
 """The scalar 3-vector kernels against the numpy formulations they replace.
 
+The kernels follow one convention: floats in, float rows out, and arrays
+only where the filter mean, the covariance or a Pose needs them. So the
+tests below call them on .tolist() floats, as the package does.
+
 The reference implementations below are the generic-numpy versions of
 heading_tangent_basis, align_jacobian, so3_exp and se3_exp (cross products,
 norms, 3x3 products, one Jacobian column per basis perturbation). The
@@ -9,9 +13,9 @@ reference for the cached one, which must agree with it bit for bit.
 
 The closed-loop tick's scalar kernels have references too: the controller
 written with np.linalg.norm, np.dot and R.T @ offset must take the same
-decisions, and the sensor model written over the numpy-returning
-heading_tangent_basis and so3_exp must give the same bits and leave the
-generator in the same state.
+decisions, and the sensor model written with numpy vector arithmetic over
+the arrays of heading_tangent_basis's rows must give the same bits and
+leave the generator in the same state.
 """
 
 import math
@@ -134,7 +138,7 @@ rotation_vectors = st.tuples(
        v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
        dt=st.floats(0.01, 1.0))
 def test_scalar_kernels_match_numpy_references(eta, w, v, dt):
-    b1, b2 = heading_tangent_basis(eta)
+    b1, b2 = heading_tangent_basis(eta.tolist())
     r1, r2 = reference_heading_tangent_basis(eta)
     np.testing.assert_allclose(b1, r1, rtol=0, atol=TOL)
     np.testing.assert_allclose(b2, r2, rtol=0, atol=TOL)
@@ -142,9 +146,10 @@ def test_scalar_kernels_match_numpy_references(eta, w, v, dt):
     frame = np.array([b1, b2, eta])
     np.testing.assert_allclose(frame @ frame.T, np.eye(3), rtol=0, atol=TOL)
 
-    np.testing.assert_allclose(align_jacobian(eta), reference_align_jacobian(eta),
+    np.testing.assert_allclose(align_jacobian(eta.tolist()),
+                               reference_align_jacobian(eta), rtol=0, atol=TOL)
+    np.testing.assert_allclose(so3_exp(w.tolist()), reference_so3_exp(w),
                                rtol=0, atol=TOL)
-    np.testing.assert_allclose(so3_exp(w), reference_so3_exp(w), rtol=0, atol=TOL)
 
     twist = np.concatenate([v, w]) / dt  # so the step's rotation is w
     R, p = se3_exp(twist, dt)
@@ -155,7 +160,8 @@ def test_scalar_kernels_match_numpy_references(eta, w, v, dt):
 
 def test_series_branch_is_exercised():
     w = np.array([3e-9, -4e-9, 0.0])  # norm 5e-9
-    np.testing.assert_allclose(so3_exp(w), reference_so3_exp(w), rtol=0, atol=TOL)
+    np.testing.assert_allclose(so3_exp(w.tolist()), reference_so3_exp(w),
+                               rtol=0, atol=TOL)
     twist = np.concatenate([[0.1, 0.2, 0.3], w])
     np.testing.assert_allclose(se3_exp(twist)[1], reference_se3_exp(twist, 1.0)[1],
                                rtol=0, atol=TOL)
@@ -222,15 +228,16 @@ def reference_sense(state, medium, rng):
     eta = state.pose.heading.tolist()
     tilt = rng.normal(0.0, medium.heading_noise)
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    b1, b2 = heading_tangent_basis(eta)
+    b1, b2 = np.array(heading_tangent_basis(eta))
     axis = (math.cos(azimuth) * b1 + math.sin(azimuth) * b2) * tilt
-    heading = [dot3(r, eta) for r in so3_exp(axis).tolist()]
+    heading = [dot3(r, eta) for r in so3_exp(axis.tolist())]
     return SensedTip(position=position, heading=np.array(unit3(heading)))
 
 
 coords = st.floats(-80.0, 80.0)
 points = st.tuples(coords, coords, coords).map(np.array)
-poses = st.builds(lambda p, w: Pose(p, so3_exp(w)), points, rotation_vectors)
+poses = st.builds(lambda p, w: Pose(p, so3_exp(w.tolist())), points,
+                  rotation_vectors)
 
 # targets anywhere around the tip (about half behind its plane) and
 # within the arrival tolerance

@@ -26,13 +26,13 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 
 def rot_x(a: float) -> np.ndarray:
-    return so3_exp([a, 0.0, 0.0])
+    return np.array(so3_exp([a, 0.0, 0.0]))
 
 
 def random_rotation(rng) -> np.ndarray:
     w = rng.normal(size=3)
     w = w / np.linalg.norm(w) * rng.uniform(0.0, math.pi)
-    return so3_exp(w)
+    return np.array(so3_exp(w.tolist()))
 
 
 # ---------------------------------------------------------------- wrap_angle
@@ -71,13 +71,13 @@ def test_so3_exp_matches_scipy_rotvec():
     for _ in range(50):
         w = rng.normal(size=3) * rng.uniform(0.0, 3.0)
         assert np.allclose(
-            so3_exp(w), ScipyRotation.from_rotvec(w).as_matrix(), atol=1e-12
+            so3_exp(w.tolist()), ScipyRotation.from_rotvec(w).as_matrix(), atol=1e-12
         )
 
 
 def test_so3_exp_small_angle_series():
     w = np.array([1e-10, -2e-10, 5e-11])
-    R = so3_exp(w)
+    R = so3_exp(w.tolist())
     wx, wy, wz = w
     first_order = np.array([[1.0, -wz, wy], [wz, 1.0, -wx], [-wy, wx, 1.0]])
     assert np.allclose(R, first_order, atol=1e-15)  # I + skew(w)
@@ -128,9 +128,9 @@ def _integrate_twist_midpoint(twist, dt, n_steps):
     R = np.eye(3)
     p = np.zeros(3)
     for _ in range(n_steps):
-        Rm = R @ so3_exp(w * h / 2.0)
+        Rm = R @ np.array(so3_exp((w * h / 2.0).tolist()))
         p = p + Rm @ v * h
-        R = R @ so3_exp(w * h)
+        R = R @ np.array(so3_exp((w * h).tolist()))
     return R, p
 
 
@@ -213,7 +213,7 @@ def test_angular_error_extremes():
 
 
 def test_angular_error_known_rotation():
-    rot_y = so3_exp([0.0, 0.3, 0.0])
+    rot_y = np.array(so3_exp([0.0, 0.3, 0.0]))
     assert angular_error(np.eye(3), rot_y) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -239,7 +239,7 @@ def test_align_from_z_maps_z_to_eta():
         eta /= np.linalg.norm(eta)
         if eta[2] < -0.99:
             continue
-        A = recompose_roll(eta, 0.0)
+        A = np.array(recompose_roll(eta.tolist(), 0.0))
         assert np.allclose(A @ A.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(A) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(A @ EZ, eta, atol=1e-12)
@@ -321,7 +321,7 @@ def test_antiparallel_heading_raises():
 @given(st.floats(-1.4, 1.4), st.floats(-1.4, 1.4), st.floats(-3.1, 3.1))
 def test_roll_decomposition_property(ax, ay, roll):
     """Tilt then twist: decomposition recovers the twist regardless of tilt."""
-    tilt = so3_exp([ax, ay, 0.0])
+    tilt = np.array(so3_exp([ax, ay, 0.0]))
     if (tilt @ EZ)[2] < -0.9:
         return
     R = tilt @ rot_z(roll)
