@@ -1,10 +1,11 @@
-"""Print the median cost in µs of each layer a closed-loop tick calls.
+"""Print the cost in µs of each layer a closed-loop tick calls.
 
 Runs one seeded gelatin evaluation trial per estimator (the Kalman filter,
 and the learned tracker on a seeded untrained hidden-30 model: the cost of
 a step does not depend on the weights) and records the arguments of every
 call to the layers below. Each layer is then replayed over its recorded
-calls, `--repeats` times, and the median of the per-pass means is printed:
+calls, `--repeats` times, and the median of the per-pass means is printed
+beside their 25th and 75th percentiles, the spread of one process's run:
 
     python3 scripts/tick_costs.py --repeats 20
 
@@ -24,7 +25,6 @@ import argparse
 import gc
 import os
 import platform
-import statistics
 import sys
 import time
 from contextlib import ExitStack, contextmanager
@@ -74,9 +74,10 @@ def record_trial(estimator: str, model, hooks) -> dict:
     return calls
 
 
-def us_per_call(fn, make_args, repeats: int) -> float:
-    """Median over repeats of the mean µs of fn(*args) over one pass of the
-    argument list make_args() builds (untimed)."""
+def us_per_call(fn, make_args, repeats: int):
+    """25th, 50th and 75th percentiles over repeats of the mean µs of
+    fn(*args) over one pass of the argument list make_args() builds
+    (untimed)."""
     means = []
     for _ in range(repeats):
         args_list = make_args()
@@ -89,7 +90,7 @@ def us_per_call(fn, make_args, repeats: int) -> float:
         finally:
             gc.enable()
         means.append(1e6 * elapsed / len(args_list))
-    return statistics.median(means)
+    return np.percentile(means, [25, 50, 75]).tolist()
 
 
 def main(argv=None) -> int:
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     repeats = args.repeats
-    model = lstm.init_model(hidden_size=30, seed=0)
+    model = lstm.init_model(75.0, hidden_size=30, seed=0)
     controller = ControllerParams()
     ekf_calls = record_trial("ekf", None, [
         (dataset, "step", "plant.step"),
@@ -143,10 +144,11 @@ def main(argv=None) -> int:
          fresh_tracker_calls(lstm_calls["RollEstimator.estimate"],
                              lambda: lstm.RollEstimator(model))),
     ]
-    print(f"{'layer':<26}{'us/call':>10}{'calls':>8}")
+    print(f"{'layer':<26}{'median':>10}{'p25':>10}{'p75':>10}{'calls':>8}")
     for name, fn, make_args in rows:
-        cost = us_per_call(fn, make_args, repeats)
-        print(f"{name:<26}{cost:>10.2f}{len(make_args()):>8}")
+        p25, median, p75 = us_per_call(fn, make_args, repeats)
+        print(f"{name:<26}{median:>10.2f}{p25:>10.2f}{p75:>10.2f}"
+              f"{len(make_args()):>8}")
     print(f"machine cores={os.cpu_count()} python={platform.python_version()} "
           f"numpy={np.__version__} blas_threads="
           f"{os.environ['OPENBLAS_NUM_THREADS']} repeats={repeats} "

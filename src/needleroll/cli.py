@@ -137,10 +137,11 @@ def _mapper(jobs: int):
     return run
 
 
-def _resolve(ns, file_values: dict) -> RunConfig:
-    flag_values = {k: v for k, v in vars(ns).items()
-                   if k not in ("command", "config")}
-    return resolve_config(file_values, flag_values)
+def _resolve(ns) -> RunConfig:
+    flags = {k: v for k, v in vars(ns).items()
+             if k not in ("command", "config")}
+    return resolve_config(load_config_file(ns.config) if ns.config else {},
+                          flags)
 
 
 def _require(value, flag: str):
@@ -156,7 +157,7 @@ def _load_lstm(config: RunConfig, needed: bool):
     return load_model(path)
 
 
-def cmd_generate(config: RunConfig, file_values: dict) -> int:
+def cmd_generate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     # validate() rejects n < 1, so `or` fills in only a missing count
     config = dataclasses.replace(config, n=config.n or DEFAULT_EPISODES)
@@ -166,8 +167,8 @@ def cmd_generate(config: RunConfig, file_values: dict) -> int:
         n=config.n, medium=config.make_medium(),
         workspace=config.make_workspace(),
         controller=config.make_controller(), seed=config.seed, root=out,
-        z_max=config.z_max, jitter=config.jitter,
-        depth_cap=config.depth_cap, mapper=_mapper(config.jobs),
+        jitter=config.jitter, depth_cap=config.depth_cap,
+        mapper=_mapper(config.jobs),
     )
     manifest = split(manifest, config.train_fraction, config.seed)
     save_manifest(manifest, out)
@@ -179,20 +180,15 @@ def cmd_generate(config: RunConfig, file_values: dict) -> int:
     return 0
 
 
-def cmd_train(config: RunConfig, file_values: dict) -> int:
+def cmd_train(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     dataset_root = Path(_require(config.dataset, "--dataset"))
     manifest = load_manifest(dataset_root)
-    # the features are scaled by the dataset's z_max, so the model takes it
-    # too; a config file cannot give the model another scale
-    if file_values.get("z_max", manifest.z_max) != manifest.z_max:
-        raise UsageError(
-            f"config z_max {file_values['z_max']!r} differs from the "
-            f"dataset's {manifest.z_max!r}")
-    config = dataclasses.replace(config, z_max=manifest.z_max)
     train_seqs = to_training_sequences(dataset_root, manifest, "train")
     val_seqs = to_training_sequences(dataset_root, manifest, "val")
-    model, log = train(train_seqs, val_seqs, config.make_train_config())
+    # the features are scaled by the dataset's z_max, so the model takes it
+    model, log = train(train_seqs, val_seqs, config.make_train_config(),
+                       manifest.z_max)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     with open(out / "training_log.csv", "w") as fh:
@@ -207,7 +203,7 @@ def cmd_train(config: RunConfig, file_values: dict) -> int:
     return 0
 
 
-def cmd_steer(config: RunConfig, file_values: dict) -> int:
+def cmd_steer(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     model = _load_lstm(config, config.estimator == "lstm")
     if config.target is not None:
@@ -227,7 +223,7 @@ def cmd_steer(config: RunConfig, file_values: dict) -> int:
     return 0
 
 
-def cmd_evaluate(config: RunConfig, file_values: dict) -> int:
+def cmd_evaluate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     config = dataclasses.replace(config, n=config.n or DEFAULT_TRIALS)
     model = _load_lstm(config, "lstm" in config.estimators)
@@ -246,7 +242,7 @@ def cmd_evaluate(config: RunConfig, file_values: dict) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig, file_values: dict) -> int:
+def cmd_report(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     render_report(out, config.bin_width)
     print(f"report regenerated at {out / 'report.txt'}")
@@ -266,9 +262,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        file_values = load_config_file(ns.config) if ns.config else {}
-        config = _resolve(ns, file_values)
-        return COMMANDS[ns.command](config, file_values)
+        return COMMANDS[ns.command](_resolve(ns))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

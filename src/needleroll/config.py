@@ -1,9 +1,14 @@
 """Run configuration: one flat, fully-resolved bundle of every knob.
 
 Values merge in fixed precedence: built-in defaults, then a JSON config
-file, then explicit command-line flags. The resolved result is serialized
-next to a command's outputs so any run can be reproduced from its artifact
-directory alone.
+file, then explicit command-line flags. A config file is held against
+RunConfig's annotations by schema.check_json. The resolved result is
+serialized next to a command's outputs so any run can be reproduced from
+its artifact directory alone.
+
+The position feature scale is no setting: it is the generation
+workspace's depth_max, which the dataset manifest records as z_max and
+train copies into the model.
 """
 
 from __future__ import annotations
@@ -11,13 +16,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import types
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from needleroll.controller import ControllerParams
-from needleroll.dataset import DEPTH_CAP, DEPTH_SLACK
+from needleroll.dataset import DEPTH_CAP
 from needleroll.evaluate import (
     DEFAULT_BIN_WIDTH,
     ESTIMATOR_NAMES,
@@ -30,6 +33,7 @@ from needleroll.plant import (
     WorkspaceCone,
     rigid_variant,
 )
+from needleroll.schema import check_json
 
 CONFIG_SCHEMA_VERSION = 1
 CONFIG_FILENAME = "config.json"
@@ -62,7 +66,6 @@ class RunConfig:
     n: int | None = None
     jitter: float = 0.0
     train_fraction: float = 6.0 / 7.0
-    z_max: float = TrainConfig.z_max
 
     # training
     dataset: str | None = None
@@ -119,13 +122,6 @@ class RunConfig:
                 f"rate {self.rate!r} Hz with jitter {self.jitter!r} makes the "
                 f"{medium.name} torsion step unstable: dt*k*(1+jitter)/"
                 f"(c*(1-jitter)) = {ratio:.3g} must stay below 1")
-        # a dataset's manifest rejects a target deeper than its feature
-        # scale plus DEPTH_SLACK, after every episode has been collected
-        floor = self.depth_max - DEPTH_SLACK
-        if not (0.0 < self.z_max < math.inf and floor <= self.z_max):
-            raise ValueError(
-                f"z_max must be finite, positive and at least depth_max - "
-                f"{DEPTH_SLACK} = {floor!r}")
         return self
 
     def make_medium(self) -> MediumParams:
@@ -150,37 +146,8 @@ class RunConfig:
         return TrainConfig(
             epochs=self.epochs, batch_size=self.batch_size,
             learning_rate=self.learning_rate, dropout_rate=self.dropout,
-            hidden_size=self.hidden_size, z_max=self.z_max, seed=self.seed,
+            hidden_size=self.hidden_size, seed=self.seed,
         )
-
-
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
-_TUPLE_FIELDS = {"estimators", "target"}
-
-
-def _json_matches(value, hint) -> bool:
-    """Whether a decoded JSON value fits a RunConfig field's type: ints
-    are no floats and bools no ints, floats take ints, tuples are lists,
-    and only an optional field takes null."""
-    if isinstance(hint, types.UnionType):  # X | None
-        return value is None or _json_matches(value, typing.get_args(hint)[0])
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(
-            _json_matches(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _coerce(values: dict) -> dict:
-    out = dict(values)
-    for name in _TUPLE_FIELDS & out.keys():
-        if out[name] is not None:
-            out[name] = tuple(out[name])
-    return out
 
 
 def load_config_file(path) -> dict:
@@ -188,39 +155,27 @@ def load_config_file(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {path}: expected a JSON object")
-    doc.pop("schema_version", None)
-    unknown = doc.keys() - _FIELD_TYPES.keys()
-    if unknown:
-        raise ValueError(
-            f"config file {path}: unknown keys {sorted(unknown)}")
-    for name, value in doc.items():
-        if not _json_matches(value, _FIELD_TYPES[name]):
-            raise ValueError(
-                f"config file {path}: {name!r} must be "
-                f"{RunConfig.__annotations__[name]}, got {json.dumps(value)}")
+    if isinstance(doc, dict):
+        doc.pop("schema_version", None)
+    try:
+        check_json(doc, RunConfig)
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
     return doc
 
 
-def resolve_config(file_values: dict | None = None,
-                   flag_values: dict | None = None) -> RunConfig:
+def resolve_config(from_file: dict | None = None,
+                   flags: dict | None = None) -> RunConfig:
     """Defaults, overlaid by config-file values, overlaid by flags.
 
     Flag values equal to None mean "not given on the command line" and do
     not override.
     """
-    merged = {}
-    merged.update(_coerce(file_values or {}))
-    for name, value in _coerce(flag_values or {}).items():
-        if value is not None:
-            merged[name] = value
-    bad = merged.keys() - _FIELD_TYPES.keys()
-    if bad:
-        raise ValueError(f"unknown config fields {sorted(bad)}")
-    config = RunConfig(**merged)
-    config.validate()
-    return config
+    merged = dict(from_file or {})
+    merged.update((k, v) for k, v in (flags or {}).items() if v is not None)
+    # JSON lists fill RunConfig's tuple fields
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v
+                        for k, v in merged.items()}).validate()
 
 
 def write_resolved_config(config: RunConfig, out_dir):

@@ -30,7 +30,6 @@ from needleroll.controller import (
     control,
     targeting_error,
 )
-from needleroll.lstm import DEFAULT_Z_MAX
 from needleroll.plant import (
     MediumParams,
     WorkspaceCone,
@@ -40,6 +39,7 @@ from needleroll.plant import (
     sense,
     step,
 )
+from needleroll.schema import check_json
 
 DATASET_SCHEMA_VERSION = 1
 EPISODES_FILENAME = "episodes.jsonl"
@@ -268,9 +268,15 @@ class DatasetManifest:
     schema_version: int = DATASET_SCHEMA_VERSION
 
     def validate(self):
+        if not 0.0 < self.z_max < math.inf:  # NaN fails
+            raise ValueError(
+                f"z_max must be finite and positive, not {self.z_max!r}")
         ids = [m.episode_id for m in self.episodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate episode ids")
+        # load_episodes never reaches a line past the end of the file
+        if sorted(m.line for m in self.episodes) != list(range(len(ids))):
+            raise ValueError("episode lines must be 0 to n-1, each once")
         for m in self.episodes:
             if m.split not in (None, "train", "val"):
                 raise ValueError(f"unknown split label {m.split!r}")
@@ -297,6 +303,7 @@ def save_manifest(manifest: DatasetManifest, root: Path):
 
 
 def load_manifest(root: Path) -> DatasetManifest:
+    """The manifest under root; any fault is a DatasetError naming it."""
     path = Path(root) / MANIFEST_FILENAME
     try:
         doc = json.loads(path.read_text())
@@ -305,50 +312,16 @@ def load_manifest(root: Path) -> DatasetManifest:
     if isinstance(doc, dict) and doc.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise DatasetError(
             f"{path}: unsupported manifest schema {doc.get('schema_version')!r}")
-    _check_fields(path, doc, _MANIFEST_TYPES)
-    for m in doc["episodes"]:
-        _check_fields(path, m, _EPISODE_TYPES)
-        unknown = set(m) - set(_EPISODE_TYPES)
-        if unknown or not all(_is(s, int) for s in m["seed"]):
-            raise DatasetError(f"{path}: malformed episode entry {m!r}")
-    episodes = tuple(
-        EpisodeMeta(**dict(m, seed=tuple(m["seed"]))) for m in doc["episodes"]
-    )
-    manifest = DatasetManifest(
-        episodes_file=doc["episodes_file"],
-        z_max=float(doc["z_max"]),
-        config_hash=doc["config_hash"],
-        generation=doc["generation"],
-        episodes=episodes,
-        schema_version=doc["schema_version"],
-    )
-    manifest.validate()
+    try:
+        check_json(doc, DatasetManifest)
+        episodes = tuple(EpisodeMeta(**dict(m, seed=tuple(m["seed"])))
+                         for m in doc["episodes"])
+        manifest = DatasetManifest(**dict(doc, z_max=float(doc["z_max"]),
+                                          episodes=episodes))
+        manifest.validate()
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
     return manifest
-
-
-# the JSON types of every field a manifest, and each of its episode
-# entries, must carry; only an episode's split may be absent
-_NUMBER = (int, float)
-_MANIFEST_TYPES = {"episodes_file": str, "z_max": _NUMBER, "config_hash": str,
-                   "generation": dict, "episodes": list}
-_EPISODE_TYPES = {"episode_id": int, "line": int, "seed": list,
-                  "medium_name": str, "steps": int, "final_error": _NUMBER,
-                  "target_depth": _NUMBER, "split": (str, type(None))}
-
-
-def _is(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _check_fields(path, doc, types: dict):
-    if not isinstance(doc, dict):
-        raise DatasetError(f"{path}: expected a JSON object, got {doc!r}")
-    for name, kind in types.items():
-        if name not in doc and name != "split":
-            raise DatasetError(f"{path}: missing field {name!r}")
-        if not _is(doc.get(name), kind):
-            raise DatasetError(f"{path}: field {name!r} has the wrong type "
-                               f"({type(doc[name]).__name__})")
 
 
 def read_record_line(path: Path, idx: int, line: str) -> EpisodeRecord:
@@ -429,15 +402,16 @@ def _collect_episode(args):
 
 def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
                      controller: ControllerParams, seed: int, root: Path,
-                     z_max: float = DEFAULT_Z_MAX, jitter: float = 0.0,
-                     depth_cap: float = DEPTH_CAP, mapper=map) -> DatasetManifest:
+                     jitter: float = 0.0, depth_cap: float = DEPTH_CAP,
+                     mapper=map) -> DatasetManifest:
     """Collect n accepted insertions and persist them under root.
 
-    `jitter` scales each episode's torsion parameters by an independent
-    uniform factor for robustness experiments. The default is 0 (one fixed
-    medium): varying the stick-band slope per episode makes tip roll partly
-    unidentifiable from the motion signature and puts a hard floor on
-    validation RMSE. `mapper` lets a caller swap in an order-preserving
+    The manifest's z_max, the position feature scale, is the workspace's
+    depth_max: no sampled target lies deeper. `jitter` scales each
+    episode's torsion parameters by an independent uniform factor for
+    robustness experiments. The default is 0 (one fixed medium): varying
+    the stick-band slope per episode makes tip roll partly unidentifiable
+    from the motion signature and puts a hard floor on validation RMSE. `mapper` lets a caller swap in an order-preserving
     parallel map; the episodes file is still written by this single
     process, in slot order.
     """
@@ -445,6 +419,7 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
         raise ValueError("need at least one episode")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    z_max = workspace.depth_max
     generation = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "n": n,

@@ -50,10 +50,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from needleroll.plant import SensedTip, require_valid_measurement
+from needleroll.schema import check_json
 from needleroll.se3 import Pose, floats3, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
-DEFAULT_Z_MAX = 75.0  # mm, the position feature scale
 INPUT_SIZE = 8  # width of the scale_features vector
 VALIDATION_CHUNK = 32  # sequences per sequence_rmse forward pass
 LENGTH_POOL = 32  # shuffled training sequences per length-sorted pool
@@ -155,11 +155,12 @@ def zero_state(hidden_size: int) -> LstmCellState:
     return LstmCellState(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
-def init_model(hidden_size: int = 30, z_max: float = DEFAULT_Z_MAX,
+def init_model(z_max: float, hidden_size: int = 30,
                dropout_rate: float = 0.2, seed: int = 0,
                metadata: dict | None = None) -> LstmModel:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; forget-gate bias starts at +1
-    so early training does not flush the cell state."""
+    so early training does not flush the cell state. z_max is the position
+    feature scale the inputs are built with."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1517]))
     bound = 1.0 / math.sqrt(hidden_size)
     four_h = 4 * hidden_size
@@ -466,7 +467,6 @@ class TrainConfig:
     learning_rate: float = 3e-3
     dropout_rate: float = 0.2
     hidden_size: int = 30
-    z_max: float = DEFAULT_Z_MAX
     seed: int = 0
 
 
@@ -491,8 +491,9 @@ class TrainLogRow:
     val_rmse: float
 
 
-def train(train_seqs, val_seqs, config: TrainConfig):
-    """Fit on (xs, ys) sequence pairs; returns (best model, per-epoch log).
+def train(train_seqs, val_seqs, config: TrainConfig, z_max: float):
+    """Fit on (xs, ys) sequence pairs whose positions were scaled by z_max;
+    returns (best model, per-epoch log).
 
     Seeded shuffling each epoch into length-sorted pools
     (_length_sorted_batches), dropout in training passes only, model
@@ -505,7 +506,7 @@ def train(train_seqs, val_seqs, config: TrainConfig):
     root = np.random.SeedSequence([config.seed, 0x4C53])
     shuffle_seed, dropout_seed = root.spawn(2)
     model = init_model(
-        hidden_size=config.hidden_size, z_max=config.z_max,
+        z_max, hidden_size=config.hidden_size,
         dropout_rate=config.dropout_rate, seed=config.seed,
         metadata={"train_episodes": len(train_seqs), "val_episodes": len(val_seqs)},
     )
@@ -645,24 +646,23 @@ def save_model(model: LstmModel, path):
 def load_model(path) -> LstmModel:
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"model file {path} is not a JSON object")
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema: {doc.get('schema_version')}")
-    for key in ("z_max", "dropout_rate"):
-        if key not in doc:
-            raise ValueError(f"model file {path} has no field {key!r}")
-    params = doc.get("params", {})
-    arrays = {}
     try:
+        if isinstance(doc, dict) and doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported model schema: {doc.get('schema_version')}")
+        check_json(doc, LstmModel, only=("z_max", "dropout_rate", "metadata"))
+        params = doc.get("params", {})
+        arrays = {}
         for name in PARAM_NAMES:
             if name not in params:
-                raise ValueError(f"model file {path} has no parameter {name!r}")
+                raise ValueError(f"no parameter {name!r}")
             entry = params[name]
             for key in ("data", "shape"):
                 if key not in entry:
-                    raise ValueError(f"model file {path}: parameter {name!r} "
-                                     f"has no {key!r}")
+                    raise ValueError(f"parameter {name!r} has no {key!r}")
+            # a C-level pass: numpy reads "0.5" and true as numbers
+            if not set(map(type, entry["data"])) <= {int, float}:
+                raise ValueError(f"parameter {name!r} data must hold only numbers")
             arrays[name] = np.array(entry["data"], dtype=float).reshape(
                 entry["shape"])
         model = LstmModel(
@@ -670,7 +670,12 @@ def load_model(path) -> LstmModel:
             dropout_rate=float(doc["dropout_rate"]),
             metadata=dict(doc.get("metadata", {})),
         )
-    except TypeError as exc:  # a field of the wrong JSON type
+        model.validate()
+        for key in ("hidden_size", "input_size"):
+            recorded = doc.get(key)
+            if type(recorded) is not int or recorded != getattr(model, key):
+                raise ValueError(f"recorded {key} {recorded!r} contradicts "
+                                 f"the parameter shapes ({getattr(model, key)})")
+    except (TypeError, ValueError) as exc:  # TypeError: a wrong JSON type
         raise ValueError(f"model file {path}: {exc}") from exc
-    model.validate()
     return model

@@ -49,7 +49,7 @@ def desk_dataset(tmp_path_factory, run_defaults):
     root = tmp_path_factory.mktemp("desk_dataset")
     manifest = generate_dataset(
         70, cfg.make_medium(), cfg.make_workspace(), cfg.make_controller(),
-        seed=42, root=root, z_max=cfg.z_max, jitter=cfg.jitter,
+        seed=42, root=root, jitter=cfg.jitter,
         depth_cap=cfg.depth_cap,
     )
     manifest = split(manifest, cfg.train_fraction, seed=42)
@@ -64,6 +64,7 @@ def trained_estimator(desk_dataset, run_defaults):
     train_seqs = to_training_sequences(root, manifest, "train")
     val_seqs = to_training_sequences(root, manifest, "val")
     start = time.perf_counter()
-    model, log = train(train_seqs, val_seqs, run_defaults.make_train_config())
+    model, log = train(train_seqs, val_seqs, run_defaults.make_train_config(),
+                       manifest.z_max)
     seconds = time.perf_counter() - start
     return model, log, seconds, (len(train_seqs), len(val_seqs))

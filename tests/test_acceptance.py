@@ -62,7 +62,7 @@ def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
 
 def test_c03_analytic_gradients_match_finite_differences(verdict):
     rng = np.random.default_rng(33)
-    model = init_model(hidden_size=4, seed=33, dropout_rate=0.0)
+    model = init_model(75.0, hidden_size=4, seed=33, dropout_rate=0.0)
     feats = rng.normal(0.0, 0.7, size=(7, 8))
     targets = rng.normal(0.0, 0.7, size=(7, 2))
     xs, ys, mask = _pad_batch([(feats, targets)])

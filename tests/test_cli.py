@@ -31,10 +31,12 @@ def test_resolve_precedence(tmp_path):
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
+    """z_max is no setting: the feature scale comes from the dataset."""
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps({"sneed": 5}))
-    with pytest.raises(ValueError):
-        load_config_file(cfg_file)
+    for doc in ({"sneed": 5}, {"z_max": 75.0}):
+        cfg_file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unknown keys"):
+            load_config_file(cfg_file)
 
 
 def test_config_file_rejects_bad_json(tmp_path):
@@ -65,7 +67,7 @@ def test_config_builds_components():
     assert config.make_controller().rate == 50.0
     assert config.make_workspace().depth_max == 75.0
     tc = config.make_train_config()
-    assert tc.hidden_size == 30 and tc.z_max == 75.0
+    assert tc.hidden_size == 30
 
 
 def test_resolved_config_roundtrip(tmp_path):
@@ -155,22 +157,6 @@ def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
     assert not ds.exists()
 
 
-@pytest.mark.parametrize("z_max", [-5.0, 60.0])
-def test_cli_generate_bad_z_max_fails_before_collecting(tmp_path, capsys,
-                                                        z_max):
-    """A feature scale that is not positive, or that the deepest targets
-    would exceed by more than DEPTH_SLACK, is rejected before any episode
-    is collected or written."""
-    cfg = tmp_path / "z.json"
-    cfg.write_text(json.dumps({"z_max": z_max}))
-    ds = tmp_path / "ds"
-    assert main(["generate", "--n", "3", "--seed", "3", "--config", str(cfg),
-                 "--out", str(ds)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "z_max must be" in err
-    assert not ds.exists()
-
-
 def test_cli_evaluate_unstable_torsion_rate_fails_before_writing(tmp_path,
                                                                  capsys):
     """At 5 Hz the gelatin slip step has dt*k/c = 4: the explicit-Euler
@@ -206,32 +192,38 @@ def test_config_keeps_stable_torsion_settings():
     assert resolve_config({}, {"rate": 5.0, "rigid": True}).rate == 5.0
 
 
-def test_cli_train_takes_z_max_from_the_dataset(tmp_path, capsys):
-    """The model scales features by the z_max they were scaled with: the
-    dataset's. A config file that gives another one fails before writing."""
-    scale = tmp_path / "scale.json"
-    scale.write_text(json.dumps({"z_max": 100.0}))
+def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
+    """The feature scale is the generation workspace's depth_max: the
+    manifest records it and the model takes it from there."""
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(json.dumps({"depth_max": 70.0}))
     ds = tmp_path / "ds"
-    assert main(["generate", "--n", "2", "--seed", "3", "--config", str(scale),
-                 "--out", str(ds)]) == 0
-
-    def train_argv(run, *extra):
-        return ["train", "--dataset", str(ds), "--out", str(tmp_path / run),
-                "--epochs", "1", "--hidden-size", "4", *extra]
-
-    assert main(train_argv("run")) == 0
+    assert main(["generate", "--n", "2", "--seed", "3", "--config",
+                 str(shallow), "--out", str(ds)]) == 0
+    assert json.loads((ds / "manifest.json").read_text())["z_max"] == 70.0
     run = tmp_path / "run"
-    assert json.loads((run / "model.json").read_text())["z_max"] == 100.0
-    assert json.loads((run / "config.json").read_text())["z_max"] == 100.0
-    assert main(train_argv("same", "--config", str(scale))) == 0
+    assert main(["train", "--dataset", str(ds), "--out", str(run),
+                 "--epochs", "1", "--hidden-size", "4"]) == 0
+    assert json.loads((run / "model.json").read_text())["z_max"] == 70.0
+    assert "z_max" not in json.loads((run / "config.json").read_text())
 
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps({"z_max": 75.0}))  # the default, yet given
-    capsys.readouterr()
-    assert main(train_argv("other", "--config", str(other))) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "differs from the dataset's 100.0" in err
-    assert not (tmp_path / "other").exists()
+
+def test_cli_rerun_from_recorded_config_is_byte_identical(tmp_path):
+    """A run directory's config.json reproduces its artifacts: generate
+    and train again from it, into another directory, write the same
+    bytes."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["generate", "--n", "3", "--seed", "4",
+                 "--out", str(first / "ds")]) == 0
+    assert main(["train", "--dataset", str(first / "ds"), "--epochs", "2",
+                 "--hidden-size", "4", "--out", str(first / "run")]) == 0
+    for stage in ("ds", "run"):
+        command = "generate" if stage == "ds" else "train"
+        assert main([command, "--config", str(first / stage / "config.json"),
+                     "--out", str(again / stage)]) == 0
+    for name in ("ds/episodes.jsonl", "ds/manifest.json", "run/model.json",
+                 "run/training_log.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -304,7 +296,10 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage", ["no_episodes_file", "episodes_string",
                                     "episode_missing_key", "z_max_string",
-                                    "schema_version"])
+                                    "schema_version", "z_max_nan",
+                                    "z_max_infinity", "z_max_negative",
+                                    "duplicate_episode_id", "unknown_split",
+                                    "line_past_the_end"])
 def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
@@ -318,12 +313,23 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
         del doc["episodes"][1]["steps"]
     elif damage == "schema_version":
         doc["schema_version"] = 2
-    else:
+    elif damage == "z_max_string":
         doc["z_max"] = "75"
+    elif damage.startswith("z_max"):
+        doc["z_max"] = {"z_max_nan": math.nan, "z_max_infinity": math.inf,
+                        "z_max_negative": -1.0}[damage]
+    elif damage == "duplicate_episode_id":
+        doc["episodes"][1]["episode_id"] = doc["episodes"][0]["episode_id"]
+    elif damage == "line_past_the_end":  # else its episode is skipped
+        doc["episodes"][1]["line"] = 7
+    else:
+        doc["episodes"][0]["split"] = "test"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(_train_argv(ds, tmp_path)) == 2
-    assert "manifest.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and "manifest.json" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_steer_truth(tmp_path, capsys):
@@ -358,10 +364,11 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
     """A model file with a missing or wrong-typed field is a usage error,
     and so is one that loads but cannot steer: a non-finite or non-positive
     z_max (json writes and reads Infinity and NaN), a w_x of the wrong
-    width, or a top level that is not an object. Each prints one error line
-    and writes nothing."""
+    width, parameter data that holds a string or a bool, recorded sizes
+    that contradict the parameter shapes, or a top level that is not an
+    object. Each prints one error line and writes nothing."""
     path = tmp_path / "model.json"
-    save_model(init_model(hidden_size=4, seed=1), path)
+    save_model(init_model(75.0, hidden_size=4, seed=1), path)
     saved = path.read_text()
     cases = [
         (lambda doc: doc["params"].pop("w_fc"), "'w_fc'"),
@@ -369,7 +376,18 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         (lambda doc: doc.pop("dropout_rate"), "'dropout_rate'"),
         (lambda doc: doc["params"]["w_out"].pop("data"), "'w_out' has no 'data'"),
         (lambda doc: doc["params"]["b_g"].pop("shape"), "'b_g' has no 'shape'"),
-        (lambda doc: doc.update(z_max=[75.0]), "float() argument"),
+        (lambda doc: doc.update(z_max=[75.0]), "'z_max' must be float"),
+        (lambda doc: doc.update(z_max=True), "'z_max' must be float"),
+        (lambda doc: doc.update(z_max="75"), "'z_max' must be float"),
+        (lambda doc: doc.update(dropout_rate="0.2"),
+         "'dropout_rate' must be float"),
+        (lambda doc: doc.update(metadata=[]), "'metadata' must be dict"),
+        (lambda doc: doc["params"]["b_out"].update(data=["0.5", 0.5]),
+         "'b_out' data must hold only numbers"),
+        (lambda doc: doc["params"]["b_out"].update(data=[True, 0.5]),
+         "'b_out' data must hold only numbers"),
+        (lambda doc: doc.update(hidden_size=5), "recorded hidden_size 5"),
+        (lambda doc: doc.update(input_size=7), "recorded input_size 7"),
         (lambda doc: doc.update(z_max=math.inf), "z_max must be finite"),
         (lambda doc: doc.update(z_max=math.nan), "z_max must be finite"),
         (lambda doc: doc.update(z_max=0.0), "z_max must be finite"),
@@ -452,7 +470,7 @@ def test_cli_report_on_a_repeated_trial_is_data_error(tmp_path, capsys):
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):
     model = tmp_path / "model.json"
-    save_model(init_model(hidden_size=4, seed=1), model)
+    save_model(init_model(75.0, hidden_size=4, seed=1), model)
     outs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
+    DEPTH_CAP,
     DatasetManifest,
     EpisodeMeta,
     GenerationStalled,
@@ -22,8 +25,15 @@ from needleroll.dataset import (
     split,
     to_training_sequences,
 )
+from needleroll.ekf import EkfRollTracker
 from needleroll.lstm import roll_target, scale_features
-from needleroll.plant import GELATIN, WorkspaceCone, rigid_variant
+from needleroll.plant import (
+    GELATIN,
+    MEDIUM_PRESETS,
+    WorkspaceCone,
+    rigid_variant,
+    sample_target,
+)
 
 
 CONTROLLER = ControllerParams()
@@ -75,6 +85,33 @@ def test_closed_loop_depth_cap():
     assert outcome == "depth_capped"
     assert state.depth >= 20.0
     assert err > 1.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(medium=st.sampled_from(sorted(MEDIUM_PRESETS)), rigid=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       estimator=st.sampled_from(["truth", "ekf"]))
+def test_closed_loop_ends_within_the_depth_cap(medium, rigid, seed,
+                                               estimator):
+    """Any preset medium, target and estimator: the loop arrives or hits
+    the depth cap within depth_cap / (speed * dt) + 1 ticks, and every
+    pose it logs is finite."""
+    params = MEDIUM_PRESETS[medium]
+    params = rigid_variant(params) if rigid else params
+    rng = np.random.default_rng(seed)
+    target = sample_target(WorkspaceCone(bounding_curvature=params.curvature),
+                           rng)
+    tracker = (EkfRollTracker(params, CONTROLLER) if estimator == "ekf"
+               else None)
+    logs, state, outcome, _ = run_closed_loop(params, CONTROLLER, target, rng,
+                                              estimator=tracker)
+    assert outcome in ("arrived", "depth_capped")
+    ticks = len(logs["base_angle"]) + (outcome == "arrived")
+    dt = 1.0 / CONTROLLER.rate
+    assert ticks <= DEPTH_CAP / (CONTROLLER.insertion_speed * dt) + 1
+    for name in ("position", "heading", "R_true", "R_est"):
+        assert np.isfinite(np.array(logs[name])).all(), name
+    assert np.isfinite(state.pose.p).all() and np.isfinite(state.pose.R).all()
 
 
 def test_generate_deterministic_bytes(tmp_path):

@@ -86,7 +86,7 @@ def test_unknown_estimator_rejected():
 
 
 def test_lstm_trial_runs_with_untrained_model():
-    model = init_model(seed=0)
+    model = init_model(75.0, seed=0)
     record = run_trial("lstm", GELATIN, CONTROLLER, TARGET, seed=8,
                        model=model)
     # an untrained net steers poorly but the loop must still terminate
@@ -115,7 +115,7 @@ def test_ekf_tracker_variance_grows_while_steering():
                                  "heading_norm"])
 def test_estimators_reject_non_finite_measurements(name, bad):
     est = make_estimator(name, GELATIN, CONTROLLER,
-                         model=init_model(hidden_size=4, seed=1))
+                         model=init_model(75.0, hidden_size=4, seed=1))
     good = SensedTip(position=np.array([0.0, 0.0, 1.0]),
                      heading=np.array([0.0, 0.0, 1.0]))
     est.estimate(good, 0.0)

@@ -460,7 +460,7 @@ def test_overfit_single_episode():
     seqs = toy_training_sequences()
     config = TrainConfig(epochs=2000, batch_size=1, hidden_size=8,
                          dropout_rate=0.0, seed=1)
-    model, log = train(seqs, seqs, config)
+    model, log = train(seqs, seqs, config, 75.0)
     best = min(row.val_rmse for row in log)
     assert best < 0.02
     assert model.metadata["best_val_rmse"] == pytest.approx(best)
@@ -475,7 +475,7 @@ def test_training_log_deterministic(tmp_path):
                          dropout_rate=0.2, seed=7)
     logs = []
     for name in ("a", "b"):
-        model, log = train(seqs[:-2], seqs[-2:], config)
+        model, log = train(seqs[:-2], seqs[-2:], config, 75.0)
         save_model(model, tmp_path / f"{name}.json")
         logs.append(log)
     assert logs[0] == logs[1]
@@ -488,7 +488,7 @@ def test_returned_model_is_best_on_validation():
     seqs = random_sequences(rng, 8, 10, 30)
     config = TrainConfig(epochs=6, batch_size=3, hidden_size=6,
                          dropout_rate=0.1, seed=3)
-    model, log = train(seqs[:6], seqs[6:], config)
+    model, log = train(seqs[:6], seqs[6:], config, 75.0)
     vals = [row.val_rmse for row in log]
     assert sequence_rmse(model, seqs[6:]) == pytest.approx(min(vals), abs=1e-12)
     running = np.minimum.accumulate(vals)
@@ -536,7 +536,7 @@ def test_train_reports_progress_on_stderr_only(capsys):
     seqs = random_sequences(np.random.default_rng(14), 5, 4, 8)
     epochs = PROGRESS_EVERY + 3
     config = TrainConfig(epochs=epochs, batch_size=2, hidden_size=3, seed=2)
-    _, log = train(seqs[:4], seqs[4:], config)
+    _, log = train(seqs[:4], seqs[4:], config, 75.0)
     out, err = capsys.readouterr()
     assert out == ""
     best = np.minimum.accumulate([row.val_rmse for row in log])
@@ -550,12 +550,13 @@ def test_train_raises_on_nonfinite_loss():
     xs = np.zeros((5, 8))
     ys = np.full((5, 2), np.inf)
     with pytest.raises(Diverged):
-        train([(xs, ys)], [(xs, ys)], TrainConfig(epochs=1, hidden_size=4))
+        train([(xs, ys)], [(xs, ys)], TrainConfig(epochs=1, hidden_size=4),
+              75.0)
 
 
 def test_train_rejects_empty_sets():
     with pytest.raises(ValueError):
-        train([], [], TrainConfig(epochs=1))
+        train([], [], TrainConfig(epochs=1), 75.0)
 
 
 def test_base_angle_periodicity_end_to_end():
@@ -677,7 +678,7 @@ def test_streaming_degenerate_output_propagates():
 # ------------------------------------------------------------- serialization
 
 def test_model_save_load_roundtrip(tmp_path):
-    m = init_model(hidden_size=5, seed=47, metadata={"note": "roundtrip"})
+    m = init_model(75.0, hidden_size=5, seed=47, metadata={"note": "roundtrip"})
     path = tmp_path / "model.json"
     save_model(m, path)
     loaded = load_model(path)
@@ -694,7 +695,7 @@ def test_model_save_load_roundtrip(tmp_path):
 def test_model_load_rejects_unknown_version(tmp_path):
     import json
 
-    m = init_model(hidden_size=4, seed=53)
+    m = init_model(75.0, hidden_size=4, seed=53)
     path = tmp_path / "model.json"
     save_model(m, path)
     doc = json.loads(path.read_text())
@@ -705,7 +706,7 @@ def test_model_load_rejects_unknown_version(tmp_path):
 
 
 def test_model_validate_rejects_bad_shapes():
-    m = init_model(hidden_size=4, seed=59)
+    m = init_model(75.0, hidden_size=4, seed=59)
     m.w_fc = np.zeros((3, 4))
     with pytest.raises(ValueError):
         m.validate()
