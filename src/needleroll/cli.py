@@ -64,13 +64,6 @@ def _add_common(sub):
                      help="process parallelism (default 1)")
 
 
-def _parse_target(text):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("target must be x,y,z")
-    return tuple(parts)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="needleroll",
                      description="steerable-needle roll estimation pipeline")
@@ -100,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
     p.add_argument("--model", help="trained model file (lstm)")
-    p.add_argument("--target", type=_parse_target,
+    # RunConfig.validate checks the coordinate count
+    p.add_argument("--target", type=lambda t: tuple(map(float, t.split(","))),
                    help="x,y,z in mm; sampled from the workspace if omitted")
 
     p = commands.add_parser("evaluate", help="batch trials and report")

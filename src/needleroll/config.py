@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,11 +154,8 @@ class RunConfig:
 def load_config_file(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path}: invalid JSON ({exc})") from exc
-    if isinstance(doc, dict):
-        doc.pop("schema_version", None)
-    try:
+        if isinstance(doc, dict):
+            doc.pop("schema_version", None)
         check_json(doc, RunConfig)
     except ValueError as exc:
         raise ValueError(f"config file {path}: {exc}") from exc
@@ -173,9 +171,15 @@ def resolve_config(from_file: dict | None = None,
     """
     merged = dict(from_file or {})
     merged.update((k, v) for k, v in (flags or {}).items() if v is not None)
-    # JSON lists fill RunConfig's tuple fields
-    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v
-                        for k, v in merged.items()}).validate()
+    # JSON lists fill RunConfig's tuple fields; an int given for a float
+    # setting or a target coordinate becomes the float, so 70 and 70.0
+    # make one config and one dataset
+    hints = typing.get_type_hints(RunConfig)
+    return RunConfig(**{
+        k: tuple(map(float, v)) if k == "target" and v is not None else
+        tuple(v) if isinstance(v, list) else
+        float(v) if hints.get(k) is float else v
+        for k, v in merged.items()}).validate()
 
 
 def write_resolved_config(config: RunConfig, out_dir):

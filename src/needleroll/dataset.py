@@ -39,7 +39,7 @@ from needleroll.plant import (
     sense,
     step,
 )
-from needleroll.schema import check_json
+from needleroll.schema import decode
 
 DATASET_SCHEMA_VERSION = 1
 EPISODES_FILENAME = "episodes.jsonl"
@@ -199,47 +199,29 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
 
 
 def record_to_line(rec: EpisodeRecord) -> str:
-    doc = {
-        "schema_version": DATASET_SCHEMA_VERSION,
-        "episode_id": rec.episode_id,
-        "seed": list(rec.seed),
-        "medium": dataclasses.asdict(rec.medium),
-        "controller": dataclasses.asdict(rec.controller),
-        "target": rec.target.tolist(),
-        "outcome": rec.outcome,
-        "final_error": rec.final_error,
-        # flat lists; position and heading row by row
-        **{name: getattr(rec, name).reshape(-1).tolist()
-           for name in ("t", *STEP_COLUMNS, *ESTIMATOR_COLUMNS)
-           if getattr(rec, name) is not None},
-    }
-    if rec.estimator is not None:
-        doc["estimator"] = rec.estimator
+    """One JSON object holding every field of rec that is not None."""
+    doc = {"schema_version": DATASET_SCHEMA_VERSION}
+    for field in dataclasses.fields(rec):
+        value = getattr(rec, field.name)
+        if isinstance(value, np.ndarray):  # position and heading row by row
+            value = value.reshape(-1).tolist()
+        elif dataclasses.is_dataclass(value):
+            value = dataclasses.asdict(value)
+        if value is not None:
+            doc[field.name] = value
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def record_from_line(line: str) -> EpisodeRecord:
-    doc = json.loads(line)
-    if doc.get("schema_version") != DATASET_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported episode schema {doc.get('schema_version')!r}")
-    n = len(doc["t"])
-    estimated = [name for name in ESTIMATOR_COLUMNS if name in doc]
-    columns = {name: np.array(doc[name], dtype=float)
-               for name in ("t", *STEP_COLUMNS, *estimated)}
+    doc = decode(line, EpisodeRecord, DATASET_SCHEMA_VERSION, "episode")
+    for name in ("target", "t", *STEP_COLUMNS, *ESTIMATOR_COLUMNS):
+        if name in doc:
+            doc[name] = np.array(doc[name], dtype=float)
     for name in ("position", "heading"):
-        columns[name] = columns[name].reshape(n, 3)
-    rec = EpisodeRecord(
-        episode_id=int(doc["episode_id"]),
-        seed=tuple(int(s) for s in doc["seed"]),
-        medium=MediumParams(**doc["medium"]),
-        controller=ControllerParams(**doc["controller"]),
-        target=np.array(doc["target"], dtype=float),
-        outcome=doc["outcome"],
-        final_error=float(doc["final_error"]),
-        **columns,
-        estimator=doc.get("estimator"),
-    )
+        doc[name] = doc[name].reshape(len(doc["t"]), 3)
+    rec = EpisodeRecord(**dict(
+        doc, seed=tuple(doc["seed"]), medium=MediumParams(**doc["medium"]),
+        controller=ControllerParams(**doc["controller"])))
     rec.validate()
     return rec
 
@@ -294,11 +276,7 @@ def config_hash(generation: dict) -> str:
 
 def save_manifest(manifest: DatasetManifest, root: Path):
     manifest.validate()
-    doc = dataclasses.asdict(manifest)
-    doc["episodes"] = [dataclasses.asdict(m) for m in manifest.episodes]
-    for m in doc["episodes"]:
-        m["seed"] = list(m["seed"])
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2)
     (Path(root) / MANIFEST_FILENAME).write_text(text + "\n")
 
 
@@ -306,14 +284,8 @@ def load_manifest(root: Path) -> DatasetManifest:
     """The manifest under root; any fault is a DatasetError naming it."""
     path = Path(root) / MANIFEST_FILENAME
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
-    if isinstance(doc, dict) and doc.get("schema_version") != DATASET_SCHEMA_VERSION:
-        raise DatasetError(
-            f"{path}: unsupported manifest schema {doc.get('schema_version')!r}")
-    try:
-        check_json(doc, DatasetManifest)
+        doc = decode(path.read_text(), DatasetManifest, DATASET_SCHEMA_VERSION,
+                     "manifest")
         episodes = tuple(EpisodeMeta(**dict(m, seed=tuple(m["seed"])))
                          for m in doc["episodes"])
         manifest = DatasetManifest(**dict(doc, z_max=float(doc["z_max"]),
@@ -332,11 +304,10 @@ def read_record_line(path: Path, idx: int, line: str) -> EpisodeRecord:
     except json.JSONDecodeError as exc:
         raise DatasetError(
             f"{path}: line {idx + 1} is not valid JSON ({exc})") from exc
-    # valid JSON that is no episode: non-object, missing key, bad value
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
+    # valid JSON that is no episode: wrong type, missing key, bad value
+    except ValueError as exc:
         raise DatasetError(f"{path}: line {idx + 1} is not a valid "
-                           f"episode ({type(exc).__name__}: {exc})") from exc
+                           f"episode ({exc})") from exc
 
 
 def load_episodes(root: Path, manifest: DatasetManifest,
@@ -492,4 +463,7 @@ def to_training_sequences(root: Path, manifest: DatasetManifest,
                           split_name: str | None = None):
     """Per-episode (features, targets) pairs for a split, in id order."""
     records = load_episodes(root, manifest, split_name)
+    if not records:
+        raise DatasetError(f"{Path(root) / MANIFEST_FILENAME}: no "
+                           f"{split_name or 'listed'} episodes")
     return [episode_to_sequence(rec, manifest.z_max) for rec in records]

@@ -178,10 +178,10 @@ def report(records, out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
 def _read_trials(path: Path):
     """The trial records of path in trial_id order.
 
-    Raises DatasetError naming the line at fault when a line does not
-    decode, repeats a trial_id, or lacks the estimator columns (a directory
-    written before trial lines carried them); ValueError when there are no
-    trials.
+    Raises DatasetError naming the file when it holds no trials, and the
+    line at fault when a line does not decode, repeats a trial_id, or lacks
+    the estimator columns (a directory written before trial lines carried
+    them).
     """
     by_id = {}
     with open(path) as fh:
@@ -197,7 +197,7 @@ def _read_trials(path: Path):
                     f"angular_error columns; re-run evaluate to write them")
             by_id[rec.episode_id] = rec
     if not by_id:
-        raise ValueError(f"no trial records in {path}")
+        raise DatasetError(f"{path}: no trial records")
     return [by_id[k] for k in sorted(by_id)]
 
 

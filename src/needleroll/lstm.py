@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from needleroll.plant import SensedTip, require_valid_measurement
-from needleroll.schema import check_json
+from needleroll.schema import check_json, decode
 from needleroll.se3 import Pose, floats3, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
@@ -644,13 +644,10 @@ def save_model(model: LstmModel, path):
 
 
 def load_model(path) -> LstmModel:
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
-        if isinstance(doc, dict) and doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported model schema: {doc.get('schema_version')}")
-        check_json(doc, LstmModel, only=("z_max", "dropout_rate", "metadata"))
+        with open(path) as fh:
+            doc = decode(fh.read(), LstmModel, MODEL_SCHEMA_VERSION, "model",
+                         only=("z_max", "dropout_rate", "metadata"))
         params = doc.get("params", {})
         arrays = {}
         for name in PARAM_NAMES:
@@ -660,9 +657,7 @@ def load_model(path) -> LstmModel:
             for key in ("data", "shape"):
                 if key not in entry:
                     raise ValueError(f"parameter {name!r} has no {key!r}")
-            # a C-level pass: numpy reads "0.5" and true as numbers
-            if not set(map(type, entry["data"])) <= {int, float}:
-                raise ValueError(f"parameter {name!r} data must hold only numbers")
+            check_json(entry["data"], np.ndarray, f"parameter {name!r} data")
             arrays[name] = np.array(entry["data"], dtype=float).reshape(
                 entry["shape"])
         model = LstmModel(

@@ -1,13 +1,17 @@
-"""The one type check of a decoded JSON file (config, dataset manifest,
-model) against the dataclass it loads into."""
+"""decode, the one read-and-check step of every versioned pipeline file
+(manifest, episode or trial line, model), and check_json, the one type
+check of a decoded JSON value, a config file's too, against a dataclass."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
 import json
+import sys
 import types
 import typing
+
+import numpy as np
 
 
 @functools.cache
@@ -20,11 +24,18 @@ def _fields(cls) -> dict:
             for f in dataclasses.fields(cls)}
 
 
+def _is_number(value) -> bool:
+    """A JSON number a float can hold: no bool, no int past float range."""
+    return type(value) is float or (
+        type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def check_json(value, hint, where: str = "", only=None) -> None:
     """Raise ValueError naming the first part of a decoded JSON value that
     does not fit hint. Ints are no floats and bools no ints, floats take
-    ints, tuples are lists, only `X | None` takes null, and a dataclass is
-    an object whose keys are its fields, each checked the same way; a field
+    ints a float can hold, tuples are lists, an np.ndarray is a flat list
+    of such numbers, only `X | None` takes null, and a dataclass is an
+    object whose keys are its fields, each checked the same way; a field
     may be absent only when it has a default. `where` names value in the
     message; `only` checks just those fields and lets other keys pass."""
     if isinstance(hint, types.UnionType):  # X | None
@@ -45,11 +56,31 @@ def check_json(value, hint, where: str = "", only=None) -> None:
                            f"{where}[{name!r}]" if where else repr(name))
             elif required:
                 raise ValueError(f"{prefix}missing field {name!r}")
+    elif hint is np.ndarray:
+        # one C-level pass over a column of floats; numpy itself would read
+        # "0.5" and true as numbers
+        if not (isinstance(value, list) and (set(map(type, value)) <= {float}
+                                             or all(map(_is_number, value)))):
+            raise ValueError(f"{where} must hold only numbers")
     elif typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {json.dumps(value)}")
         for i, item in enumerate(value):
             check_json(item, typing.get_args(hint)[0], f"{where}[{i}]")
-    elif not (hint is bool if isinstance(value, bool) else
-              isinstance(value, (int, float) if hint is float else hint)):
+    elif not (_is_number(value) if hint is float else
+              hint is bool if isinstance(value, bool) else isinstance(value, hint)):
         raise ValueError(f"{where} must be {hint.__name__}, got {json.dumps(value)}")
+
+
+def decode(text: str, cls, version: int, what: str, only=None) -> dict:
+    """The JSON object in text less its schema_version, which must be
+    version, checked against cls by check_json; `what` names the file kind
+    in the version message. Every fault is a ValueError."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("the top level is not a JSON object")
+    got = doc.pop("schema_version", None)
+    if type(got) is not int or got != version:
+        raise ValueError(f"unsupported {what} schema {got!r}")
+    check_json(doc, cls, only=only)
+    return doc

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,26 @@ def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
     assert "z_max" not in json.loads((run / "config.json").read_text())
 
 
+def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
+    """A JSON int given for a float setting or a target coordinate
+    resolves to the float: the same config.json, config hash and
+    manifest as the float spelling."""
+    ds = tmp_path / "ds"
+    written = []
+    for depth_max in (70, 70.0):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"depth_max": depth_max, "target": [3, 4, 60]}))
+        shutil.rmtree(ds, ignore_errors=True)
+        assert main(["generate", "--n", "2", "--seed", "3", "--config",
+                     str(cfg), "--out", str(ds)]) == 0
+        written.append([(ds / name).read_bytes() for name in
+                        ("config.json", "manifest.json", "episodes.jsonl")])
+    assert written[0] == written[1]
+    doc = json.loads(written[0][0])
+    assert doc["depth_max"] == 70.0 and type(doc["depth_max"]) is float
+    assert all(type(v) is float for v in doc["target"])
+
+
 def test_cli_rerun_from_recorded_config_is_byte_identical(tmp_path):
     """A run directory's config.json reproduces its artifacts: generate
     and train again from it, into another directory, write the same
@@ -279,8 +300,9 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
     nan_position[1] = math.nan
     cases = [
         ("not valid JSON", lines[1][:len(lines[1]) // 2] + "\n"),  # cut
-        ("KeyError", json.dumps(no_heading) + "\n"),
-        ("TypeError", edited(medium=dict(doc["medium"], viscosity=1.0))),
+        ("missing field 'heading'", json.dumps(no_heading) + "\n"),
+        ("unknown keys ['viscosity']",
+         edited(medium=dict(doc["medium"], viscosity=1.0))),
         ("unsupported episode schema", edited(schema_version=2)),
         ("roll_true must match", edited(roll_true=doc["roll_true"][:-1])),
         ("position must be finite", edited(position=nan_position)),
@@ -292,6 +314,100 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
         assert main(_train_argv(ds, tmp_path)) == 2, expect
         err = capsys.readouterr().err
         assert "line 2" in err and expect in err
+
+
+# wrong-typed edits of an episode or trial line, each with the message
+# that names its key
+LINE_EDITS = {
+    "final_error_string": (
+        lambda d: d.update(final_error=repr(d["final_error"])),
+        "'final_error' must be float"),
+    "episode_id_float": (lambda d: d.update(episode_id=0.7),
+                         "'episode_id' must be int"),
+    "episode_id_string": (lambda d: d.update(episode_id="0"),
+                          "'episode_id' must be int"),
+    "episode_id_bool": (lambda d: d.update(episode_id=True),
+                        "'episode_id' must be int"),
+    "seed_float": (lambda d: d["seed"].__setitem__(0, 3.5),
+                   "'seed'[0] must be int"),
+    "seed_string": (lambda d: d["seed"].__setitem__(0, "3"),
+                    "'seed'[0] must be int"),
+    "rigid_string": (lambda d: d["medium"].update(rigid="no"),
+                     "'medium'['rigid'] must be bool"),
+    "medium_name_number": (lambda d: d["medium"].update(name=5),
+                           "'medium'['name'] must be str"),
+    "base_angle_string": (lambda d: d["base_angle"].__setitem__(1, "0.1"),
+                          "'base_angle' must hold only numbers"),
+    "base_angle_bool": (lambda d: d["base_angle"].__setitem__(1, True),
+                        "'base_angle' must hold only numbers"),
+    "target_strings": (lambda d: d.update(target=list(map(str, d["target"]))),
+                       "'target' must hold only numbers"),
+    "deadband_bool": (lambda d: d["controller"].update(deadband=True),
+                      "'controller'['deadband'] must be float"),
+    "unknown_key": (lambda d: d.update(viscosity=1.0),
+                    "unknown keys ['viscosity']"),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """A three-episode dataset and a two-trial evaluate directory."""
+    root = tmp_path_factory.mktemp("pipeline")
+    assert main(["generate", "--n", "3", "--seed", "3",
+                 "--out", str(root / "ds")]) == 0
+    assert main(["evaluate", "--estimators", "truth,ekf", "--rigid",
+                 "--n", "1", "--seed", "6", "--out", str(root / "eval")]) == 0
+    return root
+
+
+def _edit_line_2(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    edit(doc)
+    lines[1] = json.dumps(doc) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_cli_wrong_typed_line_is_data_error(pipeline_files, tmp_path, capsys,
+                                            command, edit):
+    """train reads episode lines and report trial lines through one type
+    check: a wrong-typed value fails it, naming the file, line and key."""
+    damage, expect = LINE_EDITS[edit]
+    if command == "train":
+        shutil.copytree(pipeline_files / "ds", tmp_path / "ds")
+        path = tmp_path / "ds" / "episodes.jsonl"
+        argv = _train_argv(tmp_path / "ds", tmp_path)
+    else:
+        shutil.copytree(pipeline_files / "eval", tmp_path / "eval")
+        path = tmp_path / "eval" / "trials" / "episodes.jsonl"
+        argv = ["report", "--out", str(tmp_path / "eval")]
+    _edit_line_2(path, damage)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and f"{path}: line 2 " in err
+    assert expect in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", ["val", "train", None])
+def test_cli_train_on_a_one_sided_manifest_is_data_error(tmp_path, capsys,
+                                                         label):
+    """A manifest that lists no train or no val episodes names itself."""
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
+    path = ds / "manifest.json"
+    doc = json.loads(path.read_text())
+    for meta in doc["episodes"]:
+        meta["split"] = label
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_train_argv(ds, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and f"{path}: no " in err
+    assert err.count("\n") == 1 and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("damage", ["no_episodes_file", "episodes_string",
@@ -353,6 +469,14 @@ def test_cli_steer_ekf_rigid_lands_under_a_millimetre(tmp_path, capsys):
     assert err < 1.0
 
 
+def test_cli_steer_target_needs_three_coordinates(tmp_path, capsys):
+    out = tmp_path / "steer"
+    assert main(["steer", "--estimator", "truth", "--target", "3,4",
+                 "--out", str(out)]) == 1
+    assert "target must have three coordinates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_steer_lstm_requires_model(tmp_path, capsys):
     assert main(["steer", "--estimator", "lstm",
                  "--out", str(tmp_path / "x")]) == 1
@@ -365,8 +489,9 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
     and so is one that loads but cannot steer: a non-finite or non-positive
     z_max (json writes and reads Infinity and NaN), a w_x of the wrong
     width, parameter data that holds a string or a bool, recorded sizes
-    that contradict the parameter shapes, or a top level that is not an
-    object. Each prints one error line and writes nothing."""
+    that contradict the parameter shapes, a top level that is not an
+    object, or text that is not JSON. Each prints one error line, naming
+    the file where the fault is in it, and writes nothing."""
     path = tmp_path / "model.json"
     save_model(init_model(75.0, hidden_size=4, seed=1), path)
     saved = path.read_text()
@@ -401,6 +526,7 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         damage(doc)
         damaged.append((json.dumps(doc), expect))
     damaged.append((f"[{saved}]", "is not a JSON object"))
+    damaged.append((saved[:len(saved) // 2], f"model file {path}: "))
     for text, expect in damaged:
         path.write_text(text)
         capsys.readouterr()
@@ -458,6 +584,14 @@ def test_cli_report_without_a_trial_record_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("failed:") and "line 4 is not valid JSON" in err
     assert "Traceback" not in err
+
+
+def test_cli_report_on_an_empty_trial_file_is_data_error(tmp_path, capsys):
+    out = _damaged_trials(tmp_path, lambda lines: [])
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and "episodes.jsonl: no trial records" in err
 
 
 def test_cli_report_on_a_repeated_trial_is_data_error(tmp_path, capsys):

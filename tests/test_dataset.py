@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,19 +224,23 @@ def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
     assert json.dumps(trial_doc, sort_keys=True, separators=(",", ":")) == line
 
 
-@pytest.mark.parametrize("name, damage, expect", [
-    ("roll_est", lambda v: v[:-1], "roll_est must match"),
-    ("angular_error", lambda v: np.append(v, 0.1), "angular_error must match"),
+@pytest.mark.parametrize("name, damage, expect, line_expect", [
+    ("roll_est", lambda v: v[:-1], "roll_est must match", None),
+    ("angular_error", lambda v: np.append(v, 0.1), "angular_error must match",
+     None),
     ("roll_est", lambda v: np.where(np.arange(len(v)) == 2, np.nan, v),
-     "roll_est must be finite"),
+     "roll_est must be finite", None),
     ("angular_error", lambda v: np.where(np.arange(len(v)) == 2, np.nan, v),
-     "angular_error must be finite"),
-    ("angular_error", lambda v: v + math.pi, r"\[0, pi\]"),
-    ("angular_error", lambda v: v - 1.0, r"\[0, pi\]"),
-    ("estimator", lambda v: 3, "estimator must be a string"),
+     "angular_error must be finite", None),
+    ("angular_error", lambda v: v + math.pi, r"\[0, pi\]", None),
+    ("angular_error", lambda v: v - 1.0, r"\[0, pi\]", None),
+    # a line fails the type check of its fields before validate runs
+    ("estimator", lambda v: 3, "estimator must be a string",
+     "'estimator' must be str"),
 ], ids=["short", "long", "nan_roll", "nan_error", "above_pi", "negative",
         "estimator_not_a_string"])
-def test_record_estimator_columns_are_validated(tmp_path, name, damage, expect):
+def test_record_estimator_columns_are_validated(tmp_path, name, damage, expect,
+                                                line_expect):
     root, manifest = small_dataset(tmp_path, n=1, seed=13)
     rec = load_episodes(root, manifest)[0]
     good = {"roll_est": np.zeros(rec.steps),
@@ -244,7 +249,7 @@ def test_record_estimator_columns_are_validated(tmp_path, name, damage, expect):
     bad = dataclasses.replace(rec, **dict(good, **{name: damage(good[name])}))
     with pytest.raises(ValueError, match=expect):
         bad.validate()
-    with pytest.raises(ValueError, match=expect):
+    with pytest.raises(ValueError, match=line_expect or expect):
         record_from_line(record_to_line(bad))
 
 
@@ -256,6 +261,27 @@ def test_record_line_rejects_wrong_schema(tmp_path):
     doc = json.loads(line)
     doc["schema_version"] = 42
     with pytest.raises(ValueError):
+        record_from_line(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit, expect", [
+    (lambda d: d.update(schema_version=True), "unsupported episode schema"),
+    (lambda d: d.pop("schema_version"), "unsupported episode schema None"),
+    (lambda d: d["base_angle"].__setitem__(0, 10**400),
+     "'base_angle' must hold only numbers"),
+    (lambda d: d.update(final_error=-10**400), "'final_error' must be float"),
+    (lambda d: d["position"].__setitem__(0, [0.0]),
+     "'position' must hold only numbers"),
+    (lambda d: d.update(t={}), "'t' must hold only numbers"),
+], ids=["bool_version", "no_version", "int_past_float_range",
+        "negative_int_past_float_range", "nested_list", "object_column"])
+def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
+    """Every fault of a line is a ValueError naming what is wrong, so
+    read_record_line need catch nothing else."""
+    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    doc = json.loads(record_to_line(load_episodes(root, manifest)[0]))
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(expect)):
         record_from_line(json.dumps(doc))
 
 
