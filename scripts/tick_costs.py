@@ -14,9 +14,12 @@ filter's trial. The two `estimate` rows replay the trial's measurements
 through a fresh estimator, so every call sees the state it saw in the
 trial. `ekf.update` replays the recorded states themselves: a state builds
 its rotation matrix when it is made, inside `ekf.predict`, so the replay
-does the loop's work. The last line names the machine: cores, Python and
-numpy. BLAS runs one thread, as in the benchmark. Standard library and
-numpy only; imports the `src/` next to this script.
+does the loop's work. The last row times a whole truth-steered
+`run_trial`, the loop `generate` runs plus building its record, per tick;
+its `calls` column is the trial's tick count. The last line names the
+machine: cores, Python and numpy. BLAS runs one thread, as in the
+benchmark. Standard library and numpy only; imports the `src/` next to
+this script.
 """
 
 from __future__ import annotations
@@ -74,10 +77,10 @@ def record_trial(estimator: str, model, hooks) -> dict:
     return calls
 
 
-def us_per_call(fn, make_args, repeats: int):
+def us_per_call(fn, make_args, repeats: int, per_call: int = 1):
     """25th, 50th and 75th percentiles over repeats of the mean µs of
-    fn(*args) over one pass of the argument list make_args() builds
-    (untimed)."""
+    fn(*args), divided by per_call, over one pass of the argument list
+    make_args() builds (untimed)."""
     means = []
     for _ in range(repeats):
         args_list = make_args()
@@ -89,7 +92,7 @@ def us_per_call(fn, make_args, repeats: int):
             elapsed = time.perf_counter() - start
         finally:
             gc.enable()
-        means.append(1e6 * elapsed / len(args_list))
+        means.append(1e6 * elapsed / (len(args_list) * per_call))
     return np.percentile(means, [25, 50, 75]).tolist()
 
 
@@ -116,6 +119,10 @@ def main(argv=None) -> int:
         (lstm.RollEstimator, "estimate", "RollEstimator.estimate"),
     ])
     timing_rng = np.random.default_rng(SEED)
+    truth_args = ("truth", GELATIN, controller,
+                  evaluate.sample_targets(WorkspaceCone(), SEED, 1)[0],
+                  (SEED, evaluate.ESTIMATOR_NAMES.index("truth"), 0))
+    truth_ticks = evaluate.run_trial(*truth_args).steps
 
     def replay(calls):
         return lambda: calls
@@ -126,6 +133,7 @@ def main(argv=None) -> int:
             return [(tracker, *a[1:]) for a in calls]
         return build
 
+    # (layer, function, argument lists, ticks per call)
     rows = [
         ("plant.step", dataset.step, replay(ekf_calls["plant.step"])),
         ("plant.sense", dataset.sense, replay(
@@ -143,12 +151,15 @@ def main(argv=None) -> int:
         ("RollEstimator.estimate", lstm.RollEstimator.estimate,
          fresh_tracker_calls(lstm_calls["RollEstimator.estimate"],
                              lambda: lstm.RollEstimator(model))),
+        ("run_trial truth, per tick", evaluate.run_trial,
+         replay([truth_args] * 3), truth_ticks),
     ]
     print(f"{'layer':<26}{'median':>10}{'p25':>10}{'p75':>10}{'calls':>8}")
-    for name, fn, make_args in rows:
-        p25, median, p75 = us_per_call(fn, make_args, repeats)
+    for name, fn, make_args, *per_call in rows:
+        p25, median, p75 = us_per_call(fn, make_args, repeats, *per_call)
+        calls = per_call[0] if per_call else len(make_args())
         print(f"{name:<26}{median:>10.2f}{p25:>10.2f}{p75:>10.2f}"
-              f"{len(make_args()):>8}")
+              f"{calls:>8}")
     print(f"machine cores={os.cpu_count()} python={platform.python_version()} "
           f"numpy={np.__version__} blas_threads="
           f"{os.environ['OPENBLAS_NUM_THREADS']} repeats={repeats} "

@@ -11,10 +11,9 @@ The controller is estimator-agnostic: it only sees a tip pose, however that
 pose was produced (ground truth, filter mean, or learned roll recomposed
 onto the sensed heading).
 
-A tick is scalar arithmetic on Python floats, under se3's one kernel
-convention of floats in and float rows out: _target_in_tip_frame reads the
-pose's arrays once and gives the distance and the body-frame offset
-R^T (target - p) as floats; the controller builds no array.
+A tick is scalar arithmetic on Python floats, under se3's kernel
+convention: control takes the pose as three float rows and three floats,
+and the target as three floats, and builds no array.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from needleroll.plant import ControlInput
-from needleroll.se3 import Pose, floats3, wrap_angle
+from needleroll.se3 import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -52,37 +51,29 @@ class Arrived:
     distance: float
 
 
-def _target_in_tip_frame(est_pose: Pose, target):
-    """Distance from the tip to the target, and the target's offset in the
-    tip body frame, R^T (target - p), as Python floats."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = est_pose.R.tolist()
-    p0, p1, p2 = est_pose.p.tolist()
-    t0, t1, t2 = floats3(target)
-    o0, o1, o2 = t0 - p0, t1 - p1, t2 - p2
-    return math.sqrt(o0 * o0 + o1 * o1 + o2 * o2), (
-        r00 * o0 + r10 * o1 + r20 * o2,
-        r01 * o0 + r11 * o1 + r21 * o2,
-        r02 * o0 + r12 * o1 + r22 * o2,
-    )
+def control(rows, p, target, params: ControllerParams):
+    """One controller tick on the estimated tip pose, given as the
+    rotation's rows and the position p: ControlInput, or Arrived to stop.
 
-
-def control(est_pose: Pose, target, params: ControllerParams):
-    """One controller tick: ControlInput, or Arrived to stop.
-
+    Works on the target's offset in the tip body frame, R^T (target - p).
     Stops when the target is within arrival_tolerance or no longer ahead of
     the tip plane (overshoot would otherwise grow the error forever): the
     third tip-frame coordinate is the offset along the heading.
     """
-    distance, rel = _target_in_tip_frame(est_pose, target)
-    if distance <= params.arrival_tolerance or rel[2] <= 0.0:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    p0, p1, p2 = p
+    t0, t1, t2 = target
+    o0, o1, o2 = t0 - p0, t1 - p1, t2 - p2
+    distance = math.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
+    if (distance <= params.arrival_tolerance
+            or r02 * o0 + r12 * o1 + r22 * o2 <= 0.0):
         return Arrived(distance=distance)
     # roll error: positive when the target is counterclockwise of the bevel
-    err = wrap_angle(math.atan2(rel[1], rel[0]))
-    if abs(err) > params.deadband:
-        spin = math.copysign(params.rotation_speed, err)
-    else:
-        spin = 0.0
-    return ControlInput(insertion_speed=params.insertion_speed, rotation_speed=spin)
+    err = wrap_angle(math.atan2(r01 * o0 + r11 * o1 + r21 * o2,
+                                r00 * o0 + r10 * o1 + r20 * o2))
+    spin = (math.copysign(params.rotation_speed, err)
+            if abs(err) > params.deadband else 0.0)
+    return ControlInput(params.insertion_speed, spin)
 
 
 def targeting_error(final_tip, target) -> float:

@@ -40,6 +40,7 @@ from needleroll.plant import (
     step,
 )
 from needleroll.schema import decode
+from needleroll.se3 import floats3
 
 DATASET_SCHEMA_VERSION = 1
 EPISODES_FILENAME = "episodes.jsonl"
@@ -77,29 +78,31 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
                     target, rng, estimator=None, depth_cap: float = DEPTH_CAP):
     """Drive one insertion to the target; the canonical execution loop.
 
-    Each tick: sense, estimate, decide, advance. `estimator` is any object
-    with estimate(meas, base_angle) -> Pose; None steers on the true pose.
-    Stops on controller arrival or at the depth cap.
+    Each tick, on floats: sense, estimate, decide, advance. `estimator` is any
+    object with estimate(meas, base_angle) -> Pose, read with .tolist(); None
+    steers on the plant state's rows. Stops on arrival or at the depth cap.
 
     Returns (logs, final_state, outcome, final_error). `logs` maps each
     STEP_COLUMNS name, "R_true" and "R_est" to a list with one entry per
     control period, taken at the measurement instant (before the plant
     advances): the sensed position and heading, the base angle and true
-    tip roll, the commanded speeds, and the true and estimated rotation
-    matrices. The final error is the true tip-to-target distance, whatever
+    tip roll, the commanded speeds, and the rows of the true and estimated
+    rotations. The final error is the true tip-to-target distance, whatever
     the estimator believed.
     """
     dt = 1.0 / controller.rate
+    goal = floats3(target)
     state = initial_state()
     logs = {name: [] for name in (*STEP_COLUMNS, "R_true", "R_est")}
     outcome = "depth_capped"
     while state.depth < depth_cap:
         meas = sense(state, medium, rng)
         if estimator is None:
-            est_pose = state.pose
+            rows, p = state.rows, state.p
         else:
             est_pose = estimator.estimate(meas, state.base_angle)
-        decision = control(est_pose, target, controller)
+            rows, p = est_pose.R.tolist(), est_pose.p.tolist()
+        decision = control(rows, p, goal, controller)
         if isinstance(decision, Arrived):
             outcome = "arrived"
             break
@@ -109,10 +112,10 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
         logs["roll_true"].append(state.tip_roll)
         logs["insertion_speed"].append(decision.insertion_speed)
         logs["rotation_speed"].append(decision.rotation_speed)
-        logs["R_true"].append(state.pose.R)
-        logs["R_est"].append(est_pose.R)
+        logs["R_true"].append(state.rows)
+        logs["R_est"].append(rows)
         state = step(state, decision, medium, dt)
-    final_error = targeting_error(state.pose.p, target)
+    final_error = targeting_error(state.p, target)
     return logs, state, outcome, final_error
 
 
@@ -296,15 +299,15 @@ def load_manifest(root: Path) -> DatasetManifest:
     return manifest
 
 
-def read_record_line(path: Path, idx: int, line: str) -> EpisodeRecord:
-    """record_from_line on line idx (zero-based) of path; any failure is a
-    DatasetError naming the file and line."""
+def read_record_line(path: Path, idx: int, line: bytes) -> EpisodeRecord:
+    """record_from_line on the bytes of line idx (zero-based) of path; any
+    failure, a byte that is not UTF-8 too, is a DatasetError naming them."""
     try:
-        return record_from_line(line)
+        return record_from_line(line.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetError(
             f"{path}: line {idx + 1} is not valid JSON ({exc})") from exc
-    # valid JSON that is no episode: wrong type, missing key, bad value
+    # no UTF-8, or valid JSON that is no episode: wrong type, missing key...
     except ValueError as exc:
         raise DatasetError(f"{path}: line {idx + 1} is not a valid "
                            f"episode ({exc})") from exc
@@ -322,10 +325,10 @@ def load_episodes(root: Path, manifest: DatasetManifest,
     path = Path(root) / manifest.episodes_file
     out = []
     lines = 0
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for idx, line in enumerate(fh):
             lines += 1
-            if not line.endswith("\n"):
+            if not line.endswith(b"\n"):
                 raise DatasetError(f"{path}: line {idx + 1} is truncated")
             if idx not in wanted:
                 continue

@@ -204,9 +204,9 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
     rows = R.tolist()
     eta, roll = decompose_roll(R)
     roll_new = roll + u.rotation_speed * dt
-    R_new, p_new = advance_tip_pose(
-        rows, state.position, u.insertion_speed, roll, roll_new, curvature, dt
-    )
+    R_new, p_new = advance_tip_pose(rows, state.position.tolist(),
+                                    u.insertion_speed, roll, roll_new,
+                                    curvature, dt)
     F = transition_jacobian(rows, eta, roll, u, curvature, dt)
     cov = F @ state.covariance @ F.T + process_noise * dt
     cov = 0.5 * (cov + cov.T)
@@ -288,10 +288,8 @@ class EkfRollTracker:
     def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
         require_valid_measurement(meas, base_angle)
         if self.last_base_angle is not None:
-            u = ControlInput(
-                insertion_speed=self.insertion_speed,
-                rotation_speed=(base_angle - self.last_base_angle) / self.dt,
-            )
+            u = ControlInput(self.insertion_speed,
+                             (base_angle - self.last_base_angle) / self.dt)
             self.state = predict(self.state, u, self.curvature, self.dt,
                                  self.process_noise)
         self.last_base_angle = base_angle

@@ -84,9 +84,9 @@ def run_trial(estimator_name: str, medium: MediumParams,
     estimator = make_estimator(estimator_name, medium, controller, model)
     logs, _, outcome, final_error = run_closed_loop(
         medium, controller, target, rng, estimator, depth_cap)
-    logs["roll_est"] = [decompose_roll(R)[1] for R in logs["R_est"]]
-    logs["angular_error"] = [angular_error(R_true, R_est) for R_true, R_est
-                             in zip(logs["R_true"], logs["R_est"])]
+    R_trues, R_ests = np.array(logs["R_true"]), np.array(logs["R_est"])
+    logs["roll_est"] = [decompose_roll(R)[1] for R in R_ests]
+    logs["angular_error"] = list(map(angular_error, R_trues, R_ests))
     return record_from_logs(trial_id, seed, medium, controller, target,
                             outcome, final_error, logs, estimator_name)
 
@@ -184,7 +184,7 @@ def _read_trials(path: Path):
     them).
     """
     by_id = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for idx, line in enumerate(fh):
             rec = read_record_line(path, idx, line)
             if rec.episode_id in by_id:

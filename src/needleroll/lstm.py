@@ -638,9 +638,9 @@ def save_model(model: LstmModel, path):
             for name, arr in model.params()
         },
     }
+    # json.dumps takes the C encoder, which json.dump never does
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> LstmModel:

@@ -14,10 +14,9 @@ the bending rate is curvature * insertion_speed about body +y. All dynamics
 are deterministic; randomness enters only through sense() and
 sample_target().
 
-A tick follows se3's kernel convention, floats in and float rows out:
-sense() calls se3.heading_tangent_basis and se3.so3_exp, advance_tip_pose()
-takes the rotation's rows and rebuilds it with se3.recompose_roll, and only
-the pose and the measurement hold arrays.
+A tick follows se3's kernel convention and builds no array: the tick values
+PlantState, ControlInput and SensedTip are named tuples of floats, the
+rotation three float rows; PlantState.pose builds a Pose on demand.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,39 +135,49 @@ def jittered_medium(medium: MediumParams, rng, fraction: float) -> MediumParams:
     )
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    insertion_speed: float  # mm/s, >= 0
-    rotation_speed: float  # rad/s, applied at the base
+class ControlInput(NamedTuple("ControlInput", [("insertion_speed", float),
+                                               ("rotation_speed", float)])):
+    """Insertion speed (mm/s, >= 0) and base rotation speed (rad/s); every
+    way to build one, _make and _replace included, checks the speed."""
 
-    def __post_init__(self):
-        if self.insertion_speed < 0.0:
+    __slots__ = ()
+
+    def __new__(cls, insertion_speed: float, rotation_speed: float):
+        if insertion_speed < 0.0:
             raise ValueError("insertion speed must be nonnegative")
+        return tuple.__new__(cls, (insertion_speed, rotation_speed))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
     """Simulator state. base_angle and tip_roll are unwrapped accumulators;
     wrapping happens only at interfaces (pose roll, features, errors)."""
 
-    pose: Pose
+    rows: tuple  # world_from_body rotation, three rows of three floats
+    p: tuple  # tip position, three floats, mm
     base_angle: float
     tip_roll: float
     depth: float
     tip_roll_rate: float
 
+    @property
+    def pose(self) -> Pose:
+        return Pose(self.p, self.rows)
+
 
 def initial_state() -> PlantState:
-    return PlantState(pose=Pose.identity(), base_angle=0.0, tip_roll=0.0,
-                      depth=0.0, tip_roll_rate=0.0)
+    return PlantState(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                      (0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class SensedTip:
-    """5-DOF measurement: position and heading only, roll never emitted."""
+class SensedTip(NamedTuple):
+    """5-DOF measurement: position and heading, three floats each; no roll."""
 
-    position: np.ndarray
-    heading: np.ndarray
+    position: tuple
+    heading: tuple
 
 
 HEADING_NORM_TOLERANCE = 1e-6
@@ -220,8 +230,9 @@ def tip_step(insertion_speed: float, curvature: float, delta: float,
 
 def advance_tip_pose(rows, p, insertion_speed: float, roll_prev: float,
                      roll_new: float, curvature: float, dt: float):
-    """One pose step from the rotation's rows (R.tolist()) and position p:
-    apply the roll change about body z, then the bevel arc.
+    """One pose step from the rotation's rows and the position p, three
+    floats: apply the roll change about body z, then the bevel arc. Returns
+    the new rotation's rows and position, as floats.
 
     The new rotation is rebuilt as (minimal rotation to the new heading) *
     rot_z(roll_new), so the pose's roll component equals the scalar roll
@@ -230,9 +241,10 @@ def advance_tip_pose(rows, p, insertion_speed: float, roll_prev: float,
     same torsion-free kinematics.
     """
     m_p, m = tip_step(insertion_speed, curvature, roll_new - roll_prev, dt)
-    p_new = np.array([x + dot3(r, m_p) for x, r in zip(floats3(p), rows)])
-    return (np.array(recompose_roll([dot3(r, m) for r in rows], roll_new)),
-            p_new)
+    r0, r1, r2 = rows
+    p0, p1, p2 = p
+    return (recompose_roll((dot3(r0, m), dot3(r1, m), dot3(r2, m)), roll_new),
+            (p0 + dot3(r0, m_p), p1 + dot3(r1, m_p), p2 + dot3(r2, m_p)))
 
 
 def step(state: PlantState, u: ControlInput, medium: MediumParams,
@@ -259,17 +271,10 @@ def step(state: PlantState, u: ControlInput, medium: MediumParams,
         else:
             rate = (torque - math.copysign(breakaway, torque)) / medium.torsion_damping
         roll = state.tip_roll + rate * dt
-    R_new, p_new = advance_tip_pose(
-        state.pose.R.tolist(), state.pose.p, u.insertion_speed,
-        state.tip_roll, roll, medium.curvature, dt,
-    )
-    return PlantState(
-        pose=Pose(p_new, R_new),
-        base_angle=alpha,
-        tip_roll=roll,
-        depth=state.depth + u.insertion_speed * dt,
-        tip_roll_rate=rate,
-    )
+    rows, p = advance_tip_pose(state.rows, state.p, u.insertion_speed,
+                               state.tip_roll, roll, medium.curvature, dt)
+    return PlantState(rows, p, alpha, roll,
+                      state.depth + u.insertion_speed * dt, rate)
 
 
 def sense(state: PlantState, medium: MediumParams, rng) -> SensedTip:
@@ -278,17 +283,19 @@ def sense(state: PlantState, medium: MediumParams, rng) -> SensedTip:
     Position gets iid gaussian noise per axis. The heading is tilted by a
     gaussian angle about a uniformly random axis perpendicular to it, then
     re-normalized. Draw order (3 position, tilt, axis azimuth) is part of
-    the determinism contract.
+    the determinism contract; the azimuth has rng.uniform(0, 2 pi)'s bits.
     """
-    position = state.pose.p + rng.normal(0.0, medium.position_noise, size=3)
-    eta = state.pose.R[:, 2].tolist()
+    n0, n1, n2 = rng.normal(0.0, medium.position_noise, size=3).tolist()
+    p0, p1, p2 = state.p
+    (_, _, e0), (_, _, e1), (_, _, e2) = state.rows
+    eta = (e0, e1, e2)
     tilt = rng.normal(0.0, medium.heading_noise)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi)
+    azimuth = 2.0 * math.pi * rng.random()
     b1, b2 = heading_tangent_basis(eta)
     ca, sa = math.cos(azimuth), math.sin(azimuth)
     axis = [(ca * x + sa * y) * tilt for x, y in zip(b1, b2)]
     heading = [dot3(r, eta) for r in so3_exp(axis)]
-    return SensedTip(position=position, heading=np.array(unit3(heading)))
+    return SensedTip((p0 + n0, p1 + n1, p2 + n2), unit3(heading))
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,10 @@ def wrap_angle(a: float) -> float:
     return w
 
 
-def floats3(v) -> list[float]:
-    """A 3-vector (any sequence) as plain floats, for scalar arithmetic."""
+def floats3(v):
+    """A 3-vector as plain floats; a tuple, a tick value's, passes as is."""
+    if type(v) is tuple:
+        return v
     return np.asarray(v, dtype=float).tolist()
 
 
@@ -89,9 +91,9 @@ def so3_exp(w) -> tuple:
 
 
 def quat_from_matrix(R) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) for a rotation matrix, w >= 0."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
-        np.asarray(R, dtype=float).tolist()
+    """Unit quaternion (w, x, y, z), w >= 0, of a matrix or a tuple of rows."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (
+        R if type(R) is tuple else np.asarray(R, dtype=float).tolist())
     tr = r00 + r11 + r22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
@@ -162,10 +164,6 @@ class Pose:
         if not is_float_array(self.R):
             object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.zeros(3), np.eye(3))
-
     @property
     def heading(self) -> np.ndarray:
         return self.R[:, 2].copy()
@@ -186,7 +184,7 @@ def angular_error(R_est, R_true) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def _align_rows(e0: float, e1: float, c: float) -> list:
+def _align_rows(e0: float, e1: float, c: float) -> tuple:
     """Rows of the minimal rotation taking the +z axis onto the unit vector
     eta = (e0, e1, c): I + K + K^2/(1+c), K = skew(z x eta).
 
@@ -198,9 +196,9 @@ def _align_rows(e0: float, e1: float, c: float) -> list:
         raise AntiparallelHeading("heading antiparallel to the reference axis")
     k = 1.0 / (1.0 + c)
     off = -k * e0 * e1
-    return [[1.0 - k * e0 * e0, off, e0],
-            [off, 1.0 - k * e1 * e1, e1],
-            [-e0, -e1, 1.0 - k * (e0 * e0 + e1 * e1)]]
+    return ((1.0 - k * e0 * e0, off, e0),
+            (off, 1.0 - k * e1 * e1, e1),
+            (-e0, -e1, 1.0 - k * (e0 * e0 + e1 * e1)))
 
 
 def heading_tangent_basis(eta) -> tuple:
@@ -233,7 +231,7 @@ def decompose_roll(R) -> tuple[tuple[float, float, float], float]:
     return (e0, e1, c), theta
 
 
-def recompose_roll(eta, roll: float) -> list:
+def recompose_roll(eta, roll: float) -> tuple:
     """Rotation with the heading eta (three floats, any nonzero length) and
     the given roll, as three float rows; inverse of decompose_roll."""
     e0, e1, e2 = eta
@@ -242,8 +240,11 @@ def recompose_roll(eta, roll: float) -> list:
         raise ValueError("heading must be a nonzero vector")
     c, s = math.cos(roll), math.sin(roll)
     # rows of the minimal rotation onto eta / n, times rot_z(roll)
-    return [[c * a0 + s * a1, c * a1 - s * a0, a2]
-            for a0, a1, a2 in _align_rows(e0 / n, e1 / n, e2 / n)]
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _align_rows(
+        e0 / n, e1 / n, e2 / n)
+    return ((c * a00 + s * a01, c * a01 - s * a00, a02),
+            (c * a10 + s * a11, c * a11 - s * a10, a12),
+            (c * a20 + s * a21, c * a21 - s * a20, a22))
 
 
 def register_points(A, B) -> tuple[Pose, float]:

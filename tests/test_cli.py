@@ -392,6 +392,29 @@ def test_cli_wrong_typed_line_is_data_error(pipeline_files, tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_cli_non_utf8_line_is_data_error(pipeline_files, tmp_path, capsys,
+                                         command):
+    """A byte that is not UTF-8 fails its line like any other bad line."""
+    if command == "train":
+        shutil.copytree(pipeline_files / "ds", tmp_path / "ds")
+        path = tmp_path / "ds" / "episodes.jsonl"
+        argv = _train_argv(tmp_path / "ds", tmp_path)
+    else:
+        shutil.copytree(pipeline_files / "eval", tmp_path / "eval")
+        path = tmp_path / "eval" / "trials" / "episodes.jsonl"
+        argv = ["report", "--out", str(tmp_path / "eval")]
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:100] + b"\xff" + lines[1][101:]
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and f"{path}: line 2 " in err
+    assert "utf-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("label", ["val", "train", None])
 def test_cli_train_on_a_one_sided_manifest_is_data_error(tmp_path, capsys,
                                                          label):

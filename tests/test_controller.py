@@ -18,10 +18,16 @@ from needleroll.plant import (
     sample_target,
     step,
 )
-from needleroll.se3 import Pose, rot_z, so3_exp
+from needleroll.se3 import Pose, floats3, rot_z, so3_exp
 
 PARAMS = ControllerParams()
+IDENTITY = Pose(np.zeros(3), np.eye(3))
 DT = 1.0 / PARAMS.rate
+
+
+def control_pose(pose, target, params):
+    """control on a Pose and a target array, read as float rows and floats."""
+    return control(pose.R.tolist(), pose.p.tolist(), floats3(target), params)
 
 
 def steer_with_truth(target, medium, params=PARAMS, max_steps=900):
@@ -29,7 +35,7 @@ def steer_with_truth(target, medium, params=PARAMS, max_steps=900):
     state = initial_state()
     history = [state]
     for _ in range(max_steps):
-        u = control(state.pose, target, params)
+        u = control(state.rows, state.p, floats3(target), params)
         if isinstance(u, Arrived):
             break
         state = step(state, u, medium, 1.0 / params.rate)
@@ -45,22 +51,22 @@ def test_params_validation():
 
 
 def test_target_on_curving_side_inserts_without_rotation():
-    pose = Pose.identity()
-    u = control(pose, np.array([5.0, 0.0, 50.0]), PARAMS)
+    pose = IDENTITY
+    u = control_pose(pose, np.array([5.0, 0.0, 50.0]), PARAMS)
     assert isinstance(u, ControlInput)
     assert u.insertion_speed == PARAMS.insertion_speed
     assert u.rotation_speed == 0.0
 
 
 def test_target_at_quarter_turn_rotates_positive():
-    pose = Pose.identity()
-    u = control(pose, np.array([0.0, 5.0, 50.0]), PARAMS)
+    pose = IDENTITY
+    u = control_pose(pose, np.array([0.0, 5.0, 50.0]), PARAMS)
     assert u.rotation_speed == PARAMS.rotation_speed
 
 
 def test_target_at_negative_quarter_turn_rotates_negative():
-    pose = Pose.identity()
-    u = control(pose, np.array([0.0, -5.0, 50.0]), PARAMS)
+    pose = IDENTITY
+    u = control_pose(pose, np.array([0.0, -5.0, 50.0]), PARAMS)
     assert u.rotation_speed == -PARAMS.rotation_speed
 
 
@@ -68,32 +74,32 @@ def test_roll_error_accounts_for_current_roll():
     # target on +y: the unrolled tip must spin toward it, while a tip already
     # rolled +pi/2, its bevel pointing at +y, sees zero roll error
     target = np.array([0.0, 5.0, 50.0])
-    assert control(Pose.identity(), target, PARAMS).rotation_speed > 0.0
+    assert control_pose(IDENTITY, target, PARAMS).rotation_speed > 0.0
     pose = Pose(np.zeros(3), rot_z(math.pi / 2.0))
-    assert control(pose, target, PARAMS).rotation_speed == 0.0
+    assert control_pose(pose, target, PARAMS).rotation_speed == 0.0
 
 
 def test_arrival_inside_tolerance():
-    pose = Pose.identity()
-    out = control(pose, np.array([0.0, 0.1, 0.2]), PARAMS)
+    pose = IDENTITY
+    out = control_pose(pose, np.array([0.0, 0.1, 0.2]), PARAMS)
     assert isinstance(out, Arrived)
     assert out.distance == pytest.approx(math.hypot(0.1, 0.2))
 
 
 def test_arrival_when_target_behind_tip_plane():
-    pose = Pose.identity()
-    out = control(pose, np.array([1.0, 0.0, -3.0]), PARAMS)
+    pose = IDENTITY
+    out = control_pose(pose, np.array([1.0, 0.0, -3.0]), PARAMS)
     assert isinstance(out, Arrived)
 
 
 def test_deadband_suppresses_small_errors():
-    pose = Pose.identity()
+    pose = IDENTITY
     # error just inside the deadband: rotate command must be zero
     target = np.array([50.0 * math.cos(0.04), 50.0 * math.sin(0.04), 50.0])
-    u = control(pose, target, PARAMS)
+    u = control_pose(pose, target, PARAMS)
     assert u.rotation_speed == 0.0
     target = np.array([50.0 * math.cos(0.06), 50.0 * math.sin(0.06), 50.0])
-    u = control(pose, target, PARAMS)
+    u = control_pose(pose, target, PARAMS)
     assert u.rotation_speed == PARAMS.rotation_speed
 
 
@@ -101,13 +107,13 @@ def test_rotational_invariance_about_heading():
     rng = np.random.default_rng(0)
     base = Pose(np.array([1.0, -2.0, 10.0]), so3_exp([0.2, -0.1, 0.8]))
     target = np.array([4.0, 1.0, 55.0])
-    u0 = control(base, target, PARAMS)
+    u0 = control_pose(base, target, PARAMS)
     for _ in range(25):
         gamma = rng.uniform(-math.pi, math.pi)
         W = np.array(so3_exp((base.heading * gamma).tolist()))
         rolled = Pose(base.p, W @ base.R)
         rolled_target = base.p + W @ (target - base.p)
-        u1 = control(rolled, rolled_target, PARAMS)
+        u1 = control_pose(rolled, rolled_target, PARAMS)
         assert type(u1) is type(u0)
         assert u1.rotation_speed == u0.rotation_speed
         assert u1.insertion_speed == u0.insertion_speed
@@ -140,7 +146,7 @@ def test_closed_loop_sign_flip_rate_bounded():
     spins = []
     state = initial_state()
     for _ in range(len(history)):
-        u = control(state.pose, target, PARAMS)
+        u = control(state.rows, state.p, floats3(target), PARAMS)
         if isinstance(u, Arrived):
             break
         spins.append(u.rotation_speed)

@@ -13,9 +13,10 @@ reference for the cached one, which must agree with it bit for bit.
 
 The closed-loop tick's scalar kernels have references too: the controller
 written with np.linalg.norm, np.dot and R.T @ offset must take the same
-decisions, and the sensor model written with numpy vector arithmetic over
-the arrays of heading_tangent_basis's rows must give the same bits and
-leave the generator in the same state.
+decisions, the sensor model written with numpy vector arithmetic over the
+arrays of heading_tangent_basis's rows must give the same bits and leave
+the generator in the same state, and the plant step on float rows must
+give the bits of the step written on a Pose's arrays.
 """
 
 import math
@@ -29,18 +30,23 @@ from hypothesis import strategies as st
 from needleroll.controller import Arrived, ControllerParams, control
 from needleroll.ekf import align_jacobian
 from needleroll.plant import (
+    BRAIN,
     GELATIN,
     LUNG,
     ControlInput,
     PlantState,
     SensedTip,
+    initial_state,
+    rigid_variant,
     sense,
+    step,
     tip_step,
 )
 from needleroll.se3 import (
     Pose,
     dot3,
     heading_tangent_basis,
+    recompose_roll,
     se3_exp,
     so3_exp,
     unit3,
@@ -234,6 +240,38 @@ def reference_sense(state, medium, rng):
     return SensedTip(position=position, heading=np.array(unit3(heading)))
 
 
+def state_at(pose, base_angle=0.0, tip_roll=0.0, depth=0.0, tip_roll_rate=0.0):
+    """A PlantState at pose: its rotation's rows and position as floats."""
+    return PlantState(rows=tuple(map(tuple, pose.R.tolist())),
+                      p=tuple(pose.p.tolist()), base_angle=base_angle,
+                      tip_roll=tip_roll, depth=depth,
+                      tip_roll_rate=tip_roll_rate)
+
+
+def reference_step(pose, base_angle, tip_roll, depth, u, medium, dt):
+    """plant.step as written on a Pose's arrays: the stick/slip sub-step,
+    then the pose step on R.tolist() built back into arrays. Returns the
+    new (pose, base_angle, tip_roll, depth, tip_roll_rate)."""
+    alpha = base_angle + u.rotation_speed * dt
+    if medium.rigid:
+        roll = alpha
+        rate = u.rotation_speed
+    else:
+        torque = medium.torsion_stiffness * (alpha - tip_roll)
+        breakaway = medium.friction_per_depth * depth
+        if abs(torque) <= breakaway:
+            rate = 0.0
+        else:
+            rate = (torque - math.copysign(breakaway, torque)) / medium.torsion_damping
+        roll = tip_roll + rate * dt
+    rows = pose.R.tolist()
+    m_p, m = tip_step(u.insertion_speed, medium.curvature, roll - tip_roll, dt)
+    p_new = np.array([x + dot3(r, m_p) for x, r in zip(pose.p.tolist(), rows)])
+    R_new = np.array(recompose_roll([dot3(r, m) for r in rows], roll))
+    return (Pose(p_new, R_new), alpha, roll,
+            depth + u.insertion_speed * dt, rate)
+
+
 coords = st.floats(-80.0, 80.0)
 points = st.tuples(coords, coords, coords).map(np.array)
 poses = st.builds(lambda p, w: Pose(p, so3_exp(w.tolist())), points,
@@ -252,7 +290,7 @@ target_offsets = st.one_of(points, targets_near)
 def test_scalar_control_matches_numpy_reference(pose, offset, deadband):
     params = ControllerParams(deadband=deadband)
     target = pose.p + offset
-    got = control(pose, target, params)
+    got = control(pose.R.tolist(), pose.p.tolist(), target.tolist(), params)
     ref = reference_control(pose, target, params)
     assert type(got) is type(ref)
     if isinstance(ref, Arrived):
@@ -266,12 +304,62 @@ def test_scalar_control_matches_numpy_reference(pose, offset, deadband):
 @given(pose=poses, seed=st.integers(0, 2**32 - 1),
        medium=st.sampled_from([GELATIN, LUNG]))
 def test_scalar_sense_is_the_numpy_formula_bitwise(pose, seed, medium):
-    state = PlantState(pose=pose, base_angle=0.0, tip_roll=0.0, depth=0.0,
-                       tip_roll_rate=0.0)
+    state = state_at(pose)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sense(state, medium, rng)
     ref = reference_sense(state, medium, ref_rng)
-    assert got.position.tobytes() == ref.position.tobytes()
-    assert got.heading.tobytes() == ref.heading.tobytes()
+    assert np.array(got.position).tobytes() == ref.position.tobytes()
+    assert np.array(got.heading).tobytes() == ref.heading.tobytes()
     # same draws in the same order: both generators end in the same state
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pose=poses,
+       angles=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+       depth=st.one_of(st.just(0.0), st.floats(0.0, 80.0)),
+       speeds=st.lists(st.tuples(
+           st.one_of(st.sampled_from([0.0, -0.0, 5.0]), st.floats(0.0, 20.0)),
+           st.one_of(st.sampled_from([0.0, 2.0 * math.pi, -2.0 * math.pi]),
+                     st.floats(-10.0, 10.0)),
+       ), min_size=1, max_size=4),
+       medium=st.sampled_from([GELATIN, BRAIN, LUNG, rigid_variant(GELATIN)]),
+       dt=st.one_of(st.just(0.025), st.floats(1e-3, 0.05)))
+def test_float_row_step_is_the_array_step_bitwise(pose, angles, depth,
+                                                   speeds, medium, dt):
+    base_angle, tip_roll = angles
+    state = state_at(pose, base_angle, tip_roll, depth)
+    ref = (pose, base_angle, tip_roll, depth, 0.0)
+    for v, w in speeds:
+        u = ControlInput(v, w)
+        state = step(state, u, medium, dt)
+        ref = reference_step(*ref[:4], u, medium, dt)
+        assert np.array(state.rows).tobytes() == ref[0].R.tobytes()
+        assert np.array(state.p).tobytes() == ref[0].p.tobytes()
+        assert struct.pack("<4d", *state[2:]) == struct.pack("<4d", *ref[1:])
+
+
+def test_control_input_rejects_a_negative_insertion_speed():
+    for args in ((-1.0, 0.0), (-1e-300, 2.0), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="insertion speed"):
+            ControlInput(*args)
+        with pytest.raises(ValueError, match="insertion speed"):
+            ControlInput(insertion_speed=args[0], rotation_speed=args[1])
+    with pytest.raises(ValueError, match="insertion speed"):
+        ControlInput(5.0, 0.0)._replace(insertion_speed=-1.0)
+    with pytest.raises(ValueError, match="insertion speed"):
+        ControlInput._make((-1.0, 0.0))
+    # what the check let through before: zero of either sign, and NaN
+    for v in (0.0, -0.0, math.nan, 5.0):
+        assert ControlInput(v, 1.0)[0] is v
+
+
+def test_tick_values_are_immutable():
+    values = (initial_state(), ControlInput(5.0, 1.0),
+              SensedTip((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)))
+    for value in values:
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0.0)
+        with pytest.raises(AttributeError):
+            value.extra = 0.0

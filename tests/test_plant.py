@@ -12,7 +12,6 @@ from needleroll.plant import (
     MEDIUM_PRESETS,
     ControlInput,
     MediumParams,
-    PlantState,
     SensedTip,
     WorkspaceCone,
     advance_tip_pose,
@@ -196,8 +195,7 @@ def test_frictionless_relaxation_matches_linear_ode():
     medium = dataclasses.replace(quiet(GELATIN), friction_per_depth=0.0)
     lam = medium.torsion_stiffness / medium.torsion_damping
     dt = 1e-4
-    state = PlantState(pose=initial_state().pose, base_angle=1.0, tip_roll=0.0,
-                       depth=0.0, tip_roll_rate=0.0)
+    state = initial_state()._replace(base_angle=1.0)
     t = 0.0
     for _ in range(3000):
         state = step(state, ControlInput(0.0, 0.0), medium, dt)
@@ -223,8 +221,7 @@ def test_stiction_holds_tip_below_breakaway():
     import dataclasses
 
     medium = dataclasses.replace(quiet(GELATIN), friction_per_depth=5.0)
-    state = PlantState(pose=initial_state().pose, base_angle=0.1, tip_roll=0.0,
-                       depth=50.0, tip_roll_rate=0.0)
+    state = initial_state()._replace(base_angle=0.1, depth=50.0)
     # |tau| = 2*0.1 = 0.2 far below breakaway 250: the tip must not move
     nxt = step(state, ControlInput(0.0, 0.0), medium, DT)
     assert nxt.tip_roll == 0.0

@@ -88,6 +88,9 @@ def test_quat_matrix_roundtrip():
     for _ in range(100):
         R = random_rotation(rng)
         assert np.allclose(quat_to_matrix(quat_from_matrix(R)), R, atol=1e-12)
+        # a tuple of float rows, as advance_tip_pose gives, reads the same
+        rows = tuple(map(tuple, R.tolist()))
+        assert quat_from_matrix(rows).tobytes() == quat_from_matrix(R).tobytes()
 
 
 def test_quat_from_matrix_agrees_with_scipy():
