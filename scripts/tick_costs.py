@@ -16,7 +16,12 @@ trial. `ekf.update` replays the recorded states themselves: a state builds
 its rotation matrix when it is made, inside `ekf.predict`, so the replay
 does the loop's work. The last row times a whole truth-steered
 `run_trial`, the loop `generate` runs plus building its record, per tick;
-its `calls` column is the trial's tick count. The last line names the
+its `calls` column is the trial's tick count. The training rows time
+`lstm._forward_batch` (a training pass, with dropout) and `lstm.backward`
+at hidden 30 on a padded batch of 600 steps, 8 and 4 sequences wide,
+through one reused Workspace as `train` runs them, in µs per padded step
+(their `calls` column is the step count), and `lstm.Adam.apply` per call
+on a hidden-30 model. The last line names the
 machine: cores, Python and numpy. BLAS runs one thread, as in the
 benchmark. Standard library and numpy only; imports the `src/` next to
 this script.
@@ -45,6 +50,7 @@ from needleroll.controller import ControllerParams  # noqa: E402
 from needleroll.plant import GELATIN, WorkspaceCone  # noqa: E402
 
 SEED = 7
+BATCH_STEPS = 600  # padded steps of the timed training batches
 
 
 @contextmanager
@@ -127,13 +133,43 @@ def main(argv=None) -> int:
     def replay(calls):
         return lambda: calls
 
+    # training layers at the shipped shape: hidden 30, padded batches of
+    # BATCH_STEPS steps; backward consumes its cache, so each pass gets a
+    # fresh one, built untimed in the same workspace
+    batch_rng = np.random.default_rng(SEED)
+    workspace = lstm.Workspace()
+    training_rows = []
+    for width in (8, 4):
+        seqs = [(batch_rng.uniform(-1.0, 1.0, (BATCH_STEPS, lstm.INPUT_SIZE)),
+                 batch_rng.uniform(-1.0, 1.0, (BATCH_STEPS, 2)))
+                for _ in range(width)]
+        xs, ys, mask = lstm._pad_batch(seqs)
+
+        def forward_args(xs=xs):
+            return [(model, xs, True, batch_rng, workspace)]
+
+        def backward_args(xs=xs, ys=ys, mask=mask):
+            cache = lstm._forward_batch(model, xs, True, batch_rng, workspace)
+            return [(model, cache, ys, mask)]
+
+        training_rows += [
+            (f"lstm._forward_batch B={width}", lstm._forward_batch,
+             forward_args, BATCH_STEPS),
+            (f"lstm.backward B={width}", lstm.backward, backward_args,
+             BATCH_STEPS),
+        ]
+    cache = lstm._forward_batch(model, xs, True, batch_rng, workspace)
+    grads = lstm.backward(model, cache, ys, mask)[0]
+    stepped = lstm.init_model(75.0, hidden_size=30, seed=1)
+    optimizer = lstm.Adam(stepped, 3e-3)
+
     def fresh_tracker_calls(calls, make):
         def build():
             tracker = make()
             return [(tracker, *a[1:]) for a in calls]
         return build
 
-    # (layer, function, argument lists, ticks per call)
+    # (layer, function, argument lists, ticks or padded steps per call)
     rows = [
         ("plant.step", dataset.step, replay(ekf_calls["plant.step"])),
         ("plant.sense", dataset.sense, replay(
@@ -153,6 +189,9 @@ def main(argv=None) -> int:
                              lambda: lstm.RollEstimator(model))),
         ("run_trial truth, per tick", evaluate.run_trial,
          replay([truth_args] * 3), truth_ticks),
+        *training_rows,
+        ("lstm.Adam.apply", lstm.Adam.apply,
+         replay([(optimizer, stepped, grads)] * 10)),
     ]
     print(f"{'layer':<26}{'median':>10}{'p25':>10}{'p75':>10}{'calls':>8}")
     for name, fn, make_args, *per_call in rows:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -180,6 +181,12 @@ class EpisodeRecord:
             raise ValueError("estimator must be a string")
 
 
+def _stack_rows3(rows) -> np.ndarray:
+    """np.array(rows) for rows of three floats, without per-row parsing."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float,
+                       3 * len(rows)).reshape(-1, 3)
+
+
 def record_from_logs(episode_id: int, seed, medium: MediumParams,
                      controller: ControllerParams, target, outcome: str,
                      final_error: float, logs,
@@ -193,7 +200,8 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
         outcome=outcome,
         final_error=float(final_error),
         t=np.arange(len(logs["base_angle"])) * (1.0 / controller.rate),
-        **{name: np.array(logs[name])
+        **{name: (_stack_rows3(logs[name]) if name in ("position", "heading")
+                  else np.array(logs[name]))
            for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS) if name in logs},
         estimator=estimator,
     )
@@ -457,9 +465,15 @@ def episode_to_sequence(rec: EpisodeRecord, z_max: float):
     """
     if z_max <= 0.0:
         raise ValueError("z_max must be positive")
-    alpha = [(math.sin(a), math.cos(a)) for a in rec.base_angle.tolist()]
-    xs = np.column_stack([rec.position / z_max, rec.heading, alpha])
-    return xs, np.array([(math.sin(a), math.cos(a)) for a in rec.roll_true.tolist()])
+
+    def sin_cos(angles):
+        angles = angles.tolist()
+        return [np.fromiter(map(fn, angles), float, len(angles))
+                for fn in (math.sin, math.cos)]
+
+    xs = np.column_stack([rec.position / z_max, rec.heading,
+                          *sin_cos(rec.base_angle)])
+    return xs, np.column_stack(sin_cos(rec.roll_true))
 
 
 def to_training_sequences(root: Path, manifest: DatasetManifest,

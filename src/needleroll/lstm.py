@@ -23,12 +23,17 @@ run_sequence call the exact same forward_step, so their outputs are
 bit-identical by construction; the batched training forward is a separate
 vectorized path validated against run_sequence in tests.
 
-The training path is time-major: padded batches, masks and every cached
-activation are (T, B, .) arrays, so each timestep is one contiguous (B, .)
-slab. Only the recurrence steps through time; projections, the
-fully-connected layer, the output head and every weight gradient are single
-GEMMs over all T * B rows. backward consumes its cache: it overwrites the
-cached activations in place with its intermediate factors and gradients.
+The training path keeps inputs, targets, masks, hidden states, the
+fully-connected activations and the dropout mask time-major, (T, B, .), so
+the input projection, the fully-connected layer, the output head and every
+weight gradient are single GEMMs over all T * B rows. The recurrence
+buffers (gates, cell, tanh(cell)) are feature-major, (T, 4H, B) and
+(T, H, B), so every step's gate slices and every whole-array pass over one
+gate are contiguous. Only the recurrence steps through time, over views
+built before each loop. All of it lives in a Workspace that train reuses
+across batches, epochs and validation chunks. backward consumes its cache:
+it overwrites the cached activations in place with its intermediate
+factors and gradients.
 
 Each epoch shuffles the training sequences, cuts the shuffled order into
 pools of LENGTH_POOL (32) and stable-sorts every pool by sequence length
@@ -238,16 +243,40 @@ def run_sequence(model: LstmModel, xs) -> np.ndarray:
 
 # --------------------------------------------------------------- training path
 
-def _pad_batch(seqs):
+class Workspace:
+    """Named flat float64 buffers the training path's arrays are views of,
+    `width` values per padded batch-step. A buffer is allocated for at
+    least `rows` batch-steps and replaced only by a larger need, so the
+    batches that share a workspace share its memory; a cache stays valid
+    until the next call that takes from the same workspace. Calls given
+    none make their own: fresh arrays through the same code path."""
+
+    def __init__(self, rows: int = 0):
+        self.rows = rows
+        self._flat = {}
+
+    def take(self, name: str, rows: int, width: int) -> np.ndarray:
+        """An uninitialized (rows, width) view of buffer `name`."""
+        flat = self._flat.get(name)
+        if flat is None or flat.size < rows * width:
+            flat = self._flat[name] = np.empty(max(rows, self.rows) * width)
+        return flat[:rows * width].reshape(rows, width)
+
+
+def _pad_batch(seqs, workspace=None):
     """End-pad (xs, ys) pairs to a common length, time-major: (T, B, .)
     arrays; mask (T, B) marks real steps."""
+    ws = workspace or Workspace()
     lengths = [len(xs) for xs, _ in seqs]
     t_max = max(lengths)
     batch = len(seqs)
+    rows = t_max * batch
     d = seqs[0][0].shape[1]
-    xs = np.zeros((t_max, batch, d))
-    ys = np.zeros((t_max, batch, 2))
-    mask = np.zeros((t_max, batch))
+    xs = ws.take("x", rows, d).reshape(t_max, batch, d)
+    ys = ws.take("target", rows, 2).reshape(t_max, batch, 2)
+    mask = ws.take("mask", rows, 1).reshape(t_max, batch)
+    for arr in (xs, ys, mask):  # no tail of an earlier batch survives
+        arr.fill(0.0)
     for k, (x_seq, y_seq) in enumerate(seqs):
         n = lengths[k]
         xs[:n, k] = x_seq
@@ -256,7 +285,8 @@ def _pad_batch(seqs):
     return xs, ys, mask
 
 
-def _forward_batch(model: LstmModel, xs, train_mode: bool, dropout_rng=None):
+def _forward_batch(model: LstmModel, xs, train_mode: bool, dropout_rng=None,
+                   workspace=None):
     """Vectorized forward over (T, B, D) inputs, caching every activation
     the backward pass needs. Padded steps are computed (cheap) and later
     masked out of the loss, which provably zeroes their gradients for
@@ -267,48 +297,74 @@ def _forward_batch(model: LstmModel, xs, train_mode: bool, dropout_rng=None):
     once over all timesteps. The dropout mask is one (T, B, H) draw, the
     same stream as T consecutive (B, H) draws.
     """
+    ws = workspace or Workspace()
     t_max, batch, d = xs.shape
     h_size = model.hidden_size
+    four_h = 4 * h_size
+    rows = t_max * batch
     scale, shift = _gate_affine(h_size)
-    gates = np.empty((t_max, batch, 4 * h_size))
-    np.matmul(xs.reshape(-1, d), (model.w_x * scale[:, None]).T,
-              out=gates.reshape(-1, 4 * h_size))
-    gates += model.b_g * scale
+    # each step's (B, 4H) block of input projections becomes, in place,
+    # that step's (4H, B) block of gate activations
+    projected = ws.take("gates", rows, four_h)
+    np.matmul(xs.reshape(rows, d), (model.w_x * scale[:, None]).T,
+              out=projected)
+    projected += model.b_g * scale
+    gates = projected.reshape(t_max, four_h, batch)
+    # slab rows: hidden states (T, B, H); cell and tanh(cell) (T, H, B);
+    # fully-connected activations (T, B, H), which hold the (T, H, B)
+    # hidden states until the loop ends; in training, the dropout mask
+    slab = ws.take("slab", rows, (5 if train_mode else 4) * h_size)
+    slab = slab.reshape(-1, rows * h_size)
+    hidden = slab[0].reshape(t_max, batch, h_size)
+    cell, tanh_cell, hidden_by_unit = (
+        slab[k].reshape(t_max, h_size, batch) for k in (1, 2, 3))
+    quad = gates.reshape(t_max, 4, h_size, batch)
     w_h = (model.w_h * scale[:, None]).T
-    cell = np.empty((t_max, batch, h_size))
-    tanh_cell = np.empty_like(cell)
-    hidden = np.empty_like(cell)
-    quad = gates.reshape(t_max, batch, 4, h_size)
-    gate_i, gate_f, gate_g, gate_o = (quad[:, :, k] for k in range(4))
-    h_prev = c_prev = np.zeros((batch, h_size))
-    recurrent = np.empty((batch, 4 * h_size))
-    input_part = np.empty((batch, h_size))
-    for t in range(t_max):
-        z = gates[t]
-        z += np.matmul(h_prev, w_h, out=recurrent)
-        _activate_gates(z, scale, shift)
-        c_prev = np.multiply(gate_f[t], c_prev, out=cell[t])
-        c_prev += np.multiply(gate_i[t], gate_g[t], out=input_part)
-        np.tanh(c_prev, out=tanh_cell[t])
-        h_prev = np.multiply(gate_o[t], tanh_cell[t], out=hidden[t])
+    # full (4H, B) operands: a (4H, 1) column broadcast along B is slower
+    scale, shift = (np.repeat(v[:, None], batch, axis=1)
+                    for v in (scale, shift))
+    h_prev = np.zeros((h_size, batch))
+    c_prev = np.zeros((h_size, batch))
+    recurrent = np.empty((batch, four_h))
+    activated = np.empty((four_h, batch))
+    input_part = np.empty((h_size, batch))
+    steps = list(zip(projected.reshape(t_max, batch, four_h), gates,
+                     quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3],
+                     cell, tanh_cell, hidden_by_unit))
+    for z, gate, gate_i, gate_f, gate_g, gate_o, c, tc, h in steps:
+        # as a transposed (B, H) operand, h_prev rounds as the time-major
+        # product does at the shipped shape (w_h.T @ h_prev would not)
+        z += np.matmul(h_prev.T, w_h, out=recurrent)
+        np.tanh(z.T, out=activated)
+        np.multiply(activated, scale, out=gate)
+        gate += shift
+        c_prev = np.multiply(gate_f, c_prev, out=c)
+        c_prev += np.multiply(gate_i, gate_g, out=input_part)
+        np.tanh(c_prev, out=tc)
+        h_prev = np.multiply(gate_o, tc, out=h)
+    np.copyto(hidden, hidden_by_unit.transpose(0, 2, 1))
 
-    act = np.matmul(hidden.reshape(-1, h_size), model.w_fc.T)
+    act = slab[3].reshape(t_max, batch, h_size)
+    np.matmul(hidden.reshape(rows, h_size), model.w_fc.T,
+              out=act.reshape(rows, h_size))
     act += model.b_fc
     np.tanh(act, out=act)
-    act = act.reshape(t_max, batch, h_size)
     if train_mode:
         keep = 1.0 - model.dropout_rate
-        drop = dropout_rng.uniform(size=act.shape)
+        drop = slab[4].reshape(t_max, batch, h_size)
+        dropout_rng.random(out=drop)  # the bits of uniform(size=...)
         np.less(drop, keep, out=drop)
         drop /= keep
-        act_d = act * drop
+        act_d = ws.take("d_act", rows, h_size).reshape(t_max, batch, h_size)
+        np.multiply(act, drop, out=act_d)
     else:
         drop = None
         act_d = act
-    y = act_d @ model.w_out.T
+    y = ws.take("y", rows, 2).reshape(t_max, batch, 2)
+    np.matmul(act_d, model.w_out.T, out=y)
     y += model.b_out
     return {"x": xs, "gates": gates, "c": cell, "tc": tanh_cell,
-            "h": hidden, "act": act, "drop": drop, "y": y}
+            "h": hidden, "act": act, "drop": drop, "y": y, "workspace": ws}
 
 
 def batch_loss(pred, target, mask):
@@ -321,13 +377,14 @@ def batch_loss(pred, target, mask):
     return math.sqrt(sse / n), sse, n
 
 
-def sequence_rmse(model: LstmModel, seqs) -> float:
+def sequence_rmse(model: LstmModel, seqs, workspace=None) -> float:
     """RMSE of the no-dropout forward pass over a set of sequences."""
+    ws = workspace or Workspace()
     sse = 0.0
     n = 0.0
     for start in range(0, len(seqs), VALIDATION_CHUNK):
-        xs, ys, mask = _pad_batch(seqs[start:start + VALIDATION_CHUNK])
-        cache = _forward_batch(model, xs, train_mode=False)
+        xs, ys, mask = _pad_batch(seqs[start:start + VALIDATION_CHUNK], ws)
+        cache = _forward_batch(model, xs, train_mode=False, workspace=ws)
         _, s, m = batch_loss(cache["y"], ys, mask)
         sse += s
         n += m
@@ -338,14 +395,16 @@ def backward(model: LstmModel, cache, target, mask):
     """Exact full-sequence BPTT gradients of the batch RMSE.
 
     Consumes the cache: its arrays are overwritten with intermediate
-    factors and finally with the gate-pre-activation gradients, so the pass
-    needs almost no memory beyond the cache itself.
+    factors and gradients, and the gate-pre-activation gradients end in
+    the workspace rows the recurrence no longer needs, so the pass needs
+    almost no memory beyond the cache's workspace.
 
     Returns (grads keyed like model.params(), rmse, sse, n).
     """
     xs = cache["x"]
     t_max, batch, _ = xs.shape
     h_size = model.hidden_size
+    rows = t_max * batch
     rmse, sse, n = batch_loss(cache["y"], target, mask)
     if rmse == 0.0 or not math.isfinite(rmse):
         grads = {name: np.zeros_like(arr) for name, arr in model.params()}
@@ -354,12 +413,14 @@ def backward(model: LstmModel, cache, target, mask):
     def flat(a):
         return a.reshape(-1, a.shape[-1])
 
+    ws = cache["workspace"]
     gates, cell, tanh_cell = cache["gates"], cache["c"], cache["tc"]
     hidden, act, drop = cache["h"], cache["act"], cache["drop"]
 
     # output head and fully-connected layer, all timesteps at once
     d_y = (cache["y"] - target) * mask[..., None] / (n * rmse)
-    d_act = d_y @ model.w_out
+    d_act = ws.take("d_act", rows, h_size).reshape(t_max, batch, h_size)
+    np.matmul(d_y, model.w_out, out=d_act)
     act_d = act
     if drop is not None:
         d_act *= drop
@@ -377,9 +438,9 @@ def backward(model: LstmModel, cache, target, mask):
     # every factor that depends only on forward activations, built once
     # over all timesteps in the consumed gate cache: per gate slot,
     # dz = (d_c, d_c, d_c, d_h) * factor
-    quad = gates.reshape(t_max, batch, 4, h_size)
-    gate_i, gate_f, gate_g, gate_o = (quad[:, :, k] for k in range(4))
-    tmp = d_act
+    quad = gates.reshape(t_max, 4, h_size, batch)
+    gate_i, gate_f, gate_g, gate_o = (quad[:, k] for k in range(4))
+    tmp = d_act.reshape(t_max, h_size, batch)
     np.subtract(1.0, gate_o, out=tmp)
     tmp *= gate_o
     tmp *= tanh_cell
@@ -402,25 +463,35 @@ def backward(model: LstmModel, cache, target, mask):
     np.subtract(1.0, gate_g, out=gate_g)
     gate_g *= gate_i
     gate_i[...] = tmp
+    d_h_by_unit = tmp
+    np.copyto(d_h_by_unit, d_h_all.transpose(0, 2, 1))
 
-    from_cell, from_hidden = quad[:, :, :3], gate_o
-    d_h_next = np.zeros((batch, h_size))
-    d_c = np.empty((batch, h_size))
-    d_c_next = np.zeros((batch, h_size))
-    for t in range(t_max - 1, -1, -1):
-        d_h = d_h_all[t]
+    d_h_next = np.zeros((h_size, batch))
+    d_c = np.empty((h_size, batch))
+    d_c_next = np.zeros((h_size, batch))
+    steps = list(zip(d_h_by_unit, d_cell_from_h, forget, quad[:, :3], gate_o,
+                     gates))
+    for d_h, from_h, f, from_cell, from_hidden, d_z in reversed(steps):
         d_h += d_h_next
-        np.multiply(d_h, d_cell_from_h[t], out=d_c)
+        np.multiply(d_h, from_h, out=d_c)
         d_c += d_c_next
-        np.multiply(d_c, forget[t], out=d_c_next)
-        from_cell[t] *= d_c[:, None]
-        from_hidden[t] *= d_h
-        np.matmul(gates[t], model.w_h, out=d_h_next)
+        np.multiply(d_c, f, out=d_c_next)
+        from_cell *= d_c
+        from_hidden *= d_h
+        # the bits of d_z.T @ w_h, the time-major product's at the shipped
+        # shape, computed straight into the (H, B) layout
+        np.matmul(model.w_h.T, d_z, out=d_h_next)
 
-    d_z = flat(gates)
-    grads = {
-        "w_x": d_z.T @ flat(xs),
-        "w_h": flat(gates[1:]).T @ flat(hidden[:-1]),  # h_prev is 0 at t = 0
+    # the gate gradients go back to time-major for the weight GEMMs, into
+    # the slab rows after the hidden states: cell, tanh(cell), activations
+    # and dropout mask are spent
+    slab = ws.take("slab", rows, 5 * h_size).reshape(5, rows * h_size)
+    d_gates = slab[1:].reshape(t_max, batch, 4 * h_size)
+    np.copyto(d_gates, gates.transpose(0, 2, 1))
+    d_z = flat(d_gates)
+    grads = {  # (x.T @ d_z).T: the sums of d_z.T @ x, on a faster BLAS path
+        "w_x": (flat(xs).T @ d_z).T,
+        "w_h": (flat(hidden[:-1]).T @ flat(d_gates[1:])).T,  # h_prev is 0 at t = 0
         "b_g": d_z.sum(axis=0),
         "w_fc": w_fc, "b_fc": b_fc, "w_out": w_out, "b_out": b_out,
     }
@@ -517,14 +588,19 @@ def train(train_seqs, val_seqs, config: TrainConfig, z_max: float):
     best_model = copy.deepcopy(model)
     best_val = math.inf
     lengths = [len(xs) for xs, _ in train_seqs]
+    # one workspace, sized to the longest padded batch or validation chunk
+    workspace = Workspace(max(
+        max(lengths) * min(config.batch_size, len(lengths)),
+        max(len(xs) for xs, _ in val_seqs)
+        * min(VALIDATION_CHUNK, len(val_seqs))))
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(train_seqs))
         sse_total = 0.0
         n_total = 0.0
         for batch in _length_sorted_batches(order, lengths, config.batch_size):
-            xs, ys, mask = _pad_batch([train_seqs[k] for k in batch])
+            xs, ys, mask = _pad_batch([train_seqs[k] for k in batch], workspace)
             cache = _forward_batch(model, xs, train_mode=True,
-                                   dropout_rng=dropout_rng)
+                                   dropout_rng=dropout_rng, workspace=workspace)
             grads, rmse, sse, n = backward(model, cache, ys, mask)
             if not math.isfinite(rmse):
                 raise Diverged(f"non-finite loss at epoch {epoch}")
@@ -532,7 +608,7 @@ def train(train_seqs, val_seqs, config: TrainConfig, z_max: float):
             sse_total += sse
             n_total += n
         train_loss = math.sqrt(sse_total / n_total)
-        val_rmse = sequence_rmse(model, val_seqs)
+        val_rmse = sequence_rmse(model, val_seqs, workspace)
         if not math.isfinite(val_rmse):
             raise Diverged(f"non-finite validation RMSE at epoch {epoch}")
         log.append(TrainLogRow(epoch=epoch, train_loss=train_loss,

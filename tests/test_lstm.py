@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needleroll.lstm import (
@@ -18,6 +18,7 @@ from needleroll.lstm import (
     LstmModel,
     RollEstimator,
     TrainConfig,
+    Workspace,
     _forward_batch,
     _length_sorted_batches,
     _pad_batch,
@@ -397,13 +398,15 @@ def reference_bptt(model, seqs, drops):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
        hidden=st.integers(1, 6), dropout=st.floats(0.0, 0.5),
        seed=st.integers(0, 2 ** 16))
-def test_time_major_batch_matches_per_sequence_references(lengths, hidden,
-                                                          dropout, seed):
-    """Ragged batches: the batched forward agrees with run_sequence and the
-    batched backward with reference_bptt, both within 1e-12."""
+@example(lengths=[12, 3, 9, 1], hidden=30, dropout=0.2, seed=7)
+def test_ragged_batch_matches_per_sequence_references(lengths, hidden,
+                                                      dropout, seed):
+    """Ragged batches up to 8 wide: the batched forward agrees with
+    run_sequence and the batched backward with reference_bptt, both within
+    1e-12."""
     rng = np.random.default_rng(seed)
     model = small_model(hidden=hidden, seed=seed, dropout=dropout)
     seqs = [(rng.uniform(-1.0, 1.0, size=(n, 8)),
@@ -425,6 +428,36 @@ def test_time_major_batch_matches_per_sequence_references(lengths, hidden,
     for name, _ in model.params():
         err = np.abs(grads[name] - ref[name]).max()
         assert err <= 1e-12 * np.abs(ref[name]).max(), name
+
+
+def test_reused_workspace_matches_fresh_arrays_bitwise():
+    """A long wide batch, a shorter narrower one, then a validation-sized
+    chunk, all through one Workspace: the cached outputs, the loss and
+    every gradient equal the same call on fresh arrays bit for bit, so no
+    call reads what an earlier, larger batch left in the buffers."""
+    rng = np.random.default_rng(41)
+    model = small_model(hidden=30, seed=41, dropout=0.25)
+    chunks = [(random_sequences(rng, 8, 40, 50), True),
+              (random_sequences(rng, 3, 5, 12), True),
+              (random_sequences(rng, 20, 5, 15), False)]
+    shared = Workspace()
+    for k, (seqs, train_mode) in enumerate(chunks):
+        runs = []
+        for workspace in (shared, None):
+            xs, ys, mask = _pad_batch(seqs, workspace)
+            cache = _forward_batch(model, xs, train_mode,
+                                   np.random.default_rng(k), workspace)
+            y = cache["y"].copy()
+            grads, *loss = backward(model, cache, ys, mask)
+            runs.append((y, grads, loss))
+        (y_shared, grads_shared, loss_shared), fresh = runs
+        y_fresh, grads_fresh, loss_fresh = fresh
+        assert y_shared.tobytes() == y_fresh.tobytes()
+        assert loss_shared == loss_fresh
+        for name, _ in model.params():
+            assert grads_shared[name].tobytes() == grads_fresh[name].tobytes()
+    val = chunks[2][0]
+    assert sequence_rmse(model, val, shared) == sequence_rmse(model, val)
 
 
 # --------------------------------------------------------------------- adam
