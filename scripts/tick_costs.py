@@ -16,7 +16,10 @@ trial. `ekf.update` replays the recorded states themselves: a state builds
 its rotation matrix when it is made, inside `ekf.predict`, so the replay
 does the loop's work. The last row times a whole truth-steered
 `run_trial`, the loop `generate` runs plus building its record, per tick;
-its `calls` column is the trial's tick count. The training rows time
+its `calls` column is the trial's tick count. The `dataset.record_to_line`
+row encodes that trial's record, without the estimator columns a generated
+episode lacks, as a `generate` worker encodes each episode line, also per
+tick. The training rows time
 `lstm._forward_batch` (a training pass, with dropout) and `lstm.backward`
 at hidden 30 on a padded batch of 600 steps, 8 and 4 sequences wide,
 through one reused Workspace as `train` runs them, in µs per padded step
@@ -30,6 +33,7 @@ this script.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import os
 import platform
@@ -128,7 +132,10 @@ def main(argv=None) -> int:
     truth_args = ("truth", GELATIN, controller,
                   evaluate.sample_targets(WorkspaceCone(), SEED, 1)[0],
                   (SEED, evaluate.ESTIMATOR_NAMES.index("truth"), 0))
-    truth_ticks = evaluate.run_trial(*truth_args).steps
+    truth_record = dataclasses.replace(
+        evaluate.run_trial(*truth_args), roll_est=None, angular_error=None,
+        estimator=None)
+    truth_ticks = truth_record.steps
 
     def replay(calls):
         return lambda: calls
@@ -189,6 +196,8 @@ def main(argv=None) -> int:
                              lambda: lstm.RollEstimator(model))),
         ("run_trial truth, per tick", evaluate.run_trial,
          replay([truth_args] * 3), truth_ticks),
+        ("dataset.record_to_line", dataset.record_to_line,
+         replay([(truth_record,)] * 3), truth_ticks),
         *training_rows,
         ("lstm.Adam.apply", lstm.Adam.apply,
          replay([(optimizer, stepped, grads)] * 10)),

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
 (including an unreadable or inconsistent dataset).
 Every subcommand is deterministic under a fixed --seed; --jobs enables
-order-preserving process parallelism with identical results.
+order-preserving process parallelism with identical results. Under
+generate the workers build and encode each episode line, and this process
+writes the lines in slot order as they arrive.
 """
 
 from __future__ import annotations
@@ -120,13 +122,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _mapper(jobs: int):
+    """map, or for jobs > 1 a generator over a process pool's map.
+
+    The pool's results are yielded in slot order, each as soon as it and
+    every earlier slot are done, so a caller can write them while later
+    slots still run. When a slot raises or the caller stops early, the
+    queued slots are cancelled and the pool is shut down before the
+    generator returns.
+    """
     if jobs <= 1:
         return map
 
     def run(fn, items):
-        items = list(items)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items, chunksize=1))
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        try:
+            yield from pool.map(fn, items, chunksize=1)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return run
 

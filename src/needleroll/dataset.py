@@ -357,11 +357,14 @@ def load_episodes(root: Path, manifest: DatasetManifest,
 # ---------------------------------------------------------------- generation
 
 def _collect_episode(args):
-    """Generate one accepted episode for a slot; retries fresh targets.
+    """Generate and encode one accepted episode for a slot; retries fresh
+    targets.
 
-    Top-level function so process pools can map over slots; the episode rng
-    depends only on (root seed, slot, attempt), making results identical
-    under any parallelism.
+    Returns (line, fields): the episode's JSON line, without its newline,
+    and its EpisodeMeta fields other than `line`. Top-level function so
+    process pools can map over slots, each worker building and encoding its
+    own episodes; the episode rng depends only on (root seed, slot,
+    attempt), making results identical under any parallelism.
     """
     (slot, root_seed, medium, workspace, controller, jitter, depth_cap) = args
     for attempt in range(RETRY_BUDGET):
@@ -375,8 +378,14 @@ def _collect_episode(args):
             depth_cap=depth_cap,
         )
         if outcome == "arrived" and final_error < COLLECTION_ERROR_LIMIT:
-            return record_from_logs(slot, seed, episode_medium, controller,
-                                    target, outcome, final_error, logs)
+            rec = record_from_logs(slot, seed, episode_medium, controller,
+                                   target, outcome, final_error, logs)
+            del logs  # peak memory holds the tick logs or the line, not both
+            return record_to_line(rec), dict(
+                episode_id=rec.episode_id, seed=rec.seed,
+                medium_name=rec.medium.name, steps=rec.steps,
+                final_error=rec.final_error,
+                target_depth=float(rec.target[2]))
     raise GenerationStalled(
         f"episode slot {slot}: no sub-{COLLECTION_ERROR_LIMIT} mm steer in "
         f"{RETRY_BUDGET} attempts")
@@ -393,9 +402,10 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     episode's torsion parameters by an independent uniform factor for
     robustness experiments. The default is 0 (one fixed medium): varying
     the stick-band slope per episode makes tip roll partly unidentifiable
-    from the motion signature and puts a hard floor on validation RMSE. `mapper` lets a caller swap in an order-preserving
-    parallel map; the episodes file is still written by this single
-    process, in slot order.
+    from the motion signature and puts a hard floor on validation RMSE.
+    `mapper` lets a caller swap in an order-preserving parallel map: its
+    workers build and encode each episode's line, and this process writes
+    the lines to the episodes file in slot order as they arrive.
     """
     if n < 1:
         raise ValueError("need at least one episode")
@@ -417,14 +427,10 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
             for slot in range(n)]
     metas = []
     with open(root / EPISODES_FILENAME, "w") as fh:
-        for line_idx, rec in enumerate(mapper(_collect_episode, args)):
-            fh.write(record_to_line(rec) + "\n")
-            metas.append(EpisodeMeta(
-                episode_id=rec.episode_id, line=line_idx, seed=rec.seed,
-                medium_name=rec.medium.name, steps=rec.steps,
-                final_error=rec.final_error,
-                target_depth=float(rec.target[2]),
-            ))
+        for line_idx, (line, fields) in enumerate(
+                mapper(_collect_episode, args)):
+            fh.write(line + "\n")
+            metas.append(EpisodeMeta(line=line_idx, **fields))
     manifest = DatasetManifest(
         episodes_file=EPISODES_FILENAME, z_max=z_max,
         config_hash=config_hash(generation), generation=generation,

@@ -46,6 +46,7 @@ from needleroll.se3 import (
     cross3,
     decompose_roll,
     dot3,
+    floats3,
     heading_tangent_basis,
     is_float_array,
     quat_from_matrix,
@@ -228,14 +229,19 @@ def update(state: EkfState, meas: SensedTip,
     """Standard EKF update with the heading residual taken in the 2-D
     tangent plane at the predicted heading. Joseph-form covariance."""
     R = state.rotation
-    eta_pred = R[:, 2]
+    eta_pred = R[:, 2].tolist()
     # the F-contiguous transpose of the (2, 3) basis: BLAS rounding depends
     # on operand layout, so B keeps the layout every residual was made with
-    B = np.array(heading_tangent_basis(eta_pred.tolist())).T
+    B = np.array(heading_tangent_basis(eta_pred)).T
     H = measurement_jacobian(R, B)
 
-    residual = np.concatenate([meas.position - state.position,
-                               (meas.heading - eta_pred) @ B])
+    # a float difference rounds as numpy's does, so only the tangent
+    # projection needs an array: the (3,) operand its rounding is tested on
+    (mx, my, mz), (hx, hy, hz) = floats3(meas.position), floats3(meas.heading)
+    px, py, pz = state.position.tolist()
+    ex, ey, ez = eta_pred
+    u, v = (np.array([hx - ex, hy - ey, hz - ez]) @ B).tolist()
+    residual = np.array([mx - px, my - py, mz - pz, u, v])
     P = state.covariance
     HP = H @ P
     try:

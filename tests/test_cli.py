@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -128,15 +129,16 @@ def test_cli_generate_and_retrain_roundtrip(tmp_path, capsys):
 
 
 def test_cli_generate_deterministic_across_jobs(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert main(["generate", "--n", "3", "--seed", "5", "--out", str(a)]) == 0
-    assert main(["generate", "--n", "3", "--seed", "5", "--out", str(b),
-                 "--jobs", "2"]) == 0
-    assert (a / "episodes.jsonl").read_bytes() == \
-        (b / "episodes.jsonl").read_bytes()
-    assert (a / "manifest.json").read_bytes() == \
-        (b / "manifest.json").read_bytes()
+    """Six slots on two and three workers finish out of order; the
+    streamed files still hold the one-process bytes."""
+    argv = ["generate", "--n", "6", "--seed", "5"]
+    assert main(argv + ["--out", str(tmp_path / "jobs1")]) == 0
+    for jobs in (2, 3):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(argv + ["--out", str(out), "--jobs", str(jobs)]) == 0
+        for name in ("episodes.jsonl", "manifest.json"):
+            assert (out / name).read_bytes() == \
+                (tmp_path / "jobs1" / name).read_bytes()
 
 
 def test_cli_generate_stall_is_runtime_error(tmp_path, capsys):
@@ -146,6 +148,23 @@ def test_cli_generate_stall_is_runtime_error(tmp_path, capsys):
                  "--out", str(tmp_path / "ds")])
     assert code == 2
     assert "failed" in capsys.readouterr().err
+
+
+def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
+                                                           capsys):
+    """A slot that cannot arrive fails a pooled run the way it fails a
+    one-process run, and leaves no worker behind."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth_cap": 20.0}))
+    ds = tmp_path / "ds"
+    code = main(["generate", "--config", str(cfg), "--n", "4", "--jobs", "2",
+                 "--out", str(ds)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(
+        "failed: episode slot "), err
+    assert not (ds / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
