@@ -12,9 +12,9 @@ beside their 25th and 75th percentiles, the spread of one process's run:
 `plant.step`, `plant.sense` and `controller.control` are replayed from the
 filter's trial. The two `estimate` rows replay the trial's measurements
 through a fresh estimator, so every call sees the state it saw in the
-trial. `ekf.update` replays the recorded states themselves: a state builds
-its rotation matrix when it is made, inside `ekf.predict`, so the replay
-does the loop's work. The last row times a whole truth-steered
+trial. `ekf.update` replays the recorded states themselves: a state holds
+its mean rotation as the matrix update reads, so the replay does the
+loop's work. The last row times a whole truth-steered
 `run_trial`, the loop `generate` runs plus building its record, per tick;
 its `calls` column is the trial's tick count. The `dataset.record_to_line`
 row encodes that trial's record, without the estimator columns a generated

@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -405,7 +406,9 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     from the motion signature and puts a hard floor on validation RMSE.
     `mapper` lets a caller swap in an order-preserving parallel map: its
     workers build and encode each episode's line, and this process writes
-    the lines to the episodes file in slot order as they arrive.
+    the lines in slot order as they arrive. They go to a temporary file
+    that replaces the episodes file only once every slot has arrived, so a
+    failed run leaves a dataset already under root as it was.
     """
     if n < 1:
         raise ValueError("need at least one episode")
@@ -426,11 +429,17 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     args = [(slot, seed, medium, workspace, controller, jitter, depth_cap)
             for slot in range(n)]
     metas = []
-    with open(root / EPISODES_FILENAME, "w") as fh:
-        for line_idx, (line, fields) in enumerate(
-                mapper(_collect_episode, args)):
-            fh.write(line + "\n")
-            metas.append(EpisodeMeta(line=line_idx, **fields))
+    partial = root / (EPISODES_FILENAME + ".tmp")
+    try:
+        with open(partial, "w") as fh:
+            for line_idx, (line, fields) in enumerate(
+                    mapper(_collect_episode, args)):
+                fh.write(line + "\n")
+                metas.append(EpisodeMeta(line=line_idx, **fields))
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, root / EPISODES_FILENAME)
     manifest = DatasetManifest(
         episodes_file=EPISODES_FILENAME, z_max=z_max,
         config_hash=config_hash(generation), generation=generation,

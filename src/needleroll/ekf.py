@@ -5,13 +5,13 @@ mean is propagated through exactly the same pose step as the simulator's
 rigid mode. No torsion lag appears in the model by construction, which is
 what makes this the baseline the learned estimator competes against.
 
-State: position (mm, world frame) and orientation (unit quaternion, world
-from body). Uncertainty lives in a 6-vector error state (dp: world
-translation; dphi: body-frame rotation vector, R_true = R_mean @
-exp(skew(dphi))). The body-z component of dphi is exactly the roll error,
-so covariance entry (5, 5) is the roll variance. The 5-DOF measurement
-observes position plus heading-tangent coordinates; the body-z direction is
-structurally unobservable (the heading Jacobian annihilates it).
+State: position (mm, world frame) and rotation (3x3 matrix, world from
+body). Uncertainty lives in a 6-vector error state (dp: world translation;
+dphi: body-frame rotation vector, R_true = R_mean @ exp(skew(dphi))). The
+body-z component of dphi is exactly the roll error, so covariance entry
+(5, 5) is the roll variance. The 5-DOF measurement observes position plus
+heading-tangent coordinates; the body-z direction is structurally
+unobservable (the heading Jacobian annihilates it).
 
 EkfRollTracker runs the filter as a closed-loop estimator.
 
@@ -22,13 +22,14 @@ predict reads the prior's rows and decomposition once. Every product that
 feeds the mean or the covariance stays a numpy @ on the operand layouts it
 always had: BLAS fuses multiply-adds, and its rounding depends on operand
 layout, so neither float products nor a re-laid-out operand give the same
-bits.
+bits. The mean rotation needs no re-orthonormalising: each predict rebuilds
+it from heading and roll, so update's roundoff cannot build up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +50,6 @@ from needleroll.se3 import (
     floats3,
     heading_tangent_basis,
     is_float_array,
-    quat_from_matrix,
-    quat_to_matrix,
     rot_z,
     so3_exp,
     unit3,
@@ -71,21 +70,22 @@ class SingularInnovation(RuntimeError):
 @dataclass(frozen=True)
 class EkfState:
     position: np.ndarray  # (3,) mm
-    orientation: np.ndarray  # (4,) unit quaternion, (w, x, y, z)
+    rotation: np.ndarray  # (3, 3) world from body
     covariance: np.ndarray  # (6, 6) over (dp, dphi)
-    # quat_to_matrix(orientation), read-only; built with the state, since
-    # update reads predict's and estimate_pose and the next predict update's
-    rotation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("position", "orientation", "covariance"):
+        for name in ("position", "rotation", "covariance"):
             value = getattr(self, name)
             if not is_float_array(value):
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
-        w, x, y, z = self.orientation.tolist()
-        norm = math.sqrt(w * w + x * x + y * y + z * z)
-        if not abs(norm - 1.0) <= 1e-9:  # NaN fails
-            raise ValueError("orientation quaternion must be unit-norm")
+        if self.rotation.shape != (3, 3):
+            raise ValueError("rotation must be 3x3")
+        r0, r1, r2 = self.rotation.tolist()
+        gaps = (dot3(r0, r0) - 1.0, dot3(r1, r1) - 1.0, dot3(r2, r2) - 1.0,
+                dot3(r0, r1), dot3(r0, r2), dot3(r1, r2),
+                dot3(cross3(r0, r1), r2) - 1.0)
+        if not all(abs(g) <= 1e-9 for g in gaps):  # NaN fails
+            raise ValueError("rotation must be orthonormal and right-handed")
         C = self.covariance
         if C.shape != (6, 6):
             raise ValueError("covariance must be 6x6")
@@ -96,16 +96,12 @@ class EkfState:
         if not ((mirrored and not math.isnan(sum(C.ravel().tolist())))
                 or np.allclose(C, C.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
-        R = quat_to_matrix(self.orientation)
-        R.setflags(write=False)
-        object.__setattr__(self, "rotation", R)
 
 
 def init_state() -> EkfState:
     """Filter initialized at the plant's entry pose, the identity, with a
     small uncertainty."""
-    return EkfState(position=np.zeros(3),
-                    orientation=np.array([1.0, 0.0, 0.0, 0.0]),
+    return EkfState(position=np.zeros(3), rotation=np.eye(3),
                     covariance=1e-4 * _EYE6)
 
 
@@ -152,20 +148,17 @@ def _align_jacobian_row2(e0: float, e1: float, e2: float) -> list:
     return [e1 * h, -e0 * h, 0.0]
 
 
-def transition_jacobian(rows, eta, roll: float, u: ControlInput,
-                        curvature: float, dt: float) -> np.ndarray:
+def transition_jacobian(rows, eta, roll_new: float, move) -> np.ndarray:
     """Exact 6x6 Jacobian of the rigid pose step w.r.t. (dp, dphi), at the
-    pre-step rotation R given by its rows (R.tolist()) and by (eta, roll) =
-    decompose_roll(R).
+    pre-step rotation R given by its rows (R.tolist()) and its heading eta,
+    for the step move = tip_step(...) to the roll roll_new.
 
-    m_p and m are the step's translation and new-heading direction expressed
-    in the pre-step body frame. The orientation error transports through the
-    minimal-rotation frame at the new heading (via align_jacobian), with the
-    roll error re-injected about body z.
+    move's (m_p, m) are the step's translation and new-heading direction
+    expressed in the pre-step body frame. The orientation error transports
+    through the minimal-rotation frame at the new heading (via
+    align_jacobian), with the roll error re-injected about body z.
     """
-    delta = u.rotation_speed * dt
-    roll_new = roll + delta
-    m_p, m = tip_step(u.insertion_speed, curvature, delta, dt)
+    m_p, m = move
     eta_new = unit3([dot3(r, m) for r in rows])
 
     # roll sensitivity d(roll)/d(dphi) at the pre-step state:
@@ -197,7 +190,8 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
 
     The commanded rotation speed is applied directly as tip roll rate (the
     torsion-blind assumption). The covariance uses the exact Jacobian of the
-    pose step with respect to the (dp, dphi) error state.
+    pose step with respect to the (dp, dphi) error state, at the roll
+    increment the mean steps by.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -205,14 +199,13 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
     rows = R.tolist()
     eta, roll = decompose_roll(R)
     roll_new = roll + u.rotation_speed * dt
-    R_new, p_new = advance_tip_pose(rows, state.position.tolist(),
-                                    u.insertion_speed, roll, roll_new,
-                                    curvature, dt)
-    F = transition_jacobian(rows, eta, roll, u, curvature, dt)
+    move = tip_step(u.insertion_speed, curvature, roll_new - roll, dt)
+    R_new, p_new = advance_tip_pose(rows, state.position.tolist(), move,
+                                    roll_new)
+    F = transition_jacobian(rows, eta, roll_new, move)
     cov = F @ state.covariance @ F.T + process_noise * dt
     cov = 0.5 * (cov + cov.T)
-    return EkfState(position=p_new, orientation=quat_from_matrix(R_new),
-                    covariance=cov)
+    return EkfState(position=p_new, rotation=R_new, covariance=cov)
 
 
 def measurement_jacobian(R: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -260,8 +253,7 @@ def update(state: EkfState, meas: SensedTip,
     IKH = _EYE6 - gain @ H
     cov = IKH @ P @ IKH.T + gain @ measurement_noise @ gain.T
     cov = 0.5 * (cov + cov.T)
-    return EkfState(position=p_new, orientation=quat_from_matrix(R_new),
-                    covariance=cov)
+    return EkfState(position=p_new, rotation=R_new, covariance=cov)
 
 
 def estimate_pose(state: EkfState) -> Pose:

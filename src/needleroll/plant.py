@@ -228,11 +228,11 @@ def tip_step(insertion_speed: float, curvature: float, delta: float,
             (c * h0 - s * h1, s * h0 + c * h1, h2))
 
 
-def advance_tip_pose(rows, p, insertion_speed: float, roll_prev: float,
-                     roll_new: float, curvature: float, dt: float):
+def advance_tip_pose(rows, p, move, roll_new: float):
     """One pose step from the rotation's rows and the position p, three
-    floats: apply the roll change about body z, then the bevel arc. Returns
-    the new rotation's rows and position, as floats.
+    floats: apply move, tip_step's result for the roll change to roll_new,
+    then the bevel arc. Returns the new rotation's rows and position, as
+    floats.
 
     The new rotation is rebuilt as (minimal rotation to the new heading) *
     rot_z(roll_new), so the pose's roll component equals the scalar roll
@@ -240,7 +240,7 @@ def advance_tip_pose(rows, p, insertion_speed: float, roll_prev: float,
     transport. Shared by the simulator and by any observer propagating the
     same torsion-free kinematics.
     """
-    m_p, m = tip_step(insertion_speed, curvature, roll_new - roll_prev, dt)
+    m_p, m = move
     r0, r1, r2 = rows
     p0, p1, p2 = p
     return (recompose_roll((dot3(r0, m), dot3(r1, m), dot3(r2, m)), roll_new),
@@ -271,8 +271,9 @@ def step(state: PlantState, u: ControlInput, medium: MediumParams,
         else:
             rate = (torque - math.copysign(breakaway, torque)) / medium.torsion_damping
         roll = state.tip_roll + rate * dt
-    rows, p = advance_tip_pose(state.rows, state.p, u.insertion_speed,
-                               state.tip_roll, roll, medium.curvature, dt)
+    move = tip_step(u.insertion_speed, medium.curvature,
+                    roll - state.tip_roll, dt)
+    rows, p = advance_tip_pose(state.rows, state.p, move, roll)
     return PlantState(rows, p, alpha, roll,
                       state.depth + u.insertion_speed * dt, rate)
 

@@ -153,7 +153,8 @@ def test_cli_generate_stall_is_runtime_error(tmp_path, capsys):
 def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
                                                            capsys):
     """A slot that cannot arrive fails a pooled run the way it fails a
-    one-process run, and leaves no worker behind."""
+    one-process run, and leaves no worker behind. It writes no file, and a
+    dataset already in its directory stays byte-identical and trainable."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depth_cap": 20.0}))
     ds = tmp_path / "ds"
@@ -163,8 +164,18 @@ def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(
         "failed: episode slot "), err
-    assert not (ds / "manifest.json").exists()
+    assert list(ds.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+    kept = tmp_path / "kept"
+    args = ["generate", "--n", "3", "--seed", "5", "--out", str(kept)]
+    assert main(args) == 0
+    before = {f.name: f.read_bytes() for f in kept.iterdir()}
+    assert main([*args, "--config", str(cfg), "--jobs", "2"]) == 2
+    assert {f.name: f.read_bytes() for f in kept.iterdir()} == before
+    assert multiprocessing.active_children() == []
+    assert main(["train", "--dataset", str(kept), "--epochs", "1",
+                 "--hidden-size", "2", "--out", str(tmp_path / "run")]) == 0
 
 
 def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from needleroll import ekf
 from needleroll.ekf import (
     EkfState,
     SingularInnovation,
@@ -22,22 +23,24 @@ from needleroll.plant import (
     GELATIN,
     ControlInput,
     SensedTip,
+    advance_tip_pose,
     initial_state,
     rigid_variant,
     sense,
     step,
+    tip_step,
 )
 from needleroll.se3 import (
     Pose,
     angular_error,
+    cross3,
     decompose_roll,
     heading_tangent_basis,
-    quat_from_matrix,
-    quat_to_matrix,
     recompose_roll,
     so3_exp,
     wrap_angle,
 )
+from oracles import quat_from_matrix
 
 EZ = np.array([0.0, 0.0, 1.0])
 DT = 1.0 / 40.0
@@ -82,24 +85,38 @@ def random_rotation(rng, spread=0.5):
 
 
 def mean_map(p, R, u):
-    st = EkfState(p, quat_from_matrix(R), np.eye(6))
-    out = predict(st, u, KAPPA, DT, NO_NOISE)
-    return out.position, quat_to_matrix(out.orientation)
+    out = predict(EkfState(p, R, np.eye(6)), u, KAPPA, DT, NO_NOISE)
+    return out.position, out.rotation
+
+
+def mean_step(R, u):
+    """(eta, roll_new, move) of predict's step from the prior rotation R:
+    move is tip_step at the one roll increment roll_new - roll that the
+    mean and F share."""
+    eta, roll = decompose_roll(R)
+    roll_new = roll + u.rotation_speed * DT
+    return eta, roll_new, tip_step(u.insertion_speed, KAPPA, roll_new - roll,
+                                   DT)
 
 
 # ------------------------------------------------------------ state validity
 
+SHEAR = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+NAN_ROTATION = np.eye(3)
+NAN_ROTATION[1, 2] = np.nan
+
+
 def test_state_validation():
+    for R in (SHEAR, NAN_ROTATION, 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
+              np.eye(4)):
+        with pytest.raises(ValueError):
+            EkfState(np.zeros(3), R, np.eye(6))
     with pytest.raises(ValueError):
-        EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.1]), np.eye(6))
-    with pytest.raises(ValueError):
-        EkfState(np.zeros(3), np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(6))
-    with pytest.raises(ValueError):
-        EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.eye(5))
+        EkfState(np.zeros(3), np.eye(3), np.eye(5))
     bad = np.eye(6)
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
-        EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), bad)
+        EkfState(np.zeros(3), np.eye(3), bad)
 
 
 @pytest.mark.parametrize("kind", ["float arrays", "lists", "int arrays"])
@@ -119,16 +136,15 @@ def test_state_checks_fire_on_every_input_kind(kind):
     bad_sym[0, 1] = 0.5
     nan_cov = np.eye(6)
     nan_cov[2, 3] = nan_cov[3, 2] = np.nan
-    unit = np.array([1.0, 0.0, 0.0, 0.0])
-    for q, C in ((np.array([1.0, 0.0, 0.0, 0.1]), np.eye(6)),
-                 (np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(6)),
-                 (np.array([2.0, 0.0, 0.0, 0.0]), np.eye(6)),
-                 (unit, np.eye(5)), (unit, bad_sym), (unit, nan_cov)):
+    eye = np.eye(3)
+    for R, C in ((SHEAR, np.eye(6)), (NAN_ROTATION, np.eye(6)),
+                 (2.0 * eye, np.eye(6)),
+                 (eye, np.eye(5)), (eye, bad_sym), (eye, nan_cov)):
         with pytest.raises(ValueError):
-            EkfState(as_kind(np.zeros(3)), as_kind(q), as_kind(C))
-    st = EkfState(as_kind(np.array([1.0, 2.0, 3.0])), as_kind(unit),
+            EkfState(as_kind(np.zeros(3)), as_kind(R), as_kind(C))
+    st = EkfState(as_kind(np.array([1.0, 2.0, 3.0])), as_kind(eye),
                   as_kind(2.0 * np.eye(6)))
-    for a in (st.position, st.orientation, st.covariance, st.rotation):
+    for a in (st.position, st.rotation, st.covariance):
         assert type(a) is np.ndarray and a.dtype == np.float64
     assert st.position.tolist() == [1.0, 2.0, 3.0]
     assert st.covariance.tolist() == (2.0 * np.eye(6)).tolist()
@@ -139,7 +155,6 @@ def test_state_symmetry_check_is_allclose():
     """EkfState accepts a covariance exactly when np.allclose(C, C.T,
     atol=1e-9) holds, NaN and inf entries included."""
     rng = np.random.default_rng(4)
-    q = np.array([1.0, 0.0, 0.0, 0.0])
     cases = []
     for _ in range(200):
         A = rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-6, 4)
@@ -164,7 +179,7 @@ def test_state_symmetry_check_is_allclose():
     cases += [mirrored_nan, diagonal_nan, opposite_inf]
     for C in cases:
         try:
-            EkfState(np.zeros(3), q, C)
+            EkfState(np.zeros(3), np.eye(3), C)
             accepted = True
         except ValueError:
             accepted = False
@@ -174,7 +189,7 @@ def test_state_symmetry_check_is_allclose():
 def test_init_state_defaults():
     st = init_state()
     assert np.allclose(st.position, 0.0)
-    assert np.allclose(quat_to_matrix(st.orientation), np.eye(3))
+    assert np.allclose(st.rotation, np.eye(3))
     assert np.allclose(st.covariance, 1e-4 * np.eye(6))
 
 
@@ -211,12 +226,10 @@ def test_align_jacobian_matches_finite_differences():
 
 def test_predict_no_input_no_noise_is_identity():
     rng = np.random.default_rng(1)
-    st = EkfState(rng.normal(size=3), quat_from_matrix(random_rotation(rng)),
-                  1e-3 * np.eye(6))
+    st = EkfState(rng.normal(size=3), random_rotation(rng), 1e-3 * np.eye(6))
     out = predict(st, ControlInput(0.0, 0.0), KAPPA, DT, NO_NOISE)
     assert np.allclose(out.position, st.position, atol=1e-12)
-    assert np.allclose(quat_to_matrix(out.orientation),
-                       quat_to_matrix(st.orientation), atol=1e-12)
+    assert np.allclose(out.rotation, st.rotation, atol=1e-12)
     assert np.allclose(out.covariance, st.covariance, atol=1e-12)
 
 
@@ -227,7 +240,7 @@ def test_transition_jacobian_matches_central_differences():
         R = random_rotation(rng, spread=0.4)
         p = rng.normal(size=3) * 20.0
         u = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-7.0, 7.0))
-        F = transition_jacobian(R.tolist(), *decompose_roll(R), u, KAPPA, DT)
+        F = transition_jacobian(R.tolist(), *mean_step(R, u))
         p0, R0 = mean_map(p, R, u)
         for j in range(6):
             d = np.zeros(6)
@@ -253,7 +266,7 @@ def test_predicted_mean_tracks_rigid_plant():
         plant = step(plant, u, medium, DT)
         filt = predict(filt, u, KAPPA, DT, NO_NOISE)
         assert np.abs(filt.position - plant.pose.p).max() < 1e-9
-        assert np.abs(quat_to_matrix(filt.orientation) - plant.pose.R).max() < 1e-9
+        assert np.abs(filt.rotation - plant.pose.R).max() < 1e-9
 
 
 def random_state(rng) -> EkfState:
@@ -261,15 +274,15 @@ def random_state(rng) -> EkfState:
     as predict and update leave it."""
     A = rng.normal(size=(6, 6)) * 0.1
     C = A @ A.T + 1e-3 * np.eye(6)
-    return EkfState(rng.normal(size=3) * 10.0,
-                    quat_from_matrix(random_rotation(rng)), 0.5 * (C + C.T))
+    return EkfState(rng.normal(size=3) * 10.0, random_rotation(rng),
+                    0.5 * (C + C.T))
 
 
 def test_predict_covariance_uses_the_tested_jacobian_bitwise():
     """predict's covariance is 0.5 (C + C^T), C = F P F^T + Q dt, byte for
     byte, with F = transition_jacobian at the prior rotation's rows and
-    decomposition: the filter runs the Jacobian the finite-difference test
-    checks, not a copy of it."""
+    heading and the mean's roll step: the filter runs the Jacobian the
+    finite-difference test checks, not a copy of it."""
     rng = np.random.default_rng(20)
     q = default_process_noise()
     for _ in range(100):
@@ -277,7 +290,7 @@ def test_predict_covariance_uses_the_tested_jacobian_bitwise():
         u = ControlInput(rng.uniform(0.0, 5.0),
                          rng.choice([-2 * math.pi, 0.0, rng.uniform(-7.0, 7.0)]))
         R = st.rotation
-        F = transition_jacobian(R.tolist(), *decompose_roll(R), u, KAPPA, DT)
+        F = transition_jacobian(R.tolist(), *mean_step(R, u))
         C = F @ st.covariance @ F.T + q * DT
         expected = 0.5 * (C + C.T)
         assert predict(st, u, KAPPA, DT, q).covariance.tobytes() == \
@@ -295,12 +308,12 @@ def test_predict_inflates_covariance_with_process_noise():
 def test_update_at_predicted_mean_leaves_mean_fixed():
     rng = np.random.default_rng(4)
     R = random_rotation(rng)
-    st = EkfState(rng.normal(size=3) * 10.0, quat_from_matrix(R), 1e-2 * np.eye(6))
+    st = EkfState(rng.normal(size=3) * 10.0, R, 1e-2 * np.eye(6))
     meas = SensedTip(position=st.position.copy(), heading=R[:, 2].copy())
     noise = measurement_noise_for(0.3, 0.005)
     out = update(st, meas, noise)
     assert np.allclose(out.position, st.position, atol=1e-12)
-    assert angular_error(quat_to_matrix(out.orientation), R) < 1e-12
+    assert angular_error(out.rotation, R) < 1e-12
     assert np.trace(out.covariance) <= np.trace(st.covariance) + 1e-15
 
 
@@ -332,7 +345,7 @@ def test_update_uses_the_tested_jacobian_bitwise():
     H = measurement_jacobian(R, B), B the transposed (2, 3) tangent basis,
     and so does its mean. BLAS rounding of the heading residual depends on
     B's memory layout (a C-contiguous (3, 2) copy changes about a quarter of
-    the residuals), so the orientation pins that layout."""
+    the residuals), so the mean's rotation pins that layout."""
     rng = np.random.default_rng(21)
     noise = measurement_noise_for(GELATIN.position_noise, GELATIN.heading_noise)
     for _ in range(100):
@@ -353,8 +366,8 @@ def test_update_uses_the_tested_jacobian_bitwise():
         assert out.covariance.tobytes() == (0.5 * (C + C.T)).tobytes()
         assert out.position.tobytes() == \
             (st.position + correction[:3]).tobytes()
-        assert out.orientation.tobytes() == \
-            quat_from_matrix(R @ rotation(correction[3:])).tobytes()
+        assert out.rotation.tobytes() == \
+            (R @ rotation(correction[3:])).tobytes()
 
 
 def test_update_roll_direction_unobservable():
@@ -381,7 +394,7 @@ def test_joseph_update_keeps_covariance_psd():
         st = predict(st, u, KAPPA, DT, q)
         meas = SensedTip(
             position=st.position + rng.normal(0.0, 0.3, size=3),
-            heading=_tilted(quat_to_matrix(st.orientation)[:, 2], rng, 0.01),
+            heading=_tilted(st.rotation[:, 2], rng, 0.01),
         )
         st = update(st, meas, noise)
         if i % 100 == 0:
@@ -399,7 +412,7 @@ def _tilted(eta, rng, sigma):
 
 
 def test_singular_innovation_raises():
-    st = EkfState(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros((6, 6)))
+    st = EkfState(np.zeros(3), np.eye(3), np.zeros((6, 6)))
     meas = SensedTip(position=np.zeros(3), heading=EZ.copy())
     with pytest.raises(SingularInnovation):
         update(st, meas, np.zeros((5, 5)))
@@ -436,7 +449,7 @@ def run_filter_episode(medium, controls, seed, q=None, exact_plant=None):
         filt = predict(filt, u, KAPPA, DT, q)
         meas = sense(plant, medium, rng)
         filt = update(filt, meas, noise)
-        omegas.append(angular_error(quat_to_matrix(filt.orientation), plant.pose.R))
+        omegas.append(angular_error(filt.rotation, plant.pose.R))
         roll_vars.append(roll_variance(filt))
         depths.append(plant.depth)
     return np.array(omegas), np.array(roll_vars), np.array(depths)
@@ -466,7 +479,7 @@ def test_compliant_plant_angular_error_is_the_torsion_windup():
         plant = step(plant, u, GELATIN, DT)
         filt = predict(filt, u, KAPPA, DT, q)
         filt = update(filt, sense(plant, GELATIN, rng), noise)
-        omegas.append(angular_error(quat_to_matrix(filt.orientation), plant.pose.R))
+        omegas.append(angular_error(filt.rotation, plant.pose.R))
         windups.append(plant.base_angle - plant.tip_roll)
     omegas = np.array(omegas)
     expected = np.abs([wrap_angle(w) for w in windups])
@@ -506,25 +519,52 @@ def test_estimate_pose_identity_and_roundtrip():
     assert np.allclose(estimate_pose(init_state()).R, np.eye(3))
     rng = np.random.default_rng(15)
     R = random_rotation(rng)
-    st = EkfState(np.array([1.0, 2.0, 3.0]), quat_from_matrix(R), np.eye(6))
+    st = EkfState(np.array([1.0, 2.0, 3.0]), R, np.eye(6))
     pose = estimate_pose(st)
     eta, roll = decompose_roll(pose.R)
     assert np.allclose(recompose_roll(eta, roll), pose.R, atol=1e-10)
 
 
-def test_state_rotation_is_one_read_only_matrix():
+def test_state_rotation_is_the_mean_itself():
+    """A state keeps a float rotation array as given, like its position and
+    covariance, without freezing the caller's array; estimate_pose hands
+    out that matrix, and predict's is advance_tip_pose's rows."""
     rng = np.random.default_rng(19)
-    state = EkfState(np.zeros(3), quat_from_matrix(random_rotation(rng)),
-                     np.eye(6))
-    R = state.rotation
-    assert R.tobytes() == quat_to_matrix(state.orientation).tobytes()
-    assert state.rotation is R and estimate_pose(state).R is R
-    with pytest.raises(ValueError):
-        R[0, 0] = 1.0
+    R = random_rotation(rng)
+    state = EkfState(np.zeros(3), R, np.eye(6))
+    assert state.rotation is R and R.flags.writeable
+    assert estimate_pose(state).R is R
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.rotation = np.eye(3)
-    out = predict(state, ControlInput(5.0, 2.0), KAPPA, DT, NO_NOISE)
-    assert out.rotation.tobytes() == quat_to_matrix(out.orientation).tobytes()
+    u = ControlInput(5.0, 2.0)
+    out = predict(state, u, KAPPA, DT, NO_NOISE)
+    _, roll_new, move = mean_step(R, u)
+    rows, _ = advance_tip_pose(R.tolist(), (0.0, 0.0, 0.0), move, roll_new)
+    assert out.rotation.tobytes() == np.array(rows).tobytes()
+
+
+def test_predict_steps_mean_and_jacobian_by_one_roll_increment(monkeypatch):
+    """F's translation block is built from the roll increment the mean steps
+    by, roll_new - roll, at a prior roll and speed where that increment and
+    speed * dt round apart and move the step's translation."""
+    R = np.array(recompose_roll((0.0, 0.0, 1.0), 1.0))
+    u = ControlInput(5.0, 2.0)
+    _, roll_new, (m_p, _) = mean_step(R, u)
+    assert roll_new - decompose_roll(R)[1] != u.rotation_speed * DT
+    assert m_p != tip_step(u.insertion_speed, KAPPA,
+                           u.rotation_speed * DT, DT)[0]
+
+    built = []
+
+    def spy(*args):
+        built.append(transition_jacobian(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ekf, "transition_jacobian", spy)
+    predict(EkfState(np.zeros(3), R, np.eye(6)), u, KAPPA, DT, NO_NOISE)
+    expected = np.array([cross3(m_p, r) for r in R.tolist()])
+    assert len(built) == 1
+    assert built[0][:3, 3:].tobytes() == expected.tobytes()
 
 
 def test_estimate_pose_matches_propagated_mean():
@@ -532,4 +572,4 @@ def test_estimate_pose_matches_propagated_mean():
     out = predict(st, ControlInput(5.0, 2.0), KAPPA, DT, NO_NOISE)
     pose = estimate_pose(out)
     assert np.allclose(pose.p, out.position)
-    assert np.allclose(pose.R, quat_to_matrix(out.orientation))
+    assert np.allclose(pose.R, out.rotation)

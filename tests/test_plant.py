@@ -23,6 +23,7 @@ from needleroll.plant import (
     sample_target,
     sense,
     step,
+    tip_step,
 )
 from needleroll.se3 import decompose_roll, wrap_angle
 
@@ -141,8 +142,8 @@ def test_arc_length_matches_inserted_length():
 
 def test_advance_tip_pose_pure_roll_keeps_position():
     state = initial_state()
-    R, p = advance_tip_pose(state.pose.R.tolist(), state.pose.p, 0.0, 0.0,
-                            1.2, 0.005, DT)
+    R, p = advance_tip_pose(state.pose.R.tolist(), state.pose.p,
+                            tip_step(0.0, 0.005, 1.2, DT), 1.2)
     assert np.allclose(p, state.pose.p)
     _, roll = decompose_roll(R)
     assert roll == pytest.approx(1.2, abs=1e-12)
