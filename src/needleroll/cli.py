@@ -124,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _mapper(jobs: int):
     """map, or for jobs > 1 a generator over a process pool's map.
 
-    The pool's results are yielded in slot order, each as soon as it and
-    every earlier slot are done, so a caller can write them while later
-    slots still run. When a slot raises or the caller stops early, the
-    queued slots are cancelled and the pool is shut down before the
-    generator returns.
+    The pool forks no more workers than there are items. Its results are
+    yielded in slot order, each as soon as it and every earlier slot are
+    done, so a caller can write them while later slots still run. When a
+    slot raises or the caller stops early, the queued slots are cancelled
+    and the pool is shut down before the generator returns.
     """
     if jobs <= 1:
         return map
 
     def run(fn, items):
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
         try:
             yield from pool.map(fn, items, chunksize=1)
         finally:

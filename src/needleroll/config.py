@@ -24,8 +24,8 @@ from needleroll.controller import ControllerParams
 from needleroll.dataset import DEPTH_CAP
 from needleroll.evaluate import (
     DEFAULT_BIN_WIDTH,
-    ESTIMATOR_NAMES,
     check_bin_width,
+    check_estimator_names,
 )
 from needleroll.lstm import TrainConfig
 from needleroll.plant import (
@@ -88,9 +88,10 @@ class RunConfig:
             raise ValueError(
                 f"unknown medium {self.medium!r}; "
                 f"choose from {sorted(MEDIUM_PRESETS)}")
-        for name in (self.estimator, *self.estimators):
-            if name not in ESTIMATOR_NAMES:
-                raise ValueError(f"unknown estimator {name!r}")
+        check_estimator_names((self.estimator,))
+        check_estimator_names(self.estimators)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.n is not None and self.n < 1:
@@ -107,8 +108,14 @@ class RunConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be finite and positive")
-        if self.target is not None and len(self.target) != 3:
-            raise ValueError("target must have three coordinates")
+        if self.target is not None:
+            if len(self.target) != 3:
+                raise ValueError("target must have three coordinates")
+            # the first control tick stops on a target short of this
+            if not (self.target[2] > 0.0 and math.hypot(*self.target)
+                    > self.arrival_tolerance):
+                raise ValueError("target must lie ahead of the entry point: "
+                                 "z > 0, beyond the arrival tolerance")
         check_bin_width(self.bin_width)
         # these fire their own range checks
         self.make_controller()

@@ -81,8 +81,8 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
     """Drive one insertion to the target; the canonical execution loop.
 
     Each tick, on floats: sense, estimate, decide, advance. `estimator` is any
-    object with estimate(meas, base_angle) -> Pose, read with .tolist(); None
-    steers on the plant state's rows. Stops on arrival or at the depth cap.
+    object with estimate(meas, base_angle) -> (rows, p), float rows and
+    floats; None steers on the plant state's. Stops on arrival or at the cap.
 
     Returns (logs, final_state, outcome, final_error). `logs` maps each
     STEP_COLUMNS name, "R_true" and "R_est" to a list with one entry per
@@ -102,8 +102,7 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
         if estimator is None:
             rows, p = state.rows, state.p
         else:
-            est_pose = estimator.estimate(meas, state.base_angle)
-            rows, p = est_pose.R.tolist(), est_pose.p.tolist()
+            rows, p = estimator.estimate(meas, state.base_angle)
         decision = control(rows, p, goal, controller)
         if isinstance(decision, Arrived):
             outcome = "arrived"

@@ -43,13 +43,11 @@ from needleroll.plant import (
     tip_step,
 )
 from needleroll.se3 import (
-    Pose,
     cross3,
     decompose_roll,
     dot3,
     floats3,
     heading_tangent_basis,
-    is_float_array,
     rot_z,
     so3_exp,
     unit3,
@@ -61,6 +59,7 @@ _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
 _EYE5x6 = np.eye(5, 6)
 _EYE5x6.flags.writeable = False
+_FLOAT = np.dtype(float)
 
 
 class SingularInnovation(RuntimeError):
@@ -76,7 +75,8 @@ class EkfState:
     def __post_init__(self):
         for name in ("position", "rotation", "covariance"):
             value = getattr(self, name)
-            if not is_float_array(value):
+            # a float array is kept: np.asarray would return it as it is
+            if type(value) is not np.ndarray or value.dtype is not _FLOAT:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
         if self.rotation.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
@@ -195,9 +195,8 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    R = state.rotation
-    rows = R.tolist()
-    eta, roll = decompose_roll(R)
+    rows = state.rotation.tolist()
+    eta, roll = decompose_roll(rows)
     roll_new = roll + u.rotation_speed * dt
     move = tip_step(u.insertion_speed, curvature, roll_new - roll, dt)
     R_new, p_new = advance_tip_pose(rows, state.position.tolist(), move,
@@ -256,10 +255,6 @@ def update(state: EkfState, meas: SensedTip,
     return EkfState(position=p_new, rotation=R_new, covariance=cov)
 
 
-def estimate_pose(state: EkfState) -> Pose:
-    return Pose(state.position, state.rotation)
-
-
 def roll_variance(state: EkfState) -> float:
     """Variance of the roll error: the body-z rotational diagonal entry."""
     return float(state.covariance[5, 5])
@@ -267,7 +262,7 @@ def roll_variance(state: EkfState) -> float:
 
 class EkfRollTracker:
     """Filter-in-the-loop adapter: feeds commanded motion and 5-DOF
-    measurements to the Kalman filter and exposes its mean pose.
+    measurements to the Kalman filter and returns its mean pose as (rows, p).
 
     The commanded rotation over the last period is recovered from the base
     angle the loop supplies; the filter applies it directly as tip roll
@@ -283,7 +278,7 @@ class EkfRollTracker:
         self.state = init_state()
         self.last_base_angle = None
 
-    def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
+    def estimate(self, meas: SensedTip, base_angle: float):
         require_valid_measurement(meas, base_angle)
         if self.last_base_angle is not None:
             u = ControlInput(self.insertion_speed,
@@ -292,4 +287,4 @@ class EkfRollTracker:
                                  self.process_noise)
         self.last_base_angle = base_angle
         self.state = update(self.state, meas, self.measurement_noise)
-        return estimate_pose(self.state)
+        return self.state.rotation.tolist(), self.state.position.tolist()

@@ -85,7 +85,7 @@ def run_trial(estimator_name: str, medium: MediumParams,
     logs, _, outcome, final_error = run_closed_loop(
         medium, controller, target, rng, estimator, depth_cap)
     R_trues, R_ests = np.array(logs["R_true"]), np.array(logs["R_est"])
-    logs["roll_est"] = [decompose_roll(R)[1] for R in R_ests]
+    logs["roll_est"] = [decompose_roll(rows)[1] for rows in logs["R_est"]]
     logs["angular_error"] = list(map(angular_error, R_trues, R_ests))
     return record_from_logs(trial_id, seed, medium, controller, target,
                             outcome, final_error, logs, estimator_name)
@@ -116,9 +116,7 @@ def run_batch(estimator_names, medium: MediumParams,
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    for name in estimator_names:
-        if name not in ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator {name!r}")
+    check_estimator_names(estimator_names)
     tasks = []
     trial_id = 0
     for k, target in enumerate(sample_targets(workspace, seed, n_trials)):
@@ -134,6 +132,15 @@ def run_batch(estimator_names, medium: MediumParams,
 
 
 # ------------------------------------------------------------------ analysis
+
+def check_estimator_names(names):
+    """Reject an unknown name and a repeated one (it reruns the same seeds)."""
+    for k, name in enumerate(names):
+        if name not in ESTIMATOR_NAMES:
+            raise ValueError(f"unknown estimator {name!r}")
+        if name in names[:k]:
+            raise ValueError(f"estimator {name!r} is listed twice")
+
 
 def check_bin_width(bin_width: float):
     if not 0.0 < bin_width < math.inf:  # NaN fails

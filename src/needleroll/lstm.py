@@ -56,7 +56,7 @@ import numpy as np
 
 from needleroll.plant import SensedTip, require_valid_measurement
 from needleroll.schema import check_json, decode
-from needleroll.se3 import Pose, floats3, recompose_roll, wrap_angle
+from needleroll.se3 import floats3, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 1
 INPUT_SIZE = 8  # width of the scale_features vector
@@ -664,8 +664,8 @@ def _endpoint_fit(stack: np.ndarray) -> np.ndarray:
 
 class RollEstimator:
     """Stateful wrapper exposing the controller-facing estimator interface:
-    consume one 5-DOF measurement plus the commanded base angle, emit a full
-    pose with the learned roll recomposed onto the sensed heading."""
+    consume one 5-DOF measurement plus the commanded base angle, return the
+    learned roll on the sensed heading and the fitted position as (rows, p)."""
 
     def __init__(self, model: LstmModel):
         model.validate()
@@ -681,7 +681,7 @@ class RollEstimator:
         self.last_roll = None
         self._count = 0
 
-    def estimate(self, meas: SensedTip, base_angle: float) -> Pose:
+    def estimate(self, meas: SensedTip, base_angle: float):
         require_valid_measurement(meas, base_angle)
         x = scale_features(meas.position, meas.heading, base_angle,
                            self.model.z_max)
@@ -694,7 +694,7 @@ class RollEstimator:
         end = k + POSITION_WINDOW + 1
         n = min(self._count, POSITION_WINDOW)
         position = _endpoint_fit(self._window[end - n:end])
-        return Pose(position, recompose_roll(floats3(meas.heading), roll))
+        return recompose_roll(floats3(meas.heading), roll), position.tolist()
 
 
 # ------------------------------------------------------------- serialization

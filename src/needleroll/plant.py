@@ -16,7 +16,7 @@ sample_target().
 
 A tick follows se3's kernel convention and builds no array: the tick values
 PlantState, ControlInput and SensedTip are named tuples of floats, the
-rotation three float rows; PlantState.pose builds a Pose on demand.
+rotation three float rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from needleroll.se3 import (
-    Pose,
     dot3,
     floats3,
     heading_tangent_basis,
@@ -162,10 +161,6 @@ class PlantState(NamedTuple):
     tip_roll: float
     depth: float
     tip_roll_rate: float
-
-    @property
-    def pose(self) -> Pose:
-        return Pose(self.p, self.rows)
 
 
 def initial_state() -> PlantState:

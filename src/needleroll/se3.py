@@ -6,20 +6,19 @@ defined relative to the minimal rotation that takes +z to the current
 heading (see decompose_roll). Positions are in millimetres, angles in
 radians.
 
-One kernel convention: so3_exp, heading_tangent_basis and recompose_roll
-take Python floats and return float rows; a caller builds an array once, and
-only where the filter mean, the covariance or a Pose needs one.
+One kernel convention: so3_exp, heading_tangent_basis, recompose_roll and
+decompose_roll take and return Python floats and float rows, so a tick's pose
+is three float rows and three floats. A caller builds an array once, and only
+where the filter mean, the covariance or point registration needs one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
-_FLOAT = np.dtype(float)
 
 
 class DegenerateConfiguration(ValueError):
@@ -43,11 +42,6 @@ def floats3(v):
     if type(v) is tuple:
         return v
     return np.asarray(v, dtype=float).tolist()
-
-
-def is_float_array(a) -> bool:
-    """Whether np.asarray(a, dtype=float) would return a itself."""
-    return type(a) is np.ndarray and a.dtype is _FLOAT
 
 
 def dot3(a, b) -> float:
@@ -118,28 +112,6 @@ def _series_apply(w, v, b: float, c: float) -> np.ndarray:
     return np.array([v[i] + b * wv[i] + c * wwv[i] for i in range(3)])
 
 
-@dataclass(frozen=True, eq=False)
-class Pose:
-    """Rigid tip pose: position p (mm) and world_from_body rotation R."""
-
-    p: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        if not is_float_array(self.p):
-            object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if not is_float_array(self.R):
-            object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-
-    @property
-    def heading(self) -> np.ndarray:
-        return self.R[:, 2].copy()
-
-    def transform(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.R.T + self.p
-
-
 def angular_error(R_est, R_true) -> float:
     """Geodesic angle between two rotations, in [0, pi].
 
@@ -181,14 +153,14 @@ def heading_tangent_basis(eta) -> tuple:
     return b1, unit3(cross3(eta, b1))
 
 
-def decompose_roll(R) -> tuple[tuple[float, float, float], float]:
-    """Split a rotation into (heading, roll).
+def decompose_roll(rows) -> tuple[tuple[float, float, float], float]:
+    """Split a rotation, given as three float rows, into (heading, roll).
 
     heading = R @ ez, as three floats; roll is the residual rotation about
     the body z axis measured against the minimal-rotation frame at that
     heading. roll is in (-pi, pi].
     """
-    (r00, _, e0), (r10, _, e1), (r20, _, c) = np.asarray(R, dtype=float).tolist()
+    (r00, _, e0), (r10, _, e1), (r20, _, c) = rows
     A = _align_rows(e0, e1, c)
     # (A^T R)[1, 0] and (A^T R)[0, 0]
     theta = math.atan2(A[0][1] * r00 + A[1][1] * r10 + A[2][1] * r20,
@@ -214,11 +186,11 @@ def recompose_roll(eta, roll: float) -> tuple:
             (c * a20 + s * a21, c * a21 - s * a20, a22))
 
 
-def register_points(A, B) -> tuple[Pose, float]:
-    """Least-squares rigid transform T with T(A) ~= B, plus the FRE.
+def register_points(A, B) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least-squares rigid transform T(a) = R a + t with T(A) ~= B.
 
     A and B are (N, 3) corresponding point sets, N >= 3 and not collinear.
-    Returns (pose, fre) where fre is the root-mean-square residual
+    Returns the arrays (R, t) and the FRE, the root-mean-square residual
     ||T(a_i) - b_i|| over the correspondences.
     """
     A = np.asarray(A, dtype=float)
@@ -242,4 +214,4 @@ def register_points(A, B) -> tuple[Pose, float]:
     t = cb - R @ ca
     res = A @ R.T + t - B
     fre = math.sqrt(float(np.mean(np.sum(res * res, axis=1))))
-    return Pose(t, R), fre
+    return R, t, fre

@@ -173,9 +173,9 @@ def test_c08_registration_recovers_known_transform(verdict):
     t = np.array([12.0, -7.0, 31.0])
     points = rng.uniform(-40.0, 40.0, size=(6, 3))
     observed = points @ R.T + t
-    pose, fre = register_points(points, observed)
-    rot_gap = float(np.abs(pose.R - R).max())
-    trans_gap = float(np.abs(pose.p - t).max())
+    R_fit, t_fit, fre = register_points(points, observed)
+    rot_gap = float(np.abs(R_fit - R).max())
+    trans_gap = float(np.abs(t_fit - t).max())
     ok = rot_gap < 1e-9 and trans_gap < 1e-9 and fre < 1e-9
     verdict("C8", ok,
             f"noiseless registration: rotation gap {rot_gap:.2e}, "

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from needleroll import cli
 from needleroll.cli import main
 from needleroll.dataset import DEFAULT_EPISODES
 from needleroll.evaluate import DEFAULT_TRIALS
@@ -176,6 +177,75 @@ def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
     assert multiprocessing.active_children() == []
     assert main(["train", "--dataset", str(kept), "--epochs", "1",
                  "--hidden-size", "2", "--out", str(tmp_path / "run")]) == 0
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers
+    and maps in this process, so no worker is forked."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_cli_pool_forks_no_more_workers_than_items(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert list(cli._mapper(4)(abs, [-1, -2])) == [1, 2]
+    assert main(["evaluate", "--estimators", "truth", "--rigid", "--n", "1",
+                 "--jobs", "3", "--out", str(tmp_path / "one")]) == 0
+    assert main(["evaluate", "--estimators", "truth", "--rigid", "--n", "5",
+                 "--jobs", "3", "--out", str(tmp_path / "five")]) == 0
+    assert main(["generate", "--n", "2", "--jobs", "3",
+                 "--out", str(tmp_path / "ds")]) == 0
+    assert RecordingPool.sizes == [2, 1, 3, 2]
+
+
+def test_cli_evaluate_repeated_estimator_fails_before_writing(tmp_path,
+                                                              capsys):
+    """A repeated name would rerun its trials under the same seeds and
+    count them twice in the report."""
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--estimators", "ekf,ekf", "--rigid", "--n", "2",
+                 "--seed", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'ekf' is listed twice" in err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert main(["generate", "--n", "2", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be non-negative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["0,0,-5", "3,4,0", "0,0,0.2",
+                                    "0.1,-0.1,0.2", "nan,0,40"])
+def test_cli_steer_target_behind_or_at_the_entry_fails_before_writing(
+        tmp_path, capsys, target):
+    """The controller would stop at once on these: behind or on the entry
+    plane, or within the arrival tolerance (0.25 mm) of the entry point."""
+    out = tmp_path / "steer"
+    assert main(["steer", "--estimator", "truth", "--target", target,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "target must lie ahead" in err
+    assert not out.exists()
+
+
+def test_config_accepts_a_target_just_past_the_arrival_tolerance():
+    config = resolve_config({}, {"target": (0.0, 0.2, 0.2)})
+    assert config.target == (0.0, 0.2, 0.2)
 
 
 def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):

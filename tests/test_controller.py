@@ -18,16 +18,18 @@ from needleroll.plant import (
     sample_target,
     step,
 )
-from needleroll.se3 import Pose, floats3, rot_z, so3_exp
+from needleroll.se3 import floats3, rot_z, so3_exp
 
 PARAMS = ControllerParams()
-IDENTITY = Pose(np.zeros(3), np.eye(3))
+IDENTITY = (np.zeros(3), np.eye(3))  # (p, R)
 DT = 1.0 / PARAMS.rate
 
 
 def control_pose(pose, target, params):
-    """control on a Pose and a target array, read as float rows and floats."""
-    return control(pose.R.tolist(), pose.p.tolist(), floats3(target), params)
+    """control on a pose's (p, R) arrays and a target array, read as float
+    rows and floats."""
+    p, R = pose
+    return control(R.tolist(), p.tolist(), floats3(target), params)
 
 
 def steer_with_truth(target, medium, params=PARAMS, max_steps=900):
@@ -40,7 +42,7 @@ def steer_with_truth(target, medium, params=PARAMS, max_steps=900):
             break
         state = step(state, u, medium, 1.0 / params.rate)
         history.append(state)
-    return targeting_error(state.pose.p, target), history
+    return targeting_error(state.p, target), history
 
 
 def test_params_validation():
@@ -75,7 +77,7 @@ def test_roll_error_accounts_for_current_roll():
     # rolled +pi/2, its bevel pointing at +y, sees zero roll error
     target = np.array([0.0, 5.0, 50.0])
     assert control_pose(IDENTITY, target, PARAMS).rotation_speed > 0.0
-    pose = Pose(np.zeros(3), rot_z(math.pi / 2.0))
+    pose = (np.zeros(3), rot_z(math.pi / 2.0))
     assert control_pose(pose, target, PARAMS).rotation_speed == 0.0
 
 
@@ -105,15 +107,14 @@ def test_deadband_suppresses_small_errors():
 
 def test_rotational_invariance_about_heading():
     rng = np.random.default_rng(0)
-    base = Pose(np.array([1.0, -2.0, 10.0]), so3_exp([0.2, -0.1, 0.8]))
+    p, R = np.array([1.0, -2.0, 10.0]), np.array(so3_exp([0.2, -0.1, 0.8]))
     target = np.array([4.0, 1.0, 55.0])
-    u0 = control_pose(base, target, PARAMS)
+    u0 = control_pose((p, R), target, PARAMS)
     for _ in range(25):
         gamma = rng.uniform(-math.pi, math.pi)
-        W = np.array(so3_exp((base.heading * gamma).tolist()))
-        rolled = Pose(base.p, W @ base.R)
-        rolled_target = base.p + W @ (target - base.p)
-        u1 = control_pose(rolled, rolled_target, PARAMS)
+        W = np.array(so3_exp((R[:, 2] * gamma).tolist()))
+        rolled_target = p + W @ (target - p)
+        u1 = control_pose((p, W @ R), rolled_target, PARAMS)
         assert type(u1) is type(u0)
         assert u1.rotation_speed == u0.rotation_speed
         assert u1.insertion_speed == u0.insertion_speed

@@ -112,7 +112,7 @@ def test_closed_loop_ends_within_the_depth_cap(medium, rigid, seed,
     assert ticks <= DEPTH_CAP / (CONTROLLER.insertion_speed * dt) + 1
     for name in ("position", "heading", "R_true", "R_est"):
         assert np.isfinite(np.array(logs[name])).all(), name
-    assert np.isfinite(state.pose.p).all() and np.isfinite(state.pose.R).all()
+    assert np.isfinite(state.p).all() and np.isfinite(state.rows).all()
 
 
 def test_generate_deterministic_bytes(tmp_path):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from needleroll import ekf
+from needleroll.controller import ControllerParams
 from needleroll.ekf import (
+    EkfRollTracker,
     EkfState,
     SingularInnovation,
     align_jacobian,
     default_process_noise,
-    estimate_pose,
     init_state,
     measurement_jacobian,
     measurement_noise_for,
@@ -31,7 +32,6 @@ from needleroll.plant import (
     tip_step,
 )
 from needleroll.se3 import (
-    Pose,
     angular_error,
     cross3,
     decompose_roll,
@@ -265,8 +265,8 @@ def test_predicted_mean_tracks_rigid_plant():
         u = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-7.0, 7.0))
         plant = step(plant, u, medium, DT)
         filt = predict(filt, u, KAPPA, DT, NO_NOISE)
-        assert np.abs(filt.position - plant.pose.p).max() < 1e-9
-        assert np.abs(filt.rotation - plant.pose.R).max() < 1e-9
+        assert np.abs(filt.position - np.array(plant.p)).max() < 1e-9
+        assert np.abs(filt.rotation - np.array(plant.rows)).max() < 1e-9
 
 
 def random_state(rng) -> EkfState:
@@ -449,7 +449,7 @@ def run_filter_episode(medium, controls, seed, q=None, exact_plant=None):
         filt = predict(filt, u, KAPPA, DT, q)
         meas = sense(plant, medium, rng)
         filt = update(filt, meas, noise)
-        omegas.append(angular_error(filt.rotation, plant.pose.R))
+        omegas.append(angular_error(filt.rotation, np.array(plant.rows)))
         roll_vars.append(roll_variance(filt))
         depths.append(plant.depth)
     return np.array(omegas), np.array(roll_vars), np.array(depths)
@@ -479,7 +479,7 @@ def test_compliant_plant_angular_error_is_the_torsion_windup():
         plant = step(plant, u, GELATIN, DT)
         filt = predict(filt, u, KAPPA, DT, q)
         filt = update(filt, sense(plant, GELATIN, rng), noise)
-        omegas.append(angular_error(filt.rotation, plant.pose.R))
+        omegas.append(angular_error(filt.rotation, np.array(plant.rows)))
         windups.append(plant.base_angle - plant.tip_roll)
     omegas = np.array(omegas)
     expected = np.abs([wrap_angle(w) for w in windups])
@@ -515,25 +515,27 @@ def test_roll_variance_never_drops_below_update_floor():
 # ------------------------------------------------------------ estimate pose
 
 def test_estimate_pose_identity_and_roundtrip():
-    assert np.allclose(estimate_pose(init_state()).p, 0.0)
-    assert np.allclose(estimate_pose(init_state()).R, np.eye(3))
+    """A noiseless reading at the entry pose leaves the tracker's estimate
+    at the identity's rows and the origin; a mean's rows decompose and
+    recompose to the same rotation."""
+    tracker = EkfRollTracker(GELATIN, ControllerParams())
+    rows, p = tracker.estimate(SensedTip((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+                               0.0)
+    assert rows == np.eye(3).tolist() and p == [0.0, 0.0, 0.0]
     rng = np.random.default_rng(15)
     R = random_rotation(rng)
-    st = EkfState(np.array([1.0, 2.0, 3.0]), R, np.eye(6))
-    pose = estimate_pose(st)
-    eta, roll = decompose_roll(pose.R)
-    assert np.allclose(recompose_roll(eta, roll), pose.R, atol=1e-10)
+    eta, roll = decompose_roll(R.tolist())
+    assert np.allclose(recompose_roll(eta, roll), R, atol=1e-10)
 
 
 def test_state_rotation_is_the_mean_itself():
     """A state keeps a float rotation array as given, like its position and
-    covariance, without freezing the caller's array; estimate_pose hands
-    out that matrix, and predict's is advance_tip_pose's rows."""
+    covariance, without freezing the caller's array, and predict's is
+    advance_tip_pose's rows."""
     rng = np.random.default_rng(19)
     R = random_rotation(rng)
     state = EkfState(np.zeros(3), R, np.eye(6))
     assert state.rotation is R and R.flags.writeable
-    assert estimate_pose(state).R is R
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.rotation = np.eye(3)
     u = ControlInput(5.0, 2.0)
@@ -568,8 +570,16 @@ def test_predict_steps_mean_and_jacobian_by_one_roll_increment(monkeypatch):
 
 
 def test_estimate_pose_matches_propagated_mean():
-    st = init_state()
-    out = predict(st, ControlInput(5.0, 2.0), KAPPA, DT, NO_NOISE)
-    pose = estimate_pose(out)
-    assert np.allclose(pose.p, out.position)
-    assert np.allclose(pose.R, out.rotation)
+    """Each tracker estimate is its filter mean after predict and update,
+    as the rotation's float rows and the position's floats, bit for bit."""
+    tracker = EkfRollTracker(GELATIN, ControllerParams())
+    rng = np.random.default_rng(16)
+    plant = initial_state()
+    for _ in range(3):
+        rows, p = tracker.estimate(sense(plant, GELATIN, rng),
+                                   plant.base_angle)
+        assert np.array(rows).tobytes() == tracker.state.rotation.tobytes()
+        assert np.array(p).tobytes() == tracker.state.position.tobytes()
+        assert all(type(x) is float for x in (*rows[0], *rows[1], *rows[2],
+                                              *p))
+        plant = step(plant, ControlInput(5.0, 2.0), GELATIN, DT)

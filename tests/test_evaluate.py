@@ -5,9 +5,15 @@ import shutil
 import numpy as np
 import pytest
 
-from needleroll.controller import ControllerParams
+from needleroll import dataset, evaluate
+from needleroll.controller import ControllerParams, control
 from needleroll.ekf import EkfRollTracker, roll_variance
-from needleroll.dataset import DatasetError, record_from_line, record_to_line
+from needleroll.dataset import (
+    DatasetError,
+    record_from_line,
+    record_to_line,
+    run_closed_loop,
+)
 from needleroll.evaluate import (
     _roll_error,
     histogram,
@@ -20,6 +26,7 @@ from needleroll.evaluate import (
 from needleroll.lstm import init_model
 from needleroll.plant import (
     GELATIN,
+    ControlInput,
     SensedTip,
     WorkspaceCone,
     initial_state,
@@ -27,6 +34,7 @@ from needleroll.plant import (
     sense,
     step,
 )
+from needleroll.se3 import decompose_roll
 
 CONTROLLER = ControllerParams()
 WORKSPACE = WorkspaceCone()
@@ -101,7 +109,6 @@ def test_ekf_tracker_variance_grows_while_steering():
     rng = np.random.default_rng(9)
     dt = 1.0 / CONTROLLER.rate
     first = None
-    from needleroll.plant import ControlInput
     for k in range(200):
         tracker.estimate(sense(state, GELATIN, rng), state.base_angle)
         if first is None:
@@ -133,6 +140,72 @@ def test_estimators_reject_non_finite_measurements(name, bad):
         est.estimate(SensedTip(position, heading), base_angle)
     # within the tolerance the heading passes
     est.estimate(SensedTip(good.position, good.heading * (1.0 + 5e-7)), 0.1)
+
+
+# -------------------------------------------------------- estimator contract
+
+def test_estimated_pair_reaches_control_and_logs_unchanged(monkeypatch):
+    """run_closed_loop hands the (rows, p) an estimator returns to control,
+    and its rows to logs["R_est"], as the very objects returned."""
+    medium = rigid_variant(GELATIN)
+    returned, seen = [], []
+
+    class Stub:
+        inner = EkfRollTracker(medium, CONTROLLER)
+
+        def estimate(self, meas, base_angle):
+            rows, p = self.inner.estimate(meas, base_angle)
+            returned.append((tuple(map(tuple, rows)), tuple(p)))
+            return returned[-1]
+
+    def spy(rows, p, goal, params):
+        seen.append((rows, p))
+        return control(rows, p, goal, params)
+
+    monkeypatch.setattr(dataset, "control", spy)
+    logs, _, outcome, _ = run_closed_loop(
+        medium, CONTROLLER, TARGET, np.random.default_rng(2), Stub())
+    assert outcome == "arrived" and len(seen) == len(returned) > 1
+    for (rows, p), (got_rows, got_p) in zip(returned, seen):
+        assert got_rows is rows and got_p is p
+    assert len(logs["R_est"]) == len(returned) - 1  # arrival is not logged
+    for (rows, _), logged in zip(returned, logs["R_est"]):
+        assert logged is rows
+
+
+@pytest.mark.parametrize("name", ["ekf", "lstm"])
+def test_shipped_estimators_return_float_rows_and_floats(name):
+    est = make_estimator(name, GELATIN, CONTROLLER,
+                         model=init_model(75.0, hidden_size=4, seed=1))
+    state, rng = initial_state(), np.random.default_rng(3)
+    for _ in range(5):
+        rows, p = est.estimate(sense(state, GELATIN, rng), state.base_angle)
+        assert len(rows) == 3 and all(len(row) == 3 for row in rows)
+        assert all(type(x) is float for row in rows for x in row)
+        assert len(p) == 3 and all(type(x) is float for x in p)
+        state = step(state, ControlInput(5.0, 2.0), GELATIN,
+                     1.0 / CONTROLLER.rate)
+
+
+@pytest.mark.parametrize("name", ["ekf", "lstm"])
+def test_trial_roll_est_is_decompose_roll_of_logged_rows(name, monkeypatch):
+    """Bit for bit, from the rows as logged and from the same rows as
+    arrays."""
+    logged = []
+
+    def capture(*args):
+        out = run_closed_loop(*args)
+        logged.append(out[0]["R_est"])
+        return out
+
+    monkeypatch.setattr(evaluate, "run_closed_loop", capture)
+    record = run_trial(name, GELATIN, CONTROLLER, TARGET, seed=12,
+                       model=init_model(75.0, hidden_size=4, seed=1))
+    rows = logged[0]
+    assert len(rows) == record.steps > 0
+    for rolls in ([decompose_roll(r)[1] for r in rows],
+                  [decompose_roll(np.array(r))[1] for r in rows]):
+        assert record.roll_est.tobytes() == np.array(rolls).tobytes()
 
 
 # -------------------------------------------------------------------- batches
@@ -167,6 +240,10 @@ def test_batch_rejects_bad_args():
         run_batch(["truth"], GELATIN, CONTROLLER, WORKSPACE, 0, seed=1)
     with pytest.raises(ValueError):
         run_batch(["psychic"], GELATIN, CONTROLLER, WORKSPACE, 1, seed=1)
+    # a repeat would rerun the estimator's trials under the same seeds
+    with pytest.raises(ValueError, match="'ekf' is listed twice"):
+        run_batch(["ekf", "truth", "ekf"], GELATIN, CONTROLLER, WORKSPACE, 1,
+                  seed=1)
 
 
 def test_summarize_weights_by_steps():

@@ -1,8 +1,8 @@
 """The scalar 3-vector kernels against the numpy formulations they replace.
 
 The kernels follow one convention: floats in, float rows out, and arrays
-only where the filter mean, the covariance or a Pose needs them. So the
-tests below call them on .tolist() floats, as the package does.
+only where the filter mean or the covariance needs them. So the tests
+below call them on .tolist() floats, as the package does.
 
 The reference implementations below are the generic-numpy versions of
 heading_tangent_basis, align_jacobian, so3_exp and se3_exp (cross products,
@@ -16,7 +16,7 @@ written with np.linalg.norm, np.dot and R.T @ offset must take the same
 decisions, the sensor model written with numpy vector arithmetic over the
 arrays of heading_tangent_basis's rows must give the same bits and leave
 the generator in the same state, and the plant step on float rows must
-give the bits of the step written on a Pose's arrays.
+give the bits of the step written on a pose's (p, R) arrays.
 """
 
 import math
@@ -43,7 +43,6 @@ from needleroll.plant import (
     tip_step,
 )
 from needleroll.se3 import (
-    Pose,
     dot3,
     heading_tangent_basis,
     recompose_roll,
@@ -215,13 +214,14 @@ def test_tip_step_keeps_the_sign_of_a_zero_speed():
 
 
 def reference_control(est_pose, target, params):
+    p, R = est_pose
     target = np.asarray(target, dtype=float)
-    offset = target - est_pose.p
+    offset = target - p
     distance = float(np.linalg.norm(offset))
-    ahead = float(np.dot(est_pose.heading, offset))
+    ahead = float(np.dot(R[:, 2], offset))
     if distance <= params.arrival_tolerance or ahead <= 0.0:
         return Arrived(distance=distance)
-    rel = est_pose.R.T @ offset
+    rel = R.T @ offset
     err = wrap_angle(math.atan2(rel[1], rel[0]))
     spin = math.copysign(params.rotation_speed, err) \
         if abs(err) > params.deadband else 0.0
@@ -230,8 +230,9 @@ def reference_control(est_pose, target, params):
 
 
 def reference_sense(state, medium, rng):
-    position = state.pose.p + rng.normal(0.0, medium.position_noise, size=3)
-    eta = state.pose.heading.tolist()
+    position = np.array(state.p) + rng.normal(0.0, medium.position_noise,
+                                              size=3)
+    eta = np.array(state.rows)[:, 2].tolist()
     tilt = rng.normal(0.0, medium.heading_noise)
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     b1, b2 = np.array(heading_tangent_basis(eta))
@@ -241,17 +242,19 @@ def reference_sense(state, medium, rng):
 
 
 def state_at(pose, base_angle=0.0, tip_roll=0.0, depth=0.0, tip_roll_rate=0.0):
-    """A PlantState at pose: its rotation's rows and position as floats."""
-    return PlantState(rows=tuple(map(tuple, pose.R.tolist())),
-                      p=tuple(pose.p.tolist()), base_angle=base_angle,
+    """A PlantState at pose (p, R): its rotation's rows and position as
+    floats."""
+    p, R = pose
+    return PlantState(rows=tuple(map(tuple, R.tolist())),
+                      p=tuple(p.tolist()), base_angle=base_angle,
                       tip_roll=tip_roll, depth=depth,
                       tip_roll_rate=tip_roll_rate)
 
 
 def reference_step(pose, base_angle, tip_roll, depth, u, medium, dt):
-    """plant.step as written on a Pose's arrays: the stick/slip sub-step,
-    then the pose step on R.tolist() built back into arrays. Returns the
-    new (pose, base_angle, tip_roll, depth, tip_roll_rate)."""
+    """plant.step as written on a pose's (p, R) arrays: the stick/slip
+    sub-step, then the pose step on R.tolist() built back into arrays.
+    Returns the new ((p, R), base_angle, tip_roll, depth, tip_roll_rate)."""
     alpha = base_angle + u.rotation_speed * dt
     if medium.rigid:
         roll = alpha
@@ -264,17 +267,18 @@ def reference_step(pose, base_angle, tip_roll, depth, u, medium, dt):
         else:
             rate = (torque - math.copysign(breakaway, torque)) / medium.torsion_damping
         roll = tip_roll + rate * dt
-    rows = pose.R.tolist()
+    p, R = pose
+    rows = R.tolist()
     m_p, m = tip_step(u.insertion_speed, medium.curvature, roll - tip_roll, dt)
-    p_new = np.array([x + dot3(r, m_p) for x, r in zip(pose.p.tolist(), rows)])
+    p_new = np.array([x + dot3(r, m_p) for x, r in zip(p.tolist(), rows)])
     R_new = np.array(recompose_roll([dot3(r, m) for r in rows], roll))
-    return (Pose(p_new, R_new), alpha, roll,
+    return ((p_new, R_new), alpha, roll,
             depth + u.insertion_speed * dt, rate)
 
 
 coords = st.floats(-80.0, 80.0)
 points = st.tuples(coords, coords, coords).map(np.array)
-poses = st.builds(lambda p, w: Pose(p, so3_exp(w.tolist())), points,
+poses = st.builds(lambda p, w: (p, np.array(so3_exp(w.tolist()))), points,
                   rotation_vectors)
 
 # targets anywhere around the tip (about half behind its plane) and
@@ -289,8 +293,9 @@ target_offsets = st.one_of(points, targets_near)
                           st.floats(0.0, 1.0)))
 def test_scalar_control_matches_numpy_reference(pose, offset, deadband):
     params = ControllerParams(deadband=deadband)
-    target = pose.p + offset
-    got = control(pose.R.tolist(), pose.p.tolist(), target.tolist(), params)
+    p, R = pose
+    target = p + offset
+    got = control(R.tolist(), p.tolist(), target.tolist(), params)
     ref = reference_control(pose, target, params)
     assert type(got) is type(ref)
     if isinstance(ref, Arrived):
@@ -334,8 +339,9 @@ def test_float_row_step_is_the_array_step_bitwise(pose, angles, depth,
         u = ControlInput(v, w)
         state = step(state, u, medium, dt)
         ref = reference_step(*ref[:4], u, medium, dt)
-        assert np.array(state.rows).tobytes() == ref[0].R.tobytes()
-        assert np.array(state.p).tobytes() == ref[0].p.tobytes()
+        p_ref, R_ref = ref[0]
+        assert np.array(state.rows).tobytes() == R_ref.tobytes()
+        assert np.array(state.p).tobytes() == p_ref.tobytes()
         assert struct.pack("<4d", *state[2:]) == struct.pack("<4d", *ref[1:])
 
 

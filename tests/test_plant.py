@@ -70,9 +70,10 @@ def test_rigid_straight_run_curves_toward_plus_x():
     # pins the bevel-direction convention the controller relies on
     medium = rigid_variant(quiet(GELATIN))
     state = run(initial_state(), [ControlInput(5.0, 0.0)] * 200, medium)
-    assert state.pose.p[0] > 0.5
-    assert abs(state.pose.p[1]) < 1e-9
-    assert state.pose.p[2] > 20.0
+    x, y, z = state.p
+    assert x > 0.5
+    assert abs(y) < 1e-9
+    assert z > 20.0
 
 
 def test_rigid_arc_matches_closed_form():
@@ -90,7 +91,7 @@ def test_rigid_arc_matches_closed_form():
             0.0,
             math.sin(kappa * s) / kappa,
         ])
-        assert np.allclose(state.pose.p, expect, atol=1e-9)
+        assert np.allclose(state.p, expect, atol=1e-9)
     assert state.depth == pytest.approx(50.0)
 
 
@@ -111,7 +112,7 @@ def test_pose_roll_component_equals_wrapped_tip_roll():
     for _ in range(500):
         u = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-7.0, 7.0))
         state = step(state, u, medium, DT)
-        _, pose_roll = decompose_roll(state.pose.R)
+        _, pose_roll = decompose_roll(state.rows)
         assert pose_roll == pytest.approx(wrap_angle(state.tip_roll), abs=1e-9)
 
 
@@ -130,21 +131,21 @@ def test_arc_length_matches_inserted_length():
     state = initial_state()
     total_in = 0.0
     path = 0.0
-    prev = state.pose.p
+    prev = np.array(state.p)
     for _ in range(600):
         u = ControlInput(5.0, rng.choice([-2 * math.pi, 0.0, 2 * math.pi]))
         state = step(state, u, medium, DT)
         total_in += u.insertion_speed * DT
-        path += float(np.linalg.norm(state.pose.p - prev))
-        prev = state.pose.p
+        path += float(np.linalg.norm(np.array(state.p) - prev))
+        prev = np.array(state.p)
     assert abs(path - total_in) / total_in < 1e-3
 
 
 def test_advance_tip_pose_pure_roll_keeps_position():
     state = initial_state()
-    R, p = advance_tip_pose(state.pose.R.tolist(), state.pose.p,
+    R, p = advance_tip_pose(state.rows, state.p,
                             tip_step(0.0, 0.005, 1.2, DT), 1.2)
-    assert np.allclose(p, state.pose.p)
+    assert np.allclose(p, state.p)
     _, roll = decompose_roll(R)
     assert roll == pytest.approx(1.2, abs=1e-12)
 
@@ -268,8 +269,8 @@ def test_jittered_medium_bounds_and_determinism():
 def test_sense_noiseless_is_exact():
     state = run(initial_state(), [ControlInput(5.0, 1.0)] * 100, quiet(GELATIN))
     meas = sense(state, quiet(GELATIN), np.random.default_rng(0))
-    assert np.allclose(meas.position, state.pose.p, atol=1e-15)
-    assert np.allclose(meas.heading, state.pose.heading, atol=1e-15)
+    assert np.allclose(meas.position, state.p, atol=1e-15)
+    assert np.allclose(meas.heading, np.array(state.rows)[:, 2], atol=1e-15)
 
 
 def test_sense_position_noise_statistics():
@@ -282,7 +283,7 @@ def test_sense_position_noise_statistics():
 
 def test_sense_heading_noise_statistics_and_unit_norm():
     state = run(initial_state(), [ControlInput(5.0, 0.0)] * 200, quiet(GELATIN))
-    eta = state.pose.heading
+    eta = np.array(state.rows)[:, 2]
     rng = np.random.default_rng(7)
     angles = []
     for _ in range(10_000):
@@ -358,7 +359,7 @@ def test_trajectories_bit_identical_for_identical_inputs():
         for u in controls:
             state = step(state, u, GELATIN, DT)
             meas = sense(state, GELATIN, noise)
-            out.append((state.pose.p.copy(), state.tip_roll, meas.position,
+            out.append((np.array(state.p), state.tip_roll, meas.position,
                         meas.heading))
         return out
 
@@ -376,7 +377,8 @@ def test_pure_insertion_never_rolls_from_rest(speed, n):
         state = step(state, ControlInput(speed, 0.0), medium, DT)
     assert state.tip_roll == 0.0
     assert state.depth == pytest.approx(speed * n * DT)
-    assert np.linalg.norm(state.pose.heading) == pytest.approx(1.0, abs=1e-12)
+    heading = np.array(state.rows)[:, 2]
+    assert np.linalg.norm(heading) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["float arrays", "lists"])

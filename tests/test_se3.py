@@ -9,7 +9,6 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from needleroll.se3 import (
     AntiparallelHeading,
     DegenerateConfiguration,
-    Pose,
     angular_error,
     decompose_roll,
     recompose_roll,
@@ -137,47 +136,6 @@ def test_se3_exp_matches_fine_step_integration():
         assert np.allclose(p, p_ref, atol=1e-7)
 
 
-# -------------------------------------------------------------------- Pose
-
-def test_pose_compose_inverse_transform():
-    """transform is the rigid map x -> R x + p: applying two poses is the
-    composed pose, and the inverse pose maps every point back."""
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        T1 = Pose(rng.normal(size=3), random_rotation(rng))
-        T2 = Pose(rng.normal(size=3), random_rotation(rng))
-        pts = rng.normal(size=(6, 3))
-        composed = Pose(T1.p + T1.R @ T2.p, T1.R @ T2.R)
-        assert np.allclose(composed.transform(pts),
-                           T1.transform(T2.transform(pts)), atol=1e-12)
-        inverse = Pose(-(T1.R.T @ T1.p), T1.R.T)
-        back = inverse.transform(T1.transform(pts))
-        assert np.allclose(back, pts, atol=1e-10)
-
-
-def test_pose_converts_to_float_arrays():
-    """Lists, int arrays and float32 arrays become float64 arrays; a float64
-    array is kept as it is, as np.asarray would keep it."""
-    for p, R in (([1, 2, 3], np.eye(3, dtype=int).tolist()),
-                 (np.array([1, 2, 3]), np.eye(3, dtype=int)),
-                 (np.array([1.0, 2.0, 3.0], dtype=np.float32),
-                  np.eye(3, dtype=np.float32))):
-        pose = Pose(p, R)
-        for a in (pose.p, pose.R):
-            assert type(a) is np.ndarray and a.dtype == np.float64
-        assert pose.p.tolist() == [1.0, 2.0, 3.0]
-        assert pose.R.tolist() == np.eye(3).tolist()
-    p, R = np.zeros(3), np.eye(3)
-    pose = Pose(p, R)
-    assert pose.p is p and pose.R is R
-
-
-def test_pose_heading_is_third_column():
-    rng = np.random.default_rng(8)
-    R = random_rotation(rng)
-    assert np.allclose(Pose(np.zeros(3), R).heading, R[:, 2])
-
-
 # ------------------------------------------------------------ angular error
 
 def quat_geodesic_angle(R1, R2) -> float:
@@ -261,15 +219,25 @@ def test_align_from_z_has_no_z_twist():
         assert np.allclose(w_n, axis_expect, atol=1e-9)
 
 
+def _bits(decomposed):
+    (e0, e1, e2), roll = decomposed
+    return np.array([e0, e1, e2, roll]).tobytes()
+
+
 def test_decompose_recompose_roundtrip():
+    """decompose_roll reads a rotation's float rows; the same matrix as an
+    array gives the same bits, and recompose_roll inverts it."""
     rng = np.random.default_rng(12)
     for _ in range(200):
         R = random_rotation(rng)
-        eta, roll = decompose_roll(R)
-        if eta[2] < -0.9:
+        if R[2, 2] < -0.9:
             continue
+        eta, roll = decompose_roll(R.tolist())
+        assert _bits(decompose_roll(R)) == _bits((eta, roll))
         assert -math.pi < roll <= math.pi
         R2 = recompose_roll(eta, roll)
+        assert _bits(decompose_roll(np.array(R2))) == _bits(
+            decompose_roll(R2))
         assert np.allclose(R2, R, atol=1e-10)
 
 
@@ -343,9 +311,9 @@ def test_register_points_recovers_random_transform():
         t = rng.uniform(-50.0, 50.0, size=3)
         A = rng.uniform(-30.0, 30.0, size=(rng.integers(3, 10), 3))
         B = A @ R.T + t
-        pose, fre = register_points(A, B)
-        assert np.allclose(pose.R, R, atol=1e-9)
-        assert np.allclose(pose.p, t, atol=1e-7)
+        R_fit, t_fit, fre = register_points(A, B)
+        assert np.allclose(R_fit, R, atol=1e-9)
+        assert np.allclose(t_fit, t, atol=1e-7)
         assert fre < 1e-9
 
 
@@ -360,13 +328,13 @@ def test_register_points_matches_triangle_frame_oracle():
         R = random_rotation(rng)
         t = rng.uniform(-10.0, 10.0, size=3)
         B = A @ R.T + t
-        pose, fre = register_points(A, B)
+        R_fit, t_fit, fre = register_points(A, B)
         Fa, pa = _frame_from_triangle(A)
         Fb, pb = _frame_from_triangle(B)
         R_oracle = Fb @ Fa.T
         t_oracle = pb - R_oracle @ pa
-        assert np.allclose(pose.R, R_oracle, atol=1e-8)
-        assert np.allclose(pose.p, t_oracle, atol=1e-6)
+        assert np.allclose(R_fit, R_oracle, atol=1e-8)
+        assert np.allclose(t_fit, t_oracle, atol=1e-6)
         assert fre < 1e-9
 
 
@@ -375,9 +343,9 @@ def test_register_points_noise_gives_positive_fre():
     A = rng.uniform(-30.0, 30.0, size=(8, 3))
     R = random_rotation(rng)
     B = A @ R.T + np.array([5.0, -2.0, 1.0]) + rng.normal(0.0, 0.5, size=(8, 3))
-    pose, fre = register_points(A, B)
+    R_fit, _, fre = register_points(A, B)
     assert 0.05 < fre < 2.0
-    assert angular_error(pose.R, R) < 0.2
+    assert angular_error(R_fit, R) < 0.2
 
 
 def test_register_points_rejects_degenerate_input():
@@ -398,5 +366,5 @@ def test_register_points_proper_rotation_under_reflection_pressure():
     A[:, 2] *= 1e-3
     R = random_rotation(rng)
     B = A @ R.T + rng.normal(0.0, 2.0, size=A.shape)
-    pose, _ = register_points(A, B)
-    assert np.linalg.det(pose.R) == pytest.approx(1.0, abs=1e-9)
+    R_fit, _, _ = register_points(A, B)
+    assert np.linalg.det(R_fit) == pytest.approx(1.0, abs=1e-9)
