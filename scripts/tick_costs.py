@@ -18,8 +18,9 @@ loop's work. The last row times a whole truth-steered
 `run_trial`, the loop `generate` runs plus building its record, per tick;
 its `calls` column is the trial's tick count. The `dataset.record_to_line`
 row encodes that trial's record, without the estimator columns a generated
-episode lacks, as a `generate` worker encodes each episode line, also per
-tick. The training rows time
+episode lacks, as a `generate` worker encodes each episode line, and the
+`dataset.record_from_line` row decodes that line, as `train` reads each
+episode, both also per tick. The training rows time
 `lstm._forward_batch` (a training pass, with dropout) and `lstm.backward`
 at hidden 30 on a padded batch of 600 steps, 8 and 4 sequences wide,
 through one reused Workspace as `train` runs them, in µs per padded step
@@ -136,6 +137,7 @@ def main(argv=None) -> int:
         evaluate.run_trial(*truth_args), roll_est=None, angular_error=None,
         estimator=None)
     truth_ticks = truth_record.steps
+    truth_line = dataset.record_to_line(truth_record)
 
     def replay(calls):
         return lambda: calls
@@ -198,6 +200,8 @@ def main(argv=None) -> int:
          replay([truth_args] * 3), truth_ticks),
         ("dataset.record_to_line", dataset.record_to_line,
          replay([(truth_record,)] * 3), truth_ticks),
+        ("dataset.record_from_line", dataset.record_from_line,
+         replay([(truth_line,)] * 3), truth_ticks),
         *training_rows,
         ("lstm.Adam.apply", lstm.Adam.apply,
          replay([(optimizer, stepped, grads)] * 10)),

@@ -236,9 +236,9 @@ def cmd_evaluate(config: RunConfig) -> int:
     records = run_batch(
         config.estimators, config.make_medium(), config.make_controller(),
         config.make_workspace(), n_trials=config.n, seed=config.seed,
-        model=model, out_dir=out, depth_cap=config.depth_cap,
-        bin_width=config.bin_width, mapper=_mapper(config.jobs),
+        model=model, depth_cap=config.depth_cap, mapper=_mapper(config.jobs),
     )
+    report(records, out, config.bin_width)
     write_resolved_config(config, out)
     for name in config.estimators:
         err, omega = summarize(records, name)

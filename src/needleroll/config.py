@@ -162,7 +162,9 @@ def load_config_file(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
         if isinstance(doc, dict):
-            doc.pop("schema_version", None)
+            got = doc.pop("schema_version", CONFIG_SCHEMA_VERSION)
+            if type(got) is not int or got != CONFIG_SCHEMA_VERSION:
+                raise ValueError(f"unsupported config schema {got!r}")
         check_json(doc, RunConfig)
     except ValueError as exc:
         raise ValueError(f"config file {path}: {exc}") from exc

@@ -10,7 +10,9 @@ the roll label is the clean simulator state.
 Storage is one JSON Lines file per dataset (one episode per line, flat
 numeric lists) plus a manifest with per-episode metadata, the train/val
 assignment and a hash of the generation config. Lines round-trip floats
-bit-exactly through repr.
+bit-exactly through repr. A line stores each fact once: every per-step
+column is as long as base_angle, step k is at time k / controller.rate,
+and the commanded insertion speed is the controller's.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from needleroll.plant import (
 from needleroll.schema import decode
 from needleroll.se3 import floats3
 
-DATASET_SCHEMA_VERSION = 1
+DATASET_SCHEMA_VERSION = 2
 EPISODES_FILENAME = "episodes.jsonl"
 MANIFEST_FILENAME = "manifest.json"
 
@@ -67,10 +69,11 @@ class GenerationStalled(RuntimeError):
 DEPTH_CAP = 80.0  # mm, insertion depth at which a closed loop gives up
 DEFAULT_EPISODES = 70  # generate's episode count
 
-# EpisodeRecord's per-step arrays other than t; run_closed_loop records a
-# column of each, plus the true and the estimated tip rotation
+# EpisodeRecord's per-step arrays; run_closed_loop records a column of
+# each, plus the true and the estimated tip rotation. Step k is taken at
+# time k / controller.rate, so the time axis is no column
 STEP_COLUMNS = ("position", "heading", "base_angle", "roll_true",
-                "insertion_speed", "rotation_speed")
+                "rotation_speed")
 # per-step estimator columns that only evaluation trials carry; a record
 # without them (every generated episode) is written without the keys
 ESTIMATOR_COLUMNS = ("roll_est", "angular_error")
@@ -88,9 +91,9 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
     STEP_COLUMNS name, "R_true" and "R_est" to a list with one entry per
     control period, taken at the measurement instant (before the plant
     advances): the sensed position and heading, the base angle and true
-    tip roll, the commanded speeds, and the rows of the true and estimated
-    rotations. The final error is the true tip-to-target distance, whatever
-    the estimator believed.
+    tip roll, the commanded rotation speed, and the rows of the true and
+    estimated rotations. The final error is the true tip-to-target
+    distance, whatever the estimator believed.
     """
     dt = 1.0 / controller.rate
     goal = floats3(target)
@@ -111,7 +114,6 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
         logs["heading"].append(meas.heading)
         logs["base_angle"].append(state.base_angle)
         logs["roll_true"].append(state.tip_roll)
-        logs["insertion_speed"].append(decision.insertion_speed)
         logs["rotation_speed"].append(decision.rotation_speed)
         logs["R_true"].append(state.rows)
         logs["R_est"].append(rows)
@@ -132,12 +134,10 @@ class EpisodeRecord:
     target: np.ndarray  # (3,) mm
     outcome: str
     final_error: float  # mm
-    t: np.ndarray  # (T,) s
     position: np.ndarray  # (T, 3) sensed, mm
     heading: np.ndarray  # (T, 3) sensed, unit
     base_angle: np.ndarray  # (T,) rad, unwrapped
     roll_true: np.ndarray  # (T,) rad, unwrapped
-    insertion_speed: np.ndarray  # (T,) mm/s
     rotation_speed: np.ndarray  # (T,) rad/s
     roll_est: np.ndarray | None = None  # (T,) rad, wrapped estimated roll
     angular_error: np.ndarray | None = None  # (T,) rad, estimated vs true R
@@ -145,7 +145,7 @@ class EpisodeRecord:
 
     @property
     def steps(self) -> int:
-        return len(self.t)
+        return len(self.base_angle)
 
     def validate(self):
         n = self.steps
@@ -156,14 +156,9 @@ class EpisodeRecord:
                 raise ValueError(f"{name} must be (steps, 3)")
         estimated = [name for name in ESTIMATOR_COLUMNS
                      if getattr(self, name) is not None]
-        for name in ("base_angle", "roll_true", "insertion_speed",
-                     "rotation_speed", *estimated):
+        for name in ("roll_true", "rotation_speed", *estimated):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must match the timestep count")
-        dt = 1.0 / self.controller.rate
-        expect = np.arange(n) * dt
-        if not np.allclose(self.t, expect, atol=1e-9):
-            raise ValueError("timestamps must advance by one control period")
         # json reads NaN and Infinity, which would surface only as a
         # non-finite training loss
         for name in ("target", *STEP_COLUMNS, *estimated):
@@ -199,7 +194,6 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
         target=np.asarray(target, dtype=float),
         outcome=outcome,
         final_error=float(final_error),
-        t=np.arange(len(logs["base_angle"])) * (1.0 / controller.rate),
         **{name: (_stack_rows3(logs[name]) if name in ("position", "heading")
                   else np.array(logs[name]))
            for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS) if name in logs},
@@ -225,11 +219,11 @@ def record_to_line(rec: EpisodeRecord) -> str:
 
 def record_from_line(line: str) -> EpisodeRecord:
     doc = decode(line, EpisodeRecord, DATASET_SCHEMA_VERSION, "episode")
-    for name in ("target", "t", *STEP_COLUMNS, *ESTIMATOR_COLUMNS):
+    for name in ("target", *STEP_COLUMNS, *ESTIMATOR_COLUMNS):
         if name in doc:
             doc[name] = np.array(doc[name], dtype=float)
     for name in ("position", "heading"):
-        doc[name] = doc[name].reshape(len(doc["t"]), 3)
+        doc[name] = doc[name].reshape(-1, 3)
     rec = EpisodeRecord(**dict(
         doc, seed=tuple(doc["seed"]), medium=MediumParams(**doc["medium"]),
         controller=ControllerParams(**doc["controller"])))
@@ -421,7 +415,6 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
         "workspace": dataclasses.asdict(workspace),
         "controller": dataclasses.asdict(controller),
         "seed": int(seed),
-        "z_max": z_max,
         "jitter": jitter,
         "depth_cap": depth_cap,
     }

@@ -105,14 +105,13 @@ def sample_targets(workspace: WorkspaceCone, seed: int, n: int):
 def run_batch(estimator_names, medium: MediumParams,
               controller: ControllerParams, workspace: WorkspaceCone,
               n_trials: int, seed: int, model: LstmModel | None = None,
-              out_dir: Path | None = None, depth_cap: float = DEPTH_CAP,
-              bin_width: float = DEFAULT_BIN_WIDTH, mapper=map):
+              depth_cap: float = DEPTH_CAP, mapper=map):
     """Paired trials: each estimator steers to the same sampled targets.
 
     Per-trial noise streams depend only on (seed, estimator, trial index),
     so results are identical under any order-preserving parallel mapper.
-    Returns the trial records in trial_id order; persists them and renders
-    the report when out_dir is given.
+    Returns the trial records in trial_id order, 0 to n-1; report persists
+    them.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -125,10 +124,7 @@ def run_batch(estimator_names, medium: MediumParams,
             tasks.append((name, medium, controller, target, trial_seed,
                           model, trial_id, depth_cap))
             trial_id += 1
-    records = list(mapper(_run_trial_task, tasks))
-    if out_dir is not None:
-        report(records, out_dir, bin_width)
-    return records
+    return list(mapper(_run_trial_task, tasks))
 
 
 # ------------------------------------------------------------------ analysis
@@ -185,7 +181,8 @@ def report(records, out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
 def _read_trials(path: Path):
     """The trial records of path in trial_id order.
 
-    Raises DatasetError naming the file when it holds no trials, and the
+    Raises DatasetError naming the file when it holds no trials or its
+    trial ids are not 0 to n-1 (naming the first one missing), and the
     line at fault when a line does not decode, repeats a trial_id, or lacks
     the estimator columns (a directory written before trial lines carried
     them).
@@ -205,7 +202,11 @@ def _read_trials(path: Path):
             by_id[rec.episode_id] = rec
     if not by_id:
         raise DatasetError(f"{path}: no trial records")
-    return [by_id[k] for k in sorted(by_id)]
+    for k in range(len(by_id)):
+        if k not in by_id:
+            raise DatasetError(f"{path}: trial {k} is missing; trial ids "
+                               f"must be 0 to n-1, each once")
+    return [by_id[k] for k in range(len(by_id))]
 
 
 def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):

@@ -207,7 +207,7 @@ def _bevel_arc(key: bytes):
     arc_R, arc_p = se3_exp(
         [0.0, 0.0, insertion_speed, 0.0, curvature * insertion_speed, 0.0], dt
     )
-    return tuple(arc_p.tolist()), tuple(arc_R[:, 2].tolist())
+    return arc_p, (arc_R[0][2], arc_R[1][2], arc_R[2][2])
 
 
 def tip_step(insertion_speed: float, curvature: float, delta: float,

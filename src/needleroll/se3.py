@@ -6,10 +6,11 @@ defined relative to the minimal rotation that takes +z to the current
 heading (see decompose_roll). Positions are in millimetres, angles in
 radians.
 
-One kernel convention: so3_exp, heading_tangent_basis, recompose_roll and
-decompose_roll take and return Python floats and float rows, so a tick's pose
-is three float rows and three floats. A caller builds an array once, and only
-where the filter mean, the covariance or point registration needs one.
+One kernel convention: so3_exp, se3_exp, heading_tangent_basis,
+recompose_roll and decompose_roll take and return Python floats and float
+rows, so a tick's pose is three float rows and three floats. A caller builds
+an array once, and only where the filter mean, the covariance or point
+registration needs one.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ def so3_exp(w) -> tuple:
             (bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)))
 
 
-def se3_exp(twist, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def se3_exp(twist, dt: float = 1.0) -> tuple[tuple, tuple]:
     """Exponential of a body twist (v, w) scaled by dt.
 
-    Returns (R, p): the rotation and translation of the relative pose
-    reached after moving along the constant twist for dt. A zero twist gives
-    the identity.
+    Returns (R, p): the rotation's three float rows and the translation's
+    three floats, of the relative pose reached after moving along the
+    constant twist for dt. A zero twist gives the identity.
     """
     xi = [x * dt for x in np.asarray(twist, dtype=float).tolist()]
     v, w = xi[:3], xi[3:]
@@ -102,14 +103,14 @@ def se3_exp(twist, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         b = (1.0 - math.cos(t)) / t2
         c = (t - math.sin(t)) / (t2 * t)
     # V, the left Jacobian of SO(3), is I + b K + c K^2
-    return np.array(so3_exp(w)), _series_apply(w, v, b, c)
+    return so3_exp(w), _series_apply(w, v, b, c)
 
 
-def _series_apply(w, v, b: float, c: float) -> np.ndarray:
+def _series_apply(w, v, b: float, c: float) -> tuple:
     """(I + b K + c K^2) v for K = skew(w): v + b (w x v) + c w x (w x v)."""
     wv = cross3(w, v)
     wwv = cross3(w, wv)
-    return np.array([v[i] + b * wv[i] + c * wwv[i] for i in range(3)])
+    return tuple(v[i] + b * wv[i] + c * wwv[i] for i in range(3))
 
 
 def angular_error(R_est, R_true) -> float:

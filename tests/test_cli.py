@@ -9,7 +9,7 @@ import pytest
 
 from needleroll import cli
 from needleroll.cli import main
-from needleroll.dataset import DEFAULT_EPISODES
+from needleroll.dataset import DATASET_SCHEMA_VERSION, DEFAULT_EPISODES
 from needleroll.evaluate import DEFAULT_TRIALS
 from needleroll.lstm import init_model, save_model
 from needleroll.config import (
@@ -40,6 +40,19 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         cfg_file.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unknown keys"):
             load_config_file(cfg_file)
+
+
+@pytest.mark.parametrize("version", [99, 0, True, "1", None])
+def test_cli_config_file_of_another_schema_is_usage_error(tmp_path, capsys,
+                                                          version):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": version}))
+    assert main(["generate", "--n", "2", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unsupported config schema" in err
+    assert not out.exists()
 
 
 def test_config_file_rejects_bad_json(tmp_path):
@@ -403,7 +416,8 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
         ("missing field 'heading'", json.dumps(no_heading) + "\n"),
         ("unknown keys ['viscosity']",
          edited(medium=dict(doc["medium"], viscosity=1.0))),
-        ("unsupported episode schema", edited(schema_version=2)),
+        ("unsupported episode schema",
+         edited(schema_version=DATASET_SCHEMA_VERSION + 1)),
         ("roll_true must match", edited(roll_true=doc["roll_true"][:-1])),
         ("position must be finite", edited(position=nan_position)),
         ("final error must be finite", edited(final_error=math.inf)),
@@ -551,7 +565,7 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
     elif damage == "episode_missing_key":
         del doc["episodes"][1]["steps"]
     elif damage == "schema_version":
-        doc["schema_version"] = 2
+        doc["schema_version"] = DATASET_SCHEMA_VERSION + 1
     elif damage == "z_max_string":
         doc["z_max"] = "75"
     elif damage.startswith("z_max"):
@@ -723,6 +737,59 @@ def test_cli_report_on_a_repeated_trial_is_data_error(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("failed:") and "line 3 repeats trial 1" in err
+
+
+def test_cli_report_on_a_missing_trial_is_data_error(tmp_path, capsys):
+    out = _damaged_trials(tmp_path, lambda lines: lines[:1] + lines[2:])
+    rendered = {p: p.read_bytes() for p in out.rglob("*.*")}
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and "trial 1 is missing" in err
+    assert err.count("\n") == 1
+    assert {p: p.read_bytes() for p in out.rglob("*.*")} == rendered
+
+
+def _as_schema_1(line: str) -> str:
+    """An episode or trial line as schema 1 wrote it: with the time axis and
+    the commanded insertion speed as columns."""
+    doc = json.loads(line)
+    n = len(doc["base_angle"])
+    controller = doc["controller"]
+    doc.update(schema_version=1,
+               t=[k * (1.0 / controller["rate"]) for k in range(n)],
+               insertion_speed=[controller["insertion_speed"]] * n)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_cli_report_on_schema_1_trials_is_data_error(tmp_path, capsys):
+    out = _damaged_trials(tmp_path, lambda lines: map(_as_schema_1, lines))
+    rendered = {p: p.read_bytes() for p in out.rglob("*.*")}
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and err.count("\n") == 1
+    assert "line 1" in err and "unsupported episode schema 1" in err
+    assert {p: p.read_bytes() for p in out.rglob("*.*")} == rendered
+
+
+def test_cli_train_on_schema_1_dataset_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
+    episodes = ds / "episodes.jsonl"
+    episodes.write_text("".join(
+        map(_as_schema_1, episodes.read_text().splitlines())))
+    manifest = ds / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["schema_version"] = doc["generation"]["schema_version"] = 1
+    doc["generation"]["z_max"] = doc["z_max"]
+    manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(_train_argv(ds, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and err.count("\n") == 1
+    assert "manifest.json" in err and "unsupported manifest schema 1" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):

@@ -72,9 +72,7 @@ def test_closed_loop_truth_steering_arrives():
     assert n > 0 and all(len(column) == n for column in logs.values())
     rec = record_from_logs(0, (0,), GELATIN, CONTROLLER, target, outcome,
                            err, logs)
-    # one control period per step, bitwise equal to stepping k * dt
-    dt = 1.0 / CONTROLLER.rate
-    assert rec.t.tolist() == [k * dt for k in range(n)]
+    assert rec.steps == n
     assert np.array_equal(rec.position, np.array(logs["position"]))
 
 
@@ -191,8 +189,8 @@ def test_record_roundtrip_bit_exact(tmp_path):
     assert back.controller == rec.controller
     assert back.outcome == rec.outcome
     assert back.final_error == rec.final_error
-    for name in ("target", "t", "position", "heading", "base_angle",
-                 "roll_true", "insertion_speed", "rotation_speed"):
+    for name in ("target", "position", "heading", "base_angle",
+                 "roll_true", "rotation_speed"):
         assert np.array_equal(getattr(back, name), getattr(rec, name)), name
     assert record_to_line(back) == line
 
@@ -272,7 +270,8 @@ def test_record_line_rejects_wrong_schema(tmp_path):
     (lambda d: d.update(final_error=-10**400), "'final_error' must be float"),
     (lambda d: d["position"].__setitem__(0, [0.0]),
      "'position' must hold only numbers"),
-    (lambda d: d.update(t={}), "'t' must hold only numbers"),
+    (lambda d: d.update(rotation_speed={}),
+     "'rotation_speed' must hold only numbers"),
 ], ids=["bool_version", "no_version", "int_past_float_range",
         "negative_int_past_float_range", "nested_list", "object_column"])
 def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):

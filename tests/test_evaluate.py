@@ -19,6 +19,7 @@ from needleroll.evaluate import (
     histogram,
     make_estimator,
     render_report,
+    report,
     run_batch,
     run_trial,
     summarize,
@@ -301,7 +302,8 @@ def reported_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("eval") / "run"
     records = run_batch(
         ["truth", "ekf"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-        n_trials=2, seed=29, out_dir=out)
+        n_trials=2, seed=29)
+    report(records, out)
     return out, records
 
 

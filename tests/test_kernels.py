@@ -173,9 +173,9 @@ def test_series_branch_is_exercised():
 
 
 def reference_tip_step(insertion_speed, curvature, delta, dt):
-    arc_R, arc_p = se3_exp(
+    arc_R, arc_p = map(np.array, se3_exp(
         [0.0, 0.0, insertion_speed, 0.0, curvature * insertion_speed, 0.0], dt
-    )
+    ))
     c, s = math.cos(delta), math.sin(delta)
     p0, p1, p2 = arc_p.tolist()
     h0, h1, h2 = arc_R[:, 2].tolist()
