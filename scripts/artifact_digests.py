@@ -1,11 +1,11 @@
 """Print one sha256 per artifact of a small fixed needleroll pipeline.
 
-Runs generate -> train --epochs 2 -> steer --estimator lstm -> evaluate
-truth,ekf,lstm -> report (re-rendering the evaluate directory in place) at
---jobs 1 and again at --jobs 2, so every command that reads a pipeline
-file runs. Each stage runs as `python -m needleroll` on the `src/` next to
-this script, inside a temporary directory (relative output paths,
-so the recorded config.json files do not name it). Prints
+Runs generate -> train --epochs 2 -> evaluate lstm --n 1 to a fixed
+target -> evaluate truth,ekf,lstm -> report (re-rendering the last evaluate
+directory in place) at --jobs 1 and again at --jobs 2, so every command
+that reads a pipeline file runs. Each stage runs as `python -m needleroll`
+on the `src/` next to this script, inside a temporary directory (relative
+output paths, so the recorded config.json files do not name it). Prints
 `<sha256>  jobs<j>/<path>` for every file written, sorted.
 
 A speed change that must keep every artifact byte-identical is checked by
@@ -37,8 +37,9 @@ def stages(jobs: int) -> list[list[str]]:
         ["generate", "--n", "8", "--out", f"{j}/dataset", *common],
         ["train", "--dataset", f"{j}/dataset", "--epochs", "2",
          "--out", f"{j}/run", *common],
-        ["steer", "--estimator", "lstm", "--model", f"{j}/run/model.json",
-         "--out", f"{j}/steer", *common],
+        ["evaluate", "--estimators", "lstm", "--n", "1", "--target",
+         "3,4,60", "--model", f"{j}/run/model.json", "--out", f"{j}/one",
+         *common],
         ["evaluate", "--estimators", "truth,ekf,lstm", "--n", "3",
          "--model", f"{j}/run/model.json", "--out", f"{j}/evaluate",
          *common],

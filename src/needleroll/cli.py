@@ -1,4 +1,4 @@
-"""Command-line entry point: generate, train, steer, evaluate, report.
+"""Command-line entry point: generate, train, evaluate, report.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
 (including an unreadable or inconsistent dataset).
@@ -15,8 +15,6 @@ import dataclasses
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from needleroll.config import (
     RunConfig,
@@ -40,8 +38,6 @@ from needleroll.evaluate import (
     render_report,
     report,
     run_batch,
-    run_trial,
-    sample_targets,
     summarize,
 )
 from needleroll.lstm import Diverged, load_model, save_model, train
@@ -89,16 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float)
     p.add_argument("--hidden-size", dest="hidden_size", type=int)
 
-    p = commands.add_parser("steer", help="run one closed-loop insertion")
-    _add_common(p)
-    p.add_argument("--estimator", choices=ESTIMATOR_NAMES)
-    p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
-    p.add_argument("--rigid", action="store_const", const=True)
-    p.add_argument("--model", help="trained model file (lstm)")
-    # RunConfig.validate checks the coordinate count
-    p.add_argument("--target", type=lambda t: tuple(map(float, t.split(","))),
-                   help="x,y,z in mm; sampled from the workspace if omitted")
-
     p = commands.add_parser("evaluate", help="batch trials and report")
     _add_common(p)
     p.add_argument("--n", type=int,
@@ -110,6 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=lambda t: tuple(t.split(",")),
                    help="comma-separated subset of "
                    + ",".join(ESTIMATOR_NAMES))
+    # RunConfig.validate checks the coordinate count
+    p.add_argument("--target", type=lambda t: tuple(map(float, t.split(","))),
+                   help="x,y,z in mm for every trial; sampled from the "
+                   "workspace if omitted")
     p.add_argument("--bin-width", dest="bin_width", type=float)
 
     p = commands.add_parser(
@@ -154,13 +144,6 @@ def _require(value, flag: str):
     if value is None:
         raise UsageError(f"{flag} is required for this command")
     return value
-
-
-def _load_lstm(config: RunConfig, needed: bool):
-    if not needed:
-        return None
-    path = _require(config.model, "--model")
-    return load_model(path)
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -209,34 +192,16 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def cmd_steer(config: RunConfig) -> int:
-    out = Path(_require(config.out, "--out"))
-    model = _load_lstm(config, config.estimator == "lstm")
-    if config.target is not None:
-        target = np.array(config.target, dtype=float)
-    else:
-        target = sample_targets(config.make_workspace(), config.seed, 1)[0]
-    record = run_trial(
-        config.estimator, config.make_medium(), config.make_controller(),
-        target, seed=(config.seed, 0, 0), model=model,
-        depth_cap=config.depth_cap,
-    )
-    report([record], out, config.bin_width)
-    write_resolved_config(config, out)
-    print(f"{record.estimator} on {record.medium.name}: {record.outcome}, "
-          f"targeting error {record.final_error:.3f} mm, "
-          f"mean angular error {np.mean(record.angular_error):.4f} rad")
-    return 0
-
-
 def cmd_evaluate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     config = dataclasses.replace(config, n=config.n or DEFAULT_TRIALS)
-    model = _load_lstm(config, "lstm" in config.estimators)
+    model = (load_model(_require(config.model, "--model"))
+             if "lstm" in config.estimators else None)
     records = run_batch(
         config.estimators, config.make_medium(), config.make_controller(),
         config.make_workspace(), n_trials=config.n, seed=config.seed,
-        model=model, depth_cap=config.depth_cap, mapper=_mapper(config.jobs),
+        model=model, depth_cap=config.depth_cap, target=config.target,
+        mapper=_mapper(config.jobs),
     )
     report(records, out, config.bin_width)
     write_resolved_config(config, out)
@@ -258,7 +223,6 @@ def cmd_report(config: RunConfig) -> int:
 COMMANDS = {
     "generate": cmd_generate,
     "train": cmd_train,
-    "steer": cmd_steer,
     "evaluate": cmd_evaluate,
     "report": cmd_report,
 }

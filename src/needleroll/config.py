@@ -76,9 +76,8 @@ class RunConfig:
     dropout: float = TrainConfig.dropout_rate
     hidden_size: int = TrainConfig.hidden_size
 
-    # steering / evaluation
+    # evaluation
     model: str | None = None
-    estimator: str = "lstm"
     estimators: tuple[str, ...] = ("lstm", "ekf")
     target: tuple[float, float, float] | None = None
     bin_width: float = DEFAULT_BIN_WIDTH
@@ -88,7 +87,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown medium {self.medium!r}; "
                 f"choose from {sorted(MEDIUM_PRESETS)}")
-        check_estimator_names((self.estimator,))
         check_estimator_names(self.estimators)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")

@@ -84,9 +84,9 @@ def run_trial(estimator_name: str, medium: MediumParams,
     estimator = make_estimator(estimator_name, medium, controller, model)
     logs, _, outcome, final_error = run_closed_loop(
         medium, controller, target, rng, estimator, depth_cap)
-    R_trues, R_ests = np.array(logs["R_true"]), np.array(logs["R_est"])
     logs["roll_est"] = [decompose_roll(rows)[1] for rows in logs["R_est"]]
-    logs["angular_error"] = list(map(angular_error, R_trues, R_ests))
+    logs["angular_error"] = list(map(angular_error, logs["R_est"],
+                                     logs["R_true"]))
     return record_from_logs(trial_id, seed, medium, controller, target,
                             outcome, final_error, logs, estimator_name)
 
@@ -97,7 +97,7 @@ def _run_trial_task(args):
 
 def sample_targets(workspace: WorkspaceCone, seed: int, n: int):
     """The first n targets of the evaluation target stream of seed; every
-    estimator of a batch steers to the same ones, and steer to the first."""
+    estimator of a batch steers to the same ones."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7467]))
     return [sample_target(workspace, rng) for _ in range(n)]
 
@@ -105,8 +105,9 @@ def sample_targets(workspace: WorkspaceCone, seed: int, n: int):
 def run_batch(estimator_names, medium: MediumParams,
               controller: ControllerParams, workspace: WorkspaceCone,
               n_trials: int, seed: int, model: LstmModel | None = None,
-              depth_cap: float = DEPTH_CAP, mapper=map):
-    """Paired trials: each estimator steers to the same sampled targets.
+              depth_cap: float = DEPTH_CAP, target=None, mapper=map):
+    """Paired trials: each estimator steers to the same sampled targets, or
+    every trial to `target` when one is given.
 
     Per-trial noise streams depend only on (seed, estimator, trial index),
     so results are identical under any order-preserving parallel mapper.
@@ -116,12 +117,14 @@ def run_batch(estimator_names, medium: MediumParams,
     if n_trials < 1:
         raise ValueError("need at least one trial")
     check_estimator_names(estimator_names)
+    goals = (sample_targets(workspace, seed, n_trials) if target is None
+             else [np.array(target, dtype=float) for _ in range(n_trials)])
     tasks = []
     trial_id = 0
-    for k, target in enumerate(sample_targets(workspace, seed, n_trials)):
+    for k, goal in enumerate(goals):
         for name in estimator_names:
             trial_seed = (int(seed), ESTIMATOR_NAMES.index(name), k)
-            tasks.append((name, medium, controller, target, trial_seed,
+            tasks.append((name, medium, controller, goal, trial_seed,
                           model, trial_id, depth_cap))
             trial_id += 1
     return list(mapper(_run_trial_task, tasks))

@@ -7,10 +7,10 @@ heading (see decompose_roll). Positions are in millimetres, angles in
 radians.
 
 One kernel convention: so3_exp, se3_exp, heading_tangent_basis,
-recompose_roll and decompose_roll take and return Python floats and float
-rows, so a tick's pose is three float rows and three floats. A caller builds
-an array once, and only where the filter mean, the covariance or point
-registration needs one.
+recompose_roll, decompose_roll and angular_error take and return Python
+floats and float rows, so a tick's pose is three float rows and three
+floats. A caller builds an array once, and only where the filter mean, the
+covariance or point registration needs one.
 """
 
 from __future__ import annotations
@@ -114,14 +114,27 @@ def _series_apply(w, v, b: float, c: float) -> tuple:
 
 
 def angular_error(R_est, R_true) -> float:
-    """Geodesic angle between two rotations, in [0, pi].
+    """Geodesic angle between two rotations given as float rows, in [0, pi].
 
-    Computed on the relative rotation R_est^T R_true; the trace argument is
-    clamped to [-1, 1] so roundoff near 0 and pi cannot produce NaN.
+    On the relative rotation M = R_est^T R_true it is
+    atan2(|vee(M - M^T)| / 2, (tr M - 1) / 2), which holds its accuracy
+    near 0 and pi, where acos of the trace alone bottoms out at
+    sqrt(2 eps). Equal rotations give exactly 0.0, and swapping the
+    arguments gives exactly the same angle.
     """
-    # trace(R_est^T R_true) is the elementwise product sum
-    c = (float(np.vdot(R_est, R_true)) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = R_est
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = R_true
+    # M[i][j] is column i of R_est dotted with column j of R_true
+    tr = (a00 * b00 + a10 * b10 + a20 * b20 + a01 * b01 + a11 * b11
+          + a21 * b21 + a02 * b02 + a12 * b12 + a22 * b22)
+    x = ((a01 * b02 + a11 * b12 + a21 * b22)
+         - (a02 * b01 + a12 * b11 + a22 * b21))
+    y = ((a02 * b00 + a12 * b10 + a22 * b20)
+         - (a00 * b02 + a10 * b12 + a20 * b22))
+    z = ((a00 * b01 + a10 * b11 + a20 * b21)
+         - (a01 * b00 + a11 * b10 + a21 * b20))
+    return math.atan2(0.5 * math.sqrt(x * x + y * y + z * z),
+                      0.5 * (tr - 1.0))
 
 
 def _align_rows(e0: float, e1: float, c: float) -> tuple:

@@ -9,8 +9,12 @@ import pytest
 
 from needleroll import cli
 from needleroll.cli import main
-from needleroll.dataset import DATASET_SCHEMA_VERSION, DEFAULT_EPISODES
-from needleroll.evaluate import DEFAULT_TRIALS
+from needleroll.dataset import (
+    DATASET_SCHEMA_VERSION,
+    DEFAULT_EPISODES,
+    record_to_line,
+)
+from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
 from needleroll.lstm import init_model, save_model
 from needleroll.config import (
     RunConfig,
@@ -248,9 +252,9 @@ def test_cli_steer_target_behind_or_at_the_entry_fails_before_writing(
         tmp_path, capsys, target):
     """The controller would stop at once on these: behind or on the entry
     plane, or within the arrival tolerance (0.25 mm) of the entry point."""
-    out = tmp_path / "steer"
-    assert main(["steer", "--estimator", "truth", "--target", target,
-                 "--out", str(out)]) == 1
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--estimators", "truth", "--n", "1",
+                 "--target", target, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "target must lie ahead" in err
     assert not out.exists()
@@ -586,36 +590,97 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
 
 
 def test_cli_steer_truth(tmp_path, capsys):
-    out = tmp_path / "steer"
-    code = main(["steer", "--estimator", "truth", "--seed", "2",
-                 "--out", str(out)])
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--estimators", "truth", "--n", "1",
+                 "--seed", "2", "--out", str(out)])
     assert code == 0
-    text = capsys.readouterr().out
-    assert "arrived" in text
+    assert "truth: mean targeting error" in capsys.readouterr().out
+    assert ",arrived," in (out / "trials" / "summaries.csv").read_text()
     assert (out / "report.txt").exists()
     assert (out / "config.json").exists()
 
 
-def test_cli_steer_ekf_rigid_lands_under_a_millimetre(tmp_path, capsys):
+def test_cli_steer_subcommand_is_gone(tmp_path, capsys):
+    """One trial is `evaluate --n 1`; the old single-trial command is an
+    unknown subcommand."""
     out = tmp_path / "steer"
-    code = main(["steer", "--estimator", "ekf", "--rigid", "--seed", "4",
-                 "--target", "3,4,60", "--out", str(out)])
+    assert main(["steer", "--estimator", "truth", "--seed", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'steer'" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
+        tmp_path, source):
+    """A target from --target or from a config file replaces the sampled
+    targets for every trial of every estimator. A trial's seed stays
+    (seed, estimator index, trial index): each trial line is the one
+    run_trial writes for that seed and the target."""
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--estimators", "ekf,truth", "--n", "2", "--rigid",
+            "--seed", "5", "--out", str(out)]
+    if source == "flag":
+        argv += ["--target", "3,4,60"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"target": [3, 4, 60]}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    lines = (out / "trials" / "episodes.jsonl").read_text().splitlines()
+    config = resolve_config({}, {"rigid": True})
+    target = np.array([3.0, 4.0, 60.0])
+    expected = [
+        record_to_line(run_trial(
+            name, config.make_medium(), config.make_controller(), target,
+            seed=(5, ESTIMATOR_NAMES.index(name), k), trial_id=2 * k + m))
+        for k in range(2) for m, name in enumerate(("ekf", "truth"))]
+    assert lines == expected
+    assert [json.loads(line)["seed"] for line in lines] == [
+        [5, 1, 0], [5, 0, 0], [5, 1, 1], [5, 0, 1]]
+    recorded = json.loads((out / "config.json").read_text())
+    assert recorded["target"] == [3.0, 4.0, 60.0]
+    assert "estimator" not in recorded
+
+
+def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
+    """A config.json resolved before evaluate took the one estimator
+    setting still holds "estimator"; it is an unknown key, named."""
+    old = tmp_path / "old"
+    write_resolved_config(resolve_config({}, {"n": 1}), old)
+    doc = json.loads((old / "config.json").read_text())
+    doc["estimator"] = "lstm"
+    (old / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--estimators", "truth", "--config",
+                 str(old / "config.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown keys ['estimator']" in err
+    assert not out.exists()
+
+
+def test_cli_steer_ekf_rigid_lands_under_a_millimetre(tmp_path, capsys):
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--estimators", "ekf", "--n", "1", "--rigid",
+                 "--seed", "4", "--target", "3,4,60", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
-    err = float(text.split("targeting error ")[1].split(" mm")[0])
+    err = float(text.split("mean targeting error ")[1].split(" mm")[0])
     assert err < 1.0
 
 
 def test_cli_steer_target_needs_three_coordinates(tmp_path, capsys):
-    out = tmp_path / "steer"
-    assert main(["steer", "--estimator", "truth", "--target", "3,4",
-                 "--out", str(out)]) == 1
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--estimators", "truth", "--n", "1",
+                 "--target", "3,4", "--out", str(out)]) == 1
     assert "target must have three coordinates" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_cli_steer_lstm_requires_model(tmp_path, capsys):
-    assert main(["steer", "--estimator", "lstm",
+    assert main(["evaluate", "--estimators", "lstm", "--n", "1",
                  "--out", str(tmp_path / "x")]) == 1
     assert "--model" in capsys.readouterr().err
 
@@ -667,7 +732,8 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
     for text, expect in damaged:
         path.write_text(text)
         capsys.readouterr()
-        assert main(["steer", "--estimator", "lstm", "--model", str(path),
+        assert main(["evaluate", "--estimators", "lstm", "--n", "1",
+                     "--model", str(path),
                      "--out", str(tmp_path / "x")]) == 1, expect
         err = capsys.readouterr().err
         assert err.startswith("error:") and expect in err

@@ -49,10 +49,8 @@ def test_truth_trial_is_exact_and_arrives():
     assert record.estimator == "truth"
     assert record.outcome == "arrived"
     assert record.final_error < 1.0
-    # the angle metric resolves nothing below ~sqrt(eps), so "exact" means
-    # at that floor, not literal zero
-    assert record.angular_error.max() < 1e-7
-    assert np.mean(record.angular_error) < 1e-7
+    # the estimate is the true rotation itself, so every step is exactly 0
+    assert not record.angular_error.any()
     assert np.mean(_roll_error(record)) < 1e-9
     assert record.steps == len(record.angular_error)
 

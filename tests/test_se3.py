@@ -158,7 +158,8 @@ def test_angular_error_matches_quaternion_oracle():
 
 def test_angular_error_extremes():
     R = rot_z(0.4) @ rot_x(1.0)
-    assert angular_error(R, R) == pytest.approx(0.0, abs=1e-12)
+    assert angular_error(R, R) == 0.0
+    assert angular_error(R.tolist(), R.tolist()) == 0.0
     assert angular_error(np.eye(3), rot_x(math.pi)) == pytest.approx(math.pi)
 
 
