@@ -14,7 +14,9 @@ filter's trial. The two `estimate` rows replay the trial's measurements
 through a fresh estimator, so every call sees the state it saw in the
 trial. `ekf.update` replays the recorded states themselves: a state holds
 its mean rotation as the matrix update reads, so the replay does the
-loop's work. The last row times a whole truth-steered
+loop's work. `ekf.EkfState` builds those states again, from the fields
+predict and update pass (the position as three floats), in µs per
+construction; a tick builds two. The last row times a whole truth-steered
 `run_trial`, the loop `generate` runs plus building its record, per tick;
 its `calls` column is the trial's tick count. The `dataset.record_to_line`
 row encodes that trial's record, without the estimator columns a generated
@@ -187,6 +189,9 @@ def main(argv=None) -> int:
          replay(ekf_calls["controller.control"])),
         ("ekf.predict", ekf.predict, replay(ekf_calls["ekf.predict"])),
         ("ekf.update", ekf.update, replay(ekf_calls["ekf.update"])),
+        ("ekf.EkfState", ekf.EkfState, replay(
+            [(tuple(st.position.tolist()), st.rotation, st.covariance)
+             for st, _, _ in ekf_calls["ekf.update"]])),
         ("EkfRollTracker.estimate", ekf.EkfRollTracker.estimate,
          fresh_tracker_calls(
              ekf_calls["EkfRollTracker.estimate"],

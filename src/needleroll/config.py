@@ -32,6 +32,7 @@ from needleroll.plant import (
     MEDIUM_PRESETS,
     MediumParams,
     WorkspaceCone,
+    check_ranges,
     rigid_variant,
 )
 from needleroll.schema import check_json
@@ -106,6 +107,7 @@ class RunConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be finite and positive")
+        check_ranges(self, positive=("depth_cap",))
         if self.target is not None:
             if len(self.target) != 3:
                 raise ValueError("target must have three coordinates")
@@ -114,6 +116,8 @@ class RunConfig:
                     > self.arrival_tolerance):
                 raise ValueError("target must lie ahead of the entry point: "
                                  "z > 0, beyond the arrival tolerance")
+            if not all(map(math.isfinite, self.target)):
+                raise ValueError("target coordinates must be finite")
         check_bin_width(self.bin_width)
         # these fire their own range checks
         self.make_controller()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from needleroll.plant import ControlInput
+from needleroll.plant import ControlInput, check_ranges
 from needleroll.se3 import wrap_angle
 
 
@@ -36,12 +36,9 @@ class ControllerParams:
     arrival_tolerance: float = 0.25  # mm
 
     def __post_init__(self):
-        if self.insertion_speed <= 0.0 or self.rotation_speed <= 0.0:
-            raise ValueError("speeds must be positive")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
-        if self.deadband < 0.0 or self.arrival_tolerance < 0.0:
-            raise ValueError("deadband and arrival tolerance must be nonnegative")
+        check_ranges(self, positive=("insertion_speed", "rotation_speed",
+                                     "rate"),
+                     nonnegative=("deadband", "arrival_tolerance"))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,24 @@ always had: BLAS fuses multiply-adds, and its rounding depends on operand
 layout, so neither float products nor a re-laid-out operand give the same
 bits. The mean rotation needs no re-orthonormalising: each predict rebuilds
 it from heading and roll, so update's roundoff cannot build up.
+
+EkfState is a validating named tuple, built the way plant.ControlInput is:
+its constructor, _make and _replace all check the rotation and the
+covariance. update takes the gain from the LAPACK gesv gufunc that
+np.linalg.solve wraps, so the gain has solve's bits without the wrapper's
+per-call checks. A singular innovation covariance S therefore does not
+raise inside the solve: it yields a NaN gain, with numpy's "invalid value"
+RuntimeWarning, and the finite-gain check turns that into
+SingularInnovation. Only a filter built by hand with zero noise reaches it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _solve
 
 from needleroll.controller import ControllerParams
 from needleroll.plant import (
@@ -54,48 +64,57 @@ from needleroll.se3 import (
 )
 
 
-# read-only identities; measurement_jacobian writes into a copy of _EYE5x6
 _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
-_EYE5x6 = np.eye(5, 6)
-_EYE5x6.flags.writeable = False
-_FLOAT = np.dtype(float)
 
 
 class SingularInnovation(RuntimeError):
     """Innovation covariance not invertible; noise configuration is broken."""
 
 
-@dataclass(frozen=True)
-class EkfState:
-    position: np.ndarray  # (3,) mm
-    rotation: np.ndarray  # (3, 3) world from body
-    covariance: np.ndarray  # (6, 6) over (dp, dphi)
+class EkfState(NamedTuple("EkfState", [("position", np.ndarray),
+                                       ("rotation", np.ndarray),
+                                       ("covariance", np.ndarray)])):
+    """Position (3,) mm, rotation (3, 3) world from body and covariance
+    (6, 6) over (dp, dphi), each a float array; every way to build one,
+    _make and _replace included, checks them."""
 
-    def __post_init__(self):
-        for name in ("position", "rotation", "covariance"):
-            value = getattr(self, name)
-            # a float array is kept: np.asarray would return it as it is
-            if type(value) is not np.ndarray or value.dtype is not _FLOAT:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
-        if self.rotation.shape != (3, 3):
+    __slots__ = ()
+
+    def __new__(cls, position, rotation, covariance):
+        # np.asarray keeps a float array as it is, the caller's array
+        position = np.asarray(position, dtype=float)
+        rotation = np.asarray(rotation, dtype=float)
+        covariance = np.asarray(covariance, dtype=float)
+        if rotation.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        r0, r1, r2 = self.rotation.tolist()
-        gaps = (dot3(r0, r0) - 1.0, dot3(r1, r1) - 1.0, dot3(r2, r2) - 1.0,
-                dot3(r0, r1), dot3(r0, r2), dot3(r1, r2),
-                dot3(cross3(r0, r1), r2) - 1.0)
+        # unit rows, orthogonal pairs and det 1: dot3 and cross3, inlined
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rotation.tolist()
+        gaps = (a0 * a0 + a1 * a1 + a2 * a2 - 1.0,
+                b0 * b0 + b1 * b1 + b2 * b2 - 1.0,
+                c0 * c0 + c1 * c1 + c2 * c2 - 1.0,
+                a0 * b0 + a1 * b1 + a2 * b2,
+                a0 * c0 + a1 * c1 + a2 * c2,
+                b0 * c0 + b1 * c1 + b2 * c2,
+                (a1 * b2 - a2 * b1) * c0 + (a2 * b0 - a0 * b2) * c1
+                + (a0 * b1 - a1 * b0) * c2 - 1.0)
         if not all(abs(g) <= 1e-9 for g in gaps):  # NaN fails
             raise ValueError("rotation must be orthonormal and right-handed")
-        C = self.covariance
-        if C.shape != (6, 6):
+        if covariance.shape != (6, 6):
             raise ValueError("covariance must be 6x6")
         # predict and update leave C bitwise symmetric, which settles
         # allclose unless an entry is NaN: a NaN can mirror itself bitwise,
         # so a NaN sum (also from +inf and -inf) leaves it to allclose
+        C = covariance
         mirrored = C.tobytes() == C.T.tobytes()
         if not ((mirrored and not math.isnan(sum(C.ravel().tolist())))
                 or np.allclose(C, C.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
+        return tuple.__new__(cls, (position, rotation, covariance))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def init_state() -> EkfState:
@@ -211,9 +230,12 @@ def measurement_jacobian(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     """5x6 Jacobian of (position, B^T heading) w.r.t. (dp, dphi):
     -(B^T R skew(e_z)) in the heading rows, whose row k is (-s_1, s_0, 0)
     for s = R^T b_k."""
-    H = _EYE5x6.copy()
-    H[3:, 3:] = [[-s1, s0, 0.0] for s0, s1, _ in (B.T @ R).tolist()]
-    return H
+    (s00, s01, _), (s10, s11, _) = (B.T @ R).tolist()
+    return np.array((1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                     0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
+                     0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+                     0.0, 0.0, 0.0, -s01, s00, 0.0,
+                     0.0, 0.0, 0.0, -s11, s10, 0.0)).reshape(5, 6)
 
 
 def update(state: EkfState, meas: SensedTip,
@@ -236,18 +258,17 @@ def update(state: EkfState, meas: SensedTip,
     residual = np.array([mx - px, my - py, mz - pz, u, v])
     P = state.covariance
     HP = H @ P
-    try:
-        gain = np.linalg.solve(HP @ H.T + measurement_noise, HP).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(str(exc)) from exc
+    # the gesv gufunc np.linalg.solve calls, so its bits, without the
+    # wrapper; a singular S comes out NaN, with numpy's RuntimeWarning
+    gain = _solve(HP @ H.T + measurement_noise, HP, signature="dd->d").T
     # gains are nowhere near overflow: the sum is finite iff every entry
     # is (gain.T, solve's own C-ordered array, ravels without a copy)
     if not math.isfinite(sum(gain.T.ravel().tolist())):
         raise SingularInnovation("non-finite Kalman gain")
 
-    correction = gain @ residual
-    p_new = state.position + correction[:3]
-    R_new = R @ np.array(so3_exp(correction[3:].tolist()))
+    c0, c1, c2, *dphi = (gain @ residual).tolist()
+    p_new = (px + c0, py + c1, pz + c2)
+    R_new = R @ np.array(so3_exp(dphi))
 
     IKH = _EYE6 - gain @ H
     cov = IKH @ P @ IKH.T + gain @ measurement_noise @ gain.T

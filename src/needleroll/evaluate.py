@@ -14,8 +14,11 @@ Artifact layout under an output directory:
     trials/summaries.csv    one row per trial
     histogram.csv           angular-error histogram per estimator and medium
     report.txt              aggregate statistics
-The last three are rendered from trials/episodes.jsonl alone, so
-re-rendering an existing directory reproduces them byte for byte.
+The last three are views of the trial records alone. evaluate renders
+them from the records it has just written, which decode from
+trials/episodes.jsonl bit for bit (repr floats round-trip), so `report`,
+re-rendering an existing directory from that file, reproduces them byte
+for byte.
 """
 
 from __future__ import annotations
@@ -166,19 +169,29 @@ def _fmt(x: float) -> str:
 def report(records, out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
     """Persist the trial records and render the views derived from them.
 
-    The records go to trials/episodes.jsonl with full-precision repr
-    floats; summaries.csv, histogram.csv and report.txt are then rendered
-    from that file only (see render_report), keeping regeneration
-    byte-identical.
+    The records go to trials/episodes.jsonl in trial_id order, with
+    full-precision repr floats. summaries.csv, histogram.csv and report.txt
+    are rendered from those same records in memory: each decodes from its
+    line bit for bit, so these are the bytes render_report writes from the
+    file. Raises ValueError, before writing anything, unless the trial ids
+    are 0 to n-1, each once, and every record carries the estimator
+    columns: the set render_report accepts.
     """
     if not records:
         raise ValueError("nothing to report")
+    trials = sorted(records, key=lambda r: r.episode_id)
+    if [rec.episode_id for rec in trials] != list(range(len(trials))):
+        raise ValueError("trial ids must be 0 to n-1, each once")
+    if any(rec.estimator is None or rec.roll_est is None
+           or rec.angular_error is None for rec in trials):
+        raise ValueError("every trial needs its estimator, roll_est and "
+                         "angular_error")
     out_dir = Path(out_dir)
     (out_dir / "trials").mkdir(parents=True, exist_ok=True)
     with open(out_dir / "trials" / "episodes.jsonl", "w") as fh:
-        for rec in sorted(records, key=lambda r: r.episode_id):
+        for rec in trials:
             fh.write(record_to_line(rec) + "\n")
-    render_report(out_dir, bin_width)
+    _render_views(trials, out_dir, bin_width)
 
 
 def _read_trials(path: Path):
@@ -216,10 +229,14 @@ def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
     """Render summaries.csv, histogram.csv and report.txt from
     trials/episodes.jsonl only."""
     out_dir = Path(out_dir)
-    # trial_id order: the per-group means and medians below depend on the
-    # concatenation order
-    trials = _read_trials(out_dir / "trials" / "episodes.jsonl")
+    _render_views(_read_trials(out_dir / "trials" / "episodes.jsonl"),
+                  out_dir, bin_width)
 
+
+def _render_views(trials, out_dir: Path, bin_width: float):
+    """Write summaries.csv, histogram.csv and report.txt of trials, given
+    in trial_id order: the per-group means and medians depend on the
+    concatenation order."""
     with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)

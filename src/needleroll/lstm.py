@@ -51,6 +51,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +151,7 @@ class LstmModel:
             raise ValueError(f"z_max must be finite and positive, not {self.z_max!r}")
 
 
-@dataclass(frozen=True)
-class LstmCellState:
+class LstmCellState(NamedTuple):
     hidden: np.ndarray
     cell: np.ndarray
 

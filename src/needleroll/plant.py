@@ -61,14 +61,26 @@ class MediumParams:
     rigid: bool = False
 
     def __post_init__(self):
-        if self.curvature <= 0.0:
-            raise ValueError("curvature must be positive")
-        if self.torsion_stiffness <= 0.0 or self.torsion_damping <= 0.0:
-            raise ValueError("torsion stiffness and damping must be positive")
-        if self.friction_per_depth < 0.0:
-            raise ValueError("friction coefficient must be nonnegative")
-        if self.position_noise < 0.0 or self.heading_noise < 0.0:
-            raise ValueError("noise magnitudes must be nonnegative")
+        check_ranges(self, positive=("curvature", "torsion_stiffness",
+                                     "torsion_damping"),
+                     nonnegative=("friction_per_depth", "position_noise",
+                                  "heading_noise"))
+
+
+def check_ranges(params, positive=(), nonnegative=()):
+    """Raise ValueError naming the first field of params outside 0 < x <
+    inf (the positive names) or 0 <= x < inf (the nonnegative ones). NaN
+    fails both: a config file or a JSON line can carry NaN and Infinity."""
+    for name in positive:
+        value = getattr(params, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be finite and positive, not {value!r}")
+    for name in nonnegative:
+        value = getattr(params, name)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"{name} must be finite and nonnegative, not {value!r}")
 
 
 # Training medium. Friction is set high enough that the stick band at full
@@ -279,13 +291,18 @@ def sense(state: PlantState, medium: MediumParams, rng) -> SensedTip:
     Position gets iid gaussian noise per axis. The heading is tilted by a
     gaussian angle about a uniformly random axis perpendicular to it, then
     re-normalized. Draw order (3 position, tilt, axis azimuth) is part of
-    the determinism contract; the azimuth has rng.uniform(0, 2 pi)'s bits.
+    the determinism contract. The four gaussians come from one
+    standard_normal draw as 0.0 + sigma * z, which is rng.normal(0.0,
+    sigma)'s loc + scale * z, bit for bit and in the same order; the
+    azimuth has rng.uniform(0, 2 pi)'s bits.
     """
-    n0, n1, n2 = rng.normal(0.0, medium.position_noise, size=3).tolist()
+    z0, z1, z2, z3 = rng.standard_normal(4).tolist()
+    sigma = medium.position_noise
+    n0, n1, n2 = 0.0 + sigma * z0, 0.0 + sigma * z1, 0.0 + sigma * z2
     p0, p1, p2 = state.p
     (_, _, e0), (_, _, e1), (_, _, e2) = state.rows
     eta = (e0, e1, e2)
-    tilt = rng.normal(0.0, medium.heading_noise)
+    tilt = 0.0 + medium.heading_noise * z3
     azimuth = 2.0 * math.pi * rng.random()
     b1, b2 = heading_tangent_basis(eta)
     ca, sa = math.cos(azimuth), math.sin(azimuth)
@@ -312,14 +329,11 @@ class WorkspaceCone:
     min_offset: float = 1.5
 
     def __post_init__(self):
-        if not 0.0 < self.depth_min < self.depth_max:
-            raise ValueError("need 0 < depth_min < depth_max")
-        if self.bounding_curvature < 0.0:
-            raise ValueError("bounding curvature must be nonnegative")
+        if not 0.0 < self.depth_min < self.depth_max < math.inf:
+            raise ValueError("need 0 < depth_min < depth_max < inf")
+        check_ranges(self, nonnegative=("bounding_curvature", "min_offset"))
         if not 0.0 < self.radial_margin <= 1.0:
             raise ValueError("radial margin must be in (0, 1]")
-        if self.min_offset < 0.0:
-            raise ValueError("min offset must be nonnegative")
 
 
 def max_radial_offset(cone: WorkspaceCone, z: float) -> float:

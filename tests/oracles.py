@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 
+from needleroll.plant import SensedTip
+from needleroll.se3 import dot3, heading_tangent_basis, so3_exp, unit3
+
 
 def quat_from_matrix(R) -> np.ndarray:
     """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, by the
@@ -29,3 +32,19 @@ def quat_from_matrix(R) -> np.ndarray:
     if w < 0.0:
         n = -n
     return np.array([w / n, x / n, y / n, z / n])
+
+
+def sense_per_draw(state, medium, rng) -> SensedTip:
+    """plant.sense as it drew its noise before the single standard_normal
+    draw: rng.normal for the three position offsets, rng.normal for the
+    tilt, then rng.random for the azimuth."""
+    n0, n1, n2 = rng.normal(0.0, medium.position_noise, size=3).tolist()
+    p0, p1, p2 = state.p
+    eta = tuple(row[2] for row in state.rows)
+    tilt = rng.normal(0.0, medium.heading_noise)
+    azimuth = 2.0 * math.pi * rng.random()
+    b1, b2 = heading_tangent_basis(eta)
+    ca, sa = math.cos(azimuth), math.sin(azimuth)
+    axis = [(ca * x + sa * y) * tilt for x, y in zip(b1, b2)]
+    heading = [dot3(r, eta) for r in so3_exp(axis)]
+    return SensedTip((p0 + n0, p1 + n1, p2 + n2), unit3(heading))

@@ -425,6 +425,14 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
         ("roll_true must match", edited(roll_true=doc["roll_true"][:-1])),
         ("position must be finite", edited(position=nan_position)),
         ("final error must be finite", edited(final_error=math.inf)),
+        # json writes and reads NaN and Infinity in the parameter objects
+        ("curvature must be finite and positive, not nan",
+         edited(medium=dict(doc["medium"], curvature=math.nan,
+                            position_noise=math.inf))),
+        ("position_noise must be finite and nonnegative, not inf",
+         edited(medium=dict(doc["medium"], position_noise=math.inf))),
+        ("deadband must be finite and nonnegative, not nan",
+         edited(controller=dict(doc["controller"], deadband=math.nan))),
     ]
     for expect, line in cases:
         episodes.write_text("".join([lines[0], line, lines[2]]))
@@ -905,6 +913,32 @@ def test_cli_config_file_wrong_type_is_usage_error(tmp_path, capsys, command,
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("generate", "deadband", math.nan),
+    ("generate", "insertion_speed", math.inf),
+    ("generate", "rate", -math.inf),
+    ("generate", "arrival_tolerance", math.inf),
+    ("generate", "depth_max", math.inf),
+    ("evaluate", "depth_cap", math.nan),
+    ("evaluate", "rotation_speed", math.nan),
+    ("evaluate", "target", [math.inf, 0.0, 60.0]),
+])
+def test_cli_config_file_non_finite_setting_is_usage_error(tmp_path, capsys,
+                                                           command, key,
+                                                           value):
+    """A config file can hold NaN and Infinity; each fails the boundary
+    with one error line that names the key, before anything is written."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "out": str(out), "n": 2,
+                               "estimators": ["truth"]}))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert key in err
     assert not out.exists()
 
 

@@ -50,6 +50,11 @@ def test_params_validation():
         ControllerParams(insertion_speed=0.0)
     with pytest.raises(ValueError):
         ControllerParams(deadband=-0.1)
+    for name in ("insertion_speed", "rotation_speed", "rate", "deadband",
+                 "arrival_tolerance"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ControllerParams(**{name: value})
 
 
 def test_target_on_curving_side_inserts_without_rotation():

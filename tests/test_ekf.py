@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +116,32 @@ def test_state_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         EkfState(np.zeros(3), np.eye(3), bad)
+
+
+def test_state_replace_and_make_check_like_the_constructor():
+    """_replace and _make reject what the constructor rejects, and convert
+    what it converts."""
+    good = EkfState(np.zeros(3), np.eye(3), np.eye(6))
+    bad_sym = np.eye(6)
+    bad_sym[0, 1] = 0.5
+    nan_cov = np.eye(6)
+    nan_cov[2, 3] = nan_cov[3, 2] = np.nan
+    for field, value in (("rotation", SHEAR), ("rotation", NAN_ROTATION),
+                         ("rotation", 2.0 * np.eye(3)),
+                         ("covariance", np.eye(5)), ("covariance", bad_sym),
+                         ("covariance", nan_cov)):
+        with pytest.raises(ValueError):
+            EkfState(**dict(good._asdict(), **{field: value}))
+        with pytest.raises(ValueError):
+            good._replace(**{field: value})
+        with pytest.raises(ValueError):
+            EkfState._make(dict(good._asdict(), **{field: value}).values())
+    for st in (good._replace(position=[1, 2, 3]),
+               EkfState._make(([1, 2, 3], np.eye(3).tolist(), np.eye(6)))):
+        assert type(st) is EkfState
+        assert st.position.dtype == np.float64
+        assert st.position.tolist() == [1.0, 2.0, 3.0]
+        assert st.rotation.dtype == np.float64
 
 
 @pytest.mark.parametrize("kind", ["float arrays", "lists", "int arrays"])
@@ -370,6 +395,22 @@ def test_update_uses_the_tested_jacobian_bitwise():
             (R @ rotation(correction[3:])).tobytes()
 
 
+def test_direct_gain_solve_is_np_linalg_solve_bitwise():
+    """update's gesv gufunc call gives np.linalg.solve's bits on SPD 5x5
+    innovation systems with a (5, 6) right-hand side, over scales from
+    well to badly conditioned, and H keeps its C-contiguous layout."""
+    rng = np.random.default_rng(22)
+    for _ in range(500):
+        A = rng.normal(size=(5, 5)) * 10.0 ** rng.integers(-4, 3)
+        S = A @ A.T + np.diag(rng.uniform(1e-8, 1.0, size=5))
+        HP = rng.normal(size=(5, 6)) * 10.0 ** rng.integers(-4, 3)
+        got = ekf._solve(S, HP, signature="dd->d")
+        assert got.tobytes() == np.linalg.solve(S, HP).tobytes()
+    R = random_rotation(rng)
+    H = measurement_jacobian(R, tangent_basis(R[:, 2]).T)
+    assert H.shape == (5, 6) and H.flags.c_contiguous
+
+
 def test_update_roll_direction_unobservable():
     # body-z error direction is in the null space of the measurement model
     rng = np.random.default_rng(6)
@@ -414,7 +455,9 @@ def _tilted(eta, rng, sigma):
 def test_singular_innovation_raises():
     st = EkfState(np.zeros(3), np.eye(3), np.zeros((6, 6)))
     meas = SensedTip(position=np.zeros(3), heading=EZ.copy())
-    with pytest.raises(SingularInnovation):
+    # the gesv gufunc returns NaN for a singular S, with numpy's warning
+    with pytest.warns(RuntimeWarning, match="invalid value"), \
+            pytest.raises(SingularInnovation, match="non-finite"):
         update(st, meas, np.zeros((5, 5)))
 
 
@@ -536,7 +579,8 @@ def test_state_rotation_is_the_mean_itself():
     R = random_rotation(rng)
     state = EkfState(np.zeros(3), R, np.eye(6))
     assert state.rotation is R and R.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    # a named tuple's field: FrozenInstanceError's base class
+    with pytest.raises(AttributeError):
         state.rotation = np.eye(3)
     u = ControlInput(5.0, 2.0)
     out = predict(state, u, KAPPA, DT, NO_NOISE)

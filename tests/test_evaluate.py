@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -338,12 +339,45 @@ def test_report_mean_omega_matches_persisted_trace(reported_dir):
         assert mean == np.mean(r.angular_error)
 
 
-def test_report_regeneration_is_byte_identical(reported_dir):
-    out, _ = reported_dir
+@pytest.fixture(scope="module")
+def reported_lstm_dir(tmp_path_factory):
+    """A compliant-medium batch with the learned estimator among the
+    three, on a seeded untrained model."""
+    out = tmp_path_factory.mktemp("eval_lstm") / "run"
+    records = run_batch(
+        ["truth", "ekf", "lstm"], GELATIN, CONTROLLER, WORKSPACE, n_trials=2,
+        seed=31, model=init_model(75.0, hidden_size=4, seed=2))
+    report(records, out)
+    return out, records
+
+
+def test_report_regeneration_is_byte_identical(reported_dir,
+                                               reported_lstm_dir):
+    """report renders its views from the records in memory; rendering them
+    again from the trials file it wrote gives the same bytes, with and
+    without learned-estimator trials in the batch."""
     views = ("trials/summaries.csv", "histogram.csv", "report.txt")
-    before = [(out / name).read_bytes() for name in views]
-    render_report(out)
-    assert [(out / name).read_bytes() for name in views] == before
+    for out, _ in (reported_dir, reported_lstm_dir):
+        before = [(out / name).read_bytes() for name in views]
+        render_report(out)
+        assert [(out / name).read_bytes() for name in views] == before
+
+
+def test_report_rejects_records_render_report_would_not_read(reported_dir,
+                                                             tmp_path):
+    """Trial ids other than 0 to n-1 and records without the estimator
+    columns fail before anything is written."""
+    _, records = reported_dir
+    shifted = [dataclasses.replace(r, episode_id=r.episode_id + 1)
+               for r in records]
+    repeated = records + records[:1]
+    bare = [dataclasses.replace(r, roll_est=None) for r in records]
+    for bad, expect in ((shifted, "0 to n-1"), (repeated, "0 to n-1"),
+                        (bare, "roll_est")):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=expect):
+            report(bad, out)
+        assert not out.exists()
 
 
 def _strip_estimator_columns(text):

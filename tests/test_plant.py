@@ -26,6 +26,7 @@ from needleroll.plant import (
     tip_step,
 )
 from needleroll.se3 import decompose_roll, wrap_angle
+from oracles import sense_per_draw
 
 DT = 1.0 / 40.0
 
@@ -62,6 +63,25 @@ def test_medium_params_reject_bad_values():
         dataclasses.replace(GELATIN, friction_per_depth=-0.1)
     with pytest.raises(ValueError):
         ControlInput(insertion_speed=-1.0, rotation_speed=0.0)
+
+
+@pytest.mark.parametrize("name", [
+    "curvature", "torsion_stiffness", "torsion_damping",
+    "friction_per_depth", "position_noise", "heading_noise"])
+def test_medium_params_reject_non_finite_values(name):
+    import dataclasses
+
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(GELATIN, **{name: value})
+
+
+def test_workspace_rejects_non_finite_bounds():
+    for kwargs in ({"depth_max": math.inf}, {"depth_min": math.nan},
+                   {"bounding_curvature": math.inf},
+                   {"min_offset": math.nan}, {"radial_margin": math.nan}):
+        with pytest.raises(ValueError):
+            WorkspaceCone(**kwargs)
 
 
 # ----------------------------------------------------------------- kinematics
@@ -303,6 +323,24 @@ def test_sense_deterministic_given_seed():
     b = sense(state, GELATIN, np.random.default_rng(11))
     assert np.array_equal(a.position, b.position)
     assert np.array_equal(a.heading, b.heading)
+
+
+@pytest.mark.parametrize("seed, medium", [
+    (0, GELATIN), (1, LUNG), (2, rigid_variant(BRAIN)), (3, quiet(LUNG))],
+    ids=["gelatin", "lung", "rigid_brain", "noiseless"])
+def test_sense_single_draw_matches_per_draw_sense_bitwise(seed, medium):
+    """One standard_normal(4) draw scaled as 0.0 + sigma * z gives the
+    bits, and leaves the generator in the state, of rng.normal's three
+    position and one tilt draws, tick after tick of a rotating insertion."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = initial_state()
+    for k in range(300):
+        got = sense(state, medium, rng)
+        ref = sense_per_draw(state, medium, ref_rng)
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), k
+        state = step(state, ControlInput(5.0, 2.0 * math.sin(0.05 * k)),
+                     medium, DT)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ------------------------------------------------------------------ workspace
