@@ -9,12 +9,7 @@ in the command line interface; this is the same pipeline at toy scale.
 import tempfile
 
 from needleroll.controller import ControllerParams
-from needleroll.dataset import (
-    generate_dataset,
-    save_manifest,
-    split,
-    to_training_sequences,
-)
+from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.lstm import TrainConfig, train
 from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
 
@@ -25,9 +20,7 @@ workspace = WorkspaceCone(40.0, 75.0, medium.curvature, 0.9)
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print(f"generating 16 insertions in {root} ...")
     manifest = generate_dataset(16, medium, workspace, controller, seed=11,
-                                root=root, jitter=0.0)
-    manifest = split(manifest, train_fraction=0.75, seed=11)
-    save_manifest(manifest, root)
+                                root=root, train_fraction=0.75)
     train_seqs = to_training_sequences(root, manifest, "train")
     val_seqs = to_training_sequences(root, manifest, "val")
 steps = sum(xs.shape[0] for xs, _ in train_seqs)

@@ -12,12 +12,7 @@ Runtime is a few minutes at this reduced scale.
 import tempfile
 
 from needleroll.controller import ControllerParams
-from needleroll.dataset import (
-    generate_dataset,
-    save_manifest,
-    split,
-    to_training_sequences,
-)
+from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.evaluate import run_batch, summarize
 from needleroll.lstm import TrainConfig, train
 from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
@@ -29,9 +24,7 @@ workspace = WorkspaceCone(40.0, 75.0, gelatin.curvature, 0.9)
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print("generating 24 gelatin insertions ...")
     manifest = generate_dataset(24, gelatin, workspace, controller, seed=21,
-                                root=root, jitter=0.0)
-    manifest = split(manifest, train_fraction=0.75, seed=21)
-    save_manifest(manifest, root)
+                                root=root, train_fraction=0.75)
     train_seqs = to_training_sequences(root, manifest, "train")
     val_seqs = to_training_sequences(root, manifest, "val")
 

@@ -1,11 +1,14 @@
 """Print one sha256 per artifact of a small fixed needleroll pipeline.
 
 Runs generate -> train --epochs 2 -> evaluate lstm --n 1 to a fixed
-target -> evaluate truth,ekf,lstm -> report (re-rendering the last evaluate
-directory in place) at --jobs 1 and again at --jobs 2, so every command
-that reads a pipeline file runs. Each stage runs as `python -m needleroll`
-on the `src/` next to this script, inside a temporary directory (relative
-output paths, so the recorded config.json files do not name it). Prints
+target -> evaluate truth,ekf,lstm -> report at --jobs 1 and again at
+--jobs 2, so every command that reads a pipeline file runs. report renders
+into its own directory, holding only a copy of the last evaluate's trial
+file, so the views evaluate renders and the ones report regenerates from
+that file are both digested, and should match. Each stage runs as
+`python -m needleroll` on the `src/` next to this script, inside a
+temporary directory (relative output paths, so the recorded config.json
+files do not name it). Prints
 `<sha256>  jobs<j>/<path>` for every file written, sorted.
 
 A speed change that must keep every artifact byte-identical is checked by
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -43,8 +47,16 @@ def stages(jobs: int) -> list[list[str]]:
         ["evaluate", "--estimators", "truth,ekf,lstm", "--n", "3",
          "--model", f"{j}/run/model.json", "--out", f"{j}/evaluate",
          *common],
-        ["report", "--out", f"{j}/evaluate", *common],
+        ["report", "--out", f"{j}/report", *common],
     ]
+
+
+def copy_trials(work: Path, jobs: int):
+    """Seed jobs<j>/report with evaluate's trial file, and nothing else."""
+    trials = Path("trials", "episodes.jsonl")
+    dest = work / f"jobs{jobs}" / "report" / trials
+    dest.parent.mkdir(parents=True)
+    shutil.copyfile(work / f"jobs{jobs}" / "evaluate" / trials, dest)
 
 
 def main() -> int:
@@ -55,6 +67,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="needleroll_digests_") as work:
         for jobs in (1, 2):
             for argv in stages(jobs):
+                if argv[0] == "report":
+                    copy_trials(Path(work), jobs)
                 done = subprocess.run(
                     [sys.executable, "-m", "needleroll", *argv], cwd=work,
                     env=env, stdout=subprocess.DEVNULL,

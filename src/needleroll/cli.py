@@ -28,8 +28,6 @@ from needleroll.dataset import (
     GenerationStalled,
     generate_dataset,
     load_manifest,
-    save_manifest,
-    split,
     to_training_sequences,
 )
 from needleroll.evaluate import (
@@ -73,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"episode count (default {DEFAULT_EPISODES})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
-    p.add_argument("--jitter", type=float)
     p.add_argument("--train-fraction", dest="train_fraction", type=float)
 
     p = commands.add_parser("train", help="fit the roll estimator")
@@ -100,13 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=lambda t: tuple(map(float, t.split(","))),
                    help="x,y,z in mm for every trial; sampled from the "
                    "workspace if omitted")
-    p.add_argument("--bin-width", dest="bin_width", type=float)
 
     p = commands.add_parser(
         "report", help="re-render trials/summaries.csv, histogram.csv and "
         "report.txt from trials/episodes.jsonl")
     _add_common(p)
-    p.add_argument("--bin-width", dest="bin_width", type=float)
 
     return parser
 
@@ -150,17 +145,13 @@ def cmd_generate(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     # validate() rejects n < 1, so `or` fills in only a missing count
     config = dataclasses.replace(config, n=config.n or DEFAULT_EPISODES)
-    if config.n < 2:
-        raise UsageError("generate needs at least two episodes to split")
     manifest = generate_dataset(
         n=config.n, medium=config.make_medium(),
         workspace=config.make_workspace(),
         controller=config.make_controller(), seed=config.seed, root=out,
-        jitter=config.jitter, depth_cap=config.depth_cap,
+        train_fraction=config.train_fraction, depth_cap=config.depth_cap,
         mapper=_mapper(config.jobs),
     )
-    manifest = split(manifest, config.train_fraction, config.seed)
-    save_manifest(manifest, out)
     write_resolved_config(config, out)
     n_train = len(manifest.with_ids("train"))
     n_val = len(manifest.with_ids("val"))
@@ -203,7 +194,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         model=model, depth_cap=config.depth_cap, target=config.target,
         mapper=_mapper(config.jobs),
     )
-    report(records, out, config.bin_width)
+    report(records, out)
     write_resolved_config(config, out)
     for name in config.estimators:
         err, omega = summarize(records, name)
@@ -215,7 +206,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def cmd_report(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
-    render_report(out, config.bin_width)
+    render_report(out)
     print(f"report regenerated at {out / 'report.txt'}")
     return 0
 

@@ -22,11 +22,7 @@ from pathlib import Path
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import DEPTH_CAP
-from needleroll.evaluate import (
-    DEFAULT_BIN_WIDTH,
-    check_bin_width,
-    check_estimator_names,
-)
+from needleroll.evaluate import check_estimator_names
 from needleroll.lstm import TrainConfig
 from needleroll.plant import (
     MEDIUM_PRESETS,
@@ -66,7 +62,6 @@ class RunConfig:
 
     # dataset generation; n doubles as the trial count for evaluation
     n: int | None = None
-    jitter: float = 0.0
     train_fraction: float = 6.0 / 7.0
 
     # training
@@ -81,7 +76,6 @@ class RunConfig:
     model: str | None = None
     estimators: tuple[str, ...] = ("lstm", "ekf")
     target: tuple[float, float, float] | None = None
-    bin_width: float = DEFAULT_BIN_WIDTH
 
     def validate(self):
         if self.medium not in MEDIUM_PRESETS:
@@ -97,8 +91,6 @@ class RunConfig:
             raise ValueError("n must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train fraction must be in (0, 1)")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         for name in ("epochs", "batch_size", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ValueError(
@@ -111,27 +103,24 @@ class RunConfig:
         if self.target is not None:
             if len(self.target) != 3:
                 raise ValueError("target must have three coordinates")
+            if not all(map(math.isfinite, self.target)):
+                raise ValueError("target coordinates must be finite")
             # the first control tick stops on a target short of this
             if not (self.target[2] > 0.0 and math.hypot(*self.target)
                     > self.arrival_tolerance):
                 raise ValueError("target must lie ahead of the entry point: "
                                  "z > 0, beyond the arrival tolerance")
-            if not all(map(math.isfinite, self.target)):
-                raise ValueError("target coordinates must be finite")
-        check_bin_width(self.bin_width)
         # these fire their own range checks
         self.make_controller()
         self.make_workspace()
-        # the slip step bound of plant.jittered_medium at dt = 1 / rate
+        # the explicit-Euler slip step bound of plant.MediumParams
         medium = self.make_medium()
         dt = 1.0 / self.rate
-        ratio = (dt * medium.torsion_stiffness * (1.0 + self.jitter)
-                 / (medium.torsion_damping * (1.0 - self.jitter)))
+        ratio = dt * medium.torsion_stiffness / medium.torsion_damping
         if not medium.rigid and not ratio < 1.0:
             raise ValueError(
-                f"rate {self.rate!r} Hz with jitter {self.jitter!r} makes the "
-                f"{medium.name} torsion step unstable: dt*k*(1+jitter)/"
-                f"(c*(1-jitter)) = {ratio:.3g} must stay below 1")
+                f"rate {self.rate!r} Hz makes the {medium.name} torsion step "
+                f"unstable: dt*k/c = {ratio:.3g} must stay below 1")
         return self
 
     def make_medium(self) -> MediumParams:

@@ -38,7 +38,6 @@ from needleroll.plant import (
     MediumParams,
     WorkspaceCone,
     initial_state,
-    jittered_medium,
     sample_target,
     sense,
     step,
@@ -360,19 +359,17 @@ def _collect_episode(args):
     own episodes; the episode rng depends only on (root seed, slot,
     attempt), making results identical under any parallelism.
     """
-    (slot, root_seed, medium, workspace, controller, jitter, depth_cap) = args
+    (slot, root_seed, medium, workspace, controller, depth_cap) = args
     for attempt in range(RETRY_BUDGET):
         seed = (int(root_seed), int(slot), int(attempt))
         rng = np.random.default_rng(np.random.SeedSequence(list(seed)))
-        episode_medium = (jittered_medium(medium, rng, jitter)
-                         if jitter > 0.0 else medium)
         target = sample_target(workspace, rng)
         logs, _, outcome, final_error = run_closed_loop(
-            episode_medium, controller, target, rng, estimator=None,
+            medium, controller, target, rng, estimator=None,
             depth_cap=depth_cap,
         )
         if outcome == "arrived" and final_error < COLLECTION_ERROR_LIMIT:
-            rec = record_from_logs(slot, seed, episode_medium, controller,
+            rec = record_from_logs(slot, seed, medium, controller,
                                    target, outcome, final_error, logs)
             del logs  # peak memory holds the tick logs or the line, not both
             return record_to_line(rec), dict(
@@ -387,24 +384,23 @@ def _collect_episode(args):
 
 def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
                      controller: ControllerParams, seed: int, root: Path,
-                     jitter: float = 0.0, depth_cap: float = DEPTH_CAP,
+                     train_fraction: float, depth_cap: float = DEPTH_CAP,
                      mapper=map) -> DatasetManifest:
-    """Collect n accepted insertions and persist them under root.
+    """Collect n accepted insertions in one medium, split them and persist
+    them under root; returns the manifest it wrote.
 
     The manifest's z_max, the position feature scale, is the workspace's
-    depth_max: no sampled target lies deeper. `jitter` scales each
-    episode's torsion parameters by an independent uniform factor for
-    robustness experiments. The default is 0 (one fixed medium): varying
-    the stick-band slope per episode makes tip roll partly unidentifiable
-    from the motion signature and puts a hard floor on validation RMSE.
+    depth_max: no sampled target lies deeper. The episodes are split into
+    train and val by split(manifest, train_fraction, seed), and the
+    manifest is written once, with those labels. An n below 2 or a
+    train_fraction outside (0, 1) raises ValueError before root is created.
     `mapper` lets a caller swap in an order-preserving parallel map: its
     workers build and encode each episode's line, and this process writes
     the lines in slot order as they arrive. They go to a temporary file
     that replaces the episodes file only once every slot has arrived, so a
     failed run leaves a dataset already under root as it was.
     """
-    if n < 1:
-        raise ValueError("need at least one episode")
+    _check_split(n, train_fraction)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     z_max = workspace.depth_max
@@ -415,10 +411,9 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
         "workspace": dataclasses.asdict(workspace),
         "controller": dataclasses.asdict(controller),
         "seed": int(seed),
-        "jitter": jitter,
         "depth_cap": depth_cap,
     }
-    args = [(slot, seed, medium, workspace, controller, jitter, depth_cap)
+    args = [(slot, seed, medium, workspace, controller, depth_cap)
             for slot in range(n)]
     metas = []
     partial = root / (EPISODES_FILENAME + ".tmp")
@@ -432,23 +427,27 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
         partial.unlink(missing_ok=True)
         raise
     os.replace(partial, root / EPISODES_FILENAME)
-    manifest = DatasetManifest(
+    manifest = split(DatasetManifest(
         episodes_file=EPISODES_FILENAME, z_max=z_max,
         config_hash=config_hash(generation), generation=generation,
         episodes=tuple(metas),
-    )
+    ), train_fraction, seed)
     save_manifest(manifest, root)
     return manifest
+
+
+def _check_split(n: int, train_fraction: float):
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train fraction must be in (0, 1)")
+    if n < 2:
+        raise ValueError("need at least two episodes to split")
 
 
 def split(manifest: DatasetManifest, train_fraction: float,
           seed: int) -> DatasetManifest:
     """Seeded episode-level partition into train and val assignments."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train fraction must be in (0, 1)")
     n = len(manifest.episodes)
-    if n < 2:
-        raise ValueError("need at least two episodes to split")
+    _check_split(n, train_fraction)
     n_train = int(round(n * train_fraction))
     n_train = min(max(n_train, 1), n - 1)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5350]))
@@ -467,8 +466,8 @@ def split(manifest: DatasetManifest, train_fraction: float,
 def episode_to_sequence(rec: EpisodeRecord, z_max: float):
     """(features, targets) arrays for one episode, temporal order kept.
 
-    Row k is scale_features / roll_target at step k bit for bit, which is
-    why the angle columns use math.sin/math.cos.
+    Feature row k is lstm.scale_features at step k bit for bit, and target
+    row k is (sin, cos) of roll_true; hence math.sin/math.cos throughout.
     """
     if z_max <= 0.0:
         raise ValueError("z_max must be positive")

@@ -47,7 +47,7 @@ from needleroll.se3 import angular_error, decompose_roll, wrap_angle
 # reordering the names, or inserting one before the end, changes the noise
 # stream of every evaluation trial
 ESTIMATOR_NAMES = ("truth", "ekf", "lstm")
-DEFAULT_BIN_WIDTH = 0.05  # rad
+BIN_WIDTH = 0.05  # rad, of the angular-error histogram
 DEFAULT_TRIALS = 30  # evaluate's trials per estimator
 
 SUMMARY_COLUMNS = ["trial_id", "estimator", "medium", "seed", "outcome",
@@ -136,7 +136,10 @@ def run_batch(estimator_names, medium: MediumParams,
 # ------------------------------------------------------------------ analysis
 
 def check_estimator_names(names):
-    """Reject an unknown name and a repeated one (it reruns the same seeds)."""
+    """Reject an empty list, an unknown name and a repeated one (it reruns
+    the same seeds)."""
+    if not names:
+        raise ValueError("estimators must name at least one estimator")
     for k, name in enumerate(names):
         if name not in ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {name!r}")
@@ -144,15 +147,11 @@ def check_estimator_names(names):
             raise ValueError(f"estimator {name!r} is listed twice")
 
 
-def check_bin_width(bin_width: float):
-    if not 0.0 < bin_width < math.inf:  # NaN fails
-        raise ValueError("bin width must be finite and positive")
-
-
-def histogram(values, bin_width: float = DEFAULT_BIN_WIDTH):
+def histogram(values, bin_width: float = BIN_WIDTH):
     """(edges, counts) of angular errors; the bins step by bin_width from 0,
     the last widened to reach pi."""
-    check_bin_width(bin_width)
+    if not 0.0 < bin_width < math.inf:  # NaN fails
+        raise ValueError("bin width must be finite and positive")
     n_bins = max(1, math.ceil(math.pi / bin_width))
     edges = np.arange(n_bins + 1) * bin_width
     edges[-1] = max(edges[-1], math.pi)
@@ -166,7 +165,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def report(records, out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
+def report(records, out_dir: Path):
     """Persist the trial records and render the views derived from them.
 
     The records go to trials/episodes.jsonl in trial_id order, with
@@ -191,7 +190,7 @@ def report(records, out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
     with open(out_dir / "trials" / "episodes.jsonl", "w") as fh:
         for rec in trials:
             fh.write(record_to_line(rec) + "\n")
-    _render_views(trials, out_dir, bin_width)
+    _render_views(trials, out_dir)
 
 
 def _read_trials(path: Path):
@@ -225,15 +224,14 @@ def _read_trials(path: Path):
     return [by_id[k] for k in range(len(by_id))]
 
 
-def render_report(out_dir: Path, bin_width: float = DEFAULT_BIN_WIDTH):
+def render_report(out_dir: Path):
     """Render summaries.csv, histogram.csv and report.txt from
     trials/episodes.jsonl only."""
     out_dir = Path(out_dir)
-    _render_views(_read_trials(out_dir / "trials" / "episodes.jsonl"),
-                  out_dir, bin_width)
+    _render_views(_read_trials(out_dir / "trials" / "episodes.jsonl"), out_dir)
 
 
-def _render_views(trials, out_dir: Path, bin_width: float):
+def _render_views(trials, out_dir: Path):
     """Write summaries.csv, histogram.csv and report.txt of trials, given
     in trial_id order: the per-group means and medians depend on the
     concatenation order."""
@@ -255,7 +253,7 @@ def _render_views(trials, out_dir: Path, bin_width: float):
         group = [rec for rec in trials
                  if (rec.medium.name, rec.estimator) == (medium, estimator)]
         omega = np.concatenate([rec.angular_error for rec in group])
-        edges, counts = histogram(omega, bin_width)
+        edges, counts = histogram(omega)
         hist_rows += [[medium, estimator, _fmt(edges[k]), _fmt(edges[k + 1]),
                        int(counts[k])] for k in range(len(counts))]
 

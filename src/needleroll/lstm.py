@@ -87,11 +87,6 @@ def scale_features(position, heading, base_angle: float, z_max: float) -> np.nda
                      math.sin(base_angle), math.cos(base_angle)])
 
 
-def roll_target(roll: float) -> np.ndarray:
-    """Angle encoded as (sin, cos): continuous and bounded in [-1, 1]."""
-    return np.array([math.sin(roll), math.cos(roll)])
-
-
 def estimate_roll(y) -> float:
     """Angle read back from a (sin, cos) pair, in (-pi, pi].
 

@@ -48,7 +48,8 @@ class MediumParams:
     torsion_stiffness k (N*mm/rad), torsion_damping c (N*mm*s/rad) and
     friction_per_depth mu (N*mm/rad per mm) define the lag dynamics; the
     stick band half-width at depth d is mu*d/k radians. Explicit-Euler
-    stability of the slip phase needs dt*k/c < 1 (see jittered_medium).
+    stability of the slip phase needs dt*k/c < 1, which RunConfig.validate
+    checks at dt = 1 / rate.
     """
 
     name: str
@@ -124,26 +125,6 @@ MEDIUM_PRESETS = {m.name: m for m in (GELATIN, BRAIN, LUNG)}
 def rigid_variant(medium: MediumParams) -> MediumParams:
     """Same medium with the torsion lag switched off (tip roll == base angle)."""
     return dataclasses.replace(medium, rigid=True)
-
-
-def jittered_medium(medium: MediumParams, rng, fraction: float) -> MediumParams:
-    """Torsion parameters each scaled by an independent uniform factor.
-
-    Draws three factors from [1 - fraction, 1 + fraction] for stiffness,
-    damping and friction. Sensor noise and curvature stay fixed. Every
-    draw keeps the slip step of length dt stable exactly when the stiffest,
-    least damped one does: dt*k*(1 + fraction) / (c*(1 - fraction)) < 1,
-    which RunConfig.validate checks.
-    """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("jitter fraction must be in [0, 1)")
-    fk, fc, fm = rng.uniform(1.0 - fraction, 1.0 + fraction, size=3)
-    return dataclasses.replace(
-        medium,
-        torsion_stiffness=medium.torsion_stiffness * fk,
-        torsion_damping=medium.torsion_damping * fc,
-        friction_per_depth=medium.friction_per_depth * fm,
-    )
 
 
 class ControlInput(NamedTuple("ControlInput", [("insertion_speed", float),

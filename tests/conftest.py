@@ -10,12 +10,7 @@ import time
 import pytest
 
 from needleroll.config import RunConfig
-from needleroll.dataset import (
-    generate_dataset,
-    save_manifest,
-    split,
-    to_training_sequences,
-)
+from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.lstm import train
 
 
@@ -49,11 +44,9 @@ def desk_dataset(tmp_path_factory, run_defaults):
     root = tmp_path_factory.mktemp("desk_dataset")
     manifest = generate_dataset(
         70, cfg.make_medium(), cfg.make_workspace(), cfg.make_controller(),
-        seed=42, root=root, jitter=cfg.jitter,
+        seed=42, root=root, train_fraction=cfg.train_fraction,
         depth_cap=cfg.depth_cap,
     )
-    manifest = split(manifest, cfg.train_fraction, seed=42)
-    save_manifest(manifest, root)
     return root, manifest
 
 

@@ -9,6 +9,12 @@ from needleroll.plant import SensedTip
 from needleroll.se3 import dot3, heading_tangent_basis, so3_exp, unit3
 
 
+def roll_target(roll: float) -> np.ndarray:
+    """Roll encoded as the (sin, cos) training target: continuous and
+    bounded in [-1, 1]; dataset.episode_to_sequence builds these rows."""
+    return np.array([math.sin(roll), math.cos(roll)])
+
+
 def quat_from_matrix(R) -> np.ndarray:
     """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, by the
     largest-diagonal branch of the trace method."""

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from needleroll import cli
+from needleroll import cli, dataset
 from needleroll.cli import main
 from needleroll.dataset import (
     DATASET_SCHEMA_VERSION,
     DEFAULT_EPISODES,
+    load_manifest,
     record_to_line,
 )
 from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
@@ -251,12 +252,16 @@ def test_cli_negative_seed_fails_before_writing(tmp_path, capsys):
 def test_cli_steer_target_behind_or_at_the_entry_fails_before_writing(
         tmp_path, capsys, target):
     """The controller would stop at once on these: behind or on the entry
-    plane, or within the arrival tolerance (0.25 mm) of the entry point."""
+    plane, or within the arrival tolerance (0.25 mm) of the entry point.
+    A NaN coordinate is named as such, not as a target behind the entry."""
     out = tmp_path / "eval"
     assert main(["evaluate", "--estimators", "truth", "--n", "1",
                  "--target", target, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "target must lie ahead" in err
+    expect = ("target coordinates must be finite" if "nan" in target
+              else "target must lie ahead")
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert expect in err
     assert not out.exists()
 
 
@@ -275,6 +280,25 @@ def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
     assert not ds.exists()
 
 
+def test_cli_generate_writes_the_manifest_once(tmp_path, monkeypatch):
+    """generate saves the manifest once, already split: no manifest
+    without train/val labels is ever on disk."""
+    saved = []
+    save = dataset.save_manifest
+
+    def recording_save(manifest, root):
+        saved.append(manifest)
+        save(manifest, root)
+
+    monkeypatch.setattr(dataset, "save_manifest", recording_save)
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "3", "--seed", "3", "--out", str(ds)]) == 0
+    assert len(saved) == 1
+    assert load_manifest(ds) == saved[0]
+    assert sorted(m.split for m in saved[0].episodes) == [
+        "train", "train", "val"]
+
+
 def test_cli_evaluate_unstable_torsion_rate_fails_before_writing(tmp_path,
                                                                  capsys):
     """At 5 Hz the gelatin slip step has dt*k/c = 4: the explicit-Euler
@@ -289,23 +313,9 @@ def test_cli_evaluate_unstable_torsion_rate_fails_before_writing(tmp_path,
     assert not out.exists()
 
 
-def test_cli_generate_unstable_torsion_jitter_fails_before_writing(tmp_path,
-                                                                   capsys):
-    """A jitter of 0.4 lets gelatin draws reach dt*k/c = 0.5 * 1.4 / 0.6:
-    refused before any episode is collected."""
-    ds = tmp_path / "ds"
-    assert main(["generate", "--n", "2", "--seed", "3", "--jitter", "0.4",
-                 "--out", str(ds)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "jitter 0.4" in err and "1.17" in err
-    assert not ds.exists()
-
-
 def test_config_keeps_stable_torsion_settings():
-    """The shipped jitter and a faster loop stay legal: the worst gelatin
-    draw at jitter 0.25 has dt*k/c = 0.83, and 50 Hz gives 0.4; a rigid
+    """A faster loop stays legal: 50 Hz gives gelatin dt*k/c = 0.4; a rigid
     medium has no slip step to destabilize."""
-    assert resolve_config({}, {"jitter": 0.25}).jitter == 0.25
     assert resolve_config({}, {"rate": 50.0}).rate == 50.0
     assert resolve_config({}, {"rate": 5.0, "rigid": True}).rate == 5.0
 
@@ -654,18 +664,54 @@ def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
 
 
 def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
-    """A config.json resolved before evaluate took the one estimator
-    setting still holds "estimator"; it is an unknown key, named."""
-    old = tmp_path / "old"
-    write_resolved_config(resolve_config({}, {"n": 1}), old)
-    doc = json.loads((old / "config.json").read_text())
-    doc["estimator"] = "lstm"
-    (old / "config.json").write_text(json.dumps(doc))
+    """A config.json resolved before a setting was deleted still holds it:
+    "estimator" (evaluate's one estimator, before it took a list),
+    "jitter" and "bin_width". Each is an unknown key, named, and a deleted
+    flag is an unknown flag; neither run writes anything."""
+    out = tmp_path / "out"
+    for command, key, value, flag in [
+            ("evaluate", "estimator", "lstm", None),
+            ("generate", "jitter", 0.25, "--jitter"),
+            ("evaluate", "bin_width", 0.1, "--bin-width")]:
+        old = tmp_path / key
+        write_resolved_config(resolve_config({}, {"n": 2}), old)
+        doc = json.loads((old / "config.json").read_text())
+        doc[key] = value
+        (old / "config.json").write_text(json.dumps(doc))
+        base = ([command, "--estimators", "truth"] if command == "evaluate"
+                else [command])
+        assert main([*base, "--config", str(old / "config.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unknown keys [{key!r}]" in err
+        assert not out.exists()
+        if flag is not None:
+            assert main([*base, "--n", "2", flag, str(value),
+                         "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith("error: unrecognized arguments")
+            assert flag in err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("target", [math.nan, 0.0, 60.0], "target coordinates must be finite"),
+    ("estimators", [], "estimators must name at least one estimator"),
+], ids=["nan_target", "no_estimators"])
+def test_cli_config_file_fault_is_named_before_writing(tmp_path, capsys, key,
+                                                       value, message):
+    """A NaN target coordinate was reported as a target behind the entry
+    point, and an empty estimator list reached the report as "nothing to
+    report"; each is named by its own check, before anything is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
     out = tmp_path / "eval"
-    assert main(["evaluate", "--estimators", "truth", "--config",
-                 str(old / "config.json"), "--out", str(out)]) == 1
+    assert main(["evaluate", "--n", "1", "--config", str(cfg),
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown keys ['estimator']" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert message in err
     assert not out.exists()
 
 
@@ -762,18 +808,6 @@ def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
         path.unlink()
     assert main(["report", "--out", str(out)]) == 0
     assert [path.read_bytes() for path in views] == before
-
-
-@pytest.mark.parametrize("width", ["0", "nan", "inf"])
-def test_cli_evaluate_bad_bin_width_fails_before_any_trial(tmp_path, capsys,
-                                                          width):
-    out = tmp_path / "eval"
-    code = main(["evaluate", "--estimators", "truth", "--rigid", "--n", "1",
-                 "--bin-width", width, "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "bin width" in err
-    assert not (out / "trials").exists()
 
 
 def _damaged_trials(tmp_path, damage):

@@ -27,7 +27,7 @@ from needleroll.dataset import (
     to_training_sequences,
 )
 from needleroll.ekf import EkfRollTracker
-from needleroll.lstm import roll_target, scale_features
+from needleroll.lstm import scale_features
 from needleroll.plant import (
     GELATIN,
     MEDIUM_PRESETS,
@@ -35,17 +35,18 @@ from needleroll.plant import (
     rigid_variant,
     sample_target,
 )
+from oracles import roll_target
 
 
 CONTROLLER = ControllerParams()
 WORKSPACE = WorkspaceCone()
 
 
-def small_dataset(tmp_path, n=4, seed=7, jitter=0.25, name="ds"):
+def small_dataset(tmp_path, n=4, seed=7, name="ds"):
     root = tmp_path / name
     manifest = generate_dataset(n=n, medium=GELATIN, workspace=WORKSPACE,
                                 controller=CONTROLLER, seed=seed, root=root,
-                                jitter=jitter)
+                                train_fraction=0.5)
     return root, manifest
 
 
@@ -145,41 +146,36 @@ def test_generate_sixty_gelatin_episodes(tmp_path):
     assert max(rec.position[:, 2].max() for rec in records) <= 76.0
 
 
-def test_generate_jitter_varies_medium(tmp_path):
-    root, manifest = small_dataset(tmp_path, n=3, seed=5, jitter=0.25)
-    records = load_episodes(root, manifest)
-    stiffness = {rec.medium.torsion_stiffness for rec in records}
-    assert len(stiffness) == 3
-    for rec in records:
-        m = rec.medium
-        dt = 1.0 / rec.controller.rate
-        assert dt * m.torsion_stiffness / m.torsion_damping < 1.0
-        assert m.position_noise == GELATIN.position_noise
-
-
 def test_generate_without_jitter_keeps_preset(tmp_path):
-    root, manifest = small_dataset(tmp_path, n=2, seed=5, jitter=0.0)
+    root, manifest = small_dataset(tmp_path, n=2, seed=5)
     for rec in load_episodes(root, manifest):
         assert rec.medium == GELATIN
 
 
 def test_generate_stalls_on_unreachable_targets(tmp_path):
     with pytest.raises(GenerationStalled):
-        generate_dataset(n=1, medium=GELATIN, workspace=WORKSPACE,
+        generate_dataset(n=2, medium=GELATIN, workspace=WORKSPACE,
                          controller=CONTROLLER, seed=0,
-                         root=tmp_path / "stall", depth_cap=20.0)
+                         root=tmp_path / "stall", train_fraction=0.5,
+                         depth_cap=20.0)
 
 
 def test_generate_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        generate_dataset(n=0, medium=GELATIN, workspace=WORKSPACE,
-                         controller=CONTROLLER, seed=0, root=tmp_path / "x")
+    """An empty, a single-episode or an unsplittable dataset is refused
+    before root is created, so no directory is left behind."""
+    root = tmp_path / "x"
+    for n, train_fraction in ((0, 0.5), (1, 0.5), (4, 1.0)):
+        with pytest.raises(ValueError):
+            generate_dataset(n=n, medium=GELATIN, workspace=WORKSPACE,
+                             controller=CONTROLLER, seed=0, root=root,
+                             train_fraction=train_fraction)
+        assert not root.exists()
 
 
 # --------------------------------------------------------------- persistence
 
 def test_record_roundtrip_bit_exact(tmp_path):
-    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    root, manifest = small_dataset(tmp_path, n=2, seed=13)
     rec = load_episodes(root, manifest)[0]
     line = record_to_line(rec)
     back = record_from_line(line)
@@ -196,7 +192,7 @@ def test_record_roundtrip_bit_exact(tmp_path):
 
 
 def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
-    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    root, manifest = small_dataset(tmp_path, n=2, seed=13)
     line = (root / "episodes.jsonl").read_text().splitlines()[0]
     # a generated episode carries no estimator columns
     doc = json.loads(line)
@@ -239,7 +235,7 @@ def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
         "estimator_not_a_string"])
 def test_record_estimator_columns_are_validated(tmp_path, name, damage, expect,
                                                 line_expect):
-    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    root, manifest = small_dataset(tmp_path, n=2, seed=13)
     rec = load_episodes(root, manifest)[0]
     good = {"roll_est": np.zeros(rec.steps),
             "angular_error": np.full(rec.steps, 0.5), "estimator": "ekf"}
@@ -254,7 +250,7 @@ def test_record_estimator_columns_are_validated(tmp_path, name, damage, expect,
 def test_record_line_rejects_wrong_schema(tmp_path):
     import json
 
-    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    root, manifest = small_dataset(tmp_path, n=2, seed=13)
     line = record_to_line(load_episodes(root, manifest)[0])
     doc = json.loads(line)
     doc["schema_version"] = 42
@@ -277,7 +273,7 @@ def test_record_line_rejects_wrong_schema(tmp_path):
 def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
     """Every fault of a line is a ValueError naming what is wrong, so
     read_record_line need catch nothing else."""
-    root, manifest = small_dataset(tmp_path, n=1, seed=13)
+    root, manifest = small_dataset(tmp_path, n=2, seed=13)
     doc = json.loads(record_to_line(load_episodes(root, manifest)[0]))
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(expect)):
@@ -285,9 +281,12 @@ def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
 
 
 def test_manifest_roundtrip(tmp_path):
+    """The manifest on disk is the returned one, already split."""
     root, manifest = small_dataset(tmp_path, n=3, seed=17)
     loaded = load_manifest(root)
     assert loaded == manifest
+    assert manifest == split(manifest, 0.5, seed=17)
+    assert {m.split for m in manifest.episodes} == {"train", "val"}
 
 
 def test_manifest_rejects_depth_beyond_scale():
@@ -396,8 +395,8 @@ def test_training_sequences_respect_split(tmp_path):
 
 def test_rigid_collection_has_zero_lag(tmp_path):
     root = tmp_path / "rigid"
-    manifest = generate_dataset(n=1, medium=rigid_variant(GELATIN),
+    manifest = generate_dataset(n=2, medium=rigid_variant(GELATIN),
                                 workspace=WORKSPACE, controller=CONTROLLER,
-                                seed=29, root=root, jitter=0.0)
+                                seed=29, root=root, train_fraction=0.5)
     rec = load_episodes(root, manifest)[0]
     assert np.abs(rec.base_angle - rec.roll_true).max() < 1e-12

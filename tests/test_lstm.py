@@ -28,7 +28,6 @@ from needleroll.lstm import (
     forward_step,
     init_model,
     load_model,
-    roll_target,
     run_sequence,
     save_model,
     scale_features,
@@ -37,6 +36,7 @@ from needleroll.lstm import (
     zero_state,
 )
 from needleroll.plant import SensedTip
+from oracles import roll_target
 
 
 def small_model(hidden=4, seed=3, dropout=0.0):

@@ -17,7 +17,6 @@ from needleroll.plant import (
     advance_tip_pose,
     initial_state,
     require_valid_measurement,
-    jittered_medium,
     max_radial_offset,
     rigid_variant,
     sample_target,
@@ -267,21 +266,6 @@ def test_steady_state_lag_grows_with_depth():
     expect = (medium.torsion_damping * u.rotation_speed * euler
               + medium.friction_per_depth * depth_pre) / medium.torsion_stiffness
     assert lags[2] == pytest.approx(expect, rel=0.05)
-
-
-def test_jittered_medium_bounds_and_determinism():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        m = jittered_medium(GELATIN, rng, 0.25)
-        assert 0.75 * GELATIN.torsion_stiffness <= m.torsion_stiffness <= 1.25 * GELATIN.torsion_stiffness
-        assert 0.75 * GELATIN.torsion_damping <= m.torsion_damping <= 1.25 * GELATIN.torsion_damping
-        assert 0.75 * GELATIN.friction_per_depth <= m.friction_per_depth <= 1.25 * GELATIN.friction_per_depth
-        assert m.position_noise == GELATIN.position_noise
-        assert m.curvature == GELATIN.curvature
-        assert DT * m.torsion_stiffness / m.torsion_damping < 1.0
-    a = jittered_medium(GELATIN, np.random.default_rng(9), 0.25)
-    b = jittered_medium(GELATIN, np.random.default_rng(9), 0.25)
-    assert a == b
 
 
 # ------------------------------------------------------------------- sensing
