@@ -9,12 +9,13 @@ registration error, the standard quality number for such a calibration.
 
 import numpy as np
 
-from needleroll.se3 import angular_error, register_points, rot_z, so3_exp
+from needleroll.se3 import angular_error, register_points, so3_exp
 
 rng = np.random.default_rng(5)
 
 # Ground-truth mounting of the imager relative to the robot base.
-R_true = np.array(so3_exp([0.02, -0.4, 0.0])) @ rot_z(1.1)
+R_true = (np.array(so3_exp([0.02, -0.4, 0.0]))
+          @ np.array(so3_exp([0.0, 0.0, 1.1])))
 t_true = np.array([120.0, -35.0, 64.0])
 
 fiducials = rng.uniform(-50.0, 50.0, size=(8, 3))

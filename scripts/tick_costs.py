@@ -3,34 +3,38 @@
 Runs one seeded gelatin evaluation trial per estimator (the Kalman filter,
 and the learned tracker on a seeded untrained hidden-30 model: the cost of
 a step does not depend on the weights) and records the arguments of every
-call to the layers below. Each layer is then replayed over its recorded
-calls, `--repeats` times, and the median of the per-pass means is printed
-beside their 25th and 75th percentiles, the spread of one process's run:
+call to the layers below, each array argument as a copy (the learned
+tracker hands _endpoint_fit a view of a window buffer it reuses). Each
+layer is then replayed over its recorded calls, `--repeats` times, and the
+median of the per-pass means is printed beside their 25th and 75th
+percentiles, the spread of one process's run:
 
     python3 scripts/tick_costs.py --repeats 20
 
-`plant.step`, `plant.sense` and `controller.control` are replayed from the
-filter's trial. The two `estimate` rows replay the trial's measurements
-through a fresh estimator, so every call sees the state it saw in the
-trial. `ekf.update` replays the recorded states themselves: a state holds
-its mean rotation as the matrix update reads, so the replay does the
-loop's work. `ekf.EkfState` builds those states again, from the fields
-predict and update pass (the position as three floats), in µs per
-construction; a tick builds two. The last row times a whole truth-steered
-`run_trial`, the loop `generate` runs plus building its record, per tick;
-its `calls` column is the trial's tick count. The `dataset.record_to_line`
-row encodes that trial's record, without the estimator columns a generated
-episode lacks, as a `generate` worker encodes each episode line, and the
-`dataset.record_from_line` row decodes that line, as `train` reads each
-episode, both also per tick. The training rows time
-`lstm._forward_batch` (a training pass, with dropout) and `lstm.backward`
-at hidden 30 on a padded batch of 600 steps, 8 and 4 sequences wide,
-through one reused Workspace as `train` runs them, in µs per padded step
-(their `calls` column is the step count), and `lstm.Adam.apply` per call
-on a hidden-30 model. The last line names the
+`plant.step`, `plant.sense`, `controller.control` and
+`ekf.transition_jacobian` (the Jacobian each predict builds) are replayed
+from the filter's trial, and `lstm._endpoint_fit` (the learned tracker's
+position fit) from the learned tracker's. The two `estimate` rows replay
+the trial's measurements through a fresh estimator, so every call sees
+the state it saw in the trial. `ekf.update` replays the recorded states
+themselves: a state holds its mean rotation as the matrix update reads, so
+the replay does the loop's work. `ekf.EkfState` builds those states again,
+from the fields predict and update pass (the position as three floats), in
+µs per construction; a tick builds two. The last row times a whole
+truth-steered `run_trial`, the loop `generate` runs plus building its
+record, per tick; its `calls` column is the trial's tick count. The
+`dataset.record_to_line` row encodes that trial's record, without the
+estimator columns a generated episode lacks, as a `generate` worker encodes
+each episode line, and the `dataset.record_from_line` row decodes that
+line, as `train` reads each episode, both also per tick. The training rows
+time `lstm._forward_batch` (a training pass, with dropout) and
+`lstm.backward` at hidden 30 on a padded batch of 600 steps, 8 and 4
+sequences wide, through one reused Workspace as `train` runs them, in µs
+per padded step (their `calls` column is the step count), and
+`lstm.Adam.apply` per call on a hidden-30 model. The last line names the
 machine: cores, Python and numpy. BLAS runs one thread, as in the
-benchmark. Standard library and numpy only; imports the `src/` next to
-this script.
+benchmark. Standard library and numpy only; imports the `src/` next to this
+script.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ def recording(owner, name: str, calls: list):
     fn = getattr(owner, name)
 
     def record(*args):
-        calls.append(args)
+        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) else a
+                           for a in args))
         return fn(*args)
 
     setattr(owner, name, record)
@@ -125,10 +130,12 @@ def main(argv=None) -> int:
         (dataset, "control", "controller.control"),
         (ekf, "predict", "ekf.predict"),
         (ekf, "update", "ekf.update"),
+        (ekf, "transition_jacobian", "ekf.transition_jacobian"),
         (ekf.EkfRollTracker, "estimate", "EkfRollTracker.estimate"),
     ])
     lstm_calls = record_trial("lstm", model, [
         (lstm, "forward_step", "lstm.forward_step"),
+        (lstm, "_endpoint_fit", "lstm._endpoint_fit"),
         (lstm.RollEstimator, "estimate", "RollEstimator.estimate"),
     ])
     timing_rng = np.random.default_rng(SEED)
@@ -189,6 +196,8 @@ def main(argv=None) -> int:
          replay(ekf_calls["controller.control"])),
         ("ekf.predict", ekf.predict, replay(ekf_calls["ekf.predict"])),
         ("ekf.update", ekf.update, replay(ekf_calls["ekf.update"])),
+        ("ekf.transition_jacobian", ekf.transition_jacobian,
+         replay(ekf_calls["ekf.transition_jacobian"])),
         ("ekf.EkfState", ekf.EkfState, replay(
             [(tuple(st.position.tolist()), st.rotation, st.covariance)
              for st, _, _ in ekf_calls["ekf.update"]])),
@@ -198,6 +207,8 @@ def main(argv=None) -> int:
              lambda: ekf.EkfRollTracker(GELATIN, controller))),
         ("lstm.forward_step", lstm.forward_step,
          replay(lstm_calls["lstm.forward_step"])),
+        ("lstm._endpoint_fit", lstm._endpoint_fit,
+         replay(lstm_calls["lstm._endpoint_fit"])),
         ("RollEstimator.estimate", lstm.RollEstimator.estimate,
          fresh_tracker_calls(lstm_calls["RollEstimator.estimate"],
                              lambda: lstm.RollEstimator(model))),

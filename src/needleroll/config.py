@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from needleroll.controller import ControllerParams
-from needleroll.dataset import DEPTH_CAP
+from needleroll.dataset import DEPTH_CAP, check_train_fraction
 from needleroll.evaluate import check_estimator_names
 from needleroll.lstm import TrainConfig
 from needleroll.plant import (
@@ -89,8 +89,7 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train fraction must be in (0, 1)")
+        check_train_fraction(self.train_fraction)
         for name in ("epochs", "batch_size", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ValueError(

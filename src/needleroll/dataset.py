@@ -436,9 +436,15 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     return manifest
 
 
-def _check_split(n: int, train_fraction: float):
-    if not 0.0 < train_fraction < 1.0:
+def check_train_fraction(train_fraction: float):
+    """The share of episodes split into train must leave both splits room:
+    it lies in (0, 1). RunConfig.validate checks a run's with it too."""
+    if not 0.0 < train_fraction < 1.0:  # NaN fails
         raise ValueError("train fraction must be in (0, 1)")
+
+
+def _check_split(n: int, train_fraction: float):
+    check_train_fraction(train_fraction)
     if n < 2:
         raise ValueError("need at least two episodes to split")
 

@@ -19,11 +19,15 @@ A tick follows se3's kernel convention, floats in and float rows out: the
 Jacobian entries, each state's rotation and the tangent basis become arrays
 in one np.array call each, where the mean or the covariance needs them;
 predict reads the prior's rows and decomposition once. Every product that
-feeds the mean or the covariance stays a numpy @ on the operand layouts it
-always had: BLAS fuses multiply-adds, and its rounding depends on operand
-layout, so neither float products nor a re-laid-out operand give the same
-bits. The mean rotation needs no re-orthonormalising: each predict rebuilds
-it from heading and roll, so update's roundoff cannot build up.
+feeds the mean or the covariance is one BLAS call through ndarray.dot, on
+the operand layouts it always had: BLAS fuses multiply-adds, and its
+rounding depends on operand layout, so neither float products nor a
+re-laid-out operand give the same bits. On float matrices and vectors dot
+makes the cblas call (gemm or gemv) the @ operator, the matmul gufunc,
+makes on the same operands, so it gives @'s bits at about half the
+per-call dispatch cost; the tests hold each product to its @ formula.
+The mean rotation needs no re-orthonormalising: each predict rebuilds it
+from heading and roll, so update's roundoff cannot build up.
 
 EkfState is a validating named tuple, built the way plant.ControlInput is:
 its constructor, _make and _replace all check the rotation and the
@@ -58,7 +62,6 @@ from needleroll.se3 import (
     dot3,
     floats3,
     heading_tangent_basis,
-    rot_z,
     so3_exp,
     unit3,
 )
@@ -88,17 +91,17 @@ class EkfState(NamedTuple("EkfState", [("position", np.ndarray),
         covariance = np.asarray(covariance, dtype=float)
         if rotation.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        # unit rows, orthogonal pairs and det 1: dot3 and cross3, inlined
+        # unit rows, orthogonal pairs and det 1: dot3 and cross3, inlined;
+        # each gap within 1e-9, where NaN fails
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rotation.tolist()
-        gaps = (a0 * a0 + a1 * a1 + a2 * a2 - 1.0,
-                b0 * b0 + b1 * b1 + b2 * b2 - 1.0,
-                c0 * c0 + c1 * c1 + c2 * c2 - 1.0,
-                a0 * b0 + a1 * b1 + a2 * b2,
-                a0 * c0 + a1 * c1 + a2 * c2,
-                b0 * c0 + b1 * c1 + b2 * c2,
-                (a1 * b2 - a2 * b1) * c0 + (a2 * b0 - a0 * b2) * c1
-                + (a0 * b1 - a1 * b0) * c2 - 1.0)
-        if not all(abs(g) <= 1e-9 for g in gaps):  # NaN fails
+        if not (abs(a0 * a0 + a1 * a1 + a2 * a2 - 1.0) <= 1e-9
+                and abs(b0 * b0 + b1 * b1 + b2 * b2 - 1.0) <= 1e-9
+                and abs(c0 * c0 + c1 * c1 + c2 * c2 - 1.0) <= 1e-9
+                and abs(a0 * b0 + a1 * b1 + a2 * b2) <= 1e-9
+                and abs(a0 * c0 + a1 * c1 + a2 * c2) <= 1e-9
+                and abs(b0 * c0 + b1 * c1 + b2 * c2) <= 1e-9
+                and abs((a1 * b2 - a2 * b1) * c0 + (a2 * b0 - a0 * b2) * c1
+                        + (a0 * b1 - a1 * b0) * c2 - 1.0) <= 1e-9):
             raise ValueError("rotation must be orthonormal and right-handed")
         if covariance.shape != (6, 6):
             raise ValueError("covariance must be 6x6")
@@ -151,12 +154,16 @@ def align_jacobian(eta) -> np.ndarray:
     along eta_z, dA = -K^2/(1+c)^2. The result is a polynomial in eta and
     k = 1/(1+c); defined for every heading except antiparallel to z.
     """
-    e0, e1, e2 = eta
+    return np.array(_align_jacobian_entries(*eta)).reshape(3, 3)
+
+
+def _align_jacobian_entries(e0: float, e1: float, e2: float) -> tuple:
+    """The nine entries of align_jacobian at (e0, e1, e2), row by row."""
     k = 1.0 / (1.0 + e2)
     q = k * k * (e0 * e0 + e1 * e1)
-    return np.array((-k * e0 * e1, -1.0 - k * e1 * e1, e1 * q,
-                     1.0 + k * e0 * e0, k * e0 * e1, -e0 * q,
-                     *_align_jacobian_row2(e0, e1, e2))).reshape(3, 3)
+    return (-k * e0 * e1, -1.0 - k * e1 * e1, e1 * q,
+            1.0 + k * e0 * e0, k * e0 * e1, -e0 * q,
+            *_align_jacobian_row2(e0, e1, e2))
 
 
 def _align_jacobian_row2(e0: float, e1: float, e2: float) -> list:
@@ -188,10 +195,15 @@ def transition_jacobian(rows, eta, roll_new: float, move) -> np.ndarray:
     s1 = dot3(g, (rows[0][1], rows[1][1], rows[2][1]))
 
     # D = rot_z(-roll_new) align_jacobian(eta_new) N + e_z jr^T, where row i
-    # of N = -(R skew(m)) is m x R[i]
-    N = np.array([cross3(m, r) for r in rows])
-    d0, d1, (d20, d21, d22) = (
-        rot_z(-roll_new) @ align_jacobian(eta_new) @ N).tolist()
+    # of N = -(R skew(m)) is m x R[i]; the three factors are the C-contiguous
+    # slices of one (3, 3, 3) array, laid out as three lone 3x3 arrays are
+    r0, r1, r2 = rows
+    c, s = math.cos(-roll_new), math.sin(-roll_new)
+    Z, A, N = np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0,
+                        *_align_jacobian_entries(*eta_new),
+                        *cross3(m, r0), *cross3(m, r1),
+                        *cross3(m, r2))).reshape(3, 3, 3)
+    d0, d1, (d20, d21, d22) = Z.dot(A).dot(N).tolist()
 
     # [[I, -(R skew(m_p))], [0, D]], built flat
     t0, t1, t2 = (cross3(m_p, r) for r in rows)
@@ -221,7 +233,7 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
     R_new, p_new = advance_tip_pose(rows, state.position.tolist(), move,
                                     roll_new)
     F = transition_jacobian(rows, eta, roll_new, move)
-    cov = F @ state.covariance @ F.T + process_noise * dt
+    cov = F.dot(state.covariance).dot(F.T) + process_noise * dt
     cov = 0.5 * (cov + cov.T)
     return EkfState(position=p_new, rotation=R_new, covariance=cov)
 
@@ -230,7 +242,7 @@ def measurement_jacobian(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     """5x6 Jacobian of (position, B^T heading) w.r.t. (dp, dphi):
     -(B^T R skew(e_z)) in the heading rows, whose row k is (-s_1, s_0, 0)
     for s = R^T b_k."""
-    (s00, s01, _), (s10, s11, _) = (B.T @ R).tolist()
+    (s00, s01, _), (s10, s11, _) = B.T.dot(R).tolist()
     return np.array((1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                      0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
                      0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
@@ -254,24 +266,24 @@ def update(state: EkfState, meas: SensedTip,
     (mx, my, mz), (hx, hy, hz) = floats3(meas.position), floats3(meas.heading)
     px, py, pz = state.position.tolist()
     ex, ey, ez = eta_pred
-    u, v = (np.array([hx - ex, hy - ey, hz - ez]) @ B).tolist()
+    u, v = np.array([hx - ex, hy - ey, hz - ez]).dot(B).tolist()
     residual = np.array([mx - px, my - py, mz - pz, u, v])
     P = state.covariance
-    HP = H @ P
+    HP = H.dot(P)
     # the gesv gufunc np.linalg.solve calls, so its bits, without the
     # wrapper; a singular S comes out NaN, with numpy's RuntimeWarning
-    gain = _solve(HP @ H.T + measurement_noise, HP, signature="dd->d").T
+    gain = _solve(HP.dot(H.T) + measurement_noise, HP, signature="dd->d").T
     # gains are nowhere near overflow: the sum is finite iff every entry
     # is (gain.T, solve's own C-ordered array, ravels without a copy)
     if not math.isfinite(sum(gain.T.ravel().tolist())):
         raise SingularInnovation("non-finite Kalman gain")
 
-    c0, c1, c2, *dphi = (gain @ residual).tolist()
+    c0, c1, c2, *dphi = gain.dot(residual).tolist()
     p_new = (px + c0, py + c1, pz + c2)
-    R_new = R @ np.array(so3_exp(dphi))
+    R_new = R.dot(np.array(so3_exp(dphi)))
 
-    IKH = _EYE6 - gain @ H
-    cov = IKH @ P @ IKH.T + gain @ measurement_noise @ gain.T
+    IKH = _EYE6 - gain.dot(H)
+    cov = IKH.dot(P).dot(IKH.T) + gain.dot(measurement_noise).dot(gain.T)
     cov = 0.5 * (cov + cov.T)
     return EkfState(position=p_new, rotation=R_new, covariance=cov)
 

@@ -21,7 +21,11 @@ path, the serializer, and the test oracles:
 Everything runs in float64. The streaming estimator and the offline
 run_sequence call the exact same forward_step, so their outputs are
 bit-identical by construction; the batched training forward is a separate
-vectorized path validated against run_sequence in tests.
+vectorized path validated against run_sequence in tests. Each product of a
+streaming tick (forward_step's four, _endpoint_fit's one) is one BLAS call
+through ndarray.dot: on these matrix-vector float operands dot makes the gemv
+call the @ operator makes, so it gives @'s bits at about half the per-call
+dispatch cost, and the tests hold both to their @ formulas.
 
 The training path keeps inputs, targets, masks, hidden states, the
 fully-connected activations and the dropout mask time-major, (T, B, .), so
@@ -212,17 +216,18 @@ def _activate_gates(z, scale, shift):
 
 def forward_step(model: LstmModel, state: LstmCellState, x):
     """One recurrent step, without dropout. The single code path for
-    streaming and offline inference; training uses the batched twin below."""
+    streaming and offline inference; training uses the batched twin below.
+    Its products are ndarray.dot calls, @'s bits (module docstring)."""
     x = np.asarray(x, dtype=float)
     h_size = model.hidden_size
     scale, shift = _gate_affine(h_size)
-    z = model.w_x @ x + model.w_h @ state.hidden + model.b_g
+    z = model.w_x.dot(x) + model.w_h.dot(state.hidden) + model.b_g
     z *= scale
     gate_i, gate_f, gate_g, gate_o = _activate_gates(z, scale, shift).reshape(4, h_size)
     cell = gate_f * state.cell + gate_i * gate_g
     hidden = gate_o * np.tanh(cell)
-    act = np.tanh(model.w_fc @ hidden + model.b_fc)
-    y = model.w_out @ act + model.b_out
+    act = np.tanh(model.w_fc.dot(hidden) + model.b_fc)
+    y = model.w_out.dot(act) + model.b_out
     return LstmCellState(hidden, cell), y
 
 
@@ -646,12 +651,13 @@ _FIT_CONSTANTS = {n: _fit_constants(n) for n in range(3, POSITION_WINDOW + 1)}
 
 def _endpoint_fit(stack: np.ndarray) -> np.ndarray:
     """Least-squares line through an (n, 3) window, oldest row first,
-    evaluated at the last point. Returns a new array, never a view."""
+    evaluated at the last point. Returns a new array, never a view. The
+    slope's product is an ndarray.dot call, @'s bits (module docstring)."""
     n = len(stack)
     if n < 3:
         return stack[-1].copy()
     centered, sum_sq, last = _FIT_CONSTANTS[n]
-    slope = (centered @ stack) / sum_sq
+    slope = centered.dot(stack) / sum_sq
     # stack.mean(axis=0), the same sum and division, without mean's
     # Python-level wrapper
     return np.add.reduce(stack, axis=0) / n + slope * last
@@ -728,9 +734,17 @@ def load_model(path) -> LstmModel:
             for key in ("data", "shape"):
                 if key not in entry:
                     raise ValueError(f"parameter {name!r} has no {key!r}")
-            check_json(entry["data"], np.ndarray, f"parameter {name!r} data")
-            arrays[name] = np.array(entry["data"], dtype=float).reshape(
-                entry["shape"])
+            data, shape = entry["data"], entry["shape"]
+            check_json(data, np.ndarray, f"parameter {name!r} data")
+            # reshape alone would infer a -1 dimension
+            if not (isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)
+                    and math.prod(shape) == len(data)):
+                raise ValueError(
+                    f"parameter {name!r} shape {json.dumps(shape)} is not a "
+                    f"list of non-negative ints whose product is its data "
+                    f"length, {len(data)}")
+            arrays[name] = np.array(data, dtype=float).reshape(shape)
         model = LstmModel(
             **arrays, z_max=float(doc["z_max"]),
             dropout_rate=float(doc["dropout_rate"]),

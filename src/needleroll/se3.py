@@ -60,11 +60,6 @@ def unit3(v) -> tuple[float, float, float]:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
-
-
 def so3_exp(w) -> tuple:
     """Rotation matrix for a rotation vector of three floats, exact for any
     magnitude, as three float rows."""

@@ -5,14 +5,49 @@ import math
 
 import numpy as np
 
+from needleroll.lstm import LstmCellState, _gate_affine
 from needleroll.plant import SensedTip
 from needleroll.se3 import dot3, heading_tangent_basis, so3_exp, unit3
+
+
+def rot_z(a: float) -> np.ndarray:
+    """Rotation by a about z, as ekf.transition_jacobian lays out its first
+    factor."""
+    c, s = math.cos(a), math.sin(a)
+    return np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
 
 
 def roll_target(roll: float) -> np.ndarray:
     """Roll encoded as the (sin, cos) training target: continuous and
     bounded in [-1, 1]; dataset.episode_to_sequence builds these rows."""
     return np.array([math.sin(roll), math.cos(roll)])
+
+
+def forward_step_matmul(model, state, x):
+    """lstm.forward_step with each product a numpy @ (the matmul gufunc)
+    and each elementwise step as forward_step orders it."""
+    scale, shift = _gate_affine(model.hidden_size)
+    z = (model.w_x @ x + model.w_h @ state.hidden + model.b_g) * scale
+    gate_i, gate_f, gate_g, gate_o = (np.tanh(z) * scale + shift).reshape(
+        4, model.hidden_size)
+    cell = gate_f * state.cell + gate_i * gate_g
+    hidden = gate_o * np.tanh(cell)
+    act = np.tanh(model.w_fc @ hidden + model.b_fc)
+    return LstmCellState(hidden, cell), model.w_out @ act + model.b_out
+
+
+def endpoint_fit(points):
+    """lstm._endpoint_fit over a list of positions or an (n, 3) array, kept
+    as it is laid out: the slope a numpy @, every constant built per call."""
+    n = len(points)
+    if n < 3:
+        return np.asarray(points[-1], dtype=float)
+    stack = np.asarray(points, dtype=float)
+    k = np.arange(n, dtype=float)
+    k_mean = k.mean()
+    centered = k - k_mean
+    slope = (centered @ stack) / float(centered @ centered)
+    return stack.mean(axis=0) + slope * (n - 1 - k_mean)
 
 
 def quat_from_matrix(R) -> np.ndarray:

@@ -27,10 +27,9 @@ from needleroll.plant import MEDIUM_PRESETS, SensedTip, rigid_variant
 from needleroll.se3 import (
     angular_error,
     register_points,
-    rot_z,
     so3_exp,
 )
-from oracles import quat_from_matrix
+from oracles import quat_from_matrix, rot_z
 
 
 def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verdict):

@@ -12,6 +12,7 @@ from needleroll.cli import main
 from needleroll.dataset import (
     DATASET_SCHEMA_VERSION,
     DEFAULT_EPISODES,
+    generate_dataset,
     load_manifest,
     record_to_line,
 )
@@ -278,6 +279,27 @@ def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "at least two episodes" in err
     assert not ds.exists()
+
+
+def test_cli_and_generate_dataset_refuse_a_train_fraction_alike(tmp_path,
+                                                                capsys):
+    """generate's config check and generate_dataset hold the train
+    fraction to one rule: each refuses a value outside (0, 1), NaN
+    included, with the same message, and writes nothing."""
+    config = RunConfig()
+    for value in ("0", "1", "1.5", "-0.25", "nan", "inf"):
+        ds = tmp_path / "ds"
+        assert main(["generate", "--n", "4", "--train-fraction", value,
+                     "--out", str(ds)]) == 1
+        err = capsys.readouterr().err
+        with pytest.raises(ValueError) as raised:
+            generate_dataset(n=4, medium=config.make_medium(),
+                             workspace=config.make_workspace(),
+                             controller=config.make_controller(), seed=0,
+                             root=ds, train_fraction=float(value))
+        assert err == f"error: {raised.value}\n"
+        assert "train fraction" in err
+        assert not ds.exists()
 
 
 def test_cli_generate_writes_the_manifest_once(tmp_path, monkeypatch):
@@ -793,6 +815,33 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         assert err.startswith("error:") and expect in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+
+def test_cli_model_with_an_unfit_parameter_shape_fails_before_writing(
+        tmp_path, capsys):
+    """A parameter's shape must be a list of non-negative ints whose
+    product is the length of its data: reshape would infer a -1 (so
+    [-1, 8] and [-1] once loaded and steered), and [-2, -64] has the
+    right product. Each case prints one error line naming the parameter
+    and writes nothing to --out."""
+    path = tmp_path / "model.json"
+    save_model(init_model(75.0, hidden_size=4, seed=1), path)
+    saved = path.read_text()
+    cases = [("w_x", [-1, 8]), ("b_g", [-1]), ("w_x", [-2, -64]),
+             ("w_x", [16, 8.0]), ("w_x", [True, 8]), ("w_x", "16,8"),
+             ("w_x", [4, 8]), ("b_g", []), ("b_g", [[16]]), ("b_out", None)]
+    for name, shape in cases:
+        doc = json.loads(saved)
+        doc["params"][name]["shape"] = shape
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert main(["evaluate", "--estimators", "lstm", "--n", "1",
+                     "--model", str(path), "--out", str(out)]) == 1, shape
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"parameter {name!r} shape {json.dumps(shape)}" in err
+        assert not out.exists()
 
 
 def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):

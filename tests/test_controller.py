@@ -18,7 +18,8 @@ from needleroll.plant import (
     sample_target,
     step,
 )
-from needleroll.se3 import floats3, rot_z, so3_exp
+from needleroll.se3 import floats3, so3_exp
+from oracles import rot_z
 
 PARAMS = ControllerParams()
 IDENTITY = (np.zeros(3), np.eye(3))  # (p, R)

@@ -34,12 +34,14 @@ from needleroll.se3 import (
     angular_error,
     cross3,
     decompose_roll,
+    dot3,
     heading_tangent_basis,
     recompose_roll,
     so3_exp,
+    unit3,
     wrap_angle,
 )
-from oracles import quat_from_matrix
+from oracles import quat_from_matrix, rot_z
 
 EZ = np.array([0.0, 0.0, 1.0])
 DT = 1.0 / 40.0
@@ -211,6 +213,49 @@ def test_state_symmetry_check_is_allclose():
         assert accepted == np.allclose(C, C.T, atol=1e-9)
 
 
+def test_state_rotation_check_is_the_seven_gap_rule():
+    """EkfState accepts a rotation exactly when its three row norms, three
+    row products and determinant each lie within 1e-9 of a rotation's, the
+    seven gaps taken in float arithmetic from its rows; NaN and inf entries
+    included."""
+    def gaps_hold(R):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = R.tolist()
+        gaps = (a0 * a0 + a1 * a1 + a2 * a2 - 1.0,
+                b0 * b0 + b1 * b1 + b2 * b2 - 1.0,
+                c0 * c0 + c1 * c1 + c2 * c2 - 1.0,
+                a0 * b0 + a1 * b1 + a2 * b2,
+                a0 * c0 + a1 * c1 + a2 * c2,
+                b0 * c0 + b1 * c1 + b2 * c2,
+                (a1 * b2 - a2 * b1) * c0 + (a2 * b0 - a0 * b2) * c1
+                + (a0 * b1 - a1 * b0) * c2 - 1.0)
+        return all(abs(g) <= 1e-9 for g in gaps)
+
+    rng = np.random.default_rng(6)
+    cases = [SHEAR, NAN_ROTATION, 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0])]
+    for _ in range(2000):
+        R = random_rotation(rng, spread=2.0)
+        kind = rng.integers(0, 4)
+        if kind == 1:  # one entry moved around the tolerance
+            R[tuple(rng.integers(0, 3, size=2))] += (
+                rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.5, -8.5))
+        elif kind == 2:
+            R[tuple(rng.integers(0, 3, size=2))] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+        elif kind == 3:  # a reflection
+            R[rng.integers(0, 3)] *= -1.0
+        cases.append(R)
+    verdicts = set()
+    for R in cases:
+        try:
+            EkfState(np.zeros(3), R, np.eye(6))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == gaps_hold(R)
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
 def test_init_state_defaults():
     st = init_state()
     assert np.allclose(st.position, 0.0)
@@ -275,6 +320,33 @@ def test_transition_jacobian_matches_central_differences():
             col = (np.concatenate([pp - p0, reference_so3_log(R0.T @ Rp)])
                    - np.concatenate([pm - p0, reference_so3_log(R0.T @ Rm)])) / (2 * eps)
             assert np.abs(F[:, j] - col).max() < 1e-6
+
+
+def test_jacobian_products_are_their_matmul_formulas_bitwise():
+    """The ndarray.dot products inside the Jacobians give the bits of their
+    @ formulas: transition_jacobian's rotation block is rot_z(-roll_new)
+    align_jacobian(eta_new) N plus the roll row's correction, and
+    measurement_jacobian's heading rows are read from B^T R, with B the
+    transposed tangent basis that update passes."""
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        R = random_rotation(rng, spread=1.0)
+        rows = R.tolist()
+        u = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-7.0, 7.0))
+        eta, roll_new, move = mean_step(R, u)
+        m = move[1]
+        N = np.array([cross3(m, r) for r in rows])
+        eta_new = unit3([dot3(r, m) for r in rows])
+        D = rot_z(-roll_new) @ align_jacobian(eta_new) @ N
+        g = align_jacobian(eta)[2]
+        D[2] += (dot3(g, R[:, 1]), -dot3(g, R[:, 0]), 1.0)
+        F = transition_jacobian(rows, eta, roll_new, move)
+        assert F[3:, 3:].tobytes() == D.tobytes()
+
+        B = tangent_basis(R[:, 2]).T
+        (s00, s01, _), (s10, s11, _) = (B.T @ R).tolist()
+        H = measurement_jacobian(R, B)
+        assert H[3:, 3:].tolist() == [[-s01, s00, 0.0], [-s11, s10, 0.0]]
 
 
 def test_predicted_mean_tracks_rigid_plant():

@@ -19,6 +19,7 @@ from needleroll.lstm import (
     RollEstimator,
     TrainConfig,
     Workspace,
+    _endpoint_fit,
     _forward_batch,
     _length_sorted_batches,
     _pad_batch,
@@ -36,7 +37,7 @@ from needleroll.lstm import (
     zero_state,
 )
 from needleroll.plant import SensedTip
-from oracles import roll_target
+from oracles import endpoint_fit, forward_step_matmul, roll_target
 
 
 def small_model(hidden=4, seed=3, dropout=0.0):
@@ -662,19 +663,6 @@ def test_streaming_pose_carries_sensed_heading_and_estimated_roll():
     assert np.allclose(p, meas.position)
 
 
-def reference_endpoint_fit(points):
-    """The fit over a list of positions, building every constant per call."""
-    n = len(points)
-    if n < 3:
-        return np.asarray(points[-1], dtype=float)
-    stack = np.asarray(points, dtype=float)
-    k = np.arange(n, dtype=float)
-    k_mean = k.mean()
-    centered = k - k_mean
-    slope = (centered @ stack) / float(centered @ centered)
-    return stack.mean(axis=0) + slope * (n - 1 - k_mean)
-
-
 def test_windowed_position_fit_matches_deque_path_bitwise():
     m = small_model(hidden=4, seed=53)
     rng = np.random.default_rng(17)
@@ -692,10 +680,43 @@ def test_windowed_position_fit_matches_deque_path_bitwise():
                             rng.uniform(-5, 5))
         recent.append(np.asarray(position, dtype=float))
         returned.append(p)
-        expected.append(reference_endpoint_fit(list(recent)))
+        expected.append(endpoint_fit(list(recent)))
     # checked at the end: no returned position aliases the window buffer
     for p, ref in zip(returned, expected):
         assert struct.pack("<3d", *p) == struct.pack("<3d", *ref)
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 8, 30, 32])
+def test_forward_step_is_its_matmul_formula_bitwise(hidden):
+    """forward_step's ndarray.dot products give the bits of their @
+    formulas, step after step, at hidden sizes from 1 past the shipped 30:
+    a numpy whose dot and matmul round differently fails here."""
+    m = init_model(75.0, hidden_size=hidden, seed=hidden)
+    rng = np.random.default_rng(hidden)
+    state = zero_state(hidden)
+    for _ in range(60):
+        x = scale_features(rng.normal(0.0, 30.0, size=3),
+                           _unit(rng.normal(size=3)), rng.uniform(-5, 5),
+                           m.z_max)
+        (hidden_ref, cell_ref), y_ref = forward_step_matmul(m, state, x)
+        state, y = forward_step(m, state, x)
+        assert state.hidden.tobytes() == hidden_ref.tobytes()
+        assert state.cell.tobytes() == cell_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+
+
+def test_endpoint_fit_is_its_matmul_formula_bitwise():
+    """_endpoint_fit's ndarray.dot slope gives the bits of its @ formula on
+    windows of 3 to POSITION_WINDOW rows, both as a lone array and as the
+    view of the estimator's mirrored ring that it reads."""
+    rng = np.random.default_rng(19)
+    ring = rng.normal(0.0, 30.0, size=(2 * POSITION_WINDOW, 3))
+    for n in range(3, POSITION_WINDOW + 1):
+        for start in range(len(ring) - n + 1):
+            window = ring[start:start + n]
+            for stack in (window, window.copy()):
+                assert _endpoint_fit(stack).tobytes() == \
+                    endpoint_fit(stack).tobytes()
 
 
 def test_streaming_degenerate_output_propagates():

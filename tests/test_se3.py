@@ -13,12 +13,11 @@ from needleroll.se3 import (
     decompose_roll,
     recompose_roll,
     register_points,
-    rot_z,
     se3_exp,
     so3_exp,
     wrap_angle,
 )
-from oracles import quat_from_matrix
+from oracles import quat_from_matrix, rot_z
 
 EZ = np.array([0.0, 0.0, 1.0])
 
