@@ -16,7 +16,7 @@ from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone, sample_target
 rng = np.random.default_rng(7)
 medium = MEDIUM_PRESETS["gelatin"]
 controller = ControllerParams()
-workspace = WorkspaceCone(40.0, 75.0, medium.curvature, 0.9)
+workspace = WorkspaceCone(bounding_curvature=medium.curvature)
 
 for trial in range(5):
     target = sample_target(workspace, rng)

@@ -17,7 +17,7 @@ from needleroll.se3 import wrap_angle
 
 controller = ControllerParams()
 gelatin = MEDIUM_PRESETS["gelatin"]
-workspace = WorkspaceCone(40.0, 75.0, gelatin.curvature, 0.9)
+workspace = WorkspaceCone(bounding_curvature=gelatin.curvature)
 rng = np.random.default_rng(9)
 target = sample_target(workspace, rng)
 print(f"target: ({target[0]:.1f}, {target[1]:.1f}, {target[2]:.1f}) mm")

@@ -15,7 +15,7 @@ from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
 
 medium = MEDIUM_PRESETS["gelatin"]
 controller = ControllerParams()
-workspace = WorkspaceCone(40.0, 75.0, medium.curvature, 0.9)
+workspace = WorkspaceCone(bounding_curvature=medium.curvature)
 
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print(f"generating 16 insertions in {root} ...")

@@ -19,7 +19,7 @@ from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
 
 gelatin = MEDIUM_PRESETS["gelatin"]
 controller = ControllerParams()
-workspace = WorkspaceCone(40.0, 75.0, gelatin.curvature, 0.9)
+workspace = WorkspaceCone(bounding_curvature=gelatin.curvature)
 
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print("generating 24 gelatin insertions ...")

@@ -1,8 +1,9 @@
 """Print one sha256 per artifact of a small fixed needleroll pipeline.
 
 Runs generate -> train --epochs 2 -> evaluate lstm --n 1 to a fixed
-target -> evaluate truth,ekf,lstm -> report at --jobs 1 and again at
---jobs 2, so every command that reads a pipeline file runs. report renders
+target -> evaluate truth,ekf,lstm -> report, with generate and evaluate
+at --jobs 1 and again at --jobs 2, so every command that reads a
+pipeline file runs. report renders
 into its own directory, holding only a copy of the last evaluate's trial
 file, so the views evaluate renders and the ones report regenerates from
 that file are both digested, and should match. Each stage runs as
@@ -36,18 +37,18 @@ SEED = "7"
 
 def stages(jobs: int) -> list[list[str]]:
     j = f"jobs{jobs}"
-    common = ["--seed", SEED, "--jobs", str(jobs)]
+    pooled = ["--seed", SEED, "--jobs", str(jobs)]
     return [
-        ["generate", "--n", "8", "--out", f"{j}/dataset", *common],
+        ["generate", "--n", "8", "--out", f"{j}/dataset", *pooled],
         ["train", "--dataset", f"{j}/dataset", "--epochs", "2",
-         "--out", f"{j}/run", *common],
+         "--out", f"{j}/run", "--seed", SEED],
         ["evaluate", "--estimators", "lstm", "--n", "1", "--target",
          "3,4,60", "--model", f"{j}/run/model.json", "--out", f"{j}/one",
-         *common],
+         *pooled],
         ["evaluate", "--estimators", "truth,ekf,lstm", "--n", "3",
          "--model", f"{j}/run/model.json", "--out", f"{j}/evaluate",
-         *common],
-        ["report", "--out", f"{j}/report", *common],
+         *pooled],
+        ["report", "--out", f"{j}/report"],
     ]
 
 

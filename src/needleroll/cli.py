@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
 (including an unreadable or inconsistent dataset).
-Every subcommand is deterministic under a fixed --seed; --jobs enables
-order-preserving process parallelism with identical results. Under
-generate the workers build and encode each episode line, and this process
-writes the lines in slot order as they arrive.
+generate, train and evaluate are deterministic under a fixed --seed, and
+report draws nothing at random. Under generate and evaluate, --jobs
+enables order-preserving process parallelism with identical results.
+Under generate the workers build and encode each episode line, and this
+process writes the lines in slot order as they arrive.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from needleroll.config import (
     resolve_config,
     write_resolved_config,
 )
+from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DEFAULT_EPISODES,
     DatasetError,
@@ -52,12 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub):
+def _add_common(sub, seed=True, jobs=False):
     sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int)
+    if seed:
+        sub.add_argument("--seed", type=int)
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--jobs", type=int,
-                     help="process parallelism (default 1)")
+    if jobs:
+        sub.add_argument("--jobs", type=int,
+                         help="process parallelism (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("generate", help="collect a steering dataset")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--n", type=int,
                    help=f"episode count (default {DEFAULT_EPISODES})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
@@ -83,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-size", dest="hidden_size", type=int)
 
     p = commands.add_parser("evaluate", help="batch trials and report")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--n", type=int,
                    help=f"trial count (default {DEFAULT_TRIALS})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
@@ -101,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser(
         "report", help="re-render trials/summaries.csv, histogram.csv and "
         "report.txt from trials/episodes.jsonl")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     return parser
 
@@ -148,7 +152,7 @@ def cmd_generate(config: RunConfig) -> int:
     manifest = generate_dataset(
         n=config.n, medium=config.make_medium(),
         workspace=config.make_workspace(),
-        controller=config.make_controller(), seed=config.seed, root=out,
+        controller=ControllerParams(), seed=config.seed, root=out,
         train_fraction=config.train_fraction, depth_cap=config.depth_cap,
         mapper=_mapper(config.jobs),
     )
@@ -189,7 +193,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     model = (load_model(_require(config.model, "--model"))
              if "lstm" in config.estimators else None)
     records = run_batch(
-        config.estimators, config.make_medium(), config.make_controller(),
+        config.estimators, config.make_medium(), ControllerParams(),
         config.make_workspace(), n_trials=config.n, seed=config.seed,
         model=model, depth_cap=config.depth_cap, target=config.target,
         mapper=_mapper(config.jobs),

@@ -6,8 +6,10 @@ RunConfig's annotations by schema.check_json. The resolved result is
 serialized next to a command's outputs so any run can be reproduced from
 its artifact directory alone.
 
-The position feature scale is no setting: it is the generation
-workspace's depth_max, which the dataset manifest records as z_max and
+The controller and the reachable workspace are no settings:
+ControllerParams and WorkspaceCone own their constants, and a run builds
+them from those defaults (the workspace takes the medium's curvature).
+So the position feature scale is WorkspaceCone.depth_max, which the dataset manifest records as z_max and
 train copies into the model.
 """
 
@@ -47,18 +49,6 @@ class RunConfig:
     medium: str = "gelatin"
     rigid: bool = False
     depth_cap: float = DEPTH_CAP
-
-    # workspace sampling
-    depth_min: float = WorkspaceCone.depth_min
-    depth_max: float = WorkspaceCone.depth_max
-    radial_margin: float = WorkspaceCone.radial_margin
-
-    # controller
-    insertion_speed: float = ControllerParams.insertion_speed
-    rotation_speed: float = ControllerParams.rotation_speed
-    rate: float = ControllerParams.rate
-    deadband: float = ControllerParams.deadband
-    arrival_tolerance: float = ControllerParams.arrival_tolerance
 
     # dataset generation; n doubles as the trial count for evaluation
     n: int | None = None
@@ -106,20 +96,9 @@ class RunConfig:
                 raise ValueError("target coordinates must be finite")
             # the first control tick stops on a target short of this
             if not (self.target[2] > 0.0 and math.hypot(*self.target)
-                    > self.arrival_tolerance):
+                    > ControllerParams.arrival_tolerance):
                 raise ValueError("target must lie ahead of the entry point: "
                                  "z > 0, beyond the arrival tolerance")
-        # these fire their own range checks
-        self.make_controller()
-        self.make_workspace()
-        # the explicit-Euler slip step bound of plant.MediumParams
-        medium = self.make_medium()
-        dt = 1.0 / self.rate
-        ratio = dt * medium.torsion_stiffness / medium.torsion_damping
-        if not medium.rigid and not ratio < 1.0:
-            raise ValueError(
-                f"rate {self.rate!r} Hz makes the {medium.name} torsion step "
-                f"unstable: dt*k/c = {ratio:.3g} must stay below 1")
         return self
 
     def make_medium(self) -> MediumParams:
@@ -128,17 +107,7 @@ class RunConfig:
 
     def make_workspace(self) -> WorkspaceCone:
         return WorkspaceCone(
-            depth_min=self.depth_min, depth_max=self.depth_max,
-            bounding_curvature=MEDIUM_PRESETS[self.medium].curvature,
-            radial_margin=self.radial_margin,
-        )
-
-    def make_controller(self) -> ControllerParams:
-        return ControllerParams(
-            insertion_speed=self.insertion_speed,
-            rotation_speed=self.rotation_speed, rate=self.rate,
-            deadband=self.deadband, arrival_tolerance=self.arrival_tolerance,
-        )
+            bounding_curvature=MEDIUM_PRESETS[self.medium].curvature)
 
     def make_train_config(self) -> TrainConfig:
         return TrainConfig(

@@ -159,8 +159,21 @@ def zero_state(hidden_size: int) -> LstmCellState:
     return LstmCellState(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
-def init_model(z_max: float, hidden_size: int = 30,
-               dropout_rate: float = 0.2, seed: int = 0,
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training hyperparameters; the defaults are the shipped ones, which
+    init_model and the run configuration inherit."""
+
+    epochs: int = 800
+    batch_size: int = 8
+    learning_rate: float = 3e-3
+    dropout_rate: float = 0.2
+    hidden_size: int = 30
+    seed: int = 0
+
+
+def init_model(z_max: float, hidden_size: int = TrainConfig.hidden_size,
+               dropout_rate: float = TrainConfig.dropout_rate, seed: int = 0,
                metadata: dict | None = None) -> LstmModel:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; forget-gate bias starts at +1
     so early training does not flush the cell state. z_max is the position
@@ -526,19 +539,6 @@ class Adam:
             arr -= self.lr * (m / correction1) / (
                 np.sqrt(v / correction2) + self.epsilon
             )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training hyperparameters; the defaults are the shipped ones, which
-    the run configuration inherits."""
-
-    epochs: int = 800
-    batch_size: int = 8
-    learning_rate: float = 3e-3
-    dropout_rate: float = 0.2
-    hidden_size: int = 30
-    seed: int = 0
 
 
 def _length_sorted_batches(order, lengths, batch_size: int):

@@ -48,8 +48,9 @@ class MediumParams:
     torsion_stiffness k (N*mm/rad), torsion_damping c (N*mm*s/rad) and
     friction_per_depth mu (N*mm/rad per mm) define the lag dynamics; the
     stick band half-width at depth d is mu*d/k radians. Explicit-Euler
-    stability of the slip phase needs dt*k/c < 1, which RunConfig.validate
-    checks at dt = 1 / rate.
+    stability of the slip phase needs dt*k/c < 1; tests/test_plant.py
+    holds every MEDIUM_PRESETS medium to it at dt = 1 / ControllerParams
+    rate.
     """
 
     name: str

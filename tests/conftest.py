@@ -10,6 +10,7 @@ import time
 import pytest
 
 from needleroll.config import RunConfig
+from needleroll.controller import ControllerParams
 from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.lstm import train
 
@@ -43,7 +44,7 @@ def desk_dataset(tmp_path_factory, run_defaults):
     cfg = run_defaults
     root = tmp_path_factory.mktemp("desk_dataset")
     manifest = generate_dataset(
-        70, cfg.make_medium(), cfg.make_workspace(), cfg.make_controller(),
+        70, cfg.make_medium(), cfg.make_workspace(), ControllerParams(),
         seed=42, root=root, train_fraction=cfg.train_fraction,
         depth_cap=cfg.depth_cap,
     )

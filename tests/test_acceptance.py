@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from needleroll.cli import main
+from needleroll.controller import ControllerParams
 from needleroll.dataset import episode_to_sequence, load_episodes
 from needleroll.evaluate import run_batch, summarize
 from needleroll.lstm import (
@@ -35,7 +36,7 @@ from oracles import quat_from_matrix, rot_z
 def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verdict):
     cfg = run_defaults
     records = run_batch(
-        ("truth",), cfg.make_medium(), cfg.make_controller(),
+        ("truth",), cfg.make_medium(), ControllerParams(),
         cfg.make_workspace(), n_trials=30, seed=501,
     )
     errors = np.array([r.final_error for r in records])
@@ -49,7 +50,7 @@ def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
     cfg = run_defaults
     medium = rigid_variant(cfg.make_medium())
     records = run_batch(
-        ("ekf",), medium, cfg.make_controller(), cfg.make_workspace(),
+        ("ekf",), medium, ControllerParams(), cfg.make_workspace(),
         n_trials=10, seed=502,
     )
     errors = np.array([r.final_error for r in records])
@@ -110,7 +111,7 @@ def test_c05_learned_estimator_beats_filter_in_gelatin(
     cfg = run_defaults
     model = trained_estimator[0]
     records = run_batch(
-        ("lstm", "ekf"), cfg.make_medium(), cfg.make_controller(),
+        ("lstm", "ekf"), cfg.make_medium(), ControllerParams(),
         cfg.make_workspace(), n_trials=30, seed=505, model=model,
     )
     lstm_err, _ = summarize(records, "lstm")
@@ -131,7 +132,7 @@ def test_c06_gelatin_trained_model_transfers_to_brain_and_lung(
     for medium_name, seed in (("brain", 506), ("lung", 507)):
         records = run_batch(
             ("lstm", "ekf"), MEDIUM_PRESETS[medium_name],
-            cfg.make_controller(), cfg.make_workspace(),
+            ControllerParams(), cfg.make_workspace(),
             n_trials=10, seed=seed, model=model,
         )
         lstm_err, lstm_omega = summarize(records, "lstm")
@@ -217,7 +218,7 @@ def test_c10_pipeline_reports_are_byte_identical(tmp_path, verdict):
         assert main(["generate", "--n", "6", "--seed", "9", "--jobs", "1",
                      "--out", str(data)]) == 0
         assert main(["train", "--dataset", str(data), "--epochs", "2",
-                     "--hidden-size", "6", "--seed", "9", "--jobs", "1",
+                     "--hidden-size", "6", "--seed", "9",
                      "--out", str(fit)]) == 0
         assert main(["evaluate", "--n", "2", "--seed", "9", "--jobs", "1",
                      "--model", str(fit / "model.json"),

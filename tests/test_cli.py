@@ -9,6 +9,7 @@ import pytest
 
 from needleroll import cli, dataset
 from needleroll.cli import main
+from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DATASET_SCHEMA_VERSION,
     DEFAULT_EPISODES,
@@ -18,6 +19,7 @@ from needleroll.dataset import (
 )
 from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
 from needleroll.lstm import init_model, save_model
+from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
 from needleroll.config import (
     RunConfig,
     load_config_file,
@@ -82,11 +84,9 @@ def test_config_validation():
 
 
 def test_config_builds_components():
-    config = resolve_config({}, {"medium": "lung", "rigid": True,
-                                 "rate": 50.0})
+    config = resolve_config({}, {"medium": "lung", "rigid": True})
     medium = config.make_medium()
     assert medium.name == "lung" and medium.rigid
-    assert config.make_controller().rate == 50.0
     assert config.make_workspace().depth_max == 75.0
     tc = config.make_train_config()
     assert tc.hidden_size == 30
@@ -295,7 +295,7 @@ def test_cli_and_generate_dataset_refuse_a_train_fraction_alike(tmp_path,
         with pytest.raises(ValueError) as raised:
             generate_dataset(n=4, medium=config.make_medium(),
                              workspace=config.make_workspace(),
-                             controller=config.make_controller(), seed=0,
+                             controller=ControllerParams(), seed=0,
                              root=ds, train_fraction=float(value))
         assert err == f"error: {raised.value}\n"
         assert "train fraction" in err
@@ -321,40 +321,34 @@ def test_cli_generate_writes_the_manifest_once(tmp_path, monkeypatch):
         "train", "train", "val"]
 
 
-def test_cli_evaluate_unstable_torsion_rate_fails_before_writing(tmp_path,
-                                                                 capsys):
-    """At 5 Hz the gelatin slip step has dt*k/c = 4: the explicit-Euler
-    torsion dynamics blow up, so the run is refused before any trial."""
-    cfg = tmp_path / "slow.json"
-    cfg.write_text(json.dumps({"rate": 5.0}))
-    out = tmp_path / "ev"
-    assert main(["evaluate", "--estimators", "truth,ekf", "--n", "2",
-                 "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "rate 5.0" in err and "= 4 " in err
-    assert not out.exists()
-
-
 def test_config_keeps_stable_torsion_settings():
-    """A faster loop stays legal: 50 Hz gives gelatin dt*k/c = 0.4; a rigid
-    medium has no slip step to destabilize."""
-    assert resolve_config({}, {"rate": 50.0}).rate == 50.0
-    assert resolve_config({}, {"rate": 5.0, "rigid": True}).rate == 5.0
+    """Every medium a config can name resolves, and its explicit-Euler slip
+    step contracts at the controller's fixed loop rate (dt*k/c < 1); a
+    rigid medium has no slip step to destabilize."""
+    dt = 1.0 / ControllerParams().rate
+    for name in MEDIUM_PRESETS:
+        for rigid in (False, True):
+            medium = resolve_config({}, {"medium": name,
+                                         "rigid": rigid}).make_medium()
+            assert medium.name == name and medium.rigid is rigid
+            assert dt * medium.torsion_stiffness / medium.torsion_damping < 1.0
 
 
 def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
-    """The feature scale is the generation workspace's depth_max: the
-    manifest records it and the model takes it from there."""
-    shallow = tmp_path / "shallow.json"
-    shallow.write_text(json.dumps({"depth_max": 70.0}))
+    """The feature scale is the dataset's: train reads z_max from the
+    manifest, not from WorkspaceCone, and the model carries it."""
     ds = tmp_path / "ds"
-    assert main(["generate", "--n", "2", "--seed", "3", "--config",
-                 str(shallow), "--out", str(ds)]) == 0
-    assert json.loads((ds / "manifest.json").read_text())["z_max"] == 70.0
+    assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
+    path = ds / "manifest.json"
+    doc = json.loads(path.read_text())
+    assert doc["z_max"] == 75.0
+    # no target lies deeper than 75 mm, within 80 + DEPTH_SLACK
+    doc["z_max"] = 80.0
+    path.write_text(json.dumps(doc))
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(ds), "--out", str(run),
                  "--epochs", "1", "--hidden-size", "4"]) == 0
-    assert json.loads((run / "model.json").read_text())["z_max"] == 70.0
+    assert json.loads((run / "model.json").read_text())["z_max"] == 80.0
     assert "z_max" not in json.loads((run / "config.json").read_text())
 
 
@@ -364,9 +358,9 @@ def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
     manifest as the float spelling."""
     ds = tmp_path / "ds"
     written = []
-    for depth_max in (70, 70.0):
+    for depth_cap in (80, 80.0):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"depth_max": depth_max, "target": [3, 4, 60]}))
+        cfg.write_text(json.dumps({"depth_cap": depth_cap, "target": [3, 4, 60]}))
         shutil.rmtree(ds, ignore_errors=True)
         assert main(["generate", "--n", "2", "--seed", "3", "--config",
                      str(cfg), "--out", str(ds)]) == 0
@@ -374,7 +368,7 @@ def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
                         ("config.json", "manifest.json", "episodes.jsonl")])
     assert written[0] == written[1]
     doc = json.loads(written[0][0])
-    assert doc["depth_max"] == 70.0 and type(doc["depth_max"]) is float
+    assert doc["depth_cap"] == 80.0 and type(doc["depth_cap"]) is float
     assert all(type(v) is float for v in doc["target"])
 
 
@@ -674,7 +668,7 @@ def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
     target = np.array([3.0, 4.0, 60.0])
     expected = [
         record_to_line(run_trial(
-            name, config.make_medium(), config.make_controller(), target,
+            name, config.make_medium(), ControllerParams(), target,
             seed=(5, ESTIMATOR_NAMES.index(name), k), trial_id=2 * k + m))
         for k in range(2) for m, name in enumerate(("ekf", "truth"))]
     assert lines == expected
@@ -688,13 +682,22 @@ def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
 def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
     """A config.json resolved before a setting was deleted still holds it:
     "estimator" (evaluate's one estimator, before it took a list),
-    "jitter" and "bin_width". Each is an unknown key, named, and a deleted
-    flag is an unknown flag; neither run writes anything."""
+    "jitter", "bin_width", and the copies of the ControllerParams and
+    WorkspaceCone constants. Each is an unknown key, named, and a deleted
+    flag, or one a subcommand never read, is an unknown flag; no run
+    writes anything."""
     out = tmp_path / "out"
-    for command, key, value, flag in [
-            ("evaluate", "estimator", "lstm", None),
-            ("generate", "jitter", 0.25, "--jitter"),
-            ("evaluate", "bin_width", 0.1, "--bin-width")]:
+    workspace_keys = ("depth_min", "depth_max", "radial_margin")
+    controller_keys = ("insertion_speed", "rotation_speed", "rate",
+                       "deadband", "arrival_tolerance")
+    for command, key, value in [
+            ("evaluate", "estimator", "lstm"),
+            ("generate", "jitter", 0.25),
+            ("evaluate", "bin_width", 0.1),
+            *(("generate", k, getattr(WorkspaceCone, k))
+              for k in workspace_keys),
+            *(("evaluate", k, getattr(ControllerParams, k))
+              for k in controller_keys)]:
         old = tmp_path / key
         write_resolved_config(resolve_config({}, {"n": 2}), old)
         doc = json.loads((old / "config.json").read_text())
@@ -707,14 +710,18 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"unknown keys [{key!r}]" in err
         assert not out.exists()
-        if flag is not None:
-            assert main([*base, "--n", "2", flag, str(value),
-                         "--out", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert len(err.splitlines()) == 1, err
-            assert err.startswith("error: unrecognized arguments")
-            assert flag in err
-            assert not out.exists()
+    for argv in (["generate", "--n", "2", "--jitter", "0.25"],
+                 ["evaluate", "--estimators", "truth", "--n", "2",
+                  "--bin-width", "0.1"],
+                 ["train", "--dataset", str(tmp_path / "ds"), "--jobs", "2"],
+                 ["report", "--seed", "1"],
+                 ["report", "--jobs", "2"]):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: unrecognized arguments")
+        assert argv[-2] in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1013,7 +1020,9 @@ def test_cli_config_file_non_finite_setting_is_usage_error(tmp_path, capsys,
                                                            command, key,
                                                            value):
     """A config file can hold NaN and Infinity; each fails the boundary
-    with one error line that names the key, before anything is written."""
+    with one error line that names the key, before anything is written.
+    The keys of the deleted ControllerParams and WorkspaceCone copies fail
+    as unknown keys, and still name the key."""
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value, "out": str(out), "n": 2,
