@@ -26,15 +26,17 @@ record, per tick; its `calls` column is the trial's tick count. The
 `dataset.record_to_line` row encodes that trial's record, without the
 estimator columns a generated episode lacks, as a `generate` worker encodes
 each episode line, and the `dataset.record_from_line` row decodes that
-line, as `train` reads each episode, both also per tick. The training rows
-time `lstm._forward_batch` (a training pass, with dropout) and
-`lstm.backward` at hidden 30 on a padded batch of 600 steps, 8 and 4
-sequences wide, through one reused Workspace as `train` runs them, in µs
-per padded step (their `calls` column is the step count), and
-`lstm.Adam.apply` per call on a hidden-30 model. The last line names the
-machine: cores, Python and numpy. BLAS runs one thread, as in the
-benchmark. Standard library and numpy only; imports the `src/` next to this
-script.
+line, as `train` reads each episode, both also per tick. The
+`dataset.record_to_line ekf` row encodes the filter's trial record, with
+the estimator columns, as `evaluate` writes each trial line, per tick of
+that trial. The training rows time `lstm._forward_batch` (a training
+pass, with dropout) and `lstm.backward` at hidden 30 on a padded batch of
+600 steps, 8 and 4 sequences wide, through one reused Workspace as
+`train` runs them, in µs per padded step (their `calls` column is the
+step count), and `lstm.Adam.apply` per call on a hidden-30 model. The
+last line names the machine: cores, Python and numpy. BLAS runs one
+thread, as in the benchmark. Standard library and numpy only; imports the
+`src/` next to this script.
 """
 
 from __future__ import annotations
@@ -81,18 +83,18 @@ def recording(owner, name: str, calls: list):
         setattr(owner, name, fn)
 
 
-def record_trial(estimator: str, model, hooks) -> dict:
-    """Run one evaluation trial and return {layer: [args, ...]} for the
-    (owner, attribute, layer) triples in hooks."""
+def record_trial(estimator: str, model, hooks) -> tuple[dict, object]:
+    """Run one evaluation trial; return {layer: [args, ...]} for the
+    (owner, attribute, layer) triples in hooks, and the trial's record."""
     calls = {layer: [] for _, _, layer in hooks}
     target = evaluate.sample_targets(WorkspaceCone(), SEED, 1)[0]
     tag = evaluate.ESTIMATOR_NAMES.index(estimator)
     with ExitStack() as stack:
         for owner, name, layer in hooks:
             stack.enter_context(recording(owner, name, calls[layer]))
-        evaluate.run_trial(estimator, GELATIN, ControllerParams(), target,
-                           (SEED, tag, 0), model)
-    return calls
+        record = evaluate.run_trial(estimator, GELATIN, ControllerParams(),
+                                    target, (SEED, tag, 0), model)
+    return calls, record
 
 
 def us_per_call(fn, make_args, repeats: int, per_call: int = 1):
@@ -124,7 +126,7 @@ def main(argv=None) -> int:
     repeats = args.repeats
     model = lstm.init_model(75.0, hidden_size=30, seed=0)
     controller = ControllerParams()
-    ekf_calls = record_trial("ekf", None, [
+    ekf_calls, ekf_record = record_trial("ekf", None, [
         (dataset, "step", "plant.step"),
         (dataset, "sense", "plant.sense"),
         (dataset, "control", "controller.control"),
@@ -133,7 +135,7 @@ def main(argv=None) -> int:
         (ekf, "transition_jacobian", "ekf.transition_jacobian"),
         (ekf.EkfRollTracker, "estimate", "EkfRollTracker.estimate"),
     ])
-    lstm_calls = record_trial("lstm", model, [
+    lstm_calls, _ = record_trial("lstm", model, [
         (lstm, "forward_step", "lstm.forward_step"),
         (lstm, "_endpoint_fit", "lstm._endpoint_fit"),
         (lstm.RollEstimator, "estimate", "RollEstimator.estimate"),
@@ -216,6 +218,8 @@ def main(argv=None) -> int:
          replay([truth_args] * 3), truth_ticks),
         ("dataset.record_to_line", dataset.record_to_line,
          replay([(truth_record,)] * 3), truth_ticks),
+        ("dataset.record_to_line ekf", dataset.record_to_line,
+         replay([(ekf_record,)] * 3), ekf_record.steps),
         ("dataset.record_from_line", dataset.record_from_line,
          replay([(truth_line,)] * 3), truth_ticks),
         *training_rows,

@@ -9,8 +9,8 @@ its artifact directory alone.
 The controller and the reachable workspace are no settings:
 ControllerParams and WorkspaceCone own their constants, and a run builds
 them from those defaults (the workspace takes the medium's curvature).
-So the position feature scale is WorkspaceCone.depth_max, which the dataset manifest records as z_max and
-train copies into the model.
+So the position feature scale is WorkspaceCone.depth_max, which the
+dataset manifest records as z_max and train copies into the model.
 """
 
 from __future__ import annotations

@@ -13,6 +13,12 @@ assignment and a hash of the generation config. Lines round-trip floats
 bit-exactly through repr. A line stores each fact once: every per-step
 column is as long as base_angle, step k is at time k / controller.rate,
 and the commanded insertion speed is the controller's.
+
+The encoder's rule: a line is byte for byte the compact sorted
+json.dumps(doc, sort_keys=True, separators=(",", ":")) of the record. To
+write it faster, the repr of a value repeated in the base_angle,
+roll_true and rotation_speed columns is reused within the line, and zeros
+are never cached, since 0.0 == -0.0 would hand one sign the other's text.
 """
 
 from __future__ import annotations
@@ -76,6 +82,10 @@ STEP_COLUMNS = ("position", "heading", "base_angle", "roll_true",
 # per-step estimator columns that only evaluation trials carry; a record
 # without them (every generated episode) is written without the keys
 ESTIMATOR_COLUMNS = ("roll_est", "angular_error")
+# per-step columns whose values repeat within an episode: the tip sticks,
+# the base angle holds while the controller sits in its deadband, and the
+# commanded speed is bang-bang
+REPEATING_COLUMNS = ("base_angle", "roll_true", "rotation_speed")
 
 
 def run_closed_loop(medium: MediumParams, controller: ControllerParams,
@@ -202,18 +212,50 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
     return rec
 
 
+# a line's keys in the order json.dumps(..., sort_keys=True) writes them
+_LINE_KEYS = tuple(sorted(["schema_version", *(
+    field.name for field in dataclasses.fields(EpisodeRecord))]))
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def record_to_line(rec: EpisodeRecord) -> str:
-    """One JSON object holding every field of rec that is not None."""
-    doc = {"schema_version": DATASET_SCHEMA_VERSION}
-    for field in dataclasses.fields(rec):
-        value = getattr(rec, field.name)
-        if isinstance(value, np.ndarray):  # position and heading row by row
-            value = value.reshape(-1).tolist()
+    """One JSON object holding every field of rec that is not None,
+    position and heading row by row: the compact sorted json.dumps bytes.
+    A float64 column of REPEATING_COLUMNS reuses its values' reprs, as the
+    module docstring says."""
+    reprs = {}
+    items = []
+    for name in _LINE_KEYS:
+        value = (DATASET_SCHEMA_VERSION if name == "schema_version"
+                 else getattr(rec, name))
+        if value is None:
+            continue
+        if isinstance(value, np.ndarray):
+            value = value.reshape(-1)
+            if name in REPEATING_COLUMNS and value.dtype == np.float64:
+                items.append(f'"{name}":[{_reused_reprs(value, reprs)}]')
+                continue
+            value = value.tolist()
         elif dataclasses.is_dataclass(value):
             value = dataclasses.asdict(value)
-        if value is not None:
-            doc[field.name] = value
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        items.append(f'"{name}":{_encode(value)}')
+    return "{" + ",".join(items) + "}"
+
+
+def _reused_reprs(column: np.ndarray, reprs: dict) -> str:
+    """The comma-joined JSON numbers of a float64 column, as _encode writes
+    them; reprs maps each nonzero value seen in the line to its text."""
+    get = reprs.get
+    out = []
+    append = out.append
+    for v in column.tolist():
+        text = get(v)
+        if text is None:
+            text = repr(v) if math.isfinite(v) else _encode(v)
+            if v:
+                reprs[v] = text
+        append(text)
+    return ",".join(out)
 
 
 def record_from_line(line: str) -> EpisodeRecord:

@@ -235,23 +235,25 @@ def _render_views(trials, out_dir: Path):
     """Write summaries.csv, histogram.csv and report.txt of trials, given
     in trial_id order: the per-group means and medians depend on the
     concatenation order."""
+    roll_errors = [_roll_error(rec) for rec in trials]
     with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        for rec in trials:
+        for rec, roll_err in zip(trials, roll_errors):
             writer.writerow([
                 rec.episode_id, rec.estimator, rec.medium.name,
                 "-".join(str(v) for v in rec.seed), rec.outcome, rec.steps,
                 _fmt(rec.final_error), _fmt(np.mean(rec.angular_error)),
-                _fmt(np.mean(_roll_error(rec))),
+                _fmt(np.mean(roll_err)),
             ])
 
     groups = sorted({(rec.medium.name, rec.estimator) for rec in trials})
     hist_rows = []
     lines = ["closed-loop steering report", ""]
     for medium, estimator in groups:
-        group = [rec for rec in trials
-                 if (rec.medium.name, rec.estimator) == (medium, estimator)]
+        members = [i for i, rec in enumerate(trials)
+                   if (rec.medium.name, rec.estimator) == (medium, estimator)]
+        group = [trials[i] for i in members]
         omega = np.concatenate([rec.angular_error for rec in group])
         edges, counts = histogram(omega)
         hist_rows += [[medium, estimator, _fmt(edges[k]), _fmt(edges[k + 1]),
@@ -260,7 +262,7 @@ def _render_views(trials, out_dir: Path):
         errors = np.array([rec.final_error for rec in group])
         arrived = sum(1 for rec in group if rec.outcome == "arrived")
         step_counts = np.array([rec.steps for rec in group])
-        roll_err = np.concatenate([_roll_error(rec) for rec in group])
+        roll_err = np.concatenate([roll_errors[i] for i in members])
         lines += [
             f"[{medium} / {estimator}]",
             f"  trials: {len(group)} ({arrived} arrived), "

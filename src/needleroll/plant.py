@@ -31,13 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from needleroll.se3 import (
-    dot3,
     floats3,
     heading_tangent_basis,
     recompose_roll,
     se3_exp,
     so3_exp,
-    unit3,
 )
 
 
@@ -229,11 +227,16 @@ def advance_tip_pose(rows, p, move, roll_new: float):
     transport. Shared by the simulator and by any observer propagating the
     same torsion-free kinematics.
     """
-    m_p, m = move
-    r0, r1, r2 = rows
+    (q0, q1, q2), (m0, m1, m2) = move
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     p0, p1, p2 = p
-    return (recompose_roll((dot3(r0, m), dot3(r1, m), dot3(r2, m)), roll_new),
-            (p0 + dot3(r0, m_p), p1 + dot3(r1, m_p), p2 + dot3(r2, m_p)))
+    # dot3(row, m) and p + dot3(row, m_p), written out
+    return (recompose_roll((r00 * m0 + r01 * m1 + r02 * m2,
+                            r10 * m0 + r11 * m1 + r12 * m2,
+                            r20 * m0 + r21 * m1 + r22 * m2), roll_new),
+            (p0 + (r00 * q0 + r01 * q1 + r02 * q2),
+             p1 + (r10 * q0 + r11 * q1 + r12 * q2),
+             p2 + (r20 * q0 + r21 * q1 + r22 * q2)))
 
 
 def step(state: PlantState, u: ControlInput, medium: MediumParams,
@@ -286,11 +289,17 @@ def sense(state: PlantState, medium: MediumParams, rng) -> SensedTip:
     eta = (e0, e1, e2)
     tilt = 0.0 + medium.heading_noise * z3
     azimuth = 2.0 * math.pi * rng.random()
-    b1, b2 = heading_tangent_basis(eta)
+    (b10, b11, b12), (b20, b21, b22) = heading_tangent_basis(eta)
     ca, sa = math.cos(azimuth), math.sin(azimuth)
-    axis = [(ca * x + sa * y) * tilt for x, y in zip(b1, b2)]
-    heading = [dot3(r, eta) for r in so3_exp(axis)]
-    return SensedTip((p0 + n0, p1 + n1, p2 + n2), unit3(heading))
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = so3_exp(
+        ((ca * b10 + sa * b20) * tilt, (ca * b11 + sa * b21) * tilt,
+         (ca * b12 + sa * b22) * tilt))
+    # unit3 of the rows dotted with eta, written out
+    h0 = s00 * e0 + s01 * e1 + s02 * e2
+    h1 = s10 * e0 + s11 * e1 + s12 * e2
+    h2 = s20 * e0 + s21 * e1 + s22 * e2
+    n = math.sqrt(h0 * h0 + h1 * h1 + h2 * h2)
+    return SensedTip((p0 + n0, p1 + n1, p2 + n2), (h0 / n, h1 / n, h2 / n))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ recompose_roll, decompose_roll and angular_error take and return Python
 floats and float rows, so a tick's pose is three float rows and three
 floats. A caller builds an array once, and only where the filter mean, the
 covariance or point registration needs one.
+
+dot3, cross3 and unit3 are the one definition of the 3-vector products.
+The tick kernels (heading_tangent_basis here, plant.sense and
+plant.advance_tip_pose) write them out inline, in the helpers' operation
+order, to save the calls; tests pin each against its composition of the
+helpers bit for bit.
 """
 
 from __future__ import annotations
@@ -156,10 +162,20 @@ def heading_tangent_basis(eta) -> tuple:
     Used wherever a 2-D coordinate chart on the unit sphere is needed at a
     known heading (heading noise injection, heading residuals).
     """
-    # eta x e_x, or eta x e_y when eta is near the x axis
-    b1 = unit3((0.0, eta[2], -eta[1]) if abs(eta[0]) < 0.9
-               else (-eta[2], 0.0, eta[0]))
-    return b1, unit3(cross3(eta, b1))
+    # unit3(eta x e_x), or unit3(eta x e_y) when eta is near the x axis,
+    # then unit3(cross3(eta, b1)), written out in the helpers' order
+    e0, e1, e2 = eta
+    if abs(e0) < 0.9:
+        a0, a1, a2 = 0.0, e2, -e1
+    else:
+        a0, a1, a2 = -e2, 0.0, e0
+    n = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    a0, a1, a2 = a0 / n, a1 / n, a2 / n
+    c0 = e1 * a2 - e2 * a1
+    c1 = e2 * a0 - e0 * a2
+    c2 = e0 * a1 - e1 * a0
+    n = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    return (a0, a1, a2), (c0 / n, c1 / n, c2 / n)
 
 
 def decompose_roll(rows) -> tuple[tuple[float, float, float], float]:

@@ -1,13 +1,23 @@
 """Reference computations the tests check the package against; none of
 them is part of needleroll."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 
+from needleroll.dataset import DATASET_SCHEMA_VERSION
 from needleroll.lstm import LstmCellState, _gate_affine
 from needleroll.plant import SensedTip
-from needleroll.se3 import dot3, heading_tangent_basis, so3_exp, unit3
+from needleroll.se3 import (
+    cross3,
+    dot3,
+    heading_tangent_basis,
+    recompose_roll,
+    so3_exp,
+    unit3,
+)
 
 
 def rot_z(a: float) -> np.ndarray:
@@ -21,6 +31,40 @@ def roll_target(roll: float) -> np.ndarray:
     """Roll encoded as the (sin, cos) training target: continuous and
     bounded in [-1, 1]; dataset.episode_to_sequence builds these rows."""
     return np.array([math.sin(roll), math.cos(roll)])
+
+
+def record_line_dumps(rec) -> str:
+    """dataset.record_to_line as one json.dumps of the record's fields, the
+    per-step arrays flattened row by row."""
+    doc = {"schema_version": DATASET_SCHEMA_VERSION}
+    for field in dataclasses.fields(rec):
+        value = getattr(rec, field.name)
+        if isinstance(value, np.ndarray):
+            value = value.reshape(-1).tolist()
+        elif dataclasses.is_dataclass(value):
+            value = dataclasses.asdict(value)
+        if value is not None:
+            doc[field.name] = value
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def heading_tangent_basis_composed(eta):
+    """se3.heading_tangent_basis through the 3-vector helpers: unit3 of
+    eta x e_x (eta x e_y near the x axis), then unit3(cross3(eta, b1))."""
+    b1 = unit3((0.0, eta[2], -eta[1]) if abs(eta[0]) < 0.9
+               else (-eta[2], 0.0, eta[0]))
+    return b1, unit3(cross3(eta, b1))
+
+
+def advance_tip_pose_composed(rows, p, move, roll_new):
+    """plant.advance_tip_pose through dot3: each row dotted with the move's
+    heading, recomposed at roll_new, and p plus each row dotted with the
+    move's translation."""
+    m_p, m = move
+    r0, r1, r2 = rows
+    p0, p1, p2 = p
+    return (recompose_roll((dot3(r0, m), dot3(r1, m), dot3(r2, m)), roll_new),
+            (p0 + dot3(r0, m_p), p1 + dot3(r1, m_p), p2 + dot3(r2, m_p)))
 
 
 def forward_step_matmul(model, state, x):

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DEPTH_CAP,
+    ESTIMATOR_COLUMNS,
+    STEP_COLUMNS,
     DatasetManifest,
     EpisodeMeta,
+    EpisodeRecord,
     GenerationStalled,
     config_hash,
     episode_to_sequence,
@@ -27,6 +30,7 @@ from needleroll.dataset import (
     to_training_sequences,
 )
 from needleroll.ekf import EkfRollTracker
+from needleroll.evaluate import run_trial
 from needleroll.lstm import scale_features
 from needleroll.plant import (
     GELATIN,
@@ -35,7 +39,7 @@ from needleroll.plant import (
     rigid_variant,
     sample_target,
 )
-from oracles import roll_target
+from oracles import record_line_dumps, roll_target
 
 
 CONTROLLER = ControllerParams()
@@ -216,6 +220,71 @@ def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
     for name in ("estimator", "roll_est", "angular_error"):
         del trial_doc[name]
     assert json.dumps(trial_doc, sort_keys=True, separators=(",", ":")) == line
+
+
+# values whose text a line writes once and reuses: zeros of both signs
+# (equal as dict keys), repeats, the smallest subnormal and numbers whose
+# repr is in exponent form
+AWKWARD = [0.0, -0.0, 0.5, 0.5, -0.0, 0.0, 5e-324, 5e-324, 1e-05, 1e+16,
+           1e-05, -2.5, -2.5, 1e+16, 0.0, -0.0]
+
+
+def hand_built_record(**fields):
+    """A record with AWKWARD in each repeated column, each in its own order,
+    so the columns share values and zeros of both signs."""
+    n = len(AWKWARD)
+    rng = np.random.default_rng(5)
+    values = dict(
+        episode_id=4, seed=(9, 4, 1), medium=GELATIN, controller=CONTROLLER,
+        target=np.array([1.5, -2.0, 60.0]), outcome="arrived",
+        final_error=0.125, position=rng.uniform(-5.0, 60.0, (n, 3)),
+        heading=rng.uniform(-1.0, 1.0, (n, 3)),
+        base_angle=np.array(AWKWARD), roll_true=np.array(AWKWARD[::-1]),
+        rotation_speed=np.roll(AWKWARD, 5))
+    values.update(fields)
+    return EpisodeRecord(**values)
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    {"roll_est": np.array(AWKWARD[::-1]),
+     "angular_error": np.minimum(np.abs(AWKWARD), math.pi),
+     "estimator": "ekf"},
+], ids=["generated", "ekf_trial"])
+def test_record_line_is_the_sorted_compact_dumps(fields):
+    rec = hand_built_record(**fields)
+    line = record_to_line(rec)
+    assert line == record_line_dumps(rec)
+    back = record_from_line(line)
+    # tobytes tells -0.0 from 0.0
+    for name in ("target", *STEP_COLUMNS, *ESTIMATOR_COLUMNS):
+        value = getattr(rec, name)
+        if value is not None:
+            assert getattr(back, name).tobytes() == value.tobytes(), name
+    assert back.estimator == rec.estimator
+    assert record_to_line(back) == line
+
+
+def test_trial_and_episode_lines_are_the_sorted_compact_dumps():
+    trial = run_trial("ekf", GELATIN, CONTROLLER, np.array([3.0, -2.0, 50.0]),
+                      seed=3)
+    episode = dataclasses.replace(trial, roll_est=None, angular_error=None,
+                                  estimator=None)
+    for rec in (trial, episode):
+        assert record_to_line(rec) == record_line_dumps(rec)
+
+
+def test_record_line_writes_any_column_as_dumps_does():
+    """Values no valid record holds keep json.dumps' text too: NaN and the
+    infinities, and an int column, whose values equal floats as dict keys
+    yet are written without a fraction."""
+    n = len(AWKWARD)
+    rec = hand_built_record(
+        base_angle=np.arange(n) % 3,
+        roll_true=np.array([1.0, 2.0, math.nan, math.inf, -math.inf] * 3
+                           + [math.nan]),
+        rotation_speed=np.array(AWKWARD, dtype=np.float32))
+    assert record_to_line(rec) == record_line_dumps(rec)
 
 
 @pytest.mark.parametrize("name, damage, expect, line_expect", [

@@ -10,6 +10,9 @@ norms, 3x3 products, one Jacobian column per basis perturbation). The
 package's closed forms must agree with them to rounding. The uncached
 tip_step, which builds the bevel arc with se3_exp on every call, is the
 reference for the cached one, which must agree with it bit for bit.
+heading_tangent_basis and advance_tip_pose write the dot3/unit3/cross3
+helpers out; their compositions of those helpers (in oracles) are the
+references they must match bit for bit.
 
 The closed-loop tick's scalar kernels have references too: the controller
 written with np.linalg.norm, np.dot and R.T @ offset must take the same
@@ -24,7 +27,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needleroll.controller import Arrived, ControllerParams, control
@@ -36,6 +39,7 @@ from needleroll.plant import (
     ControlInput,
     PlantState,
     SensedTip,
+    advance_tip_pose,
     initial_state,
     rigid_variant,
     sense,
@@ -51,6 +55,7 @@ from needleroll.se3 import (
     unit3,
     wrap_angle,
 )
+from oracles import advance_tip_pose_composed, heading_tangent_basis_composed
 
 EZ = np.array([0.0, 0.0, 1.0])
 TOL = 1e-14
@@ -161,6 +166,61 @@ def test_scalar_kernels_match_numpy_references(eta, w, v, dt):
     R_ref, p_ref = reference_se3_exp(twist, dt)
     np.testing.assert_allclose(R, R_ref, rtol=0, atol=TOL)
     np.testing.assert_allclose(p, p_ref, rtol=0, atol=TOL)
+
+
+def _on_x_circle(e0: float, azimuth: float) -> tuple:
+    """The unit heading with x component e0 at azimuth about the x axis."""
+    r = math.sqrt(1.0 - e0 * e0)
+    return (e0, r * math.cos(azimuth), r * math.sin(azimuth))
+
+
+# headings on both sides of the basis switch at |eta[0]| = 0.9 and on it,
+# the workspace's headings, and the axes with signed zeros
+basis_headings = st.one_of(
+    st.builds(_on_x_circle,
+              st.one_of(st.floats(-1.0, 1.0), st.floats(0.89, 0.91),
+                        st.floats(-0.91, -0.89),
+                        st.sampled_from([0.9, -0.9, math.nextafter(0.9, 0.0),
+                                         math.nextafter(-0.9, 0.0)])),
+              st.floats(0.0, 2.0 * math.pi)),
+    headings.map(lambda e: tuple(e.tolist())),
+    st.sampled_from([(1.0, 0.0, -0.0), (-1.0, -0.0, 0.0), (0.0, -0.0, 1.0),
+                     (-0.0, 0.0, -1.0)]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(eta=basis_headings)
+@example(eta=_on_x_circle(math.nextafter(0.9, 0.0), 1.0))  # eta x e_x
+@example(eta=_on_x_circle(0.9, 1.0))  # eta x e_y
+@example(eta=_on_x_circle(-0.9, 4.0))
+def test_heading_tangent_basis_is_its_helper_composition_bitwise(eta):
+    got = heading_tangent_basis(eta)
+    assert np.array(got).tobytes() == \
+        np.array(heading_tangent_basis_composed(eta)).tobytes()
+    # the list an array's tolist() gives, as the filter passes it
+    assert np.array(heading_tangent_basis(list(eta))).tobytes() == \
+        np.array(got).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rotation=rotation_vectors,
+       p=st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0),
+                   st.floats(0.0, 80.0)),
+       roll=st.floats(-20.0, 20.0),
+       delta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5)),
+       speed=st.one_of(st.sampled_from([0.0, -0.0, 5.0]),
+                       st.floats(0.0, 20.0)),
+       curvature=st.one_of(st.just(0.005), st.floats(1e-4, 0.05)),
+       dt=st.one_of(st.just(0.025), st.floats(1e-3, 0.1)))
+def test_advance_tip_pose_is_its_helper_composition_bitwise(
+        rotation, p, roll, delta, speed, curvature, dt):
+    rows = so3_exp(rotation.tolist())
+    move = tip_step(speed, curvature, delta, dt)
+    got = advance_tip_pose(rows, p, move, roll + delta)
+    ref = advance_tip_pose_composed(rows, p, move, roll + delta)
+    assert np.array(got[0]).tobytes() == np.array(ref[0]).tobytes()
+    assert np.array(got[1]).tobytes() == np.array(ref[1]).tobytes()
 
 
 def test_series_branch_is_exercised():
