@@ -9,7 +9,9 @@ file, so the views evaluate renders and the ones report regenerates from
 that file are both digested, and should match. Each stage runs as
 `python -m needleroll` on the `src/` next to this script, inside a
 temporary directory (relative output paths, so the recorded config.json
-files do not name it). Prints
+files do not name it). Prints a first line starting with `#` that names
+what the float bytes depend on, `# Python <v>, numpy <v>, OpenBLAS core
+<name>` (the kernel set OpenBLAS picked at run time, or `unknown`), then
 `<sha256>  jobs<j>/<path>` for every file written, sorted.
 
 A speed change that must keep every artifact byte-identical is checked by
@@ -33,6 +35,21 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEED = "7"
+# run by the interpreter the stages run under, so this script needs no numpy
+VERSIONS = """\
+import ctypes, platform, numpy
+try:
+    from numpy._core import _multiarray_umath
+    # a symbol lookup on numpy's extension also searches the OpenBLAS it links
+    numpy_lib = ctypes.CDLL(_multiarray_umath.__file__)
+    corename = numpy_lib.scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    core = corename().decode()
+except (ImportError, OSError, AttributeError):
+    core = "unknown"
+print(f"# Python {platform.python_version()}, numpy {numpy.__version__}, "
+      f"OpenBLAS core {core}")
+"""
 
 
 def stages(jobs: int) -> list[list[str]]:
@@ -65,6 +82,13 @@ def main() -> int:
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    header = subprocess.run([sys.executable, "-c", VERSIONS], env=env,
+                            capture_output=True, text=True)
+    if header.returncode != 0:
+        print(f"the version header exited {header.returncode}:\n"
+              f"{header.stderr}", file=sys.stderr)
+        return 2
+    print(header.stdout, end="")
     with tempfile.TemporaryDirectory(prefix="needleroll_digests_") as work:
         for jobs in (1, 2):
             for argv in stages(jobs):

@@ -17,6 +17,11 @@ path, the serializer, and the test oracles:
 - output layer: linear
 - loss: RMSE over every component of every timestep of every sequence in
   the batch (padded steps excluded via masks)
+- parameter shapes: param_shapes(H), the one place they are written; the
+  hidden size H is len(b_fc)
+- model file (schema 2): LstmModel's fields under their own names plus
+  schema_version, each parameter as its flat row-major values; no size or
+  shape is stored, since each follows from H
 
 Everything runs in float64. The streaming estimator and the offline
 run_sequence call the exact same forward_step, so their outputs are
@@ -60,18 +65,25 @@ from typing import NamedTuple
 import numpy as np
 
 from needleroll.plant import SensedTip, require_valid_measurement
-from needleroll.schema import check_json, decode
+from needleroll.schema import decode
 from needleroll.se3 import floats3, recompose_roll, wrap_angle
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 INPUT_SIZE = 8  # width of the scale_features vector
 VALIDATION_CHUNK = 32  # sequences per sequence_rmse forward pass
 LENGTH_POOL = 32  # shuffled training sequences per length-sorted pool
 PROGRESS_EVERY = 50  # epochs between train's stderr progress lines
 
-# the fixed parameter order is part of the optimizer and serialization
-# contracts
-PARAM_NAMES = ("w_x", "w_h", "b_g", "w_fc", "b_fc", "w_out", "b_out")
+
+def param_shapes(hidden_size: int) -> dict:
+    """{name: shape} of the seven parameters at one hidden size, in the
+    fixed order of the optimizer."""
+    h, four_h = hidden_size, 4 * hidden_size
+    return {"w_x": (four_h, INPUT_SIZE), "w_h": (four_h, h), "b_g": (four_h,),
+            "w_fc": (h, h), "b_fc": (h,), "w_out": (2, h), "b_out": (2,)}
+
+
+PARAM_NAMES = tuple(param_shapes(0))
 
 
 class DegenerateOutput(ValueError):
@@ -105,43 +117,37 @@ def estimate_roll(y) -> float:
 
 @dataclass
 class LstmModel:
-    """All trainable parameters plus the constants inference needs."""
+    """All trainable parameters, shaped by param_shapes(hidden_size), plus
+    the constants inference needs."""
 
-    w_x: np.ndarray  # (4H, D) input-to-gates
-    w_h: np.ndarray  # (4H, H) hidden-to-gates
-    b_g: np.ndarray  # (4H,)
-    w_fc: np.ndarray  # (H, H)
-    b_fc: np.ndarray  # (H,)
-    w_out: np.ndarray  # (2, H)
-    b_out: np.ndarray  # (2,)
+    w_x: np.ndarray  # input-to-gates
+    w_h: np.ndarray  # hidden-to-gates
+    b_g: np.ndarray  # gate bias
+    w_fc: np.ndarray  # fully-connected layer
+    b_fc: np.ndarray  # its bias, one per hidden unit
+    w_out: np.ndarray  # output head
+    b_out: np.ndarray
     z_max: float
     dropout_rate: float
     metadata: dict = field(default_factory=dict)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_x.shape[1]
+        return len(self.b_fc)
 
     def params(self):
         """(name, array) pairs in PARAM_NAMES order."""
         return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
     def validate(self):
-        four_h, d = self.w_x.shape
-        h = four_h // 4
-        if d != INPUT_SIZE:
-            raise ValueError(f"w_x must be {INPUT_SIZE} inputs wide, not {d}")
-        if four_h != 4 * h or self.w_h.shape != (four_h, h):
-            raise ValueError("gate matrices must stack 4 gates of one hidden size")
-        if self.b_g.shape != (four_h,) or self.w_fc.shape != (h, h):
-            raise ValueError("inconsistent parameter shapes")
-        if self.b_fc.shape != (h,) or self.w_out.shape != (2, h) or self.b_out.shape != (2,):
-            raise ValueError("inconsistent parameter shapes")
-        for name, arr in self.params():
+        h = self.hidden_size
+        if h < 1:
+            raise ValueError("hidden size must be at least 1, not 0")
+        for name, shape in param_shapes(h).items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} at hidden "
+                                 f"size {h}, not {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -180,20 +186,15 @@ def init_model(z_max: float, hidden_size: int = TrainConfig.hidden_size,
     feature scale the inputs are built with."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1517]))
     bound = 1.0 / math.sqrt(hidden_size)
-    four_h = 4 * hidden_size
-
-    def u(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    b_g = u(four_h)
-    b_g[hidden_size:2 * hidden_size] += 1.0
-    model = LstmModel(
-        w_x=u(four_h, INPUT_SIZE), w_h=u(four_h, hidden_size), b_g=b_g,
-        w_fc=u(hidden_size, hidden_size), b_fc=u(hidden_size),
-        w_out=u(2, hidden_size), b_out=u(2),
-        z_max=z_max, dropout_rate=dropout_rate,
-        metadata=dict(metadata or {}, seed=seed),
-    )
+    shapes = param_shapes(hidden_size)
+    # b_g first, then the rest in PARAM_NAMES order: each seed's weights
+    # depend on this draw order
+    params = {"b_g": rng.uniform(-bound, bound, size=shapes.pop("b_g"))}
+    params["b_g"][hidden_size:2 * hidden_size] += 1.0
+    for name, shape in shapes.items():
+        params[name] = rng.uniform(-bound, bound, size=shape)
+    model = LstmModel(**params, z_max=z_max, dropout_rate=dropout_rate,
+                      metadata=dict(metadata or {}, seed=seed))
     model.validate()
     return model
 
@@ -701,20 +702,14 @@ class RollEstimator:
 # ------------------------------------------------------------- serialization
 
 def save_model(model: LstmModel, path):
-    """Self-sufficient JSON model file: version, shapes, scaler, weights."""
+    """Self-sufficient JSON model file: the schema version, then each
+    LstmModel field under its own name, a parameter as the flat list of
+    its values in row-major order. Its shape follows from the hidden size,
+    the length of b_fc (param_shapes)."""
     model.validate()
-    doc = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "hidden_size": model.hidden_size,
-        "input_size": model.input_size,
-        "z_max": model.z_max,
-        "dropout_rate": model.dropout_rate,
-        "metadata": model.metadata,
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in model.params()
-        },
-    }
+    doc = {name: arr.ravel().tolist() for name, arr in model.params()}
+    doc.update(schema_version=MODEL_SCHEMA_VERSION, z_max=model.z_max,
+               dropout_rate=model.dropout_rate, metadata=model.metadata)
     # json.dumps takes the C encoder, which json.dump never does
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -723,39 +718,18 @@ def save_model(model: LstmModel, path):
 def load_model(path) -> LstmModel:
     try:
         with open(path) as fh:
-            doc = decode(fh.read(), LstmModel, MODEL_SCHEMA_VERSION, "model",
-                         only=("z_max", "dropout_rate", "metadata"))
-        params = doc.get("params", {})
-        arrays = {}
-        for name in PARAM_NAMES:
-            if name not in params:
-                raise ValueError(f"no parameter {name!r}")
-            entry = params[name]
-            for key in ("data", "shape"):
-                if key not in entry:
-                    raise ValueError(f"parameter {name!r} has no {key!r}")
-            data, shape = entry["data"], entry["shape"]
-            check_json(data, np.ndarray, f"parameter {name!r} data")
-            # reshape alone would infer a -1 dimension
-            if not (isinstance(shape, list)
-                    and all(type(d) is int and d >= 0 for d in shape)
-                    and math.prod(shape) == len(data)):
+            doc = decode(fh.read(), LstmModel, MODEL_SCHEMA_VERSION, "model")
+        h = len(doc["b_fc"])
+        for name, shape in param_shapes(h).items():
+            if len(doc[name]) != math.prod(shape):
                 raise ValueError(
-                    f"parameter {name!r} shape {json.dumps(shape)} is not a "
-                    f"list of non-negative ints whose product is its data "
-                    f"length, {len(data)}")
-            arrays[name] = np.array(data, dtype=float).reshape(shape)
-        model = LstmModel(
-            **arrays, z_max=float(doc["z_max"]),
-            dropout_rate=float(doc["dropout_rate"]),
-            metadata=dict(doc.get("metadata", {})),
-        )
+                    f"parameter {name!r} holds {len(doc[name])} values, not "
+                    f"the {math.prod(shape)} of shape {shape} at hidden size {h}")
+            doc[name] = np.array(doc[name], dtype=float).reshape(shape)
+        doc.update(z_max=float(doc["z_max"]),
+                   dropout_rate=float(doc["dropout_rate"]))
+        model = LstmModel(**doc)
         model.validate()
-        for key in ("hidden_size", "input_size"):
-            recorded = doc.get(key)
-            if type(recorded) is not int or recorded != getattr(model, key):
-                raise ValueError(f"recorded {key} {recorded!r} contradicts "
-                                 f"the parameter shapes ({getattr(model, key)})")
-    except (TypeError, ValueError) as exc:  # TypeError: a wrong JSON type
+    except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from exc
     return model

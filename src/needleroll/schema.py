@@ -30,14 +30,14 @@ def _is_number(value) -> bool:
         type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def check_json(value, hint, where: str = "", only=None) -> None:
+def check_json(value, hint, where: str = "") -> None:
     """Raise ValueError naming the first part of a decoded JSON value that
     does not fit hint. Ints are no floats and bools no ints, floats take
     ints a float can hold, tuples are lists, an np.ndarray is a flat list
     of such numbers, only `X | None` takes null, and a dataclass is an
     object whose keys are its fields, each checked the same way; a field
     may be absent only when it has a default. `where` names value in the
-    message; `only` checks just those fields and lets other keys pass."""
+    message."""
     if isinstance(hint, types.UnionType):  # X | None
         if value is not None:
             check_json(value, typing.get_args(hint)[0], where)
@@ -46,11 +46,10 @@ def check_json(value, hint, where: str = "", only=None) -> None:
             raise ValueError(f"{where or 'the top level'} is not a JSON object")
         prefix = f"{where}: " if where else ""
         fields = _fields(hint)
-        unknown = set() if only else value.keys() - fields.keys()
+        unknown = value.keys() - fields.keys()
         if unknown:
             raise ValueError(f"{prefix}unknown keys {sorted(unknown)}")
-        for name in only or fields:
-            field_hint, required = fields[name]
+        for name, (field_hint, required) in fields.items():
             if name in value:
                 check_json(value[name], field_hint,
                            f"{where}[{name!r}]" if where else repr(name))
@@ -72,7 +71,7 @@ def check_json(value, hint, where: str = "", only=None) -> None:
         raise ValueError(f"{where} must be {hint.__name__}, got {json.dumps(value)}")
 
 
-def decode(text: str, cls, version: int, what: str, only=None) -> dict:
+def decode(text: str, cls, version: int, what: str) -> dict:
     """The JSON object in text less its schema_version, which must be
     version, checked against cls by check_json; `what` names the file kind
     in the version message. Every fault is a ValueError."""
@@ -82,5 +81,5 @@ def decode(text: str, cls, version: int, what: str, only=None) -> dict:
     got = doc.pop("schema_version", None)
     if type(got) is not int or got != version:
         raise ValueError(f"unsupported {what} schema {got!r}")
-    check_json(doc, cls, only=only)
+    check_json(doc, cls)
     return doc

@@ -18,7 +18,7 @@ from needleroll.dataset import (
     record_to_line,
 )
 from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
-from needleroll.lstm import init_model, save_model
+from needleroll.lstm import init_model, param_shapes, save_model
 from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
 from needleroll.config import (
     RunConfig,
@@ -770,40 +770,60 @@ def test_cli_steer_lstm_requires_model(tmp_path, capsys):
 
 def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
                                                                capsys):
-    """A model file with a missing or wrong-typed field is a usage error,
-    and so is one that loads but cannot steer: a non-finite or non-positive
-    z_max (json writes and reads Infinity and NaN), a w_x of the wrong
-    width, parameter data that holds a string or a bool, recorded sizes
-    that contradict the parameter shapes, a top level that is not an
-    object, or text that is not JSON. Each prints one error line, naming
-    the file where the fault is in it, and writes nothing."""
+    """A model file with a missing, unknown or wrong-typed field is a usage
+    error, and so is one that loads but cannot steer: a non-finite or
+    non-positive z_max (json writes and reads Infinity and NaN), a
+    parameter with one value too few or too many for the hidden size
+    len(b_fc), parameter data that holds a string or a bool, a hidden size
+    of 0, a schema-1 file (which must be re-trained), a top level that is
+    not an object, or text that is not JSON. Each prints one error line,
+    naming the file where the fault is in it, and writes nothing."""
     path = tmp_path / "model.json"
     save_model(init_model(75.0, hidden_size=4, seed=1), path)
     saved = path.read_text()
+
+    def schema_1(doc):  # the layout before every field was stored once
+        params = {name: {"shape": list(shape), "data": doc.pop(name)}
+                  for name, shape in param_shapes(4).items()}
+        doc.update(schema_version=1, hidden_size=4, input_size=8,
+                   params=params)
+
     cases = [
-        (lambda doc: doc["params"].pop("w_fc"), "'w_fc'"),
+        (lambda doc: doc.pop("w_fc"), "missing field 'w_fc'"),
         (lambda doc: doc.pop("z_max"), "'z_max'"),
         (lambda doc: doc.pop("dropout_rate"), "'dropout_rate'"),
-        (lambda doc: doc["params"]["w_out"].pop("data"), "'w_out' has no 'data'"),
-        (lambda doc: doc["params"]["b_g"].pop("shape"), "'b_g' has no 'shape'"),
+        (lambda doc: doc.update(hidden_size=4),
+         "unknown keys ['hidden_size']"),
+        (schema_1, "unsupported model schema 1"),
         (lambda doc: doc.update(z_max=[75.0]), "'z_max' must be float"),
         (lambda doc: doc.update(z_max=True), "'z_max' must be float"),
         (lambda doc: doc.update(z_max="75"), "'z_max' must be float"),
         (lambda doc: doc.update(dropout_rate="0.2"),
          "'dropout_rate' must be float"),
         (lambda doc: doc.update(metadata=[]), "'metadata' must be dict"),
-        (lambda doc: doc["params"]["b_out"].update(data=["0.5", 0.5]),
-         "'b_out' data must hold only numbers"),
-        (lambda doc: doc["params"]["b_out"].update(data=[True, 0.5]),
-         "'b_out' data must hold only numbers"),
-        (lambda doc: doc.update(hidden_size=5), "recorded hidden_size 5"),
-        (lambda doc: doc.update(input_size=7), "recorded input_size 7"),
+        (lambda doc: doc.update(b_out=["0.5", 0.5]),
+         "'b_out' must hold only numbers"),
+        (lambda doc: doc.update(b_out=[True, 0.5]),
+         "'b_out' must hold only numbers"),
         (lambda doc: doc.update(z_max=math.inf), "z_max must be finite"),
         (lambda doc: doc.update(z_max=math.nan), "z_max must be finite"),
         (lambda doc: doc.update(z_max=0.0), "z_max must be finite"),
-        (lambda doc: doc["params"]["w_x"].update(
-            shape=[16, 7], data=doc["params"]["w_x"]["data"][:112]),
-         "w_x must be 8 inputs wide"),
+        (lambda doc: doc["w_x"].pop(),
+         "parameter 'w_x' holds 127 values, not the 128 of shape (16, 8) "
+         "at hidden size 4"),
+        (lambda doc: doc["w_x"].append(0.5),
+         "parameter 'w_x' holds 129 values, not the 128 of shape (16, 8) "
+         "at hidden size 4"),
+        (lambda doc: doc["b_g"].pop(),
+         "parameter 'b_g' holds 15 values, not the 16 of shape (16,) "
+         "at hidden size 4"),
+        (lambda doc: doc["b_g"].append(0.5),
+         "parameter 'b_g' holds 17 values, not the 16 of shape (16,) "
+         "at hidden size 4"),
+        # every parameter empty but b_out: the shapes of hidden size 0
+        (lambda doc: doc.update({name: [] for name in param_shapes(0)
+                                 if name != "b_out"}),
+         "hidden size must be at least 1"),
     ]
     damaged = []
     for damage, expect in cases:
@@ -819,36 +839,9 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
                      "--model", str(path),
                      "--out", str(tmp_path / "x")]) == 1, expect
         err = capsys.readouterr().err
-        assert err.startswith("error:") and expect in err
+        assert err.startswith("error:") and expect in err, (expect, err)
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x").exists()
-
-
-def test_cli_model_with_an_unfit_parameter_shape_fails_before_writing(
-        tmp_path, capsys):
-    """A parameter's shape must be a list of non-negative ints whose
-    product is the length of its data: reshape would infer a -1 (so
-    [-1, 8] and [-1] once loaded and steered), and [-2, -64] has the
-    right product. Each case prints one error line naming the parameter
-    and writes nothing to --out."""
-    path = tmp_path / "model.json"
-    save_model(init_model(75.0, hidden_size=4, seed=1), path)
-    saved = path.read_text()
-    cases = [("w_x", [-1, 8]), ("b_g", [-1]), ("w_x", [-2, -64]),
-             ("w_x", [16, 8.0]), ("w_x", [True, 8]), ("w_x", "16,8"),
-             ("w_x", [4, 8]), ("b_g", []), ("b_g", [[16]]), ("b_out", None)]
-    for name, shape in cases:
-        doc = json.loads(saved)
-        doc["params"][name]["shape"] = shape
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        out = tmp_path / "x"
-        assert main(["evaluate", "--estimators", "lstm", "--n", "1",
-                     "--model", str(path), "--out", str(out)]) == 1, shape
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert f"parameter {name!r} shape {json.dumps(shape)}" in err
-        assert not out.exists()
 
 
 def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):

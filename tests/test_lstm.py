@@ -29,6 +29,7 @@ from needleroll.lstm import (
     forward_step,
     init_model,
     load_model,
+    param_shapes,
     run_sequence,
     save_model,
     scale_features,
@@ -127,7 +128,7 @@ def reference_forward(model, xs):
         z = []
         for r in range(4 * h_size):
             acc = model.b_g[r]
-            for j in range(model.input_size):
+            for j in range(model.w_x.shape[1]):
                 acc += model.w_x[r, j] * x[j]
             for j in range(h_size):
                 acc += model.w_h[r, j] * h[j]
@@ -744,6 +745,9 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.metadata["note"] == "roundtrip"
     xs = np.random.default_rng(16).uniform(-1, 1, size=(9, 8))
     assert np.array_equal(run_sequence(m, xs), run_sequence(loaded, xs))
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_load_rejects_unknown_version(tmp_path):
@@ -760,7 +764,37 @@ def test_model_load_rejects_unknown_version(tmp_path):
 
 
 def test_model_validate_rejects_bad_shapes():
-    m = init_model(75.0, hidden_size=4, seed=59)
-    m.w_fc = np.zeros((3, 4))
-    with pytest.raises(ValueError):
+    """A wrong shape on any one parameter fails, naming it: an extra axis,
+    or a first axis one short (not on b_fc, whose length is the hidden
+    size). So does the hidden size 0, which init_model never makes."""
+    for name, arr in init_model(75.0, hidden_size=4, seed=59).params():
+        wrong = [(*arr.shape, 1)]
+        if name != "b_fc":
+            wrong.append((arr.shape[0] - 1, *arr.shape[1:]))
+        for shape in wrong:
+            m = init_model(75.0, hidden_size=4, seed=59)
+            setattr(m, name, np.zeros(shape))
+            with pytest.raises(ValueError, match=f"^{name} must have shape"):
+                m.validate()
+    m = LstmModel(**{name: np.zeros(shape)
+                     for name, shape in param_shapes(0).items()},
+                  z_max=75.0, dropout_rate=0.0)
+    with pytest.raises(ValueError, match="hidden size must be at least 1"):
         m.validate()
+
+
+def test_init_model_keeps_its_draw_order():
+    """init_model draws b_g first, then the other six parameters in
+    PARAM_NAMES order, so a seed keeps giving the same weights."""
+    h = 3
+    m = init_model(75.0, hidden_size=h, seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence([5, 0x1517]))
+    bound = 1.0 / math.sqrt(h)
+    b_g = rng.uniform(-bound, bound, size=4 * h)
+    b_g[h:2 * h] += 1.0
+    assert np.array_equal(m.b_g, b_g)
+    for name, shape in [("w_x", (4 * h, 8)), ("w_h", (4 * h, h)),
+                        ("w_fc", (h, h)), ("b_fc", (h,)), ("w_out", (2, h)),
+                        ("b_out", (2,))]:
+        assert np.array_equal(getattr(m, name),
+                              rng.uniform(-bound, bound, size=shape)), name
