@@ -20,7 +20,7 @@ workspace = WorkspaceCone(bounding_curvature=medium.curvature)
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print(f"generating 16 insertions in {root} ...")
     manifest = generate_dataset(16, medium, workspace, controller, seed=11,
-                                root=root, train_fraction=0.75)
+                                root=root)
     train_seqs = to_training_sequences(root, manifest, "train")
     val_seqs = to_training_sequences(root, manifest, "val")
 steps = sum(xs.shape[0] for xs, _ in train_seqs)

@@ -24,7 +24,7 @@ workspace = WorkspaceCone(bounding_curvature=gelatin.curvature)
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print("generating 24 gelatin insertions ...")
     manifest = generate_dataset(24, gelatin, workspace, controller, seed=21,
-                                root=root, train_fraction=0.75)
+                                root=root)
     train_seqs = to_training_sequences(root, manifest, "train")
     val_seqs = to_training_sequences(root, manifest, "val")
 

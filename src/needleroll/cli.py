@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"episode count (default {DEFAULT_EPISODES})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
     p.add_argument("--rigid", action="store_const", const=True)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
 
     p = commands.add_parser("train", help="fit the roll estimator")
     _add_common(p)
@@ -153,7 +152,6 @@ def cmd_generate(config: RunConfig) -> int:
         n=config.n, medium=config.make_medium(),
         workspace=config.make_workspace(),
         controller=ControllerParams(), seed=config.seed, root=out,
-        train_fraction=config.train_fraction, depth_cap=config.depth_cap,
         mapper=_mapper(config.jobs),
     )
     write_resolved_config(config, out)
@@ -195,7 +193,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     records = run_batch(
         config.estimators, config.make_medium(), ControllerParams(),
         config.make_workspace(), n_trials=config.n, seed=config.seed,
-        model=model, depth_cap=config.depth_cap, target=config.target,
+        model=model, target=config.target,
         mapper=_mapper(config.jobs),
     )
     report(records, out)

@@ -10,7 +10,9 @@ The controller and the reachable workspace are no settings:
 ControllerParams and WorkspaceCone own their constants, and a run builds
 them from those defaults (the workspace takes the medium's curvature).
 So the position feature scale is WorkspaceCone.depth_max, which the
-dataset manifest records as z_max and train copies into the model.
+dataset manifest records as z_max and train copies into the model. Nor
+are the depth at which a closed loop gives up and the share of episodes
+split into train: dataset owns them as DEPTH_CAP and TRAIN_FRACTION.
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from needleroll.controller import ControllerParams
-from needleroll.dataset import DEPTH_CAP, check_train_fraction
 from needleroll.evaluate import check_estimator_names
 from needleroll.lstm import TrainConfig
 from needleroll.plant import (
     MEDIUM_PRESETS,
     MediumParams,
     WorkspaceCone,
-    check_ranges,
     rigid_variant,
 )
 from needleroll.schema import check_json
@@ -48,11 +48,9 @@ class RunConfig:
     # plant / medium
     medium: str = "gelatin"
     rigid: bool = False
-    depth_cap: float = DEPTH_CAP
 
     # dataset generation; n doubles as the trial count for evaluation
     n: int | None = None
-    train_fraction: float = 6.0 / 7.0
 
     # training
     dataset: str | None = None
@@ -79,7 +77,6 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
-        check_train_fraction(self.train_fraction)
         for name in ("epochs", "batch_size", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ValueError(
@@ -88,7 +85,6 @@ class RunConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be finite and positive")
-        check_ranges(self, positive=("depth_cap",))
         if self.target is not None:
             if len(self.target) != 3:
                 raise ValueError("target must have three coordinates")

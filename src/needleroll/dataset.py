@@ -73,6 +73,7 @@ class GenerationStalled(RuntimeError):
 
 DEPTH_CAP = 80.0  # mm, insertion depth at which a closed loop gives up
 DEFAULT_EPISODES = 70  # generate's episode count
+TRAIN_FRACTION = 6.0 / 7.0  # share of a dataset's episodes split into train
 
 # EpisodeRecord's per-step arrays; run_closed_loop records a column of
 # each, plus the true and the estimated tip rotation. Step k is taken at
@@ -89,12 +90,13 @@ REPEATING_COLUMNS = ("base_angle", "roll_true", "rotation_speed")
 
 
 def run_closed_loop(medium: MediumParams, controller: ControllerParams,
-                    target, rng, estimator=None, depth_cap: float = DEPTH_CAP):
+                    target, rng, estimator=None):
     """Drive one insertion to the target; the canonical execution loop.
 
     Each tick, on floats: sense, estimate, decide, advance. `estimator` is any
     object with estimate(meas, base_angle) -> (rows, p), float rows and
-    floats; None steers on the plant state's. Stops on arrival or at the cap.
+    floats; None steers on the plant state's. Stops on arrival or at
+    DEPTH_CAP.
 
     Returns (logs, final_state, outcome, final_error). `logs` maps each
     STEP_COLUMNS name, "R_true" and "R_est" to a list with one entry per
@@ -109,7 +111,7 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
     state = initial_state()
     logs = {name: [] for name in (*STEP_COLUMNS, "R_true", "R_est")}
     outcome = "depth_capped"
-    while state.depth < depth_cap:
+    while state.depth < DEPTH_CAP:
         meas = sense(state, medium, rng)
         if estimator is None:
             rows, p = state.rows, state.p
@@ -160,6 +162,8 @@ class EpisodeRecord:
         n = self.steps
         if n < 1:
             raise ValueError("episode must contain at least one timestep")
+        if self.target.shape != (3,):
+            raise ValueError("target must hold three numbers")
         for name in ("position", "heading"):
             if getattr(self, name).shape != (n, 3):
                 raise ValueError(f"{name} must be (steps, 3)")
@@ -401,15 +405,13 @@ def _collect_episode(args):
     own episodes; the episode rng depends only on (root seed, slot,
     attempt), making results identical under any parallelism.
     """
-    (slot, root_seed, medium, workspace, controller, depth_cap) = args
+    (slot, root_seed, medium, workspace, controller) = args
     for attempt in range(RETRY_BUDGET):
         seed = (int(root_seed), int(slot), int(attempt))
         rng = np.random.default_rng(np.random.SeedSequence(list(seed)))
         target = sample_target(workspace, rng)
         logs, _, outcome, final_error = run_closed_loop(
-            medium, controller, target, rng, estimator=None,
-            depth_cap=depth_cap,
-        )
+            medium, controller, target, rng)
         if outcome == "arrived" and final_error < COLLECTION_ERROR_LIMIT:
             rec = record_from_logs(slot, seed, medium, controller,
                                    target, outcome, final_error, logs)
@@ -426,23 +428,23 @@ def _collect_episode(args):
 
 def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
                      controller: ControllerParams, seed: int, root: Path,
-                     train_fraction: float, depth_cap: float = DEPTH_CAP,
                      mapper=map) -> DatasetManifest:
     """Collect n accepted insertions in one medium, split them and persist
     them under root; returns the manifest it wrote.
 
     The manifest's z_max, the position feature scale, is the workspace's
     depth_max: no sampled target lies deeper. The episodes are split into
-    train and val by split(manifest, train_fraction, seed), and the
-    manifest is written once, with those labels. An n below 2 or a
-    train_fraction outside (0, 1) raises ValueError before root is created.
+    train and val by split(manifest, seed), and the manifest is written
+    once, with those labels. Its generation entry records the constants
+    the episodes were collected under, DEPTH_CAP among them. An n below 2
+    raises ValueError before root is created.
     `mapper` lets a caller swap in an order-preserving parallel map: its
     workers build and encode each episode's line, and this process writes
     the lines in slot order as they arrive. They go to a temporary file
     that replaces the episodes file only once every slot has arrived, so a
     failed run leaves a dataset already under root as it was.
     """
-    _check_split(n, train_fraction)
+    _check_split(n)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     z_max = workspace.depth_max
@@ -453,10 +455,9 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
         "workspace": dataclasses.asdict(workspace),
         "controller": dataclasses.asdict(controller),
         "seed": int(seed),
-        "depth_cap": depth_cap,
+        "depth_cap": DEPTH_CAP,
     }
-    args = [(slot, seed, medium, workspace, controller, depth_cap)
-            for slot in range(n)]
+    args = [(slot, seed, medium, workspace, controller) for slot in range(n)]
     metas = []
     partial = root / (EPISODES_FILENAME + ".tmp")
     try:
@@ -473,31 +474,23 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
         episodes_file=EPISODES_FILENAME, z_max=z_max,
         config_hash=config_hash(generation), generation=generation,
         episodes=tuple(metas),
-    ), train_fraction, seed)
+    ), seed)
     save_manifest(manifest, root)
     return manifest
 
 
-def check_train_fraction(train_fraction: float):
-    """The share of episodes split into train must leave both splits room:
-    it lies in (0, 1). RunConfig.validate checks a run's with it too."""
-    if not 0.0 < train_fraction < 1.0:  # NaN fails
-        raise ValueError("train fraction must be in (0, 1)")
-
-
-def _check_split(n: int, train_fraction: float):
-    check_train_fraction(train_fraction)
+def _check_split(n: int):
     if n < 2:
         raise ValueError("need at least two episodes to split")
 
 
-def split(manifest: DatasetManifest, train_fraction: float,
-          seed: int) -> DatasetManifest:
-    """Seeded episode-level partition into train and val assignments."""
+def split(manifest: DatasetManifest, seed: int) -> DatasetManifest:
+    """Seeded episode-level partition into train and val assignments:
+    TRAIN_FRACTION of the episodes, rounded, go to train, but at least one
+    goes to val."""
     n = len(manifest.episodes)
-    _check_split(n, train_fraction)
-    n_train = int(round(n * train_fraction))
-    n_train = min(max(n_train, 1), n - 1)
+    _check_split(n)
+    n_train = min(round(n * TRAIN_FRACTION), n - 1)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5350]))
     order = rng.permutation(n)
     train_ids = {manifest.episodes[k].episode_id for k in order[:n_train]}

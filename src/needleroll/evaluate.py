@@ -31,7 +31,6 @@ import numpy as np
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
-    DEPTH_CAP,
     DatasetError,
     read_record_line,
     record_from_logs,
@@ -72,8 +71,7 @@ def make_estimator(name: str, medium: MediumParams,
 
 def run_trial(estimator_name: str, medium: MediumParams,
               controller: ControllerParams, target, seed,
-              model: LstmModel | None = None, trial_id: int = 0,
-              depth_cap: float = DEPTH_CAP):
+              model: LstmModel | None = None, trial_id: int = 0):
     """One closed-loop insertion under the named estimator.
 
     Returns the trial's EpisodeRecord, named after the estimator. It
@@ -86,7 +84,7 @@ def run_trial(estimator_name: str, medium: MediumParams,
     rng = np.random.default_rng(np.random.SeedSequence(list(seed)))
     estimator = make_estimator(estimator_name, medium, controller, model)
     logs, _, outcome, final_error = run_closed_loop(
-        medium, controller, target, rng, estimator, depth_cap)
+        medium, controller, target, rng, estimator)
     logs["roll_est"] = [decompose_roll(rows)[1] for rows in logs["R_est"]]
     logs["angular_error"] = list(map(angular_error, logs["R_est"],
                                      logs["R_true"]))
@@ -108,7 +106,7 @@ def sample_targets(workspace: WorkspaceCone, seed: int, n: int):
 def run_batch(estimator_names, medium: MediumParams,
               controller: ControllerParams, workspace: WorkspaceCone,
               n_trials: int, seed: int, model: LstmModel | None = None,
-              depth_cap: float = DEPTH_CAP, target=None, mapper=map):
+              target=None, mapper=map):
     """Paired trials: each estimator steers to the same sampled targets, or
     every trial to `target` when one is given.
 
@@ -128,7 +126,7 @@ def run_batch(estimator_names, medium: MediumParams,
         for name in estimator_names:
             trial_seed = (int(seed), ESTIMATOR_NAMES.index(name), k)
             tasks.append((name, medium, controller, goal, trial_seed,
-                          model, trial_id, depth_cap))
+                          model, trial_id))
             trial_id += 1
     return list(mapper(_run_trial_task, tasks))
 
@@ -147,13 +145,11 @@ def check_estimator_names(names):
             raise ValueError(f"estimator {name!r} is listed twice")
 
 
-def histogram(values, bin_width: float = BIN_WIDTH):
-    """(edges, counts) of angular errors; the bins step by bin_width from 0,
+def histogram(values):
+    """(edges, counts) of angular errors; the bins step by BIN_WIDTH from 0,
     the last widened to reach pi."""
-    if not 0.0 < bin_width < math.inf:  # NaN fails
-        raise ValueError("bin width must be finite and positive")
-    n_bins = max(1, math.ceil(math.pi / bin_width))
-    edges = np.arange(n_bins + 1) * bin_width
+    n_bins = math.ceil(math.pi / BIN_WIDTH)
+    edges = np.arange(n_bins + 1) * BIN_WIDTH
     edges[-1] = max(edges[-1], math.pi)
     counts, _ = np.histogram(values, bins=edges)
     return edges, counts

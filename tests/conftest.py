@@ -45,8 +45,7 @@ def desk_dataset(tmp_path_factory, run_defaults):
     root = tmp_path_factory.mktemp("desk_dataset")
     manifest = generate_dataset(
         70, cfg.make_medium(), cfg.make_workspace(), ControllerParams(),
-        seed=42, root=root, train_fraction=cfg.train_fraction,
-        depth_cap=cfg.depth_cap,
+        seed=42, root=root,
     )
     return root, manifest
 

@@ -13,7 +13,6 @@ from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DATASET_SCHEMA_VERSION,
     DEFAULT_EPISODES,
-    generate_dataset,
     load_manifest,
     record_to_line,
 )
@@ -21,7 +20,6 @@ from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
 from needleroll.lstm import init_model, param_shapes, save_model
 from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
 from needleroll.config import (
-    RunConfig,
     load_config_file,
     resolve_config,
     write_resolved_config,
@@ -77,8 +75,6 @@ def test_config_validation():
         resolve_config({}, {"estimators": ("lstm", "psychic")})
     with pytest.raises(ValueError):
         resolve_config({}, {"jobs": 0})
-    with pytest.raises(ValueError):
-        resolve_config({}, {"train_fraction": 1.5})
     with pytest.raises(ValueError):
         resolve_config({}, {"target": (1.0, 2.0)})
 
@@ -161,25 +157,28 @@ def test_cli_generate_deterministic_across_jobs(tmp_path):
                 (tmp_path / "jobs1" / name).read_bytes()
 
 
-def test_cli_generate_stall_is_runtime_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"depth_cap": 20.0}))
-    code = main(["generate", "--config", str(cfg), "--n", "2",
-                 "--out", str(tmp_path / "ds")])
+def test_cli_generate_stall_is_runtime_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dataset, "DEPTH_CAP", 20.0)
+    code = main(["generate", "--n", "2", "--out", str(tmp_path / "ds")])
     assert code == 2
     assert "failed" in capsys.readouterr().err
 
 
 def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
-                                                           capsys):
+                                                           capsys,
+                                                           monkeypatch):
     """A slot that cannot arrive fails a pooled run the way it fails a
     one-process run, and leaves no worker behind. It writes no file, and a
-    dataset already in its directory stays byte-identical and trainable."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"depth_cap": 20.0}))
+    dataset already in its directory stays byte-identical and trainable.
+    The forked workers inherit the lowered depth cap."""
+    kept = tmp_path / "kept"
+    args = ["generate", "--n", "3", "--seed", "5", "--out", str(kept)]
+    assert main(args) == 0
+    before = {f.name: f.read_bytes() for f in kept.iterdir()}
+
+    monkeypatch.setattr(dataset, "DEPTH_CAP", 20.0)
     ds = tmp_path / "ds"
-    code = main(["generate", "--config", str(cfg), "--n", "4", "--jobs", "2",
-                 "--out", str(ds)])
+    code = main(["generate", "--n", "4", "--jobs", "2", "--out", str(ds)])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(
@@ -187,11 +186,7 @@ def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
     assert list(ds.iterdir()) == []
     assert multiprocessing.active_children() == []
 
-    kept = tmp_path / "kept"
-    args = ["generate", "--n", "3", "--seed", "5", "--out", str(kept)]
-    assert main(args) == 0
-    before = {f.name: f.read_bytes() for f in kept.iterdir()}
-    assert main([*args, "--config", str(cfg), "--jobs", "2"]) == 2
+    assert main([*args, "--jobs", "2"]) == 2
     assert {f.name: f.read_bytes() for f in kept.iterdir()} == before
     assert multiprocessing.active_children() == []
     assert main(["train", "--dataset", str(kept), "--epochs", "1",
@@ -281,27 +276,6 @@ def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
     assert not ds.exists()
 
 
-def test_cli_and_generate_dataset_refuse_a_train_fraction_alike(tmp_path,
-                                                                capsys):
-    """generate's config check and generate_dataset hold the train
-    fraction to one rule: each refuses a value outside (0, 1), NaN
-    included, with the same message, and writes nothing."""
-    config = RunConfig()
-    for value in ("0", "1", "1.5", "-0.25", "nan", "inf"):
-        ds = tmp_path / "ds"
-        assert main(["generate", "--n", "4", "--train-fraction", value,
-                     "--out", str(ds)]) == 1
-        err = capsys.readouterr().err
-        with pytest.raises(ValueError) as raised:
-            generate_dataset(n=4, medium=config.make_medium(),
-                             workspace=config.make_workspace(),
-                             controller=ControllerParams(), seed=0,
-                             root=ds, train_fraction=float(value))
-        assert err == f"error: {raised.value}\n"
-        assert "train fraction" in err
-        assert not ds.exists()
-
-
 def test_cli_generate_writes_the_manifest_once(tmp_path, monkeypatch):
     """generate saves the manifest once, already split: no manifest
     without train/val labels is ever on disk."""
@@ -358,9 +332,9 @@ def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
     manifest as the float spelling."""
     ds = tmp_path / "ds"
     written = []
-    for depth_cap in (80, 80.0):
+    for dropout, target in ((0, [3, 4, 60]), (0.0, [3.0, 4.0, 60.0])):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"depth_cap": depth_cap, "target": [3, 4, 60]}))
+        cfg.write_text(json.dumps({"dropout": dropout, "target": target}))
         shutil.rmtree(ds, ignore_errors=True)
         assert main(["generate", "--n", "2", "--seed", "3", "--config",
                      str(cfg), "--out", str(ds)]) == 0
@@ -368,7 +342,7 @@ def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
                         ("config.json", "manifest.json", "episodes.jsonl")])
     assert written[0] == written[1]
     doc = json.loads(written[0][0])
-    assert doc["depth_cap"] == 80.0 and type(doc["depth_cap"]) is float
+    assert doc["dropout"] == 0.0 and type(doc["dropout"]) is float
     assert all(type(v) is float for v in doc["target"])
 
 
@@ -682,10 +656,10 @@ def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
 def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
     """A config.json resolved before a setting was deleted still holds it:
     "estimator" (evaluate's one estimator, before it took a list),
-    "jitter", "bin_width", and the copies of the ControllerParams and
-    WorkspaceCone constants. Each is an unknown key, named, and a deleted
-    flag, or one a subcommand never read, is an unknown flag; no run
-    writes anything."""
+    "jitter", "bin_width", "depth_cap", "train_fraction", and the copies
+    of the ControllerParams and WorkspaceCone constants. Each is an
+    unknown key, named, and a deleted flag, or one a subcommand never
+    read, is an unknown flag; no run writes anything."""
     out = tmp_path / "out"
     workspace_keys = ("depth_min", "depth_max", "radial_margin")
     controller_keys = ("insertion_speed", "rotation_speed", "rate",
@@ -694,6 +668,9 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
             ("evaluate", "estimator", "lstm"),
             ("generate", "jitter", 0.25),
             ("evaluate", "bin_width", 0.1),
+            ("evaluate", "depth_cap", 80.0),
+            ("generate", "depth_cap", 80.0),
+            ("generate", "train_fraction", 6.0 / 7.0),
             *(("generate", k, getattr(WorkspaceCone, k))
               for k in workspace_keys),
             *(("evaluate", k, getattr(ControllerParams, k))
@@ -711,6 +688,7 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
         assert err.startswith("error:") and f"unknown keys [{key!r}]" in err
         assert not out.exists()
     for argv in (["generate", "--n", "2", "--jitter", "0.25"],
+                 ["generate", "--n", "2", "--train-fraction", "0.5"],
                  ["evaluate", "--estimators", "truth", "--n", "2",
                   "--bin-width", "0.1"],
                  ["train", "--dataset", str(tmp_path / "ds"), "--jobs", "2"],

@@ -49,8 +49,7 @@ WORKSPACE = WorkspaceCone()
 def small_dataset(tmp_path, n=4, seed=7, name="ds"):
     root = tmp_path / name
     manifest = generate_dataset(n=n, medium=GELATIN, workspace=WORKSPACE,
-                                controller=CONTROLLER, seed=seed, root=root,
-                                train_fraction=0.5)
+                                controller=CONTROLLER, seed=seed, root=root)
     return root, manifest
 
 
@@ -82,12 +81,13 @@ def test_closed_loop_truth_steering_arrives():
 
 
 def test_closed_loop_depth_cap():
+    """A target deeper than the cap is never reached."""
     rng = np.random.default_rng(1)
-    target = np.array([0.0, 0.0, 70.0])
+    target = np.array([0.0, 0.0, DEPTH_CAP + 10.0])
     logs, state, outcome, err = run_closed_loop(
-        GELATIN, CONTROLLER, target, rng, depth_cap=20.0)
+        GELATIN, CONTROLLER, target, rng)
     assert outcome == "depth_capped"
-    assert state.depth >= 20.0
+    assert state.depth >= DEPTH_CAP
     assert err > 1.0
 
 
@@ -156,23 +156,22 @@ def test_generate_without_jitter_keeps_preset(tmp_path):
         assert rec.medium == GELATIN
 
 
-def test_generate_stalls_on_unreachable_targets(tmp_path):
+def test_generate_stalls_on_unreachable_targets(tmp_path, monkeypatch):
+    monkeypatch.setattr("needleroll.dataset.DEPTH_CAP", 20.0)
     with pytest.raises(GenerationStalled):
         generate_dataset(n=2, medium=GELATIN, workspace=WORKSPACE,
                          controller=CONTROLLER, seed=0,
-                         root=tmp_path / "stall", train_fraction=0.5,
-                         depth_cap=20.0)
+                         root=tmp_path / "stall")
 
 
 def test_generate_rejects_empty(tmp_path):
-    """An empty, a single-episode or an unsplittable dataset is refused
-    before root is created, so no directory is left behind."""
+    """An empty or a single-episode dataset is refused before root is
+    created, so no directory is left behind."""
     root = tmp_path / "x"
-    for n, train_fraction in ((0, 0.5), (1, 0.5), (4, 1.0)):
+    for n in (0, 1):
         with pytest.raises(ValueError):
             generate_dataset(n=n, medium=GELATIN, workspace=WORKSPACE,
-                             controller=CONTROLLER, seed=0, root=root,
-                             train_fraction=train_fraction)
+                             controller=CONTROLLER, seed=0, root=root)
         assert not root.exists()
 
 
@@ -337,8 +336,13 @@ def test_record_line_rejects_wrong_schema(tmp_path):
      "'position' must hold only numbers"),
     (lambda d: d.update(rotation_speed={}),
      "'rotation_speed' must hold only numbers"),
+    (lambda d: d.update(target=[]), "target must hold three numbers"),
+    (lambda d: d.update(target=d["target"][:2]),
+     "target must hold three numbers"),
+    (lambda d: d["target"].append(1.0), "target must hold three numbers"),
 ], ids=["bool_version", "no_version", "int_past_float_range",
-        "negative_int_past_float_range", "nested_list", "object_column"])
+        "negative_int_past_float_range", "nested_list", "object_column",
+        "empty_target", "short_target", "long_target"])
 def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
     """Every fault of a line is a ValueError naming what is wrong, so
     read_record_line need catch nothing else."""
@@ -354,7 +358,7 @@ def test_manifest_roundtrip(tmp_path):
     root, manifest = small_dataset(tmp_path, n=3, seed=17)
     loaded = load_manifest(root)
     assert loaded == manifest
-    assert manifest == split(manifest, 0.5, seed=17)
+    assert manifest == split(manifest, seed=17)
     assert {m.split for m in manifest.episodes} == {"train", "val"}
 
 
@@ -379,47 +383,43 @@ def test_config_hash_sensitivity():
 # -------------------------------------------------------------------- splits
 
 def test_split_full_scale_ratio():
-    manifest = split(fake_manifest(270), train_fraction=240.0 / 270.0, seed=1)
+    manifest = split(fake_manifest(280), seed=1)
     assert len(manifest.with_ids("train")) == 240
-    assert len(manifest.with_ids("val")) == 30
+    assert len(manifest.with_ids("val")) == 40
 
 
 def test_split_desk_scale_ratio():
-    manifest = split(fake_manifest(70), train_fraction=6.0 / 7.0, seed=1)
+    manifest = split(fake_manifest(70), seed=1)
     assert len(manifest.with_ids("train")) == 60
     assert len(manifest.with_ids("val")) == 10
 
 
 def test_split_deterministic_and_disjoint():
-    a = split(fake_manifest(50), train_fraction=0.8, seed=9)
-    b = split(fake_manifest(50), train_fraction=0.8, seed=9)
+    a = split(fake_manifest(50), seed=9)
+    b = split(fake_manifest(50), seed=9)
     assert a == b
     train = set(a.with_ids("train"))
     val = set(a.with_ids("val"))
     assert not train & val
     assert train | val == set(range(50))
-    c = split(fake_manifest(50), train_fraction=0.8, seed=10)
+    c = split(fake_manifest(50), seed=10)
     assert set(c.with_ids("train")) != train
 
 
-def test_split_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        split(fake_manifest(10), train_fraction=1.0, seed=0)
-    with pytest.raises(ValueError):
-        split(fake_manifest(10), train_fraction=0.0, seed=0)
-
-
 def test_split_never_empties_a_side():
-    manifest = split(fake_manifest(3), train_fraction=0.99, seed=0)
-    assert len(manifest.with_ids("train")) == 2
-    assert len(manifest.with_ids("val")) == 1
+    """6/7 of two or three episodes rounds to all of them; one stays
+    in val."""
+    for n in (2, 3):
+        manifest = split(fake_manifest(n), seed=0)
+        assert len(manifest.with_ids("train")) == n - 1
+        assert len(manifest.with_ids("val")) == 1
 
 
 # ---------------------------------------------------------- training tensors
 
 def test_training_sequences_counts_and_scaling(tmp_path):
     root, manifest = small_dataset(tmp_path, n=3, seed=19)
-    manifest = split(manifest, train_fraction=2.0 / 3.0, seed=1)
+    manifest = split(manifest, seed=1)
     records = load_episodes(root, manifest)
     seqs = to_training_sequences(root, manifest)
     assert sum(len(xs) for xs, _ in seqs) == sum(rec.steps for rec in records)
@@ -451,7 +451,7 @@ def test_episode_to_sequence_matches_per_step_build(tmp_path):
 
 def test_training_sequences_respect_split(tmp_path):
     root, manifest = small_dataset(tmp_path, n=4, seed=23)
-    manifest = split(manifest, train_fraction=0.75, seed=2)
+    manifest = split(manifest, seed=2)
     train_seqs = to_training_sequences(root, manifest, "train")
     val_seqs = to_training_sequences(root, manifest, "val")
     assert len(train_seqs) == 3 and len(val_seqs) == 1
@@ -466,6 +466,6 @@ def test_rigid_collection_has_zero_lag(tmp_path):
     root = tmp_path / "rigid"
     manifest = generate_dataset(n=2, medium=rigid_variant(GELATIN),
                                 workspace=WORKSPACE, controller=CONTROLLER,
-                                seed=29, root=root, train_fraction=0.5)
+                                seed=29, root=root)
     rec = load_episodes(root, manifest)[0]
     assert np.abs(rec.base_angle - rec.roll_true).max() < 1e-12

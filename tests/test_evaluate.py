@@ -16,6 +16,7 @@ from needleroll.dataset import (
     run_closed_loop,
 )
 from needleroll.evaluate import (
+    BIN_WIDTH,
     _roll_error,
     histogram,
     make_estimator,
@@ -260,15 +261,15 @@ def test_summarize_weights_by_steps():
 # ------------------------------------------------------------------ histogram
 
 def test_histogram_single_bin_mass():
-    edges, counts = histogram([0.11, 0.12, 0.13, 0.14], bin_width=0.1)
+    edges, counts = histogram(np.array([2.2, 2.4, 2.6, 2.8]) * BIN_WIDTH)
     assert counts.sum() == 4
-    assert counts[1] == 4  # all in [0.1, 0.2)
+    assert counts[2] == 4  # all in [2, 3) bin widths
 
 
 def test_histogram_total_equals_timesteps():
     rng = np.random.default_rng(19)
     values = rng.uniform(0.0, math.pi, size=rng.integers(35, 280))
-    edges, counts = histogram(values, bin_width=0.05)
+    edges, counts = histogram(values)
     assert counts.sum() == len(values)
     assert edges[0] == 0.0 and edges[-1] >= math.pi
 
@@ -276,8 +277,7 @@ def test_histogram_total_equals_timesteps():
 def test_histogram_matches_naive_binning():
     rng = np.random.default_rng(23)
     values = np.append(rng.uniform(0.0, math.pi, size=150), math.pi)
-    width = 0.07
-    edges, counts = histogram(values, bin_width=width)
+    edges, counts = histogram(values)
     naive = np.zeros(len(counts), dtype=int)
     for v in values:
         for b in range(len(counts)):
@@ -286,12 +286,6 @@ def test_histogram_matches_naive_binning():
                 naive[b] += 1
                 break
     assert np.array_equal(counts, naive)
-
-
-def test_histogram_rejects_bad_width():
-    for width in (0.0, -0.05, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            histogram([], bin_width=width)
 
 
 # -------------------------------------------------------------------- reports
