@@ -26,7 +26,7 @@ with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
 steps = sum(xs.shape[0] for xs, _ in train_seqs)
 print(f"train {len(train_seqs)} episodes ({steps} steps), val {len(val_seqs)}")
 
-config = TrainConfig(epochs=150, hidden_size=16, learning_rate=3e-3, seed=0)
+config = TrainConfig(epochs=150, hidden_size=16, seed=0)
 model, log = train(train_seqs, val_seqs, config, manifest.z_max)
 for row in log[:: max(1, len(log) // 12)]:
     print(f"  epoch {row.epoch:3d}: train loss {row.train_loss:.4f}, "

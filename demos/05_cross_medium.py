@@ -29,7 +29,7 @@ with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     val_seqs = to_training_sequences(root, manifest, "val")
 
 print("training (reduced scale) ...")
-config = TrainConfig(epochs=150, hidden_size=24, learning_rate=3e-3, seed=0)
+config = TrainConfig(epochs=150, hidden_size=24, seed=0)
 model, log = train(train_seqs, val_seqs, config, manifest.z_max)
 print(f"best val RMSE {min(r.val_rmse for r in log):.4f}")
 

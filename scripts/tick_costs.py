@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import os
 import platform
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
     # fresh one, built untimed in the same workspace
     batch_rng = np.random.default_rng(SEED)
     workspace = lstm.Workspace()
+    training_pass = functools.partial(
+        lstm._forward_batch, workspace=workspace,
+        dropout=lstm.Dropout(lstm.TrainConfig.dropout_rate, batch_rng))
     training_rows = []
     for width in (8, 4):
         seqs = [(batch_rng.uniform(-1.0, 1.0, (BATCH_STEPS, lstm.INPUT_SIZE)),
@@ -166,22 +170,22 @@ def main(argv=None) -> int:
         xs, ys, mask = lstm._pad_batch(seqs)
 
         def forward_args(xs=xs):
-            return [(model, xs, True, batch_rng, workspace)]
+            return [(model, xs)]
 
         def backward_args(xs=xs, ys=ys, mask=mask):
-            cache = lstm._forward_batch(model, xs, True, batch_rng, workspace)
+            cache = training_pass(model, xs)
             return [(model, cache, ys, mask)]
 
         training_rows += [
-            (f"lstm._forward_batch B={width}", lstm._forward_batch,
+            (f"lstm._forward_batch B={width}", training_pass,
              forward_args, BATCH_STEPS),
             (f"lstm.backward B={width}", lstm.backward, backward_args,
              BATCH_STEPS),
         ]
-    cache = lstm._forward_batch(model, xs, True, batch_rng, workspace)
+    cache = training_pass(model, xs)
     grads = lstm.backward(model, cache, ys, mask)[0]
     stepped = lstm.init_model(75.0, hidden_size=30, seed=1)
-    optimizer = lstm.Adam(stepped, 3e-3)
+    optimizer = lstm.Adam(stepped, lstm.LEARNING_RATE)
 
     def fresh_tracker_calls(calls, make):
         def build():

@@ -80,10 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dataset", help="dataset directory from generate")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--hidden-size", dest="hidden_size", type=int)
 
     p = commands.add_parser("evaluate", help="batch trials and report")
     _add_common(p, jobs=True)

@@ -1,4 +1,5 @@
-"""Run configuration: one flat, fully-resolved bundle of every knob.
+"""Run configuration: one flat, fully-resolved bundle of the settings a
+run can set.
 
 Values merge in fixed precedence: built-in defaults, then a JSON config
 file, then explicit command-line flags. A config file is held against
@@ -13,6 +14,9 @@ So the position feature scale is WorkspaceCone.depth_max, which the
 dataset manifest records as z_max and train copies into the model. Nor
 are the depth at which a closed loop gives up and the share of episodes
 split into train: dataset owns them as DEPTH_CAP and TRAIN_FRACTION.
+Training takes only its epoch count and seed from here: the batch size,
+dropout rate and hidden size are TrainConfig's defaults, and the
+learning rate is lstm.LEARNING_RATE.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,10 +58,6 @@ class RunConfig:
     # training
     dataset: str | None = None
     epochs: int = TrainConfig.epochs
-    batch_size: int = TrainConfig.batch_size
-    learning_rate: float = TrainConfig.learning_rate
-    dropout: float = TrainConfig.dropout_rate
-    hidden_size: int = TrainConfig.hidden_size
 
     # evaluation
     model: str | None = None
@@ -77,14 +76,7 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
-        for name in ("epochs", "batch_size", "hidden_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name.replace('_', ' ')} must be at least 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError("learning rate must be finite and positive")
+        self.make_train_config()  # TrainConfig checks the epoch count
         if self.target is not None:
             if len(self.target) != 3:
                 raise ValueError("target must have three coordinates")
@@ -106,11 +98,7 @@ class RunConfig:
             bounding_curvature=MEDIUM_PRESETS[self.medium].curvature)
 
     def make_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate, dropout_rate=self.dropout,
-            hidden_size=self.hidden_size, seed=self.seed,
-        )
+        return TrainConfig(epochs=self.epochs, seed=self.seed)
 
 
 def load_config_file(path) -> dict:
@@ -135,14 +123,12 @@ def resolve_config(from_file: dict | None = None,
     """
     merged = dict(from_file or {})
     merged.update((k, v) for k, v in (flags or {}).items() if v is not None)
-    # JSON lists fill RunConfig's tuple fields; an int given for a float
-    # setting or a target coordinate becomes the float, so 70 and 70.0
-    # make one config and one dataset
-    hints = typing.get_type_hints(RunConfig)
+    # JSON lists fill RunConfig's tuple fields; an int given for a target
+    # coordinate becomes the float, so 70 and 70.0 make one config and one
+    # dataset
     return RunConfig(**{
         k: tuple(map(float, v)) if k == "target" and v is not None else
-        tuple(v) if isinstance(v, list) else
-        float(v) if hints.get(k) is float else v
+        tuple(v) if isinstance(v, list) else v
         for k, v in merged.items()}).validate()
 
 

@@ -13,7 +13,8 @@ onto the sensed heading).
 
 A tick is scalar arithmetic on Python floats, under se3's kernel
 convention: control takes the pose as three float rows and three floats,
-and the target as three floats, and builds no array.
+and the target as three floats, and builds no array; nor does
+targeting_error on the tuples a closed loop ends with.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from needleroll.plant import ControlInput, check_ranges
-from needleroll.se3 import wrap_angle
+from needleroll.se3 import floats3, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,8 @@ def control(rows, p, target, params: ControllerParams):
 
 
 def targeting_error(final_tip, target) -> float:
-    """Euclidean distance between the final tip position and the target."""
-    diff = np.asarray(final_tip, dtype=float) - np.asarray(target, dtype=float)
-    return float(np.linalg.norm(diff))
+    """Euclidean distance between the final tip position and the target,
+    on floats as control computes its distance."""
+    (p0, p1, p2), (t0, t1, t2) = floats3(final_tip), floats3(target)
+    o0, o1, o2 = t0 - p0, t1 - p1, t2 - p2
+    return math.sqrt(o0 * o0 + o1 * o1 + o2 * o2)

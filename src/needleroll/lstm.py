@@ -12,14 +12,15 @@ path, the serializer, and the test oracles:
   come from one tanh over the stacked pre-activation, with
   sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 (_gate_affine, _activate_gates)
 - fully-connected layer: tanh activation, inverted dropout on its
-  activations in the batched training path only; streaming inference
-  (forward_step, run_sequence) has no dropout
+  activations in the batched training path only, at TrainConfig's rate;
+  streaming inference (forward_step, run_sequence) has no dropout, so the
+  model holds no rate
 - output layer: linear
 - loss: RMSE over every component of every timestep of every sequence in
   the batch (padded steps excluded via masks)
 - parameter shapes: param_shapes(H), the one place they are written; the
   hidden size H is len(b_fc)
-- model file (schema 2): LstmModel's fields under their own names plus
+- model file (schema 3): LstmModel's fields under their own names plus
   schema_version, each parameter as its flat row-major values; no size or
   shape is stored, since each follows from H
 
@@ -68,7 +69,8 @@ from needleroll.plant import SensedTip, require_valid_measurement
 from needleroll.schema import decode
 from needleroll.se3 import floats3, recompose_roll, wrap_angle
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
+LEARNING_RATE = 3e-3  # Adam step size of every training run
 INPUT_SIZE = 8  # width of the scale_features vector
 VALIDATION_CHUNK = 32  # sequences per sequence_rmse forward pass
 LENGTH_POOL = 32  # shuffled training sequences per length-sorted pool
@@ -128,7 +130,6 @@ class LstmModel:
     w_out: np.ndarray  # output head
     b_out: np.ndarray
     z_max: float
-    dropout_rate: float
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -150,8 +151,6 @@ class LstmModel:
                                  f"size {h}, not {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
         if not 0.0 < self.z_max < math.inf:  # NaN fails
             raise ValueError(f"z_max must be finite and positive, not {self.z_max!r}")
 
@@ -168,19 +167,34 @@ def zero_state(hidden_size: int) -> LstmCellState:
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters; the defaults are the shipped ones, which
-    init_model and the run configuration inherit."""
+    init_model and the run configuration inherit. Adam steps at the
+    constant LEARNING_RATE."""
 
     epochs: int = 800
     batch_size: int = 8
-    learning_rate: float = 3e-3
     dropout_rate: float = 0.2
     hidden_size: int = 30
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name.replace('_', ' ')} must be at least 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout rate must be in [0, 1)")
+
+
+class Dropout(NamedTuple):
+    """A training pass's inverted dropout: the rate, and the generator
+    that draws its masks."""
+
+    rate: float
+    rng: np.random.Generator
+
 
 def init_model(z_max: float, hidden_size: int = TrainConfig.hidden_size,
-               dropout_rate: float = TrainConfig.dropout_rate, seed: int = 0,
-               metadata: dict | None = None) -> LstmModel:
+               seed: int = 0, metadata: dict | None = None) -> LstmModel:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; forget-gate bias starts at +1
     so early training does not flush the cell state. z_max is the position
     feature scale the inputs are built with."""
@@ -193,7 +207,7 @@ def init_model(z_max: float, hidden_size: int = TrainConfig.hidden_size,
     params["b_g"][hidden_size:2 * hidden_size] += 1.0
     for name, shape in shapes.items():
         params[name] = rng.uniform(-bound, bound, size=shape)
-    model = LstmModel(**params, z_max=z_max, dropout_rate=dropout_rate,
+    model = LstmModel(**params, z_max=z_max,
                       metadata=dict(metadata or {}, seed=seed))
     model.validate()
     return model
@@ -299,17 +313,18 @@ def _pad_batch(seqs, workspace=None):
     return xs, ys, mask
 
 
-def _forward_batch(model: LstmModel, xs, train_mode: bool, dropout_rng=None,
+def _forward_batch(model: LstmModel, xs, *, dropout: Dropout | None = None,
                    workspace=None):
     """Vectorized forward over (T, B, D) inputs, caching every activation
-    the backward pass needs. Padded steps are computed (cheap) and later
-    masked out of the loss, which provably zeroes their gradients for
-    end-padded sequences.
+    the backward pass needs: a training pass given a Dropout, an inference
+    pass given None. Padded steps are computed (cheap) and later masked
+    out of the loss, which provably zeroes their gradients for end-padded
+    sequences.
 
     Only the recurrence runs step by step: the input projection, the
     fully-connected layer, the dropout draw and the output head each run
     once over all timesteps. The dropout mask is one (T, B, H) draw, the
-    same stream as T consecutive (B, H) draws.
+    same stream as T consecutive (B, H) draws, and is drawn at rate 0 too.
     """
     ws = workspace or Workspace()
     t_max, batch, d = xs.shape
@@ -327,7 +342,7 @@ def _forward_batch(model: LstmModel, xs, train_mode: bool, dropout_rng=None,
     # slab rows: hidden states (T, B, H); cell and tanh(cell) (T, H, B);
     # fully-connected activations (T, B, H), which hold the (T, H, B)
     # hidden states until the loop ends; in training, the dropout mask
-    slab = ws.take("slab", rows, (5 if train_mode else 4) * h_size)
+    slab = ws.take("slab", rows, (4 if dropout is None else 5) * h_size)
     slab = slab.reshape(-1, rows * h_size)
     hidden = slab[0].reshape(t_max, batch, h_size)
     cell, tanh_cell, hidden_by_unit = (
@@ -363,10 +378,10 @@ def _forward_batch(model: LstmModel, xs, train_mode: bool, dropout_rng=None,
               out=act.reshape(rows, h_size))
     act += model.b_fc
     np.tanh(act, out=act)
-    if train_mode:
-        keep = 1.0 - model.dropout_rate
+    if dropout is not None:
+        keep = 1.0 - dropout.rate
         drop = slab[4].reshape(t_max, batch, h_size)
-        dropout_rng.random(out=drop)  # the bits of uniform(size=...)
+        dropout.rng.random(out=drop)  # the bits of uniform(size=...)
         np.less(drop, keep, out=drop)
         drop /= keep
         act_d = ws.take("d_act", rows, h_size).reshape(t_max, batch, h_size)
@@ -398,7 +413,7 @@ def sequence_rmse(model: LstmModel, seqs, workspace=None) -> float:
     n = 0.0
     for start in range(0, len(seqs), VALIDATION_CHUNK):
         xs, ys, mask = _pad_batch(seqs[start:start + VALIDATION_CHUNK], ws)
-        cache = _forward_batch(model, xs, train_mode=False, workspace=ws)
+        cache = _forward_batch(model, xs, workspace=ws)
         _, s, m = batch_loss(cache["y"], ys, mask)
         sse += s
         n += m
@@ -578,13 +593,12 @@ def train(train_seqs, val_seqs, config: TrainConfig, z_max: float):
     root = np.random.SeedSequence([config.seed, 0x4C53])
     shuffle_seed, dropout_seed = root.spawn(2)
     model = init_model(
-        z_max, hidden_size=config.hidden_size,
-        dropout_rate=config.dropout_rate, seed=config.seed,
+        z_max, hidden_size=config.hidden_size, seed=config.seed,
         metadata={"train_episodes": len(train_seqs), "val_episodes": len(val_seqs)},
     )
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    dropout_rng = np.random.default_rng(dropout_seed)
-    optimizer = Adam(model, config.learning_rate)
+    dropout = Dropout(config.dropout_rate, np.random.default_rng(dropout_seed))
+    optimizer = Adam(model, LEARNING_RATE)
     log: list[TrainLogRow] = []
     best_model = copy.deepcopy(model)
     best_val = math.inf
@@ -600,8 +614,8 @@ def train(train_seqs, val_seqs, config: TrainConfig, z_max: float):
         n_total = 0.0
         for batch in _length_sorted_batches(order, lengths, config.batch_size):
             xs, ys, mask = _pad_batch([train_seqs[k] for k in batch], workspace)
-            cache = _forward_batch(model, xs, train_mode=True,
-                                   dropout_rng=dropout_rng, workspace=workspace)
+            cache = _forward_batch(model, xs, dropout=dropout,
+                                   workspace=workspace)
             grads, rmse, sse, n = backward(model, cache, ys, mask)
             if not math.isfinite(rmse):
                 raise Diverged(f"non-finite loss at epoch {epoch}")
@@ -709,7 +723,7 @@ def save_model(model: LstmModel, path):
     model.validate()
     doc = {name: arr.ravel().tolist() for name, arr in model.params()}
     doc.update(schema_version=MODEL_SCHEMA_VERSION, z_max=model.z_max,
-               dropout_rate=model.dropout_rate, metadata=model.metadata)
+               metadata=model.metadata)
     # json.dumps takes the C encoder, which json.dump never does
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -726,8 +740,7 @@ def load_model(path) -> LstmModel:
                     f"parameter {name!r} holds {len(doc[name])} values, not "
                     f"the {math.prod(shape)} of shape {shape} at hidden size {h}")
             doc[name] = np.array(doc[name], dtype=float).reshape(shape)
-        doc.update(z_max=float(doc["z_max"]),
-                   dropout_rate=float(doc["dropout_rate"]))
+        doc["z_max"] = float(doc["z_max"])
         model = LstmModel(**doc)
         model.validate()
     except ValueError as exc:

@@ -62,16 +62,16 @@ def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
 
 def test_c03_analytic_gradients_match_finite_differences(verdict):
     rng = np.random.default_rng(33)
-    model = init_model(75.0, hidden_size=4, seed=33, dropout_rate=0.0)
+    model = init_model(75.0, hidden_size=4, seed=33)
     feats = rng.normal(0.0, 0.7, size=(7, 8))
     targets = rng.normal(0.0, 0.7, size=(7, 2))
     xs, ys, mask = _pad_batch([(feats, targets)])
 
-    cache = _forward_batch(model, xs, train_mode=False)
+    cache = _forward_batch(model, xs)
     grads, _, _, _ = backward(model, cache, ys, mask)
 
     def loss():
-        c = _forward_batch(model, xs, train_mode=False)
+        c = _forward_batch(model, xs)
         return batch_loss(c["y"], ys, mask)[0]
 
     eps = 1e-5
@@ -218,7 +218,7 @@ def test_c10_pipeline_reports_are_byte_identical(tmp_path, verdict):
         assert main(["generate", "--n", "6", "--seed", "9", "--jobs", "1",
                      "--out", str(data)]) == 0
         assert main(["train", "--dataset", str(data), "--epochs", "2",
-                     "--hidden-size", "6", "--seed", "9",
+                     "--seed", "9",
                      "--out", str(fit)]) == 0
         assert main(["evaluate", "--n", "2", "--seed", "9", "--jobs", "1",
                      "--model", str(fit / "model.json"),

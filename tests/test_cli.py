@@ -132,7 +132,7 @@ def test_cli_generate_and_retrain_roundtrip(tmp_path, capsys):
 
     run = tmp_path / "run"
     code = main(["train", "--dataset", str(ds), "--out", str(run),
-                 "--epochs", "2", "--hidden-size", "4", "--seed", "1"])
+                 "--epochs", "2", "--seed", "1"])
     assert code == 0
     out, err = capsys.readouterr()
     assert err.startswith("epoch 2/2: train loss ")  # progress, not stdout
@@ -190,7 +190,7 @@ def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
     assert {f.name: f.read_bytes() for f in kept.iterdir()} == before
     assert multiprocessing.active_children() == []
     assert main(["train", "--dataset", str(kept), "--epochs", "1",
-                 "--hidden-size", "2", "--out", str(tmp_path / "run")]) == 0
+                 "--out", str(tmp_path / "run")]) == 0
 
 
 class RecordingPool:
@@ -321,20 +321,19 @@ def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
     path.write_text(json.dumps(doc))
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(ds), "--out", str(run),
-                 "--epochs", "1", "--hidden-size", "4"]) == 0
+                 "--epochs", "1"]) == 0
     assert json.loads((run / "model.json").read_text())["z_max"] == 80.0
     assert "z_max" not in json.loads((run / "config.json").read_text())
 
 
 def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
-    """A JSON int given for a float setting or a target coordinate
-    resolves to the float: the same config.json, config hash and
-    manifest as the float spelling."""
+    """A JSON int given for a target coordinate resolves to the float: the
+    same config.json, config hash and manifest as the float spelling."""
     ds = tmp_path / "ds"
     written = []
-    for dropout, target in ((0, [3, 4, 60]), (0.0, [3.0, 4.0, 60.0])):
+    for target in ([3, 4, 60], [3.0, 4.0, 60.0]):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"dropout": dropout, "target": target}))
+        cfg.write_text(json.dumps({"target": target}))
         shutil.rmtree(ds, ignore_errors=True)
         assert main(["generate", "--n", "2", "--seed", "3", "--config",
                      str(cfg), "--out", str(ds)]) == 0
@@ -342,7 +341,6 @@ def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
                         ("config.json", "manifest.json", "episodes.jsonl")])
     assert written[0] == written[1]
     doc = json.loads(written[0][0])
-    assert doc["dropout"] == 0.0 and type(doc["dropout"]) is float
     assert all(type(v) is float for v in doc["target"])
 
 
@@ -354,7 +352,7 @@ def test_cli_rerun_from_recorded_config_is_byte_identical(tmp_path):
     assert main(["generate", "--n", "3", "--seed", "4",
                  "--out", str(first / "ds")]) == 0
     assert main(["train", "--dataset", str(first / "ds"), "--epochs", "2",
-                 "--hidden-size", "4", "--out", str(first / "run")]) == 0
+                 "--out", str(first / "run")]) == 0
     for stage in ("ds", "run"):
         command = "generate" if stage == "ds" else "train"
         assert main([command, "--config", str(first / stage / "config.json"),
@@ -366,11 +364,6 @@ def test_cli_rerun_from_recorded_config_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--epochs", "0", "epochs must be at least 1"),
-    ("--batch-size", "0", "batch size must be at least 1"),
-    ("--hidden-size", "0", "hidden size must be at least 1"),
-    ("--dropout", "1", "dropout must be in [0, 1)"),
-    ("--learning-rate", "0", "learning rate must be finite and positive"),
-    ("--learning-rate", "nan", "learning rate must be finite and positive"),
 ])
 def test_cli_train_bad_option_fails_before_writing(tmp_path, capsys, flag,
                                                    value, message):
@@ -388,7 +381,7 @@ def test_cli_train_bad_option_fails_before_writing(tmp_path, capsys, flag,
 
 def _train_argv(ds, tmp_path):
     return ["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
-            "--epochs", "1", "--hidden-size", "4"]
+            "--epochs", "1"]
 
 
 def test_cli_train_on_truncated_dataset_is_data_error(tmp_path, capsys):
@@ -656,10 +649,12 @@ def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
 def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
     """A config.json resolved before a setting was deleted still holds it:
     "estimator" (evaluate's one estimator, before it took a list),
-    "jitter", "bin_width", "depth_cap", "train_fraction", and the copies
-    of the ControllerParams and WorkspaceCone constants. Each is an
-    unknown key, named, and a deleted flag, or one a subcommand never
-    read, is an unknown flag; no run writes anything."""
+    "jitter", "bin_width", "depth_cap", "train_fraction", the training
+    settings TrainConfig and lstm.LEARNING_RATE own ("batch_size",
+    "learning_rate", "dropout", "hidden_size"), and the copies of the
+    ControllerParams and WorkspaceCone constants. Each is an unknown key,
+    named, and a deleted flag, or one a subcommand never read, is an
+    unknown flag; no run writes anything."""
     out = tmp_path / "out"
     workspace_keys = ("depth_min", "depth_max", "radial_margin")
     controller_keys = ("insertion_speed", "rotation_speed", "rate",
@@ -671,6 +666,10 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
             ("evaluate", "depth_cap", 80.0),
             ("generate", "depth_cap", 80.0),
             ("generate", "train_fraction", 6.0 / 7.0),
+            ("train", "batch_size", 8),
+            ("train", "learning_rate", 3e-3),
+            ("train", "dropout", 0.2),
+            ("train", "hidden_size", 30),
             *(("generate", k, getattr(WorkspaceCone, k))
               for k in workspace_keys),
             *(("evaluate", k, getattr(ControllerParams, k))
@@ -692,6 +691,14 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
                  ["evaluate", "--estimators", "truth", "--n", "2",
                   "--bin-width", "0.1"],
                  ["train", "--dataset", str(tmp_path / "ds"), "--jobs", "2"],
+                 ["train", "--dataset", str(tmp_path / "ds"),
+                  "--batch-size", "8"],
+                 ["train", "--dataset", str(tmp_path / "ds"),
+                  "--learning-rate", "3e-3"],
+                 ["train", "--dataset", str(tmp_path / "ds"),
+                  "--dropout", "0.2"],
+                 ["train", "--dataset", str(tmp_path / "ds"),
+                  "--hidden-size", "30"],
                  ["report", "--seed", "1"],
                  ["report", "--jobs", "2"]):
         assert main([*argv, "--out", str(out)]) == 1
@@ -753,9 +760,10 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
     non-positive z_max (json writes and reads Infinity and NaN), a
     parameter with one value too few or too many for the hidden size
     len(b_fc), parameter data that holds a string or a bool, a hidden size
-    of 0, a schema-1 file (which must be re-trained), a top level that is
-    not an object, or text that is not JSON. Each prints one error line,
-    naming the file where the fault is in it, and writes nothing."""
+    of 0, a schema-1 or schema-2 file (which must be re-trained), a top
+    level that is not an object, or text that is not JSON. Each prints one
+    error line, naming the file where the fault is in it, and writes
+    nothing."""
     path = tmp_path / "model.json"
     save_model(init_model(75.0, hidden_size=4, seed=1), path)
     saved = path.read_text()
@@ -764,20 +772,23 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         params = {name: {"shape": list(shape), "data": doc.pop(name)}
                   for name, shape in param_shapes(4).items()}
         doc.update(schema_version=1, hidden_size=4, input_size=8,
-                   params=params)
+                   dropout_rate=0.2, params=params)
+
+    def schema_2(doc):  # the layout that stored the training dropout rate
+        doc.update(schema_version=2, dropout_rate=0.2)
 
     cases = [
         (lambda doc: doc.pop("w_fc"), "missing field 'w_fc'"),
         (lambda doc: doc.pop("z_max"), "'z_max'"),
-        (lambda doc: doc.pop("dropout_rate"), "'dropout_rate'"),
         (lambda doc: doc.update(hidden_size=4),
          "unknown keys ['hidden_size']"),
+        (lambda doc: doc.update(dropout_rate=0.2),
+         "unknown keys ['dropout_rate']"),
         (schema_1, "unsupported model schema 1"),
+        (schema_2, "unsupported model schema 2"),
         (lambda doc: doc.update(z_max=[75.0]), "'z_max' must be float"),
         (lambda doc: doc.update(z_max=True), "'z_max' must be float"),
         (lambda doc: doc.update(z_max="75"), "'z_max' must be float"),
-        (lambda doc: doc.update(dropout_rate="0.2"),
-         "'dropout_rate' must be float"),
         (lambda doc: doc.update(metadata=[]), "'metadata' must be dict"),
         (lambda doc: doc.update(b_out=["0.5", 0.5]),
          "'b_out' must hold only numbers"),

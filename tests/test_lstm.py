@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import struct
 from collections import deque
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 from needleroll.lstm import (
     LENGTH_POOL,
+    PARAM_NAMES,
     POSITION_WINDOW,
     PROGRESS_EVERY,
     Adam,
     DegenerateOutput,
     Diverged,
+    Dropout,
     LstmModel,
     RollEstimator,
     TrainConfig,
@@ -41,9 +44,8 @@ from needleroll.plant import SensedTip
 from oracles import endpoint_fit, forward_step_matmul, roll_target
 
 
-def small_model(hidden=4, seed=3, dropout=0.0):
-    return init_model(hidden_size=hidden, z_max=75.0, dropout_rate=dropout,
-                      seed=seed)
+def small_model(hidden=4, seed=3):
+    return init_model(hidden_size=hidden, z_max=75.0, seed=seed)
 
 
 def random_sequences(rng, count, t_min, t_max, input_size=8):
@@ -169,7 +171,7 @@ def test_batched_forward_matches_streaming_path():
     m = small_model(hidden=7, seed=5)
     seqs = random_sequences(rng, 5, 4, 20)
     xs, ys, mask = _pad_batch(seqs)
-    cache = _forward_batch(m, xs, train_mode=False)
+    cache = _forward_batch(m, xs)
     for k, (x_seq, _) in enumerate(seqs):
         offline = run_sequence(m, x_seq)
         assert np.abs(cache["y"][:len(x_seq), k] - offline).max() < 1e-12
@@ -179,12 +181,13 @@ def test_dropout_mask_is_one_draw_of_the_per_step_stream():
     """The (T, B, H) mask equals T consecutive (B, H) draws, each
     thresholded at the keep probability and scaled by its inverse, so the
     dropout stream does not depend on how the draw is batched."""
-    m = small_model(hidden=5, dropout=0.3)
+    m = small_model(hidden=5)
+    rate = 0.3
     xs = np.random.default_rng(20).uniform(-1, 1, size=(7, 3, 8))
-    cache = _forward_batch(m, xs, train_mode=True,
-                           dropout_rng=np.random.default_rng(21))
+    cache = _forward_batch(m, xs,
+                           dropout=Dropout(rate, np.random.default_rng(21)))
     rng = np.random.default_rng(21)
-    keep = 1.0 - m.dropout_rate
+    keep = 1.0 - rate
     per_step = np.stack([(rng.uniform(size=(3, 5)) < keep) / keep
                          for _ in range(7)])
     assert np.array_equal(cache["drop"], per_step)
@@ -225,7 +228,7 @@ def test_loss_matches_two_pass_reference():
 # ----------------------------------------------------------------- gradients
 
 def _batch_rmse(model, xs, ys, mask):
-    cache = _forward_batch(model, xs, train_mode=False)
+    cache = _forward_batch(model, xs)
     rmse, _, _ = batch_loss(cache["y"], ys, mask)
     return rmse
 
@@ -238,7 +241,7 @@ def test_gradients_match_central_finite_differences():
     model = small_model(hidden=4, seed=11)
     seqs = random_sequences(rng, 2, 5, 7)
     xs, ys, mask = _pad_batch(seqs)
-    cache = _forward_batch(model, xs, train_mode=False)
+    cache = _forward_batch(model, xs)
     grads, rmse, _, _ = backward(model, cache, ys, mask)
     assert rmse > 0.0
     eps = 1e-5
@@ -261,13 +264,13 @@ def test_gradients_match_central_finite_differences():
 def test_gradients_with_dropout_match_finite_differences():
     # fixed dropout masks across evaluations: seed the generator identically
     rng = np.random.default_rng(7)
-    model = small_model(hidden=4, seed=13, dropout=0.4)
+    model = small_model(hidden=4, seed=13)
     seqs = random_sequences(rng, 2, 4, 6)
     xs, ys, mask = _pad_batch(seqs)
 
     def loss_with_masks():
-        cache = _forward_batch(model, xs, train_mode=True,
-                               dropout_rng=np.random.default_rng(99))
+        cache = _forward_batch(model, xs,
+                               dropout=Dropout(0.4, np.random.default_rng(99)))
         rmse, _, _ = batch_loss(cache["y"], ys, mask)
         return cache, rmse
 
@@ -294,13 +297,13 @@ def test_padding_content_does_not_affect_gradients():
     model = small_model(hidden=4, seed=17)
     seqs = random_sequences(rng, 2, 3, 7)
     xs, ys, mask = _pad_batch(seqs)
-    cache = _forward_batch(model, xs, train_mode=False)
+    cache = _forward_batch(model, xs)
     grads_a, *_ = backward(model, cache, ys, mask)
     xs2 = xs.copy()
     ys2 = ys.copy()
     xs2[mask == 0.0] = 123.0  # garbage in the padded region
     ys2[mask == 0.0] = -55.0
-    cache2 = _forward_batch(model, xs2, train_mode=False)
+    cache2 = _forward_batch(model, xs2)
     grads_b, *_ = backward(model, cache2, ys2, mask)
     for name, _ in model.params():
         assert np.allclose(grads_a[name], grads_b[name], atol=1e-12)
@@ -310,7 +313,7 @@ def test_gradients_zero_at_exact_fit():
     model = small_model(hidden=4, seed=19)
     xs = np.random.default_rng(9).uniform(-1, 1, size=(5, 1, 8))
     mask = np.ones((5, 1))
-    cache = _forward_batch(model, xs, train_mode=False)
+    cache = _forward_batch(model, xs)
     grads, rmse, _, _ = backward(model, cache, cache["y"].copy(), mask)
     assert rmse == 0.0
     for name, _ in model.params():
@@ -323,7 +326,7 @@ def test_scaled_loss_scales_gradients():
     model = small_model(hidden=4, seed=23)
     seqs = random_sequences(rng, 1, 6, 6)
     xs, ys, mask = _pad_batch(seqs)
-    cache = _forward_batch(model, xs, train_mode=False)
+    cache = _forward_batch(model, xs)
     grads, *_ = backward(model, cache, ys, mask)
     eps = 1e-5
     flat = model.w_fc.reshape(-1)
@@ -410,19 +413,19 @@ def test_ragged_batch_matches_per_sequence_references(lengths, hidden,
     run_sequence and the batched backward with reference_bptt, both within
     1e-12."""
     rng = np.random.default_rng(seed)
-    model = small_model(hidden=hidden, seed=seed, dropout=dropout)
+    model = small_model(hidden=hidden, seed=seed)
     seqs = [(rng.uniform(-1.0, 1.0, size=(n, 8)),
              rng.uniform(-1.0, 1.0, size=(n, 2))) for n in lengths]
     xs, ys, mask = _pad_batch(seqs)
     assert xs.shape == (max(lengths), len(lengths), 8)
 
-    cache = _forward_batch(model, xs, train_mode=False)
+    cache = _forward_batch(model, xs)
     for k, (x_seq, _) in enumerate(seqs):
         offline = run_sequence(model, x_seq)
         assert np.abs(cache["y"][:len(x_seq), k] - offline).max() <= 1e-12
 
-    cache = _forward_batch(model, xs, train_mode=True,
-                           dropout_rng=np.random.default_rng(seed + 1))
+    cache = _forward_batch(
+        model, xs, dropout=Dropout(dropout, np.random.default_rng(seed + 1)))
     drops = [cache["drop"][:n, k].copy() for k, n in enumerate(lengths)]
     grads, rmse, _, _ = backward(model, cache, ys, mask)
     ref, ref_rmse = reference_bptt(model, seqs, drops)
@@ -438,7 +441,7 @@ def test_reused_workspace_matches_fresh_arrays_bitwise():
     every gradient equal the same call on fresh arrays bit for bit, so no
     call reads what an earlier, larger batch left in the buffers."""
     rng = np.random.default_rng(41)
-    model = small_model(hidden=30, seed=41, dropout=0.25)
+    model = small_model(hidden=30, seed=41)
     chunks = [(random_sequences(rng, 8, 40, 50), True),
               (random_sequences(rng, 3, 5, 12), True),
               (random_sequences(rng, 20, 5, 15), False)]
@@ -447,8 +450,10 @@ def test_reused_workspace_matches_fresh_arrays_bitwise():
         runs = []
         for workspace in (shared, None):
             xs, ys, mask = _pad_batch(seqs, workspace)
-            cache = _forward_batch(model, xs, train_mode,
-                                   np.random.default_rng(k), workspace)
+            dropout = (Dropout(0.25, np.random.default_rng(k))
+                       if train_mode else None)
+            cache = _forward_batch(model, xs, dropout=dropout,
+                                   workspace=workspace)
             y = cache["y"].copy()
             grads, *loss = backward(model, cache, ys, mask)
             runs.append((y, grads, loss))
@@ -592,6 +597,12 @@ def test_train_raises_on_nonfinite_loss():
 def test_train_rejects_empty_sets():
     with pytest.raises(ValueError):
         train([], [], TrainConfig(epochs=1), 75.0)
+    for rate in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="dropout rate must be in"):
+            TrainConfig(dropout_rate=rate)
+    for name in ("epochs", "batch_size", "hidden_size"):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            TrainConfig(**{name: 0})
 
 
 def test_base_angle_periodicity_end_to_end():
@@ -741,7 +752,9 @@ def test_model_save_load_roundtrip(tmp_path):
         assert name_a == name_b
         assert np.array_equal(arr_a, arr_b)
     assert loaded.z_max == m.z_max
-    assert loaded.dropout_rate == m.dropout_rate
+    # only what inference reads: no dropout rate, no size or shape
+    assert json.loads(path.read_text()).keys() == {
+        "schema_version", "z_max", "metadata", *PARAM_NAMES}
     assert loaded.metadata["note"] == "roundtrip"
     xs = np.random.default_rng(16).uniform(-1, 1, size=(9, 8))
     assert np.array_equal(run_sequence(m, xs), run_sequence(loaded, xs))
@@ -751,8 +764,6 @@ def test_model_save_load_roundtrip(tmp_path):
 
 
 def test_model_load_rejects_unknown_version(tmp_path):
-    import json
-
     m = init_model(75.0, hidden_size=4, seed=53)
     path = tmp_path / "model.json"
     save_model(m, path)
@@ -778,7 +789,7 @@ def test_model_validate_rejects_bad_shapes():
                 m.validate()
     m = LstmModel(**{name: np.zeros(shape)
                      for name, shape in param_shapes(0).items()},
-                  z_max=75.0, dropout_rate=0.0)
+                  z_max=75.0)
     with pytest.raises(ValueError, match="hidden size must be at least 1"):
         m.validate()
 
