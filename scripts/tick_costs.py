@@ -29,10 +29,13 @@ each episode line, and the `dataset.record_from_line` row decodes that
 line, as `train` reads each episode, both also per tick. The
 `dataset.record_to_line ekf` row encodes the filter's trial record, with
 the estimator columns, as `evaluate` writes each trial line, per tick of
-that trial. The training rows time `lstm._forward_batch` (a training
-pass, with dropout) and `lstm.backward` at hidden 30 on a padded batch of
-600 steps, 8 and 4 sequences wide, through one reused Workspace as
-`train` runs them, in µs per padded step (their `calls` column is the
+that trial. The `dataset.to_training_sequences` row decodes the truth
+trial's episode line into its training arrays,
+`episode_to_sequence(record_from_line(line), z_max)`, as `train` does for
+each episode, per tick. The training rows time `lstm._forward_batch` (a
+training pass, with dropout) and `lstm.backward` at hidden 30 on a padded
+batch of 600 steps, 8 and 4 sequences wide, through one reused Workspace
+as `train` runs them, in µs per padded step (their `calls` column is the
 step count), and `lstm.Adam.apply` per call on a hidden-30 model. The
 last line names the machine: cores, Python and numpy. BLAS runs one
 thread, as in the benchmark. Standard library and numpy only; imports the
@@ -154,6 +157,10 @@ def main(argv=None) -> int:
     def replay(calls):
         return lambda: calls
 
+    def training_sequence(line, z_max):
+        return dataset.episode_to_sequence(dataset.record_from_line(line),
+                                           z_max)
+
     # training layers at the shipped shape: hidden 30, padded batches of
     # BATCH_STEPS steps; backward consumes its cache, so each pass gets a
     # fresh one, built untimed in the same workspace
@@ -226,15 +233,17 @@ def main(argv=None) -> int:
          replay([(ekf_record,)] * 3), ekf_record.steps),
         ("dataset.record_from_line", dataset.record_from_line,
          replay([(truth_line,)] * 3), truth_ticks),
+        ("dataset.to_training_sequences", training_sequence,
+         replay([(truth_line, WorkspaceCone().depth_max)] * 3), truth_ticks),
         *training_rows,
         ("lstm.Adam.apply", lstm.Adam.apply,
          replay([(optimizer, stepped, grads)] * 10)),
     ]
-    print(f"{'layer':<26}{'median':>10}{'p25':>10}{'p75':>10}{'calls':>8}")
+    print(f"{'layer':<30}{'median':>10}{'p25':>10}{'p75':>10}{'calls':>8}")
     for name, fn, make_args, *per_call in rows:
         p25, median, p75 = us_per_call(fn, make_args, repeats, *per_call)
         calls = per_call[0] if per_call else len(make_args())
-        print(f"{name:<26}{median:>10.2f}{p25:>10.2f}{p75:>10.2f}"
+        print(f"{name:<30}{median:>10.2f}{p25:>10.2f}{p75:>10.2f}"
               f"{calls:>8}")
     print(f"machine cores={os.cpu_count()} python={platform.python_version()} "
           f"numpy={np.__version__} blas_threads="

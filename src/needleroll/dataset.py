@@ -7,22 +7,23 @@ are thrown away and regenerated with a fresh target, so the dataset only
 contains successful steers. Recorded observations keep the sensor noise;
 the roll label is the clean simulator state.
 
-Storage is one JSON Lines file per dataset (one episode per line, flat
-numeric lists) plus a manifest with per-episode metadata, the train/val
-assignment and a hash of the generation config. Lines round-trip floats
-bit-exactly through repr. A line stores each fact once: every per-step
+Storage is one JSON Lines file per dataset (one episode per line) plus a
+manifest with per-episode metadata, the train/val assignment and a hash of
+the generation config. A line stores each fact once: every per-step
 column is as long as base_angle, step k is at time k / controller.rate,
 and the commanded insertion speed is the controller's.
 
-The encoder's rule: a line is byte for byte the compact sorted
-json.dumps(doc, sort_keys=True, separators=(",", ":")) of the record. To
-write it faster, the repr of a value repeated in the base_angle,
-roll_true and rotation_speed columns is reused within the line, and zeros
-are never cached, since 0.0 == -0.0 would hand one sign the other's text.
+The line format, owned by encode_column and decode_column: a line is the
+compact sorted json.dumps(doc, sort_keys=True, separators=(",", ":")) of
+the record, where each per-step column (STEP_COLUMNS, ESTIMATOR_COLUMNS)
+is one strict-base64 string of its little-endian float64 bytes, row-major,
+so every value round-trips bit for bit; every other field, target
+included, is JSON text.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import itertools
@@ -41,6 +42,7 @@ from needleroll.controller import (
     targeting_error,
 )
 from needleroll.plant import (
+    HEADING_NORM_TOLERANCE,
     MediumParams,
     WorkspaceCone,
     initial_state,
@@ -48,10 +50,10 @@ from needleroll.plant import (
     sense,
     step,
 )
-from needleroll.schema import decode
+from needleroll.schema import Column, decode
 from needleroll.se3 import floats3
 
-DATASET_SCHEMA_VERSION = 2
+DATASET_SCHEMA_VERSION = 3
 EPISODES_FILENAME = "episodes.jsonl"
 MANIFEST_FILENAME = "manifest.json"
 
@@ -83,10 +85,6 @@ STEP_COLUMNS = ("position", "heading", "base_angle", "roll_true",
 # per-step estimator columns that only evaluation trials carry; a record
 # without them (every generated episode) is written without the keys
 ESTIMATOR_COLUMNS = ("roll_est", "angular_error")
-# per-step columns whose values repeat within an episode: the tip sticks,
-# the base angle holds while the controller sits in its deadband, and the
-# commanded speed is bang-bang
-REPEATING_COLUMNS = ("base_angle", "roll_true", "rotation_speed")
 
 
 def run_closed_loop(medium: MediumParams, controller: ControllerParams,
@@ -145,13 +143,13 @@ class EpisodeRecord:
     target: np.ndarray  # (3,) mm
     outcome: str
     final_error: float  # mm
-    position: np.ndarray  # (T, 3) sensed, mm
-    heading: np.ndarray  # (T, 3) sensed, unit
-    base_angle: np.ndarray  # (T,) rad, unwrapped
-    roll_true: np.ndarray  # (T,) rad, unwrapped
-    rotation_speed: np.ndarray  # (T,) rad/s
-    roll_est: np.ndarray | None = None  # (T,) rad, wrapped estimated roll
-    angular_error: np.ndarray | None = None  # (T,) rad, estimated vs true R
+    position: Column  # (T, 3) sensed, mm
+    heading: Column  # (T, 3) sensed, unit
+    base_angle: Column  # (T,) rad, unwrapped
+    roll_true: Column  # (T,) rad, unwrapped
+    rotation_speed: Column  # (T,) rad/s
+    roll_est: Column | None = None  # (T,) rad, wrapped estimated roll
+    angular_error: Column | None = None  # (T,) rad, estimated vs true R
     estimator: str | None = None  # who steered an evaluation trial
 
     @property
@@ -172,11 +170,15 @@ class EpisodeRecord:
         for name in ("roll_true", "rotation_speed", *estimated):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must match the timestep count")
-        # json reads NaN and Infinity, which would surface only as a
-        # non-finite training loss
+        # a line can hold NaN and the infinities (json reads them, a column
+        # holds any bits), which would surface only as a non-finite loss
         for name in ("target", *STEP_COLUMNS, *estimated):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        # the bound plant.require_valid_measurement holds each reading to
+        norms = np.sqrt(np.einsum("ij,ij->i", self.heading, self.heading))
+        if not (np.abs(norms - 1.0) <= HEADING_NORM_TOLERANCE).all():
+            raise ValueError("heading rows must be unit vectors")
         if self.angular_error is not None and not (
                 self.angular_error.min() >= 0.0
                 and self.angular_error.max() <= math.pi + 1e-12):
@@ -216,61 +218,50 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
     return rec
 
 
-# a line's keys in the order json.dumps(..., sort_keys=True) writes them
-_LINE_KEYS = tuple(sorted(["schema_version", *(
-    field.name for field in dataclasses.fields(EpisodeRecord))]))
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def encode_column(values: np.ndarray) -> str:
+    """The strict base64 of a per-step column's little-endian float64
+    bytes, row-major."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def decode_column(text: str, name: str) -> np.ndarray:
+    """encode_column's column back, flat and read-only; a text that is not
+    strict base64 of whole 8-byte values is a ValueError naming name."""
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+    except ValueError as exc:  # binascii.Error is one, numpy's size fault too
+        raise ValueError(f"{name!r} is not strict base64 of float64 bytes "
+                         f"({exc})") from None
 
 
 def record_to_line(rec: EpisodeRecord) -> str:
-    """One JSON object holding every field of rec that is not None,
-    position and heading row by row: the compact sorted json.dumps bytes.
-    A float64 column of REPEATING_COLUMNS reuses its values' reprs, as the
-    module docstring says."""
-    reprs = {}
-    items = []
-    for name in _LINE_KEYS:
-        value = (DATASET_SCHEMA_VERSION if name == "schema_version"
-                 else getattr(rec, name))
+    """One JSON object holding every field of rec that is not None, in the
+    line format of the module docstring."""
+    doc = {"schema_version": DATASET_SCHEMA_VERSION}
+    for field in dataclasses.fields(rec):
+        value = getattr(rec, field.name)
         if value is None:
             continue
-        if isinstance(value, np.ndarray):
-            value = value.reshape(-1)
-            if name in REPEATING_COLUMNS and value.dtype == np.float64:
-                items.append(f'"{name}":[{_reused_reprs(value, reprs)}]')
-                continue
+        if field.name in STEP_COLUMNS or field.name in ESTIMATOR_COLUMNS:
+            value = encode_column(value)
+        elif isinstance(value, np.ndarray):
             value = value.tolist()
         elif dataclasses.is_dataclass(value):
             value = dataclasses.asdict(value)
-        items.append(f'"{name}":{_encode(value)}')
-    return "{" + ",".join(items) + "}"
-
-
-def _reused_reprs(column: np.ndarray, reprs: dict) -> str:
-    """The comma-joined JSON numbers of a float64 column, as _encode writes
-    them; reprs maps each nonzero value seen in the line to its text."""
-    get = reprs.get
-    out = []
-    append = out.append
-    for v in column.tolist():
-        text = get(v)
-        if text is None:
-            text = repr(v) if math.isfinite(v) else _encode(v)
-            if v:
-                reprs[v] = text
-        append(text)
-    return ",".join(out)
+        doc[field.name] = value
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def record_from_line(line: str) -> EpisodeRecord:
     doc = decode(line, EpisodeRecord, DATASET_SCHEMA_VERSION, "episode")
-    for name in ("target", *STEP_COLUMNS, *ESTIMATOR_COLUMNS):
+    for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS):
         if name in doc:
-            doc[name] = np.array(doc[name], dtype=float)
+            doc[name] = decode_column(doc[name], name)
     for name in ("position", "heading"):
         doc[name] = doc[name].reshape(-1, 3)
     rec = EpisodeRecord(**dict(
-        doc, seed=tuple(doc["seed"]), medium=MediumParams(**doc["medium"]),
+        doc, seed=tuple(doc["seed"]), target=np.array(doc["target"], float),
+        medium=MediumParams(**doc["medium"]),
         controller=ControllerParams(**doc["controller"])))
     rec.validate()
     return rec

@@ -16,9 +16,9 @@ Artifact layout under an output directory:
     report.txt              aggregate statistics
 The last three are views of the trial records alone. evaluate renders
 them from the records it has just written, which decode from
-trials/episodes.jsonl bit for bit (repr floats round-trip), so `report`,
-re-rendering an existing directory from that file, reproduces them byte
-for byte.
+trials/episodes.jsonl bit for bit (each column is stored as its float64
+bytes), so `report`, re-rendering an existing directory from that file,
+reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -164,13 +164,13 @@ def _fmt(x: float) -> str:
 def report(records, out_dir: Path):
     """Persist the trial records and render the views derived from them.
 
-    The records go to trials/episodes.jsonl in trial_id order, with
-    full-precision repr floats. summaries.csv, histogram.csv and report.txt
-    are rendered from those same records in memory: each decodes from its
-    line bit for bit, so these are the bytes render_report writes from the
-    file. Raises ValueError, before writing anything, unless the trial ids
-    are 0 to n-1, each once, and every record carries the estimator
-    columns: the set render_report accepts.
+    The records go to trials/episodes.jsonl in trial_id order.
+    summaries.csv, histogram.csv and report.txt are rendered from those
+    same records in memory: each decodes from its line bit for bit, so
+    these are the bytes render_report writes from the file. Raises
+    ValueError, before writing anything, unless the trial ids are 0 to
+    n-1, each once, and every record carries the estimator columns: the
+    set render_report accepts.
     """
     if not records:
         raise ValueError("nothing to report")

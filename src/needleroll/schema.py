@@ -1,6 +1,8 @@
 """decode, the one read-and-check step of every versioned pipeline file
 (manifest, episode or trial line, model), and check_json, the one type
-check of a decoded JSON value, a config file's too, against a dataclass."""
+check of a decoded JSON value, a config file's too, against a dataclass.
+A per-step Column of a line is checked here to be a string;
+needleroll.dataset decodes it."""
 
 from __future__ import annotations
 
@@ -12,6 +14,10 @@ import types
 import typing
 
 import numpy as np
+
+# the hint of a per-step column of an episode or trial line: an ndarray in
+# memory, a base64 string on disk, which needleroll.dataset decodes
+Column = typing.NewType("Column", np.ndarray)
 
 
 @functools.cache
@@ -34,11 +40,11 @@ def check_json(value, hint, where: str = "") -> None:
     """Raise ValueError naming the first part of a decoded JSON value that
     does not fit hint. Ints are no floats and bools no ints, floats take
     ints a float can hold, tuples are lists, an np.ndarray is a flat list
-    of such numbers, only `X | None` takes null, and a dataclass is an
-    object whose keys are its fields, each checked the same way; a field
-    may be absent only when it has a default. `where` names value in the
-    message."""
-    if isinstance(hint, types.UnionType):  # X | None
+    of such numbers, a Column is a string, only `X | None` takes null, and
+    a dataclass is an object whose keys are its fields, each checked the
+    same way; a field may be absent only when it has a default. `where`
+    names value in the message."""
+    if typing.get_origin(hint) in (types.UnionType, typing.Union):  # X | None
         if value is not None:
             check_json(value, typing.get_args(hint)[0], where)
     elif dataclasses.is_dataclass(hint):
@@ -55,6 +61,9 @@ def check_json(value, hint, where: str = "") -> None:
                            f"{where}[{name!r}]" if where else repr(name))
             elif required:
                 raise ValueError(f"{prefix}missing field {name!r}")
+    elif hint is Column:
+        if type(value) is not str:
+            raise ValueError(f"{where} must be a base64 string")
     elif hint is np.ndarray:
         # one C-level pass over a column of floats; numpy itself would read
         # "0.5" and true as numbers

@@ -1,13 +1,19 @@
 """Reference computations the tests check the package against; none of
 them is part of needleroll."""
 
+import base64
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 
-from needleroll.dataset import DATASET_SCHEMA_VERSION
+from needleroll.dataset import (
+    DATASET_SCHEMA_VERSION,
+    ESTIMATOR_COLUMNS,
+    STEP_COLUMNS,
+)
 from needleroll.lstm import LstmCellState, _gate_affine
 from needleroll.plant import SensedTip
 from needleroll.se3 import (
@@ -34,17 +40,23 @@ def roll_target(roll: float) -> np.ndarray:
 
 
 def record_line_dumps(rec) -> str:
-    """dataset.record_to_line as one json.dumps of the record's fields, the
-    per-step arrays flattened row by row."""
+    """dataset.record_to_line as one json.dumps of the record's fields, each
+    per-step column the base64 of its values packed by struct as
+    little-endian doubles, row by row."""
     doc = {"schema_version": DATASET_SCHEMA_VERSION}
     for field in dataclasses.fields(rec):
         value = getattr(rec, field.name)
-        if isinstance(value, np.ndarray):
-            value = value.reshape(-1).tolist()
+        if value is None:
+            continue
+        if field.name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS):
+            flat = value.reshape(-1).tolist()
+            value = base64.b64encode(struct.pack(f"<{len(flat)}d", *flat))
+            value = value.decode("ascii")
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
         elif dataclasses.is_dataclass(value):
             value = dataclasses.asdict(value)
-        if value is not None:
-            doc[field.name] = value
+        doc[field.name] = value
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

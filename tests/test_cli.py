@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import multiprocessing
@@ -13,6 +14,8 @@ from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DATASET_SCHEMA_VERSION,
     DEFAULT_EPISODES,
+    ESTIMATOR_COLUMNS,
+    STEP_COLUMNS,
     load_manifest,
     record_to_line,
 )
@@ -379,6 +382,16 @@ def test_cli_train_bad_option_fails_before_writing(tmp_path, capsys, flag,
     assert not run.exists()
 
 
+def _floats(text):
+    """A line's column as float64 values, by the README's recipe."""
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def _column(values):
+    """values as a line's column text."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
 def _train_argv(ds, tmp_path):
     return ["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
             "--epochs", "1"]
@@ -406,7 +419,7 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
         return json.dumps(dict(doc, **changes)) + "\n"
 
     no_heading = {k: v for k, v in doc.items() if k != "heading"}
-    nan_position = list(doc["position"])
+    nan_position = _floats(doc["position"]).copy()
     nan_position[1] = math.nan
     cases = [
         ("not valid JSON", lines[1][:len(lines[1]) // 2] + "\n"),  # cut
@@ -415,8 +428,9 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
          edited(medium=dict(doc["medium"], viscosity=1.0))),
         ("unsupported episode schema",
          edited(schema_version=DATASET_SCHEMA_VERSION + 1)),
-        ("roll_true must match", edited(roll_true=doc["roll_true"][:-1])),
-        ("position must be finite", edited(position=nan_position)),
+        ("roll_true must match",
+         edited(roll_true=_column(_floats(doc["roll_true"])[:-1]))),
+        ("position must be finite", edited(position=_column(nan_position))),
         ("final error must be finite", edited(final_error=math.inf)),
         # json writes and reads NaN and Infinity in the parameter objects
         ("curvature must be finite and positive, not nan",
@@ -435,8 +449,17 @@ def test_cli_train_on_corrupt_dataset_is_data_error(tmp_path, capsys):
         assert "line 2" in err and expect in err
 
 
-# wrong-typed edits of an episode or trial line, each with the message
-# that names its key
+def _to_schema_2(doc):
+    """An episode or trial line's object as schema 2 wrote it: each column a
+    list of numbers."""
+    for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS):
+        if name in doc:
+            doc[name] = _floats(doc[name]).tolist()
+    doc["schema_version"] = 2
+
+
+# wrong-typed or wrongly encoded edits of an episode or trial line, each
+# with the message that names its key
 LINE_EDITS = {
     "final_error_string": (
         lambda d: d.update(final_error=repr(d["final_error"])),
@@ -455,10 +478,29 @@ LINE_EDITS = {
                      "'medium'['rigid'] must be bool"),
     "medium_name_number": (lambda d: d["medium"].update(name=5),
                            "'medium'['name'] must be str"),
-    "base_angle_string": (lambda d: d["base_angle"].__setitem__(1, "0.1"),
-                          "'base_angle' must hold only numbers"),
-    "base_angle_bool": (lambda d: d["base_angle"].__setitem__(1, True),
-                        "'base_angle' must hold only numbers"),
+    "base_angle_string": (lambda d: d.update(base_angle="0.1"),
+                          "'base_angle' is not strict base64"),
+    "base_angle_bool": (lambda d: d.update(base_angle=True),
+                        "'base_angle' must be a base64 string"),
+    "base_angle_numbers": (
+        lambda d: d.update(base_angle=_floats(d["base_angle"]).tolist()),
+        "'base_angle' must be a base64 string"),
+    "roll_true_non_alphabet": (
+        lambda d: d.update(roll_true="*" + d["roll_true"][1:]),
+        "'roll_true' is not strict base64 of float64 bytes"),
+    # a heading row's 24 bytes need no padding; one character less does
+    "heading_bad_padding": (
+        lambda d: d.update(heading=d["heading"][:-1]),
+        "'heading' is not strict base64 of float64 bytes (Incorrect padding)"),
+    "rotation_speed_partial_float": (
+        lambda d: d.update(rotation_speed=base64.b64encode(
+            base64.b64decode(d["rotation_speed"])[:-3]).decode()),
+        "'rotation_speed' is not strict base64 of float64 bytes (buffer size "
+        "must be a multiple of element size)"),
+    "schema_2": (_to_schema_2, "unsupported episode schema 2"),
+    "heading_not_unit": (
+        lambda d: d.update(heading=_column(_floats(d["heading"]) * 1.001)),
+        "heading rows must be unit vectors"),
     "target_strings": (lambda d: d.update(target=list(map(str, d["target"]))),
                        "'target' must hold only numbers"),
     "deadband_bool": (lambda d: d["controller"].update(deadband=True),
@@ -503,12 +545,14 @@ def test_cli_wrong_typed_line_is_data_error(pipeline_files, tmp_path, capsys,
         path = tmp_path / "eval" / "trials" / "episodes.jsonl"
         argv = ["report", "--out", str(tmp_path / "eval")]
     _edit_line_2(path, damage)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*.*")}
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("failed:") and f"{path}: line 2 " in err
     assert expect in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*.*")} == before
 
 
 @pytest.mark.parametrize("command", ["train", "report"])
@@ -896,46 +940,67 @@ def test_cli_report_on_a_missing_trial_is_data_error(tmp_path, capsys):
     assert {p: p.read_bytes() for p in out.rglob("*.*")} == rendered
 
 
-def _as_schema_1(line: str) -> str:
-    """An episode or trial line as schema 1 wrote it: with the time axis and
-    the commanded insertion speed as columns."""
+def _as_schema(line: str, version: int) -> str:
+    """An episode or trial line as schema 2 wrote it, or schema 1, which
+    also held the time axis and the commanded insertion speed as columns."""
     doc = json.loads(line)
-    n = len(doc["base_angle"])
-    controller = doc["controller"]
-    doc.update(schema_version=1,
-               t=[k * (1.0 / controller["rate"]) for k in range(n)],
-               insertion_speed=[controller["insertion_speed"]] * n)
+    _to_schema_2(doc)
+    if version == 1:
+        n = len(doc["base_angle"])
+        controller = doc["controller"]
+        doc.update(schema_version=1,
+                   t=[k * (1.0 / controller["rate"]) for k in range(n)],
+                   insertion_speed=[controller["insertion_speed"]] * n)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_cli_report_on_schema_1_trials_is_data_error(tmp_path, capsys):
-    out = _damaged_trials(tmp_path, lambda lines: map(_as_schema_1, lines))
+def _report_on_old_trials(tmp_path, capsys, version):
+    out = _damaged_trials(
+        tmp_path, lambda lines: [_as_schema(line, version) for line in lines])
     rendered = {p: p.read_bytes() for p in out.rglob("*.*")}
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("failed:") and err.count("\n") == 1
-    assert "line 1" in err and "unsupported episode schema 1" in err
+    assert "line 1" in err and f"unsupported episode schema {version}" in err
     assert {p: p.read_bytes() for p in out.rglob("*.*")} == rendered
 
 
-def test_cli_train_on_schema_1_dataset_is_data_error(tmp_path, capsys):
+def test_cli_report_on_schema_1_trials_is_data_error(tmp_path, capsys):
+    _report_on_old_trials(tmp_path, capsys, 1)
+
+
+def test_cli_report_on_schema_2_trials_is_data_error(tmp_path, capsys):
+    _report_on_old_trials(tmp_path, capsys, 2)
+
+
+def _train_on_old_dataset(tmp_path, capsys, version):
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
     episodes = ds / "episodes.jsonl"
-    episodes.write_text("".join(
-        map(_as_schema_1, episodes.read_text().splitlines())))
+    episodes.write_text("".join(_as_schema(line, version) for line in
+                                episodes.read_text().splitlines()))
     manifest = ds / "manifest.json"
     doc = json.loads(manifest.read_text())
-    doc["schema_version"] = doc["generation"]["schema_version"] = 1
-    doc["generation"]["z_max"] = doc["z_max"]
+    doc["schema_version"] = doc["generation"]["schema_version"] = version
+    if version == 1:
+        doc["generation"]["z_max"] = doc["z_max"]
     manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     capsys.readouterr()
     assert main(_train_argv(ds, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("failed:") and err.count("\n") == 1
-    assert "manifest.json" in err and "unsupported manifest schema 1" in err
+    assert ("manifest.json" in err
+            and f"unsupported manifest schema {version}" in err)
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_on_schema_1_dataset_is_data_error(tmp_path, capsys):
+    _train_on_old_dataset(tmp_path, capsys, 1)
+
+
+def test_cli_train_on_schema_2_dataset_is_data_error(tmp_path, capsys):
+    _train_on_old_dataset(tmp_path, capsys, 2)
 
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):

@@ -18,6 +18,8 @@ from needleroll.dataset import (
     EpisodeRecord,
     GenerationStalled,
     config_hash,
+    decode_column,
+    encode_column,
     episode_to_sequence,
     generate_dataset,
     load_episodes,
@@ -221,23 +223,25 @@ def test_record_estimator_columns_roundtrip_bit_exact(tmp_path):
     assert json.dumps(trial_doc, sort_keys=True, separators=(",", ":")) == line
 
 
-# values whose text a line writes once and reuses: zeros of both signs
-# (equal as dict keys), repeats, the smallest subnormal and numbers whose
-# repr is in exponent form
+# values a column must keep bit for bit: zeros of both signs (equal as
+# floats), repeats, the smallest subnormal and numbers whose repr is in
+# exponent form
 AWKWARD = [0.0, -0.0, 0.5, 0.5, -0.0, 0.0, 5e-324, 5e-324, 1e-05, 1e+16,
            1e-05, -2.5, -2.5, 1e+16, 0.0, -0.0]
 
 
 def hand_built_record(**fields):
-    """A record with AWKWARD in each repeated column, each in its own order,
-    so the columns share values and zeros of both signs."""
+    """A record with AWKWARD in each scalar column, each in its own order,
+    so the columns share values and zeros of both signs, and unit
+    headings."""
     n = len(AWKWARD)
     rng = np.random.default_rng(5)
+    heading = rng.uniform(-1.0, 1.0, (n, 3))
     values = dict(
         episode_id=4, seed=(9, 4, 1), medium=GELATIN, controller=CONTROLLER,
         target=np.array([1.5, -2.0, 60.0]), outcome="arrived",
         final_error=0.125, position=rng.uniform(-5.0, 60.0, (n, 3)),
-        heading=rng.uniform(-1.0, 1.0, (n, 3)),
+        heading=heading / np.linalg.norm(heading, axis=1, keepdims=True),
         base_angle=np.array(AWKWARD), roll_true=np.array(AWKWARD[::-1]),
         rotation_speed=np.roll(AWKWARD, 5))
     values.update(fields)
@@ -274,16 +278,33 @@ def test_trial_and_episode_lines_are_the_sorted_compact_dumps():
 
 
 def test_record_line_writes_any_column_as_dumps_does():
-    """Values no valid record holds keep json.dumps' text too: NaN and the
-    infinities, and an int column, whose values equal floats as dict keys
-    yet are written without a fraction."""
+    """Values no valid record holds are written by the same rule: NaN and
+    the infinities keep their bits, and an int and a float32 column are
+    written as the float64 values they hold."""
     n = len(AWKWARD)
     rec = hand_built_record(
         base_angle=np.arange(n) % 3,
         roll_true=np.array([1.0, 2.0, math.nan, math.inf, -math.inf] * 3
                            + [math.nan]),
         rotation_speed=np.array(AWKWARD, dtype=np.float32))
-    assert record_to_line(rec) == record_line_dumps(rec)
+    line = record_to_line(rec)
+    assert line == record_line_dumps(rec)
+    doc = json.loads(line)
+    for name in ("base_angle", "roll_true", "rotation_speed"):
+        expect = getattr(rec, name).astype(np.float64)
+        assert decode_column(doc[name], name).tobytes() == expect.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=30),
+       width=st.sampled_from([1, 3]))
+def test_column_codec_round_trips_any_float64_bits(bits, width):
+    """Any float64 bit pattern, NaN payloads and subnormals included,
+    decodes from its column text bitwise equal, rows in order."""
+    flat = np.array(bits, dtype=np.uint64).view(np.float64)
+    column = flat[:len(flat) - len(flat) % width].reshape(-1, width)
+    back = decode_column(encode_column(column), "c").reshape(-1, width)
+    assert back.tobytes() == column.tobytes()
 
 
 @pytest.mark.parametrize("name, damage, expect, line_expect", [
@@ -329,13 +350,13 @@ def test_record_line_rejects_wrong_schema(tmp_path):
 @pytest.mark.parametrize("edit, expect", [
     (lambda d: d.update(schema_version=True), "unsupported episode schema"),
     (lambda d: d.pop("schema_version"), "unsupported episode schema None"),
-    (lambda d: d["base_angle"].__setitem__(0, 10**400),
-     "'base_angle' must hold only numbers"),
+    (lambda d: d["target"].__setitem__(0, 10**400),
+     "'target' must hold only numbers"),
     (lambda d: d.update(final_error=-10**400), "'final_error' must be float"),
-    (lambda d: d["position"].__setitem__(0, [0.0]),
-     "'position' must hold only numbers"),
+    (lambda d: d["target"].__setitem__(0, [0.0]),
+     "'target' must hold only numbers"),
     (lambda d: d.update(rotation_speed={}),
-     "'rotation_speed' must hold only numbers"),
+     "'rotation_speed' must be a base64 string"),
     (lambda d: d.update(target=[]), "target must hold three numbers"),
     (lambda d: d.update(target=d["target"][:2]),
      "target must hold three numbers"),
