@@ -13,7 +13,7 @@ import tempfile
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import generate_dataset, to_training_sequences
-from needleroll.evaluate import run_batch, summarize
+from needleroll.evaluate import group_stats, run_batch
 from needleroll.lstm import TrainConfig, train
 from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
 
@@ -38,7 +38,8 @@ for name, n_trials in (("gelatin", 6), ("brain", 6), ("lung", 6)):
     records = run_batch(("lstm", "ekf"), medium, controller, workspace,
                         n_trials=n_trials, seed=100, model=model)
     print(f"\n{name} ({n_trials} paired trials):")
+    stats = {s.estimator: s for s in group_stats(records)}
     for estimator in ("lstm", "ekf"):
-        err, omega = summarize(records, estimator)
-        print(f"  {estimator:4s}: targeting error {err:6.3f} mm, "
-              f"mean angular error {omega:.3f} rad")
+        print(f"  {estimator:4s}: targeting error "
+              f"{stats[estimator].error_mean:6.3f} mm, mean angular error "
+              f"{stats[estimator].angular_mean:.3f} rad")

@@ -38,7 +38,6 @@ from needleroll.evaluate import (
     render_report,
     report,
     run_batch,
-    summarize,
 )
 from needleroll.lstm import Diverged, load_model, save_model, train
 from needleroll.plant import MEDIUM_PRESETS
@@ -192,12 +191,12 @@ def cmd_evaluate(config: RunConfig) -> int:
         model=model, target=config.target,
         mapper=_mapper(config.jobs),
     )
-    report(records, out)
+    stats = {s.estimator: s for s in report(records, out)}
     write_resolved_config(config, out)
     for name in config.estimators:
-        err, omega = summarize(records, name)
-        print(f"{name}: mean targeting error {err:.3f} mm, "
-              f"mean angular error {omega:.4f} rad over {config.n} trials")
+        print(f"{name}: mean targeting error {stats[name].error_mean:.3f} mm, "
+              f"mean angular error {stats[name].angular_mean:.4f} rad over "
+              f"{config.n} trials")
     print(f"report written to {out / 'report.txt'}")
     return 0
 

@@ -7,9 +7,10 @@ are thrown away and regenerated with a fresh target, so the dataset only
 contains successful steers. Recorded observations keep the sensor noise;
 the roll label is the clean simulator state.
 
-Storage is one JSON Lines file per dataset (one episode per line) plus a
-manifest with per-episode metadata, the train/val assignment and a hash of
-the generation config. A line stores each fact once: every per-step
+Storage is one JSON Lines file per dataset (line k holds episode k, as
+read_records requires of every line file) plus a manifest with
+per-episode metadata, the train/val assignment and a hash of the
+generation config. A line stores each fact once: every per-step
 column is as long as base_angle, step k is at time k / controller.rate,
 and the commanded insertion speed is the controller's.
 
@@ -294,13 +295,11 @@ class DatasetManifest:
         if not 0.0 < self.z_max < math.inf:  # NaN fails
             raise ValueError(
                 f"z_max must be finite and positive, not {self.z_max!r}")
-        ids = [m.episode_id for m in self.episodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate episode ids")
-        # load_episodes never reaches a line past the end of the file
-        if sorted(m.line for m in self.episodes) != list(range(len(ids))):
-            raise ValueError("episode lines must be 0 to n-1, each once")
-        for m in self.episodes:
+        for k, m in enumerate(self.episodes):
+            # read_records finds episode k on line k, and nowhere else
+            if m.episode_id != k or m.line != k:
+                raise ValueError(f"entry {k} must describe episode {k} on "
+                                 f"line {k}")
             if m.split not in (None, "train", "val"):
                 raise ValueError(f"unknown split label {m.split!r}")
             if m.target_depth > self.z_max + DEPTH_SLACK:
@@ -337,18 +336,32 @@ def load_manifest(root: Path) -> DatasetManifest:
     return manifest
 
 
-def read_record_line(path: Path, idx: int, line: bytes) -> EpisodeRecord:
-    """record_from_line on the bytes of line idx (zero-based) of path; any
-    failure, a byte that is not UTF-8 too, is a DatasetError naming them."""
-    try:
-        return record_from_line(line.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(
-            f"{path}: line {idx + 1} is not valid JSON ({exc})") from exc
-    # no UTF-8, or valid JSON that is no episode: wrong type, missing key...
-    except ValueError as exc:
-        raise DatasetError(f"{path}: line {idx + 1} is not a valid "
-                           f"episode ({exc})") from exc
+def read_records(path: Path) -> list[EpisodeRecord]:
+    """Every record of a dataset or trial file, under the one rule of both:
+    line k (zero-based) holds the record with id k and ends in a newline.
+
+    Each line is decoded first, then its newline and its id are checked.
+    Any failure, a byte that is not UTF-8 too, is a DatasetError naming
+    path and the line.
+    """
+    records = []
+    with open(path, "rb") as fh:
+        for k, line in enumerate(fh):
+            where = f"{path}: line {k + 1}"
+            try:
+                rec = record_from_line(line.decode("utf-8"))
+            # no JSON, or no UTF-8 or no episode: wrong type, missing key...
+            except ValueError as exc:
+                what = ("valid JSON" if isinstance(exc, json.JSONDecodeError)
+                        else "a valid episode")
+                raise DatasetError(f"{where} is not {what} ({exc})") from exc
+            if not line.endswith(b"\n"):
+                raise DatasetError(f"{where} is truncated")
+            if rec.episode_id != k:
+                raise DatasetError(
+                    f"{where} holds record {rec.episode_id}, not record {k}")
+            records.append(rec)
+    return records
 
 
 def load_episodes(root: Path, manifest: DatasetManifest,
@@ -356,32 +369,16 @@ def load_episodes(root: Path, manifest: DatasetManifest,
     """Episodes in id order; optionally restricted to one split.
 
     Raises DatasetError unless the episodes file holds exactly the
-    manifest's episodes, each complete, valid JSON and on its listed line.
+    manifest's episodes, line k holding episode k as read_records requires.
     """
-    wanted = {m.line: m.episode_id for m in manifest.episodes
-              if split is None or m.split == split}
     path = Path(root) / manifest.episodes_file
-    out = []
-    lines = 0
-    with open(path, "rb") as fh:
-        for idx, line in enumerate(fh):
-            lines += 1
-            if not line.endswith(b"\n"):
-                raise DatasetError(f"{path}: line {idx + 1} is truncated")
-            if idx not in wanted:
-                continue
-            rec = read_record_line(path, idx, line)
-            if rec.episode_id != wanted[idx]:
-                raise DatasetError(
-                    f"{path}: line {idx + 1} holds episode {rec.episode_id}, "
-                    f"the manifest lists episode {wanted[idx]}")
-            out.append(rec)
-    if lines != len(manifest.episodes):
+    records = read_records(path)
+    if len(records) != len(manifest.episodes):
         raise DatasetError(
-            f"{path}: {lines} episodes, the manifest lists "
+            f"{path}: {len(records)} episodes, the manifest lists "
             f"{len(manifest.episodes)}")
-    out.sort(key=lambda r: r.episode_id)
-    return out
+    return [rec for rec, m in zip(records, manifest.episodes)
+            if split is None or m.split == split]
 
 
 # ---------------------------------------------------------------- generation

@@ -14,25 +14,28 @@ Artifact layout under an output directory:
     trials/summaries.csv    one row per trial
     histogram.csv           angular-error histogram per estimator and medium
     report.txt              aggregate statistics
-The last three are views of the trial records alone. evaluate renders
-them from the records it has just written, which decode from
-trials/episodes.jsonl bit for bit (each column is stored as its float64
-bytes), so `report`, re-rendering an existing directory from that file,
-reproduces them byte for byte.
+The last three are views of the trial records alone, and group_stats owns
+every number of histogram.csv and report.txt. evaluate renders them from
+the records it has just written, which decode from trials/episodes.jsonl
+bit for bit (each column is stored as its float64 bytes), so `report`,
+re-rendering an existing directory from that file, reproduces them byte
+for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
+    ESTIMATOR_COLUMNS,
     DatasetError,
-    read_record_line,
+    read_records,
     record_from_logs,
     record_to_line,
     run_closed_loop,
@@ -47,6 +50,10 @@ from needleroll.se3 import angular_error, decompose_roll, wrap_angle
 # stream of every evaluation trial
 ESTIMATOR_NAMES = ("truth", "ekf", "lstm")
 BIN_WIDTH = 0.05  # rad, of the angular-error histogram
+# its bin edges step by BIN_WIDTH from 0, the last widened to reach pi
+BIN_EDGES = np.arange(math.ceil(math.pi / BIN_WIDTH) + 1) * BIN_WIDTH
+BIN_EDGES[-1] = max(BIN_EDGES[-1], math.pi)
+BIN_EDGES.flags.writeable = False  # histogram hands this array out
 DEFAULT_TRIALS = 30  # evaluate's trials per estimator
 
 SUMMARY_COLUMNS = ["trial_id", "estimator", "medium", "seed", "outcome",
@@ -146,13 +153,54 @@ def check_estimator_names(names):
 
 
 def histogram(values):
-    """(edges, counts) of angular errors; the bins step by BIN_WIDTH from 0,
-    the last widened to reach pi."""
-    n_bins = math.ceil(math.pi / BIN_WIDTH)
-    edges = np.arange(n_bins + 1) * BIN_WIDTH
-    edges[-1] = max(edges[-1], math.pi)
-    counts, _ = np.histogram(values, bins=edges)
-    return edges, counts
+    """(BIN_EDGES, counts) of angular errors."""
+    return BIN_EDGES, np.histogram(values, bins=BIN_EDGES)[0]
+
+
+@dataclass(frozen=True)
+class GroupStats:
+    """Every number report.txt and histogram.csv print of one group."""
+
+    medium: str
+    estimator: str
+    trials: int
+    arrived: int
+    mean_steps: float
+    error_mean: float  # mm, targeting error
+    error_median: float
+    error_max: float
+    angular_mean: float  # rad, over every step of the group
+    angular_median: float
+    roll_mean: float  # rad, per-step |wrapped roll error|
+    histogram: tuple[int, ...]  # angular errors per BIN_EDGES bin
+
+
+def group_stats(records) -> list[GroupStats]:
+    """The GroupStats of each (medium, estimator) of records, sorted by
+    medium, then estimator: the one place a group statistic is computed.
+    Per-step statistics run over the group's steps concatenated in
+    trial_id order, which sets their float bits."""
+    trials = sorted(records, key=lambda r: r.episode_id)
+    stats = []
+    for medium, estimator in sorted({(r.medium.name, r.estimator)
+                                     for r in trials}):
+        group = [r for r in trials
+                 if (r.medium.name, r.estimator) == (medium, estimator)]
+        errors = np.array([r.final_error for r in group])
+        omega = np.concatenate([r.angular_error for r in group])
+        stats.append(GroupStats(
+            medium=medium, estimator=estimator, trials=len(group),
+            arrived=sum(r.outcome == "arrived" for r in group),
+            mean_steps=float(np.mean([r.steps for r in group])),
+            error_mean=float(np.mean(errors)),
+            error_median=float(np.median(errors)),
+            error_max=float(np.max(errors)),
+            angular_mean=float(np.mean(omega)),
+            angular_median=float(np.median(omega)),
+            roll_mean=float(np.mean(np.concatenate(
+                [_roll_error(r) for r in group]))),
+            histogram=tuple(map(int, histogram(omega)[1]))))
+    return stats
 
 
 # ---------------------------------------------------------------- persistence
@@ -161,24 +209,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def report(records, out_dir: Path):
-    """Persist the trial records and render the views derived from them.
-
-    The records go to trials/episodes.jsonl in trial_id order.
-    summaries.csv, histogram.csv and report.txt are rendered from those
-    same records in memory: each decodes from its line bit for bit, so
-    these are the bytes render_report writes from the file. Raises
-    ValueError, before writing anything, unless the trial ids are 0 to
-    n-1, each once, and every record carries the estimator columns: the
-    set render_report accepts.
-    """
+def report(records, out_dir: Path) -> list[GroupStats]:
+    """Persist the trial records to trials/episodes.jsonl in trial_id
+    order and render the views from the same records in memory: each
+    decodes from its line bit for bit, so these are the bytes render_report
+    writes from that file. Returns their group_stats. Raises ValueError,
+    before writing anything, unless the trial ids are 0 to n-1, each once,
+    and every record carries the estimator columns, as render_report
+    requires."""
     if not records:
         raise ValueError("nothing to report")
     trials = sorted(records, key=lambda r: r.episode_id)
     if [rec.episode_id for rec in trials] != list(range(len(trials))):
         raise ValueError("trial ids must be 0 to n-1, each once")
-    if any(rec.estimator is None or rec.roll_est is None
-           or rec.angular_error is None for rec in trials):
+    if any(getattr(rec, name) is None for rec in trials
+           for name in ("estimator", *ESTIMATOR_COLUMNS)):
         raise ValueError("every trial needs its estimator, roll_est and "
                          "angular_error")
     out_dir = Path(out_dir)
@@ -186,109 +231,67 @@ def report(records, out_dir: Path):
     with open(out_dir / "trials" / "episodes.jsonl", "w") as fh:
         for rec in trials:
             fh.write(record_to_line(rec) + "\n")
-    _render_views(trials, out_dir)
-
-
-def _read_trials(path: Path):
-    """The trial records of path in trial_id order.
-
-    Raises DatasetError naming the file when it holds no trials or its
-    trial ids are not 0 to n-1 (naming the first one missing), and the
-    line at fault when a line does not decode, repeats a trial_id, or lacks
-    the estimator columns (a directory written before trial lines carried
-    them).
-    """
-    by_id = {}
-    with open(path, "rb") as fh:
-        for idx, line in enumerate(fh):
-            rec = read_record_line(path, idx, line)
-            if rec.episode_id in by_id:
-                raise DatasetError(
-                    f"{path}: line {idx + 1} repeats trial {rec.episode_id}")
-            if (rec.estimator is None or rec.roll_est is None
-                    or rec.angular_error is None):
-                raise DatasetError(
-                    f"{path}: line {idx + 1} has no estimator/roll_est/"
-                    f"angular_error columns; re-run evaluate to write them")
-            by_id[rec.episode_id] = rec
-    if not by_id:
-        raise DatasetError(f"{path}: no trial records")
-    for k in range(len(by_id)):
-        if k not in by_id:
-            raise DatasetError(f"{path}: trial {k} is missing; trial ids "
-                               f"must be 0 to n-1, each once")
-    return [by_id[k] for k in range(len(by_id))]
+    return _render_views(trials, out_dir)
 
 
 def render_report(out_dir: Path):
     """Render summaries.csv, histogram.csv and report.txt from
-    trials/episodes.jsonl only."""
+    trials/episodes.jsonl only. Raises DatasetError naming the file when
+    read_records rejects it or it holds no trials, and the line of a trial
+    without the estimator columns (written before trial lines had them)."""
     out_dir = Path(out_dir)
-    _render_views(_read_trials(out_dir / "trials" / "episodes.jsonl"), out_dir)
+    path = out_dir / "trials" / "episodes.jsonl"
+    trials = read_records(path)
+    if not trials:
+        raise DatasetError(f"{path}: no trial records")
+    for k, rec in enumerate(trials):
+        if any(getattr(rec, name) is None
+               for name in ("estimator", *ESTIMATOR_COLUMNS)):
+            raise DatasetError(
+                f"{path}: line {k + 1} has no estimator/roll_est/"
+                f"angular_error columns; re-run evaluate to write them")
+    _render_views(trials, out_dir)
 
 
-def _render_views(trials, out_dir: Path):
-    """Write summaries.csv, histogram.csv and report.txt of trials, given
-    in trial_id order: the per-group means and medians depend on the
-    concatenation order."""
-    roll_errors = [_roll_error(rec) for rec in trials]
+def _render_views(trials, out_dir: Path) -> list[GroupStats]:
+    """Write summaries.csv, with one row per trial, and histogram.csv and
+    report.txt, which format group_stats(trials); returns those."""
     with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        for rec, roll_err in zip(trials, roll_errors):
+        for rec in trials:
             writer.writerow([
                 rec.episode_id, rec.estimator, rec.medium.name,
                 "-".join(str(v) for v in rec.seed), rec.outcome, rec.steps,
                 _fmt(rec.final_error), _fmt(np.mean(rec.angular_error)),
-                _fmt(np.mean(roll_err)),
+                _fmt(np.mean(_roll_error(rec))),
             ])
 
-    groups = sorted({(rec.medium.name, rec.estimator) for rec in trials})
-    hist_rows = []
-    lines = ["closed-loop steering report", ""]
-    for medium, estimator in groups:
-        members = [i for i, rec in enumerate(trials)
-                   if (rec.medium.name, rec.estimator) == (medium, estimator)]
-        group = [trials[i] for i in members]
-        omega = np.concatenate([rec.angular_error for rec in group])
-        edges, counts = histogram(omega)
-        hist_rows += [[medium, estimator, _fmt(edges[k]), _fmt(edges[k + 1]),
-                       int(counts[k])] for k in range(len(counts))]
-
-        errors = np.array([rec.final_error for rec in group])
-        arrived = sum(1 for rec in group if rec.outcome == "arrived")
-        step_counts = np.array([rec.steps for rec in group])
-        roll_err = np.concatenate([roll_errors[i] for i in members])
-        lines += [
-            f"[{medium} / {estimator}]",
-            f"  trials: {len(group)} ({arrived} arrived), "
-            f"mean steps {np.mean(step_counts):.1f}",
-            f"  targeting error: mean {np.mean(errors):.4f} mm, "
-            f"median {np.median(errors):.4f} mm, max {np.max(errors):.4f} mm",
-            f"  per-step angular error: mean {np.mean(omega):.4f} rad, "
-            f"median {np.median(omega):.4f} rad",
-            f"  per-step roll error:    mean {np.mean(roll_err):.4f} rad",
-            "",
-        ]
+    stats = group_stats(trials)
     with open(out_dir / "histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["medium", "estimator", "bin_lo", "bin_hi", "count"])
-        writer.writerows(hist_rows)
+        writer.writerows([s.medium, s.estimator, _fmt(lo), _fmt(hi), count]
+                         for s in stats for lo, hi, count
+                         in zip(BIN_EDGES[:-1], BIN_EDGES[1:], s.histogram))
+    lines = ["closed-loop steering report", ""]
+    for s in stats:
+        lines += [
+            f"[{s.medium} / {s.estimator}]",
+            f"  trials: {s.trials} ({s.arrived} arrived), "
+            f"mean steps {s.mean_steps:.1f}",
+            f"  targeting error: mean {s.error_mean:.4f} mm, "
+            f"median {s.error_median:.4f} mm, max {s.error_max:.4f} mm",
+            f"  per-step angular error: mean {s.angular_mean:.4f} rad, "
+            f"median {s.angular_median:.4f} rad",
+            f"  per-step roll error:    mean {s.roll_mean:.4f} rad",
+            "",
+        ]
     (out_dir / "report.txt").write_text("\n".join(lines))
+    return stats
 
 
 def _roll_error(record):
     """Per-step |wrap(roll_est - roll_true)| of a trial record, rad."""
     return np.abs([wrap_angle(d)
                    for d in (record.roll_est - record.roll_true).tolist()])
-
-
-def summarize(records, estimator: str):
-    """(mean targeting error, mean per-step angular error) for one estimator."""
-    group = [rec for rec in records if rec.estimator == estimator]
-    if not group:
-        raise ValueError(f"no trials for estimator {estimator!r}")
-    err = float(np.mean([rec.final_error for rec in group]))
-    steps = np.array([rec.steps for rec in group], dtype=float)
-    omega = np.array([np.mean(rec.angular_error) for rec in group])
-    return err, float(np.sum(omega * steps) / np.sum(steps))

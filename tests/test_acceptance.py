@@ -13,7 +13,7 @@ import numpy as np
 from needleroll.cli import main
 from needleroll.controller import ControllerParams
 from needleroll.dataset import episode_to_sequence, load_episodes
-from needleroll.evaluate import run_batch, summarize
+from needleroll.evaluate import group_stats, run_batch
 from needleroll.lstm import (
     RollEstimator,
     _forward_batch,
@@ -114,8 +114,9 @@ def test_c05_learned_estimator_beats_filter_in_gelatin(
         ("lstm", "ekf"), cfg.make_medium(), ControllerParams(),
         cfg.make_workspace(), n_trials=30, seed=505, model=model,
     )
-    lstm_err, _ = summarize(records, "lstm")
-    ekf_err, _ = summarize(records, "ekf")
+    ekf, lstm = group_stats(records)  # sorted by estimator name
+    assert (ekf.estimator, lstm.estimator) == ("ekf", "lstm")
+    lstm_err, ekf_err = lstm.error_mean, ekf.error_mean
     ok = lstm_err < 2.0 and lstm_err < ekf_err / 3.0
     verdict("C5", ok,
             f"30 fresh gelatin trials: learned mean {lstm_err:.3f} mm vs "
@@ -135,12 +136,13 @@ def test_c06_gelatin_trained_model_transfers_to_brain_and_lung(
             ControllerParams(), cfg.make_workspace(),
             n_trials=10, seed=seed, model=model,
         )
-        lstm_err, lstm_omega = summarize(records, "lstm")
-        ekf_err, ekf_omega = summarize(records, "ekf")
-        ok = ok and lstm_err < ekf_err and lstm_omega < ekf_omega
+        ekf, lstm = group_stats(records)  # sorted by estimator name
+        assert (ekf.estimator, lstm.estimator) == ("ekf", "lstm")
+        ok = (ok and lstm.error_mean < ekf.error_mean
+              and lstm.angular_mean < ekf.angular_mean)
         details.append(
-            f"{medium_name} target {lstm_err:.2f}|{ekf_err:.2f} mm, "
-            f"angle {lstm_omega:.2f}|{ekf_omega:.2f} rad")
+            f"{medium_name} target {lstm.error_mean:.2f}|{ekf.error_mean:.2f}"
+            f" mm, angle {lstm.angular_mean:.2f}|{ekf.angular_mean:.2f} rad")
     verdict("C6", ok,
             "cross-medium (learned|filter, need learned lower on both): "
             + "; ".join(details))

@@ -529,6 +529,24 @@ def _edit_line_2(path, edit):
     path.write_text("".join(lines))
 
 
+def _copied_line_file(pipeline_files, tmp_path, command):
+    """(path, argv): a copy of the dataset's episodes file and the train
+    command reading it, or of the evaluate trial file and report."""
+    if command == "train":
+        shutil.copytree(pipeline_files / "ds", tmp_path / "ds")
+        return (tmp_path / "ds" / "episodes.jsonl",
+                _train_argv(tmp_path / "ds", tmp_path))
+    shutil.copytree(pipeline_files / "eval", tmp_path / "eval")
+    return (tmp_path / "eval" / "trials" / "episodes.jsonl",
+            ["report", "--out", str(tmp_path / "eval")])
+
+
+def _tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("edit", LINE_EDITS)
 @pytest.mark.parametrize("command", ["train", "report"])
 def test_cli_wrong_typed_line_is_data_error(pipeline_files, tmp_path, capsys,
@@ -536,14 +554,7 @@ def test_cli_wrong_typed_line_is_data_error(pipeline_files, tmp_path, capsys,
     """train reads episode lines and report trial lines through one type
     check: a wrong-typed value fails it, naming the file, line and key."""
     damage, expect = LINE_EDITS[edit]
-    if command == "train":
-        shutil.copytree(pipeline_files / "ds", tmp_path / "ds")
-        path = tmp_path / "ds" / "episodes.jsonl"
-        argv = _train_argv(tmp_path / "ds", tmp_path)
-    else:
-        shutil.copytree(pipeline_files / "eval", tmp_path / "eval")
-        path = tmp_path / "eval" / "trials" / "episodes.jsonl"
-        argv = ["report", "--out", str(tmp_path / "eval")]
+    path, argv = _copied_line_file(pipeline_files, tmp_path, command)
     _edit_line_2(path, damage)
     before = {p: p.read_bytes() for p in tmp_path.rglob("*.*")}
     capsys.readouterr()
@@ -559,14 +570,7 @@ def test_cli_wrong_typed_line_is_data_error(pipeline_files, tmp_path, capsys,
 def test_cli_non_utf8_line_is_data_error(pipeline_files, tmp_path, capsys,
                                          command):
     """A byte that is not UTF-8 fails its line like any other bad line."""
-    if command == "train":
-        shutil.copytree(pipeline_files / "ds", tmp_path / "ds")
-        path = tmp_path / "ds" / "episodes.jsonl"
-        argv = _train_argv(tmp_path / "ds", tmp_path)
-    else:
-        shutil.copytree(pipeline_files / "eval", tmp_path / "eval")
-        path = tmp_path / "eval" / "trials" / "episodes.jsonl"
-        argv = ["report", "--out", str(tmp_path / "eval")]
+    path, argv = _copied_line_file(pipeline_files, tmp_path, command)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1][:100] + b"\xff" + lines[1][101:]
     path.write_bytes(b"".join(lines))
@@ -576,6 +580,25 @@ def test_cli_non_utf8_line_is_data_error(pipeline_files, tmp_path, capsys,
     assert err.startswith("failed:") and f"{path}: line 2 " in err
     assert "utf-8" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_cli_truncated_last_line_is_data_error(pipeline_files, tmp_path,
+                                               capsys, command):
+    """A complete last line that lost its newline fails in either file:
+    every line ends in one, so a line without it may have been cut."""
+    path, argv = _copied_line_file(pipeline_files, tmp_path, command)
+    text = path.read_bytes()
+    path.write_bytes(text[:-1])
+    last = text.count(b"\n")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:")
+    assert f"{path}: line {last} is truncated" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("label", ["val", "train", None])
@@ -601,7 +624,7 @@ def test_cli_train_on_a_one_sided_manifest_is_data_error(tmp_path, capsys,
                                     "schema_version", "z_max_nan",
                                     "z_max_infinity", "z_max_negative",
                                     "duplicate_episode_id", "unknown_split",
-                                    "line_past_the_end"])
+                                    "line_past_the_end", "swapped_lines"])
 def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
@@ -624,6 +647,8 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
         doc["episodes"][1]["episode_id"] = doc["episodes"][0]["episode_id"]
     elif damage == "line_past_the_end":  # else its episode is skipped
         doc["episodes"][1]["line"] = 7
+    elif damage == "swapped_lines":  # entry k must describe line k
+        doc["episodes"][0]["line"], doc["episodes"][1]["line"] = 1, 0
     else:
         doc["episodes"][0]["split"] = "test"
     path.write_text(json.dumps(doc))
@@ -923,10 +948,13 @@ def test_cli_report_on_an_empty_trial_file_is_data_error(tmp_path, capsys):
 
 def test_cli_report_on_a_repeated_trial_is_data_error(tmp_path, capsys):
     out = _damaged_trials(tmp_path, lambda lines: lines[:2] + lines[1:])
+    rendered = {p: p.read_bytes() for p in out.rglob("*.*")}
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("failed:") and "line 3 repeats trial 1" in err
+    assert err.startswith("failed:") and "line 3 holds record 1," in err
+    assert err.count("\n") == 1
+    assert {p: p.read_bytes() for p in out.rglob("*.*")} == rendered
 
 
 def test_cli_report_on_a_missing_trial_is_data_error(tmp_path, capsys):
@@ -935,7 +963,7 @@ def test_cli_report_on_a_missing_trial_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("failed:") and "trial 1 is missing" in err
+    assert err.startswith("failed:") and "line 2 holds record 2," in err
     assert err.count("\n") == 1
     assert {p: p.read_bytes() for p in out.rglob("*.*")} == rendered
 

@@ -366,7 +366,7 @@ def test_record_line_rejects_wrong_schema(tmp_path):
         "empty_target", "short_target", "long_target"])
 def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
     """Every fault of a line is a ValueError naming what is wrong, so
-    read_record_line need catch nothing else."""
+    read_records need catch nothing else."""
     root, manifest = small_dataset(tmp_path, n=2, seed=13)
     doc = json.loads(record_to_line(load_episodes(root, manifest)[0]))
     edit(doc)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -5,6 +6,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needleroll import dataset, evaluate
 from needleroll.controller import ControllerParams, control
@@ -17,18 +20,20 @@ from needleroll.dataset import (
 )
 from needleroll.evaluate import (
     BIN_WIDTH,
+    ESTIMATOR_NAMES,
     _roll_error,
+    group_stats,
     histogram,
     make_estimator,
     render_report,
     report,
     run_batch,
     run_trial,
-    summarize,
 )
 from needleroll.lstm import init_model
 from needleroll.plant import (
     GELATIN,
+    MEDIUM_PRESETS,
     ControlInput,
     SensedTip,
     WorkspaceCone,
@@ -247,15 +252,36 @@ def test_batch_rejects_bad_args():
                   seed=1)
 
 
-def test_summarize_weights_by_steps():
-    records = run_batch(["ekf"], rigid_variant(GELATIN), CONTROLLER,
-                        WORKSPACE, n_trials=3, seed=17)
-    err, omega = summarize(records, "ekf")
-    assert err == pytest.approx(np.mean([r.final_error for r in records]))
-    total = sum(np.mean(r.angular_error) * r.steps for r in records)
-    assert omega == pytest.approx(total / sum(r.steps for r in records))
-    with pytest.raises(ValueError):
-        summarize(records, "lstm")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(medium=st.sampled_from(sorted(MEDIUM_PRESETS)),
+       seed=st.integers(0, 2**31 - 1),
+       names=st.permutations(ESTIMATOR_NAMES).flatmap(
+           lambda p: st.integers(1, len(p)).map(lambda n: p[:n])),
+       data=st.data())
+def test_trial_k_does_not_depend_on_the_batch_around_it(medium, seed, names,
+                                                       data):
+    """Trial k of an estimator equals its trial k in a one-estimator batch
+    of any other size n > k, field for field but its trial id: the other
+    estimators listed, their order and n move no bit of it. Paired
+    comparisons across batches rest on this."""
+    k = data.draw(st.integers(0, 1), label="k")
+    n, n_alone = (data.draw(st.integers(k + 1, 2), label=label)
+                  for label in ("n", "n_alone"))
+    name = data.draw(st.sampled_from(names), label="name")
+    model = init_model(75.0, hidden_size=4, seed=1)
+    args = (MEDIUM_PRESETS[medium], CONTROLLER, WORKSPACE)
+    batch = run_batch(names, *args, n_trials=n, seed=seed, model=model)
+    alone = run_batch([name], *args, n_trials=n_alone, seed=seed,
+                      model=model)[k]
+    paired = batch[k * len(names) + names.index(name)]
+    assert (paired.estimator, alone.episode_id) == (name, k)
+    for key in (f.name for f in dataclasses.fields(paired)
+                if f.name != "episode_id"):
+        a, b = getattr(paired, key), getattr(alone, key)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+        else:
+            assert a == b, key
 
 
 # ------------------------------------------------------------------ histogram
@@ -310,8 +336,6 @@ def test_report_layout(reported_dir):
 
 
 def test_report_summary_rows_match_trials(reported_dir):
-    import csv
-
     out, records = reported_dir
     with open(out / "trials" / "summaries.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -322,6 +346,35 @@ def test_report_summary_rows_match_trials(reported_dir):
         assert row["estimator"] == r.estimator
         assert float(row["targeting_error_mm"]) == r.final_error
         assert float(row["mean_angular_error_rad"]) == np.mean(r.angular_error)
+
+
+def test_group_stats_give_the_numbers_report_prints(reported_dir):
+    """report.txt and histogram.csv format group_stats and nothing else;
+    its per-step statistics run over every step of a group."""
+    out, records = reported_dir
+    stats = group_stats(records)
+    assert [(s.medium, s.estimator) for s in stats] == [
+        ("gelatin", "ekf"), ("gelatin", "truth")]
+    text = (out / "report.txt").read_text()
+    for s in stats:
+        group = [r for r in records if r.estimator == s.estimator]
+        assert s.trials == len(group) == 2
+        assert s.error_max == max(r.final_error for r in group)
+        assert s.angular_mean == np.mean(
+            np.concatenate([r.angular_error for r in group]))
+        assert (
+            f"[{s.medium} / {s.estimator}]\n"
+            f"  trials: {s.trials} ({s.arrived} arrived), "
+            f"mean steps {s.mean_steps:.1f}\n"
+            f"  targeting error: mean {s.error_mean:.4f} mm, "
+            f"median {s.error_median:.4f} mm, max {s.error_max:.4f} mm\n"
+            f"  per-step angular error: mean {s.angular_mean:.4f} rad, "
+            f"median {s.angular_median:.4f} rad\n"
+            f"  per-step roll error:    mean {s.roll_mean:.4f} rad\n"
+        ) in text
+    with open(out / "histogram.csv", newline="") as fh:
+        counts = [int(row["count"]) for row in csv.DictReader(fh)]
+    assert counts == [c for s in stats for c in s.histogram]
 
 
 def test_report_mean_omega_matches_persisted_trace(reported_dir):
@@ -406,8 +459,6 @@ def test_report_episodes_roundtrip(reported_dir):
 
 
 def test_histogram_csv_mass_conservation(reported_dir):
-    import csv
-
     out, records = reported_dir
     with open(out / "histogram.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
