@@ -21,8 +21,7 @@ with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print(f"generating 16 insertions in {root} ...")
     manifest = generate_dataset(16, medium, workspace, controller, seed=11,
                                 root=root)
-    train_seqs = to_training_sequences(root, manifest, "train")
-    val_seqs = to_training_sequences(root, manifest, "val")
+    train_seqs, val_seqs = to_training_sequences(root, manifest)
 steps = sum(xs.shape[0] for xs, _ in train_seqs)
 print(f"train {len(train_seqs)} episodes ({steps} steps), val {len(val_seqs)}")
 

@@ -25,8 +25,7 @@ with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print("generating 24 gelatin insertions ...")
     manifest = generate_dataset(24, gelatin, workspace, controller, seed=21,
                                 root=root)
-    train_seqs = to_training_sequences(root, manifest, "train")
-    val_seqs = to_training_sequences(root, manifest, "val")
+    train_seqs, val_seqs = to_training_sequences(root, manifest)
 
 print("training (reduced scale) ...")
 config = TrainConfig(epochs=150, hidden_size=24, seed=0)

@@ -37,8 +37,11 @@ training pass, with dropout) and `lstm.backward` at hidden 30 on a padded
 batch of 600 steps, 8 and 4 sequences wide, through one reused Workspace
 as `train` runs them, in µs per padded step (their `calls` column is the
 step count), and `lstm.Adam.apply` per call on a hidden-30 model. The
-last line names the machine: cores, Python and numpy. BLAS runs one
-thread, as in the benchmark. Standard library and numpy only; imports the
+`lstm.save_model` and `lstm.load_model` rows write and read the untrained
+model's file, per call, in a temporary directory; each save writes a new
+file, as `train` does (rewriting one can add a filesystem flush of tens of
+ms). The last line names the machine: cores, Python and numpy. BLAS runs
+one thread, as in the benchmark. Standard library and numpy only; imports the
 `src/` next to this script.
 """
 
@@ -48,9 +51,11 @@ import argparse
 import dataclasses
 import functools
 import gc
+import itertools
 import os
 import platform
 import sys
+import tempfile
 import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -193,6 +198,14 @@ def main(argv=None) -> int:
     grads = lstm.backward(model, cache, ys, mask)[0]
     stepped = lstm.init_model(75.0, hidden_size=30, seed=1)
     optimizer = lstm.Adam(stepped, lstm.LEARNING_RATE)
+    model_dir = tempfile.TemporaryDirectory()
+    model_path = Path(model_dir.name) / "model.json"
+    lstm.save_model(model, model_path)
+    saved = itertools.count()
+
+    def new_model_files():
+        return [(model, Path(model_dir.name) / f"{next(saved)}.json")
+                for _ in range(10)]
 
     def fresh_tracker_calls(calls, make):
         def build():
@@ -238,6 +251,8 @@ def main(argv=None) -> int:
         *training_rows,
         ("lstm.Adam.apply", lstm.Adam.apply,
          replay([(optimizer, stepped, grads)] * 10)),
+        ("lstm.save_model", lstm.save_model, new_model_files),
+        ("lstm.load_model", lstm.load_model, replay([(model_path,)] * 10)),
     ]
     print(f"{'layer':<30}{'median':>10}{'p25':>10}{'p75':>10}{'calls':>8}")
     for name, fn, make_args, *per_call in rows:
@@ -249,6 +264,7 @@ def main(argv=None) -> int:
           f"numpy={np.__version__} blas_threads="
           f"{os.environ['OPENBLAS_NUM_THREADS']} repeats={repeats} "
           f"seed={SEED}")
+    model_dir.cleanup()
     return 0
 
 

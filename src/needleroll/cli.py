@@ -161,8 +161,7 @@ def cmd_train(config: RunConfig) -> int:
     out = Path(_require(config.out, "--out"))
     dataset_root = Path(_require(config.dataset, "--dataset"))
     manifest = load_manifest(dataset_root)
-    train_seqs = to_training_sequences(dataset_root, manifest, "train")
-    val_seqs = to_training_sequences(dataset_root, manifest, "val")
+    train_seqs, val_seqs = to_training_sequences(dataset_root, manifest)
     # the features are scaled by the dataset's z_max, so the model takes it
     model, log = train(train_seqs, val_seqs, config.make_train_config(),
                        manifest.z_max)

@@ -14,17 +14,15 @@ generation config. A line stores each fact once: every per-step
 column is as long as base_angle, step k is at time k / controller.rate,
 and the commanded insertion speed is the controller's.
 
-The line format, owned by encode_column and decode_column: a line is the
-compact sorted json.dumps(doc, sort_keys=True, separators=(",", ":")) of
-the record, where each per-step column (STEP_COLUMNS, ESTIMATOR_COLUMNS)
-is one strict-base64 string of its little-endian float64 bytes, row-major,
-so every value round-trips bit for bit; every other field, target
-included, is JSON text.
+The line format, owned by needleroll.schema: a line is encode's compact
+sorted JSON text of the record, where each per-step column (STEP_COLUMNS,
+ESTIMATOR_COLUMNS, the record's Column fields) is one strict-base64 string
+of its little-endian float64 bytes, row-major, so every value round-trips
+bit for bit; every other field, target included, is JSON text.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import itertools
@@ -51,7 +49,7 @@ from needleroll.plant import (
     sense,
     step,
 )
-from needleroll.schema import Column, decode
+from needleroll.schema import Column, decode, encode
 from needleroll.se3 import floats3
 
 DATASET_SCHEMA_VERSION = 3
@@ -141,7 +139,7 @@ class EpisodeRecord:
     seed: tuple[int, ...]
     medium: MediumParams
     controller: ControllerParams
-    target: np.ndarray  # (3,) mm
+    target: tuple[float, float, float]  # mm
     outcome: str
     final_error: float  # mm
     position: Column  # (T, 3) sensed, mm
@@ -161,7 +159,7 @@ class EpisodeRecord:
         n = self.steps
         if n < 1:
             raise ValueError("episode must contain at least one timestep")
-        if self.target.shape != (3,):
+        if len(self.target) != 3:
             raise ValueError("target must hold three numbers")
         for name in ("position", "heading"):
             if getattr(self, name).shape != (n, 3):
@@ -207,7 +205,7 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
         seed=tuple(int(s) for s in seed),
         medium=medium,
         controller=controller,
-        target=np.asarray(target, dtype=float),
+        target=tuple(map(float, target)),
         outcome=outcome,
         final_error=float(final_error),
         **{name: (_stack_rows3(logs[name]) if name in ("position", "heading")
@@ -219,49 +217,18 @@ def record_from_logs(episode_id: int, seed, medium: MediumParams,
     return rec
 
 
-def encode_column(values: np.ndarray) -> str:
-    """The strict base64 of a per-step column's little-endian float64
-    bytes, row-major."""
-    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
-
-
-def decode_column(text: str, name: str) -> np.ndarray:
-    """encode_column's column back, flat and read-only; a text that is not
-    strict base64 of whole 8-byte values is a ValueError naming name."""
-    try:
-        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
-    except ValueError as exc:  # binascii.Error is one, numpy's size fault too
-        raise ValueError(f"{name!r} is not strict base64 of float64 bytes "
-                         f"({exc})") from None
-
-
 def record_to_line(rec: EpisodeRecord) -> str:
     """One JSON object holding every field of rec that is not None, in the
     line format of the module docstring."""
-    doc = {"schema_version": DATASET_SCHEMA_VERSION}
-    for field in dataclasses.fields(rec):
-        value = getattr(rec, field.name)
-        if value is None:
-            continue
-        if field.name in STEP_COLUMNS or field.name in ESTIMATOR_COLUMNS:
-            value = encode_column(value)
-        elif isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif dataclasses.is_dataclass(value):
-            value = dataclasses.asdict(value)
-        doc[field.name] = value
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return encode(rec, DATASET_SCHEMA_VERSION)
 
 
 def record_from_line(line: str) -> EpisodeRecord:
     doc = decode(line, EpisodeRecord, DATASET_SCHEMA_VERSION, "episode")
-    for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS):
-        if name in doc:
-            doc[name] = decode_column(doc[name], name)
     for name in ("position", "heading"):
         doc[name] = doc[name].reshape(-1, 3)
     rec = EpisodeRecord(**dict(
-        doc, seed=tuple(doc["seed"]), target=np.array(doc["target"], float),
+        doc, seed=tuple(doc["seed"]), target=tuple(map(float, doc["target"])),
         medium=MediumParams(**doc["medium"]),
         controller=ControllerParams(**doc["controller"])))
     rec.validate()
@@ -364,9 +331,8 @@ def read_records(path: Path) -> list[EpisodeRecord]:
     return records
 
 
-def load_episodes(root: Path, manifest: DatasetManifest,
-                  split: str | None = None) -> list[EpisodeRecord]:
-    """Episodes in id order; optionally restricted to one split.
+def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
+    """The manifest's episodes in id order.
 
     Raises DatasetError unless the episodes file holds exactly the
     manifest's episodes, line k holding episode k as read_records requires.
@@ -377,8 +343,7 @@ def load_episodes(root: Path, manifest: DatasetManifest,
         raise DatasetError(
             f"{path}: {len(records)} episodes, the manifest lists "
             f"{len(manifest.episodes)}")
-    return [rec for rec, m in zip(records, manifest.episodes)
-            if split is None or m.split == split]
+    return records
 
 
 # ---------------------------------------------------------------- generation
@@ -511,11 +476,15 @@ def episode_to_sequence(rec: EpisodeRecord, z_max: float):
     return xs, np.column_stack(sin_cos(rec.roll_true))
 
 
-def to_training_sequences(root: Path, manifest: DatasetManifest,
-                          split_name: str | None = None):
-    """Per-episode (features, targets) pairs for a split, in id order."""
-    records = load_episodes(root, manifest, split_name)
-    if not records:
-        raise DatasetError(f"{Path(root) / MANIFEST_FILENAME}: no "
-                           f"{split_name or 'listed'} episodes")
-    return [episode_to_sequence(rec, manifest.z_max) for rec in records]
+def to_training_sequences(root: Path, manifest: DatasetManifest):
+    """(train, val) lists of per-episode (features, targets) pairs in id
+    order, from one read of the episodes file; an empty split fails."""
+    splits = {"train": [], "val": []}
+    for rec, m in zip(load_episodes(root, manifest), manifest.episodes):
+        if m.split in splits:
+            splits[m.split].append(episode_to_sequence(rec, manifest.z_max))
+    for name, seqs in splits.items():
+        if not seqs:
+            raise DatasetError(
+                f"{Path(root) / MANIFEST_FILENAME}: no {name} episodes")
+    return splits["train"], splits["val"]

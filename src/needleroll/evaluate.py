@@ -175,17 +175,19 @@ class GroupStats:
     histogram: tuple[int, ...]  # angular errors per BIN_EDGES bin
 
 
-def group_stats(records) -> list[GroupStats]:
+def group_stats(records, roll_errors=None) -> list[GroupStats]:
     """The GroupStats of each (medium, estimator) of records, sorted by
     medium, then estimator: the one place a group statistic is computed.
     Per-step statistics run over the group's steps concatenated in
-    trial_id order, which sets their float bits."""
-    trials = sorted(records, key=lambda r: r.episode_id)
+    trial_id order, which sets their float bits. roll_errors, when a caller
+    has computed them, are the _roll_error of each record, in order."""
+    trials = sorted(zip(records, roll_errors or map(_roll_error, records)),
+                    key=lambda pair: pair[0].episode_id)
     stats = []
     for medium, estimator in sorted({(r.medium.name, r.estimator)
-                                     for r in trials}):
-        group = [r for r in trials
-                 if (r.medium.name, r.estimator) == (medium, estimator)]
+                                     for r, _ in trials}):
+        group, roll = zip(*[(r, e) for r, e in trials
+                            if (r.medium.name, r.estimator) == (medium, estimator)])
         errors = np.array([r.final_error for r in group])
         omega = np.concatenate([r.angular_error for r in group])
         stats.append(GroupStats(
@@ -197,8 +199,7 @@ def group_stats(records) -> list[GroupStats]:
             error_max=float(np.max(errors)),
             angular_mean=float(np.mean(omega)),
             angular_median=float(np.median(omega)),
-            roll_mean=float(np.mean(np.concatenate(
-                [_roll_error(r) for r in group]))),
+            roll_mean=float(np.mean(np.concatenate(roll))),
             histogram=tuple(map(int, histogram(omega)[1]))))
     return stats
 
@@ -256,18 +257,19 @@ def render_report(out_dir: Path):
 def _render_views(trials, out_dir: Path) -> list[GroupStats]:
     """Write summaries.csv, with one row per trial, and histogram.csv and
     report.txt, which format group_stats(trials); returns those."""
+    roll_errors = list(map(_roll_error, trials))
     with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        for rec in trials:
+        for rec, roll in zip(trials, roll_errors):
             writer.writerow([
                 rec.episode_id, rec.estimator, rec.medium.name,
                 "-".join(str(v) for v in rec.seed), rec.outcome, rec.steps,
                 _fmt(rec.final_error), _fmt(np.mean(rec.angular_error)),
-                _fmt(np.mean(_roll_error(rec))),
+                _fmt(np.mean(roll)),
             ])
 
-    stats = group_stats(trials)
+    stats = group_stats(trials, roll_errors)
     with open(out_dir / "histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["medium", "estimator", "bin_lo", "bin_hi", "count"])

@@ -20,9 +20,9 @@ path, the serializer, and the test oracles:
   the batch (padded steps excluded via masks)
 - parameter shapes: param_shapes(H), the one place they are written; the
   hidden size H is len(b_fc)
-- model file (schema 3): LstmModel's fields under their own names plus
-  schema_version, each parameter as its flat row-major values; no size or
-  shape is stored, since each follows from H
+- model file (schema 4): schema.encode of the model, each parameter a
+  Column (the base64 of its row-major float64 bytes); no size or shape is
+  stored, since each follows from H
 
 Everything runs in float64. The streaming estimator and the offline
 run_sequence call the exact same forward_step, so their outputs are
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -66,10 +65,10 @@ from typing import NamedTuple
 import numpy as np
 
 from needleroll.plant import SensedTip, require_valid_measurement
-from needleroll.schema import decode
+from needleroll.schema import Column, decode, encode
 from needleroll.se3 import floats3, recompose_roll, wrap_angle
 
-MODEL_SCHEMA_VERSION = 3
+MODEL_SCHEMA_VERSION = 4
 LEARNING_RATE = 3e-3  # Adam step size of every training run
 INPUT_SIZE = 8  # width of the scale_features vector
 VALIDATION_CHUNK = 32  # sequences per sequence_rmse forward pass
@@ -122,13 +121,13 @@ class LstmModel:
     """All trainable parameters, shaped by param_shapes(hidden_size), plus
     the constants inference needs."""
 
-    w_x: np.ndarray  # input-to-gates
-    w_h: np.ndarray  # hidden-to-gates
-    b_g: np.ndarray  # gate bias
-    w_fc: np.ndarray  # fully-connected layer
-    b_fc: np.ndarray  # its bias, one per hidden unit
-    w_out: np.ndarray  # output head
-    b_out: np.ndarray
+    w_x: Column  # input-to-gates
+    w_h: Column  # hidden-to-gates
+    b_g: Column  # gate bias
+    w_fc: Column  # fully-connected layer
+    b_fc: Column  # its bias, one per hidden unit
+    w_out: Column  # output head
+    b_out: Column
     z_max: float
     metadata: dict = field(default_factory=dict)
 
@@ -716,20 +715,18 @@ class RollEstimator:
 # ------------------------------------------------------------- serialization
 
 def save_model(model: LstmModel, path):
-    """Self-sufficient JSON model file: the schema version, then each
-    LstmModel field under its own name, a parameter as the flat list of
-    its values in row-major order. Its shape follows from the hidden size,
-    the length of b_fc (param_shapes)."""
+    """Self-sufficient JSON model file, one schema.encode line: the schema
+    version, then each LstmModel field under its own name, a parameter as
+    a Column. Its shape follows from the hidden size, the length of b_fc
+    (param_shapes)."""
     model.validate()
-    doc = {name: arr.ravel().tolist() for name, arr in model.params()}
-    doc.update(schema_version=MODEL_SCHEMA_VERSION, z_max=model.z_max,
-               metadata=model.metadata)
-    # json.dumps takes the C encoder, which json.dump never does
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(encode(model, MODEL_SCHEMA_VERSION) + "\n")
 
 
 def load_model(path) -> LstmModel:
+    """save_model's model, each parameter read-only; any fault, an older
+    schema too (re-train), is a ValueError naming path."""
     try:
         with open(path) as fh:
             doc = decode(fh.read(), LstmModel, MODEL_SCHEMA_VERSION, "model")
@@ -739,7 +736,7 @@ def load_model(path) -> LstmModel:
                 raise ValueError(
                     f"parameter {name!r} holds {len(doc[name])} values, not "
                     f"the {math.prod(shape)} of shape {shape} at hidden size {h}")
-            doc[name] = np.array(doc[name], dtype=float).reshape(shape)
+            doc[name] = doc[name].reshape(shape)
         doc["z_max"] = float(doc["z_max"])
         model = LstmModel(**doc)
         model.validate()

@@ -1,11 +1,13 @@
-"""decode, the one read-and-check step of every versioned pipeline file
-(manifest, episode or trial line, model), and check_json, the one type
-check of a decoded JSON value, a config file's too, against a dataclass.
-A per-step Column of a line is checked here to be a string;
-needleroll.dataset decodes it."""
+"""encode and decode, the one write and the one read-and-check step of
+every versioned pipeline file (manifest, episode or trial line, model),
+and check_json, the one type check of a decoded JSON value, a config
+file's too, against a dataclass. A Column (a per-step column of a line, a
+model parameter) is on disk the strict base64 of its little-endian float64
+bytes, row-major: every value round-trips bit for bit, flat."""
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import json
@@ -15,8 +17,7 @@ import typing
 
 import numpy as np
 
-# the hint of a per-step column of an episode or trial line: an ndarray in
-# memory, a base64 string on disk, which needleroll.dataset decodes
+# the hint of a float array: an ndarray in memory, a base64 string on disk
 Column = typing.NewType("Column", np.ndarray)
 
 
@@ -30,20 +31,36 @@ def _fields(cls) -> dict:
             for f in dataclasses.fields(cls)}
 
 
-def _is_number(value) -> bool:
-    """A JSON number a float can hold: no bool, no int past float range."""
-    return type(value) is float or (
-        type(value) is int and abs(value) <= sys.float_info.max)
+@functools.cache
+def _columns(cls) -> tuple:
+    """The names of a dataclass's Column fields, `Column | None` too."""
+    return tuple(name for name, (hint, _) in _fields(cls).items()
+                 if Column in (hint, *typing.get_args(hint)))
+
+
+def encode_column(values) -> str:
+    """The strict base64 of a float array's little-endian float64 bytes,
+    row-major."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def decode_column(text: str, name: str) -> np.ndarray:
+    """encode_column's array back, flat and read-only; a text that is not
+    strict base64 of whole 8-byte values is a ValueError naming name."""
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+    except ValueError as exc:  # binascii.Error is one, numpy's size fault too
+        raise ValueError(f"{name!r} is not strict base64 of float64 bytes "
+                         f"({exc})") from None
 
 
 def check_json(value, hint, where: str = "") -> None:
     """Raise ValueError naming the first part of a decoded JSON value that
     does not fit hint. Ints are no floats and bools no ints, floats take
-    ints a float can hold, tuples are lists, an np.ndarray is a flat list
-    of such numbers, a Column is a string, only `X | None` takes null, and
-    a dataclass is an object whose keys are its fields, each checked the
-    same way; a field may be absent only when it has a default. `where`
-    names value in the message."""
+    ints a float can hold, tuples are lists, a Column is a string, only
+    `X | None` takes null, and a dataclass is an object whose keys are its
+    fields, each checked the same way; a field may be absent only when it
+    has a default. `where` names value in the message."""
     if typing.get_origin(hint) in (types.UnionType, typing.Union):  # X | None
         if value is not None:
             check_json(value, typing.get_args(hint)[0], where)
@@ -64,26 +81,38 @@ def check_json(value, hint, where: str = "") -> None:
     elif hint is Column:
         if type(value) is not str:
             raise ValueError(f"{where} must be a base64 string")
-    elif hint is np.ndarray:
-        # one C-level pass over a column of floats; numpy itself would read
-        # "0.5" and true as numbers
-        if not (isinstance(value, list) and (set(map(type, value)) <= {float}
-                                             or all(map(_is_number, value)))):
-            raise ValueError(f"{where} must hold only numbers")
     elif typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {json.dumps(value)}")
         for i, item in enumerate(value):
             check_json(item, typing.get_args(hint)[0], f"{where}[{i}]")
-    elif not (_is_number(value) if hint is float else
+    # a float takes a JSON number it can hold: no bool, no int past its range
+    elif not ((type(value) is float or type(value) is int
+               and abs(value) <= sys.float_info.max) if hint is float else
               hint is bool if isinstance(value, bool) else isinstance(value, hint)):
         raise ValueError(f"{where} must be {hint.__name__}, got {json.dumps(value)}")
 
 
+def encode(obj, version: int) -> str:
+    """The compact sorted JSON text of a dataclass instance: every field
+    that is not None plus schema_version, each Column field by
+    encode_column and each nested dataclass as its asdict."""
+    columns = _columns(type(obj))
+    doc = {"schema_version": version}
+    for name in _fields(type(obj)):
+        value = getattr(obj, name)
+        if value is not None:
+            doc[name] = (encode_column(value) if name in columns else
+                         dataclasses.asdict(value)
+                         if dataclasses.is_dataclass(value) else value)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def decode(text: str, cls, version: int, what: str) -> dict:
     """The JSON object in text less its schema_version, which must be
-    version, checked against cls by check_json; `what` names the file kind
-    in the version message. Every fault is a ValueError."""
+    version, checked against cls by check_json, each Column field decoded
+    by decode_column; `what` names the file kind in the version message.
+    Every fault is a ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("the top level is not a JSON object")
@@ -91,4 +120,7 @@ def decode(text: str, cls, version: int, what: str) -> dict:
     if type(got) is not int or got != version:
         raise ValueError(f"unsupported {what} schema {got!r}")
     check_json(doc, cls)
+    for name in _columns(cls):
+        if doc.get(name) is not None:  # a null optional column is absent
+            doc[name] = decode_column(doc[name], name)
     return doc

@@ -54,8 +54,7 @@ def desk_dataset(tmp_path_factory, run_defaults):
 def trained_estimator(desk_dataset, run_defaults):
     """Full-size training run on the desk dataset; returns timing too."""
     root, manifest = desk_dataset
-    train_seqs = to_training_sequences(root, manifest, "train")
-    val_seqs = to_training_sequences(root, manifest, "val")
+    train_seqs, val_seqs = to_training_sequences(root, manifest)
     start = time.perf_counter()
     model, log = train(train_seqs, val_seqs, run_defaults.make_train_config(),
                        manifest.z_max)

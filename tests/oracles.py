@@ -14,7 +14,7 @@ from needleroll.dataset import (
     ESTIMATOR_COLUMNS,
     STEP_COLUMNS,
 )
-from needleroll.lstm import LstmCellState, _gate_affine
+from needleroll.lstm import MODEL_SCHEMA_VERSION, LstmCellState, _gate_affine
 from needleroll.plant import SensedTip
 from needleroll.se3 import (
     cross3,
@@ -39,25 +39,37 @@ def roll_target(roll: float) -> np.ndarray:
     return np.array([math.sin(roll), math.cos(roll)])
 
 
+def packed_column(values) -> str:
+    """The base64 of an array's values packed by struct as little-endian
+    doubles, row by row."""
+    flat = values.reshape(-1).tolist()
+    packed = struct.pack(f"<{len(flat)}d", *flat)
+    return base64.b64encode(packed).decode("ascii")
+
+
 def record_line_dumps(rec) -> str:
     """dataset.record_to_line as one json.dumps of the record's fields, each
-    per-step column the base64 of its values packed by struct as
-    little-endian doubles, row by row."""
+    per-step column a packed_column."""
     doc = {"schema_version": DATASET_SCHEMA_VERSION}
     for field in dataclasses.fields(rec):
         value = getattr(rec, field.name)
         if value is None:
             continue
         if field.name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS):
-            flat = value.reshape(-1).tolist()
-            value = base64.b64encode(struct.pack(f"<{len(flat)}d", *flat))
-            value = value.decode("ascii")
-        elif isinstance(value, np.ndarray):
-            value = value.tolist()
+            value = packed_column(value)
         elif dataclasses.is_dataclass(value):
             value = dataclasses.asdict(value)
         doc[field.name] = value
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def model_file_dumps(model) -> str:
+    """lstm.save_model's file text as one json.dumps line: the schema
+    version, z_max, metadata and each parameter a packed_column."""
+    doc = {name: packed_column(arr) for name, arr in model.params()}
+    doc.update(schema_version=MODEL_SCHEMA_VERSION, z_max=model.z_max,
+               metadata=model.metadata)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def heading_tangent_basis_composed(eta):

@@ -188,7 +188,8 @@ def test_c09_streaming_estimator_matches_batch_forward_bitwise(
         desk_dataset, trained_estimator, verdict):
     root, manifest = desk_dataset
     model = trained_estimator[0]
-    records = load_episodes(root, manifest, split="val")[:5]
+    records = load_episodes(root, manifest)
+    records = [records[k] for k in manifest.with_ids("val")[:5]]
     assert len(records) == 5
     worst_steps = 0
     identical = True

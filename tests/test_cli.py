@@ -502,7 +502,7 @@ LINE_EDITS = {
         lambda d: d.update(heading=_column(_floats(d["heading"]) * 1.001)),
         "heading rows must be unit vectors"),
     "target_strings": (lambda d: d.update(target=list(map(str, d["target"]))),
-                       "'target' must hold only numbers"),
+                       "'target'[0] must be float, got \""),
     "deadband_bool": (lambda d: d["controller"].update(deadband=True),
                       "'controller'['deadband'] must be float"),
     "unknown_key": (lambda d: d.update(viscosity=1.0),
@@ -828,11 +828,11 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
     error, and so is one that loads but cannot steer: a non-finite or
     non-positive z_max (json writes and reads Infinity and NaN), a
     parameter with one value too few or too many for the hidden size
-    len(b_fc), parameter data that holds a string or a bool, a hidden size
-    of 0, a schema-1 or schema-2 file (which must be re-trained), a top
-    level that is not an object, or text that is not JSON. Each prints one
-    error line, naming the file where the fault is in it, and writes
-    nothing."""
+    len(b_fc), parameter text that is not strict base64 of whole float64
+    values or is a list of numbers, a hidden size of 0, a schema-1, 2 or 3
+    file (which must be re-trained), a top level that is not an object, or
+    text that is not JSON. Each prints one error line, naming the file
+    where the fault is in it, and writes nothing."""
     path = tmp_path / "model.json"
     save_model(init_model(75.0, hidden_size=4, seed=1), path)
     saved = path.read_text()
@@ -844,7 +844,17 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
                    dropout_rate=0.2, params=params)
 
     def schema_2(doc):  # the layout that stored the training dropout rate
+        schema_3(doc)
         doc.update(schema_version=2, dropout_rate=0.2)
+
+    def schema_3(doc):  # the layout that stored each parameter as numbers
+        doc.update({name: _floats(doc[name]).tolist()
+                    for name in param_shapes(4)}, schema_version=3)
+
+    def resized(name, size):  # the parameter cut or cycled to size values
+        def edit(doc):
+            doc[name] = _column(np.resize(_floats(doc[name]), size))
+        return edit
 
     cases = [
         (lambda doc: doc.pop("w_fc"), "missing field 'w_fc'"),
@@ -855,31 +865,40 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
          "unknown keys ['dropout_rate']"),
         (schema_1, "unsupported model schema 1"),
         (schema_2, "unsupported model schema 2"),
+        (schema_3, "unsupported model schema 3"),
         (lambda doc: doc.update(z_max=[75.0]), "'z_max' must be float"),
         (lambda doc: doc.update(z_max=True), "'z_max' must be float"),
         (lambda doc: doc.update(z_max="75"), "'z_max' must be float"),
         (lambda doc: doc.update(metadata=[]), "'metadata' must be dict"),
-        (lambda doc: doc.update(b_out=["0.5", 0.5]),
-         "'b_out' must hold only numbers"),
-        (lambda doc: doc.update(b_out=[True, 0.5]),
-         "'b_out' must hold only numbers"),
+        (lambda doc: doc.update(b_out="*" + doc["b_out"][1:]),
+         "'b_out' is not strict base64 of float64 bytes"),
+        # b_g's 128 bytes end in one padding character; a text one shorter
+        # is no whole base64
+        (lambda doc: doc.update(b_g=doc["b_g"][:-1]),
+         "'b_g' is not strict base64 of float64 bytes (Incorrect padding)"),
+        (lambda doc: doc.update(w_out=base64.b64encode(
+            base64.b64decode(doc["w_out"])[:-3]).decode()),
+         "'w_out' is not strict base64 of float64 bytes (buffer size must "
+         "be a multiple of element size)"),
+        (lambda doc: doc.update(b_out=_floats(doc["b_out"]).tolist()),
+         "'b_out' must be a base64 string"),
         (lambda doc: doc.update(z_max=math.inf), "z_max must be finite"),
         (lambda doc: doc.update(z_max=math.nan), "z_max must be finite"),
         (lambda doc: doc.update(z_max=0.0), "z_max must be finite"),
-        (lambda doc: doc["w_x"].pop(),
+        (resized("w_x", 127),
          "parameter 'w_x' holds 127 values, not the 128 of shape (16, 8) "
          "at hidden size 4"),
-        (lambda doc: doc["w_x"].append(0.5),
+        (resized("w_x", 129),
          "parameter 'w_x' holds 129 values, not the 128 of shape (16, 8) "
          "at hidden size 4"),
-        (lambda doc: doc["b_g"].pop(),
+        (resized("b_g", 15),
          "parameter 'b_g' holds 15 values, not the 16 of shape (16,) "
          "at hidden size 4"),
-        (lambda doc: doc["b_g"].append(0.5),
+        (resized("b_g", 17),
          "parameter 'b_g' holds 17 values, not the 16 of shape (16,) "
          "at hidden size 4"),
         # every parameter empty but b_out: the shapes of hidden size 0
-        (lambda doc: doc.update({name: [] for name in param_shapes(0)
+        (lambda doc: doc.update({name: "" for name in param_shapes(0)
                                  if name != "b_out"}),
          "hidden size must be at least 1"),
     ]

@@ -18,8 +18,6 @@ from needleroll.dataset import (
     EpisodeRecord,
     GenerationStalled,
     config_hash,
-    decode_column,
-    encode_column,
     episode_to_sequence,
     generate_dataset,
     load_episodes,
@@ -34,6 +32,7 @@ from needleroll.dataset import (
 from needleroll.ekf import EkfRollTracker
 from needleroll.evaluate import run_trial
 from needleroll.lstm import scale_features
+from needleroll.schema import decode_column, encode_column
 from needleroll.plant import (
     GELATIN,
     MEDIUM_PRESETS,
@@ -239,7 +238,7 @@ def hand_built_record(**fields):
     heading = rng.uniform(-1.0, 1.0, (n, 3))
     values = dict(
         episode_id=4, seed=(9, 4, 1), medium=GELATIN, controller=CONTROLLER,
-        target=np.array([1.5, -2.0, 60.0]), outcome="arrived",
+        target=(1.5, -2.0, 60.0), outcome="arrived",
         final_error=0.125, position=rng.uniform(-5.0, 60.0, (n, 3)),
         heading=heading / np.linalg.norm(heading, axis=1, keepdims=True),
         base_angle=np.array(AWKWARD), roll_true=np.array(AWKWARD[::-1]),
@@ -259,13 +258,22 @@ def test_record_line_is_the_sorted_compact_dumps(fields):
     line = record_to_line(rec)
     assert line == record_line_dumps(rec)
     back = record_from_line(line)
+    assert back.target == rec.target
     # tobytes tells -0.0 from 0.0
-    for name in ("target", *STEP_COLUMNS, *ESTIMATOR_COLUMNS):
+    for name in (*STEP_COLUMNS, *ESTIMATOR_COLUMNS):
         value = getattr(rec, name)
         if value is not None:
             assert getattr(back, name).tobytes() == value.tobytes(), name
     assert back.estimator == rec.estimator
     assert record_to_line(back) == line
+
+
+def test_record_line_null_column_reads_as_absent():
+    """An optional column given as null reads as one left out, as the
+    type check lets `X | None` take null."""
+    doc = json.loads(record_to_line(hand_built_record()))
+    back = record_from_line(json.dumps(dict(doc, roll_est=None)))
+    assert back.roll_est is None and back.angular_error is None
 
 
 def test_trial_and_episode_lines_are_the_sorted_compact_dumps():
@@ -351,10 +359,10 @@ def test_record_line_rejects_wrong_schema(tmp_path):
     (lambda d: d.update(schema_version=True), "unsupported episode schema"),
     (lambda d: d.pop("schema_version"), "unsupported episode schema None"),
     (lambda d: d["target"].__setitem__(0, 10**400),
-     "'target' must hold only numbers"),
+     "'target'[0] must be float, got 1000"),
     (lambda d: d.update(final_error=-10**400), "'final_error' must be float"),
     (lambda d: d["target"].__setitem__(0, [0.0]),
-     "'target' must hold only numbers"),
+     "'target'[0] must be float, got [0.0]"),
     (lambda d: d.update(rotation_speed={}),
      "'rotation_speed' must be a base64 string"),
     (lambda d: d.update(target=[]), "target must hold three numbers"),
@@ -442,8 +450,12 @@ def test_training_sequences_counts_and_scaling(tmp_path):
     root, manifest = small_dataset(tmp_path, n=3, seed=19)
     manifest = split(manifest, seed=1)
     records = load_episodes(root, manifest)
-    seqs = to_training_sequences(root, manifest)
-    assert sum(len(xs) for xs, _ in seqs) == sum(rec.steps for rec in records)
+    train_seqs, val_seqs = to_training_sequences(root, manifest)
+    # each split in id order: the train episodes, then the val ones
+    records = ([records[k] for k in manifest.with_ids("train")]
+               + [records[k] for k in manifest.with_ids("val")])
+    seqs = train_seqs + val_seqs
+    assert len(seqs) == len(records) == 3
     for (xs, ys), rec in zip(seqs, records):
         assert xs.shape == (rec.steps, 8)
         assert ys.shape == (rec.steps, 2)
@@ -473,8 +485,7 @@ def test_episode_to_sequence_matches_per_step_build(tmp_path):
 def test_training_sequences_respect_split(tmp_path):
     root, manifest = small_dataset(tmp_path, n=4, seed=23)
     manifest = split(manifest, seed=2)
-    train_seqs = to_training_sequences(root, manifest, "train")
-    val_seqs = to_training_sequences(root, manifest, "val")
+    train_seqs, val_seqs = to_training_sequences(root, manifest)
     assert len(train_seqs) == 3 and len(val_seqs) == 1
     train_steps = {len(xs) for xs, _ in train_seqs}
     by_id = {m.episode_id: m for m in manifest.episodes}

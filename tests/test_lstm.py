@@ -41,7 +41,12 @@ from needleroll.lstm import (
     zero_state,
 )
 from needleroll.plant import SensedTip
-from oracles import endpoint_fit, forward_step_matmul, roll_target
+from oracles import (
+    endpoint_fit,
+    forward_step_matmul,
+    model_file_dumps,
+    roll_target,
+)
 
 
 def small_model(hidden=4, seed=3):
@@ -761,6 +766,31 @@ def test_model_save_load_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     save_model(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_model_file_is_the_packed_dumps(tmp_path):
+    """A model file is one json.dumps line whose parameters are packed by
+    struct, and loads bit for bit: zeros of both signs and a subnormal
+    too."""
+    m = init_model(75.0, hidden_size=3, seed=61, metadata={"note": "packed"})
+    m.b_out[...] = (-0.0, 5e-324)
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    assert path.read_text() == model_file_dumps(m)
+    loaded = load_model(path)
+    for (_, arr), (_, back) in zip(m.params(), loaded.params()):
+        assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
+
+
+def test_loaded_parameters_are_read_only(tmp_path):
+    """load_model's parameters are views of the decoded bytes: reading
+    them steers, writing them raises."""
+    path = tmp_path / "model.json"
+    save_model(init_model(75.0, hidden_size=4, seed=67), path)
+    for name, arr in load_model(path).params():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
 
 
 def test_model_load_rejects_unknown_version(tmp_path):
