@@ -36,7 +36,7 @@ from needleroll.plant import (
     WorkspaceCone,
     rigid_variant,
 )
-from needleroll.schema import check_json
+from needleroll.schema import check_json, load_json
 
 CONFIG_SCHEMA_VERSION = 1
 CONFIG_FILENAME = "config.json"
@@ -103,7 +103,7 @@ class RunConfig:
 
 def load_config_file(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = load_json(Path(path).read_text())
         if isinstance(doc, dict):
             got = doc.pop("schema_version", CONFIG_SCHEMA_VERSION)
             if type(got) is not int or got != CONFIG_SCHEMA_VERSION:

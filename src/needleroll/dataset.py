@@ -331,6 +331,23 @@ def read_records(path: Path) -> list[EpisodeRecord]:
     return records
 
 
+def write_lines(path: Path, lines):
+    """The one writer of a dataset or trial file: each of lines, plus a
+    newline, streams to path.tmp, moved onto path at the end; if anything
+    raises on the way, path.tmp goes and a file at path keeps its bytes.
+    Makes path's directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
     """The manifest's episodes in id order.
 
@@ -353,10 +370,10 @@ def _collect_episode(args):
     targets.
 
     Returns (line, fields): the episode's JSON line, without its newline,
-    and its EpisodeMeta fields other than `line`. Top-level function so
-    process pools can map over slots, each worker building and encoding its
-    own episodes; the episode rng depends only on (root seed, slot,
-    attempt), making results identical under any parallelism.
+    and its EpisodeMeta fields but the split (it is line `slot`). Top-level
+    function so process pools can map over slots, each worker building and
+    encoding its own episodes; the episode rng depends only on (root seed,
+    slot, attempt), making results identical under any parallelism.
     """
     (slot, root_seed, medium, workspace, controller) = args
     for attempt in range(RETRY_BUDGET):
@@ -370,7 +387,7 @@ def _collect_episode(args):
                                    target, outcome, final_error, logs)
             del logs  # peak memory holds the tick logs or the line, not both
             return record_to_line(rec), dict(
-                episode_id=rec.episode_id, seed=rec.seed,
+                episode_id=slot, line=slot, seed=rec.seed,
                 medium_name=rec.medium.name, steps=rec.steps,
                 final_error=rec.final_error,
                 target_depth=float(rec.target[2]))
@@ -393,13 +410,11 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     raises ValueError before root is created.
     `mapper` lets a caller swap in an order-preserving parallel map: its
     workers build and encode each episode's line, and this process writes
-    the lines in slot order as they arrive. They go to a temporary file
-    that replaces the episodes file only once every slot has arrived, so a
+    the lines in slot order as they arrive, through write_lines, so a
     failed run leaves a dataset already under root as it was.
     """
     _check_split(n)
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     z_max = workspace.depth_max
     generation = {
         "schema_version": DATASET_SCHEMA_VERSION,
@@ -412,17 +427,13 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     }
     args = [(slot, seed, medium, workspace, controller) for slot in range(n)]
     metas = []
-    partial = root / (EPISODES_FILENAME + ".tmp")
-    try:
-        with open(partial, "w") as fh:
-            for line_idx, (line, fields) in enumerate(
-                    mapper(_collect_episode, args)):
-                fh.write(line + "\n")
-                metas.append(EpisodeMeta(line=line_idx, **fields))
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, root / EPISODES_FILENAME)
+
+    def lines():
+        for line, fields in mapper(_collect_episode, args):
+            metas.append(EpisodeMeta(**fields))
+            yield line
+
+    write_lines(root / EPISODES_FILENAME, lines())
     manifest = split(DatasetManifest(
         episodes_file=EPISODES_FILENAME, z_max=z_max,
         config_hash=config_hash(generation), generation=generation,

@@ -14,12 +14,12 @@ Artifact layout under an output directory:
     trials/summaries.csv    one row per trial
     histogram.csv           angular-error histogram per estimator and medium
     report.txt              aggregate statistics
-The last three are views of the trial records alone, and group_stats owns
-every number of histogram.csv and report.txt. evaluate renders them from
-the records it has just written, which decode from trials/episodes.jsonl
-bit for bit (each column is stored as its float64 bytes), so `report`,
-re-rendering an existing directory from that file, reproduces them byte
-for byte.
+The last three are views of the trial file alone, and group_stats owns
+every number of histogram.csv and report.txt. render_report is their one
+renderer: report writes the trial file through dataset.write_lines, then
+renders the views by reading it back, as the `report` command does for
+an existing directory, so a directory holding only the trial file
+reproduces every view byte for byte.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ from needleroll.dataset import (
     record_from_logs,
     record_to_line,
     run_closed_loop,
+    write_lines,
 )
 from needleroll.ekf import EkfRollTracker
 from needleroll.lstm import LstmModel, RollEstimator
 from needleroll.plant import MediumParams, WorkspaceCone, sample_target
-from needleroll.se3 import angular_error, decompose_roll, wrap_angle
+from needleroll.se3 import angular_error, decompose_roll
 
 # a name's position here is its tag in every trial seed (seed, tag, trial):
 # reordering the names, or inserting one before the end, changes the noise
@@ -175,19 +176,17 @@ class GroupStats:
     histogram: tuple[int, ...]  # angular errors per BIN_EDGES bin
 
 
-def group_stats(records, roll_errors=None) -> list[GroupStats]:
+def group_stats(records) -> list[GroupStats]:
     """The GroupStats of each (medium, estimator) of records, sorted by
     medium, then estimator: the one place a group statistic is computed.
     Per-step statistics run over the group's steps concatenated in
-    trial_id order, which sets their float bits. roll_errors, when a caller
-    has computed them, are the _roll_error of each record, in order."""
-    trials = sorted(zip(records, roll_errors or map(_roll_error, records)),
-                    key=lambda pair: pair[0].episode_id)
+    trial_id order, which sets their float bits."""
+    trials = sorted(records, key=lambda r: r.episode_id)
     stats = []
     for medium, estimator in sorted({(r.medium.name, r.estimator)
-                                     for r, _ in trials}):
-        group, roll = zip(*[(r, e) for r, e in trials
-                            if (r.medium.name, r.estimator) == (medium, estimator)])
+                                     for r in trials}):
+        group = [r for r in trials
+                 if (r.medium.name, r.estimator) == (medium, estimator)]
         errors = np.array([r.final_error for r in group])
         omega = np.concatenate([r.angular_error for r in group])
         stats.append(GroupStats(
@@ -199,7 +198,8 @@ def group_stats(records, roll_errors=None) -> list[GroupStats]:
             error_max=float(np.max(errors)),
             angular_mean=float(np.mean(omega)),
             angular_median=float(np.median(omega)),
-            roll_mean=float(np.mean(np.concatenate(roll))),
+            roll_mean=float(np.mean(np.concatenate(
+                [_roll_error(r) for r in group]))),
             histogram=tuple(map(int, histogram(omega)[1]))))
     return stats
 
@@ -211,35 +211,20 @@ def _fmt(x: float) -> str:
 
 
 def report(records, out_dir: Path) -> list[GroupStats]:
-    """Persist the trial records to trials/episodes.jsonl in trial_id
-    order and render the views from the same records in memory: each
-    decodes from its line bit for bit, so these are the bytes render_report
-    writes from that file. Returns their group_stats. Raises ValueError,
-    before writing anything, unless the trial ids are 0 to n-1, each once,
-    and every record carries the estimator columns, as render_report
-    requires."""
-    if not records:
-        raise ValueError("nothing to report")
-    trials = sorted(records, key=lambda r: r.episode_id)
-    if [rec.episode_id for rec in trials] != list(range(len(trials))):
-        raise ValueError("trial ids must be 0 to n-1, each once")
-    if any(getattr(rec, name) is None for rec in trials
-           for name in ("estimator", *ESTIMATOR_COLUMNS)):
-        raise ValueError("every trial needs its estimator, roll_est and "
-                         "angular_error")
-    out_dir = Path(out_dir)
-    (out_dir / "trials").mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "trials" / "episodes.jsonl", "w") as fh:
-        for rec in trials:
-            fh.write(record_to_line(rec) + "\n")
-    return _render_views(trials, out_dir)
+    """Write the trial records to trials/episodes.jsonl in trial_id order
+    and return render_report(out_dir): the records obey the file's rules
+    as read back, and fail after the write as a DatasetError if not."""
+    write_lines(Path(out_dir) / "trials" / "episodes.jsonl", map(
+        record_to_line, sorted(records, key=lambda r: r.episode_id)))
+    return render_report(out_dir)
 
 
-def render_report(out_dir: Path):
-    """Render summaries.csv, histogram.csv and report.txt from
-    trials/episodes.jsonl only. Raises DatasetError naming the file when
-    read_records rejects it or it holds no trials, and the line of a trial
-    without the estimator columns (written before trial lines had them)."""
+def render_report(out_dir: Path) -> list[GroupStats]:
+    """Render trials/summaries.csv, one row per trial, and histogram.csv
+    and report.txt, which format the returned group_stats, from
+    trials/episodes.jsonl alone. A DatasetError names the file that
+    read_records rejects or that holds no trials, or the line that lacks
+    the estimator columns."""
     out_dir = Path(out_dir)
     path = out_dir / "trials" / "episodes.jsonl"
     trials = read_records(path)
@@ -250,26 +235,20 @@ def render_report(out_dir: Path):
                for name in ("estimator", *ESTIMATOR_COLUMNS)):
             raise DatasetError(
                 f"{path}: line {k + 1} has no estimator/roll_est/"
-                f"angular_error columns; re-run evaluate to write them")
-    _render_views(trials, out_dir)
-
-
-def _render_views(trials, out_dir: Path) -> list[GroupStats]:
-    """Write summaries.csv, with one row per trial, and histogram.csv and
-    report.txt, which format group_stats(trials); returns those."""
-    roll_errors = list(map(_roll_error, trials))
+                f"angular_error columns: it is a dataset episode line, "
+                f"not a trial line")
     with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        for rec, roll in zip(trials, roll_errors):
+        for rec in trials:
             writer.writerow([
                 rec.episode_id, rec.estimator, rec.medium.name,
                 "-".join(str(v) for v in rec.seed), rec.outcome, rec.steps,
                 _fmt(rec.final_error), _fmt(np.mean(rec.angular_error)),
-                _fmt(np.mean(roll)),
+                _fmt(np.mean(_roll_error(rec))),
             ])
 
-    stats = group_stats(trials, roll_errors)
+    stats = group_stats(trials)
     with open(out_dir / "histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["medium", "estimator", "bin_lo", "bin_hi", "count"])
@@ -294,6 +273,7 @@ def _render_views(trials, out_dir: Path) -> list[GroupStats]:
 
 
 def _roll_error(record):
-    """Per-step |wrap(roll_est - roll_true)| of a trial record, rad."""
-    return np.abs([wrap_angle(d)
-                   for d in (record.roll_est - record.roll_true).tolist()])
+    """Per-step |wrap(roll_est - roll_true)| of a trial record, rad: the
+    bits of abs(se3.wrap_angle), whose -pi -> pi step abs makes moot."""
+    d = record.roll_est - record.roll_true
+    return np.abs((d + math.pi) % (2.0 * math.pi) - math.pi)

@@ -1,9 +1,9 @@
 """encode and decode, the one write and the one read-and-check step of
-every versioned pipeline file (manifest, episode or trial line, model),
-and check_json, the one type check of a decoded JSON value, a config
-file's too, against a dataclass. A Column (a per-step column of a line, a
-model parameter) is on disk the strict base64 of its little-endian float64
-bytes, row-major: every value round-trips bit for bit, flat."""
+every versioned pipeline file (manifest, episode or trial line, model);
+load_json and check_json, its one JSON parse and one type check against a
+dataclass, a config file's too. A Column (a line's per-step column, a
+model parameter) is on disk the strict base64 of its little-endian
+float64 bytes, row-major: every value round-trips bit for bit, flat."""
 
 from __future__ import annotations
 
@@ -93,6 +93,14 @@ def check_json(value, hint, where: str = "") -> None:
         raise ValueError(f"{where} must be {hint.__name__}, got {json.dumps(value)}")
 
 
+def load_json(text: str):
+    """json.loads(text); a nesting too deep for it is a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def encode(obj, version: int) -> str:
     """The compact sorted JSON text of a dataclass instance: every field
     that is not None plus schema_version, each Column field by
@@ -113,7 +121,7 @@ def decode(text: str, cls, version: int, what: str) -> dict:
     version, checked against cls by check_json, each Column field decoded
     by decode_column; `what` names the file kind in the version message.
     Every fault is a ValueError."""
-    doc = json.loads(text)
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise ValueError("the top level is not a JSON object")
     got = doc.pop("schema_version", None)

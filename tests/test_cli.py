@@ -601,6 +601,43 @@ def test_cli_truncated_last_line_is_data_error(pipeline_files, tmp_path,
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_cli_deeply_nested_line_is_data_error(pipeline_files, tmp_path,
+                                              capsys, command):
+    """A line nested deeper than json.loads recurses fails its line like
+    any other bad line, not as a RecursionError traceback."""
+    path, argv = _copied_line_file(pipeline_files, tmp_path, command)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "[" * 100_000 + "\n"
+    path.write_text("".join(lines))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and f"{path}: line 2 " in err
+    assert "nested too deeply" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_write_lines_failing_partway_keeps_the_old_file(pipeline_files,
+                                                        tmp_path, command):
+    """A write that raises after its first line leaves the dataset's or
+    the trial file's bytes as they were, and no temporary file."""
+    path, _ = _copied_line_file(pipeline_files, tmp_path, command)
+    before = _tree(tmp_path)
+
+    def lines():
+        yield "{}"
+        raise RuntimeError("stopped after one line")
+
+    with pytest.raises(RuntimeError, match="after one line"):
+        dataset.write_lines(path, lines())
+    assert _tree(tmp_path) == before
+    assert not path.with_name(path.name + ".tmp").exists()
+
+
 @pytest.mark.parametrize("label", ["val", "train", None])
 def test_cli_train_on_a_one_sided_manifest_is_data_error(tmp_path, capsys,
                                                          label):
@@ -778,17 +815,22 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("target", [math.nan, 0.0, 60.0], "target coordinates must be finite"),
-    ("estimators", [], "estimators must name at least one estimator"),
-], ids=["nan_target", "no_estimators"])
-def test_cli_config_file_fault_is_named_before_writing(tmp_path, capsys, key,
-                                                       value, message):
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"target": [math.nan, 0.0, 60.0]}),
+     "target coordinates must be finite"),
+    (json.dumps({"estimators": []}),
+     "estimators must name at least one estimator"),
+    ("[" * 100_000, "JSON nested too deeply"),
+], ids=["nan_target", "no_estimators", "nested_json"])
+def test_cli_config_file_fault_is_named_before_writing(tmp_path, capsys, text,
+                                                       message):
     """A NaN target coordinate was reported as a target behind the entry
-    point, and an empty estimator list reached the report as "nothing to
-    report"; each is named by its own check, before anything is written."""
+    point, an empty estimator list reached the report as "nothing to
+    report", and JSON nested deeper than json.loads recurses was a
+    RecursionError traceback; each is named by its own check, before
+    anything is written."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
+    cfg.write_text(text)
     out = tmp_path / "eval"
     assert main(["evaluate", "--n", "1", "--config", str(cfg),
                  "--out", str(out)]) == 1
@@ -831,7 +873,8 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
     len(b_fc), parameter text that is not strict base64 of whole float64
     values or is a list of numbers, a hidden size of 0, a schema-1, 2 or 3
     file (which must be re-trained), a top level that is not an object, or
-    text that is not JSON. Each prints one error line, naming the file
+    text that is not JSON, nested too deep to parse too. Each prints one
+    error line, naming the file
     where the fault is in it, and writes nothing."""
     path = tmp_path / "model.json"
     save_model(init_model(75.0, hidden_size=4, seed=1), path)
@@ -909,6 +952,8 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         damaged.append((json.dumps(doc), expect))
     damaged.append((f"[{saved}]", "is not a JSON object"))
     damaged.append((saved[:len(saved) // 2], f"model file {path}: "))
+    damaged.append(("[" * 100_000, f"model file {path}: JSON nested too "
+                                   "deeply"))
     for text, expect in damaged:
         path.write_text(text)
         capsys.readouterr()

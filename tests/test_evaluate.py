@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from needleroll.plant import (
     sense,
     step,
 )
-from needleroll.se3 import decompose_roll
+from needleroll.se3 import decompose_roll, wrap_angle
 
 CONTROLLER = ControllerParams()
 WORKSPACE = WorkspaceCone()
@@ -60,6 +62,23 @@ def test_truth_trial_is_exact_and_arrives():
     assert not record.angular_error.any()
     assert np.mean(_roll_error(record)) < 1e-9
     assert record.steps == len(record.angular_error)
+
+
+def test_roll_error_is_wrap_angle_bit_for_bit():
+    """_roll_error's array arithmetic gives the bits of abs(wrap_angle) of
+    each step's difference: at +-pi, +-0.0, multiples of 2 pi and their
+    neighbours, and on a seeded draw."""
+    edges = [k * math.pi for k in range(-6, 7)]
+    edges += [math.nextafter(a, b) for a in edges for b in (-math.inf,
+                                                          math.inf)]
+    rng = np.random.default_rng(41)
+    est = np.concatenate([edges, [0.0, -0.0, 1e-300, -1e-300],
+                          rng.uniform(-4 * math.pi, 4 * math.pi, 20_000)])
+    true = np.concatenate([np.zeros(len(edges) + 4),
+                           rng.uniform(-30.0, 30.0, 20_000)])
+    record = SimpleNamespace(roll_est=est, roll_true=true)
+    expected = [abs(wrap_angle(d)) for d in (est - true).tolist()]
+    assert _roll_error(record).tobytes() == np.array(expected).tobytes()
 
 
 def test_trial_determinism():
@@ -400,9 +419,9 @@ def reported_lstm_dir(tmp_path_factory):
 
 def test_report_regeneration_is_byte_identical(reported_dir,
                                                reported_lstm_dir):
-    """report renders its views from the records in memory; rendering them
-    again from the trials file it wrote gives the same bytes, with and
-    without learned-estimator trials in the batch."""
+    """report writes the trial file and renders its views by reading it
+    back; rendering them again from that file gives the same bytes, with
+    and without learned-estimator trials in the batch."""
     views = ("trials/summaries.csv", "histogram.csv", "report.txt")
     for out, _ in (reported_dir, reported_lstm_dir):
         before = [(out / name).read_bytes() for name in views]
@@ -412,19 +431,31 @@ def test_report_regeneration_is_byte_identical(reported_dir,
 
 def test_report_rejects_records_render_report_would_not_read(reported_dir,
                                                              tmp_path):
-    """Trial ids other than 0 to n-1 and records without the estimator
-    columns fail before anything is written."""
+    """report checks no record itself: it writes the trial file, and the
+    read back rejects no records, trial ids other than 0 to n-1 and
+    records without the estimator columns, as a DatasetError naming the
+    file and the first line out of place, before any view is written."""
     _, records = reported_dir
     shifted = [dataclasses.replace(r, episode_id=r.episode_id + 1)
                for r in records]
     repeated = records + records[:1]
     bare = [dataclasses.replace(r, roll_est=None) for r in records]
-    for bad, expect in ((shifted, "0 to n-1"), (repeated, "0 to n-1"),
-                        (bare, "roll_est")):
-        out = tmp_path / "run"
-        with pytest.raises(ValueError, match=expect):
+    for name, bad, expect in (
+            ("empty", [], "no trial records"),
+            ("shifted", shifted, "line 1 holds record 1, not record 0"),
+            ("repeated", repeated, "line 2 holds record 0, not record 1"),
+            ("bare", bare, "line 1 has no estimator/roll_est/angular_error "
+                           "columns: it is a dataset episode line")):
+        out = tmp_path / name
+        trials = out / "trials" / "episodes.jsonl"
+        with pytest.raises(DatasetError,
+                           match=re.escape(f"{trials}: {expect}")):
             report(bad, out)
-        assert not out.exists()
+        assert trials.read_text() == "".join(
+            record_to_line(r) + "\n"
+            for r in sorted(bad, key=lambda r: r.episode_id))
+        assert {p.relative_to(out).as_posix() for p in out.rglob("*")} == {
+            "trials", "trials/episodes.jsonl"}
 
 
 def _strip_estimator_columns(text):
@@ -435,7 +466,8 @@ def _strip_estimator_columns(text):
 
 
 @pytest.mark.parametrize("damage, expect", [
-    (_strip_estimator_columns, "re-run evaluate"),
+    (_strip_estimator_columns, "it is a dataset episode line, not a trial "
+                               "line"),
 ], ids=["no_estimator_columns"])
 def test_render_report_rejects_inconsistent_trial_files(reported_dir, tmp_path,
                                                         damage, expect):
