@@ -37,17 +37,24 @@ training pass, with dropout) and `lstm.backward` at hidden 30 on a padded
 batch of 600 steps, 8 and 4 sequences wide, through one reused Workspace
 as `train` runs them, in µs per padded step (their `calls` column is the
 step count), and `lstm.Adam.apply` per call on a hidden-30 model. The
+`lstm.sequence_rmse B=10` row times the validation pass `train` runs each
+epoch: the 10 validation episodes of a seed-42, 70-episode gelatin
+dataset (the quickstart's), one VALIDATION_CHUNK wide, through one
+reused Workspace, in µs per padded step. The
 `lstm.save_model` and `lstm.load_model` rows write and read the untrained
 model's file, per call, in a temporary directory; each save writes a new
 file, as `train` does (rewriting one can add a filesystem flush of tens of
-ms). The last line names the machine: cores, Python and numpy. BLAS runs
-one thread, as in the benchmark. Standard library and numpy only; imports the
-`src/` next to this script.
+ms). The last line names the machine: cores, Python, numpy and the
+OpenBLAS core (the kernel set it picked at run time, or `unknown`), read
+as `scripts/artifact_digests.py` reads it: the training and filter rows
+run on it. BLAS runs one thread, as in the benchmark. Standard library
+and numpy only; imports the `src/` next to this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import gc
@@ -73,6 +80,19 @@ from needleroll.plant import GELATIN, WorkspaceCone  # noqa: E402
 
 SEED = 7
 BATCH_STEPS = 600  # padded steps of the timed training batches
+
+
+def openblas_core() -> str:
+    """The kernel set OpenBLAS picked at run time, or "unknown"."""
+    try:
+        from numpy._core import _multiarray_umath
+        # a symbol lookup on numpy's extension also searches its OpenBLAS
+        corename = ctypes.CDLL(
+            _multiarray_umath.__file__).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    except (ImportError, OSError, AttributeError):
+        return "unknown"
 
 
 @contextmanager
@@ -200,6 +220,14 @@ def main(argv=None) -> int:
     optimizer = lstm.Adam(stepped, lstm.LEARNING_RATE)
     model_dir = tempfile.TemporaryDirectory()
     model_path = Path(model_dir.name) / "model.json"
+    # the quickstart's validation split, one chunk, in a warmed workspace
+    data_root = Path(model_dir.name) / "dataset"
+    manifest = dataset.generate_dataset(
+        n=70, medium=GELATIN, workspace=WorkspaceCone(),
+        controller=controller, seed=42, root=data_root)
+    val_seqs = dataset.to_training_sequences(data_root, manifest)[1]
+    val_workspace = lstm.Workspace()
+    lstm.sequence_rmse(model, val_seqs, val_workspace)
     lstm.save_model(model, model_path)
     saved = itertools.count()
 
@@ -249,6 +277,9 @@ def main(argv=None) -> int:
         ("dataset.to_training_sequences", training_sequence,
          replay([(truth_line, WorkspaceCone().depth_max)] * 3), truth_ticks),
         *training_rows,
+        (f"lstm.sequence_rmse B={len(val_seqs)}", lstm.sequence_rmse,
+         replay([(model, val_seqs, val_workspace)] * 3),
+         max(len(xs) for xs, _ in val_seqs)),
         ("lstm.Adam.apply", lstm.Adam.apply,
          replay([(optimizer, stepped, grads)] * 10)),
         ("lstm.save_model", lstm.save_model, new_model_files),
@@ -261,7 +292,8 @@ def main(argv=None) -> int:
         print(f"{name:<30}{median:>10.2f}{p25:>10.2f}{p75:>10.2f}"
               f"{calls:>8}")
     print(f"machine cores={os.cpu_count()} python={platform.python_version()} "
-          f"numpy={np.__version__} blas_threads="
+          f"numpy={np.__version__} openblas_core={openblas_core()} "
+          f"blas_threads="
           f"{os.environ['OPENBLAS_NUM_THREADS']} repeats={repeats} "
           f"seed={SEED}")
     model_dir.cleanup()

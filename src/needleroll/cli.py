@@ -1,7 +1,7 @@
 """Command-line entry point: generate, train, evaluate, report.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
-(including an unreadable or inconsistent dataset).
+(including an unreadable or inconsistent dataset, or a dead pool worker).
 generate, train and evaluate are deterministic under a fixed --seed, and
 report draws nothing at random. Under generate and evaluate, --jobs
 enables order-preserving process parallelism with identical results.
@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from needleroll.config import (
@@ -223,7 +224,8 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, GenerationStalled, Diverged, OSError) as exc:
+    except (DatasetError, GenerationStalled, Diverged, BrokenProcessPool,
+            OSError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 2
 

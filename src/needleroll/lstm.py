@@ -40,10 +40,13 @@ weight gradient are single GEMMs over all T * B rows. The recurrence
 buffers (gates, cell, tanh(cell)) are feature-major, (T, 4H, B) and
 (T, H, B), so every step's gate slices and every whole-array pass over one
 gate are contiguous. Only the recurrence steps through time, over views
-built before each loop. All of it lives in a Workspace that train reuses
-across batches, epochs and validation chunks. backward consumes its cache:
-it overwrites the cached activations in place with its intermediate
-factors and gradients.
+built before each loop. Each step's product, in both loops, is an
+ndarray.dot into a preallocated output, which gives @'s bits at less
+per-call cost (the tests pin both loops to their np.matmul forms), and
+each ufunc takes its output positionally. All of it lives in a Workspace
+that train reuses across batches, epochs and validation chunks. backward
+consumes its cache: it overwrites the cached activations in place with
+its intermediate factors and gradients.
 
 Each epoch shuffles the training sequences, cuts the shuffled order into
 pools of LENGTH_POOL (32) and stable-sorts every pool by sequence length
@@ -359,17 +362,19 @@ def _forward_batch(model: LstmModel, xs, *, dropout: Dropout | None = None,
     steps = list(zip(projected.reshape(t_max, batch, four_h), gates,
                      quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3],
                      cell, tanh_cell, hidden_by_unit))
+    add, multiply, tanh = np.add, np.multiply, np.tanh
     for z, gate, gate_i, gate_f, gate_g, gate_o, c, tc, h in steps:
         # as a transposed (B, H) operand, h_prev rounds as the time-major
         # product does at the shipped shape (w_h.T @ h_prev would not)
-        z += np.matmul(h_prev.T, w_h, out=recurrent)
-        np.tanh(z.T, out=activated)
-        np.multiply(activated, scale, out=gate)
-        gate += shift
-        c_prev = np.multiply(gate_f, c_prev, out=c)
-        c_prev += np.multiply(gate_i, gate_g, out=input_part)
-        np.tanh(c_prev, out=tc)
-        h_prev = np.multiply(gate_o, tc, out=h)
+        add(z, h_prev.T.dot(w_h, recurrent), z)
+        tanh(z.T, activated)
+        multiply(activated, scale, gate)
+        add(gate, shift, gate)
+        multiply(gate_f, c_prev, c)
+        add(c, multiply(gate_i, gate_g, input_part), c)
+        tanh(c, tc)
+        multiply(gate_o, tc, h)
+        c_prev, h_prev = c, h
     np.copyto(hidden, hidden_by_unit.transpose(0, 2, 1))
 
     act = slab[3].reshape(t_max, batch, h_size)
@@ -499,16 +504,18 @@ def backward(model: LstmModel, cache, target, mask):
     d_c_next = np.zeros((h_size, batch))
     steps = list(zip(d_h_by_unit, d_cell_from_h, forget, quad[:, :3], gate_o,
                      gates))
+    add, multiply = np.add, np.multiply
+    w_h_t = model.w_h.T
     for d_h, from_h, f, from_cell, from_hidden, d_z in reversed(steps):
-        d_h += d_h_next
-        np.multiply(d_h, from_h, out=d_c)
-        d_c += d_c_next
-        np.multiply(d_c, f, out=d_c_next)
-        from_cell *= d_c
-        from_hidden *= d_h
+        add(d_h, d_h_next, d_h)
+        multiply(d_h, from_h, d_c)
+        add(d_c, d_c_next, d_c)
+        multiply(d_c, f, d_c_next)
+        multiply(from_cell, d_c, from_cell)
+        multiply(from_hidden, d_h, from_hidden)
         # the bits of d_z.T @ w_h, the time-major product's at the shipped
         # shape, computed straight into the (H, B) layout
-        np.matmul(model.w_h.T, d_z, out=d_h_next)
+        w_h_t.dot(d_z, d_h_next)
 
     # the gate gradients go back to time-major for the weight GEMMs, into
     # the slab rows after the hidden states: cell, tanh(cell), activations

@@ -2,13 +2,14 @@ import base64
 import json
 import math
 import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from needleroll import cli, dataset
+from needleroll import cli, dataset, evaluate
 from needleroll.cli import main
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
@@ -194,6 +195,48 @@ def test_cli_generate_stall_under_jobs_shuts_the_pool_down(tmp_path,
     assert multiprocessing.active_children() == []
     assert main(["train", "--dataset", str(kept), "--epochs", "1",
                  "--out", str(tmp_path / "run")]) == 0
+
+
+_collect_episode = dataset._collect_episode
+_run_trial_task = evaluate._run_trial_task
+
+
+def _collect_episode_or_die(args):
+    """generate's pool task, but the worker given slot 1 dies at once, as
+    a killed or crashed worker would. Module-level, so the pool pickles it
+    by name, and forked workers find it patched in."""
+    if args[0] == 1:
+        os._exit(3)
+    return _collect_episode(args)
+
+
+def _run_trial_task_or_die(args):
+    """evaluate's pool task, but the worker given trial 1 dies at once."""
+    if args[-1] == 1:
+        os._exit(3)
+    return _run_trial_task(args)
+
+
+@pytest.mark.parametrize("owner, name, task, argv", [
+    (dataset, "_collect_episode", _collect_episode_or_die,
+     ["generate", "--n", "3"]),
+    (evaluate, "_run_trial_task", _run_trial_task_or_die,
+     ["evaluate", "--estimators", "truth", "--n", "3"]),
+], ids=["generate", "evaluate"])
+def test_cli_dead_pool_worker_is_runtime_error(tmp_path, capsys, monkeypatch,
+                                               owner, name, task, argv):
+    """A pool worker that dies mid-run fails the run with exit 2 and one
+    failed: line, not a traceback, and leaves no line file and no
+    temporary file behind, nor any worker."""
+    monkeypatch.setattr(owner, name, task)
+    out = tmp_path / "out"
+    code = main([*argv, "--seed", "3", "--jobs", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("failed: "), err
+    assert "Traceback" not in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert multiprocessing.active_children() == []
 
 
 class RecordingPool:

@@ -42,7 +42,9 @@ from needleroll.lstm import (
 )
 from needleroll.plant import SensedTip
 from oracles import (
+    backward_matmul,
     endpoint_fit,
+    forward_batch_matmul,
     forward_step_matmul,
     model_file_dumps,
     roll_target,
@@ -470,6 +472,40 @@ def test_reused_workspace_matches_fresh_arrays_bitwise():
             assert grads_shared[name].tobytes() == grads_fresh[name].tobytes()
     val = chunks[2][0]
     assert sequence_rmse(model, val, shared) == sequence_rmse(model, val)
+
+
+@pytest.mark.parametrize("rate", [None, 0.2])
+@pytest.mark.parametrize("width", [1, 3, 8, 10, 32])
+@pytest.mark.parametrize("hidden", [1, 2, 8, 30, 32])
+def test_training_pass_is_its_matmul_formula_bitwise(hidden, width, rate):
+    """_forward_batch's and backward's ndarray.dot products and positional
+    ufunc outputs give the bits of their np.matmul formulas: every cache
+    array, the loss and every gradient, on ragged batches at hidden sizes
+    and widths around the shipped 30 and 8, with dropout (one generator
+    seed on both sides) and without, as validation runs. A numpy or BLAS
+    whose dot and matmul round differently fails here."""
+    model = init_model(75.0, hidden_size=hidden, seed=hidden)
+    xs, ys, mask = _pad_batch(random_sequences(
+        np.random.default_rng([hidden, width]), width, 1, 24))
+    runs = []
+    for forward, back in ((_forward_batch, backward),
+                          (forward_batch_matmul, backward_matmul)):
+        dropout = (None if rate is None
+                   else Dropout(rate, np.random.default_rng(width)))
+        cache = forward(model, xs, dropout=dropout)
+        arrays = {name: value.tobytes() for name, value in cache.items()
+                  if isinstance(value, np.ndarray)}
+        grads, *loss = back(model, cache, ys, mask)
+        runs.append((arrays, {name: g.tobytes() for name, g in grads.items()},
+                     loss))
+    (arrays, grads, loss), (arrays_ref, grads_ref, loss_ref) = runs
+    assert arrays.keys() == arrays_ref.keys()
+    for name in arrays:
+        assert arrays[name] == arrays_ref[name], name
+    assert loss == loss_ref
+    assert grads.keys() == set(PARAM_NAMES) == grads_ref.keys()
+    for name in PARAM_NAMES:
+        assert grads[name] == grads_ref[name], name
 
 
 # --------------------------------------------------------------------- adam
