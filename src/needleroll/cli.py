@@ -42,6 +42,7 @@ from needleroll.evaluate import (
 )
 from needleroll.lstm import Diverged, load_model, save_model, train
 from needleroll.plant import MEDIUM_PRESETS
+from needleroll.schema import replacing
 
 
 class UsageError(Exception):
@@ -166,9 +167,8 @@ def cmd_train(config: RunConfig) -> int:
     # the features are scaled by the dataset's z_max, so the model takes it
     model, log = train(train_seqs, val_seqs, config.make_train_config(),
                        manifest.z_max)
-    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
-    with open(out / "training_log.csv", "w") as fh:
+    with replacing(out / "training_log.csv") as fh:
         fh.write("epoch,train_loss,val_rmse\n")
         for row in log:
             fh.write(f"{row.epoch},{row.train_loss!r},{row.val_rmse!r}\n")

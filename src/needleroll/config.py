@@ -21,8 +21,6 @@ learning rate is lstm.LEARNING_RATE.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +34,7 @@ from needleroll.plant import (
     WorkspaceCone,
     rigid_variant,
 )
-from needleroll.schema import check_json, load_json
+from needleroll.schema import check_json, load_json, save_json
 
 CONFIG_SCHEMA_VERSION = 1
 CONFIG_FILENAME = "config.json"
@@ -133,9 +131,4 @@ def resolve_config(from_file: dict | None = None,
 
 
 def write_resolved_config(config: RunConfig, out_dir):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = dataclasses.asdict(config)
-    doc["schema_version"] = CONFIG_SCHEMA_VERSION
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    (out_dir / CONFIG_FILENAME).write_text(text + "\n")
+    save_json(Path(out_dir) / CONFIG_FILENAME, config, CONFIG_SCHEMA_VERSION)

@@ -28,7 +28,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,12 +43,13 @@ from needleroll.plant import (
     HEADING_NORM_TOLERANCE,
     MediumParams,
     WorkspaceCone,
+    check_ranges,
     initial_state,
     sample_target,
     sense,
     step,
 )
-from needleroll.schema import Column, decode, encode
+from needleroll.schema import Column, decode, encode, replacing, save_json
 from needleroll.se3 import floats3
 
 DATASET_SCHEMA_VERSION = 3
@@ -256,12 +256,9 @@ class DatasetManifest:
     config_hash: str
     generation: dict
     episodes: tuple[EpisodeMeta, ...]
-    schema_version: int = DATASET_SCHEMA_VERSION
 
     def validate(self):
-        if not 0.0 < self.z_max < math.inf:  # NaN fails
-            raise ValueError(
-                f"z_max must be finite and positive, not {self.z_max!r}")
+        check_ranges(self, positive=("z_max",))
         for k, m in enumerate(self.episodes):
             # read_records finds episode k on line k, and nowhere else
             if m.episode_id != k or m.line != k:
@@ -283,8 +280,7 @@ def config_hash(generation: dict) -> str:
 
 def save_manifest(manifest: DatasetManifest, root: Path):
     manifest.validate()
-    text = json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2)
-    (Path(root) / MANIFEST_FILENAME).write_text(text + "\n")
+    save_json(Path(root) / MANIFEST_FILENAME, manifest, DATASET_SCHEMA_VERSION)
 
 
 def load_manifest(root: Path) -> DatasetManifest:
@@ -329,23 +325,6 @@ def read_records(path: Path) -> list[EpisodeRecord]:
                     f"{where} holds record {rec.episode_id}, not record {k}")
             records.append(rec)
     return records
-
-
-def write_lines(path: Path, lines):
-    """The one writer of a dataset or trial file: each of lines, plus a
-    newline, streams to path.tmp, moved onto path at the end; if anything
-    raises on the way, path.tmp goes and a file at path keeps its bytes.
-    Makes path's directory first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        with open(partial, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
 
 
 def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
@@ -410,8 +389,8 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     raises ValueError before root is created.
     `mapper` lets a caller swap in an order-preserving parallel map: its
     workers build and encode each episode's line, and this process writes
-    the lines in slot order as they arrive, through write_lines, so a
-    failed run leaves a dataset already under root as it was.
+    the lines in slot order as they arrive, through schema.replacing, so
+    a failed run leaves a dataset already under root as it was.
     """
     _check_split(n)
     root = Path(root)
@@ -427,13 +406,10 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     }
     args = [(slot, seed, medium, workspace, controller) for slot in range(n)]
     metas = []
-
-    def lines():
+    with replacing(root / EPISODES_FILENAME) as fh:
         for line, fields in mapper(_collect_episode, args):
             metas.append(EpisodeMeta(**fields))
-            yield line
-
-    write_lines(root / EPISODES_FILENAME, lines())
+            fh.write(line + "\n")
     manifest = split(DatasetManifest(
         episodes_file=EPISODES_FILENAME, z_max=z_max,
         config_hash=config_hash(generation), generation=generation,

@@ -16,7 +16,7 @@ Artifact layout under an output directory:
     report.txt              aggregate statistics
 The last three are views of the trial file alone, and group_stats owns
 every number of histogram.csv and report.txt. render_report is their one
-renderer: report writes the trial file through dataset.write_lines, then
+renderer: report writes the trial file through schema.replacing, then
 renders the views by reading it back, as the `report` command does for
 an existing directory, so a directory holding only the trial file
 reproduces every view byte for byte.
@@ -39,11 +39,11 @@ from needleroll.dataset import (
     record_from_logs,
     record_to_line,
     run_closed_loop,
-    write_lines,
 )
 from needleroll.ekf import EkfRollTracker
 from needleroll.lstm import LstmModel, RollEstimator
 from needleroll.plant import MediumParams, WorkspaceCone, sample_target
+from needleroll.schema import replacing
 from needleroll.se3 import angular_error, decompose_roll
 
 # a name's position here is its tag in every trial seed (seed, tag, trial):
@@ -214,8 +214,9 @@ def report(records, out_dir: Path) -> list[GroupStats]:
     """Write the trial records to trials/episodes.jsonl in trial_id order
     and return render_report(out_dir): the records obey the file's rules
     as read back, and fail after the write as a DatasetError if not."""
-    write_lines(Path(out_dir) / "trials" / "episodes.jsonl", map(
-        record_to_line, sorted(records, key=lambda r: r.episode_id)))
+    with replacing(Path(out_dir) / "trials" / "episodes.jsonl") as fh:
+        for rec in sorted(records, key=lambda r: r.episode_id):
+            fh.write(record_to_line(rec) + "\n")
     return render_report(out_dir)
 
 
@@ -237,7 +238,7 @@ def render_report(out_dir: Path) -> list[GroupStats]:
                 f"{path}: line {k + 1} has no estimator/roll_est/"
                 f"angular_error columns: it is a dataset episode line, "
                 f"not a trial line")
-    with open(out_dir / "trials" / "summaries.csv", "w", newline="") as fh:
+    with replacing(out_dir / "trials" / "summaries.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for rec in trials:
@@ -249,7 +250,7 @@ def render_report(out_dir: Path) -> list[GroupStats]:
             ])
 
     stats = group_stats(trials)
-    with open(out_dir / "histogram.csv", "w", newline="") as fh:
+    with replacing(out_dir / "histogram.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["medium", "estimator", "bin_lo", "bin_hi", "count"])
         writer.writerows([s.medium, s.estimator, _fmt(lo), _fmt(hi), count]
@@ -268,7 +269,8 @@ def render_report(out_dir: Path) -> list[GroupStats]:
             f"  per-step roll error:    mean {s.roll_mean:.4f} rad",
             "",
         ]
-    (out_dir / "report.txt").write_text("\n".join(lines))
+    with replacing(out_dir / "report.txt") as fh:
+        fh.write("\n".join(lines))
     return stats
 
 

@@ -67,8 +67,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from needleroll.plant import SensedTip, require_valid_measurement
-from needleroll.schema import Column, decode, encode
+from needleroll.plant import SensedTip, check_ranges, require_valid_measurement
+from needleroll.schema import Column, decode, encode, replacing
 from needleroll.se3 import floats3, recompose_roll, wrap_angle
 
 MODEL_SCHEMA_VERSION = 4
@@ -153,8 +153,7 @@ class LstmModel:
                                  f"size {h}, not {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
-        if not 0.0 < self.z_max < math.inf:  # NaN fails
-            raise ValueError(f"z_max must be finite and positive, not {self.z_max!r}")
+        check_ranges(self, positive=("z_max",))
 
 
 class LstmCellState(NamedTuple):
@@ -727,7 +726,7 @@ def save_model(model: LstmModel, path):
     a Column. Its shape follows from the hidden size, the length of b_fc
     (param_shapes)."""
     model.validate()
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(encode(model, MODEL_SCHEMA_VERSION) + "\n")
 
 

@@ -1,5 +1,6 @@
-"""encode and decode, the one write and the one read-and-check step of
-every versioned pipeline file (manifest, episode or trial line, model);
+"""replacing, the one way a file a command writes lands: whole or not at
+all. encode or save_json writes, and decode reads and checks, every
+versioned pipeline file (episode or trial line, model; manifest, config);
 load_json and check_json, its one JSON parse and one type check against a
 dataclass, a config file's too. A Column (a line's per-step column, a
 model parameter) is on disk the strict base64 of its little-endian
@@ -8,12 +9,15 @@ float64 bytes, row-major: every value round-trips bit for bit, flat."""
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -99,6 +103,31 @@ def load_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a text handle on path.tmp, in path's directory (made first),
+    that os.replace moves onto path when the block ends; if anything raises
+    in it, path.tmp goes and a file at path keeps its bytes. newline="" so
+    a csv writer's \r\n row ends and every other \n are written as given."""
+    partial = Path(f"{path}.tmp")
+    partial.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(partial, "w", newline="") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def save_json(path, obj, version: int) -> None:
+    """Write a dataclass instance through replacing as the sorted JSON of
+    its asdict plus schema_version, indented 2, then a newline."""
+    doc = dict(dataclasses.asdict(obj), schema_version=version)
+    with replacing(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def encode(obj, version: int) -> str:

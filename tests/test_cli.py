@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from needleroll import cli, dataset, evaluate
+from needleroll import cli, dataset, evaluate, schema
 from needleroll.cli import main
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
@@ -663,20 +663,29 @@ def test_cli_deeply_nested_line_is_data_error(pipeline_files, tmp_path,
     assert _tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("command", ["train", "report"])
-def test_write_lines_failing_partway_keeps_the_old_file(pipeline_files,
-                                                        tmp_path, command):
-    """A write that raises after its first line leaves the dataset's or
-    the trial file's bytes as they were, and no temporary file."""
-    path, _ = _copied_line_file(pipeline_files, tmp_path, command)
+@pytest.mark.parametrize("what", ["train", "report", "model"])
+def test_replacing_failing_partway_keeps_the_old_file(pipeline_files,
+                                                      tmp_path, what):
+    """A write through schema.replacing that raises partway leaves the file
+    it replaces as it was, and no temporary file: the dataset's or the
+    trial file's after one line, and model.json when save_model meets
+    metadata that json cannot encode."""
+    if what == "model":
+        path = tmp_path / "model.json"
+        save_model(init_model(75.0, hidden_size=4, seed=1), path)
+    else:
+        path, _ = _copied_line_file(pipeline_files, tmp_path, what)
     before = _tree(tmp_path)
 
-    def lines():
-        yield "{}"
-        raise RuntimeError("stopped after one line")
-
-    with pytest.raises(RuntimeError, match="after one line"):
-        dataset.write_lines(path, lines())
+    if what == "model":
+        with pytest.raises(TypeError):
+            save_model(init_model(75.0, hidden_size=4, seed=2,
+                                  metadata={"x": object()}), path)
+    else:
+        with pytest.raises(RuntimeError, match="after one line"):
+            with schema.replacing(path) as fh:
+                fh.write("{}\n")
+                raise RuntimeError("stopped after one line")
     assert _tree(tmp_path) == before
     assert not path.with_name(path.name + ".tmp").exists()
 
