@@ -1,4 +1,4 @@
-"""Insertion dataset generation, persistence and splitting.
+"""Insertion dataset generation, persistence and the train/val split.
 
 Collection protocol: closed-loop insertions steered on the true tip pose
 (standing in for a tip-embedded 6-DOF sensor), each to a freshly sampled
@@ -9,10 +9,11 @@ the roll label is the clean simulator state.
 
 Storage is one JSON Lines file per dataset (line k holds episode k, as
 read_records requires of every line file) plus a manifest with
-per-episode metadata, the train/val assignment and a hash of the
-generation config. A line stores each fact once: every per-step
-column is as long as base_angle, step k is at time k / controller.rate,
-and the commanded insertion speed is the controller's.
+per-episode metadata, the train/val labels (a checked copy of
+split_labels(n, generation seed)) and a hash of the generation config.
+A line stores each fact once: every per-step column is as long as
+base_angle, step k is at time k / controller.rate, and the commanded
+insertion speed is the controller's.
 
 The line format, owned by needleroll.schema: a line is encode's compact
 sorted JSON text of the record, where each per-step column (STEP_COLUMNS,
@@ -246,7 +247,7 @@ class EpisodeMeta:
     steps: int
     final_error: float
     target_depth: float
-    split: str | None = None
+    split: str  # split_labels(n, generation seed)[line]
 
 
 @dataclass(frozen=True)
@@ -259,13 +260,21 @@ class DatasetManifest:
 
     def validate(self):
         check_ranges(self, positive=("z_max",))
+        seed, n = self.generation.get("seed"), len(self.episodes)
+        if type(seed) is not int:
+            raise ValueError(f"generation holds no int seed: {seed!r}")
+        if self.generation.get("n") != n:
+            raise ValueError(f"generation n is {self.generation.get('n')!r}, "
+                             f"not the entry count {n}")
+        labels = split_labels(n, seed)
         for k, m in enumerate(self.episodes):
             # read_records finds episode k on line k, and nowhere else
             if m.episode_id != k or m.line != k:
                 raise ValueError(f"entry {k} must describe episode {k} on "
                                  f"line {k}")
-            if m.split not in (None, "train", "val"):
-                raise ValueError(f"unknown split label {m.split!r}")
+            if m.split != labels[k]:
+                raise ValueError(f"entry {k} is labelled {m.split!r}, "
+                                 f"generation's seed gives {labels[k]!r}")
             if m.target_depth > self.z_max + DEPTH_SLACK:
                 raise ValueError("episode depth exceeds the feature scale")
 
@@ -375,6 +384,17 @@ def _collect_episode(args):
         f"{RETRY_BUDGET} attempts")
 
 
+def split_labels(n: int, seed: int) -> tuple[str, ...]:
+    """The seeded train/val label of each of n episodes: TRAIN_FRACTION of
+    them, rounded, go to train, but at least one goes to val."""
+    if n < 2:
+        raise ValueError("need at least two episodes to split")
+    n_train = min(round(n * TRAIN_FRACTION), n - 1)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5350]))
+    train = set(rng.permutation(n)[:n_train].tolist())
+    return tuple("train" if k in train else "val" for k in range(n))
+
+
 def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
                      controller: ControllerParams, seed: int, root: Path,
                      mapper=map) -> DatasetManifest:
@@ -382,9 +402,9 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     them under root; returns the manifest it wrote.
 
     The manifest's z_max, the position feature scale, is the workspace's
-    depth_max: no sampled target lies deeper. The episodes are split into
-    train and val by split(manifest, seed), and the manifest is written
-    once, with those labels. Its generation entry records the constants
+    depth_max: no sampled target lies deeper. Episode k is labelled
+    split_labels(n, seed)[k] as its line arrives, and the manifest is
+    written once. Its generation entry records the constants
     the episodes were collected under, DEPTH_CAP among them. An n below 2
     raises ValueError before root is created.
     `mapper` lets a caller swap in an order-preserving parallel map: its
@@ -392,7 +412,7 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     the lines in slot order as they arrive, through schema.replacing, so
     a failed run leaves a dataset already under root as it was.
     """
-    _check_split(n)
+    labels = split_labels(n, seed)
     root = Path(root)
     z_max = workspace.depth_max
     generation = {
@@ -408,38 +428,15 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     metas = []
     with replacing(root / EPISODES_FILENAME) as fh:
         for line, fields in mapper(_collect_episode, args):
-            metas.append(EpisodeMeta(**fields))
+            metas.append(EpisodeMeta(**fields, split=labels[fields["line"]]))
             fh.write(line + "\n")
-    manifest = split(DatasetManifest(
+    manifest = DatasetManifest(
         episodes_file=EPISODES_FILENAME, z_max=z_max,
         config_hash=config_hash(generation), generation=generation,
         episodes=tuple(metas),
-    ), seed)
+    )
     save_manifest(manifest, root)
     return manifest
-
-
-def _check_split(n: int):
-    if n < 2:
-        raise ValueError("need at least two episodes to split")
-
-
-def split(manifest: DatasetManifest, seed: int) -> DatasetManifest:
-    """Seeded episode-level partition into train and val assignments:
-    TRAIN_FRACTION of the episodes, rounded, go to train, but at least one
-    goes to val."""
-    n = len(manifest.episodes)
-    _check_split(n)
-    n_train = min(round(n * TRAIN_FRACTION), n - 1)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5350]))
-    order = rng.permutation(n)
-    train_ids = {manifest.episodes[k].episode_id for k in order[:n_train]}
-    episodes = tuple(
-        dataclasses.replace(
-            m, split="train" if m.episode_id in train_ids else "val")
-        for m in manifest.episodes
-    )
-    return dataclasses.replace(manifest, episodes=episodes)
 
 
 # ---------------------------------------------------------- training tensors
@@ -465,13 +462,8 @@ def episode_to_sequence(rec: EpisodeRecord, z_max: float):
 
 def to_training_sequences(root: Path, manifest: DatasetManifest):
     """(train, val) lists of per-episode (features, targets) pairs in id
-    order, from one read of the episodes file; an empty split fails."""
+    order, from one read of the episodes file."""
     splits = {"train": [], "val": []}
     for rec, m in zip(load_episodes(root, manifest), manifest.episodes):
-        if m.split in splits:
-            splits[m.split].append(episode_to_sequence(rec, manifest.z_max))
-    for name, seqs in splits.items():
-        if not seqs:
-            raise DatasetError(
-                f"{Path(root) / MANIFEST_FILENAME}: no {name} episodes")
+        splits[m.split].append(episode_to_sequence(rec, manifest.z_max))
     return splits["train"], splits["val"]

@@ -19,6 +19,7 @@ from needleroll.dataset import (
     STEP_COLUMNS,
     load_manifest,
     record_to_line,
+    split_labels,
 )
 from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
 from needleroll.lstm import init_model, param_shapes, save_model
@@ -690,22 +691,58 @@ def test_replacing_failing_partway_keeps_the_old_file(pipeline_files,
     assert not path.with_name(path.name + ".tmp").exists()
 
 
-@pytest.mark.parametrize("label", ["val", "train", None])
-def test_cli_train_on_a_one_sided_manifest_is_data_error(tmp_path, capsys,
-                                                         label):
-    """A manifest that lists no train or no val episodes names itself."""
+# the labels generate gives the 10-episode seed-42 dataset
+LABELS = split_labels(10, 42)
+TRAIN = [k for k, label in enumerate(LABELS) if label == "train"]
+VAL = [k for k, label in enumerate(LABELS) if label == "val"]
+
+
+def _label(doc, entries, label):
+    for k in entries:
+        doc["episodes"][k]["split"] = label
+
+
+@pytest.mark.parametrize("edit, names", [
+    (lambda d: _label(d, range(10), "val"),
+     f"entry {TRAIN[0]} is labelled 'val', generation's seed gives 'train'"),
+    (lambda d: _label(d, range(10), "train"),
+     f"entry {VAL[0]} is labelled 'train', generation's seed gives 'val'"),
+    (lambda d: _label(d, range(10), None),
+     "'episodes'[0]['split'] must be str, got null"),
+    (lambda d: _label(d, TRAIN[:1], "val"),
+     f"entry {TRAIN[0]} is labelled 'val'"),
+    (lambda d: (_label(d, TRAIN[:7], None), _label(d, TRAIN[7:8], "val")),
+     f"'episodes'[{TRAIN[0]}]['split'] must be str, got null"),
+    (lambda d: (_label(d, TRAIN[:1], "val"), _label(d, VAL[:1], "train")),
+     f"entry {min(TRAIN[0], VAL[0])} is labelled"),
+    (lambda d: d["generation"].pop("seed"),
+     "generation holds no int seed: None"),
+    (lambda d: d["generation"].update(seed="42"),
+     "generation holds no int seed: '42'"),
+    (lambda d: d["generation"].update(n=11),
+     "generation n is 11, not the entry count 10"),
+], ids=["all_val", "all_train", "all_null", "one_train_to_val",
+        "seven_train_null_one_to_val", "swapped_pair", "no_seed",
+        "string_seed", "n_not_the_entry_count"])
+def test_cli_train_on_a_relabelled_manifest_is_data_error(tmp_path, capsys,
+                                                          edit, names):
+    """Every stored split label must be the one generation's seed gives:
+    a hand-edited label, or a seed or count that cannot give them, fails
+    naming the manifest and the entry at fault, and nothing is written."""
     ds = tmp_path / "ds"
-    assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
+    assert main(["generate", "--n", "10", "--seed", "42",
+                 "--out", str(ds)]) == 0
     path = ds / "manifest.json"
     doc = json.loads(path.read_text())
-    for meta in doc["episodes"]:
-        meta["split"] = label
+    edit(doc)
     path.write_text(json.dumps(doc))
+    before = _tree(tmp_path)
     capsys.readouterr()
     assert main(_train_argv(ds, tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("failed:") and f"{path}: no " in err
-    assert err.count("\n") == 1 and not (tmp_path / "run").exists()
+    assert err.startswith(f"failed: {path}: ") and names in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("damage", ["no_episodes_file", "episodes_string",

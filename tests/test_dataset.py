@@ -26,7 +26,7 @@ from needleroll.dataset import (
     record_from_logs,
     record_to_line,
     run_closed_loop,
-    split,
+    split_labels,
     to_training_sequences,
 )
 from needleroll.ekf import EkfRollTracker
@@ -58,11 +58,12 @@ def fake_manifest(n):
     metas = tuple(
         EpisodeMeta(episode_id=k, line=k, seed=(1, k, 0),
                     medium_name="gelatin", steps=100, final_error=0.2,
-                    target_depth=50.0)
-        for k in range(n)
+                    target_depth=50.0, split=label)
+        for k, label in enumerate(split_labels(n, 1))
     )
     return DatasetManifest(episodes_file="episodes.jsonl", z_max=75.0,
-                           config_hash="0" * 64, generation={}, episodes=metas)
+                           config_hash="0" * 64,
+                           generation={"n": n, "seed": 1}, episodes=metas)
 
 
 # ---------------------------------------------------------------- collection
@@ -383,22 +384,24 @@ def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
 
 
 def test_manifest_roundtrip(tmp_path):
-    """The manifest on disk is the returned one, already split."""
+    """The manifest on disk is the returned one, labelled by its seed."""
     root, manifest = small_dataset(tmp_path, n=3, seed=17)
     loaded = load_manifest(root)
     assert loaded == manifest
-    assert manifest == split(manifest, seed=17)
-    assert {m.split for m in manifest.episodes} == {"train", "val"}
+    labels = tuple(m.split for m in manifest.episodes)
+    assert labels == split_labels(3, 17)
+    assert set(labels) == {"train", "val"}
 
 
 def test_manifest_rejects_depth_beyond_scale():
     manifest = fake_manifest(2)
+    manifest.validate()
     bad = dataclasses.replace(
         manifest,
         episodes=(manifest.episodes[0],
                   dataclasses.replace(manifest.episodes[1], target_depth=90.0)),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth exceeds the feature scale"):
         bad.validate()
 
 
@@ -412,43 +415,39 @@ def test_config_hash_sensitivity():
 # -------------------------------------------------------------------- splits
 
 def test_split_full_scale_ratio():
-    manifest = split(fake_manifest(280), seed=1)
-    assert len(manifest.with_ids("train")) == 240
-    assert len(manifest.with_ids("val")) == 40
+    labels = split_labels(280, seed=1)
+    assert (labels.count("train"), labels.count("val")) == (240, 40)
 
 
 def test_split_desk_scale_ratio():
-    manifest = split(fake_manifest(70), seed=1)
-    assert len(manifest.with_ids("train")) == 60
-    assert len(manifest.with_ids("val")) == 10
+    labels = split_labels(70, seed=1)
+    assert (labels.count("train"), labels.count("val")) == (60, 10)
 
 
 def test_split_deterministic_and_disjoint():
-    a = split(fake_manifest(50), seed=9)
-    b = split(fake_manifest(50), seed=9)
-    assert a == b
-    train = set(a.with_ids("train"))
-    val = set(a.with_ids("val"))
-    assert not train & val
-    assert train | val == set(range(50))
-    c = split(fake_manifest(50), seed=10)
-    assert set(c.with_ids("train")) != train
+    """One label per episode, the same for the same seed, and not for
+    another seed."""
+    labels = split_labels(50, seed=9)
+    assert labels == split_labels(50, seed=9)
+    assert len(labels) == 50 and set(labels) == {"train", "val"}
+    assert split_labels(50, seed=10) != labels
 
 
 def test_split_never_empties_a_side():
     """6/7 of two or three episodes rounds to all of them; one stays
-    in val."""
+    in val. Fewer than two episodes cannot be split."""
     for n in (2, 3):
-        manifest = split(fake_manifest(n), seed=0)
-        assert len(manifest.with_ids("train")) == n - 1
-        assert len(manifest.with_ids("val")) == 1
+        labels = split_labels(n, seed=0)
+        assert (labels.count("train"), labels.count("val")) == (n - 1, 1)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least two episodes"):
+            split_labels(n, seed=0)
 
 
 # ---------------------------------------------------------- training tensors
 
 def test_training_sequences_counts_and_scaling(tmp_path):
     root, manifest = small_dataset(tmp_path, n=3, seed=19)
-    manifest = split(manifest, seed=1)
     records = load_episodes(root, manifest)
     train_seqs, val_seqs = to_training_sequences(root, manifest)
     # each split in id order: the train episodes, then the val ones
@@ -483,15 +482,14 @@ def test_episode_to_sequence_matches_per_step_build(tmp_path):
 
 
 def test_training_sequences_respect_split(tmp_path):
+    """Each side holds its labelled episodes in id order, the dataset's
+    own split."""
     root, manifest = small_dataset(tmp_path, n=4, seed=23)
-    manifest = split(manifest, seed=2)
     train_seqs, val_seqs = to_training_sequences(root, manifest)
-    assert len(train_seqs) == 3 and len(val_seqs) == 1
-    train_steps = {len(xs) for xs, _ in train_seqs}
-    by_id = {m.episode_id: m for m in manifest.episodes}
-    for m in manifest.episodes:
-        if m.split == "val":
-            assert by_id[m.episode_id].steps == len(val_seqs[0][0])
+    for side, seqs in (("train", train_seqs), ("val", val_seqs)):
+        steps = [manifest.episodes[k].steps for k in manifest.with_ids(side)]
+        assert [len(xs) for xs, _ in seqs] == steps
+    assert (len(train_seqs), len(val_seqs)) == (3, 1)
 
 
 def test_rigid_collection_has_zero_lag(tmp_path):

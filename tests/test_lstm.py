@@ -1,8 +1,12 @@
 import copy
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +566,29 @@ def test_training_log_deterministic(tmp_path):
     assert logs[0] == logs[1]
     assert (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
+
+
+def test_trained_model_ignores_the_blas_thread_count(desk_dataset, tmp_path):
+    """needleroll pins BLAS to one thread on import: a threaded product sums
+    in another order, so `train` would otherwise write other model bits
+    than at one thread when OPENBLAS_NUM_THREADS is unset, 2 or 4."""
+    root, _ = desk_dataset
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    models = set()
+    for threads in ("1", None, "2", "4"):
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-m", "needleroll", "train",
+                        "--dataset", str(root), "--out", str(out),
+                        "--epochs", "2"],
+                       env=env if threads is None else
+                       dict(env, OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True, timeout=300)
+        models.add((out / "model.json").read_bytes())
+    assert len(models) == 1
 
 
 def test_returned_model_is_best_on_validation():
