@@ -29,6 +29,7 @@ from needleroll.dataset import (
     DEFAULT_EPISODES,
     DatasetError,
     GenerationStalled,
+    config_hash,
     generate_dataset,
     load_manifest,
     to_training_sequences,
@@ -152,10 +153,9 @@ def cmd_generate(config: RunConfig) -> int:
         mapper=_mapper(config.jobs),
     )
     write_resolved_config(config, out)
-    n_train = len(manifest.with_ids("train"))
-    n_val = len(manifest.with_ids("val"))
-    print(f"generated {config.n} episodes to {out} "
-          f"(train {n_train} / val {n_val}, hash {manifest.config_hash[:12]})")
+    n_val = manifest.labels.count("val")
+    print(f"generated {config.n} episodes to {out} (train {config.n - n_val}"
+          f" / val {n_val}, hash {config_hash(manifest.generation)[:12]})")
     return 0
 
 

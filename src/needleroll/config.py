@@ -10,9 +10,9 @@ its artifact directory alone.
 The controller and the reachable workspace are no settings:
 ControllerParams and WorkspaceCone own their constants, and a run builds
 them from those defaults (the workspace takes the medium's curvature).
-So the position feature scale is WorkspaceCone.depth_max, which the
-dataset manifest records as z_max and train copies into the model. Nor
-are the depth at which a closed loop gives up and the share of episodes
+So the position feature scale is WorkspaceCone.depth_max, which a
+dataset manifest's generation records and train copies into the model.
+Nor are the depth at which a closed loop gives up and the share of episodes
 split into train: dataset owns them as DEPTH_CAP and TRAIN_FRACTION.
 Training takes only its epoch count and seed from here: the batch size,
 dropout rate and hidden size are TrainConfig's defaults, and the

@@ -8,9 +8,9 @@ contains successful steers. Recorded observations keep the sensor noise;
 the roll label is the clean simulator state.
 
 Storage is one JSON Lines file per dataset (line k holds episode k, as
-read_records requires of every line file) plus a manifest with
-per-episode metadata, the train/val labels (a checked copy of
-split_labels(n, generation seed)) and a hash of the generation config.
+read_records requires of every line file) plus a manifest of its
+generation config and each episode's steps and final error; z_max, the
+config hash and the train/val split are derived from generation.
 A line stores each fact once: every per-step column is as long as
 base_angle, step k is at time k / controller.rate, and the commanded
 insertion speed is the controller's.
@@ -44,7 +44,6 @@ from needleroll.plant import (
     HEADING_NORM_TOLERANCE,
     MediumParams,
     WorkspaceCone,
-    check_ranges,
     initial_state,
     sample_target,
     sense,
@@ -53,12 +52,12 @@ from needleroll.plant import (
 from needleroll.schema import Column, decode, encode, replacing, save_json
 from needleroll.se3 import floats3
 
-DATASET_SCHEMA_VERSION = 3
-EPISODES_FILENAME = "episodes.jsonl"
+DATASET_SCHEMA_VERSION = 3  # of episode and trial lines
+MANIFEST_SCHEMA_VERSION = 4
 MANIFEST_FILENAME = "manifest.json"
 
 # arrival overshoot plus sensor noise can push recorded coordinates a hair
-# past the nominal feature scale; the manifest check allows this much
+# past the nominal feature scale; load_episodes allows this much
 DEPTH_SLACK = 2.5  # mm
 
 COLLECTION_ERROR_LIMIT = 1.0  # mm, regenerate episodes that miss by more
@@ -239,73 +238,80 @@ def record_from_line(line: str) -> EpisodeRecord:
 # ------------------------------------------------------------------ manifest
 
 @dataclass(frozen=True)
+class Generation:
+    """What a dataset was collected under; each part checks its ranges."""
+
+    schema_version: int
+    n: int
+    medium: MediumParams
+    workspace: WorkspaceCone
+    controller: ControllerParams
+    seed: int
+    depth_cap: float
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"generation seed {self.seed} is negative")
+        split_labels(self.n, self.seed)  # raises below two episodes
+
+
+@dataclass(frozen=True)
 class EpisodeMeta:
     episode_id: int
     line: int  # zero-based line index into the episodes file
-    seed: tuple[int, ...]
-    medium_name: str
     steps: int
     final_error: float
-    target_depth: float
-    split: str  # split_labels(n, generation seed)[line]
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    episodes_file: str
-    z_max: float
-    config_hash: str
-    generation: dict
+    """What a dataset stores: its generation and an entry per episode."""
+
+    episodes_file = "episodes.jsonl"  # unannotated: a constant, no field
+    generation: Generation
     episodes: tuple[EpisodeMeta, ...]
 
-    def validate(self):
-        check_ranges(self, positive=("z_max",))
-        seed, n = self.generation.get("seed"), len(self.episodes)
-        if type(seed) is not int:
-            raise ValueError(f"generation holds no int seed: {seed!r}")
-        if self.generation.get("n") != n:
-            raise ValueError(f"generation n is {self.generation.get('n')!r}, "
-                             f"not the entry count {n}")
-        labels = split_labels(n, seed)
+    def __post_init__(self):
+        if self.generation.n != len(self.episodes):
+            raise ValueError(f"generation n is {self.generation.n}, not the "
+                             f"entry count {len(self.episodes)}")
         for k, m in enumerate(self.episodes):
             # read_records finds episode k on line k, and nowhere else
             if m.episode_id != k or m.line != k:
                 raise ValueError(f"entry {k} must describe episode {k} on "
                                  f"line {k}")
-            if m.split != labels[k]:
-                raise ValueError(f"entry {k} is labelled {m.split!r}, "
-                                 f"generation's seed gives {labels[k]!r}")
-            if m.target_depth > self.z_max + DEPTH_SLACK:
-                raise ValueError("episode depth exceeds the feature scale")
 
-    def with_ids(self, split: str):
-        return [m.episode_id for m in self.episodes if m.split == split]
+    @property
+    def z_max(self) -> float:
+        """The position feature scale: no sampled target lies deeper."""
+        return float(self.generation.workspace.depth_max)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Episode k's train/val label."""
+        return split_labels(len(self.episodes), self.generation.seed)
 
 
-def config_hash(generation: dict) -> str:
-    blob = json.dumps(generation, sort_keys=True, separators=(",", ":"))
+def config_hash(generation: Generation) -> str:
+    blob = json.dumps(dataclasses.asdict(generation), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def save_manifest(manifest: DatasetManifest, root: Path):
-    manifest.validate()
-    save_json(Path(root) / MANIFEST_FILENAME, manifest, DATASET_SCHEMA_VERSION)
 
 
 def load_manifest(root: Path) -> DatasetManifest:
     """The manifest under root; any fault is a DatasetError naming it."""
     path = Path(root) / MANIFEST_FILENAME
     try:
-        doc = decode(path.read_text(), DatasetManifest, DATASET_SCHEMA_VERSION,
-                     "manifest")
-        episodes = tuple(EpisodeMeta(**dict(m, seed=tuple(m["seed"])))
-                         for m in doc["episodes"])
-        manifest = DatasetManifest(**dict(doc, z_max=float(doc["z_max"]),
-                                          episodes=episodes))
-        manifest.validate()
+        doc = decode(path.read_text(), DatasetManifest,
+                     MANIFEST_SCHEMA_VERSION, "manifest")
+        g = doc["generation"]
+        g.update(medium=MediumParams(**g["medium"]),
+                 workspace=WorkspaceCone(**g["workspace"]),
+                 controller=ControllerParams(**g["controller"]))
+        return DatasetManifest(Generation(**g), tuple(
+            EpisodeMeta(**m) for m in doc["episodes"]))
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
-    return manifest
 
 
 def read_records(path: Path) -> list[EpisodeRecord]:
@@ -340,7 +346,9 @@ def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
     """The manifest's episodes in id order.
 
     Raises DatasetError unless the episodes file holds exactly the
-    manifest's episodes, line k holding episode k as read_records requires.
+    manifest's episodes: line k holds episode k, as read_records requires,
+    with entry k's steps and final error, generation's medium and
+    controller, and a target depth within z_max + DEPTH_SLACK.
     """
     path = Path(root) / manifest.episodes_file
     records = read_records(path)
@@ -348,6 +356,16 @@ def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
         raise DatasetError(
             f"{path}: {len(records)} episodes, the manifest lists "
             f"{len(manifest.episodes)}")
+    for k, (rec, m) in enumerate(zip(records, manifest.episodes)):
+        where = f"{path}: line {k + 1}"
+        for name in ("medium", "controller"):
+            if getattr(rec, name) != getattr(manifest.generation, name):
+                raise DatasetError(f"{where}: {name} is not generation's")
+        if (rec.steps, rec.final_error) != (m.steps, m.final_error):
+            raise DatasetError(f"{where}: steps or final error is not "
+                               f"entry {k}'s")
+        if rec.target[2] > manifest.z_max + DEPTH_SLACK:
+            raise DatasetError(f"{where}: target depth exceeds z_max")
     return records
 
 
@@ -357,11 +375,11 @@ def _collect_episode(args):
     """Generate and encode one accepted episode for a slot; retries fresh
     targets.
 
-    Returns (line, fields): the episode's JSON line, without its newline,
-    and its EpisodeMeta fields but the split (it is line `slot`). Top-level
-    function so process pools can map over slots, each worker building and
-    encoding its own episodes; the episode rng depends only on (root seed,
-    slot, attempt), making results identical under any parallelism.
+    Returns (line, meta): the episode's JSON line, without its newline,
+    and its EpisodeMeta (it is line `slot`). Top-level function so process
+    pools can map over slots, each worker building and encoding its own
+    episodes; the episode rng depends only on (root seed, slot, attempt),
+    making results identical under any parallelism.
     """
     (slot, root_seed, medium, workspace, controller) = args
     for attempt in range(RETRY_BUDGET):
@@ -374,11 +392,8 @@ def _collect_episode(args):
             rec = record_from_logs(slot, seed, medium, controller,
                                    target, outcome, final_error, logs)
             del logs  # peak memory holds the tick logs or the line, not both
-            return record_to_line(rec), dict(
-                episode_id=slot, line=slot, seed=rec.seed,
-                medium_name=rec.medium.name, steps=rec.steps,
-                final_error=rec.final_error,
-                target_depth=float(rec.target[2]))
+            return record_to_line(rec), EpisodeMeta(
+                slot, slot, rec.steps, rec.final_error)
     raise GenerationStalled(
         f"episode slot {slot}: no sub-{COLLECTION_ERROR_LIMIT} mm steer in "
         f"{RETRY_BUDGET} attempts")
@@ -398,44 +413,27 @@ def split_labels(n: int, seed: int) -> tuple[str, ...]:
 def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
                      controller: ControllerParams, seed: int, root: Path,
                      mapper=map) -> DatasetManifest:
-    """Collect n accepted insertions in one medium, split them and persist
-    them under root; returns the manifest it wrote.
+    """Collect n accepted insertions in one medium and persist them under
+    root; returns the manifest, written once after the last line.
 
-    The manifest's z_max, the position feature scale, is the workspace's
-    depth_max: no sampled target lies deeper. Episode k is labelled
-    split_labels(n, seed)[k] as its line arrives, and the manifest is
-    written once. Its generation entry records the constants
-    the episodes were collected under, DEPTH_CAP among them. An n below 2
-    raises ValueError before root is created.
-    `mapper` lets a caller swap in an order-preserving parallel map: its
-    workers build and encode each episode's line, and this process writes
-    the lines in slot order as they arrive, through schema.replacing, so
-    a failed run leaves a dataset already under root as it was.
+    An n below 2 or a negative seed raises ValueError before root is
+    created. `mapper` lets a caller swap in an order-preserving parallel
+    map: its workers build and encode each episode's line, and this process
+    writes the lines in slot order as they arrive, through
+    schema.replacing, so a failed run leaves a dataset already under root
+    as it was.
     """
-    labels = split_labels(n, seed)
+    generation = Generation(DATASET_SCHEMA_VERSION, n, medium, workspace,
+                            controller, int(seed), DEPTH_CAP)
     root = Path(root)
-    z_max = workspace.depth_max
-    generation = {
-        "schema_version": DATASET_SCHEMA_VERSION,
-        "n": n,
-        "medium": dataclasses.asdict(medium),
-        "workspace": dataclasses.asdict(workspace),
-        "controller": dataclasses.asdict(controller),
-        "seed": int(seed),
-        "depth_cap": DEPTH_CAP,
-    }
     args = [(slot, seed, medium, workspace, controller) for slot in range(n)]
     metas = []
-    with replacing(root / EPISODES_FILENAME) as fh:
-        for line, fields in mapper(_collect_episode, args):
-            metas.append(EpisodeMeta(**fields, split=labels[fields["line"]]))
+    with replacing(root / DatasetManifest.episodes_file) as fh:
+        for line, meta in mapper(_collect_episode, args):
+            metas.append(meta)
             fh.write(line + "\n")
-    manifest = DatasetManifest(
-        episodes_file=EPISODES_FILENAME, z_max=z_max,
-        config_hash=config_hash(generation), generation=generation,
-        episodes=tuple(metas),
-    )
-    save_manifest(manifest, root)
+    manifest = DatasetManifest(generation, tuple(metas))
+    save_json(root / MANIFEST_FILENAME, manifest, MANIFEST_SCHEMA_VERSION)
     return manifest
 
 
@@ -464,6 +462,6 @@ def to_training_sequences(root: Path, manifest: DatasetManifest):
     """(train, val) lists of per-episode (features, targets) pairs in id
     order, from one read of the episodes file."""
     splits = {"train": [], "val": []}
-    for rec, m in zip(load_episodes(root, manifest), manifest.episodes):
-        splits[m.split].append(episode_to_sequence(rec, manifest.z_max))
+    for rec, label in zip(load_episodes(root, manifest), manifest.labels):
+        splits[label].append(episode_to_sequence(rec, manifest.z_max))
     return splits["train"], splits["val"]

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import math
 import multiprocessing
@@ -16,6 +17,7 @@ from needleroll.dataset import (
     DATASET_SCHEMA_VERSION,
     DEFAULT_EPISODES,
     ESTIMATOR_COLUMNS,
+    MANIFEST_SCHEMA_VERSION,
     STEP_COLUMNS,
     load_manifest,
     record_to_line,
@@ -324,22 +326,23 @@ def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
 
 
 def test_cli_generate_writes_the_manifest_once(tmp_path, monkeypatch):
-    """generate saves the manifest once, already split: no manifest
-    without train/val labels is ever on disk."""
+    """generate saves the manifest once, after the last episode line: no
+    manifest that lists an episode its file does not hold is ever on
+    disk."""
     saved = []
-    save = dataset.save_manifest
+    save = dataset.save_json
 
-    def recording_save(manifest, root):
-        saved.append(manifest)
-        save(manifest, root)
+    def recording_save(path, obj, version):
+        held = (path.parent / "episodes.jsonl").read_text().count("\n")
+        saved.append((path.name, obj, held))
+        save(path, obj, version)
 
-    monkeypatch.setattr(dataset, "save_manifest", recording_save)
+    monkeypatch.setattr(dataset, "save_json", recording_save)
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "3", "--seed", "3", "--out", str(ds)]) == 0
-    assert len(saved) == 1
-    assert load_manifest(ds) == saved[0]
-    assert sorted(m.split for m in saved[0].episodes) == [
-        "train", "train", "val"]
+    assert [(name, held) for name, _, held in saved] == [("manifest.json", 3)]
+    assert load_manifest(ds) == saved[0][1]
+    assert sorted(saved[0][1].labels) == ["train", "train", "val"]
 
 
 def test_config_keeps_stable_torsion_settings():
@@ -357,14 +360,16 @@ def test_config_keeps_stable_torsion_settings():
 
 def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
     """The feature scale is the dataset's: train reads z_max from the
-    manifest, not from WorkspaceCone, and the model carries it."""
+    generation's workspace, not from WorkspaceCone, and the model carries
+    it."""
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
     path = ds / "manifest.json"
     doc = json.loads(path.read_text())
-    assert doc["z_max"] == 75.0
+    assert "z_max" not in doc
+    assert doc["generation"]["workspace"]["depth_max"] == 75.0
     # no target lies deeper than 75 mm, within 80 + DEPTH_SLACK
-    doc["z_max"] = 80.0
+    doc["generation"]["workspace"]["depth_max"] = 80.0
     path.write_text(json.dumps(doc))
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(ds), "--out", str(run),
@@ -702,23 +707,23 @@ def _label(doc, entries, label):
         doc["episodes"][k]["split"] = label
 
 
+def _unknown_split(k):
+    return f"'episodes'[{k}]: unknown keys ['split']"
+
+
 @pytest.mark.parametrize("edit, names", [
-    (lambda d: _label(d, range(10), "val"),
-     f"entry {TRAIN[0]} is labelled 'val', generation's seed gives 'train'"),
-    (lambda d: _label(d, range(10), "train"),
-     f"entry {VAL[0]} is labelled 'train', generation's seed gives 'val'"),
-    (lambda d: _label(d, range(10), None),
-     "'episodes'[0]['split'] must be str, got null"),
-    (lambda d: _label(d, TRAIN[:1], "val"),
-     f"entry {TRAIN[0]} is labelled 'val'"),
+    (lambda d: _label(d, range(10), "val"), _unknown_split(0)),
+    (lambda d: _label(d, range(10), "train"), _unknown_split(0)),
+    (lambda d: _label(d, range(10), None), _unknown_split(0)),
+    (lambda d: _label(d, TRAIN[:1], "val"), _unknown_split(TRAIN[0])),
     (lambda d: (_label(d, TRAIN[:7], None), _label(d, TRAIN[7:8], "val")),
-     f"'episodes'[{TRAIN[0]}]['split'] must be str, got null"),
+     _unknown_split(TRAIN[0])),
     (lambda d: (_label(d, TRAIN[:1], "val"), _label(d, VAL[:1], "train")),
-     f"entry {min(TRAIN[0], VAL[0])} is labelled"),
+     _unknown_split(min(TRAIN[0], VAL[0]))),
     (lambda d: d["generation"].pop("seed"),
-     "generation holds no int seed: None"),
+     "'generation': missing field 'seed'"),
     (lambda d: d["generation"].update(seed="42"),
-     "generation holds no int seed: '42'"),
+     "'generation'['seed'] must be int, got \"42\""),
     (lambda d: d["generation"].update(n=11),
      "generation n is 11, not the entry count 10"),
 ], ids=["all_val", "all_train", "all_null", "one_train_to_val",
@@ -726,9 +731,10 @@ def _label(doc, entries, label):
         "string_seed", "n_not_the_entry_count"])
 def test_cli_train_on_a_relabelled_manifest_is_data_error(tmp_path, capsys,
                                                           edit, names):
-    """Every stored split label must be the one generation's seed gives:
-    a hand-edited label, or a seed or count that cannot give them, fails
-    naming the manifest and the entry at fault, and nothing is written."""
+    """A manifest stores no split label, as split_labels(n, seed) derives
+    them from generation: a hand-written label is an unknown key, named
+    by its entry, and a seed or count the split cannot come from fails
+    naming generation. Nothing is written."""
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "10", "--seed", "42",
                  "--out", str(ds)]) == 0
@@ -745,7 +751,7 @@ def test_cli_train_on_a_relabelled_manifest_is_data_error(tmp_path, capsys,
     assert _tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("damage", ["no_episodes_file", "episodes_string",
+@pytest.mark.parametrize("damage", ["episodes_string",
                                     "episode_missing_key", "z_max_string",
                                     "schema_version", "z_max_nan",
                                     "z_max_infinity", "z_max_negative",
@@ -756,26 +762,23 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
     path = ds / "manifest.json"
     doc = json.loads(path.read_text())
-    if damage == "no_episodes_file":
-        del doc["episodes_file"]
-    elif damage == "episodes_string":
+    if damage == "episodes_string":
         doc["episodes"] = "episodes.jsonl"
     elif damage == "episode_missing_key":
         del doc["episodes"][1]["steps"]
     elif damage == "schema_version":
-        doc["schema_version"] = DATASET_SCHEMA_VERSION + 1
-    elif damage == "z_max_string":
-        doc["z_max"] = "75"
-    elif damage.startswith("z_max"):
-        doc["z_max"] = {"z_max_nan": math.nan, "z_max_infinity": math.inf,
-                        "z_max_negative": -1.0}[damage]
+        doc["schema_version"] = MANIFEST_SCHEMA_VERSION + 1
+    elif damage.startswith("z_max"):  # z_max is the workspace's depth_max
+        doc["generation"]["workspace"]["depth_max"] = {
+            "z_max_string": "75", "z_max_nan": math.nan,
+            "z_max_infinity": math.inf, "z_max_negative": -1.0}[damage]
     elif damage == "duplicate_episode_id":
         doc["episodes"][1]["episode_id"] = doc["episodes"][0]["episode_id"]
     elif damage == "line_past_the_end":  # else its episode is skipped
         doc["episodes"][1]["line"] = 7
     elif damage == "swapped_lines":  # entry k must describe line k
         doc["episodes"][0]["line"], doc["episodes"][1]["line"] = 1, 0
-    else:
+    else:  # a stored label, of any value, is an unknown key
         doc["episodes"][0]["split"] = "test"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -783,6 +786,77 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
     err = capsys.readouterr().err
     assert err.startswith("failed:") and "manifest.json" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# every key schema 3 stored and schema 4 derives, with a value it held
+REMOVED_KEYS = {
+    "z_max": lambda d: d.update(z_max=76.0),
+    "config_hash": lambda d: d.update(config_hash="0" * 64),
+    "episodes_file": lambda d: d.update(episodes_file="episodes.jsonl"),
+    "entry_split": lambda d: d["episodes"][1].update(split="train"),
+    "entry_seed": lambda d: d["episodes"][1].update(seed=[3, 1, 0]),
+    "entry_medium_name": lambda d: d["episodes"][1].update(
+        medium_name="gelatin"),
+    "entry_target_depth": lambda d: d["episodes"][1].update(
+        target_depth=50.0),
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_cli_train_on_a_removed_manifest_key_is_data_error(
+        pipeline_files, tmp_path, capsys, key):
+    """A schema-4 manifest that holds a copy schema 3 stored fails as an
+    unknown key, named with its entry, and nothing is written."""
+    _, argv = _copied_line_file(pipeline_files, tmp_path, "train")
+    path = tmp_path / "ds" / "manifest.json"
+    doc = json.loads(path.read_text())
+    REMOVED_KEYS[key](doc)
+    path.write_text(json.dumps(doc))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    name = key.removeprefix("entry_")
+    where = "'episodes'[1]: " if key.startswith("entry_") else ""
+    err = capsys.readouterr().err
+    assert err == f"failed: {path}: {where}unknown keys [{name!r}]\n", err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("edit, file, names", [
+    (lambda d: d["generation"]["medium"].update(name="brain"),
+     "episodes.jsonl", "line 1: medium is not generation's"),
+    (lambda d: d["generation"]["controller"].update(deadband=0.06),
+     "episodes.jsonl", "line 1: controller is not generation's"),
+    (lambda d: d["episodes"][1].update(steps=d["episodes"][1]["steps"] + 1),
+     "episodes.jsonl", "line 2: steps or final error is not entry 1's"),
+    (lambda d: d["episodes"][2].update(final_error=0.5),
+     "episodes.jsonl", "line 3: steps or final error is not entry 2's"),
+    (lambda d: d["generation"]["workspace"].update(depth_max="x"),
+     "manifest.json",
+     "'generation'['workspace']['depth_max'] must be float, got \"x\""),
+    (lambda d: d["generation"].update(seed=-1),
+     "manifest.json", "generation seed -1 is negative"),
+], ids=["medium_name", "controller", "entry_steps", "entry_final_error",
+        "depth_max_string", "negative_seed"])
+def test_cli_train_on_a_manifest_at_odds_with_its_lines_is_data_error(
+        pipeline_files, tmp_path, capsys, edit, file, names):
+    """Each line must be collected in generation's medium and controller
+    and hold its entry's steps and final error, and generation's own
+    values are typed and in range. A fault fails naming the file and the
+    line or key, and nothing is written."""
+    _, argv = _copied_line_file(pipeline_files, tmp_path, "train")
+    path = tmp_path / "ds" / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"failed: {tmp_path / 'ds' / file}: ") and (
+        names in err), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert _tree(tmp_path) == before
 
 
 def test_cli_steer_truth(tmp_path, capsys):
@@ -1155,17 +1229,38 @@ def test_cli_report_on_schema_2_trials_is_data_error(tmp_path, capsys):
     _report_on_old_trials(tmp_path, capsys, 2)
 
 
+def _as_manifest_schema(doc, lines, version):
+    """A manifest's object as schema `version` wrote it: schema 3 also
+    stored z_max, the config hash, the episodes file name and, in each
+    entry, the seed, medium name, target depth and split label of its
+    line; schemas 1 and 2 set generation's schema_version to theirs, and
+    schema 1 held z_max in generation too."""
+    blob = json.dumps(doc["generation"], sort_keys=True, separators=(",", ":"))
+    doc.update(schema_version=version, episodes_file="episodes.jsonl",
+               z_max=doc["generation"]["workspace"]["depth_max"],
+               config_hash=hashlib.sha256(blob.encode()).hexdigest())
+    labels = split_labels(len(lines), doc["generation"]["seed"])
+    for entry, line, label in zip(doc["episodes"], lines, labels):
+        rec = json.loads(line)
+        entry.update(seed=rec["seed"], medium_name=rec["medium"]["name"],
+                     target_depth=rec["target"][2], split=label)
+    if version < 3:
+        doc["generation"]["schema_version"] = version
+    if version == 1:
+        doc["generation"]["z_max"] = doc["z_max"]
+
+
 def _train_on_old_dataset(tmp_path, capsys, version):
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
     episodes = ds / "episodes.jsonl"
-    episodes.write_text("".join(_as_schema(line, version) for line in
-                                episodes.read_text().splitlines()))
+    lines = episodes.read_text().splitlines()
+    if version < 3:
+        episodes.write_text("".join(_as_schema(line, version)
+                                    for line in lines))
     manifest = ds / "manifest.json"
     doc = json.loads(manifest.read_text())
-    doc["schema_version"] = doc["generation"]["schema_version"] = version
-    if version == 1:
-        doc["generation"]["z_max"] = doc["z_max"]
+    _as_manifest_schema(doc, lines, version)
     manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     capsys.readouterr()
     assert main(_train_argv(ds, tmp_path)) == 2
@@ -1182,6 +1277,12 @@ def test_cli_train_on_schema_1_dataset_is_data_error(tmp_path, capsys):
 
 def test_cli_train_on_schema_2_dataset_is_data_error(tmp_path, capsys):
     _train_on_old_dataset(tmp_path, capsys, 2)
+
+
+def test_cli_train_on_schema_3_dataset_is_data_error(tmp_path, capsys):
+    """Schema 3, whose manifest stored copies of derived facts, fails on
+    its manifest version though its episode lines are still read."""
+    _train_on_old_dataset(tmp_path, capsys, 3)
 
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):

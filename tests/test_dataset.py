@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DEPTH_CAP,
+    DEPTH_SLACK,
     ESTIMATOR_COLUMNS,
+    MANIFEST_SCHEMA_VERSION,
     STEP_COLUMNS,
-    DatasetManifest,
-    EpisodeMeta,
+    DatasetError,
     EpisodeRecord,
+    Generation,
     GenerationStalled,
     config_hash,
     episode_to_sequence,
@@ -52,18 +54,6 @@ def small_dataset(tmp_path, n=4, seed=7, name="ds"):
     manifest = generate_dataset(n=n, medium=GELATIN, workspace=WORKSPACE,
                                 controller=CONTROLLER, seed=seed, root=root)
     return root, manifest
-
-
-def fake_manifest(n):
-    metas = tuple(
-        EpisodeMeta(episode_id=k, line=k, seed=(1, k, 0),
-                    medium_name="gelatin", steps=100, final_error=0.2,
-                    target_depth=50.0, split=label)
-        for k, label in enumerate(split_labels(n, 1))
-    )
-    return DatasetManifest(episodes_file="episodes.jsonl", z_max=75.0,
-                           config_hash="0" * 64,
-                           generation={"n": n, "seed": 1}, episodes=metas)
 
 
 # ---------------------------------------------------------------- collection
@@ -143,10 +133,10 @@ def test_generate_sixty_gelatin_episodes(tmp_path):
     assert len(manifest.episodes) == 60
     errors = [m.final_error for m in manifest.episodes]
     assert max(errors) < 1.0
-    depths = [m.target_depth for m in manifest.episodes]
+    records = load_episodes(root, manifest)
+    depths = [rec.target[2] for rec in records]
     assert min(depths) >= 40.0 and max(depths) <= 75.0
     assert min(depths) < 48.0 and max(depths) > 67.0  # actually spread out
-    records = load_episodes(root, manifest)
     assert all(rec.outcome == "arrived" for rec in records)
     assert manifest.z_max == 75.0
     assert max(rec.position[:, 2].max() for rec in records) <= 76.0
@@ -384,32 +374,45 @@ def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
 
 
 def test_manifest_roundtrip(tmp_path):
-    """The manifest on disk is the returned one, labelled by its seed."""
+    """The manifest on disk is the returned one, and stores the generation
+    and four fields an entry, nothing derived: the feature scale is the
+    workspace's depth and the labels are its seed's."""
     root, manifest = small_dataset(tmp_path, n=3, seed=17)
     loaded = load_manifest(root)
     assert loaded == manifest
-    labels = tuple(m.split for m in manifest.episodes)
-    assert labels == split_labels(3, 17)
-    assert set(labels) == {"train", "val"}
+    doc = json.loads((root / "manifest.json").read_text())
+    assert sorted(doc) == ["episodes", "generation", "schema_version"]
+    assert doc["schema_version"] == MANIFEST_SCHEMA_VERSION
+    assert [sorted(m) for m in doc["episodes"]] == [
+        ["episode_id", "final_error", "line", "steps"]] * 3
+    assert manifest.z_max == WORKSPACE.depth_max
+    assert manifest.labels == split_labels(3, 17)
+    assert set(manifest.labels) == {"train", "val"}
 
 
-def test_manifest_rejects_depth_beyond_scale():
-    manifest = fake_manifest(2)
-    manifest.validate()
-    bad = dataclasses.replace(
-        manifest,
-        episodes=(manifest.episodes[0],
-                  dataclasses.replace(manifest.episodes[1], target_depth=90.0)),
-    )
-    with pytest.raises(ValueError, match="depth exceeds the feature scale"):
-        bad.validate()
+def test_manifest_rejects_depth_beyond_scale(tmp_path):
+    """Each line's target lies within z_max and DEPTH_SLACK, checked as
+    the episodes load: a shallower workspace in the generation fails on
+    the first line, whose target is deeper."""
+    root, manifest = small_dataset(tmp_path, n=2, seed=13)
+    shallow = dataclasses.replace(manifest, generation=dataclasses.replace(
+        manifest.generation, workspace=WorkspaceCone(depth_min=20.0,
+                                                     depth_max=30.0)))
+    assert load_episodes(root, manifest)[0].target[2] > 30.0 + DEPTH_SLACK
+    with pytest.raises(DatasetError,
+                       match="line 1: target depth exceeds z_max"):
+        load_episodes(root, shallow)
 
 
 def test_config_hash_sensitivity():
-    a = {"n": 5, "seed": 1}
-    b = {"n": 5, "seed": 2}
+    """The hash follows the generation, whose JSON keeps the bytes schema
+    3 stored: `generate --n 70 --seed 42` prints the hash it printed
+    then."""
+    a = Generation(3, 70, GELATIN, WORKSPACE, CONTROLLER, 42, DEPTH_CAP)
+    b = dataclasses.replace(a, seed=43)
     assert config_hash(a) == config_hash(a)
     assert config_hash(a) != config_hash(b)
+    assert config_hash(a).startswith("3f16695f9999")
 
 
 # -------------------------------------------------------------------- splits
@@ -451,8 +454,9 @@ def test_training_sequences_counts_and_scaling(tmp_path):
     records = load_episodes(root, manifest)
     train_seqs, val_seqs = to_training_sequences(root, manifest)
     # each split in id order: the train episodes, then the val ones
-    records = ([records[k] for k in manifest.with_ids("train")]
-               + [records[k] for k in manifest.with_ids("val")])
+    records = [rec for side in ("train", "val")
+               for rec, label in zip(records, manifest.labels)
+               if label == side]
     seqs = train_seqs + val_seqs
     assert len(seqs) == len(records) == 3
     for (xs, ys), rec in zip(seqs, records):
@@ -487,7 +491,8 @@ def test_training_sequences_respect_split(tmp_path):
     root, manifest = small_dataset(tmp_path, n=4, seed=23)
     train_seqs, val_seqs = to_training_sequences(root, manifest)
     for side, seqs in (("train", train_seqs), ("val", val_seqs)):
-        steps = [manifest.episodes[k].steps for k in manifest.with_ids(side)]
+        steps = [m.steps for m, label in zip(manifest.episodes,
+                                             manifest.labels) if label == side]
         assert [len(xs) for xs, _ in seqs] == steps
     assert (len(train_seqs), len(val_seqs)) == (3, 1)
 
