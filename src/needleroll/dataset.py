@@ -9,8 +9,9 @@ the roll label is the clean simulator state.
 
 Storage is one JSON Lines file per dataset (line k holds episode k, as
 read_records requires of every line file) plus a manifest of its
-generation config and each episode's steps and final error; z_max, the
-config hash and the train/val split are derived from generation.
+generation (medium, workspace, controller, seed) and each episode's steps
+and final error; z_max, the config hash and the train/val split are
+derived from generation, and load_episodes checks each line against it.
 A line stores each fact once: every per-step column is as long as
 base_angle, step k is at time k / controller.rate, and the commanded
 insertion speed is the controller's.
@@ -53,12 +54,8 @@ from needleroll.schema import Column, decode, encode, replacing, save_json
 from needleroll.se3 import floats3
 
 DATASET_SCHEMA_VERSION = 3  # of episode and trial lines
-MANIFEST_SCHEMA_VERSION = 4
+MANIFEST_SCHEMA_VERSION = 5
 MANIFEST_FILENAME = "manifest.json"
-
-# arrival overshoot plus sensor noise can push recorded coordinates a hair
-# past the nominal feature scale; load_episodes allows this much
-DEPTH_SLACK = 2.5  # mm
 
 COLLECTION_ERROR_LIMIT = 1.0  # mm, regenerate episodes that miss by more
 RETRY_BUDGET = 5  # attempts per episode slot
@@ -241,18 +238,14 @@ def record_from_line(line: str) -> EpisodeRecord:
 class Generation:
     """What a dataset was collected under; each part checks its ranges."""
 
-    schema_version: int
-    n: int
     medium: MediumParams
     workspace: WorkspaceCone
     controller: ControllerParams
     seed: int
-    depth_cap: float
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"generation seed {self.seed} is negative")
-        split_labels(self.n, self.seed)  # raises below two episodes
 
 
 @dataclass(frozen=True)
@@ -272,9 +265,7 @@ class DatasetManifest:
     episodes: tuple[EpisodeMeta, ...]
 
     def __post_init__(self):
-        if self.generation.n != len(self.episodes):
-            raise ValueError(f"generation n is {self.generation.n}, not the "
-                             f"entry count {len(self.episodes)}")
+        split_labels(len(self.episodes), self.generation.seed)  # raises below 2
         for k, m in enumerate(self.episodes):
             # read_records finds episode k on line k, and nowhere else
             if m.episode_id != k or m.line != k:
@@ -348,7 +339,8 @@ def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
     Raises DatasetError unless the episodes file holds exactly the
     manifest's episodes: line k holds episode k, as read_records requires,
     with entry k's steps and final error, generation's medium and
-    controller, and a target depth within z_max + DEPTH_SLACK.
+    controller, a seed (generation seed, k, attempt) as _collect_episode
+    draws it, and a target depth within generation's workspace.
     """
     path = Path(root) / manifest.episodes_file
     records = read_records(path)
@@ -356,16 +348,20 @@ def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
         raise DatasetError(
             f"{path}: {len(records)} episodes, the manifest lists "
             f"{len(manifest.episodes)}")
+    g = manifest.generation
     for k, (rec, m) in enumerate(zip(records, manifest.episodes)):
         where = f"{path}: line {k + 1}"
         for name in ("medium", "controller"):
-            if getattr(rec, name) != getattr(manifest.generation, name):
+            if getattr(rec, name) != getattr(g, name):
                 raise DatasetError(f"{where}: {name} is not generation's")
+        if rec.seed not in [(g.seed, k, a) for a in range(RETRY_BUDGET)]:
+            raise DatasetError(f"{where}: seed is not generation's")
         if (rec.steps, rec.final_error) != (m.steps, m.final_error):
             raise DatasetError(f"{where}: steps or final error is not "
                                f"entry {k}'s")
-        if rec.target[2] > manifest.z_max + DEPTH_SLACK:
-            raise DatasetError(f"{where}: target depth exceeds z_max")
+        if not g.workspace.depth_min <= rec.target[2] <= g.workspace.depth_max:
+            raise DatasetError(f"{where}: target depth is outside "
+                               f"generation's workspace")
     return records
 
 
@@ -423,8 +419,8 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     schema.replacing, so a failed run leaves a dataset already under root
     as it was.
     """
-    generation = Generation(DATASET_SCHEMA_VERSION, n, medium, workspace,
-                            controller, int(seed), DEPTH_CAP)
+    generation = Generation(medium, workspace, controller, int(seed))
+    split_labels(n, seed)  # raises below two episodes
     root = Path(root)
     args = [(slot, seed, medium, workspace, controller) for slot in range(n)]
     metas = []

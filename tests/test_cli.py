@@ -368,7 +368,7 @@ def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
     doc = json.loads(path.read_text())
     assert "z_max" not in doc
     assert doc["generation"]["workspace"]["depth_max"] == 75.0
-    # no target lies deeper than 75 mm, within 80 + DEPTH_SLACK
+    # no target lies deeper than 75 mm, so none deeper than 80
     doc["generation"]["workspace"]["depth_max"] = 80.0
     path.write_text(json.dumps(doc))
     run = tmp_path / "run"
@@ -725,7 +725,7 @@ def _unknown_split(k):
     (lambda d: d["generation"].update(seed="42"),
      "'generation'['seed'] must be int, got \"42\""),
     (lambda d: d["generation"].update(n=11),
-     "generation n is 11, not the entry count 10"),
+     "'generation': unknown keys ['n']"),
 ], ids=["all_val", "all_train", "all_null", "one_train_to_val",
         "seven_train_null_one_to_val", "swapped_pair", "no_seed",
         "string_seed", "n_not_the_entry_count"])
@@ -733,7 +733,7 @@ def test_cli_train_on_a_relabelled_manifest_is_data_error(tmp_path, capsys,
                                                           edit, names):
     """A manifest stores no split label, as split_labels(n, seed) derives
     them from generation: a hand-written label is an unknown key, named
-    by its entry, and a seed or count the split cannot come from fails
+    by its entry, and a missing or mistyped seed or a stored count fails
     naming generation. Nothing is written."""
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "10", "--seed", "42",
@@ -788,7 +788,7 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-# every key schema 3 stored and schema 4 derives, with a value it held
+# every key schema 3 or 4 stored and schema 5 derives, with a value it held
 REMOVED_KEYS = {
     "z_max": lambda d: d.update(z_max=76.0),
     "config_hash": lambda d: d.update(config_hash="0" * 64),
@@ -799,14 +799,18 @@ REMOVED_KEYS = {
         medium_name="gelatin"),
     "entry_target_depth": lambda d: d["episodes"][1].update(
         target_depth=50.0),
+    "generation_schema_version": lambda d: d["generation"].update(
+        schema_version=3),
+    "generation_depth_cap": lambda d: d["generation"].update(depth_cap=80.0),
 }
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_cli_train_on_a_removed_manifest_key_is_data_error(
         pipeline_files, tmp_path, capsys, key):
-    """A schema-4 manifest that holds a copy schema 3 stored fails as an
-    unknown key, named with its entry, and nothing is written."""
+    """A schema-5 manifest that holds a copy an earlier schema stored fails
+    as an unknown key, named with its entry or generation, and nothing is
+    written."""
     _, argv = _copied_line_file(pipeline_files, tmp_path, "train")
     path = tmp_path / "ds" / "manifest.json"
     doc = json.loads(path.read_text())
@@ -815,8 +819,10 @@ def test_cli_train_on_a_removed_manifest_key_is_data_error(
     before = _tree(tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
-    name = key.removeprefix("entry_")
-    where = "'episodes'[1]: " if key.startswith("entry_") else ""
+    scope, _, name = key.partition("_")
+    where = {"entry": "'episodes'[1]: ",
+             "generation": "'generation': "}.get(scope, "")
+    name = name if where else key
     err = capsys.readouterr().err
     assert err == f"failed: {path}: {where}unknown keys [{name!r}]\n", err
     assert _tree(tmp_path) == before
@@ -836,14 +842,20 @@ def test_cli_train_on_a_removed_manifest_key_is_data_error(
      "'generation'['workspace']['depth_max'] must be float, got \"x\""),
     (lambda d: d["generation"].update(seed=-1),
      "manifest.json", "generation seed -1 is negative"),
+    (lambda d: d["generation"].update(seed=43),
+     "episodes.jsonl", "line 1: seed is not generation's"),
+    (lambda d: d["generation"]["workspace"].update(depth_min=74.0),
+     "episodes.jsonl",
+     "line 1: target depth is outside generation's workspace"),
 ], ids=["medium_name", "controller", "entry_steps", "entry_final_error",
-        "depth_max_string", "negative_seed"])
+        "depth_max_string", "negative_seed", "seed_43", "depth_min_74"])
 def test_cli_train_on_a_manifest_at_odds_with_its_lines_is_data_error(
         pipeline_files, tmp_path, capsys, edit, file, names):
-    """Each line must be collected in generation's medium and controller
-    and hold its entry's steps and final error, and generation's own
-    values are typed and in range. A fault fails naming the file and the
-    line or key, and nothing is written."""
+    """Each line must be collected in generation's medium and controller,
+    under a seed drawn from generation's, to a target depth in its
+    workspace, and hold its entry's steps and final error, and
+    generation's own values are typed and in range. A fault fails naming
+    the file and the line or key, and nothing is written."""
     _, argv = _copied_line_file(pipeline_files, tmp_path, "train")
     path = tmp_path / "ds" / "manifest.json"
     doc = json.loads(path.read_text())
@@ -1230,13 +1242,18 @@ def test_cli_report_on_schema_2_trials_is_data_error(tmp_path, capsys):
 
 
 def _as_manifest_schema(doc, lines, version):
-    """A manifest's object as schema `version` wrote it: schema 3 also
-    stored z_max, the config hash, the episodes file name and, in each
-    entry, the seed, medium name, target depth and split label of its
-    line; schemas 1 and 2 set generation's schema_version to theirs, and
-    schema 1 held z_max in generation too."""
+    """A manifest's object as schema `version` wrote it: schema 4 also
+    stored the episode count, the line schema 3 and the depth cap in
+    generation; schema 3 also stored z_max, the config hash, the episodes
+    file name and, in each entry, the seed, medium name, target depth and
+    split label of its line; schemas 1 and 2 set generation's
+    schema_version to theirs, and schema 1 held z_max in generation too."""
+    doc["generation"].update(n=len(lines), schema_version=3, depth_cap=80.0)
+    doc["schema_version"] = version
+    if version == 4:
+        return
     blob = json.dumps(doc["generation"], sort_keys=True, separators=(",", ":"))
-    doc.update(schema_version=version, episodes_file="episodes.jsonl",
+    doc.update(episodes_file="episodes.jsonl",
                z_max=doc["generation"]["workspace"]["depth_max"],
                config_hash=hashlib.sha256(blob.encode()).hexdigest())
     labels = split_labels(len(lines), doc["generation"]["seed"])
@@ -1283,6 +1300,12 @@ def test_cli_train_on_schema_3_dataset_is_data_error(tmp_path, capsys):
     """Schema 3, whose manifest stored copies of derived facts, fails on
     its manifest version though its episode lines are still read."""
     _train_on_old_dataset(tmp_path, capsys, 3)
+
+
+def test_cli_train_on_schema_4_dataset_is_data_error(tmp_path, capsys):
+    """Schema 4, whose generation stored the episode count, the line
+    schema and the depth cap, fails on its manifest version."""
+    _train_on_old_dataset(tmp_path, capsys, 4)
 
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):

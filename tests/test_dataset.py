@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DEPTH_CAP,
-    DEPTH_SLACK,
     ESTIMATOR_COLUMNS,
     MANIFEST_SCHEMA_VERSION,
     STEP_COLUMNS,
@@ -383,6 +383,8 @@ def test_manifest_roundtrip(tmp_path):
     doc = json.loads((root / "manifest.json").read_text())
     assert sorted(doc) == ["episodes", "generation", "schema_version"]
     assert doc["schema_version"] == MANIFEST_SCHEMA_VERSION
+    assert sorted(doc["generation"]) == ["controller", "medium", "seed",
+                                         "workspace"]
     assert [sorted(m) for m in doc["episodes"]] == [
         ["episode_id", "final_error", "line", "steps"]] * 3
     assert manifest.z_max == WORKSPACE.depth_max
@@ -390,29 +392,96 @@ def test_manifest_roundtrip(tmp_path):
     assert set(manifest.labels) == {"train", "val"}
 
 
-def test_manifest_rejects_depth_beyond_scale(tmp_path):
-    """Each line's target lies within z_max and DEPTH_SLACK, checked as
-    the episodes load: a shallower workspace in the generation fails on
-    the first line, whose target is deeper."""
+@pytest.mark.parametrize("depth_min, depth_max", [(20.0, 30.0),
+                                                   (74.0, 75.0)],
+                         ids=["shallower", "deeper"])
+def test_manifest_rejects_depth_outside_workspace(tmp_path, depth_min,
+                                                  depth_max):
+    """Each line's target depth lies in generation's workspace range,
+    checked exactly as the episodes load: a workspace shallower or deeper
+    than the first line's target fails on that line."""
     root, manifest = small_dataset(tmp_path, n=2, seed=13)
-    shallow = dataclasses.replace(manifest, generation=dataclasses.replace(
-        manifest.generation, workspace=WorkspaceCone(depth_min=20.0,
-                                                     depth_max=30.0)))
-    assert load_episodes(root, manifest)[0].target[2] > 30.0 + DEPTH_SLACK
-    with pytest.raises(DatasetError,
-                       match="line 1: target depth exceeds z_max"):
-        load_episodes(root, shallow)
+    moved = dataclasses.replace(manifest, generation=dataclasses.replace(
+        manifest.generation, workspace=WorkspaceCone(depth_min=depth_min,
+                                                     depth_max=depth_max)))
+    assert 30.0 < load_episodes(root, manifest)[0].target[2] < 74.0
+    with pytest.raises(DatasetError, match="line 1: target depth is outside "
+                       "generation's workspace"):
+        load_episodes(root, moved)
 
 
 def test_config_hash_sensitivity():
-    """The hash follows the generation, whose JSON keeps the bytes schema
-    3 stored: `generate --n 70 --seed 42` prints the hash it printed
-    then."""
-    a = Generation(3, 70, GELATIN, WORKSPACE, CONTROLLER, 42, DEPTH_CAP)
+    """The hash follows the generation's four fields: `generate --n 70
+    --seed 42` prints this prefix."""
+    a = Generation(GELATIN, WORKSPACE, CONTROLLER, 42)
     b = dataclasses.replace(a, seed=43)
     assert config_hash(a) == config_hash(a)
     assert config_hash(a) != config_hash(b)
-    assert config_hash(a).startswith("3f16695f9999")
+    assert config_hash(a).startswith("42ccb8c108bd")
+
+
+def _leaves(doc, path=()):
+    """(path, value) of each non-dict value nested in doc."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def _edited(value):
+    """Another value of value's type: a flipped bool, another preset name,
+    a number + 1 or x 1.5."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return next(name for name in MEDIUM_PRESETS if name != value)
+    return value * 1.5 if isinstance(value, float) and value else value + 1
+
+
+GENERATION_LEAVES = [path for path, _ in _leaves(dataclasses.asdict(
+    Generation(GELATIN, WORKSPACE, CONTROLLER, 3)))]
+
+
+@pytest.fixture(scope="module")
+def three_episodes(tmp_path_factory):
+    """A three-episode dataset, its z_max and its (train, val) tensors."""
+    root, manifest = small_dataset(tmp_path_factory.mktemp("leaves"), n=3,
+                                   seed=3)
+    return root, manifest.z_max, to_training_sequences(root, manifest)
+
+
+@pytest.mark.parametrize("path", GENERATION_LEAVES,
+                         ids=[".".join(p) for p in GENERATION_LEAVES])
+def test_every_generation_leaf_is_checked_or_moves_nothing(
+        three_episodes, tmp_path, path):
+    """No leaf of generation is an unchecked copy: an edit of any one
+    fails as a DatasetError or leaves the training tensors and z_max
+    bitwise as they were. depth_max alone is read, as z_max."""
+    root, z_max, (train, val) = three_episodes
+    shutil.copytree(root, tmp_path / "ds")
+    file = tmp_path / "ds" / "manifest.json"
+    doc = json.loads(file.read_text())
+    *parents, key = path
+    node = doc["generation"]
+    for name in parents:
+        node = node[name]
+    node[key] = _edited(node[key])
+    file.write_text(json.dumps(doc))
+    try:
+        manifest = load_manifest(tmp_path / "ds")
+        got = to_training_sequences(tmp_path / "ds", manifest)
+    except DatasetError:
+        return
+    if key == "depth_max":
+        assert manifest.z_max == node[key] != z_max
+        return
+    assert manifest.z_max == z_max
+    for side, want in zip(got, (train, val)):
+        assert len(side) == len(want)
+        for (xs, ys), (xs0, ys0) in zip(side, want):
+            assert xs.tobytes() == xs0.tobytes()
+            assert ys.tobytes() == ys0.tobytes()
 
 
 # -------------------------------------------------------------------- splits
