@@ -9,18 +9,15 @@ ceiling every estimator is judged against.
 
 import numpy as np
 
-from needleroll.controller import ControllerParams
 from needleroll.dataset import run_closed_loop
-from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone, sample_target
+from needleroll.plant import MEDIUM_PRESETS, WORKSPACE, sample_target
 
 rng = np.random.default_rng(7)
 medium = MEDIUM_PRESETS["gelatin"]
-controller = ControllerParams()
-workspace = WorkspaceCone(bounding_curvature=medium.curvature)
 
 for trial in range(5):
-    target = sample_target(workspace, rng)
-    logs, state, outcome, err = run_closed_loop(medium, controller, target, rng)
+    target = sample_target(WORKSPACE, rng)
+    logs, state, outcome, err = run_closed_loop(medium, target, rng)
     rotating = [w != 0.0 for w in logs["rotation_speed"]]
     flips = sum(1 for a, b in zip(rotating, rotating[1:]) if a != b)
     print(f"trial {trial}: target depth {target[2]:5.1f} mm, "

@@ -10,20 +10,17 @@ enough insertion left to wind the bevel back through the stick band.
 
 import numpy as np
 
-from needleroll.controller import ControllerParams
 from needleroll.evaluate import run_trial
-from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone, rigid_variant, sample_target
+from needleroll.plant import MEDIUM_PRESETS, WORKSPACE, rigid_variant, sample_target
 from needleroll.se3 import wrap_angle
 
-controller = ControllerParams()
 gelatin = MEDIUM_PRESETS["gelatin"]
-workspace = WorkspaceCone(bounding_curvature=gelatin.curvature)
 rng = np.random.default_rng(9)
-target = sample_target(workspace, rng)
+target = sample_target(WORKSPACE, rng)
 print(f"target: ({target[0]:.1f}, {target[1]:.1f}, {target[2]:.1f}) mm")
 
 for medium in (rigid_variant(gelatin), gelatin):
-    record = run_trial("ekf", medium, controller, target, seed=9)
+    record = run_trial("ekf", medium, target, seed=9)
     label = "rigid" if medium.rigid else "compliant"
     # "arrived" covers both true arrival and the target slipping behind the
     # tip plane; the targeting error tells those apart.

@@ -8,19 +8,15 @@ in the command line interface; this is the same pipeline at toy scale.
 
 import tempfile
 
-from needleroll.controller import ControllerParams
 from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.lstm import TrainConfig, train
-from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
+from needleroll.plant import MEDIUM_PRESETS
 
 medium = MEDIUM_PRESETS["gelatin"]
-controller = ControllerParams()
-workspace = WorkspaceCone(bounding_curvature=medium.curvature)
 
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print(f"generating 16 insertions in {root} ...")
-    manifest = generate_dataset(16, medium, workspace, controller, seed=11,
-                                root=root)
+    manifest = generate_dataset(16, medium, seed=11, root=root)
     train_seqs, val_seqs = to_training_sequences(root, manifest)
 steps = sum(xs.shape[0] for xs, _ in train_seqs)
 print(f"train {len(train_seqs)} episodes ({steps} steps), val {len(val_seqs)}")

@@ -11,20 +11,16 @@ Runtime is a few minutes at this reduced scale.
 
 import tempfile
 
-from needleroll.controller import ControllerParams
 from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.evaluate import group_stats, run_batch
 from needleroll.lstm import TrainConfig, train
-from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
+from needleroll.plant import MEDIUM_PRESETS
 
 gelatin = MEDIUM_PRESETS["gelatin"]
-controller = ControllerParams()
-workspace = WorkspaceCone(bounding_curvature=gelatin.curvature)
 
 with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
     print("generating 24 gelatin insertions ...")
-    manifest = generate_dataset(24, gelatin, workspace, controller, seed=21,
-                                root=root)
+    manifest = generate_dataset(24, gelatin, seed=21, root=root)
     train_seqs, val_seqs = to_training_sequences(root, manifest)
 
 print("training (reduced scale) ...")
@@ -34,8 +30,8 @@ print(f"best val RMSE {min(r.val_rmse for r in log):.4f}")
 
 for name, n_trials in (("gelatin", 6), ("brain", 6), ("lung", 6)):
     medium = MEDIUM_PRESETS[name]
-    records = run_batch(("lstm", "ekf"), medium, controller, workspace,
-                        n_trials=n_trials, seed=100, model=model)
+    records = run_batch(("lstm", "ekf"), medium, n_trials=n_trials,
+                        seed=100, model=model)
     print(f"\n{name} ({n_trials} paired trials):")
     stats = {s.estimator: s for s in group_stats(records)}
     for estimator in ("lstm", "ekf"):

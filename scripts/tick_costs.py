@@ -75,8 +75,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from needleroll import dataset, ekf, evaluate, lstm  # noqa: E402
-from needleroll.controller import ControllerParams  # noqa: E402
-from needleroll.plant import GELATIN, WorkspaceCone  # noqa: E402
+from needleroll.plant import GELATIN, WORKSPACE  # noqa: E402
 
 SEED = 7
 BATCH_STEPS = 600  # padded steps of the timed training batches
@@ -116,13 +115,13 @@ def record_trial(estimator: str, model, hooks) -> tuple[dict, object]:
     """Run one evaluation trial; return {layer: [args, ...]} for the
     (owner, attribute, layer) triples in hooks, and the trial's record."""
     calls = {layer: [] for _, _, layer in hooks}
-    target = evaluate.sample_targets(WorkspaceCone(), SEED, 1)[0]
+    target = evaluate.sample_targets(SEED, 1)[0]
     tag = evaluate.ESTIMATOR_NAMES.index(estimator)
     with ExitStack() as stack:
         for owner, name, layer in hooks:
             stack.enter_context(recording(owner, name, calls[layer]))
-        record = evaluate.run_trial(estimator, GELATIN, ControllerParams(),
-                                    target, (SEED, tag, 0), model)
+        record = evaluate.run_trial(estimator, GELATIN, target,
+                                    (SEED, tag, 0), model)
     return calls, record
 
 
@@ -154,7 +153,6 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     repeats = args.repeats
     model = lstm.init_model(75.0, hidden_size=30, seed=0)
-    controller = ControllerParams()
     ekf_calls, ekf_record = record_trial("ekf", None, [
         (dataset, "step", "plant.step"),
         (dataset, "sense", "plant.sense"),
@@ -170,8 +168,7 @@ def main(argv=None) -> int:
         (lstm.RollEstimator, "estimate", "RollEstimator.estimate"),
     ])
     timing_rng = np.random.default_rng(SEED)
-    truth_args = ("truth", GELATIN, controller,
-                  evaluate.sample_targets(WorkspaceCone(), SEED, 1)[0],
+    truth_args = ("truth", GELATIN, evaluate.sample_targets(SEED, 1)[0],
                   (SEED, evaluate.ESTIMATOR_NAMES.index("truth"), 0))
     truth_record = dataclasses.replace(
         evaluate.run_trial(*truth_args), roll_est=None, angular_error=None,
@@ -222,9 +219,8 @@ def main(argv=None) -> int:
     model_path = Path(model_dir.name) / "model.json"
     # the quickstart's validation split, one chunk, in a warmed workspace
     data_root = Path(model_dir.name) / "dataset"
-    manifest = dataset.generate_dataset(
-        n=70, medium=GELATIN, workspace=WorkspaceCone(),
-        controller=controller, seed=42, root=data_root)
+    manifest = dataset.generate_dataset(n=70, medium=GELATIN, seed=42,
+                                        root=data_root)
     val_seqs = dataset.to_training_sequences(data_root, manifest)[1]
     val_workspace = lstm.Workspace()
     lstm.sequence_rmse(model, val_seqs, val_workspace)
@@ -258,7 +254,7 @@ def main(argv=None) -> int:
         ("EkfRollTracker.estimate", ekf.EkfRollTracker.estimate,
          fresh_tracker_calls(
              ekf_calls["EkfRollTracker.estimate"],
-             lambda: ekf.EkfRollTracker(GELATIN, controller))),
+             lambda: ekf.EkfRollTracker(GELATIN))),
         ("lstm.forward_step", lstm.forward_step,
          replay(lstm_calls["lstm.forward_step"])),
         ("lstm._endpoint_fit", lstm._endpoint_fit,
@@ -275,7 +271,7 @@ def main(argv=None) -> int:
         ("dataset.record_from_line", dataset.record_from_line,
          replay([(truth_line,)] * 3), truth_ticks),
         ("dataset.to_training_sequences", training_sequence,
-         replay([(truth_line, WorkspaceCone().depth_max)] * 3), truth_ticks),
+         replay([(truth_line, WORKSPACE.depth_max)] * 3), truth_ticks),
         *training_rows,
         (f"lstm.sequence_rmse B={len(val_seqs)}", lstm.sequence_rmse,
          replay([(model, val_seqs, val_workspace)] * 3),

@@ -24,7 +24,6 @@ from needleroll.config import (
     resolve_config,
     write_resolved_config,
 )
-from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     DEFAULT_EPISODES,
     DatasetError,
@@ -147,9 +146,7 @@ def cmd_generate(config: RunConfig) -> int:
     # validate() rejects n < 1, so `or` fills in only a missing count
     config = dataclasses.replace(config, n=config.n or DEFAULT_EPISODES)
     manifest = generate_dataset(
-        n=config.n, medium=config.make_medium(),
-        workspace=config.make_workspace(),
-        controller=ControllerParams(), seed=config.seed, root=out,
+        n=config.n, medium=config.make_medium(), seed=config.seed, root=out,
         mapper=_mapper(config.jobs),
     )
     write_resolved_config(config, out)
@@ -186,9 +183,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     model = (load_model(_require(config.model, "--model"))
              if "lstm" in config.estimators else None)
     records = run_batch(
-        config.estimators, config.make_medium(), ControllerParams(),
-        config.make_workspace(), n_trials=config.n, seed=config.seed,
-        model=model, target=config.target,
+        config.estimators, config.make_medium(), n_trials=config.n,
+        seed=config.seed, model=model, target=config.target,
         mapper=_mapper(config.jobs),
     )
     stats = {s.estimator: s for s in report(records, out)}

@@ -7,11 +7,10 @@ RunConfig's annotations by schema.check_json. The resolved result is
 serialized next to a command's outputs so any run can be reproduced from
 its artifact directory alone.
 
-The controller and the reachable workspace are no settings:
-ControllerParams and WorkspaceCone own their constants, and a run builds
-them from those defaults (the workspace takes the medium's curvature).
-So the position feature scale is WorkspaceCone.depth_max, which a
-dataset manifest's generation records and train copies into the model.
+The controller and the reachable workspace are no settings: they are the
+constants controller.CONTROLLER and plant.WORKSPACE, which nothing takes
+as a parameter and no manifest stores. So the position feature scale is
+WORKSPACE.depth_max, which train copies into the model.
 Nor are the depth at which a closed loop gives up and the share of episodes
 split into train: dataset owns them as DEPTH_CAP and TRAIN_FRACTION.
 Training takes only its epoch count and seed from here: the batch size,
@@ -25,15 +24,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from needleroll.controller import ControllerParams
+from needleroll.controller import CONTROLLER
 from needleroll.evaluate import check_estimator_names
 from needleroll.lstm import TrainConfig
-from needleroll.plant import (
-    MEDIUM_PRESETS,
-    MediumParams,
-    WorkspaceCone,
-    rigid_variant,
-)
+from needleroll.plant import MEDIUM_PRESETS, MediumParams, rigid_variant
 from needleroll.schema import check_json, load_json, save_json
 
 CONFIG_SCHEMA_VERSION = 1
@@ -82,7 +76,7 @@ class RunConfig:
                 raise ValueError("target coordinates must be finite")
             # the first control tick stops on a target short of this
             if not (self.target[2] > 0.0 and math.hypot(*self.target)
-                    > ControllerParams.arrival_tolerance):
+                    > CONTROLLER.arrival_tolerance):
                 raise ValueError("target must lie ahead of the entry point: "
                                  "z > 0, beyond the arrival tolerance")
         return self
@@ -90,10 +84,6 @@ class RunConfig:
     def make_medium(self) -> MediumParams:
         medium = MEDIUM_PRESETS[self.medium]
         return rigid_variant(medium) if self.rigid else medium
-
-    def make_workspace(self) -> WorkspaceCone:
-        return WorkspaceCone(
-            bounding_curvature=MEDIUM_PRESETS[self.medium].curvature)
 
     def make_train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, seed=self.seed)

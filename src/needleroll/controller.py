@@ -40,6 +40,10 @@ class ControllerParams:
                      nonnegative=("deadband", "arrival_tolerance"))
 
 
+# the one steering law of every closed loop; tests vary `control`'s params
+CONTROLLER = ControllerParams()
+
+
 @dataclass(frozen=True)
 class Arrived:
     """Terminal outcome: target reached or passed behind the tip plane."""

@@ -7,11 +7,14 @@ are thrown away and regenerated with a fresh target, so the dataset only
 contains successful steers. Recorded observations keep the sensor noise;
 the roll label is the clean simulator state.
 
+Every episode is steered by controller.CONTROLLER to a target drawn from
+plant.WORKSPACE: both are constants, so no function here takes them.
 Storage is one JSON Lines file per dataset (line k holds episode k, as
 read_records requires of every line file) plus a manifest of its
-generation (medium, workspace, controller, seed) and each episode's steps
-and final error; z_max, the config hash and the train/val split are
-derived from generation, and load_episodes checks each line against it.
+generation (the medium and the seed, what a generate run sets) and each
+episode's steps and final error. The train/val split and the config hash
+are derived from generation, z_max is WORKSPACE.depth_max, and
+load_episodes checks each line against generation and the two constants.
 A line stores each fact once: every per-step column is as long as
 base_angle, step k is at time k / controller.rate, and the commanded
 insertion speed is the controller's.
@@ -36,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from needleroll.controller import (
+    CONTROLLER,
     Arrived,
     ControllerParams,
     control,
@@ -43,8 +47,8 @@ from needleroll.controller import (
 )
 from needleroll.plant import (
     HEADING_NORM_TOLERANCE,
+    WORKSPACE,
     MediumParams,
-    WorkspaceCone,
     initial_state,
     sample_target,
     sense,
@@ -54,7 +58,7 @@ from needleroll.schema import Column, decode, encode, replacing, save_json
 from needleroll.se3 import floats3
 
 DATASET_SCHEMA_VERSION = 3  # of episode and trial lines
-MANIFEST_SCHEMA_VERSION = 5
+MANIFEST_SCHEMA_VERSION = 6
 MANIFEST_FILENAME = "manifest.json"
 
 COLLECTION_ERROR_LIMIT = 1.0  # mm, regenerate episodes that miss by more
@@ -83,14 +87,13 @@ STEP_COLUMNS = ("position", "heading", "base_angle", "roll_true",
 ESTIMATOR_COLUMNS = ("roll_est", "angular_error")
 
 
-def run_closed_loop(medium: MediumParams, controller: ControllerParams,
-                    target, rng, estimator=None):
+def run_closed_loop(medium: MediumParams, target, rng, estimator=None):
     """Drive one insertion to the target; the canonical execution loop.
 
-    Each tick, on floats: sense, estimate, decide, advance. `estimator` is any
-    object with estimate(meas, base_angle) -> (rows, p), float rows and
-    floats; None steers on the plant state's. Stops on arrival or at
-    DEPTH_CAP.
+    Each tick, on floats: sense, estimate, decide under CONTROLLER,
+    advance. `estimator` is any object with estimate(meas, base_angle) ->
+    (rows, p), float rows and floats; None steers on the plant state's.
+    Stops on arrival or at DEPTH_CAP.
 
     Returns (logs, final_state, outcome, final_error). `logs` maps each
     STEP_COLUMNS name, "R_true" and "R_est" to a list with one entry per
@@ -100,7 +103,7 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
     estimated rotations. The final error is the true tip-to-target
     distance, whatever the estimator believed.
     """
-    dt = 1.0 / controller.rate
+    dt = 1.0 / CONTROLLER.rate
     goal = floats3(target)
     state = initial_state()
     logs = {name: [] for name in (*STEP_COLUMNS, "R_true", "R_est")}
@@ -111,7 +114,7 @@ def run_closed_loop(medium: MediumParams, controller: ControllerParams,
             rows, p = state.rows, state.p
         else:
             rows, p = estimator.estimate(meas, state.base_angle)
-        decision = control(rows, p, goal, controller)
+        decision = control(rows, p, goal, CONTROLLER)
         if isinstance(decision, Arrived):
             outcome = "arrived"
             break
@@ -193,15 +196,14 @@ def _stack_rows3(rows) -> np.ndarray:
                        3 * len(rows)).reshape(-1, 3)
 
 
-def record_from_logs(episode_id: int, seed, medium: MediumParams,
-                     controller: ControllerParams, target, outcome: str,
-                     final_error: float, logs,
+def record_from_logs(episode_id: int, seed, medium: MediumParams, target,
+                     outcome: str, final_error: float, logs,
                      estimator: str | None = None) -> EpisodeRecord:
     rec = EpisodeRecord(
         episode_id=episode_id,
         seed=tuple(int(s) for s in seed),
         medium=medium,
-        controller=controller,
+        controller=CONTROLLER,
         target=tuple(map(float, target)),
         outcome=outcome,
         final_error=float(final_error),
@@ -236,11 +238,10 @@ def record_from_line(line: str) -> EpisodeRecord:
 
 @dataclass(frozen=True)
 class Generation:
-    """What a dataset was collected under; each part checks its ranges."""
+    """What a generate run sets: the medium, which checks its ranges, and
+    the seed."""
 
     medium: MediumParams
-    workspace: WorkspaceCone
-    controller: ControllerParams
     seed: int
 
     def __post_init__(self):
@@ -275,7 +276,7 @@ class DatasetManifest:
     @property
     def z_max(self) -> float:
         """The position feature scale: no sampled target lies deeper."""
-        return float(self.generation.workspace.depth_max)
+        return float(WORKSPACE.depth_max)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -296,9 +297,7 @@ def load_manifest(root: Path) -> DatasetManifest:
         doc = decode(path.read_text(), DatasetManifest,
                      MANIFEST_SCHEMA_VERSION, "manifest")
         g = doc["generation"]
-        g.update(medium=MediumParams(**g["medium"]),
-                 workspace=WorkspaceCone(**g["workspace"]),
-                 controller=ControllerParams(**g["controller"]))
+        g["medium"] = MediumParams(**g["medium"])
         return DatasetManifest(Generation(**g), tuple(
             EpisodeMeta(**m) for m in doc["episodes"]))
     except ValueError as exc:
@@ -338,9 +337,9 @@ def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
 
     Raises DatasetError unless the episodes file holds exactly the
     manifest's episodes: line k holds episode k, as read_records requires,
-    with entry k's steps and final error, generation's medium and
-    controller, a seed (generation seed, k, attempt) as _collect_episode
-    draws it, and a target depth within generation's workspace.
+    with entry k's steps and final error, generation's medium, CONTROLLER,
+    a seed (generation seed, k, attempt) as _collect_episode draws it, and
+    a target depth within WORKSPACE's.
     """
     path = Path(root) / manifest.episodes_file
     records = read_records(path)
@@ -351,17 +350,17 @@ def load_episodes(root: Path, manifest: DatasetManifest) -> list[EpisodeRecord]:
     g = manifest.generation
     for k, (rec, m) in enumerate(zip(records, manifest.episodes)):
         where = f"{path}: line {k + 1}"
-        for name in ("medium", "controller"):
-            if getattr(rec, name) != getattr(g, name):
-                raise DatasetError(f"{where}: {name} is not generation's")
+        if rec.medium != g.medium:
+            raise DatasetError(f"{where}: medium is not generation's")
+        if rec.controller != CONTROLLER:
+            raise DatasetError(f"{where}: controller is not CONTROLLER")
         if rec.seed not in [(g.seed, k, a) for a in range(RETRY_BUDGET)]:
             raise DatasetError(f"{where}: seed is not generation's")
         if (rec.steps, rec.final_error) != (m.steps, m.final_error):
             raise DatasetError(f"{where}: steps or final error is not "
                                f"entry {k}'s")
-        if not g.workspace.depth_min <= rec.target[2] <= g.workspace.depth_max:
-            raise DatasetError(f"{where}: target depth is outside "
-                               f"generation's workspace")
+        if not WORKSPACE.depth_min <= rec.target[2] <= WORKSPACE.depth_max:
+            raise DatasetError(f"{where}: target depth is outside WORKSPACE")
     return records
 
 
@@ -377,16 +376,15 @@ def _collect_episode(args):
     episodes; the episode rng depends only on (root seed, slot, attempt),
     making results identical under any parallelism.
     """
-    (slot, root_seed, medium, workspace, controller) = args
+    slot, root_seed, medium = args
     for attempt in range(RETRY_BUDGET):
         seed = (int(root_seed), int(slot), int(attempt))
         rng = np.random.default_rng(np.random.SeedSequence(list(seed)))
-        target = sample_target(workspace, rng)
-        logs, _, outcome, final_error = run_closed_loop(
-            medium, controller, target, rng)
+        target = sample_target(WORKSPACE, rng)
+        logs, _, outcome, final_error = run_closed_loop(medium, target, rng)
         if outcome == "arrived" and final_error < COLLECTION_ERROR_LIMIT:
-            rec = record_from_logs(slot, seed, medium, controller,
-                                   target, outcome, final_error, logs)
+            rec = record_from_logs(slot, seed, medium, target, outcome,
+                                   final_error, logs)
             del logs  # peak memory holds the tick logs or the line, not both
             return record_to_line(rec), EpisodeMeta(
                 slot, slot, rec.steps, rec.final_error)
@@ -406,8 +404,7 @@ def split_labels(n: int, seed: int) -> tuple[str, ...]:
     return tuple("train" if k in train else "val" for k in range(n))
 
 
-def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
-                     controller: ControllerParams, seed: int, root: Path,
+def generate_dataset(n: int, medium: MediumParams, seed: int, root: Path,
                      mapper=map) -> DatasetManifest:
     """Collect n accepted insertions in one medium and persist them under
     root; returns the manifest, written once after the last line.
@@ -419,10 +416,10 @@ def generate_dataset(n: int, medium: MediumParams, workspace: WorkspaceCone,
     schema.replacing, so a failed run leaves a dataset already under root
     as it was.
     """
-    generation = Generation(medium, workspace, controller, int(seed))
+    generation = Generation(medium, int(seed))
     split_labels(n, seed)  # raises below two episodes
     root = Path(root)
-    args = [(slot, seed, medium, workspace, controller) for slot in range(n)]
+    args = [(slot, seed, medium) for slot in range(n)]
     metas = []
     with replacing(root / DatasetManifest.episodes_file) as fh:
         for line, meta in mapper(_collect_episode, args):

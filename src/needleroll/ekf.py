@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _solve
 
-from needleroll.controller import ControllerParams
+from needleroll.controller import CONTROLLER
 from needleroll.plant import (
     ControlInput,
     MediumParams,
@@ -301,10 +301,10 @@ class EkfRollTracker:
     angle the loop supplies; the filter applies it directly as tip roll
     (the torsion-blind assumption under test)."""
 
-    def __init__(self, medium: MediumParams, controller: ControllerParams):
+    def __init__(self, medium: MediumParams):
         self.curvature = medium.curvature
-        self.insertion_speed = controller.insertion_speed
-        self.dt = 1.0 / controller.rate
+        self.insertion_speed = CONTROLLER.insertion_speed
+        self.dt = 1.0 / CONTROLLER.rate
         self.process_noise = default_process_noise()
         self.measurement_noise = measurement_noise_for(
             medium.position_noise, medium.heading_noise)

@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from needleroll.controller import ControllerParams
 from needleroll.dataset import (
     ESTIMATOR_COLUMNS,
     DatasetError,
@@ -42,7 +41,7 @@ from needleroll.dataset import (
 )
 from needleroll.ekf import EkfRollTracker
 from needleroll.lstm import LstmModel, RollEstimator
-from needleroll.plant import MediumParams, WorkspaceCone, sample_target
+from needleroll.plant import WORKSPACE, MediumParams, sample_target
 from needleroll.schema import replacing
 from needleroll.se3 import angular_error, decompose_roll
 
@@ -63,13 +62,12 @@ SUMMARY_COLUMNS = ["trial_id", "estimator", "medium", "seed", "outcome",
 
 
 def make_estimator(name: str, medium: MediumParams,
-                   controller: ControllerParams,
                    model: LstmModel | None = None):
     """None steers on ground truth; otherwise a stateful estimate() object."""
     if name == "truth":
         return None
     if name == "ekf":
-        return EkfRollTracker(medium, controller)
+        return EkfRollTracker(medium)
     if name == "lstm":
         if model is None:
             raise ValueError("the learned estimator needs a trained model")
@@ -77,8 +75,7 @@ def make_estimator(name: str, medium: MediumParams,
     raise ValueError(f"unknown estimator {name!r}")
 
 
-def run_trial(estimator_name: str, medium: MediumParams,
-              controller: ControllerParams, target, seed,
+def run_trial(estimator_name: str, medium: MediumParams, target, seed,
               model: LstmModel | None = None, trial_id: int = 0):
     """One closed-loop insertion under the named estimator.
 
@@ -90,31 +87,30 @@ def run_trial(estimator_name: str, medium: MediumParams,
     """
     seed = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
     rng = np.random.default_rng(np.random.SeedSequence(list(seed)))
-    estimator = make_estimator(estimator_name, medium, controller, model)
-    logs, _, outcome, final_error = run_closed_loop(
-        medium, controller, target, rng, estimator)
+    estimator = make_estimator(estimator_name, medium, model)
+    logs, _, outcome, final_error = run_closed_loop(medium, target, rng,
+                                                    estimator)
     logs["roll_est"] = [decompose_roll(rows)[1] for rows in logs["R_est"]]
     logs["angular_error"] = list(map(angular_error, logs["R_est"],
                                      logs["R_true"]))
-    return record_from_logs(trial_id, seed, medium, controller, target,
-                            outcome, final_error, logs, estimator_name)
+    return record_from_logs(trial_id, seed, medium, target, outcome,
+                            final_error, logs, estimator_name)
 
 
 def _run_trial_task(args):
     return run_trial(*args)
 
 
-def sample_targets(workspace: WorkspaceCone, seed: int, n: int):
-    """The first n targets of the evaluation target stream of seed; every
-    estimator of a batch steers to the same ones."""
+def sample_targets(seed: int, n: int):
+    """The first n WORKSPACE targets of the evaluation target stream of
+    seed; every estimator of a batch steers to the same ones."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7467]))
-    return [sample_target(workspace, rng) for _ in range(n)]
+    return [sample_target(WORKSPACE, rng) for _ in range(n)]
 
 
-def run_batch(estimator_names, medium: MediumParams,
-              controller: ControllerParams, workspace: WorkspaceCone,
-              n_trials: int, seed: int, model: LstmModel | None = None,
-              target=None, mapper=map):
+def run_batch(estimator_names, medium: MediumParams, n_trials: int,
+              seed: int, model: LstmModel | None = None, target=None,
+              mapper=map):
     """Paired trials: each estimator steers to the same sampled targets, or
     every trial to `target` when one is given.
 
@@ -126,15 +122,14 @@ def run_batch(estimator_names, medium: MediumParams,
     if n_trials < 1:
         raise ValueError("need at least one trial")
     check_estimator_names(estimator_names)
-    goals = (sample_targets(workspace, seed, n_trials) if target is None
+    goals = (sample_targets(seed, n_trials) if target is None
              else [np.array(target, dtype=float) for _ in range(n_trials)])
     tasks = []
     trial_id = 0
     for k, goal in enumerate(goals):
         for name in estimator_names:
             trial_seed = (int(seed), ESTIMATOR_NAMES.index(name), k)
-            tasks.append((name, medium, controller, goal, trial_seed,
-                          model, trial_id))
+            tasks.append((name, medium, goal, trial_seed, model, trial_id))
             trial_id += 1
     return list(mapper(_run_trial_task, tasks))
 

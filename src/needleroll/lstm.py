@@ -356,7 +356,7 @@ def _forward_batch(model: LstmModel, xs, *, dropout: Dropout | None = None,
     h_prev = np.zeros((h_size, batch))
     c_prev = np.zeros((h_size, batch))
     recurrent = np.empty((batch, four_h))
-    activated = np.empty((four_h, batch))
+    activated = np.empty((batch, four_h))
     input_part = np.empty((h_size, batch))
     steps = list(zip(projected.reshape(t_max, batch, four_h), gates,
                      quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3],
@@ -366,8 +366,10 @@ def _forward_batch(model: LstmModel, xs, *, dropout: Dropout | None = None,
         # as a transposed (B, H) operand, h_prev rounds as the time-major
         # product does at the shipped shape (w_h.T @ h_prev would not)
         add(z, h_prev.T.dot(w_h, recurrent), z)
-        tanh(z.T, activated)
-        multiply(activated, scale, gate)
+        # tanh reads z in its own layout (float64 tanh has the same bits in
+        # any); into z itself, the transposed multiply would buffer overlap
+        tanh(z, activated)
+        multiply(activated.T, scale, gate)
         add(gate, shift, gate)
         multiply(gate_f, c_prev, c)
         add(c, multiply(gate_i, gate_g, input_part), c)

@@ -47,8 +47,9 @@ class MediumParams:
     friction_per_depth mu (N*mm/rad per mm) define the lag dynamics; the
     stick band half-width at depth d is mu*d/k radians. Explicit-Euler
     stability of the slip phase needs dt*k/c < 1; tests/test_plant.py
-    holds every MEDIUM_PRESETS medium to it at dt = 1 / ControllerParams
-    rate.
+    holds every MEDIUM_PRESETS medium to it at dt = 1 / CONTROLLER.rate,
+    and to a curvature of WORKSPACE.bounding_curvature, the one the
+    target cone is drawn for.
     """
 
     name: str
@@ -325,6 +326,10 @@ class WorkspaceCone:
         check_ranges(self, nonnegative=("bounding_curvature", "min_offset"))
         if not 0.0 < self.radial_margin <= 1.0:
             raise ValueError("radial margin must be in (0, 1]")
+
+
+# the one workspace targets are drawn from; tests vary sample_target's cone
+WORKSPACE = WorkspaceCone()
 
 
 def max_radial_offset(cone: WorkspaceCone, z: float) -> float:

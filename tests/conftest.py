@@ -10,7 +10,6 @@ import time
 import pytest
 
 from needleroll.config import RunConfig
-from needleroll.controller import ControllerParams
 from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.lstm import train
 
@@ -43,10 +42,7 @@ def desk_dataset(tmp_path_factory, run_defaults):
     """70 gelatin episodes at shipped defaults, split 60 train / 10 val."""
     cfg = run_defaults
     root = tmp_path_factory.mktemp("desk_dataset")
-    manifest = generate_dataset(
-        70, cfg.make_medium(), cfg.make_workspace(), ControllerParams(),
-        seed=42, root=root,
-    )
+    manifest = generate_dataset(70, cfg.make_medium(), seed=42, root=root)
     return root, manifest
 
 

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from needleroll.cli import main
-from needleroll.controller import ControllerParams
 from needleroll.dataset import episode_to_sequence, load_episodes
 from needleroll.evaluate import group_stats, run_batch
 from needleroll.lstm import (
@@ -35,10 +34,8 @@ from oracles import quat_from_matrix, rot_z
 
 def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verdict):
     cfg = run_defaults
-    records = run_batch(
-        ("truth",), cfg.make_medium(), ControllerParams(),
-        cfg.make_workspace(), n_trials=30, seed=501,
-    )
+    records = run_batch(("truth",), cfg.make_medium(), n_trials=30,
+                        seed=501)
     errors = np.array([r.final_error for r in records])
     ok = bool((errors < 1.0).all())
     verdict("C1", ok,
@@ -49,10 +46,7 @@ def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verd
 def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
     cfg = run_defaults
     medium = rigid_variant(cfg.make_medium())
-    records = run_batch(
-        ("ekf",), medium, ControllerParams(), cfg.make_workspace(),
-        n_trials=10, seed=502,
-    )
+    records = run_batch(("ekf",), medium, n_trials=10, seed=502)
     errors = np.array([r.final_error for r in records])
     ok = bool((errors < 1.0).all())
     verdict("C2", ok,
@@ -110,10 +104,8 @@ def test_c05_learned_estimator_beats_filter_in_gelatin(
         run_defaults, trained_estimator, verdict):
     cfg = run_defaults
     model = trained_estimator[0]
-    records = run_batch(
-        ("lstm", "ekf"), cfg.make_medium(), ControllerParams(),
-        cfg.make_workspace(), n_trials=30, seed=505, model=model,
-    )
+    records = run_batch(("lstm", "ekf"), cfg.make_medium(), n_trials=30,
+                        seed=505, model=model)
     ekf, lstm = group_stats(records)  # sorted by estimator name
     assert (ekf.estimator, lstm.estimator) == ("ekf", "lstm")
     lstm_err, ekf_err = lstm.error_mean, ekf.error_mean
@@ -131,11 +123,8 @@ def test_c06_gelatin_trained_model_transfers_to_brain_and_lung(
     details = []
     ok = True
     for medium_name, seed in (("brain", 506), ("lung", 507)):
-        records = run_batch(
-            ("lstm", "ekf"), MEDIUM_PRESETS[medium_name],
-            ControllerParams(), cfg.make_workspace(),
-            n_trials=10, seed=seed, model=model,
-        )
+        records = run_batch(("lstm", "ekf"), MEDIUM_PRESETS[medium_name],
+                            n_trials=10, seed=seed, model=model)
         ekf, lstm = group_stats(records)  # sorted by estimator name
         assert (ekf.estimator, lstm.estimator) == ("ekf", "lstm")
         ok = (ok and lstm.error_mean < ekf.error_mean

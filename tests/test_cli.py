@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 from needleroll import cli, dataset, evaluate, schema
 from needleroll.cli import main
-from needleroll.controller import ControllerParams
+from needleroll.controller import CONTROLLER
 from needleroll.dataset import (
     DATASET_SCHEMA_VERSION,
     DEFAULT_EPISODES,
@@ -25,7 +26,7 @@ from needleroll.dataset import (
 )
 from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
 from needleroll.lstm import init_model, param_shapes, save_model
-from needleroll.plant import MEDIUM_PRESETS, WorkspaceCone
+from needleroll.plant import MEDIUM_PRESETS, WORKSPACE
 from needleroll.config import (
     load_config_file,
     resolve_config,
@@ -90,7 +91,6 @@ def test_config_builds_components():
     config = resolve_config({}, {"medium": "lung", "rigid": True})
     medium = config.make_medium()
     assert medium.name == "lung" and medium.rigid
-    assert config.make_workspace().depth_max == 75.0
     tc = config.make_train_config()
     assert tc.hidden_size == 30
 
@@ -349,7 +349,7 @@ def test_config_keeps_stable_torsion_settings():
     """Every medium a config can name resolves, and its explicit-Euler slip
     step contracts at the controller's fixed loop rate (dt*k/c < 1); a
     rigid medium has no slip step to destabilize."""
-    dt = 1.0 / ControllerParams().rate
+    dt = 1.0 / CONTROLLER.rate
     for name in MEDIUM_PRESETS:
         for rigid in (False, True):
             medium = resolve_config({}, {"medium": name,
@@ -359,22 +359,18 @@ def test_config_keeps_stable_torsion_settings():
 
 
 def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
-    """The feature scale is the dataset's: train reads z_max from the
-    generation's workspace, not from WorkspaceCone, and the model carries
-    it."""
+    """The feature scale is the dataset's z_max, WORKSPACE.depth_max, the
+    deepest target a dataset holds: the model carries it, and neither the
+    manifest nor a config stores a copy."""
     ds = tmp_path / "ds"
     assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
-    path = ds / "manifest.json"
-    doc = json.loads(path.read_text())
-    assert "z_max" not in doc
-    assert doc["generation"]["workspace"]["depth_max"] == 75.0
-    # no target lies deeper than 75 mm, so none deeper than 80
-    doc["generation"]["workspace"]["depth_max"] = 80.0
-    path.write_text(json.dumps(doc))
+    doc = json.loads((ds / "manifest.json").read_text())
+    assert "z_max" not in doc and "workspace" not in doc["generation"]
+    assert load_manifest(ds).z_max == WORKSPACE.depth_max == 75.0
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(ds), "--out", str(run),
                  "--epochs", "1"]) == 0
-    assert json.loads((run / "model.json").read_text())["z_max"] == 80.0
+    assert json.loads((run / "model.json").read_text())["z_max"] == 75.0
     assert "z_max" not in json.loads((run / "config.json").read_text())
 
 
@@ -768,10 +764,10 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
         del doc["episodes"][1]["steps"]
     elif damage == "schema_version":
         doc["schema_version"] = MANIFEST_SCHEMA_VERSION + 1
-    elif damage.startswith("z_max"):  # z_max is the workspace's depth_max
-        doc["generation"]["workspace"]["depth_max"] = {
+    elif damage.startswith("z_max"):  # z_max is WORKSPACE's, never stored
+        doc["generation"]["workspace"] = dict(depth_max={
             "z_max_string": "75", "z_max_nan": math.nan,
-            "z_max_infinity": math.inf, "z_max_negative": -1.0}[damage]
+            "z_max_infinity": math.inf, "z_max_negative": -1.0}[damage])
     elif damage == "duplicate_episode_id":
         doc["episodes"][1]["episode_id"] = doc["episodes"][0]["episode_id"]
     elif damage == "line_past_the_end":  # else its episode is skipped
@@ -788,7 +784,8 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-# every key schema 3 or 4 stored and schema 5 derives, with a value it held
+# every key schema 3, 4 or 5 stored and schema 6 derives or holds as a
+# constant, with a value it held
 REMOVED_KEYS = {
     "z_max": lambda d: d.update(z_max=76.0),
     "config_hash": lambda d: d.update(config_hash="0" * 64),
@@ -802,13 +799,17 @@ REMOVED_KEYS = {
     "generation_schema_version": lambda d: d["generation"].update(
         schema_version=3),
     "generation_depth_cap": lambda d: d["generation"].update(depth_cap=80.0),
+    "generation_workspace": lambda d: d["generation"].update(
+        workspace=dataclasses.asdict(WORKSPACE)),
+    "generation_controller": lambda d: d["generation"].update(
+        controller=dataclasses.asdict(CONTROLLER)),
 }
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_cli_train_on_a_removed_manifest_key_is_data_error(
         pipeline_files, tmp_path, capsys, key):
-    """A schema-5 manifest that holds a copy an earlier schema stored fails
+    """A schema-6 manifest that holds a copy an earlier schema stored fails
     as an unknown key, named with its entry or generation, and nothing is
     written."""
     _, argv = _copied_line_file(pipeline_files, tmp_path, "train")
@@ -828,39 +829,54 @@ def test_cli_train_on_a_removed_manifest_key_is_data_error(
     assert _tree(tmp_path) == before
 
 
+def _workspace_copy(**edits):
+    """The workspace copy a schema-5 generation held, edited."""
+    return lambda d, line: d["generation"].update(
+        workspace=dict(dataclasses.asdict(WORKSPACE), **edits))
+
+
 @pytest.mark.parametrize("edit, file, names", [
-    (lambda d: d["generation"]["medium"].update(name="brain"),
+    (lambda d, line: d["generation"]["medium"].update(name="brain"),
      "episodes.jsonl", "line 1: medium is not generation's"),
-    (lambda d: d["generation"]["controller"].update(deadband=0.06),
-     "episodes.jsonl", "line 1: controller is not generation's"),
-    (lambda d: d["episodes"][1].update(steps=d["episodes"][1]["steps"] + 1),
+    (lambda d, line: line["controller"].update(deadband=0.06),
+     "episodes.jsonl", "line 1: controller is not CONTROLLER"),
+    (lambda d, line: d["episodes"][1].update(
+        steps=d["episodes"][1]["steps"] + 1),
      "episodes.jsonl", "line 2: steps or final error is not entry 1's"),
-    (lambda d: d["episodes"][2].update(final_error=0.5),
+    (lambda d, line: d["episodes"][2].update(final_error=0.5),
      "episodes.jsonl", "line 3: steps or final error is not entry 2's"),
-    (lambda d: d["generation"]["workspace"].update(depth_max="x"),
-     "manifest.json",
-     "'generation'['workspace']['depth_max'] must be float, got \"x\""),
-    (lambda d: d["generation"].update(seed=-1),
+    (_workspace_copy(depth_max="x"),
+     "manifest.json", "'generation': unknown keys ['workspace']"),
+    (lambda d, line: d["generation"].update(seed=-1),
      "manifest.json", "generation seed -1 is negative"),
-    (lambda d: d["generation"].update(seed=43),
+    (lambda d, line: d["generation"].update(seed=43),
      "episodes.jsonl", "line 1: seed is not generation's"),
-    (lambda d: d["generation"]["workspace"].update(depth_min=74.0),
-     "episodes.jsonl",
-     "line 1: target depth is outside generation's workspace"),
+    (_workspace_copy(depth_min=74.0),
+     "manifest.json", "'generation': unknown keys ['workspace']"),
+    (lambda d, line: line["target"].__setitem__(2, 30.0),
+     "episodes.jsonl", "line 1: target depth is outside WORKSPACE"),
 ], ids=["medium_name", "controller", "entry_steps", "entry_final_error",
-        "depth_max_string", "negative_seed", "seed_43", "depth_min_74"])
+        "depth_max_string", "negative_seed", "seed_43", "depth_min_74",
+        "target_depth_30"])
 def test_cli_train_on_a_manifest_at_odds_with_its_lines_is_data_error(
         pipeline_files, tmp_path, capsys, edit, file, names):
-    """Each line must be collected in generation's medium and controller,
-    under a seed drawn from generation's, to a target depth in its
-    workspace, and hold its entry's steps and final error, and
-    generation's own values are typed and in range. A fault fails naming
-    the file and the line or key, and nothing is written."""
-    _, argv = _copied_line_file(pipeline_files, tmp_path, "train")
+    """Each line must be collected in generation's medium by CONTROLLER,
+    under a seed drawn from generation's, to a target depth in WORKSPACE,
+    and hold its entry's steps and final error, and generation's own
+    values are typed and in range; a workspace it no longer holds, however
+    edited, is an unknown key. `edit` takes the manifest and the first
+    line. A fault fails naming the file and the line or key, and nothing
+    is written."""
+    episodes, argv = _copied_line_file(pipeline_files, tmp_path, "train")
     path = tmp_path / "ds" / "manifest.json"
     doc = json.loads(path.read_text())
-    edit(doc)
+    first, *rest = episodes.read_text().splitlines(keepends=True)
+    line = json.loads(first)
+    edit(doc, line)
     path.write_text(json.dumps(doc))
+    episodes.write_text("".join([json.dumps(line, sort_keys=True,
+                                            separators=(",", ":")) + "\n",
+                                 *rest]))
     before = _tree(tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
@@ -916,7 +932,7 @@ def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
     target = np.array([3.0, 4.0, 60.0])
     expected = [
         record_to_line(run_trial(
-            name, config.make_medium(), ControllerParams(), target,
+            name, config.make_medium(), target,
             seed=(5, ESTIMATOR_NAMES.index(name), k), trial_id=2 * k + m))
         for k in range(2) for m, name in enumerate(("ekf", "truth"))]
     assert lines == expected
@@ -933,7 +949,7 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
     "jitter", "bin_width", "depth_cap", "train_fraction", the training
     settings TrainConfig and lstm.LEARNING_RATE own ("batch_size",
     "learning_rate", "dropout", "hidden_size"), and the copies of the
-    ControllerParams and WorkspaceCone constants. Each is an unknown key,
+    CONTROLLER and WORKSPACE constants. Each is an unknown key,
     named, and a deleted flag, or one a subcommand never read, is an
     unknown flag; no run writes anything."""
     out = tmp_path / "out"
@@ -951,9 +967,9 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
             ("train", "learning_rate", 3e-3),
             ("train", "dropout", 0.2),
             ("train", "hidden_size", 30),
-            *(("generate", k, getattr(WorkspaceCone, k))
+            *(("generate", k, getattr(WORKSPACE, k))
               for k in workspace_keys),
-            *(("evaluate", k, getattr(ControllerParams, k))
+            *(("evaluate", k, getattr(CONTROLLER, k))
               for k in controller_keys)]:
         old = tmp_path / key
         write_resolved_config(resolve_config({}, {"n": 2}), old)
@@ -1242,14 +1258,19 @@ def test_cli_report_on_schema_2_trials_is_data_error(tmp_path, capsys):
 
 
 def _as_manifest_schema(doc, lines, version):
-    """A manifest's object as schema `version` wrote it: schema 4 also
-    stored the episode count, the line schema 3 and the depth cap in
-    generation; schema 3 also stored z_max, the config hash, the episodes
+    """A manifest's object as schema `version` wrote it: schema 5 also
+    stored the workspace and the controller in generation; schema 4 also
+    stored the episode count, the line schema 3 and the depth cap there;
+    schema 3 also stored z_max, the config hash, the episodes
     file name and, in each entry, the seed, medium name, target depth and
     split label of its line; schemas 1 and 2 set generation's
     schema_version to theirs, and schema 1 held z_max in generation too."""
-    doc["generation"].update(n=len(lines), schema_version=3, depth_cap=80.0)
+    doc["generation"].update(workspace=dataclasses.asdict(WORKSPACE),
+                             controller=dataclasses.asdict(CONTROLLER))
     doc["schema_version"] = version
+    if version == 5:
+        return
+    doc["generation"].update(n=len(lines), schema_version=3, depth_cap=80.0)
     if version == 4:
         return
     blob = json.dumps(doc["generation"], sort_keys=True, separators=(",", ":"))
@@ -1306,6 +1327,12 @@ def test_cli_train_on_schema_4_dataset_is_data_error(tmp_path, capsys):
     """Schema 4, whose generation stored the episode count, the line
     schema and the depth cap, fails on its manifest version."""
     _train_on_old_dataset(tmp_path, capsys, 4)
+
+
+def test_cli_train_on_schema_5_dataset_is_data_error(tmp_path, capsys):
+    """Schema 5, whose generation stored the workspace and the controller,
+    fails on its manifest version."""
+    _train_on_old_dataset(tmp_path, capsys, 5)
 
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):

@@ -11,8 +11,8 @@ from needleroll.controller import (
 )
 from needleroll.plant import (
     GELATIN,
+    WORKSPACE,
     ControlInput,
-    WorkspaceCone,
     initial_state,
     rigid_variant,
     sample_target,
@@ -138,10 +138,9 @@ def test_targeting_error_basics():
 
 def test_closed_loop_rigid_plant_reaches_random_targets():
     medium = rigid_variant(GELATIN)
-    cone = WorkspaceCone(bounding_curvature=medium.curvature)
     rng = np.random.default_rng(2)
     for _ in range(12):
-        target = sample_target(cone, rng)
+        target = sample_target(WORKSPACE, rng)
         err, _ = steer_with_truth(target, medium)
         assert err < 1.0, f"target {target} missed by {err:.3f} mm"
 

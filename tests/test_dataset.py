@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needleroll.controller import ControllerParams
+from needleroll.controller import CONTROLLER
 from needleroll.dataset import (
     DEPTH_CAP,
     ESTIMATOR_COLUMNS,
@@ -38,21 +38,16 @@ from needleroll.schema import decode_column, encode_column
 from needleroll.plant import (
     GELATIN,
     MEDIUM_PRESETS,
-    WorkspaceCone,
+    WORKSPACE,
     rigid_variant,
     sample_target,
 )
 from oracles import record_line_dumps, roll_target
 
 
-CONTROLLER = ControllerParams()
-WORKSPACE = WorkspaceCone()
-
-
 def small_dataset(tmp_path, n=4, seed=7, name="ds"):
     root = tmp_path / name
-    manifest = generate_dataset(n=n, medium=GELATIN, workspace=WORKSPACE,
-                                controller=CONTROLLER, seed=seed, root=root)
+    manifest = generate_dataset(n=n, medium=GELATIN, seed=seed, root=root)
     return root, manifest
 
 
@@ -61,13 +56,12 @@ def small_dataset(tmp_path, n=4, seed=7, name="ds"):
 def test_closed_loop_truth_steering_arrives():
     rng = np.random.default_rng(0)
     target = np.array([5.0, -3.0, 55.0])
-    logs, state, outcome, err = run_closed_loop(GELATIN, CONTROLLER, target, rng)
+    logs, state, outcome, err = run_closed_loop(GELATIN, target, rng)
     assert outcome == "arrived"
     assert err < 1.0
     n = len(logs["base_angle"])
     assert n > 0 and all(len(column) == n for column in logs.values())
-    rec = record_from_logs(0, (0,), GELATIN, CONTROLLER, target, outcome,
-                           err, logs)
+    rec = record_from_logs(0, (0,), GELATIN, target, outcome, err, logs)
     assert rec.steps == n
     assert np.array_equal(rec.position, np.array(logs["position"]))
 
@@ -76,8 +70,7 @@ def test_closed_loop_depth_cap():
     """A target deeper than the cap is never reached."""
     rng = np.random.default_rng(1)
     target = np.array([0.0, 0.0, DEPTH_CAP + 10.0])
-    logs, state, outcome, err = run_closed_loop(
-        GELATIN, CONTROLLER, target, rng)
+    logs, state, outcome, err = run_closed_loop(GELATIN, target, rng)
     assert outcome == "depth_capped"
     assert state.depth >= DEPTH_CAP
     assert err > 1.0
@@ -95,11 +88,9 @@ def test_closed_loop_ends_within_the_depth_cap(medium, rigid, seed,
     params = MEDIUM_PRESETS[medium]
     params = rigid_variant(params) if rigid else params
     rng = np.random.default_rng(seed)
-    target = sample_target(WorkspaceCone(bounding_curvature=params.curvature),
-                           rng)
-    tracker = (EkfRollTracker(params, CONTROLLER) if estimator == "ekf"
-               else None)
-    logs, state, outcome, _ = run_closed_loop(params, CONTROLLER, target, rng,
+    target = sample_target(WORKSPACE, rng)
+    tracker = EkfRollTracker(params) if estimator == "ekf" else None
+    logs, state, outcome, _ = run_closed_loop(params, target, rng,
                                               estimator=tracker)
     assert outcome in ("arrived", "depth_capped")
     ticks = len(logs["base_angle"]) + (outcome == "arrived")
@@ -151,9 +142,7 @@ def test_generate_without_jitter_keeps_preset(tmp_path):
 def test_generate_stalls_on_unreachable_targets(tmp_path, monkeypatch):
     monkeypatch.setattr("needleroll.dataset.DEPTH_CAP", 20.0)
     with pytest.raises(GenerationStalled):
-        generate_dataset(n=2, medium=GELATIN, workspace=WORKSPACE,
-                         controller=CONTROLLER, seed=0,
-                         root=tmp_path / "stall")
+        generate_dataset(n=2, medium=GELATIN, seed=0, root=tmp_path / "stall")
 
 
 def test_generate_rejects_empty(tmp_path):
@@ -162,8 +151,7 @@ def test_generate_rejects_empty(tmp_path):
     root = tmp_path / "x"
     for n in (0, 1):
         with pytest.raises(ValueError):
-            generate_dataset(n=n, medium=GELATIN, workspace=WORKSPACE,
-                             controller=CONTROLLER, seed=0, root=root)
+            generate_dataset(n=n, medium=GELATIN, seed=0, root=root)
         assert not root.exists()
 
 
@@ -268,8 +256,7 @@ def test_record_line_null_column_reads_as_absent():
 
 
 def test_trial_and_episode_lines_are_the_sorted_compact_dumps():
-    trial = run_trial("ekf", GELATIN, CONTROLLER, np.array([3.0, -2.0, 50.0]),
-                      seed=3)
+    trial = run_trial("ekf", GELATIN, np.array([3.0, -2.0, 50.0]), seed=3)
     episode = dataclasses.replace(trial, roll_est=None, angular_error=None,
                                   estimator=None)
     for rec in (trial, episode):
@@ -375,16 +362,15 @@ def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
 
 def test_manifest_roundtrip(tmp_path):
     """The manifest on disk is the returned one, and stores the generation
-    and four fields an entry, nothing derived: the feature scale is the
-    workspace's depth and the labels are its seed's."""
+    and four fields an entry, nothing derived: the feature scale is
+    WORKSPACE's depth and the labels are the seed's."""
     root, manifest = small_dataset(tmp_path, n=3, seed=17)
     loaded = load_manifest(root)
     assert loaded == manifest
     doc = json.loads((root / "manifest.json").read_text())
     assert sorted(doc) == ["episodes", "generation", "schema_version"]
     assert doc["schema_version"] == MANIFEST_SCHEMA_VERSION
-    assert sorted(doc["generation"]) == ["controller", "medium", "seed",
-                                         "workspace"]
+    assert sorted(doc["generation"]) == ["medium", "seed"]
     assert [sorted(m) for m in doc["episodes"]] == [
         ["episode_id", "final_error", "line", "steps"]] * 3
     assert manifest.z_max == WORKSPACE.depth_max
@@ -392,32 +378,38 @@ def test_manifest_roundtrip(tmp_path):
     assert set(manifest.labels) == {"train", "val"}
 
 
-@pytest.mark.parametrize("depth_min, depth_max", [(20.0, 30.0),
-                                                   (74.0, 75.0)],
-                         ids=["shallower", "deeper"])
-def test_manifest_rejects_depth_outside_workspace(tmp_path, depth_min,
-                                                  depth_max):
-    """Each line's target depth lies in generation's workspace range,
-    checked exactly as the episodes load: a workspace shallower or deeper
-    than the first line's target fails on that line."""
+@pytest.mark.parametrize("depth", [
+    math.nextafter(WORKSPACE.depth_min, -math.inf),
+    math.nextafter(WORKSPACE.depth_max, math.inf),
+], ids=["shallower", "deeper"])
+def test_manifest_rejects_depth_outside_workspace(tmp_path, depth):
+    """Each line's target depth lies in WORKSPACE's depth range, checked
+    exactly as the episodes load: a line whose target is one ulp shallower
+    or deeper fails, naming that line, and one on either bound loads."""
     root, manifest = small_dataset(tmp_path, n=2, seed=13)
-    moved = dataclasses.replace(manifest, generation=dataclasses.replace(
-        manifest.generation, workspace=WorkspaceCone(depth_min=depth_min,
-                                                     depth_max=depth_max)))
-    assert 30.0 < load_episodes(root, manifest)[0].target[2] < 74.0
-    with pytest.raises(DatasetError, match="line 1: target depth is outside "
-                       "generation's workspace"):
-        load_episodes(root, moved)
+    path = root / manifest.episodes_file
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[1])
+    for z, fails in ((depth, True), (float(round(depth)), False)):
+        doc["target"][2] = z
+        path.write_text("\n".join([lines[0], json.dumps(
+            doc, sort_keys=True, separators=(",", ":"))]) + "\n")
+        if fails:
+            with pytest.raises(DatasetError, match="line 2: target depth is "
+                               "outside WORKSPACE"):
+                load_episodes(root, manifest)
+        else:
+            assert load_episodes(root, manifest)[1].target[2] == z
 
 
 def test_config_hash_sensitivity():
-    """The hash follows the generation's four fields: `generate --n 70
+    """The hash follows the generation's two fields: `generate --n 70
     --seed 42` prints this prefix."""
-    a = Generation(GELATIN, WORKSPACE, CONTROLLER, 42)
+    a = Generation(GELATIN, 42)
     b = dataclasses.replace(a, seed=43)
     assert config_hash(a) == config_hash(a)
     assert config_hash(a) != config_hash(b)
-    assert config_hash(a).startswith("42ccb8c108bd")
+    assert config_hash(a).startswith("3e4902504d65")
 
 
 def _leaves(doc, path=()):
@@ -439,49 +431,44 @@ def _edited(value):
     return value * 1.5 if isinstance(value, float) and value else value + 1
 
 
-GENERATION_LEAVES = [path for path, _ in _leaves(dataclasses.asdict(
-    Generation(GELATIN, WORKSPACE, CONTROLLER, 3)))]
+# the copies of the two constants a schema-5 generation held beside these
+CONSTANT_COPIES = {"workspace": dataclasses.asdict(WORKSPACE),
+                   "controller": dataclasses.asdict(CONTROLLER)}
+GENERATION_LEAVES = [path for path, _ in _leaves(dict(dataclasses.asdict(
+    Generation(GELATIN, 3)), **CONSTANT_COPIES))]
 
 
 @pytest.fixture(scope="module")
 def three_episodes(tmp_path_factory):
-    """A three-episode dataset, its z_max and its (train, val) tensors."""
-    root, manifest = small_dataset(tmp_path_factory.mktemp("leaves"), n=3,
-                                   seed=3)
-    return root, manifest.z_max, to_training_sequences(root, manifest)
+    """The root of a three-episode seed-3 dataset."""
+    return small_dataset(tmp_path_factory.mktemp("leaves"), n=3, seed=3)[0]
 
 
 @pytest.mark.parametrize("path", GENERATION_LEAVES,
                          ids=[".".join(p) for p in GENERATION_LEAVES])
 def test_every_generation_leaf_is_checked_or_moves_nothing(
         three_episodes, tmp_path, path):
-    """No leaf of generation is an unchecked copy: an edit of any one
-    fails as a DatasetError or leaves the training tensors and z_max
-    bitwise as they were. depth_max alone is read, as z_max."""
-    root, z_max, (train, val) = three_episodes
-    shutil.copytree(root, tmp_path / "ds")
+    """No leaf a generation holds or held is an unchecked copy: an edit of
+    any one fails as a DatasetError. A medium or seed edit fails against
+    the first line, and an edited copy of WORKSPACE or CONTROLLER fails as
+    an unknown key, as any value of it would."""
+    shutil.copytree(three_episodes, tmp_path / "ds")
     file = tmp_path / "ds" / "manifest.json"
     doc = json.loads(file.read_text())
+    scope = path[0]
+    if scope in CONSTANT_COPIES:
+        doc["generation"][scope] = dict(CONSTANT_COPIES[scope])
+        expect = f"'generation': unknown keys [{scope!r}]"
+    else:
+        expect = f"line 1: {scope} is not generation's"
     *parents, key = path
     node = doc["generation"]
     for name in parents:
         node = node[name]
     node[key] = _edited(node[key])
     file.write_text(json.dumps(doc))
-    try:
-        manifest = load_manifest(tmp_path / "ds")
-        got = to_training_sequences(tmp_path / "ds", manifest)
-    except DatasetError:
-        return
-    if key == "depth_max":
-        assert manifest.z_max == node[key] != z_max
-        return
-    assert manifest.z_max == z_max
-    for side, want in zip(got, (train, val)):
-        assert len(side) == len(want)
-        for (xs, ys), (xs0, ys0) in zip(side, want):
-            assert xs.tobytes() == xs0.tobytes()
-            assert ys.tobytes() == ys0.tobytes()
+    with pytest.raises(DatasetError, match=re.escape(expect)):
+        to_training_sequences(tmp_path / "ds", load_manifest(tmp_path / "ds"))
 
 
 # -------------------------------------------------------------------- splits
@@ -568,8 +555,7 @@ def test_training_sequences_respect_split(tmp_path):
 
 def test_rigid_collection_has_zero_lag(tmp_path):
     root = tmp_path / "rigid"
-    manifest = generate_dataset(n=2, medium=rigid_variant(GELATIN),
-                                workspace=WORKSPACE, controller=CONTROLLER,
-                                seed=29, root=root)
+    manifest = generate_dataset(n=2, medium=rigid_variant(GELATIN), seed=29,
+                                root=root)
     rec = load_episodes(root, manifest)[0]
     assert np.abs(rec.base_angle - rec.roll_true).max() < 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from needleroll import ekf
-from needleroll.controller import ControllerParams
 from needleroll.ekf import (
     EkfRollTracker,
     EkfState,
@@ -633,7 +632,7 @@ def test_estimate_pose_identity_and_roundtrip():
     """A noiseless reading at the entry pose leaves the tracker's estimate
     at the identity's rows and the origin; a mean's rows decompose and
     recompose to the same rotation."""
-    tracker = EkfRollTracker(GELATIN, ControllerParams())
+    tracker = EkfRollTracker(GELATIN)
     rows, p = tracker.estimate(SensedTip((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
                                0.0)
     assert rows == np.eye(3).tolist() and p == [0.0, 0.0, 0.0]
@@ -688,7 +687,7 @@ def test_predict_steps_mean_and_jacobian_by_one_roll_increment(monkeypatch):
 def test_estimate_pose_matches_propagated_mean():
     """Each tracker estimate is its filter mean after predict and update,
     as the rotation's float rows and the position's floats, bit for bit."""
-    tracker = EkfRollTracker(GELATIN, ControllerParams())
+    tracker = EkfRollTracker(GELATIN)
     rng = np.random.default_rng(16)
     plant = initial_state()
     for _ in range(3):

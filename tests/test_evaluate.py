@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needleroll import dataset, evaluate
-from needleroll.controller import ControllerParams, control
+from needleroll.controller import CONTROLLER, control
 from needleroll.ekf import EkfRollTracker, roll_variance
 from needleroll.dataset import (
     DatasetError,
@@ -38,7 +38,6 @@ from needleroll.plant import (
     MEDIUM_PRESETS,
     ControlInput,
     SensedTip,
-    WorkspaceCone,
     initial_state,
     rigid_variant,
     sense,
@@ -46,15 +45,13 @@ from needleroll.plant import (
 )
 from needleroll.se3 import decompose_roll, wrap_angle
 
-CONTROLLER = ControllerParams()
-WORKSPACE = WorkspaceCone()
 TARGET = np.array([4.0, -6.0, 55.0])
 
 
 # -------------------------------------------------------------------- trials
 
 def test_truth_trial_is_exact_and_arrives():
-    record = run_trial("truth", GELATIN, CONTROLLER, TARGET, seed=1)
+    record = run_trial("truth", GELATIN, TARGET, seed=1)
     assert record.estimator == "truth"
     assert record.outcome == "arrived"
     assert record.final_error < 1.0
@@ -82,23 +79,22 @@ def test_roll_error_is_wrap_angle_bit_for_bit():
 
 
 def test_trial_determinism():
-    a = record_to_line(run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3))
-    b = record_to_line(run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=3))
+    a = record_to_line(run_trial("ekf", GELATIN, TARGET, seed=3))
+    b = record_to_line(run_trial("ekf", GELATIN, TARGET, seed=3))
     assert a == b
-    c = record_to_line(run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=4))
+    c = record_to_line(run_trial("ekf", GELATIN, TARGET, seed=4))
     assert c != a
 
 
 def test_ekf_trial_on_rigid_plant_succeeds():
-    record = run_trial("ekf", rigid_variant(GELATIN), CONTROLLER, TARGET,
-                       seed=5)
+    record = run_trial("ekf", rigid_variant(GELATIN), TARGET, seed=5)
     assert record.outcome == "arrived"
     assert record.final_error < 1.0
     assert np.mean(record.angular_error) < 3.0 * GELATIN.heading_noise
 
 
 def test_ekf_trial_on_compliant_plant_has_large_roll_error():
-    record = run_trial("ekf", GELATIN, CONTROLLER, TARGET, seed=6)
+    record = run_trial("ekf", GELATIN, TARGET, seed=6)
     assert np.mean(record.angular_error) > 0.5
     # the filter's wrapped-roll error matches its full angular error: the
     # position/heading part is tightly observed, the roll alone is blind
@@ -110,18 +106,17 @@ def test_ekf_trial_on_compliant_plant_has_large_roll_error():
 
 def test_lstm_trial_requires_model():
     with pytest.raises(ValueError):
-        run_trial("lstm", GELATIN, CONTROLLER, TARGET, seed=7)
+        run_trial("lstm", GELATIN, TARGET, seed=7)
 
 
 def test_unknown_estimator_rejected():
     with pytest.raises(ValueError):
-        make_estimator("oracle", GELATIN, CONTROLLER)
+        make_estimator("oracle", GELATIN)
 
 
 def test_lstm_trial_runs_with_untrained_model():
     model = init_model(75.0, seed=0)
-    record = run_trial("lstm", GELATIN, CONTROLLER, TARGET, seed=8,
-                       model=model)
+    record = run_trial("lstm", GELATIN, TARGET, seed=8, model=model)
     # an untrained net steers poorly but the loop must still terminate
     assert record.outcome in ("arrived", "depth_capped")
     assert record.angular_error.min() >= 0.0
@@ -129,7 +124,7 @@ def test_lstm_trial_runs_with_untrained_model():
 
 
 def test_ekf_tracker_variance_grows_while_steering():
-    tracker = EkfRollTracker(GELATIN, CONTROLLER)
+    tracker = EkfRollTracker(GELATIN)
     state = initial_state()
     rng = np.random.default_rng(9)
     dt = 1.0 / CONTROLLER.rate
@@ -146,7 +141,7 @@ def test_ekf_tracker_variance_grows_while_steering():
 @pytest.mark.parametrize("bad", ["position", "heading", "base_angle",
                                  "heading_norm"])
 def test_estimators_reject_non_finite_measurements(name, bad):
-    est = make_estimator(name, GELATIN, CONTROLLER,
+    est = make_estimator(name, GELATIN,
                          model=init_model(75.0, hidden_size=4, seed=1))
     good = SensedTip(position=np.array([0.0, 0.0, 1.0]),
                      heading=np.array([0.0, 0.0, 1.0]))
@@ -176,7 +171,7 @@ def test_estimated_pair_reaches_control_and_logs_unchanged(monkeypatch):
     returned, seen = [], []
 
     class Stub:
-        inner = EkfRollTracker(medium, CONTROLLER)
+        inner = EkfRollTracker(medium)
 
         def estimate(self, meas, base_angle):
             rows, p = self.inner.estimate(meas, base_angle)
@@ -189,7 +184,7 @@ def test_estimated_pair_reaches_control_and_logs_unchanged(monkeypatch):
 
     monkeypatch.setattr(dataset, "control", spy)
     logs, _, outcome, _ = run_closed_loop(
-        medium, CONTROLLER, TARGET, np.random.default_rng(2), Stub())
+        medium, TARGET, np.random.default_rng(2), Stub())
     assert outcome == "arrived" and len(seen) == len(returned) > 1
     for (rows, p), (got_rows, got_p) in zip(returned, seen):
         assert got_rows is rows and got_p is p
@@ -200,7 +195,7 @@ def test_estimated_pair_reaches_control_and_logs_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("name", ["ekf", "lstm"])
 def test_shipped_estimators_return_float_rows_and_floats(name):
-    est = make_estimator(name, GELATIN, CONTROLLER,
+    est = make_estimator(name, GELATIN,
                          model=init_model(75.0, hidden_size=4, seed=1))
     state, rng = initial_state(), np.random.default_rng(3)
     for _ in range(5):
@@ -224,7 +219,7 @@ def test_trial_roll_est_is_decompose_roll_of_logged_rows(name, monkeypatch):
         return out
 
     monkeypatch.setattr(evaluate, "run_closed_loop", capture)
-    record = run_trial(name, GELATIN, CONTROLLER, TARGET, seed=12,
+    record = run_trial(name, GELATIN, TARGET, seed=12,
                        model=init_model(75.0, hidden_size=4, seed=1))
     rows = logged[0]
     assert len(rows) == record.steps > 0
@@ -237,8 +232,7 @@ def test_trial_roll_est_is_decompose_roll_of_logged_rows(name, monkeypatch):
 
 def test_batch_pairs_targets_across_estimators(tmp_path):
     records = run_batch(
-        ["truth", "ekf"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-        n_trials=2, seed=11)
+        ["truth", "ekf"], rigid_variant(GELATIN), n_trials=2, seed=11)
     assert len(records) == 4
     # consecutive (truth, ekf) rows steer to the same target
     assert np.array_equal(records[0].target, records[1].target)
@@ -253,22 +247,20 @@ def test_batch_deterministic_under_any_mapper():
         items = list(items)
         return reversed([fn(x) for x in reversed(items)])
 
-    a = run_batch(["truth"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-                  n_trials=3, seed=13)
-    b = run_batch(["truth"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-                  n_trials=3, seed=13, mapper=backwards_map)
+    a = run_batch(["truth"], rigid_variant(GELATIN), n_trials=3, seed=13)
+    b = run_batch(["truth"], rigid_variant(GELATIN), n_trials=3, seed=13,
+                  mapper=backwards_map)
     assert list(map(record_to_line, a)) == list(map(record_to_line, b))
 
 
 def test_batch_rejects_bad_args():
     with pytest.raises(ValueError):
-        run_batch(["truth"], GELATIN, CONTROLLER, WORKSPACE, 0, seed=1)
+        run_batch(["truth"], GELATIN, 0, seed=1)
     with pytest.raises(ValueError):
-        run_batch(["psychic"], GELATIN, CONTROLLER, WORKSPACE, 1, seed=1)
+        run_batch(["psychic"], GELATIN, 1, seed=1)
     # a repeat would rerun the estimator's trials under the same seeds
     with pytest.raises(ValueError, match="'ekf' is listed twice"):
-        run_batch(["ekf", "truth", "ekf"], GELATIN, CONTROLLER, WORKSPACE, 1,
-                  seed=1)
+        run_batch(["ekf", "truth", "ekf"], GELATIN, 1, seed=1)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -288,7 +280,7 @@ def test_trial_k_does_not_depend_on_the_batch_around_it(medium, seed, names,
                   for label in ("n", "n_alone"))
     name = data.draw(st.sampled_from(names), label="name")
     model = init_model(75.0, hidden_size=4, seed=1)
-    args = (MEDIUM_PRESETS[medium], CONTROLLER, WORKSPACE)
+    args = (MEDIUM_PRESETS[medium],)
     batch = run_batch(names, *args, n_trials=n, seed=seed, model=model)
     alone = run_batch([name], *args, n_trials=n_alone, seed=seed,
                       model=model)[k]
@@ -339,8 +331,7 @@ def test_histogram_matches_naive_binning():
 def reported_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("eval") / "run"
     records = run_batch(
-        ["truth", "ekf"], rigid_variant(GELATIN), CONTROLLER, WORKSPACE,
-        n_trials=2, seed=29)
+        ["truth", "ekf"], rigid_variant(GELATIN), n_trials=2, seed=29)
     report(records, out)
     return out, records
 
@@ -411,8 +402,8 @@ def reported_lstm_dir(tmp_path_factory):
     three, on a seeded untrained model."""
     out = tmp_path_factory.mktemp("eval_lstm") / "run"
     records = run_batch(
-        ["truth", "ekf", "lstm"], GELATIN, CONTROLLER, WORKSPACE, n_trials=2,
-        seed=31, model=init_model(75.0, hidden_size=4, seed=2))
+        ["truth", "ekf", "lstm"], GELATIN, n_trials=2, seed=31,
+        model=init_model(75.0, hidden_size=4, seed=2))
     report(records, out)
     return out, records
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needleroll.controller import ControllerParams
+from needleroll.controller import CONTROLLER
 from needleroll.plant import (
     BRAIN,
     GELATIN,
     LUNG,
     MEDIUM_PRESETS,
+    WORKSPACE,
     ControlInput,
     MediumParams,
     SensedTip,
@@ -49,11 +50,20 @@ def test_presets_validate_and_are_slip_stable():
     """The explicit-Euler slip step of MediumParams contracts at the
     controller's loop rate: dt*k/c < 1 for every preset. The rate and the
     presets are constants, so no run can break this and none checks it."""
-    dt = 1.0 / ControllerParams().rate
+    dt = 1.0 / CONTROLLER.rate
     for m in MEDIUM_PRESETS.values():
         assert m.curvature > 0
         ratio = dt * m.torsion_stiffness / m.torsion_damping
         assert ratio < 1.0, f"{m.name}: dt*k/c = {ratio:.3g}"
+
+
+def test_presets_bend_at_the_workspace_curvature():
+    """Targets come from WORKSPACE whatever the medium, so every preset,
+    rigid or not, must bend at the curvature its cone bounds: a stiffer
+    needle could not reach the cone's outer targets."""
+    for m in MEDIUM_PRESETS.values():
+        for medium in (m, rigid_variant(m)):
+            assert medium.curvature == WORKSPACE.bounding_curvature, m.name
 
 
 def test_medium_params_reject_bad_values():
