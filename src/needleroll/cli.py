@@ -131,7 +131,7 @@ def _mapper(jobs: int):
 def _resolve(ns) -> RunConfig:
     flags = {k: v for k, v in vars(ns).items()
              if k not in ("command", "config")}
-    return resolve_config(load_config_file(ns.config) if ns.config else {},
+    return resolve_config(load_config_file(ns.config) if ns.config else None,
                           flags)
 
 

@@ -2,10 +2,12 @@
 run can set.
 
 Values merge in fixed precedence: built-in defaults, then a JSON config
-file, then explicit command-line flags. A config file is held against
-RunConfig's annotations by schema.check_json. The resolved result is
-serialized next to a command's outputs so any run can be reproduced from
-its artifact directory alone.
+file, then explicit command-line flags. schema.from_json checks a config
+file against RunConfig's annotations and builds the RunConfig, a JSON
+list as a tuple and an int coordinate as a float, so 70 and 70.0 make one
+config and one dataset. The resolved result is serialized next to a
+command's outputs so any run can be reproduced from its artifact
+directory alone.
 
 The controller and the reachable workspace are no settings: they are the
 constants controller.CONTROLLER and plant.WORKSPACE, which nothing takes
@@ -20,6 +22,7 @@ learning rate is lstm.LEARNING_RATE.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +31,7 @@ from needleroll.controller import CONTROLLER
 from needleroll.evaluate import check_estimator_names
 from needleroll.lstm import TrainConfig
 from needleroll.plant import MEDIUM_PRESETS, MediumParams, rigid_variant
-from needleroll.schema import check_json, load_json, save_json
+from needleroll.schema import from_json, load_json, save_json
 
 CONFIG_SCHEMA_VERSION = 1
 CONFIG_FILENAME = "config.json"
@@ -89,35 +92,30 @@ class RunConfig:
         return TrainConfig(epochs=self.epochs, seed=self.seed)
 
 
-def load_config_file(path) -> dict:
+def load_config_file(path) -> RunConfig:
+    """The RunConfig from_json builds from a config file: the file's
+    fields, defaults elsewhere, unvalidated until resolve_config."""
     try:
         doc = load_json(Path(path).read_text())
         if isinstance(doc, dict):
             got = doc.pop("schema_version", CONFIG_SCHEMA_VERSION)
             if type(got) is not int or got != CONFIG_SCHEMA_VERSION:
                 raise ValueError(f"unsupported config schema {got!r}")
-        check_json(doc, RunConfig)
+        return from_json(doc, RunConfig)
     except ValueError as exc:
         raise ValueError(f"config file {path}: {exc}") from exc
-    return doc
 
 
-def resolve_config(from_file: dict | None = None,
+def resolve_config(from_file: RunConfig | None = None,
                    flags: dict | None = None) -> RunConfig:
     """Defaults, overlaid by config-file values, overlaid by flags.
 
     Flag values equal to None mean "not given on the command line" and do
     not override.
     """
-    merged = dict(from_file or {})
-    merged.update((k, v) for k, v in (flags or {}).items() if v is not None)
-    # JSON lists fill RunConfig's tuple fields; an int given for a target
-    # coordinate becomes the float, so 70 and 70.0 make one config and one
-    # dataset
-    return RunConfig(**{
-        k: tuple(map(float, v)) if k == "target" and v is not None else
-        tuple(v) if isinstance(v, list) else v
-        for k, v in merged.items()}).validate()
+    return dataclasses.replace(
+        from_file or RunConfig(),
+        **{k: v for k, v in (flags or {}).items() if v is not None}).validate()
 
 
 def write_resolved_config(config: RunConfig, out_dir):

@@ -223,13 +223,9 @@ def record_to_line(rec: EpisodeRecord) -> str:
 
 
 def record_from_line(line: str) -> EpisodeRecord:
-    doc = decode(line, EpisodeRecord, DATASET_SCHEMA_VERSION, "episode")
-    for name in ("position", "heading"):
-        doc[name] = doc[name].reshape(-1, 3)
-    rec = EpisodeRecord(**dict(
-        doc, seed=tuple(doc["seed"]), target=tuple(map(float, doc["target"])),
-        medium=MediumParams(**doc["medium"]),
-        controller=ControllerParams(**doc["controller"])))
+    rec = decode(line, EpisodeRecord, DATASET_SCHEMA_VERSION, "episode")
+    rec = dataclasses.replace(rec, position=rec.position.reshape(-1, 3),
+                              heading=rec.heading.reshape(-1, 3))
     rec.validate()
     return rec
 
@@ -294,12 +290,8 @@ def load_manifest(root: Path) -> DatasetManifest:
     """The manifest under root; any fault is a DatasetError naming it."""
     path = Path(root) / MANIFEST_FILENAME
     try:
-        doc = decode(path.read_text(), DatasetManifest,
-                     MANIFEST_SCHEMA_VERSION, "manifest")
-        g = doc["generation"]
-        g["medium"] = MediumParams(**g["medium"])
-        return DatasetManifest(Generation(**g), tuple(
-            EpisodeMeta(**m) for m in doc["episodes"]))
+        return decode(path.read_text(), DatasetManifest,
+                      MANIFEST_SCHEMA_VERSION, "manifest")
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 

@@ -737,16 +737,15 @@ def load_model(path) -> LstmModel:
     schema too (re-train), is a ValueError naming path."""
     try:
         with open(path) as fh:
-            doc = decode(fh.read(), LstmModel, MODEL_SCHEMA_VERSION, "model")
-        h = len(doc["b_fc"])
+            model = decode(fh.read(), LstmModel, MODEL_SCHEMA_VERSION, "model")
+        h = model.hidden_size
         for name, shape in param_shapes(h).items():
-            if len(doc[name]) != math.prod(shape):
+            flat = getattr(model, name)
+            if len(flat) != math.prod(shape):
                 raise ValueError(
-                    f"parameter {name!r} holds {len(doc[name])} values, not "
+                    f"parameter {name!r} holds {len(flat)} values, not "
                     f"the {math.prod(shape)} of shape {shape} at hidden size {h}")
-            doc[name] = doc[name].reshape(shape)
-        doc["z_max"] = float(doc["z_max"])
-        model = LstmModel(**doc)
+            setattr(model, name, flat.reshape(shape))
         model.validate()
     except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from exc

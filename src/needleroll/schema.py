@@ -1,10 +1,11 @@
 """replacing, the one way a file a command writes lands: whole or not at
-all. encode or save_json writes, and decode reads and checks, every
-versioned pipeline file (episode or trial line, model; manifest, config);
-load_json and check_json, its one JSON parse and one type check against a
-dataclass, a config file's too. A Column (a line's per-step column, a
-model parameter) is on disk the strict base64 of its little-endian
-float64 bytes, row-major: every value round-trips bit for bit, flat."""
+all. encode or save_json writes, and decode reads, every versioned
+pipeline file (episode or trial line, model; manifest, config); load_json
+is its one JSON parse, and from_json its one step that checks a decoded
+value against a dataclass and builds that dataclass, a config file's too.
+A Column (a line's per-step column, a model parameter) is on disk the
+strict base64 of its little-endian float64 bytes, row-major: every value
+round-trips bit for bit, flat."""
 
 from __future__ import annotations
 
@@ -48,27 +49,29 @@ def encode_column(values) -> str:
     return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
 
-def decode_column(text: str, name: str) -> np.ndarray:
+def decode_column(text: str, where: str) -> np.ndarray:
     """encode_column's array back, flat and read-only; a text that is not
-    strict base64 of whole 8-byte values is a ValueError naming name."""
+    strict base64 of whole 8-byte values is a ValueError led by where."""
     try:
         return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
     except ValueError as exc:  # binascii.Error is one, numpy's size fault too
-        raise ValueError(f"{name!r} is not strict base64 of float64 bytes "
+        raise ValueError(f"{where} is not strict base64 of float64 bytes "
                          f"({exc})") from None
 
 
-def check_json(value, hint, where: str = "") -> None:
-    """Raise ValueError naming the first part of a decoded JSON value that
-    does not fit hint. Ints are no floats and bools no ints, floats take
-    ints a float can hold, tuples are lists, a Column is a string, only
-    `X | None` takes null, and a dataclass is an object whose keys are its
-    fields, each checked the same way; a field may be absent only when it
-    has a default. `where` names value in the message."""
+def from_json(value, hint, where: str = ""):
+    """value, a decoded JSON value, built as hint types it; a ValueError
+    names the first part that does not fit. Ints are no floats and bools no
+    ints, floats take ints a float can hold and become floats, tuples are
+    lists, a Column is a string decode_column reads, only `X | None` takes
+    null, and a dataclass is an object whose keys are its fields, each
+    built the same way, then passed to its constructor; a field may be
+    absent only when it has a default. `where` names value in the
+    message."""
     if typing.get_origin(hint) in (types.UnionType, typing.Union):  # X | None
-        if value is not None:
-            check_json(value, typing.get_args(hint)[0], where)
-    elif dataclasses.is_dataclass(hint):
+        return (None if value is None else
+                from_json(value, typing.get_args(hint)[0], where))
+    if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
             raise ValueError(f"{where or 'the top level'} is not a JSON object")
         prefix = f"{where}: " if where else ""
@@ -76,25 +79,31 @@ def check_json(value, hint, where: str = "") -> None:
         unknown = value.keys() - fields.keys()
         if unknown:
             raise ValueError(f"{prefix}unknown keys {sorted(unknown)}")
+        kwargs = {}
         for name, (field_hint, required) in fields.items():
             if name in value:
-                check_json(value[name], field_hint,
-                           f"{where}[{name!r}]" if where else repr(name))
+                kwargs[name] = from_json(
+                    value[name], field_hint,
+                    f"{where}[{name!r}]" if where else repr(name))
             elif required:
                 raise ValueError(f"{prefix}missing field {name!r}")
-    elif hint is Column:
+        return hint(**kwargs)
+    if hint is Column:
         if type(value) is not str:
             raise ValueError(f"{where} must be a base64 string")
-    elif typing.get_origin(hint) is tuple:
+        return decode_column(value, where)
+    if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {json.dumps(value)}")
-        for i, item in enumerate(value):
-            check_json(item, typing.get_args(hint)[0], f"{where}[{i}]")
+        item_hint = typing.get_args(hint)[0]
+        return tuple(from_json(item, item_hint, f"{where}[{i}]")
+                     for i, item in enumerate(value))
     # a float takes a JSON number it can hold: no bool, no int past its range
-    elif not ((type(value) is float or type(value) is int
-               and abs(value) <= sys.float_info.max) if hint is float else
-              hint is bool if isinstance(value, bool) else isinstance(value, hint)):
+    if not ((type(value) is float or type(value) is int
+             and abs(value) <= sys.float_info.max) if hint is float else
+            hint is bool if isinstance(value, bool) else isinstance(value, hint)):
         raise ValueError(f"{where} must be {hint.__name__}, got {json.dumps(value)}")
+    return float(value) if hint is float else value
 
 
 def load_json(text: str):
@@ -145,19 +154,14 @@ def encode(obj, version: int) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def decode(text: str, cls, version: int, what: str) -> dict:
-    """The JSON object in text less its schema_version, which must be
-    version, checked against cls by check_json, each Column field decoded
-    by decode_column; `what` names the file kind in the version message.
-    Every fault is a ValueError."""
+def decode(text: str, cls, version: int, what: str):
+    """The cls instance from_json builds from the JSON object in text, less
+    its schema_version, which must be version; `what` names the file kind
+    in the version message. Every fault is a ValueError."""
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise ValueError("the top level is not a JSON object")
     got = doc.pop("schema_version", None)
     if type(got) is not int or got != version:
         raise ValueError(f"unsupported {what} schema {got!r}")
-    check_json(doc, cls)
-    for name in _columns(cls):
-        if doc.get(name) is not None:  # a null optional column is absent
-            doc[name] = decode_column(doc[name], name)
-    return doc
+    return from_json(doc, cls)

@@ -14,20 +14,30 @@ from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.lstm import train
 
 
+# the session's claim verdict lines, in the order the claims ran
+VERDICTS = []
+
+
 @pytest.fixture(scope="session")
-def verdict(request):
-    """Print a one-line pass/fail verdict that survives output capture."""
-    reporter = request.config.pluginmanager.getplugin("terminalreporter")
+def verdict():
+    """Record a one-line pass/fail verdict and fail the test on FAIL;
+    pytest_terminal_summary prints every recorded line once."""
 
     def emit(criterion: str, ok: bool, detail: str):
         line = f"{criterion} {'PASS' if ok else 'FAIL'}: {detail}"
-        if reporter is not None:
-            reporter.write_line("")
-            reporter.write_line(line)
-        print(line)
+        VERDICTS.append(line)
         assert ok, line
 
     return emit
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print each claim verdict after the run, outside any test, so output
+    capture cannot drop it: under -q and under -s alike."""
+    if VERDICTS:
+        terminalreporter.section("claim verdicts")
+        for line in VERDICTS:
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture(scope="session")

@@ -78,17 +78,17 @@ def test_config_file_rejects_bad_json(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        resolve_config({}, {"medium": "granite"})
+        resolve_config(None, {"medium": "granite"})
     with pytest.raises(ValueError):
-        resolve_config({}, {"estimators": ("lstm", "psychic")})
+        resolve_config(None, {"estimators": ("lstm", "psychic")})
     with pytest.raises(ValueError):
-        resolve_config({}, {"jobs": 0})
+        resolve_config(None, {"jobs": 0})
     with pytest.raises(ValueError):
-        resolve_config({}, {"target": (1.0, 2.0)})
+        resolve_config(None, {"target": (1.0, 2.0)})
 
 
 def test_config_builds_components():
-    config = resolve_config({}, {"medium": "lung", "rigid": True})
+    config = resolve_config(None, {"medium": "lung", "rigid": True})
     medium = config.make_medium()
     assert medium.name == "lung" and medium.rigid
     tc = config.make_train_config()
@@ -96,12 +96,11 @@ def test_config_builds_components():
 
 
 def test_resolved_config_roundtrip(tmp_path):
-    config = resolve_config({}, {"seed": 9, "estimators": ("truth", "ekf")})
+    config = resolve_config(None, {"seed": 9, "estimators": ("truth", "ekf")})
     write_resolved_config(config, tmp_path)
     doc = json.loads((tmp_path / "config.json").read_text())
     assert doc["schema_version"] == 1
-    again = resolve_config({k: v for k, v in doc.items()
-                            if k != "schema_version"}, {})
+    again = resolve_config(load_config_file(tmp_path / "config.json"), {})
     assert again == config
 
 
@@ -311,7 +310,7 @@ def test_cli_steer_target_behind_or_at_the_entry_fails_before_writing(
 
 
 def test_config_accepts_a_target_just_past_the_arrival_tolerance():
-    config = resolve_config({}, {"target": (0.0, 0.2, 0.2)})
+    config = resolve_config(None, {"target": (0.0, 0.2, 0.2)})
     assert config.target == (0.0, 0.2, 0.2)
 
 
@@ -352,7 +351,7 @@ def test_config_keeps_stable_torsion_settings():
     dt = 1.0 / CONTROLLER.rate
     for name in MEDIUM_PRESETS:
         for rigid in (False, True):
-            medium = resolve_config({}, {"medium": name,
+            medium = resolve_config(None, {"medium": name,
                                          "rigid": rigid}).make_medium()
             assert medium.name == name and medium.rigid is rigid
             assert dt * medium.torsion_stiffness / medium.torsion_damping < 1.0
@@ -390,6 +389,33 @@ def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
     assert written[0] == written[1]
     doc = json.loads(written[0][0])
     assert all(type(v) is float for v in doc["target"])
+
+
+def _int_stiffness_line(tmp_path):
+    """A trial line whose medium.torsion_stiffness is the JSON int 2."""
+    doc = json.loads(record_to_line(run_trial(
+        "truth", MEDIUM_PRESETS["gelatin"], (3.0, 4.0, 60.0), seed=2)))
+    doc["medium"]["torsion_stiffness"] = 2
+    return dataset.record_from_line(json.dumps(doc)).medium.torsion_stiffness
+
+
+def _int_z_max_model(tmp_path):
+    """A model file whose z_max is the JSON int 75."""
+    path = tmp_path / "model.json"
+    save_model(init_model(75.0, hidden_size=4, seed=1), path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), z_max=75)))
+    return cli.load_model(path).z_max
+
+
+@pytest.mark.parametrize("read, expect", [
+    (_int_stiffness_line, 2.0),
+    (_int_z_max_model, 75.0),
+], ids=["line_medium", "model_z_max"])
+def test_a_json_int_in_a_float_field_reads_as_a_float(tmp_path, read, expect):
+    """Every reader builds a float field from a JSON int as the float, in
+    a line's medium as in a model's z_max (and a config's target, above)."""
+    value = read(tmp_path)
+    assert value == expect and type(value) is float
 
 
 def test_cli_rerun_from_recorded_config_is_byte_identical(tmp_path):
@@ -928,7 +954,7 @@ def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
         argv += ["--config", str(cfg)]
     assert main(argv) == 0
     lines = (out / "trials" / "episodes.jsonl").read_text().splitlines()
-    config = resolve_config({}, {"rigid": True})
+    config = resolve_config(None, {"rigid": True})
     target = np.array([3.0, 4.0, 60.0])
     expected = [
         record_to_line(run_trial(
@@ -972,7 +998,7 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
             *(("evaluate", k, getattr(CONTROLLER, k))
               for k in controller_keys)]:
         old = tmp_path / key
-        write_resolved_config(resolve_config({}, {"n": 2}), old)
+        write_resolved_config(resolve_config(None, {"n": 2}), old)
         doc = json.loads((old / "config.json").read_text())
         doc[key] = value
         (old / "config.json").write_text(json.dumps(doc))
