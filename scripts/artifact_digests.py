@@ -9,16 +9,23 @@ file, so the views evaluate renders and the ones report regenerates from
 that file are both digested, and should match. Each stage runs as
 `python -m needleroll` on the `src/` next to this script, inside a
 temporary directory (relative output paths, so the recorded config.json
-files do not name it). Prints a first line starting with `#` that names
+files do not name it). Every stage runs with `OPENBLAS_CORETYPE=Haswell`:
+OpenBLAS picks its kernels per CPU at run time, and kernels of another
+CPU sum in another order, so without it the training and filter bytes
+would follow the machine; Haswell's AVX2 kernels run on every x86-64 CPU
+this targets. Prints a first line starting with `#` that names
 what the float bytes depend on, `# Python <v>, numpy <v>, OpenBLAS core
-<name>` (the kernel set OpenBLAS picked at run time, or `unknown`), then
+<name>` (the kernel set OpenBLAS ran, or `unknown`), then
 `<sha256>  jobs<j>/<path>` for every file written, sorted.
 
-A speed change that must keep every artifact byte-identical is checked by
-running this in the parent checkout and in the changed one and diffing
-the two outputs:
+`scripts/artifact_digests.txt` holds the output at the versions its
+header names. A change that moves an artifact byte regenerates it, so the
+diff names each file that moved:
 
-    python3 scripts/artifact_digests.py > digests.txt
+    python3 scripts/artifact_digests.py > scripts/artifact_digests.txt
+
+Under another Python or numpy release the bytes may differ; the digest
+lines are what CI compares, installed at the header's numpy.
 
 Standard library only; exits 2 if a stage fails.
 """
@@ -79,7 +86,7 @@ def copy_trials(work: Path, jobs: int):
 
 def main() -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+               MKL_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     header = subprocess.run([sys.executable, "-c", VERSIONS], env=env,
