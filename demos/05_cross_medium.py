@@ -25,7 +25,7 @@ with tempfile.TemporaryDirectory(prefix="needleroll_demo_") as root:
 
 print("training (reduced scale) ...")
 config = TrainConfig(epochs=150, hidden_size=24, seed=0)
-model, log = train(train_seqs, val_seqs, config, manifest.z_max)
+model, log = train(train_seqs, val_seqs, config)
 print(f"best val RMSE {min(r.val_rmse for r in log):.4f}")
 
 for name, n_trials in (("gelatin", 6), ("brain", 6), ("lung", 6)):

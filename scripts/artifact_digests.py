@@ -12,8 +12,8 @@ temporary directory (relative output paths, so the recorded config.json
 files do not name it). Every stage runs with `OPENBLAS_CORETYPE=Haswell`:
 OpenBLAS picks its kernels per CPU at run time, and kernels of another
 CPU sum in another order, so without it the training and filter bytes
-would follow the machine; Haswell's AVX2 kernels run on every x86-64 CPU
-this targets. Prints a first line starting with `#` that names
+would follow the machine; Haswell's kernels run on any x86-64 CPU with
+AVX2. Prints a first line starting with `#` that names
 what the float bytes depend on, `# Python <v>, numpy <v>, OpenBLAS core
 <name>` (the kernel set OpenBLAS ran, or `unknown`), then
 `<sha256>  jobs<j>/<path>` for every file written, sorted.
@@ -24,8 +24,8 @@ diff names each file that moved:
 
     python3 scripts/artifact_digests.py > scripts/artifact_digests.txt
 
-Under another Python or numpy release the bytes may differ; the digest
-lines are what CI compares, installed at the header's numpy.
+Under another Python or numpy release the bytes may differ, so CI
+installs the header's numpy before it diffs the digest lines.
 
 Standard library only; exits 2 if a stage fails.
 """

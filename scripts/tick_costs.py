@@ -31,7 +31,7 @@ line, as `train` reads each episode, both also per tick. The
 the estimator columns, as `evaluate` writes each trial line, per tick of
 that trial. The `dataset.to_training_sequences` row decodes the truth
 trial's episode line into its training arrays,
-`episode_to_sequence(record_from_line(line), z_max)`, as `train` does for
+`episode_to_sequence(record_from_line(line))`, as `train` does for
 each episode, per tick. The training rows time `lstm._forward_batch` (a
 training pass, with dropout) and `lstm.backward` at hidden 30 on a padded
 batch of 600 steps, 8 and 4 sequences wide, through one reused Workspace
@@ -75,7 +75,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from needleroll import dataset, ekf, evaluate, lstm  # noqa: E402
-from needleroll.plant import GELATIN, WORKSPACE  # noqa: E402
+from needleroll.plant import GELATIN  # noqa: E402
 
 SEED = 7
 BATCH_STEPS = 600  # padded steps of the timed training batches
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     repeats = args.repeats
-    model = lstm.init_model(75.0, hidden_size=30, seed=0)
+    model = lstm.init_model(hidden_size=30, seed=0)
     ekf_calls, ekf_record = record_trial("ekf", None, [
         (dataset, "step", "plant.step"),
         (dataset, "sense", "plant.sense"),
@@ -179,9 +179,8 @@ def main(argv=None) -> int:
     def replay(calls):
         return lambda: calls
 
-    def training_sequence(line, z_max):
-        return dataset.episode_to_sequence(dataset.record_from_line(line),
-                                           z_max)
+    def training_sequence(line):
+        return dataset.episode_to_sequence(dataset.record_from_line(line))
 
     # training layers at the shipped shape: hidden 30, padded batches of
     # BATCH_STEPS steps; backward consumes its cache, so each pass gets a
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
         ]
     cache = training_pass(model, xs)
     grads = lstm.backward(model, cache, ys, mask)[0]
-    stepped = lstm.init_model(75.0, hidden_size=30, seed=1)
+    stepped = lstm.init_model(hidden_size=30, seed=1)
     optimizer = lstm.Adam(stepped, lstm.LEARNING_RATE)
     model_dir = tempfile.TemporaryDirectory()
     model_path = Path(model_dir.name) / "model.json"
@@ -271,7 +270,7 @@ def main(argv=None) -> int:
         ("dataset.record_from_line", dataset.record_from_line,
          replay([(truth_line,)] * 3), truth_ticks),
         ("dataset.to_training_sequences", training_sequence,
-         replay([(truth_line, WORKSPACE.depth_max)] * 3), truth_ticks),
+         replay([(truth_line,)] * 3), truth_ticks),
         *training_rows,
         (f"lstm.sequence_rmse B={len(val_seqs)}", lstm.sequence_rmse,
          replay([(model, val_seqs, val_workspace)] * 3),

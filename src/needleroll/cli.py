@@ -161,9 +161,7 @@ def cmd_train(config: RunConfig) -> int:
     dataset_root = Path(_require(config.dataset, "--dataset"))
     manifest = load_manifest(dataset_root)
     train_seqs, val_seqs = to_training_sequences(dataset_root, manifest)
-    # the features are scaled by the dataset's z_max, so the model takes it
-    model, log = train(train_seqs, val_seqs, config.make_train_config(),
-                       manifest.z_max)
+    model, log = train(train_seqs, val_seqs, config.make_train_config())
     save_model(model, out / "model.json")
     with replacing(out / "training_log.csv") as fh:
         fh.write("epoch,train_loss,val_rmse\n")

@@ -11,8 +11,8 @@ directory alone.
 
 The controller and the reachable workspace are no settings: they are the
 constants controller.CONTROLLER and plant.WORKSPACE, which nothing takes
-as a parameter and no manifest stores. So the position feature scale is
-WORKSPACE.depth_max, which train copies into the model.
+as a parameter and no manifest or model stores. So the position feature
+scale is WORKSPACE.depth_max.
 Nor are the depth at which a closed loop gives up and the share of episodes
 split into train: dataset owns them as DEPTH_CAP and TRAIN_FRACTION.
 Training takes only its epoch count and seed from here: the batch size,

@@ -13,8 +13,8 @@ Storage is one JSON Lines file per dataset (line k holds episode k, as
 read_records requires of every line file) plus a manifest of its
 generation (the medium and the seed, what a generate run sets) and each
 episode's steps and final error. The train/val split and the config hash
-are derived from generation, z_max is WORKSPACE.depth_max, and
-load_episodes checks each line against generation and the two constants.
+are derived from generation, and load_episodes checks each line against
+generation and the two constants.
 A line stores each fact once: every per-step column is as long as
 base_angle, step k is at time k / controller.rate, and the commanded
 insertion speed is the controller's.
@@ -270,11 +270,6 @@ class DatasetManifest:
                                  f"line {k}")
 
     @property
-    def z_max(self) -> float:
-        """The position feature scale: no sampled target lies deeper."""
-        return float(WORKSPACE.depth_max)
-
-    @property
     def labels(self) -> tuple[str, ...]:
         """Episode k's train/val label."""
         return split_labels(len(self.episodes), self.generation.seed)
@@ -424,21 +419,19 @@ def generate_dataset(n: int, medium: MediumParams, seed: int, root: Path,
 
 # ---------------------------------------------------------- training tensors
 
-def episode_to_sequence(rec: EpisodeRecord, z_max: float):
+def episode_to_sequence(rec: EpisodeRecord):
     """(features, targets) arrays for one episode, temporal order kept.
 
     Feature row k is lstm.scale_features at step k bit for bit, and target
     row k is (sin, cos) of roll_true; hence math.sin/math.cos throughout.
     """
-    if z_max <= 0.0:
-        raise ValueError("z_max must be positive")
 
     def sin_cos(angles):
         angles = angles.tolist()
         return [np.fromiter(map(fn, angles), float, len(angles))
                 for fn in (math.sin, math.cos)]
 
-    xs = np.column_stack([rec.position / z_max, rec.heading,
+    xs = np.column_stack([rec.position / WORKSPACE.depth_max, rec.heading,
                           *sin_cos(rec.base_angle)])
     return xs, np.column_stack(sin_cos(rec.roll_true))
 
@@ -448,5 +441,5 @@ def to_training_sequences(root: Path, manifest: DatasetManifest):
     order, from one read of the episodes file."""
     splits = {"train": [], "val": []}
     for rec, label in zip(load_episodes(root, manifest), manifest.labels):
-        splits[label].append(episode_to_sequence(rec, manifest.z_max))
+        splits[label].append(episode_to_sequence(rec))
     return splits["train"], splits["val"]

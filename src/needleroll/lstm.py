@@ -4,8 +4,9 @@ with full-sequence backpropagation through time and Adam.
 Layout and conventions, shared by the streaming path, the batched training
 path, the serializer, and the test oracles:
 
-- feature vector x (8): (sensed position / z_max (3), sensed heading (3),
-  sin base_angle, cos base_angle)
+- feature vector x (8): (sensed position / WORKSPACE.depth_max (3),
+  sensed heading (3), sin base_angle, cos base_angle); the position scale
+  is that constant, so no model stores it
 - target y (2): (sin roll, cos roll)
 - gate order inside the stacked (4H, .) matrices: input, forget, cell
   candidate, output; sigmoid on i/f/o, tanh on the candidate. All four
@@ -20,7 +21,7 @@ path, the serializer, and the test oracles:
   the batch (padded steps excluded via masks)
 - parameter shapes: param_shapes(H), the one place they are written; the
   hidden size H is len(b_fc)
-- model file (schema 4): schema.encode of the model, each parameter a
+- model file (schema 5): schema.encode of the model, each parameter a
   Column (the base64 of its row-major float64 bytes); no size or shape is
   stored, since each follows from H
 
@@ -67,11 +68,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from needleroll.plant import SensedTip, check_ranges, require_valid_measurement
+from needleroll.plant import WORKSPACE, SensedTip, require_valid_measurement
 from needleroll.schema import Column, decode, encode, replacing
 from needleroll.se3 import floats3, recompose_roll, wrap_angle
 
-MODEL_SCHEMA_VERSION = 4
+MODEL_SCHEMA_VERSION = 5
 LEARNING_RATE = 3e-3  # Adam step size of every training run
 INPUT_SIZE = 8  # width of the scale_features vector
 VALIDATION_CHUNK = 32  # sequences per sequence_rmse forward pass
@@ -98,12 +99,12 @@ class Diverged(RuntimeError):
     """Training loss became non-finite."""
 
 
-def scale_features(position, heading, base_angle: float, z_max: float) -> np.ndarray:
-    """Build the 8-component input: scaled position, heading, angle encoding."""
-    if z_max <= 0.0:
-        raise ValueError("z_max must be positive")
+def scale_features(position, heading, base_angle: float) -> np.ndarray:
+    """Build the 8-component input: position / WORKSPACE.depth_max,
+    heading, angle encoding."""
+    z = WORKSPACE.depth_max
     p0, p1, p2 = floats3(position)
-    return np.array([p0 / z_max, p1 / z_max, p2 / z_max, *floats3(heading),
+    return np.array([p0 / z, p1 / z, p2 / z, *floats3(heading),
                      math.sin(base_angle), math.cos(base_angle)])
 
 
@@ -122,7 +123,7 @@ def estimate_roll(y) -> float:
 @dataclass
 class LstmModel:
     """All trainable parameters, shaped by param_shapes(hidden_size), plus
-    the constants inference needs."""
+    what training recorded about them."""
 
     w_x: Column  # input-to-gates
     w_h: Column  # hidden-to-gates
@@ -131,7 +132,6 @@ class LstmModel:
     b_fc: Column  # its bias, one per hidden unit
     w_out: Column  # output head
     b_out: Column
-    z_max: float
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -153,7 +153,6 @@ class LstmModel:
                                  f"size {h}, not {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
-        check_ranges(self, positive=("z_max",))
 
 
 class LstmCellState(NamedTuple):
@@ -194,11 +193,10 @@ class Dropout(NamedTuple):
     rng: np.random.Generator
 
 
-def init_model(z_max: float, hidden_size: int = TrainConfig.hidden_size,
-               seed: int = 0, metadata: dict | None = None) -> LstmModel:
+def init_model(hidden_size: int = TrainConfig.hidden_size, seed: int = 0,
+               metadata: dict | None = None) -> LstmModel:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; forget-gate bias starts at +1
-    so early training does not flush the cell state. z_max is the position
-    feature scale the inputs are built with."""
+    so early training does not flush the cell state."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1517]))
     bound = 1.0 / math.sqrt(hidden_size)
     shapes = param_shapes(hidden_size)
@@ -208,8 +206,7 @@ def init_model(z_max: float, hidden_size: int = TrainConfig.hidden_size,
     params["b_g"][hidden_size:2 * hidden_size] += 1.0
     for name, shape in shapes.items():
         params[name] = rng.uniform(-bound, bound, size=shape)
-    model = LstmModel(**params, z_max=z_max,
-                      metadata=dict(metadata or {}, seed=seed))
+    model = LstmModel(**params, metadata=dict(metadata or {}, seed=seed))
     model.validate()
     return model
 
@@ -585,9 +582,9 @@ class TrainLogRow:
     val_rmse: float
 
 
-def train(train_seqs, val_seqs, config: TrainConfig, z_max: float):
-    """Fit on (xs, ys) sequence pairs whose positions were scaled by z_max;
-    returns (best model, per-epoch log).
+def train(train_seqs, val_seqs, config: TrainConfig):
+    """Fit on (xs, ys) sequence pairs built as scale_features builds a
+    step's input; returns (best model, per-epoch log).
 
     Seeded shuffling each epoch into length-sorted pools
     (_length_sorted_batches), dropout in training passes only, model
@@ -600,7 +597,7 @@ def train(train_seqs, val_seqs, config: TrainConfig, z_max: float):
     root = np.random.SeedSequence([config.seed, 0x4C53])
     shuffle_seed, dropout_seed = root.spawn(2)
     model = init_model(
-        z_max, hidden_size=config.hidden_size, seed=config.seed,
+        hidden_size=config.hidden_size, seed=config.seed,
         metadata={"train_episodes": len(train_seqs), "val_episodes": len(val_seqs)},
     )
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -706,8 +703,7 @@ class RollEstimator:
 
     def estimate(self, meas: SensedTip, base_angle: float):
         require_valid_measurement(meas, base_angle)
-        x = scale_features(meas.position, meas.heading, base_angle,
-                           self.model.z_max)
+        x = scale_features(meas.position, meas.heading, base_angle)
         self.state, y = forward_step(self.model, self.state, x)
         roll = estimate_roll(y)
         self.last_roll = roll

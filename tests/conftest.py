@@ -62,7 +62,6 @@ def trained_estimator(desk_dataset, run_defaults):
     root, manifest = desk_dataset
     train_seqs, val_seqs = to_training_sequences(root, manifest)
     start = time.perf_counter()
-    model, log = train(train_seqs, val_seqs, run_defaults.make_train_config(),
-                       manifest.z_max)
+    model, log = train(train_seqs, val_seqs, run_defaults.make_train_config())
     seconds = time.perf_counter() - start
     return model, log, seconds, (len(train_seqs), len(val_seqs))

@@ -71,10 +71,9 @@ def record_line_dumps(rec) -> str:
 
 def model_file_dumps(model) -> str:
     """lstm.save_model's file text as one json.dumps line: the schema
-    version, z_max, metadata and each parameter a packed_column."""
+    version, metadata and each parameter a packed_column."""
     doc = {name: packed_column(arr) for name, arr in model.params()}
-    doc.update(schema_version=MODEL_SCHEMA_VERSION, z_max=model.z_max,
-               metadata=model.metadata)
+    doc.update(schema_version=MODEL_SCHEMA_VERSION, metadata=model.metadata)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -56,7 +56,7 @@ def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
 
 def test_c03_analytic_gradients_match_finite_differences(verdict):
     rng = np.random.default_rng(33)
-    model = init_model(75.0, hidden_size=4, seed=33)
+    model = init_model(hidden_size=4, seed=33)
     feats = rng.normal(0.0, 0.7, size=(7, 8))
     targets = rng.normal(0.0, 0.7, size=(7, 2))
     xs, ys, mask = _pad_batch([(feats, targets)])
@@ -184,7 +184,7 @@ def test_c09_streaming_estimator_matches_batch_forward_bitwise(
     worst_steps = 0
     identical = True
     for record in records:
-        xs, _ = episode_to_sequence(record, manifest.z_max)
+        xs, _ = episode_to_sequence(record)
         batch_outputs = run_sequence(model, xs)
         batch_rolls = np.array([estimate_roll(y) for y in batch_outputs])
 

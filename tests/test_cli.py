@@ -48,7 +48,7 @@ def test_resolve_precedence(tmp_path):
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
-    """z_max is no setting: the feature scale comes from the dataset."""
+    """z_max is no setting: the feature scale is WORKSPACE.depth_max."""
     cfg_file = tmp_path / "c.json"
     for doc in ({"sneed": 5}, {"z_max": 75.0}):
         cfg_file.write_text(json.dumps(doc))
@@ -357,22 +357,6 @@ def test_config_keeps_stable_torsion_settings():
             assert dt * medium.torsion_stiffness / medium.torsion_damping < 1.0
 
 
-def test_cli_train_takes_z_max_from_the_dataset(tmp_path):
-    """The feature scale is the dataset's z_max, WORKSPACE.depth_max, the
-    deepest target a dataset holds: the model carries it, and neither the
-    manifest nor a config stores a copy."""
-    ds = tmp_path / "ds"
-    assert main(["generate", "--n", "2", "--seed", "3", "--out", str(ds)]) == 0
-    doc = json.loads((ds / "manifest.json").read_text())
-    assert "z_max" not in doc and "workspace" not in doc["generation"]
-    assert load_manifest(ds).z_max == WORKSPACE.depth_max == 75.0
-    run = tmp_path / "run"
-    assert main(["train", "--dataset", str(ds), "--out", str(run),
-                 "--epochs", "1"]) == 0
-    assert json.loads((run / "model.json").read_text())["z_max"] == 75.0
-    assert "z_max" not in json.loads((run / "config.json").read_text())
-
-
 def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
     """A JSON int given for a target coordinate resolves to the float: the
     same config.json, config hash and manifest as the float spelling."""
@@ -399,21 +383,25 @@ def _int_stiffness_line(tmp_path):
     return dataset.record_from_line(json.dumps(doc)).medium.torsion_stiffness
 
 
-def _int_z_max_model(tmp_path):
-    """A model file whose z_max is the JSON int 75."""
-    path = tmp_path / "model.json"
-    save_model(init_model(75.0, hidden_size=4, seed=1), path)
-    path.write_text(json.dumps(dict(json.loads(path.read_text()), z_max=75)))
-    return cli.load_model(path).z_max
+def _int_final_error_manifest(tmp_path):
+    """A manifest whose entry 0 has the JSON int final_error 1."""
+    ds = tmp_path / "ds"
+    dataset.generate_dataset(2, MEDIUM_PRESETS["gelatin"], seed=3, root=ds)
+    path = ds / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["episodes"][0]["final_error"] = 1
+    path.write_text(json.dumps(doc))
+    return load_manifest(ds).episodes[0].final_error
 
 
 @pytest.mark.parametrize("read, expect", [
     (_int_stiffness_line, 2.0),
-    (_int_z_max_model, 75.0),
-], ids=["line_medium", "model_z_max"])
+    (_int_final_error_manifest, 1.0),
+], ids=["line_medium", "manifest_final_error"])
 def test_a_json_int_in_a_float_field_reads_as_a_float(tmp_path, read, expect):
     """Every reader builds a float field from a JSON int as the float, in
-    a line's medium as in a model's z_max (and a config's target, above)."""
+    a line's medium as in a manifest entry's final_error (and a config's
+    target, above)."""
     value = read(tmp_path)
     assert value == expect and type(value) is float
 
@@ -700,14 +688,14 @@ def test_replacing_failing_partway_keeps_the_old_file(pipeline_files,
     metadata that json cannot encode."""
     if what == "model":
         path = tmp_path / "model.json"
-        save_model(init_model(75.0, hidden_size=4, seed=1), path)
+        save_model(init_model(hidden_size=4, seed=1), path)
     else:
         path, _ = _copied_line_file(pipeline_files, tmp_path, what)
     before = _tree(tmp_path)
 
     if what == "model":
         with pytest.raises(TypeError):
-            save_model(init_model(75.0, hidden_size=4, seed=2,
+            save_model(init_model(hidden_size=4, seed=2,
                                   metadata={"x": object()}), path)
     else:
         with pytest.raises(RuntimeError, match="after one line"):
@@ -1084,17 +1072,17 @@ def test_cli_steer_lstm_requires_model(tmp_path, capsys):
 def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
                                                                capsys):
     """A model file with a missing, unknown or wrong-typed field is a usage
-    error, and so is one that loads but cannot steer: a non-finite or
-    non-positive z_max (json writes and reads Infinity and NaN), a
-    parameter with one value too few or too many for the hidden size
-    len(b_fc), parameter text that is not strict base64 of whole float64
-    values or is a list of numbers, a hidden size of 0, a schema-1, 2 or 3
-    file (which must be re-trained), a top level that is not an object, or
+    error, and so is one that loads but cannot steer: a parameter with
+    one value too few or too many for the hidden size len(b_fc),
+    parameter text that is not strict base64 of whole float64 values or
+    is a list of numbers, a hidden size of 0, a schema-1, 2, 3 or 4 file
+    (which must be re-trained), a `z_max` key (the feature scale is
+    WORKSPACE.depth_max, no model's), a top level that is not an object, or
     text that is not JSON, nested too deep to parse too. Each prints one
     error line, naming the file
     where the fault is in it, and writes nothing."""
     path = tmp_path / "model.json"
-    save_model(init_model(75.0, hidden_size=4, seed=1), path)
+    save_model(init_model(hidden_size=4, seed=1), path)
     saved = path.read_text()
 
     def schema_1(doc):  # the layout before every field was stored once
@@ -1108,8 +1096,12 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         doc.update(schema_version=2, dropout_rate=0.2)
 
     def schema_3(doc):  # the layout that stored each parameter as numbers
+        schema_4(doc)
         doc.update({name: _floats(doc[name]).tolist()
                     for name in param_shapes(4)}, schema_version=3)
+
+    def schema_4(doc):  # the layout that stored the feature scale
+        doc.update(schema_version=4, z_max=75.0)
 
     def resized(name, size):  # the parameter cut or cycled to size values
         def edit(doc):
@@ -1118,7 +1110,6 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
 
     cases = [
         (lambda doc: doc.pop("w_fc"), "missing field 'w_fc'"),
-        (lambda doc: doc.pop("z_max"), "'z_max'"),
         (lambda doc: doc.update(hidden_size=4),
          "unknown keys ['hidden_size']"),
         (lambda doc: doc.update(dropout_rate=0.2),
@@ -1126,9 +1117,8 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
         (schema_1, "unsupported model schema 1"),
         (schema_2, "unsupported model schema 2"),
         (schema_3, "unsupported model schema 3"),
-        (lambda doc: doc.update(z_max=[75.0]), "'z_max' must be float"),
-        (lambda doc: doc.update(z_max=True), "'z_max' must be float"),
-        (lambda doc: doc.update(z_max="75"), "'z_max' must be float"),
+        (schema_4, "unsupported model schema 4"),
+        (lambda doc: doc.update(z_max=75.0), "unknown keys ['z_max']"),
         (lambda doc: doc.update(metadata=[]), "'metadata' must be dict"),
         (lambda doc: doc.update(b_out="*" + doc["b_out"][1:]),
          "'b_out' is not strict base64 of float64 bytes"),
@@ -1142,9 +1132,6 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
          "be a multiple of element size)"),
         (lambda doc: doc.update(b_out=_floats(doc["b_out"]).tolist()),
          "'b_out' must be a base64 string"),
-        (lambda doc: doc.update(z_max=math.inf), "z_max must be finite"),
-        (lambda doc: doc.update(z_max=math.nan), "z_max must be finite"),
-        (lambda doc: doc.update(z_max=0.0), "z_max must be finite"),
         (resized("w_x", 127),
          "parameter 'w_x' holds 127 values, not the 128 of shape (16, 8) "
          "at hidden size 4"),
@@ -1363,7 +1350,7 @@ def test_cli_train_on_schema_5_dataset_is_data_error(tmp_path, capsys):
 
 def test_cli_evaluate_deterministic_across_jobs(tmp_path):
     model = tmp_path / "model.json"
-    save_model(init_model(75.0, hidden_size=4, seed=1), model)
+    save_model(init_model(hidden_size=4, seed=1), model)
     outs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needleroll import dataset
 from needleroll.controller import CONTROLLER
 from needleroll.dataset import (
     DEPTH_CAP,
@@ -129,7 +130,6 @@ def test_generate_sixty_gelatin_episodes(tmp_path):
     assert min(depths) >= 40.0 and max(depths) <= 75.0
     assert min(depths) < 48.0 and max(depths) > 67.0  # actually spread out
     assert all(rec.outcome == "arrived" for rec in records)
-    assert manifest.z_max == 75.0
     assert max(rec.position[:, 2].max() for rec in records) <= 76.0
 
 
@@ -143,6 +143,27 @@ def test_generate_stalls_on_unreachable_targets(tmp_path, monkeypatch):
     monkeypatch.setattr("needleroll.dataset.DEPTH_CAP", 20.0)
     with pytest.raises(GenerationStalled):
         generate_dataset(n=2, medium=GELATIN, seed=0, root=tmp_path / "stall")
+
+
+def test_collect_episode_discards_a_miss_over_the_limit(monkeypatch):
+    """An attempt that arrives 1.5 mm off the target is thrown away and the
+    next one kept: the line's seed ends in attempt index 1."""
+    calls = []
+
+    def first_misses(medium, target, rng):
+        logs, state, outcome, final_error = run_closed_loop(medium, target,
+                                                            rng)
+        calls.append((outcome, final_error))
+        return logs, state, outcome, 1.5 if len(calls) == 1 else final_error
+
+    monkeypatch.setattr(dataset, "run_closed_loop", first_misses)
+    line, meta = dataset._collect_episode((0, 23, GELATIN))
+    rec = record_from_line(line)
+    # both attempts arrive within the limit: only the 1.5 mm sets them apart
+    assert [outcome for outcome, _ in calls] == ["arrived", "arrived"]
+    assert max(error for _, error in calls) < dataset.COLLECTION_ERROR_LIMIT
+    assert rec.seed == (23, 0, 1)
+    assert (meta.steps, meta.final_error) == (rec.steps, calls[1][1])
 
 
 def test_generate_rejects_empty(tmp_path):
@@ -362,8 +383,8 @@ def test_record_line_type_check_is_a_value_error(tmp_path, edit, expect):
 
 def test_manifest_roundtrip(tmp_path):
     """The manifest on disk is the returned one, and stores the generation
-    and four fields an entry, nothing derived: the feature scale is
-    WORKSPACE's depth and the labels are the seed's."""
+    and four fields an entry, nothing derived: the labels are the
+    seed's."""
     root, manifest = small_dataset(tmp_path, n=3, seed=17)
     loaded = load_manifest(root)
     assert loaded == manifest
@@ -373,7 +394,6 @@ def test_manifest_roundtrip(tmp_path):
     assert sorted(doc["generation"]) == ["medium", "seed"]
     assert [sorted(m) for m in doc["episodes"]] == [
         ["episode_id", "final_error", "line", "steps"]] * 3
-    assert manifest.z_max == WORKSPACE.depth_max
     assert manifest.labels == split_labels(3, 17)
     assert set(manifest.labels) == {"train", "val"}
 
@@ -519,7 +539,7 @@ def test_training_sequences_counts_and_scaling(tmp_path):
         assert xs.shape == (rec.steps, 8)
         assert ys.shape == (rec.steps, 2)
         # unscaling the position block recovers the sensed positions
-        assert np.abs(xs[:, :3] * manifest.z_max - rec.position).max() < 1e-12
+        assert np.abs(xs[:, :3] * WORKSPACE.depth_max - rec.position).max() < 1e-12
         assert np.abs(np.linalg.norm(ys, axis=1) - 1.0).max() < 1e-12
         # the roll label encodes the clean simulator roll
         decoded = np.arctan2(ys[:, 0], ys[:, 1])
@@ -530,15 +550,13 @@ def test_training_sequences_counts_and_scaling(tmp_path):
 def test_episode_to_sequence_matches_per_step_build(tmp_path):
     root, manifest = small_dataset(tmp_path, n=2, seed=31)
     for rec in load_episodes(root, manifest):
-        xs, ys = episode_to_sequence(rec, manifest.z_max)
+        xs, ys = episode_to_sequence(rec)
         per_step_x = np.array([
-            scale_features(p, eta, alpha, manifest.z_max)
+            scale_features(p, eta, alpha)
             for p, eta, alpha in zip(rec.position, rec.heading, rec.base_angle)])
         per_step_y = np.array([roll_target(theta) for theta in rec.roll_true])
         assert np.array_equal(xs, per_step_x)
         assert np.array_equal(ys, per_step_y)
-    with pytest.raises(ValueError, match="z_max"):
-        episode_to_sequence(rec, 0.0)
 
 
 def test_training_sequences_respect_split(tmp_path):

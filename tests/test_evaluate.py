@@ -115,7 +115,7 @@ def test_unknown_estimator_rejected():
 
 
 def test_lstm_trial_runs_with_untrained_model():
-    model = init_model(75.0, seed=0)
+    model = init_model(seed=0)
     record = run_trial("lstm", GELATIN, TARGET, seed=8, model=model)
     # an untrained net steers poorly but the loop must still terminate
     assert record.outcome in ("arrived", "depth_capped")
@@ -142,7 +142,7 @@ def test_ekf_tracker_variance_grows_while_steering():
                                  "heading_norm"])
 def test_estimators_reject_non_finite_measurements(name, bad):
     est = make_estimator(name, GELATIN,
-                         model=init_model(75.0, hidden_size=4, seed=1))
+                         model=init_model(hidden_size=4, seed=1))
     good = SensedTip(position=np.array([0.0, 0.0, 1.0]),
                      heading=np.array([0.0, 0.0, 1.0]))
     est.estimate(good, 0.0)
@@ -196,7 +196,7 @@ def test_estimated_pair_reaches_control_and_logs_unchanged(monkeypatch):
 @pytest.mark.parametrize("name", ["ekf", "lstm"])
 def test_shipped_estimators_return_float_rows_and_floats(name):
     est = make_estimator(name, GELATIN,
-                         model=init_model(75.0, hidden_size=4, seed=1))
+                         model=init_model(hidden_size=4, seed=1))
     state, rng = initial_state(), np.random.default_rng(3)
     for _ in range(5):
         rows, p = est.estimate(sense(state, GELATIN, rng), state.base_angle)
@@ -220,7 +220,7 @@ def test_trial_roll_est_is_decompose_roll_of_logged_rows(name, monkeypatch):
 
     monkeypatch.setattr(evaluate, "run_closed_loop", capture)
     record = run_trial(name, GELATIN, TARGET, seed=12,
-                       model=init_model(75.0, hidden_size=4, seed=1))
+                       model=init_model(hidden_size=4, seed=1))
     rows = logged[0]
     assert len(rows) == record.steps > 0
     for rolls in ([decompose_roll(r)[1] for r in rows],
@@ -279,7 +279,7 @@ def test_trial_k_does_not_depend_on_the_batch_around_it(medium, seed, names,
     n, n_alone = (data.draw(st.integers(k + 1, 2), label=label)
                   for label in ("n", "n_alone"))
     name = data.draw(st.sampled_from(names), label="name")
-    model = init_model(75.0, hidden_size=4, seed=1)
+    model = init_model(hidden_size=4, seed=1)
     args = (MEDIUM_PRESETS[medium],)
     batch = run_batch(names, *args, n_trials=n, seed=seed, model=model)
     alone = run_batch([name], *args, n_trials=n_alone, seed=seed,
@@ -387,6 +387,20 @@ def test_group_stats_give_the_numbers_report_prints(reported_dir):
     assert counts == [c for s in stats for c in s.histogram]
 
 
+def test_group_stats_of_a_skewed_group(reported_dir):
+    """Final errors 8.25, 0.5, 0.25 and 1.0 mm, in trial order: median
+    0.75 (the mean of the middle two once sorted), mean 2.5, max 8.25, so
+    no two of the three statistics coincide."""
+    _, records = reported_dir
+    errors = (8.25, 0.5, 0.25, 1.0)
+    group = [dataclasses.replace(records[0], episode_id=k, final_error=e)
+             for k, e in enumerate(errors)]
+    (stats,) = group_stats(group[::-1])
+    assert stats.trials == 4
+    assert (stats.error_median, stats.error_mean, stats.error_max) == (
+        0.75, 2.5, 8.25)
+
+
 def test_report_mean_omega_matches_persisted_trace(reported_dir):
     out, records = reported_dir
     with open(out / "trials" / "episodes.jsonl") as fh:
@@ -403,7 +417,7 @@ def reported_lstm_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("eval_lstm") / "run"
     records = run_batch(
         ["truth", "ekf", "lstm"], GELATIN, n_trials=2, seed=31,
-        model=init_model(75.0, hidden_size=4, seed=2))
+        model=init_model(hidden_size=4, seed=2))
     report(records, out)
     return out, records
 

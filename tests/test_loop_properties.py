@@ -34,7 +34,7 @@ from needleroll.plant import (
 )
 
 ZERO, COVARIANCE = np.zeros(3), np.eye(6)
-MODEL = init_model(WORKSPACE.depth_max, hidden_size=4, seed=1)
+MODEL = init_model(hidden_size=4, seed=1)
 
 
 def _trial(estimator, medium, rigid, target_seed, trial_seed):

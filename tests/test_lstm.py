@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from needleroll import lstm
 from needleroll.lstm import (
     LENGTH_POOL,
     PARAM_NAMES,
@@ -56,7 +57,7 @@ from oracles import (
 
 
 def small_model(hidden=4, seed=3):
-    return init_model(hidden_size=hidden, z_max=75.0, seed=seed)
+    return init_model(hidden_size=hidden, seed=seed)
 
 
 def random_sequences(rng, count, t_min, t_max, input_size=8):
@@ -73,21 +74,16 @@ def random_sequences(rng, count, t_min, t_max, input_size=8):
 # ------------------------------------------------------------------ features
 
 def test_scale_features_reference_point():
-    x = scale_features([0.0, 0.0, 75.0], [0.0, 0.0, 1.0], 0.0, 75.0)
+    x = scale_features([0.0, 0.0, 75.0], [0.0, 0.0, 1.0], 0.0)
     assert np.allclose(x, [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
 
 def test_scale_features_angle_encoding_periodic():
-    a = scale_features([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], math.pi, 75.0)
-    b = scale_features([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 7.0 * math.pi, 75.0)
+    a = scale_features([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], math.pi)
+    b = scale_features([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 7.0 * math.pi)
     assert np.allclose(a, b, atol=1e-12)
     s, c = a[6], a[7]
     assert s * s + c * c == pytest.approx(1.0, abs=1e-12)
-
-
-def test_scale_features_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        scale_features([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 0.0, 0.0)
 
 
 def test_roll_target_unit_norm():
@@ -234,6 +230,30 @@ def test_loss_matches_two_pass_reference():
             if mask[b, t]:
                 acc.extend((pred[b, t] - target[b, t]) ** 2)
     assert rmse == pytest.approx(math.sqrt(sum(acc) / len(acc)), abs=1e-12)
+
+
+def test_sequence_rmse_sums_chunk_by_chunk(monkeypatch):
+    """40 sequences run as one chunk of 32 and one of 8, each padded to its
+    own longest: the RMSE is sqrt(sum sse / sum n) of their batch_loss
+    terms, bit for bit."""
+    model = small_model(hidden=5, seed=23)
+    seqs = random_sequences(np.random.default_rng(23), 40, 3, 30)
+    sse = n = 0.0
+    for chunk in (seqs[:32], seqs[32:]):
+        xs, ys, mask = _pad_batch(chunk)
+        _, s, m = batch_loss(_forward_batch(model, xs)["y"], ys, mask)
+        sse += s
+        n += m
+    widths = []
+
+    def counted(chunk, workspace=None):
+        widths.append(len(chunk))
+        return _pad_batch(chunk, workspace)
+
+    # chunks of another width often sum to the same bits, so count them
+    monkeypatch.setattr(lstm, "_pad_batch", counted)
+    assert sequence_rmse(model, seqs) == math.sqrt(sse / n)
+    assert widths == [32, 8]
 
 
 # ----------------------------------------------------------------- gradients
@@ -488,7 +508,7 @@ def test_training_pass_is_its_matmul_formula_bitwise(hidden, width, rate):
     and widths around the shipped 30 and 8, with dropout (one generator
     seed on both sides) and without, as validation runs. A numpy or BLAS
     whose dot and matmul round differently fails here."""
-    model = init_model(75.0, hidden_size=hidden, seed=hidden)
+    model = init_model(hidden_size=hidden, seed=hidden)
     xs, ys, mask = _pad_batch(random_sequences(
         np.random.default_rng([hidden, width]), width, 1, 24))
     runs = []
@@ -545,7 +565,7 @@ def test_overfit_single_episode():
     seqs = toy_training_sequences()
     config = TrainConfig(epochs=2000, batch_size=1, hidden_size=8,
                          dropout_rate=0.0, seed=1)
-    model, log = train(seqs, seqs, config, 75.0)
+    model, log = train(seqs, seqs, config)
     best = min(row.val_rmse for row in log)
     assert best < 0.02
     assert model.metadata["best_val_rmse"] == pytest.approx(best)
@@ -560,7 +580,7 @@ def test_training_log_deterministic(tmp_path):
                          dropout_rate=0.2, seed=7)
     logs = []
     for name in ("a", "b"):
-        model, log = train(seqs[:-2], seqs[-2:], config, 75.0)
+        model, log = train(seqs[:-2], seqs[-2:], config)
         save_model(model, tmp_path / f"{name}.json")
         logs.append(log)
     assert logs[0] == logs[1]
@@ -596,7 +616,7 @@ def test_returned_model_is_best_on_validation():
     seqs = random_sequences(rng, 8, 10, 30)
     config = TrainConfig(epochs=6, batch_size=3, hidden_size=6,
                          dropout_rate=0.1, seed=3)
-    model, log = train(seqs[:6], seqs[6:], config, 75.0)
+    model, log = train(seqs[:6], seqs[6:], config)
     vals = [row.val_rmse for row in log]
     assert sequence_rmse(model, seqs[6:]) == pytest.approx(min(vals), abs=1e-12)
     running = np.minimum.accumulate(vals)
@@ -644,7 +664,7 @@ def test_train_reports_progress_on_stderr_only(capsys):
     seqs = random_sequences(np.random.default_rng(14), 5, 4, 8)
     epochs = PROGRESS_EVERY + 3
     config = TrainConfig(epochs=epochs, batch_size=2, hidden_size=3, seed=2)
-    _, log = train(seqs[:4], seqs[4:], config, 75.0)
+    _, log = train(seqs[:4], seqs[4:], config)
     out, err = capsys.readouterr()
     assert out == ""
     best = np.minimum.accumulate([row.val_rmse for row in log])
@@ -658,13 +678,12 @@ def test_train_raises_on_nonfinite_loss():
     xs = np.zeros((5, 8))
     ys = np.full((5, 2), np.inf)
     with pytest.raises(Diverged):
-        train([(xs, ys)], [(xs, ys)], TrainConfig(epochs=1, hidden_size=4),
-              75.0)
+        train([(xs, ys)], [(xs, ys)], TrainConfig(epochs=1, hidden_size=4))
 
 
 def test_train_rejects_empty_sets():
     with pytest.raises(ValueError):
-        train([], [], TrainConfig(epochs=1), 75.0)
+        train([], [], TrainConfig(epochs=1))
     for rate in (-0.1, 1.0, math.nan):
         with pytest.raises(ValueError, match="dropout rate must be in"):
             TrainConfig(dropout_rate=rate)
@@ -679,9 +698,9 @@ def test_base_angle_periodicity_end_to_end():
     pos = rng.uniform(0.0, 30.0, size=(15, 3))
     heading = np.tile([0.0, 0.0, 1.0], (15, 1))
     alphas = rng.uniform(-3.0, 3.0, size=15)
-    xs_a = np.array([scale_features(p, h, a, 75.0)
+    xs_a = np.array([scale_features(p, h, a)
                      for p, h, a in zip(pos, heading, alphas)])
-    xs_b = np.array([scale_features(p, h, a + 6.0 * math.pi, 75.0)
+    xs_b = np.array([scale_features(p, h, a + 6.0 * math.pi)
                      for p, h, a in zip(pos, heading, alphas)])
     assert np.abs(run_sequence(m, xs_a) - run_sequence(m, xs_b)).max() < 1e-12
 
@@ -702,7 +721,7 @@ def test_streaming_matches_offline_bitwise():
     for meas, alpha in zip(measures, alphas):
         est.estimate(meas, alpha)
         online.append(est.last_roll)
-    xs = np.array([scale_features(m_.position, m_.heading, a, m.z_max)
+    xs = np.array([scale_features(m_.position, m_.heading, a)
                    for m_, a in zip(measures, alphas)])
     offline = run_sequence(m, xs)
     offline_rolls = [estimate_roll(y) for y in offline]
@@ -771,13 +790,12 @@ def test_forward_step_is_its_matmul_formula_bitwise(hidden):
     """forward_step's ndarray.dot products give the bits of their @
     formulas, step after step, at hidden sizes from 1 past the shipped 30:
     a numpy whose dot and matmul round differently fails here."""
-    m = init_model(75.0, hidden_size=hidden, seed=hidden)
+    m = init_model(hidden_size=hidden, seed=hidden)
     rng = np.random.default_rng(hidden)
     state = zero_state(hidden)
     for _ in range(60):
         x = scale_features(rng.normal(0.0, 30.0, size=3),
-                           _unit(rng.normal(size=3)), rng.uniform(-5, 5),
-                           m.z_max)
+                           _unit(rng.normal(size=3)), rng.uniform(-5, 5))
         (hidden_ref, cell_ref), y_ref = forward_step_matmul(m, state, x)
         state, y = forward_step(m, state, x)
         assert state.hidden.tobytes() == hidden_ref.tobytes()
@@ -812,17 +830,16 @@ def test_streaming_degenerate_output_propagates():
 # ------------------------------------------------------------- serialization
 
 def test_model_save_load_roundtrip(tmp_path):
-    m = init_model(75.0, hidden_size=5, seed=47, metadata={"note": "roundtrip"})
+    m = init_model(hidden_size=5, seed=47, metadata={"note": "roundtrip"})
     path = tmp_path / "model.json"
     save_model(m, path)
     loaded = load_model(path)
     for (name_a, arr_a), (name_b, arr_b) in zip(m.params(), loaded.params()):
         assert name_a == name_b
         assert np.array_equal(arr_a, arr_b)
-    assert loaded.z_max == m.z_max
     # only what inference reads: no dropout rate, no size or shape
     assert json.loads(path.read_text()).keys() == {
-        "schema_version", "z_max", "metadata", *PARAM_NAMES}
+        "schema_version", "metadata", *PARAM_NAMES}
     assert loaded.metadata["note"] == "roundtrip"
     xs = np.random.default_rng(16).uniform(-1, 1, size=(9, 8))
     assert np.array_equal(run_sequence(m, xs), run_sequence(loaded, xs))
@@ -835,7 +852,7 @@ def test_model_file_is_the_packed_dumps(tmp_path):
     """A model file is one json.dumps line whose parameters are packed by
     struct, and loads bit for bit: zeros of both signs and a subnormal
     too."""
-    m = init_model(75.0, hidden_size=3, seed=61, metadata={"note": "packed"})
+    m = init_model(hidden_size=3, seed=61, metadata={"note": "packed"})
     m.b_out[...] = (-0.0, 5e-324)
     path = tmp_path / "model.json"
     save_model(m, path)
@@ -849,7 +866,7 @@ def test_loaded_parameters_are_read_only(tmp_path):
     """load_model's parameters are views of the decoded bytes: reading
     them steers, writing them raises."""
     path = tmp_path / "model.json"
-    save_model(init_model(75.0, hidden_size=4, seed=67), path)
+    save_model(init_model(hidden_size=4, seed=67), path)
     for name, arr in load_model(path).params():
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
@@ -857,7 +874,7 @@ def test_loaded_parameters_are_read_only(tmp_path):
 
 
 def test_model_load_rejects_unknown_version(tmp_path):
-    m = init_model(75.0, hidden_size=4, seed=53)
+    m = init_model(hidden_size=4, seed=53)
     path = tmp_path / "model.json"
     save_model(m, path)
     doc = json.loads(path.read_text())
@@ -871,18 +888,17 @@ def test_model_validate_rejects_bad_shapes():
     """A wrong shape on any one parameter fails, naming it: an extra axis,
     or a first axis one short (not on b_fc, whose length is the hidden
     size). So does the hidden size 0, which init_model never makes."""
-    for name, arr in init_model(75.0, hidden_size=4, seed=59).params():
+    for name, arr in init_model(hidden_size=4, seed=59).params():
         wrong = [(*arr.shape, 1)]
         if name != "b_fc":
             wrong.append((arr.shape[0] - 1, *arr.shape[1:]))
         for shape in wrong:
-            m = init_model(75.0, hidden_size=4, seed=59)
+            m = init_model(hidden_size=4, seed=59)
             setattr(m, name, np.zeros(shape))
             with pytest.raises(ValueError, match=f"^{name} must have shape"):
                 m.validate()
     m = LstmModel(**{name: np.zeros(shape)
-                     for name, shape in param_shapes(0).items()},
-                  z_max=75.0)
+                     for name, shape in param_shapes(0).items()})
     with pytest.raises(ValueError, match="hidden size must be at least 1"):
         m.validate()
 
@@ -891,7 +907,7 @@ def test_init_model_keeps_its_draw_order():
     """init_model draws b_g first, then the other six parameters in
     PARAM_NAMES order, so a seed keeps giving the same weights."""
     h = 3
-    m = init_model(75.0, hidden_size=h, seed=5)
+    m = init_model(hidden_size=h, seed=5)
     rng = np.random.default_rng(np.random.SeedSequence([5, 0x1517]))
     bound = 1.0 / math.sqrt(h)
     b_g = rng.uniform(-bound, bound, size=4 * h)
