@@ -17,10 +17,10 @@ from the filter's trial, and `lstm._endpoint_fit` (the learned tracker's
 position fit) from the learned tracker's. The two `estimate` rows replay
 the trial's measurements through a fresh estimator, so every call sees
 the state it saw in the trial. `ekf.update` replays the recorded states
-themselves: a state holds its mean rotation as the matrix update reads, so
-the replay does the loop's work. `ekf.EkfState` builds those states again,
-from the fields predict and update pass (the position as three floats), in
-µs per construction; a tick builds two. The last row times a whole
+themselves, so the replay does the loop's work. `ekf.EkfState` builds those
+states again from their own fields, the mean's three floats and three float
+rows and the covariance array, the types predict passes, in µs per
+construction; a tick builds two. The last row times a whole
 truth-steered `run_trial`, the loop `generate` runs plus building its
 record, per tick; its `calls` column is the trial's tick count. The
 `dataset.record_to_line` row encodes that trial's record, without the
@@ -248,8 +248,7 @@ def main(argv=None) -> int:
         ("ekf.transition_jacobian", ekf.transition_jacobian,
          replay(ekf_calls["ekf.transition_jacobian"])),
         ("ekf.EkfState", ekf.EkfState, replay(
-            [(tuple(st.position.tolist()), st.rotation, st.covariance)
-             for st, _, _ in ekf_calls["ekf.update"]])),
+            [tuple(st) for st, _, _ in ekf_calls["ekf.update"]])),
         ("EkfRollTracker.estimate", ekf.EkfRollTracker.estimate,
          fresh_tracker_calls(
              ekf_calls["EkfRollTracker.estimate"],

@@ -5,33 +5,39 @@ mean is propagated through exactly the same pose step as the simulator's
 rigid mode. No torsion lag appears in the model by construction, which is
 what makes this the baseline the learned estimator competes against.
 
-State: position (mm, world frame) and rotation (3x3 matrix, world from
-body). Uncertainty lives in a 6-vector error state (dp: world translation;
-dphi: body-frame rotation vector, R_true = R_mean @ exp(skew(dphi))). The
-body-z component of dphi is exactly the roll error, so covariance entry
-(5, 5) is the roll variance. The 5-DOF measurement observes position plus
-heading-tangent coordinates; the body-z direction is structurally
-unobservable (the heading Jacobian annihilates it).
+State: position (mm, world frame) and rotation (3x3, world from body,
+held as its rows). Uncertainty lives in a 6-vector error state (dp: world
+translation; dphi: body-frame rotation vector, R_true = R_mean @
+exp(skew(dphi))). The body-z component of dphi is exactly the roll error,
+so covariance entry (5, 5) is the roll variance. The 5-DOF measurement
+observes position plus heading-tangent coordinates; the body-z direction
+is structurally unobservable (the heading Jacobian annihilates it).
 
 EkfRollTracker runs the filter as a closed-loop estimator.
 
-A tick follows se3's kernel convention, floats in and float rows out: the
-Jacobian entries, each state's rotation and the tangent basis become arrays
-in one np.array call each, where the mean or the covariance needs them;
-predict reads the prior's rows and decomposition once. Every product that
-feeds the mean or the covariance is one BLAS call through ndarray.dot, on
-the operand layouts it always had: BLAS fuses multiply-adds, and its
-rounding depends on operand layout, so neither float products nor a
-re-laid-out operand give the same bits. On float matrices and vectors dot
-makes the cblas call (gemm or gemv) the @ operator, the matmul gufunc,
-makes on the same operands, so it gives @'s bits at about half the
-per-call dispatch cost; the tests hold each product to its @ formula.
-The mean rotation needs no re-orthonormalising: each predict rebuilds it
-from heading and roll, so update's roundoff cannot build up.
+A tick follows the convention of se3's kernels and plant.PlantState: the
+mean is floats, its position three floats and its rotation three float rows,
+and only the covariance is an array. The Jacobian entries, the mean
+rotation and the tangent basis become arrays in one np.array call each, where
+a covariance product or the update's rotation product needs them; predict
+reads the prior's rows and decomposition once, and transition_jacobian
+writes its dot3/unit3/cross3 calls out in the helpers' operation order, as
+plant.advance_tip_pose does. Every product that feeds the mean or the
+covariance is one BLAS call through ndarray.dot, on the operand layouts it
+always had: BLAS fuses multiply-adds, and its rounding depends on operand
+layout, so neither float products nor a re-laid-out operand give the same
+bits. On float matrices and vectors dot makes the cblas call (gemm or gemv)
+the @ operator, the matmul gufunc, makes on the same operands, so it gives
+@'s bits at about half the per-call dispatch cost; the tests hold each
+product to its @ formula. The mean rotation needs no re-orthonormalising:
+each predict rebuilds it from heading and roll, so update's roundoff cannot
+build up.
 
 EkfState is a validating named tuple, built the way plant.ControlInput is:
-its constructor, _make and _replace all check the rotation and the
-covariance. update takes the gain from the LAPACK gesv gufunc that
+its constructor, _make and _replace all take the position and the rotation
+as floats (a tick's float tuples, lists or arrays alike), check the rotation
+and the covariance, and keep the three floats and three float rows as
+tuples. update takes the gain from the LAPACK gesv gufunc that
 np.linalg.solve wraps, so the gain has solve's bits without the wrapper's
 per-call checks. A singular innovation covariance S therefore does not
 raise inside the solve: it yields a NaN gain, with numpy's "invalid value"
@@ -57,13 +63,10 @@ from needleroll.plant import (
     tip_step,
 )
 from needleroll.se3 import (
-    cross3,
     decompose_roll,
-    dot3,
     floats3,
     heading_tangent_basis,
     so3_exp,
-    unit3,
 )
 
 
@@ -75,25 +78,31 @@ class SingularInnovation(RuntimeError):
     """Innovation covariance not invertible; noise configuration is broken."""
 
 
-class EkfState(NamedTuple("EkfState", [("position", np.ndarray),
-                                       ("rotation", np.ndarray),
+class EkfState(NamedTuple("EkfState", [("position", tuple),
+                                       ("rotation", tuple),
                                        ("covariance", np.ndarray)])):
-    """Position (3,) mm, rotation (3, 3) world from body and covariance
-    (6, 6) over (dp, dphi), each a float array; every way to build one,
-    _make and _replace included, checks them."""
+    """Position, three floats (mm); rotation, three float rows (world from
+    body); covariance, a (6, 6) float array over (dp, dphi). Every way to
+    build one, _make and _replace included, converts and checks them."""
 
     __slots__ = ()
 
     def __new__(cls, position, rotation, covariance):
-        # np.asarray keeps a float array as it is, the caller's array
-        position = np.asarray(position, dtype=float)
-        rotation = np.asarray(rotation, dtype=float)
-        covariance = np.asarray(covariance, dtype=float)
-        if rotation.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
+        # float() keeps a float as it is; arrays and lists unpack alike
+        try:
+            x, y, z = position
+            position = (float(x), float(y), float(z))
+        except (TypeError, ValueError):
+            raise ValueError("position must be three floats") from None
+        try:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rotation
+            a0, a1, a2 = float(a0), float(a1), float(a2)
+            b0, b1, b2 = float(b0), float(b1), float(b2)
+            c0, c1, c2 = float(c0), float(c1), float(c2)
+        except (TypeError, ValueError):
+            raise ValueError("rotation must be 3x3") from None
         # unit rows, orthogonal pairs and det 1: dot3 and cross3, inlined;
         # each gap within 1e-9, where NaN fails
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rotation.tolist()
         if not (abs(a0 * a0 + a1 * a1 + a2 * a2 - 1.0) <= 1e-9
                 and abs(b0 * b0 + b1 * b1 + b2 * b2 - 1.0) <= 1e-9
                 and abs(c0 * c0 + c1 * c1 + c2 * c2 - 1.0) <= 1e-9
@@ -103,17 +112,19 @@ class EkfState(NamedTuple("EkfState", [("position", np.ndarray),
                 and abs((a1 * b2 - a2 * b1) * c0 + (a2 * b0 - a0 * b2) * c1
                         + (a0 * b1 - a1 * b0) * c2 - 1.0) <= 1e-9):
             raise ValueError("rotation must be orthonormal and right-handed")
-        if covariance.shape != (6, 6):
+        # np.asarray keeps a float array as it is, the caller's array
+        C = np.asarray(covariance, dtype=float)
+        if C.shape != (6, 6):
             raise ValueError("covariance must be 6x6")
         # predict and update leave C bitwise symmetric, which settles
         # allclose unless an entry is NaN: a NaN can mirror itself bitwise,
         # so a NaN sum (also from +inf and -inf) leaves it to allclose
-        C = covariance
         mirrored = C.tobytes() == C.T.tobytes()
         if not ((mirrored and not math.isnan(sum(C.ravel().tolist())))
                 or np.allclose(C, C.T, atol=1e-9)):
             raise ValueError("covariance must be symmetric")
-        return tuple.__new__(cls, (position, rotation, covariance))
+        return tuple.__new__(cls, (position, ((a0, a1, a2), (b0, b1, b2),
+                                              (c0, c1, c2)), C))
 
     @classmethod
     def _make(cls, iterable):
@@ -123,8 +134,9 @@ class EkfState(NamedTuple("EkfState", [("position", np.ndarray),
 def init_state() -> EkfState:
     """Filter initialized at the plant's entry pose, the identity, with a
     small uncertainty."""
-    return EkfState(position=np.zeros(3), rotation=np.eye(3),
-                    covariance=1e-4 * _EYE6)
+    return EkfState((0.0, 0.0, 0.0),
+                    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                    1e-4 * _EYE6)
 
 
 def default_process_noise() -> np.ndarray:
@@ -176,40 +188,52 @@ def _align_jacobian_row2(e0: float, e1: float, e2: float) -> list:
 
 def transition_jacobian(rows, eta, roll_new: float, move) -> np.ndarray:
     """Exact 6x6 Jacobian of the rigid pose step w.r.t. (dp, dphi), at the
-    pre-step rotation R given by its rows (R.tolist()) and its heading eta,
-    for the step move = tip_step(...) to the roll roll_new.
+    pre-step rotation R given by its float rows and its heading eta, for the
+    step move = tip_step(...) to the roll roll_new.
 
     move's (m_p, m) are the step's translation and new-heading direction
     expressed in the pre-step body frame. The orientation error transports
     through the minimal-rotation frame at the new heading (via
     align_jacobian), with the roll error re-injected about body z.
     """
-    m_p, m = move
-    eta_new = unit3([dot3(r, m) for r in rows])
+    (q0, q1, q2), (m0, m1, m2) = move
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    # eta_new = unit3 of the rows dotted with m, written out
+    n0 = r00 * m0 + r01 * m1 + r02 * m2
+    n1 = r10 * m0 + r11 * m1 + r12 * m2
+    n2 = r20 * m0 + r21 * m1 + r22 * m2
+    n = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
 
     # roll sensitivity d(roll)/d(dphi) at the pre-step state:
-    # e_z + (e_z^T align_jacobian(eta) R) skew(e_z)
-    g = _align_jacobian_row2(*eta)
-    # the first two entries of g^T R
-    s0 = dot3(g, (rows[0][0], rows[1][0], rows[2][0]))
-    s1 = dot3(g, (rows[0][1], rows[1][1], rows[2][1]))
+    # e_z + (e_z^T align_jacobian(eta) R) skew(e_z); s0 and s1, the first
+    # two entries of g^T R, are dot3(g, column of R), written out
+    g0, g1, g2 = _align_jacobian_row2(*eta)
+    s0 = g0 * r00 + g1 * r10 + g2 * r20
+    s1 = g0 * r01 + g1 * r11 + g2 * r21
 
     # D = rot_z(-roll_new) align_jacobian(eta_new) N + e_z jr^T, where row i
-    # of N = -(R skew(m)) is m x R[i]; the three factors are the C-contiguous
-    # slices of one (3, 3, 3) array, laid out as three lone 3x3 arrays are
-    r0, r1, r2 = rows
+    # of N = -(R skew(m)) is cross3(m, R[i]); the three factors are the
+    # C-contiguous slices of one (3, 3, 3) array, laid out as three lone
+    # 3x3 arrays are
     c, s = math.cos(-roll_new), math.sin(-roll_new)
     Z, A, N = np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0,
-                        *_align_jacobian_entries(*eta_new),
-                        *cross3(m, r0), *cross3(m, r1),
-                        *cross3(m, r2))).reshape(3, 3, 3)
+                        *_align_jacobian_entries(n0 / n, n1 / n, n2 / n),
+                        m1 * r02 - m2 * r01, m2 * r00 - m0 * r02,
+                        m0 * r01 - m1 * r00,
+                        m1 * r12 - m2 * r11, m2 * r10 - m0 * r12,
+                        m0 * r11 - m1 * r10,
+                        m1 * r22 - m2 * r21, m2 * r20 - m0 * r22,
+                        m0 * r21 - m1 * r20)).reshape(3, 3, 3)
     d0, d1, (d20, d21, d22) = Z.dot(A).dot(N).tolist()
 
-    # [[I, -(R skew(m_p))], [0, D]], built flat
-    t0, t1, t2 = (cross3(m_p, r) for r in rows)
-    return np.array((1.0, 0.0, 0.0, *t0,
-                     0.0, 1.0, 0.0, *t1,
-                     0.0, 0.0, 1.0, *t2,
+    # [[I, -(R skew(m_p))], [0, D]], built flat; row i of the top right
+    # block is cross3(m_p, R[i])
+    return np.array((1.0, 0.0, 0.0, q1 * r02 - q2 * r01, q2 * r00 - q0 * r02,
+                     q0 * r01 - q1 * r00,
+                     0.0, 1.0, 0.0, q1 * r12 - q2 * r11, q2 * r10 - q0 * r12,
+                     q0 * r11 - q1 * r10,
+                     0.0, 0.0, 1.0, q1 * r22 - q2 * r21, q2 * r20 - q0 * r22,
+                     q0 * r21 - q1 * r20,
                      0.0, 0.0, 0.0, *d0,
                      0.0, 0.0, 0.0, *d1,
                      0.0, 0.0, 0.0, d20 + s1, d21 - s0, d22 + 1.0)).reshape(6, 6)
@@ -226,16 +250,17 @@ def predict(state: EkfState, u: ControlInput, curvature: float, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rows = state.rotation.tolist()
+    rows = state.rotation
     eta, roll = decompose_roll(rows)
     roll_new = roll + u.rotation_speed * dt
     move = tip_step(u.insertion_speed, curvature, roll_new - roll, dt)
-    R_new, p_new = advance_tip_pose(rows, state.position.tolist(), move,
-                                    roll_new)
+    R_new, p_new = advance_tip_pose(rows, state.position, move, roll_new)
     F = transition_jacobian(rows, eta, roll_new, move)
     cov = F.dot(state.covariance).dot(F.T) + process_noise * dt
-    cov = 0.5 * (cov + cov.T)
-    return EkfState(position=p_new, rotation=R_new, covariance=cov)
+    # 0.5 (cov + cov^T), halved in place: one temporary fewer, same bits
+    cov_sym = cov + cov.T
+    cov_sym *= 0.5
+    return EkfState(p_new, R_new, cov_sym)
 
 
 def measurement_jacobian(R: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -254,18 +279,19 @@ def update(state: EkfState, meas: SensedTip,
            measurement_noise: np.ndarray) -> EkfState:
     """Standard EKF update with the heading residual taken in the 2-D
     tangent plane at the predicted heading. Joseph-form covariance."""
-    R = state.rotation
-    eta_pred = R[:, 2].tolist()
+    rows = state.rotation
+    (_, _, ex), (_, _, ey), (_, _, ez) = rows
+    # the one C-contiguous array of the mean rotation, for both its products
+    R = np.array(rows)
     # the F-contiguous transpose of the (2, 3) basis: BLAS rounding depends
     # on operand layout, so B keeps the layout every residual was made with
-    B = np.array(heading_tangent_basis(eta_pred)).T
+    B = np.array(heading_tangent_basis((ex, ey, ez))).T
     H = measurement_jacobian(R, B)
 
     # a float difference rounds as numpy's does, so only the tangent
     # projection needs an array: the (3,) operand its rounding is tested on
     (mx, my, mz), (hx, hy, hz) = floats3(meas.position), floats3(meas.heading)
-    px, py, pz = state.position.tolist()
-    ex, ey, ez = eta_pred
+    px, py, pz = state.position
     u, v = np.array([hx - ex, hy - ey, hz - ez]).dot(B).tolist()
     residual = np.array([mx - px, my - py, mz - pz, u, v])
     P = state.covariance
@@ -280,12 +306,14 @@ def update(state: EkfState, meas: SensedTip,
 
     c0, c1, c2, *dphi = gain.dot(residual).tolist()
     p_new = (px + c0, py + c1, pz + c2)
-    R_new = R.dot(np.array(so3_exp(dphi)))
+    R_new = R.dot(np.array(so3_exp(dphi))).tolist()
 
     IKH = _EYE6 - gain.dot(H)
     cov = IKH.dot(P).dot(IKH.T) + gain.dot(measurement_noise).dot(gain.T)
-    cov = 0.5 * (cov + cov.T)
-    return EkfState(position=p_new, rotation=R_new, covariance=cov)
+    # 0.5 (cov + cov^T), halved in place: one temporary fewer, same bits
+    cov_sym = cov + cov.T
+    cov_sym *= 0.5
+    return EkfState(p_new, R_new, cov_sym)
 
 
 def roll_variance(state: EkfState) -> float:
@@ -295,7 +323,8 @@ def roll_variance(state: EkfState) -> float:
 
 class EkfRollTracker:
     """Filter-in-the-loop adapter: feeds commanded motion and 5-DOF
-    measurements to the Kalman filter and returns its mean pose as (rows, p).
+    measurements to the Kalman filter and returns its mean pose as (rows, p),
+    the state's own float rows and floats.
 
     The commanded rotation over the last period is recovered from the base
     angle the loop supplies; the filter applies it directly as tip roll
@@ -319,5 +348,5 @@ class EkfRollTracker:
             self.state = predict(self.state, u, self.curvature, self.dt,
                                  self.process_noise)
         self.last_base_angle = base_angle
-        self.state = update(self.state, meas, self.measurement_noise)
-        return self.state.rotation.tolist(), self.state.position.tolist()
+        self.state = state = update(self.state, meas, self.measurement_noise)
+        return state.rotation, state.position

@@ -14,6 +14,7 @@ from needleroll.dataset import (
     ESTIMATOR_COLUMNS,
     STEP_COLUMNS,
 )
+from needleroll.ekf import align_jacobian
 from needleroll.lstm import (
     MODEL_SCHEMA_VERSION,
     LstmCellState,
@@ -94,6 +95,26 @@ def advance_tip_pose_composed(rows, p, move, roll_new):
     p0, p1, p2 = p
     return (recompose_roll((dot3(r0, m), dot3(r1, m), dot3(r2, m)), roll_new),
             (p0 + dot3(r0, m_p), p1 + dot3(r1, m_p), p2 + dot3(r2, m_p)))
+
+
+def transition_jacobian_composed(rows, eta, roll_new, move):
+    """ekf.transition_jacobian through the 3-vector helpers: the new heading
+    unit3 of the rows dotted with the move's heading, N's rows and the
+    translation block's each cross3 of a move vector with a row, and the
+    roll row's correction dot3 of align_jacobian's third row with R's
+    first two columns; the rotation block's three factors as lone arrays."""
+    m_p, m = move
+    eta_new = unit3([dot3(r, m) for r in rows])
+    g = align_jacobian(eta)[2].tolist()
+    s0 = dot3(g, (rows[0][0], rows[1][0], rows[2][0]))
+    s1 = dot3(g, (rows[0][1], rows[1][1], rows[2][1]))
+    N = np.array([cross3(m, r) for r in rows])
+    D = rot_z(-roll_new).dot(align_jacobian(eta_new)).dot(N)
+    D[2] += (s1, -s0, 1.0)
+    F = np.eye(6)
+    F[:3, 3:] = [cross3(m_p, r) for r in rows]
+    F[3:, 3:] = D
+    return F
 
 
 def forward_step_matmul(model, state, x):

@@ -86,7 +86,17 @@ def random_rotation(rng, spread=0.5):
 
 def mean_map(p, R, u):
     out = predict(EkfState(p, R, np.eye(6)), u, KAPPA, DT, NO_NOISE)
-    return out.position, out.rotation
+    return np.array(out.position), np.array(out.rotation)
+
+
+def assert_float_rows(position, rotation):
+    """position is a tuple of three floats and rotation a tuple of three
+    such rows, the mean's convention."""
+    assert type(position) is tuple and len(position) == 3
+    assert type(rotation) is tuple and len(rotation) == 3
+    for v in (position, *rotation):
+        assert type(v) is tuple and len(v) == 3
+        assert all(type(x) is float for x in v)
 
 
 def mean_step(R, u):
@@ -108,9 +118,12 @@ NAN_ROTATION[1, 2] = np.nan
 
 def test_state_validation():
     for R in (SHEAR, NAN_ROTATION, 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
-              np.eye(4)):
+              np.eye(4), np.eye(3)[:2], None):
         with pytest.raises(ValueError):
             EkfState(np.zeros(3), R, np.eye(6))
+    for p in (np.zeros(2), np.zeros(4), None, ("a", 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            EkfState(p, np.eye(3), np.eye(6))
     with pytest.raises(ValueError):
         EkfState(np.zeros(3), np.eye(3), np.eye(5))
     bad = np.eye(6)
@@ -138,22 +151,27 @@ def test_state_replace_and_make_check_like_the_constructor():
         with pytest.raises(ValueError):
             EkfState._make(dict(good._asdict(), **{field: value}).values())
     for st in (good._replace(position=[1, 2, 3]),
-               EkfState._make(([1, 2, 3], np.eye(3).tolist(), np.eye(6)))):
+               EkfState._make(([1, 2, 3], np.eye(3).astype(int), np.eye(6)))):
         assert type(st) is EkfState
-        assert st.position.dtype == np.float64
-        assert st.position.tolist() == [1.0, 2.0, 3.0]
-        assert st.rotation.dtype == np.float64
+        assert_float_rows(st.position, st.rotation)
+        assert st.position == (1.0, 2.0, 3.0)
+        assert st.rotation == tuple(map(tuple, np.eye(3).tolist()))
 
 
-@pytest.mark.parametrize("kind", ["float arrays", "lists", "int arrays"])
+@pytest.mark.parametrize("kind", ["float arrays", "lists", "int arrays",
+                                  "float tuples"])
 def test_state_checks_fire_on_every_input_kind(kind):
     """The inputs of test_state_validation are rejected, and a valid state
-    accepted and converted to float arrays, whether the fields come as
-    float arrays, lists or int arrays."""
+    accepted, its mean converted to float tuples and its covariance to a
+    float array, whether the fields come as float arrays, lists, int arrays
+    or float tuples, the mean's own type."""
     def as_kind(a):
         a = np.asarray(a)
         if kind == "lists":
             return a.tolist()
+        if kind == "float tuples":
+            return (tuple(map(tuple, a.tolist())) if a.ndim == 2
+                    else tuple(a.tolist()))
         if kind == "int arrays" and np.array_equal(a, np.trunc(a)):
             return a.astype(int)
         return a
@@ -170,11 +188,12 @@ def test_state_checks_fire_on_every_input_kind(kind):
             EkfState(as_kind(np.zeros(3)), as_kind(R), as_kind(C))
     st = EkfState(as_kind(np.array([1.0, 2.0, 3.0])), as_kind(eye),
                   as_kind(2.0 * np.eye(6)))
-    for a in (st.position, st.rotation, st.covariance):
-        assert type(a) is np.ndarray and a.dtype == np.float64
-    assert st.position.tolist() == [1.0, 2.0, 3.0]
+    assert_float_rows(st.position, st.rotation)
+    assert type(st.covariance) is np.ndarray
+    assert st.covariance.dtype == np.float64
+    assert st.position == (1.0, 2.0, 3.0)
     assert st.covariance.tolist() == (2.0 * np.eye(6)).tolist()
-    assert st.rotation.tolist() == np.eye(3).tolist()
+    assert st.rotation == tuple(map(tuple, np.eye(3).tolist()))
 
 
 def test_state_symmetry_check_is_allclose():
@@ -257,8 +276,9 @@ def test_state_rotation_check_is_the_seven_gap_rule():
 
 def test_init_state_defaults():
     st = init_state()
-    assert np.allclose(st.position, 0.0)
-    assert np.allclose(st.rotation, np.eye(3))
+    assert_float_rows(st.position, st.rotation)
+    assert st.position == (0.0, 0.0, 0.0)
+    assert st.rotation == tuple(map(tuple, np.eye(3).tolist()))
     assert np.allclose(st.covariance, 1e-4 * np.eye(6))
 
 
@@ -361,8 +381,8 @@ def test_predicted_mean_tracks_rigid_plant():
         u = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-7.0, 7.0))
         plant = step(plant, u, medium, DT)
         filt = predict(filt, u, KAPPA, DT, NO_NOISE)
-        assert np.abs(filt.position - np.array(plant.p)).max() < 1e-9
-        assert np.abs(filt.rotation - np.array(plant.rows)).max() < 1e-9
+        assert np.abs(np.subtract(filt.position, plant.p)).max() < 1e-9
+        assert np.abs(np.subtract(filt.rotation, plant.rows)).max() < 1e-9
 
 
 def random_state(rng) -> EkfState:
@@ -385,8 +405,8 @@ def test_predict_covariance_uses_the_tested_jacobian_bitwise():
         st = random_state(rng)
         u = ControlInput(rng.uniform(0.0, 5.0),
                          rng.choice([-2 * math.pi, 0.0, rng.uniform(-7.0, 7.0)]))
-        R = st.rotation
-        F = transition_jacobian(R.tolist(), *mean_step(R, u))
+        rows = st.rotation
+        F = transition_jacobian(rows, *mean_step(rows, u))
         C = F @ st.covariance @ F.T + q * DT
         expected = 0.5 * (C + C.T)
         assert predict(st, u, KAPPA, DT, q).covariance.tobytes() == \
@@ -405,7 +425,7 @@ def test_update_at_predicted_mean_leaves_mean_fixed():
     rng = np.random.default_rng(4)
     R = random_rotation(rng)
     st = EkfState(rng.normal(size=3) * 10.0, R, 1e-2 * np.eye(6))
-    meas = SensedTip(position=st.position.copy(), heading=R[:, 2].copy())
+    meas = SensedTip(position=st.position, heading=tuple(R[:, 2].tolist()))
     noise = measurement_noise_for(0.3, 0.005)
     out = update(st, meas, noise)
     assert np.allclose(out.position, st.position, atol=1e-12)
@@ -446,8 +466,9 @@ def test_update_uses_the_tested_jacobian_bitwise():
     noise = measurement_noise_for(GELATIN.position_noise, GELATIN.heading_noise)
     for _ in range(100):
         st = random_state(rng)
-        R, P = st.rotation, st.covariance
-        meas = SensedTip(position=st.position + rng.normal(0.0, 0.3, size=3),
+        R, P = np.array(st.rotation), st.covariance
+        position = np.array(st.position)
+        meas = SensedTip(position=position + rng.normal(0.0, 0.3, size=3),
                          heading=_tilted(R[:, 2], rng, 0.01))
         B = tangent_basis(R[:, 2]).T
         H = measurement_jacobian(R, B)
@@ -455,14 +476,14 @@ def test_update_uses_the_tested_jacobian_bitwise():
         gain = np.linalg.solve(HP @ H.T + noise, HP).T
         IKH = np.eye(6) - gain @ H
         C = IKH @ P @ IKH.T + gain @ noise @ gain.T
-        residual = np.concatenate([meas.position - st.position,
+        residual = np.concatenate([meas.position - position,
                                    (meas.heading - R[:, 2]) @ B])
         correction = gain @ residual
         out = update(st, meas, noise)
         assert out.covariance.tobytes() == (0.5 * (C + C.T)).tobytes()
-        assert out.position.tobytes() == \
-            (st.position + correction[:3]).tobytes()
-        assert out.rotation.tobytes() == \
+        assert np.array(out.position).tobytes() == \
+            (position + correction[:3]).tobytes()
+        assert np.array(out.rotation).tobytes() == \
             (R @ rotation(correction[3:])).tobytes()
 
 
@@ -505,8 +526,8 @@ def test_joseph_update_keeps_covariance_psd():
         u = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-7.0, 7.0))
         st = predict(st, u, KAPPA, DT, q)
         meas = SensedTip(
-            position=st.position + rng.normal(0.0, 0.3, size=3),
-            heading=_tilted(st.rotation[:, 2], rng, 0.01),
+            position=np.array(st.position) + rng.normal(0.0, 0.3, size=3),
+            heading=_tilted(np.array(st.rotation)[:, 2], rng, 0.01),
         )
         st = update(st, meas, noise)
         if i % 100 == 0:
@@ -635,7 +656,8 @@ def test_estimate_pose_identity_and_roundtrip():
     tracker = EkfRollTracker(GELATIN)
     rows, p = tracker.estimate(SensedTip((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
                                0.0)
-    assert rows == np.eye(3).tolist() and p == [0.0, 0.0, 0.0]
+    assert rows == tuple(map(tuple, np.eye(3).tolist()))
+    assert p == (0.0, 0.0, 0.0)
     rng = np.random.default_rng(15)
     R = random_rotation(rng)
     eta, roll = decompose_roll(R.tolist())
@@ -643,21 +665,26 @@ def test_estimate_pose_identity_and_roundtrip():
 
 
 def test_state_rotation_is_the_mean_itself():
-    """A state keeps a float rotation array as given, like its position and
-    covariance, without freezing the caller's array, and predict's is
-    advance_tip_pose's rows."""
+    """A state holds its rotation as the float rows it is given, with the
+    same bits, keeps a float covariance array as given, without freezing
+    the caller's array, and predict's mean is advance_tip_pose's rows and
+    position, bit for bit."""
     rng = np.random.default_rng(19)
     R = random_rotation(rng)
-    state = EkfState(np.zeros(3), R, np.eye(6))
-    assert state.rotation is R and R.flags.writeable
+    C = np.eye(6)
+    state = EkfState(np.zeros(3), R, C)
+    assert np.array(state.rotation).tobytes() == R.tobytes()
+    assert state.covariance is C and C.flags.writeable
     # a named tuple's field: FrozenInstanceError's base class
     with pytest.raises(AttributeError):
         state.rotation = np.eye(3)
     u = ControlInput(5.0, 2.0)
     out = predict(state, u, KAPPA, DT, NO_NOISE)
     _, roll_new, move = mean_step(R, u)
-    rows, _ = advance_tip_pose(R.tolist(), (0.0, 0.0, 0.0), move, roll_new)
-    assert out.rotation.tobytes() == np.array(rows).tobytes()
+    rows, p = advance_tip_pose(R.tolist(), (0.0, 0.0, 0.0), move, roll_new)
+    assert_float_rows(out.position, out.rotation)
+    assert np.array(out.rotation).tobytes() == np.array(rows).tobytes()
+    assert np.array(out.position).tobytes() == np.array(p).tobytes()
 
 
 def test_predict_steps_mean_and_jacobian_by_one_roll_increment(monkeypatch):
@@ -685,16 +712,15 @@ def test_predict_steps_mean_and_jacobian_by_one_roll_increment(monkeypatch):
 
 
 def test_estimate_pose_matches_propagated_mean():
-    """Each tracker estimate is its filter mean after predict and update,
-    as the rotation's float rows and the position's floats, bit for bit."""
+    """Each tracker estimate is its filter mean after predict and update:
+    the state's own float rows and floats."""
     tracker = EkfRollTracker(GELATIN)
     rng = np.random.default_rng(16)
     plant = initial_state()
     for _ in range(3):
         rows, p = tracker.estimate(sense(plant, GELATIN, rng),
                                    plant.base_angle)
-        assert np.array(rows).tobytes() == tracker.state.rotation.tobytes()
-        assert np.array(p).tobytes() == tracker.state.position.tobytes()
-        assert all(type(x) is float for x in (*rows[0], *rows[1], *rows[2],
-                                              *p))
+        assert rows is tracker.state.rotation
+        assert p is tracker.state.position
+        assert_float_rows(p, rows)
         plant = step(plant, ControlInput(5.0, 2.0), GELATIN, DT)

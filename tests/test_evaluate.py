@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shutil
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -191,6 +192,35 @@ def test_estimated_pair_reaches_control_and_logs_unchanged(monkeypatch):
     assert len(logs["R_est"]) == len(returned) - 1  # arrival is not logged
     for (rows, _), logged in zip(returned, logs["R_est"]):
         assert logged is rows
+
+
+@pytest.mark.parametrize("name", ["ekf", "lstm"])
+def test_stored_trial_replays_through_a_fresh_estimator_bitwise(name,
+                                                                 tmp_path):
+    """A stored gelatin trial, its sensed positions and headings and its
+    base angles fed step by step to a fresh estimator, gives back the
+    record's roll_est at every step, bit for bit: the estimate depends on
+    nothing but the readings. The filter returns its pose as float tuples."""
+    model = init_model(hidden_size=30, seed=0) if name == "lstm" else None
+    trial_seed = (7, ESTIMATOR_NAMES.index(name), 0)
+    path = tmp_path / "trial.jsonl"
+    path.write_text(record_to_line(
+        run_trial(name, GELATIN, TARGET, trial_seed, model)) + "\n")
+    record = record_from_line(path.read_text())
+    assert record.steps > 100
+    estimator = make_estimator(name, GELATIN, model)
+    for position, heading, base_angle, roll in zip(
+            record.position.tolist(), record.heading.tolist(),
+            record.base_angle.tolist(), record.roll_est.tolist()):
+        rows, p = estimator.estimate(
+            SensedTip(tuple(position), tuple(heading)), base_angle)
+        assert struct.pack("<d", decompose_roll(rows)[1]) == \
+            struct.pack("<d", roll)
+        if name == "ekf":
+            assert type(rows) is tuple and type(p) is tuple
+            assert all(type(r) is tuple for r in rows)
+            assert all(type(x) is float for x in (*rows[0], *rows[1],
+                                                  *rows[2], *p))
 
 
 @pytest.mark.parametrize("name", ["ekf", "lstm"])

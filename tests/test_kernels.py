@@ -10,9 +10,9 @@ norms, 3x3 products, one Jacobian column per basis perturbation). The
 package's closed forms must agree with them to rounding. The uncached
 tip_step, which builds the bevel arc with se3_exp on every call, is the
 reference for the cached one, which must agree with it bit for bit.
-heading_tangent_basis and advance_tip_pose write the dot3/unit3/cross3
-helpers out; their compositions of those helpers (in oracles) are the
-references they must match bit for bit.
+heading_tangent_basis, advance_tip_pose and ekf.transition_jacobian write
+the dot3/unit3/cross3 helpers out; their compositions of those helpers (in
+oracles) are the references they must match bit for bit.
 
 The closed-loop tick's scalar kernels have references too: the controller
 written with np.linalg.norm, np.dot and R.T @ offset must take the same
@@ -27,11 +27,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from needleroll.controller import Arrived, ControllerParams, control
-from needleroll.ekf import align_jacobian
+from needleroll.ekf import align_jacobian, transition_jacobian
 from needleroll.plant import (
     BRAIN,
     GELATIN,
@@ -47,6 +47,7 @@ from needleroll.plant import (
     tip_step,
 )
 from needleroll.se3 import (
+    decompose_roll,
     dot3,
     heading_tangent_basis,
     recompose_roll,
@@ -55,7 +56,11 @@ from needleroll.se3 import (
     unit3,
     wrap_angle,
 )
-from oracles import advance_tip_pose_composed, heading_tangent_basis_composed
+from oracles import (
+    advance_tip_pose_composed,
+    heading_tangent_basis_composed,
+    transition_jacobian_composed,
+)
 
 EZ = np.array([0.0, 0.0, 1.0])
 TOL = 1e-14
@@ -221,6 +226,27 @@ def test_advance_tip_pose_is_its_helper_composition_bitwise(
     ref = advance_tip_pose_composed(rows, p, move, roll + delta)
     assert np.array(got[0]).tobytes() == np.array(ref[0]).tobytes()
     assert np.array(got[1]).tobytes() == np.array(ref[1]).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rotation=rotation_vectors,
+       delta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5)),
+       speed=st.one_of(st.sampled_from([0.0, -0.0, 5.0]),
+                       st.floats(0.0, 20.0)),
+       curvature=st.one_of(st.just(0.005), st.floats(1e-4, 0.05)),
+       dt=st.one_of(st.just(0.025), st.floats(1e-3, 0.1)))
+def test_transition_jacobian_is_its_helper_composition_bitwise(
+        rotation, delta, speed, curvature, dt):
+    """At predict's arguments: the prior's rows, its heading and roll, and
+    the step to roll + delta."""
+    rows = so3_exp(rotation.tolist())
+    assume(rows[2][2] > -0.5)  # the workspace's headings, off antiparallel
+    eta, roll = decompose_roll(rows)
+    roll_new = roll + delta
+    move = tip_step(speed, curvature, roll_new - roll, dt)
+    got = transition_jacobian(rows, eta, roll_new, move)
+    ref = transition_jacobian_composed(rows, eta, roll_new, move)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_series_branch_is_exercised():
