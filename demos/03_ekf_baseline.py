@@ -11,15 +11,14 @@ enough insertion left to wind the bevel back through the stick band.
 import numpy as np
 
 from needleroll.evaluate import run_trial
-from needleroll.plant import MEDIUM_PRESETS, WORKSPACE, rigid_variant, sample_target
+from needleroll.plant import MEDIUM_PRESETS, WORKSPACE, sample_target
 from needleroll.se3 import wrap_angle
 
-gelatin = MEDIUM_PRESETS["gelatin"]
 rng = np.random.default_rng(9)
 target = sample_target(WORKSPACE, rng)
 print(f"target: ({target[0]:.1f}, {target[1]:.1f}, {target[2]:.1f}) mm")
 
-for medium in (rigid_variant(gelatin), gelatin):
+for medium in (MEDIUM_PRESETS["rigid-gelatin"], MEDIUM_PRESETS["gelatin"]):
     record = run_trial("ekf", medium, target, seed=9)
     label = "rigid" if medium.rigid else "compliant"
     # "arrived" covers both true arrival and the target slipping behind the

@@ -1,12 +1,12 @@
 """Print one sha256 per artifact of a small fixed needleroll pipeline.
 
-Runs generate -> train --epochs 2 -> evaluate lstm --n 1 to a fixed
-target -> evaluate truth,ekf,lstm -> report, with generate and evaluate
-at --jobs 1 and again at --jobs 2, so every command that reads a
-pipeline file runs. report renders
-into its own directory, holding only a copy of the last evaluate's trial
-file, so the views evaluate renders and the ones report regenerates from
-that file are both digested, and should match. Each stage runs as
+Runs generate -> train --epochs 2 -> evaluate lstm --n 1 -> evaluate
+truth,ekf,lstm -> report, with generate and evaluate at --jobs 1 and
+again at --jobs 2, so every command that reads a pipeline file runs.
+report renders into its own directory, holding only a copy of the last
+evaluate's trial file, so the views evaluate renders and the ones report
+regenerates from that file are both digested, and should match. Each
+evaluate steers to the targets sampled under its --seed. Each stage runs as
 `python -m needleroll` on the `src/` next to this script, inside a
 temporary directory (relative output paths, so the recorded config.json
 files do not name it). Every stage runs with `OPENBLAS_CORETYPE=Haswell`:
@@ -66,9 +66,8 @@ def stages(jobs: int) -> list[list[str]]:
         ["generate", "--n", "8", "--out", f"{j}/dataset", *pooled],
         ["train", "--dataset", f"{j}/dataset", "--epochs", "2",
          "--out", f"{j}/run", "--seed", SEED],
-        ["evaluate", "--estimators", "lstm", "--n", "1", "--target",
-         "3,4,60", "--model", f"{j}/run/model.json", "--out", f"{j}/one",
-         *pooled],
+        ["evaluate", "--estimators", "lstm", "--n", "1",
+         "--model", f"{j}/run/model.json", "--out", f"{j}/one", *pooled],
         ["evaluate", "--estimators", "truth,ekf,lstm", "--n", "3",
          "--model", f"{j}/run/model.json", "--out", f"{j}/evaluate",
          *pooled],

@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int,
                    help=f"episode count (default {DEFAULT_EPISODES})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
-    p.add_argument("--rigid", action="store_const", const=True)
 
     p = commands.add_parser("train", help="fit the roll estimator")
     _add_common(p)
@@ -87,16 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int,
                    help=f"trial count (default {DEFAULT_TRIALS})")
     p.add_argument("--medium", choices=list(MEDIUM_PRESETS))
-    p.add_argument("--rigid", action="store_const", const=True)
     p.add_argument("--model", help="trained model file (lstm)")
     p.add_argument("--estimators",
                    type=lambda t: tuple(t.split(",")),
                    help="comma-separated subset of "
                    + ",".join(ESTIMATOR_NAMES))
-    # RunConfig.validate checks the coordinate count
-    p.add_argument("--target", type=lambda t: tuple(map(float, t.split(","))),
-                   help="x,y,z in mm for every trial; sampled from the "
-                   "workspace if omitted")
 
     p = commands.add_parser(
         "report", help="re-render trials/summaries.csv, histogram.csv and "
@@ -146,8 +140,8 @@ def cmd_generate(config: RunConfig) -> int:
     # validate() rejects n < 1, so `or` fills in only a missing count
     config = dataclasses.replace(config, n=config.n or DEFAULT_EPISODES)
     manifest = generate_dataset(
-        n=config.n, medium=config.make_medium(), seed=config.seed, root=out,
-        mapper=_mapper(config.jobs),
+        n=config.n, medium=MEDIUM_PRESETS[config.medium], seed=config.seed,
+        root=out, mapper=_mapper(config.jobs),
     )
     write_resolved_config(config, out)
     n_val = manifest.labels.count("val")
@@ -181,9 +175,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     model = (load_model(_require(config.model, "--model"))
              if "lstm" in config.estimators else None)
     records = run_batch(
-        config.estimators, config.make_medium(), n_trials=config.n,
-        seed=config.seed, model=model, target=config.target,
-        mapper=_mapper(config.jobs),
+        config.estimators, MEDIUM_PRESETS[config.medium], n_trials=config.n,
+        seed=config.seed, model=model, mapper=_mapper(config.jobs),
     )
     stats = {s.estimator: s for s in report(records, out)}
     write_resolved_config(config, out)

@@ -4,10 +4,8 @@ run can set.
 Values merge in fixed precedence: built-in defaults, then a JSON config
 file, then explicit command-line flags. schema.from_json checks a config
 file against RunConfig's annotations and builds the RunConfig, a JSON
-list as a tuple and an int coordinate as a float, so 70 and 70.0 make one
-config and one dataset. The resolved result is serialized next to a
-command's outputs so any run can be reproduced from its artifact
-directory alone.
+list as a tuple. The resolved result is serialized next to a command's
+outputs so any run can be reproduced from its artifact directory alone.
 
 The controller and the reachable workspace are no settings: they are the
 constants controller.CONTROLLER and plant.WORKSPACE, which nothing takes
@@ -23,14 +21,12 @@ learning rate is lstm.LEARNING_RATE.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from needleroll.controller import CONTROLLER
 from needleroll.evaluate import check_estimator_names
 from needleroll.lstm import TrainConfig
-from needleroll.plant import MEDIUM_PRESETS, MediumParams, rigid_variant
+from needleroll.plant import MEDIUM_PRESETS
 from needleroll.schema import from_json, load_json, save_json
 
 CONFIG_SCHEMA_VERSION = 1
@@ -43,9 +39,8 @@ class RunConfig:
     out: str | None = None
     jobs: int = 1
 
-    # plant / medium
+    # plant / medium: a MEDIUM_PRESETS name; rigid-gelatin is one
     medium: str = "gelatin"
-    rigid: bool = False
 
     # dataset generation; n doubles as the trial count for evaluation
     n: int | None = None
@@ -57,7 +52,6 @@ class RunConfig:
     # evaluation
     model: str | None = None
     estimators: tuple[str, ...] = ("lstm", "ekf")
-    target: tuple[float, float, float] | None = None
 
     def validate(self):
         if self.medium not in MEDIUM_PRESETS:
@@ -72,21 +66,7 @@ class RunConfig:
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
         self.make_train_config()  # TrainConfig checks the epoch count
-        if self.target is not None:
-            if len(self.target) != 3:
-                raise ValueError("target must have three coordinates")
-            if not all(map(math.isfinite, self.target)):
-                raise ValueError("target coordinates must be finite")
-            # the first control tick stops on a target short of this
-            if not (self.target[2] > 0.0 and math.hypot(*self.target)
-                    > CONTROLLER.arrival_tolerance):
-                raise ValueError("target must lie ahead of the entry point: "
-                                 "z > 0, beyond the arrival tolerance")
         return self
-
-    def make_medium(self) -> MediumParams:
-        medium = MEDIUM_PRESETS[self.medium]
-        return rigid_variant(medium) if self.rigid else medium
 
     def make_train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, seed=self.seed)

@@ -206,10 +206,11 @@ def transition_jacobian(rows, eta, roll_new: float, move) -> np.ndarray:
 
     # roll sensitivity d(roll)/d(dphi) at the pre-step state:
     # e_z + (e_z^T align_jacobian(eta) R) skew(e_z); s0 and s1, the first
-    # two entries of g^T R, are dot3(g, column of R), written out
-    g0, g1, g2 = _align_jacobian_row2(*eta)
-    s0 = g0 * r00 + g1 * r10 + g2 * r20
-    s1 = g0 * r01 + g1 * r11 + g2 * r21
+    # two entries of g^T R, are dot3(g, column of R), written out without
+    # g's third entry, which is 0
+    g0, g1, _ = _align_jacobian_row2(*eta)
+    s0 = g0 * r00 + g1 * r10
+    s1 = g0 * r01 + g1 * r11
 
     # D = rot_z(-roll_new) align_jacobian(eta_new) N + e_z jr^T, where row i
     # of N = -(R skew(m)) is cross3(m, R[i]); the three factors are the

@@ -109,10 +109,8 @@ def sample_targets(seed: int, n: int):
 
 
 def run_batch(estimator_names, medium: MediumParams, n_trials: int,
-              seed: int, model: LstmModel | None = None, target=None,
-              mapper=map):
-    """Paired trials: each estimator steers to the same sampled targets, or
-    every trial to `target` when one is given.
+              seed: int, model: LstmModel | None = None, mapper=map):
+    """Paired trials: each estimator steers to the same sampled targets.
 
     Per-trial noise streams depend only on (seed, estimator, trial index),
     so results are identical under any order-preserving parallel mapper.
@@ -122,11 +120,9 @@ def run_batch(estimator_names, medium: MediumParams, n_trials: int,
     if n_trials < 1:
         raise ValueError("need at least one trial")
     check_estimator_names(estimator_names)
-    goals = (sample_targets(seed, n_trials) if target is None
-             else [np.array(target, dtype=float) for _ in range(n_trials)])
     tasks = []
     trial_id = 0
-    for k, goal in enumerate(goals):
+    for k, goal in enumerate(sample_targets(seed, n_trials)):
         for name in estimator_names:
             trial_seed = (int(seed), ESTIMATOR_NAMES.index(name), k)
             tasks.append((name, medium, goal, trial_seed, model, trial_id))

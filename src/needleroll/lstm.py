@@ -14,8 +14,8 @@ path, the serializer, and the test oracles:
   sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 (_gate_affine, _activate_gates)
 - fully-connected layer: tanh activation, inverted dropout on its
   activations in the batched training path only, at TrainConfig's rate;
-  streaming inference (forward_step, run_sequence) has no dropout, so the
-  model holds no rate
+  streaming inference (forward_step) has no dropout, so the model holds
+  no rate
 - output layer: linear
 - loss: RMSE over every component of every timestep of every sequence in
   the batch (padded steps excluded via masks)
@@ -25,10 +25,10 @@ path, the serializer, and the test oracles:
   Column (the base64 of its row-major float64 bytes); no size or shape is
   stored, since each follows from H
 
-Everything runs in float64. The streaming estimator and the offline
-run_sequence call the exact same forward_step, so their outputs are
+Everything runs in float64. The streaming estimator and the test oracles'
+offline loop call the exact same forward_step, so their outputs are
 bit-identical by construction; the batched training forward is a separate
-vectorized path validated against run_sequence in tests. Each product of a
+vectorized path validated against that loop in tests. Each product of a
 streaming tick (forward_step's four, _endpoint_fit's one) is one BLAS call
 through ndarray.dot: on these matrix-vector float operands dot makes the gemv
 call the @ operator makes, so it gives @'s bits at about half the per-call
@@ -255,16 +255,6 @@ def forward_step(model: LstmModel, state: LstmCellState, x):
     act = np.tanh(model.w_fc.dot(hidden) + model.b_fc)
     y = model.w_out.dot(act) + model.b_out
     return LstmCellState(hidden, cell), y
-
-
-def run_sequence(model: LstmModel, xs) -> np.ndarray:
-    """Offline forward pass: forward_step iterated from the zero state."""
-    state = zero_state(model.hidden_size)
-    out = np.empty((len(xs), 2))
-    for t, x in enumerate(xs):
-        state, y = forward_step(model, state, x)
-        out[t] = y
-    return out
 
 
 # --------------------------------------------------------------- training path

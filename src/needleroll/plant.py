@@ -119,12 +119,15 @@ LUNG = MediumParams(
     heading_noise=0.01,
 )
 
-MEDIUM_PRESETS = {m.name: m for m in (GELATIN, BRAIN, LUNG)}
-
 
 def rigid_variant(medium: MediumParams) -> MediumParams:
-    """Same medium with the torsion lag switched off (tip roll == base angle)."""
-    return dataclasses.replace(medium, rigid=True)
+    """Same medium with the torsion lag switched off (tip roll == base
+    angle), named rigid-<name> so no view pools it with the compliant one."""
+    return dataclasses.replace(medium, name=f"rigid-{medium.name}", rigid=True)
+
+
+MEDIUM_PRESETS = {m.name: m for base in (GELATIN, BRAIN, LUNG)
+                  for m in (base, rigid_variant(base))}
 
 
 class ControlInput(NamedTuple("ControlInput", [("insertion_speed", float),

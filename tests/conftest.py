@@ -12,6 +12,7 @@ import pytest
 from needleroll.config import RunConfig
 from needleroll.dataset import generate_dataset, to_training_sequences
 from needleroll.lstm import train
+from needleroll.plant import MEDIUM_PRESETS
 
 
 # the session's claim verdict lines, in the order the claims ran
@@ -52,7 +53,8 @@ def desk_dataset(tmp_path_factory, run_defaults):
     """70 gelatin episodes at shipped defaults, split 60 train / 10 val."""
     cfg = run_defaults
     root = tmp_path_factory.mktemp("desk_dataset")
-    manifest = generate_dataset(70, cfg.make_medium(), seed=42, root=root)
+    manifest = generate_dataset(70, MEDIUM_PRESETS[cfg.medium], seed=42,
+                                root=root)
     return root, manifest
 
 

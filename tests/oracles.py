@@ -21,6 +21,8 @@ from needleroll.lstm import (
     Workspace,
     _gate_affine,
     batch_loss,
+    forward_step,
+    zero_state,
 )
 from needleroll.plant import SensedTip
 from needleroll.se3 import (
@@ -115,6 +117,17 @@ def transition_jacobian_composed(rows, eta, roll_new, move):
     F[:3, 3:] = [cross3(m_p, r) for r in rows]
     F[3:, 3:] = D
     return F
+
+
+def run_sequence(model, xs) -> np.ndarray:
+    """Offline forward pass: lstm.forward_step iterated from the zero
+    state, the loop RollEstimator runs one step per tick."""
+    state = zero_state(model.hidden_size)
+    out = np.empty((len(xs), 2))
+    for t, x in enumerate(xs):
+        state, y = forward_step(model, state, x)
+        out[t] = y
+    return out
 
 
 def forward_step_matmul(model, state, x):

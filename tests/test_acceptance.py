@@ -21,20 +21,19 @@ from needleroll.lstm import (
     batch_loss,
     estimate_roll,
     init_model,
-    run_sequence,
 )
-from needleroll.plant import MEDIUM_PRESETS, SensedTip, rigid_variant
+from needleroll.plant import MEDIUM_PRESETS, SensedTip
 from needleroll.se3 import (
     angular_error,
     register_points,
     so3_exp,
 )
-from oracles import quat_from_matrix, rot_z
+from oracles import quat_from_matrix, rot_z, run_sequence
 
 
 def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verdict):
     cfg = run_defaults
-    records = run_batch(("truth",), cfg.make_medium(), n_trials=30,
+    records = run_batch(("truth",), MEDIUM_PRESETS[cfg.medium], n_trials=30,
                         seed=501)
     errors = np.array([r.final_error for r in records])
     ok = bool((errors < 1.0).all())
@@ -43,14 +42,13 @@ def test_c01_ground_truth_steering_lands_every_gelatin_target(run_defaults, verd
             f"{errors.max():.3f} mm, mean {errors.mean():.3f} mm (need all < 1 mm)")
 
 
-def test_c02_ekf_steering_lands_every_rigid_target(run_defaults, verdict):
-    cfg = run_defaults
-    medium = rigid_variant(cfg.make_medium())
-    records = run_batch(("ekf",), medium, n_trials=10, seed=502)
+def test_c02_ekf_steering_lands_every_rigid_target(verdict):
+    records = run_batch(("ekf",), MEDIUM_PRESETS["rigid-gelatin"],
+                        n_trials=10, seed=502)
     errors = np.array([r.final_error for r in records])
     ok = bool((errors < 1.0).all())
     verdict("C2", ok,
-            f"filter-driven steering, 10 rigid targets: max error "
+            f"filter-driven steering, 10 rigid-gelatin targets: max error "
             f"{errors.max():.3f} mm (need all < 1 mm)")
 
 
@@ -104,8 +102,8 @@ def test_c05_learned_estimator_beats_filter_in_gelatin(
         run_defaults, trained_estimator, verdict):
     cfg = run_defaults
     model = trained_estimator[0]
-    records = run_batch(("lstm", "ekf"), cfg.make_medium(), n_trials=30,
-                        seed=505, model=model)
+    records = run_batch(("lstm", "ekf"), MEDIUM_PRESETS[cfg.medium],
+                        n_trials=30, seed=505, model=model)
     ekf, lstm = group_stats(records)  # sorted by estimator name
     assert (ekf.estimator, lstm.estimator) == ("ekf", "lstm")
     lstm_err, ekf_err = lstm.error_mean, ekf.error_mean

@@ -24,7 +24,12 @@ from needleroll.dataset import (
     record_to_line,
     split_labels,
 )
-from needleroll.evaluate import DEFAULT_TRIALS, ESTIMATOR_NAMES, run_trial
+from needleroll.evaluate import (
+    DEFAULT_TRIALS,
+    ESTIMATOR_NAMES,
+    run_trial,
+    sample_targets,
+)
 from needleroll.lstm import init_model, param_shapes, save_model
 from needleroll.plant import MEDIUM_PRESETS, WORKSPACE
 from needleroll.config import (
@@ -83,14 +88,12 @@ def test_config_validation():
         resolve_config(None, {"estimators": ("lstm", "psychic")})
     with pytest.raises(ValueError):
         resolve_config(None, {"jobs": 0})
-    with pytest.raises(ValueError):
-        resolve_config(None, {"target": (1.0, 2.0)})
 
 
 def test_config_builds_components():
-    config = resolve_config(None, {"medium": "lung", "rigid": True})
-    medium = config.make_medium()
-    assert medium.name == "lung" and medium.rigid
+    config = resolve_config(None, {"medium": "rigid-lung"})
+    medium = MEDIUM_PRESETS[config.medium]
+    assert medium.name == "rigid-lung" and medium.rigid
     tc = config.make_train_config()
     assert tc.hidden_size == 30
 
@@ -261,10 +264,12 @@ def test_cli_pool_forks_no_more_workers_than_items(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     assert list(cli._mapper(4)(abs, [-1, -2])) == [1, 2]
-    assert main(["evaluate", "--estimators", "truth", "--rigid", "--n", "1",
-                 "--jobs", "3", "--out", str(tmp_path / "one")]) == 0
-    assert main(["evaluate", "--estimators", "truth", "--rigid", "--n", "5",
-                 "--jobs", "3", "--out", str(tmp_path / "five")]) == 0
+    assert main(["evaluate", "--estimators", "truth", "--medium",
+                 "rigid-gelatin", "--n", "1", "--jobs", "3",
+                 "--out", str(tmp_path / "one")]) == 0
+    assert main(["evaluate", "--estimators", "truth", "--medium",
+                 "rigid-gelatin", "--n", "5", "--jobs", "3",
+                 "--out", str(tmp_path / "five")]) == 0
     assert main(["generate", "--n", "2", "--jobs", "3",
                  "--out", str(tmp_path / "ds")]) == 0
     assert RecordingPool.sizes == [2, 1, 3, 2]
@@ -275,8 +280,9 @@ def test_cli_evaluate_repeated_estimator_fails_before_writing(tmp_path,
     """A repeated name would rerun its trials under the same seeds and
     count them twice in the report."""
     out = tmp_path / "ev"
-    assert main(["evaluate", "--estimators", "ekf,ekf", "--rigid", "--n", "2",
-                 "--seed", "3", "--out", str(out)]) == 1
+    assert main(["evaluate", "--estimators", "ekf,ekf", "--medium",
+                 "rigid-gelatin", "--n", "2", "--seed", "3",
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'ekf' is listed twice" in err
     assert not out.exists()
@@ -289,29 +295,6 @@ def test_cli_negative_seed_fails_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed must be non-negative" in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("target", ["0,0,-5", "3,4,0", "0,0,0.2",
-                                    "0.1,-0.1,0.2", "nan,0,40"])
-def test_cli_steer_target_behind_or_at_the_entry_fails_before_writing(
-        tmp_path, capsys, target):
-    """The controller would stop at once on these: behind or on the entry
-    plane, or within the arrival tolerance (0.25 mm) of the entry point.
-    A NaN coordinate is named as such, not as a target behind the entry."""
-    out = tmp_path / "eval"
-    assert main(["evaluate", "--estimators", "truth", "--n", "1",
-                 "--target", target, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    expect = ("target coordinates must be finite" if "nan" in target
-              else "target must lie ahead")
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert expect in err
-    assert not out.exists()
-
-
-def test_config_accepts_a_target_just_past_the_arrival_tolerance():
-    config = resolve_config(None, {"target": (0.0, 0.2, 0.2)})
-    assert config.target == (0.0, 0.2, 0.2)
 
 
 def test_cli_generate_one_episode_fails_before_collecting(tmp_path, capsys):
@@ -345,34 +328,17 @@ def test_cli_generate_writes_the_manifest_once(tmp_path, monkeypatch):
 
 
 def test_config_keeps_stable_torsion_settings():
-    """Every medium a config can name resolves, and its explicit-Euler slip
-    step contracts at the controller's fixed loop rate (dt*k/c < 1); a
-    rigid medium has no slip step to destabilize."""
+    """Every medium a config can name resolves, rigid exactly when its name
+    says so, and its explicit-Euler slip step contracts at the controller's
+    fixed loop rate (dt*k/c < 1); a rigid medium has no slip step to
+    destabilize."""
     dt = 1.0 / CONTROLLER.rate
+    assert len(MEDIUM_PRESETS) == 6
     for name in MEDIUM_PRESETS:
-        for rigid in (False, True):
-            medium = resolve_config(None, {"medium": name,
-                                         "rigid": rigid}).make_medium()
-            assert medium.name == name and medium.rigid is rigid
-            assert dt * medium.torsion_stiffness / medium.torsion_damping < 1.0
-
-
-def test_config_int_for_a_float_setting_keeps_the_dataset_identity(tmp_path):
-    """A JSON int given for a target coordinate resolves to the float: the
-    same config.json, config hash and manifest as the float spelling."""
-    ds = tmp_path / "ds"
-    written = []
-    for target in ([3, 4, 60], [3.0, 4.0, 60.0]):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"target": target}))
-        shutil.rmtree(ds, ignore_errors=True)
-        assert main(["generate", "--n", "2", "--seed", "3", "--config",
-                     str(cfg), "--out", str(ds)]) == 0
-        written.append([(ds / name).read_bytes() for name in
-                        ("config.json", "manifest.json", "episodes.jsonl")])
-    assert written[0] == written[1]
-    doc = json.loads(written[0][0])
-    assert all(type(v) is float for v in doc["target"])
+        medium = MEDIUM_PRESETS[resolve_config(None, {"medium": name}).medium]
+        assert medium.name == name
+        assert medium.rigid is name.startswith("rigid-")
+        assert dt * medium.torsion_stiffness / medium.torsion_damping < 1.0
 
 
 def _int_stiffness_line(tmp_path):
@@ -400,8 +366,7 @@ def _int_final_error_manifest(tmp_path):
 ], ids=["line_medium", "manifest_final_error"])
 def test_a_json_int_in_a_float_field_reads_as_a_float(tmp_path, read, expect):
     """Every reader builds a float field from a JSON int as the float, in
-    a line's medium as in a manifest entry's final_error (and a config's
-    target, above)."""
+    a line's medium as in a manifest entry's final_error."""
     value = read(tmp_path)
     assert value == expect and type(value) is float
 
@@ -575,8 +540,9 @@ def pipeline_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     assert main(["generate", "--n", "3", "--seed", "3",
                  "--out", str(root / "ds")]) == 0
-    assert main(["evaluate", "--estimators", "truth,ekf", "--rigid",
-                 "--n", "1", "--seed", "6", "--out", str(root / "eval")]) == 0
+    assert main(["evaluate", "--estimators", "truth,ekf", "--medium",
+                 "rigid-gelatin", "--n", "1", "--seed", "6",
+                 "--out", str(root / "eval")]) == 0
     return root
 
 
@@ -762,9 +728,7 @@ def test_cli_train_on_a_relabelled_manifest_is_data_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("damage", ["episodes_string",
-                                    "episode_missing_key", "z_max_string",
-                                    "schema_version", "z_max_nan",
-                                    "z_max_infinity", "z_max_negative",
+                                    "episode_missing_key", "schema_version",
                                     "duplicate_episode_id", "unknown_split",
                                     "line_past_the_end", "swapped_lines"])
 def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage):
@@ -778,10 +742,6 @@ def test_cli_train_on_malformed_manifest_is_data_error(tmp_path, capsys, damage)
         del doc["episodes"][1]["steps"]
     elif damage == "schema_version":
         doc["schema_version"] = MANIFEST_SCHEMA_VERSION + 1
-    elif damage.startswith("z_max"):  # z_max is WORKSPACE's, never stored
-        doc["generation"]["workspace"] = dict(depth_max={
-            "z_max_string": "75", "z_max_nan": math.nan,
-            "z_max_infinity": math.inf, "z_max_negative": -1.0}[damage])
     elif damage == "duplicate_episode_id":
         doc["episodes"][1]["episode_id"] = doc["episodes"][0]["episode_id"]
     elif damage == "line_past_the_end":  # else its episode is skipped
@@ -927,40 +887,41 @@ def test_cli_steer_subcommand_is_gone(tmp_path, capsys):
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_cli_evaluate_target_steers_every_trial_under_its_own_seed(
         tmp_path, source):
-    """A target from --target or from a config file replaces the sampled
-    targets for every trial of every estimator. A trial's seed stays
-    (seed, estimator index, trial index): each trial line is the one
-    run_trial writes for that seed and the target."""
+    """Trial k of every estimator steers to sample_targets(seed, n)[k],
+    whether the seed comes from --seed or from a config file. A trial's
+    seed is (seed, estimator index, trial index): each trial line is the
+    one run_trial writes for that seed and its target."""
     out = tmp_path / "eval"
-    argv = ["evaluate", "--estimators", "ekf,truth", "--n", "2", "--rigid",
-            "--seed", "5", "--out", str(out)]
+    argv = ["evaluate", "--estimators", "ekf,truth", "--n", "2", "--medium",
+            "rigid-gelatin", "--out", str(out)]
     if source == "flag":
-        argv += ["--target", "3,4,60"]
+        argv += ["--seed", "5"]
     else:
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"target": [3, 4, 60]}))
+        cfg.write_text(json.dumps({"seed": 5}))
         argv += ["--config", str(cfg)]
     assert main(argv) == 0
     lines = (out / "trials" / "episodes.jsonl").read_text().splitlines()
-    config = resolve_config(None, {"rigid": True})
-    target = np.array([3.0, 4.0, 60.0])
+    targets = sample_targets(5, 2)
     expected = [
         record_to_line(run_trial(
-            name, config.make_medium(), target,
+            name, MEDIUM_PRESETS["rigid-gelatin"], targets[k],
             seed=(5, ESTIMATOR_NAMES.index(name), k), trial_id=2 * k + m))
         for k in range(2) for m, name in enumerate(("ekf", "truth"))]
     assert lines == expected
     assert [json.loads(line)["seed"] for line in lines] == [
         [5, 1, 0], [5, 0, 0], [5, 1, 1], [5, 0, 1]]
     recorded = json.loads((out / "config.json").read_text())
-    assert recorded["target"] == [3.0, 4.0, 60.0]
-    assert "estimator" not in recorded
+    assert recorded["seed"] == 5 and recorded["medium"] == "rigid-gelatin"
+    assert "estimator" not in recorded and "target" not in recorded
 
 
 def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
     """A config.json resolved before a setting was deleted still holds it:
     "estimator" (evaluate's one estimator, before it took a list),
-    "jitter", "bin_width", "depth_cap", "train_fraction", the training
+    "rigid" (a rigid medium has its own name), "target" (every trial
+    steers to a sampled target), "jitter", "bin_width", "depth_cap",
+    "train_fraction", the training
     settings TrainConfig and lstm.LEARNING_RATE own ("batch_size",
     "learning_rate", "dropout", "hidden_size"), and the copies of the
     CONTROLLER and WORKSPACE constants. Each is an unknown key,
@@ -972,6 +933,8 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
                        "deadband", "arrival_tolerance")
     for command, key, value in [
             ("evaluate", "estimator", "lstm"),
+            ("generate", "rigid", False),
+            ("evaluate", "target", [3.0, 4.0, 60.0]),
             ("generate", "jitter", 0.25),
             ("evaluate", "bin_width", 0.1),
             ("evaluate", "depth_cap", 80.0),
@@ -997,10 +960,15 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"unknown keys [{key!r}]" in err
         assert not out.exists()
+    # the last flag of each argv is the one no subcommand takes
     for argv in (["generate", "--n", "2", "--jitter", "0.25"],
                  ["generate", "--n", "2", "--train-fraction", "0.5"],
                  ["evaluate", "--estimators", "truth", "--n", "2",
                   "--bin-width", "0.1"],
+                 ["evaluate", "--estimators", "truth", "--n", "2",
+                  "--rigid"],
+                 ["evaluate", "--estimators", "truth", "--n", "2",
+                  "--target", "3,4,60"],
                  ["train", "--dataset", str(tmp_path / "ds"), "--jobs", "2"],
                  ["train", "--dataset", str(tmp_path / "ds"),
                   "--batch-size", "8"],
@@ -1016,24 +984,21 @@ def test_cli_config_file_holding_estimator_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: unrecognized arguments")
-        assert argv[-2] in err
+        assert [a for a in argv if a.startswith("--")][-1] in err
         assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
-    (json.dumps({"target": [math.nan, 0.0, 60.0]}),
-     "target coordinates must be finite"),
     (json.dumps({"estimators": []}),
      "estimators must name at least one estimator"),
     ("[" * 100_000, "JSON nested too deeply"),
-], ids=["nan_target", "no_estimators", "nested_json"])
+], ids=["no_estimators", "nested_json"])
 def test_cli_config_file_fault_is_named_before_writing(tmp_path, capsys, text,
                                                        message):
-    """A NaN target coordinate was reported as a target behind the entry
-    point, an empty estimator list reached the report as "nothing to
-    report", and JSON nested deeper than json.loads recurses was a
-    RecursionError traceback; each is named by its own check, before
-    anything is written."""
+    """An empty estimator list reached the report as "nothing to report",
+    and JSON nested deeper than json.loads recurses was a RecursionError
+    traceback; each is named by its own check, before anything is
+    written."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "eval"
@@ -1047,20 +1012,13 @@ def test_cli_config_file_fault_is_named_before_writing(tmp_path, capsys, text,
 
 def test_cli_steer_ekf_rigid_lands_under_a_millimetre(tmp_path, capsys):
     out = tmp_path / "eval"
-    code = main(["evaluate", "--estimators", "ekf", "--n", "1", "--rigid",
-                 "--seed", "4", "--target", "3,4,60", "--out", str(out)])
+    code = main(["evaluate", "--estimators", "ekf", "--n", "1", "--medium",
+                 "rigid-gelatin", "--seed", "4", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     err = float(text.split("mean targeting error ")[1].split(" mm")[0])
     assert err < 1.0
-
-
-def test_cli_steer_target_needs_three_coordinates(tmp_path, capsys):
-    out = tmp_path / "eval"
-    assert main(["evaluate", "--estimators", "truth", "--n", "1",
-                 "--target", "3,4", "--out", str(out)]) == 1
-    assert "target must have three coordinates" in capsys.readouterr().err
-    assert not out.exists()
+    assert "[rigid-gelatin / ekf]" in (out / "report.txt").read_text()
 
 
 def test_cli_steer_lstm_requires_model(tmp_path, capsys):
@@ -1173,8 +1131,9 @@ def test_cli_steer_on_model_missing_a_parameter_is_usage_error(tmp_path,
 def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
     """report rebuilds every view of a run from trials/episodes.jsonl."""
     out = tmp_path / "eval"
-    code = main(["evaluate", "--estimators", "truth,ekf", "--rigid",
-                 "--n", "2", "--seed", "6", "--out", str(out)])
+    code = main(["evaluate", "--estimators", "truth,ekf", "--medium",
+                 "rigid-gelatin", "--n", "2", "--seed", "6",
+                 "--out", str(out)])
     assert code == 0
     views = [out / "trials" / "summaries.csv", out / "histogram.csv",
              out / "report.txt"]
@@ -1187,8 +1146,9 @@ def test_cli_evaluate_and_report_idempotent(tmp_path, capsys):
 
 def _damaged_trials(tmp_path, damage):
     out = tmp_path / "eval"
-    assert main(["evaluate", "--estimators", "truth,ekf", "--rigid",
-                 "--n", "2", "--seed", "6", "--out", str(out)]) == 0
+    assert main(["evaluate", "--estimators", "truth,ekf", "--medium",
+                 "rigid-gelatin", "--n", "2", "--seed", "6",
+                 "--out", str(out)]) == 0
     trials = out / "trials" / "episodes.jsonl"
     lines = trials.read_text().splitlines(keepends=True)
     trials.write_text("".join(damage(lines)))
@@ -1375,8 +1335,8 @@ def test_cli_default_counts_are_recorded(tmp_path, capsys):
             main([command, "--help"])
         assert f"(default {default})" in capsys.readouterr().out
     out = tmp_path / "eval"
-    assert main(["evaluate", "--estimators", "truth", "--rigid", "--seed", "2",
-                 "--out", str(out)]) == 0
+    assert main(["evaluate", "--estimators", "truth", "--medium",
+                 "rigid-gelatin", "--seed", "2", "--out", str(out)]) == 0
     assert f"over {DEFAULT_TRIALS} trials" in capsys.readouterr().out
     assert json.loads((out / "config.json").read_text())["n"] == DEFAULT_TRIALS
 
@@ -1413,8 +1373,8 @@ def test_cli_config_file_non_finite_setting_is_usage_error(tmp_path, capsys,
                                                            value):
     """A config file can hold NaN and Infinity; each fails the boundary
     with one error line that names the key, before anything is written.
-    The keys of the deleted ControllerParams and WorkspaceCone copies fail
-    as unknown keys, and still name the key."""
+    The keys of the deleted ControllerParams and WorkspaceCone copies, and
+    the deleted target, fail as unknown keys, and still name the key."""
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value, "out": str(out), "n": 2,
@@ -1428,13 +1388,13 @@ def test_cli_config_file_non_finite_setting_is_usage_error(tmp_path, capsys,
 
 def test_cli_evaluate_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 1, "rigid": True,
+    cfg.write_text(json.dumps({"n": 1, "medium": "brain",
                                "estimators": ["ekf"]}))
     out = tmp_path / "eval"
-    code = main(["evaluate", "--config", str(cfg), "--medium", "brain",
+    code = main(["evaluate", "--config", str(cfg), "--medium", "rigid-brain",
                  "--seed", "8", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "config.json").read_text())
-    assert doc["medium"] == "brain"  # flag override
-    assert doc["n"] == 1 and doc["rigid"] is True  # from file
-    assert "[brain / ekf]" in (out / "report.txt").read_text()
+    assert doc["medium"] == "rigid-brain"  # flag override
+    assert doc["n"] == 1 and doc["estimators"] == ["ekf"]  # from file
+    assert "[rigid-brain / ekf]" in (out / "report.txt").read_text()

@@ -78,16 +78,14 @@ def test_closed_loop_depth_cap():
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(medium=st.sampled_from(sorted(MEDIUM_PRESETS)), rigid=st.booleans(),
+@given(medium=st.sampled_from(sorted(MEDIUM_PRESETS)),
        seed=st.integers(0, 2 ** 32 - 1),
        estimator=st.sampled_from(["truth", "ekf"]))
-def test_closed_loop_ends_within_the_depth_cap(medium, rigid, seed,
-                                               estimator):
+def test_closed_loop_ends_within_the_depth_cap(medium, seed, estimator):
     """Any preset medium, target and estimator: the loop arrives or hits
     the depth cap within depth_cap / (speed * dt) + 1 ticks, and every
     pose it logs is finite."""
     params = MEDIUM_PRESETS[medium]
-    params = rigid_variant(params) if rigid else params
     rng = np.random.default_rng(seed)
     target = sample_target(WORKSPACE, rng)
     tracker = EkfRollTracker(params) if estimator == "ekf" else None

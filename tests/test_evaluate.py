@@ -372,7 +372,7 @@ def test_report_layout(reported_dir):
     assert written == {"trials", "trials/summaries.csv",
                        "trials/episodes.jsonl", "report.txt", "histogram.csv"}
     text = (out / "report.txt").read_text()
-    assert "[gelatin / truth]" in text and "[gelatin / ekf]" in text
+    assert "[rigid-gelatin / truth]" in text and "[rigid-gelatin / ekf]" in text
 
 
 def test_report_summary_rows_match_trials(reported_dir):
@@ -394,7 +394,7 @@ def test_group_stats_give_the_numbers_report_prints(reported_dir):
     out, records = reported_dir
     stats = group_stats(records)
     assert [(s.medium, s.estimator) for s in stats] == [
-        ("gelatin", "ekf"), ("gelatin", "truth")]
+        ("rigid-gelatin", "ekf"), ("rigid-gelatin", "truth")]
     text = (out / "report.txt").read_text()
     for s in stats:
         group = [r for r in records if r.estimator == s.estimator]
@@ -429,6 +429,25 @@ def test_group_stats_of_a_skewed_group(reported_dir):
     assert stats.trials == 4
     assert (stats.error_median, stats.error_mean, stats.error_max) == (
         0.75, 2.5, 8.25)
+
+
+def test_rigid_and_compliant_trials_report_apart(tmp_path):
+    """A trial file holding gelatin and rigid-gelatin EKF trials renders
+    one report.txt group and one histogram.csv group for each: the filter
+    steering a rigid shaft is never pooled with it steering a compliant
+    one."""
+    records = [run_trial("ekf", MEDIUM_PRESETS[name], TARGET, seed=(7, k),
+                         trial_id=k)
+               for k, name in enumerate(("gelatin", "rigid-gelatin"))]
+    groups = [("gelatin", "ekf"), ("rigid-gelatin", "ekf")]
+    assert [(s.medium, s.estimator, s.trials)
+            for s in report(records, tmp_path)] == [(*g, 1) for g in groups]
+    text = (tmp_path / "report.txt").read_text()
+    assert [line for line in text.splitlines() if line.startswith("[")] == [
+        f"[{medium} / {estimator}]" for medium, estimator in groups]
+    with open(tmp_path / "histogram.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted({(row["medium"], row["estimator"]) for row in rows}) == groups
 
 
 def test_report_mean_omega_matches_persisted_trace(reported_dir):

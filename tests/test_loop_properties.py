@@ -29,7 +29,6 @@ from needleroll.lstm import init_model
 from needleroll.plant import (
     MEDIUM_PRESETS,
     WORKSPACE,
-    rigid_variant,
     sample_target,
 )
 
@@ -37,12 +36,10 @@ ZERO, COVARIANCE = np.zeros(3), np.eye(6)
 MODEL = init_model(hidden_size=4, seed=1)
 
 
-def _trial(estimator, medium, rigid, target_seed, trial_seed):
+def _trial(estimator, medium, target_seed, trial_seed):
     """(record, logs, final_state) of one trial: run_trial's record, and
     the tick logs and the final plant state run_closed_loop returned to
     it."""
-    params = MEDIUM_PRESETS[medium]
-    params = rigid_variant(params) if rigid else params
     target = sample_target(WORKSPACE, np.random.default_rng(target_seed))
     logged = []
 
@@ -52,8 +49,8 @@ def _trial(estimator, medium, rigid, target_seed, trial_seed):
         return out
 
     with mock.patch.object(evaluate, "run_closed_loop", capture):
-        record = evaluate.run_trial(estimator, params, target, trial_seed,
-                                    model=MODEL)
+        record = evaluate.run_trial(estimator, MEDIUM_PRESETS[medium],
+                                    target, trial_seed, model=MODEL)
     ((logs, final_state, *_),) = logged
     return record, logs, final_state
 
@@ -87,7 +84,7 @@ def _decodes_field_by_field(record):
     assert record_to_line(back) == line
 
 
-def _keeps_the_loop_invariants(record, logs, rigid):
+def _keeps_the_loop_invariants(record, logs):
     """Every logged rotation passes EkfState's orthonormality rule (1e-9);
     the loop ends within DEPTH_CAP / (insertion_speed * dt) + 1 ticks;
     angular errors lie in [0, pi]; a rigid medium keeps the tip roll on
@@ -99,27 +96,26 @@ def _keeps_the_loop_invariants(record, logs, rigid):
     assert ticks <= DEPTH_CAP / (CONTROLLER.insertion_speed * dt) + 1
     assert 0.0 <= record.angular_error.min()
     assert record.angular_error.max() <= math.pi
-    if rigid:
+    if record.medium.rigid:
         assert np.abs(record.roll_true - record.base_angle).max() <= 1e-12
     _decodes_field_by_field(record)
 
 
 TRIALS = dict(medium=st.sampled_from(sorted(MEDIUM_PRESETS)),
-              rigid=st.booleans(), target_seed=st.integers(0, 2**32 - 1),
+              target_seed=st.integers(0, 2**32 - 1),
               trial_seed=st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(**TRIALS)
-def test_truth_trial_keeps_the_loop_invariants(medium, rigid, target_seed,
+def test_truth_trial_keeps_the_loop_invariants(medium, target_seed,
                                                trial_seed):
     """The loop invariants hold; steering on the true pose gives an
     angular error of exactly 0.0 at every step; and an arrived trial stops
     within arrival_tolerance of the target, or with the target no longer
     ahead of the tip plane."""
-    record, logs, final = _trial("truth", medium, rigid, target_seed,
-                                 trial_seed)
-    _keeps_the_loop_invariants(record, logs, rigid)
+    record, logs, final = _trial("truth", medium, target_seed, trial_seed)
+    _keeps_the_loop_invariants(record, logs)
     assert record.angular_error.tolist() == [0.0] * record.steps
     if record.outcome == "arrived":
         heading = [row[2] for row in final.rows]
@@ -131,12 +127,11 @@ def test_truth_trial_keeps_the_loop_invariants(medium, rigid, target_seed,
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(estimator=st.sampled_from(["ekf", "lstm"]), **TRIALS)
-def test_estimated_trial_keeps_the_loop_invariants(estimator, medium, rigid,
+def test_estimated_trial_keeps_the_loop_invariants(estimator, medium,
                                                    target_seed, trial_seed):
     """The loop invariants hold under an estimated pose, and the same trial
     run again writes the same line."""
-    record, logs, _ = _trial(estimator, medium, rigid, target_seed,
-                             trial_seed)
-    _keeps_the_loop_invariants(record, logs, rigid)
-    again, *_ = _trial(estimator, medium, rigid, target_seed, trial_seed)
+    record, logs, _ = _trial(estimator, medium, target_seed, trial_seed)
+    _keeps_the_loop_invariants(record, logs)
+    again, *_ = _trial(estimator, medium, target_seed, trial_seed)
     assert record_to_line(again) == record_to_line(record)

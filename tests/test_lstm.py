@@ -38,7 +38,6 @@ from needleroll.lstm import (
     init_model,
     load_model,
     param_shapes,
-    run_sequence,
     save_model,
     scale_features,
     sequence_rmse,
@@ -53,6 +52,7 @@ from oracles import (
     forward_step_matmul,
     model_file_dumps,
     roll_target,
+    run_sequence,
 )
 
 
